@@ -304,9 +304,17 @@ fn check_kernel(
     let wps = words_per_superstep(&sig, n_pes, workers);
     let busiest = wps.iter().copied().max().unwrap_or(0);
     let total_socket: u64 = got.socket_words_per_level.iter().sum();
+    // Scoped supersteps: frame exchanges actually performed per worker
+    // against the W-1 per superstep a fleet-wide barrier would cost.
+    let rounds_per_step: Vec<String> = got
+        .exchange_rounds
+        .iter()
+        .map(|&r| format!("{:.2}", r as f64 / got.supersteps.max(1) as f64))
+        .collect();
     let report = format!(
         "{label}: {} supersteps, {} socket words by level {:?}\n\
          {label}: words/superstep total={} max={} mean={:.1}\n\
+         {label}: exchange rounds/worker {:?}, rounds/superstep [{}] (fleet-wide: {})\n\
          {label}: analytic H(n,p=W,B=1)={h_words} blocks, H(n,p=W,B=32)={h_blocked} blocks",
         got.supersteps,
         total_socket,
@@ -314,6 +322,9 @@ fn check_kernel(
         wps.iter().sum::<u64>(),
         busiest,
         wps.iter().sum::<u64>() as f64 / wps.len().max(1) as f64,
+        got.exchange_rounds,
+        rounds_per_step.join(", "),
+        workers - 1,
     );
     Verdict {
         label: label.to_string(),
@@ -485,6 +496,7 @@ fn main() {
     }
     let mut families = vec![
         "modist_fleet_workers",
+        "modist_exchange_rounds_total",
         "modist_socket_words_total",
         "modist_recv_words_total",
         "moserve_jobs_submitted_total",

@@ -1,54 +1,68 @@
 //! `SocketComm`: the socket-backed [`Comm`] backend.
 //!
 //! One instance lives in each worker process and owns a contiguous PE
-//! range. A superstep runs in four phases, preserving the simulator's
-//! semantics bit for bit:
+//! range. Compute, partition, signature log and delivery are the shared
+//! `no-framework` [`Engine`] — the code `NoMachine` runs — so the two
+//! backends cannot drift; this module adds only the **exchange** between
+//! partition and delivery.
 //!
-//! 1. **Compute** — the driver closure runs for every owned PE in
-//!    increasing index order over a [`Pe`] view of the local memory and
-//!    inbox (the exact view `NoMachine` hands out).
-//! 2. **Partition** — outgoing messages split into locally-delivered
-//!    and per-destination-worker buffers; cross-PE traffic is
-//!    pair-aggregated into the worker's slice of the superstep's
-//!    traffic signature.
-//! 3. **Exchange** — `W − 1` XOR rounds: in round `r`, worker `w`
-//!    exchanges exactly one length-prefixed frame with `w ⊕ r` (the
-//!    lower index sends first, so the pairing is deadlock-free without
-//!    any buffering assumption). An empty frame is the barrier: every
-//!    worker hears from every peer every superstep, so no message from
-//!    superstep `s` can arrive during `s + 1`. Each frame is stamped
-//!    with the superstep index and the pair's D-BSP cluster level
-//!    ([`pair_level`]); both are validated on receipt.
-//! 4. **Deliver** — local and remote messages merge into per-PE
-//!    inboxes, stable-sorted by source PE (within a source, send order
-//!    is preserved — frames are built by scanning source PEs in
-//!    increasing order), matching `NoMachine::step`'s delivery rule.
+//! A D-BSP *i*-superstep synchronises its *i*-cluster, not the machine.
+//! The driver declares each superstep's [`Scope`] (a function of the
+//! input size alone, so every worker computes the same one) and a worker
+//! exchanges exactly one frame with each worker whose PE range shares a
+//! declared group with its own ([`Engine::peer_span`]): silent pairs
+//! neither send nor wait, and a cluster-local superstep costs no syscall.
+//!
+//! * Skipping is sound because the engine rejects any send that leaves
+//!   its group before a byte moves, so an unscoped pair has nothing to
+//!   say; and because frames carry their superstep and are validated on
+//!   receipt, a pair that last talked many supersteps ago still matches
+//!   frame for frame — per pair, both ends see the same in-scope
+//!   superstep sequence.
+//! * Within a superstep the in-scope peers are visited in increasing
+//!   XOR-round order (`me ⊕ r`, `r = 1..W`), the lower index of a pair
+//!   sending first. Every worker therefore performs its exchanges in
+//!   increasing `(superstep, round)` order, and an exchange `(s, r)`
+//!   pairs the same two workers from both ends. Take the waiting worker
+//!   with the smallest pending key: its partner has not passed that key
+//!   (the exchange is pending), cannot be waiting at a smaller one
+//!   (minimality), so it is computing or at the same exchange — it
+//!   arrives. No cycle of waits can form, with no buffering assumption.
+//! * Workers may drift many supersteps apart; each blocks only on the
+//!   partners its own scope names.
+//!
+//! A transport error, a corrupt frame or a scope violation poisons the
+//! run: later supersteps are skipped and [`SocketComm::finish`] returns
+//! the first error for the worker loop to report on the control channel.
 
-use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::TcpStream;
 use std::sync::Arc;
 
 use mo_obs::{pack_step_level, EventKind, TraceSink};
-use no_framework::{Comm, Pe};
+use no_framework::{Comm, Engine, Pe, Scope};
 
-use crate::frame::{recv_data, send_data, Msg};
+use crate::frame::{decode_data, read_frame, DistDone, Enc};
 use crate::topology::{num_levels, pair_level, Partition};
+
+/// One duplex mesh stream: reads go through a buffer that lives as long
+/// as the mesh (a frame's prefix and payload arrive in one `read`),
+/// writes go straight to the socket.
+pub type Link = BufReader<TcpStream>;
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
 
 /// The socket-backed superstep machine of one worker process.
 pub struct SocketComm<'a> {
     part: Partition,
     me: usize,
-    /// One TCP stream per peer worker (`None` at `me`).
-    peers: &'a mut [Option<TcpStream>],
-    /// Owned PE memories, indexed `pe - lo`.
-    mem: Vec<Vec<u64>>,
-    /// Owned PE inboxes for the current superstep.
-    inbox: Vec<Vec<(u32, u64)>>,
-    superstep: u32,
-    /// This worker's src-side traffic rows per superstep (sorted,
-    /// same-PE messages excluded).
-    traffic: Vec<Vec<Msg>>,
+    /// One stream per peer worker (`None` at `me`).
+    peers: &'a mut [Option<Link>],
+    engine: Engine,
+    /// Frame exchanges performed (one per in-scope peer per superstep).
+    exchange_rounds: u64,
     /// Payload words framed to each cluster level (sender-side).
     socket_words_per_level: Vec<u64>,
     /// Payload words delivered from each cluster level (receiver-side).
@@ -58,29 +72,33 @@ pub struct SocketComm<'a> {
     /// When tracing: the dist sink plus the fleet job id stamped into
     /// every event. `None` costs nothing on the superstep path.
     trace: Option<(Arc<TraceSink>, u64)>,
-    ops: u64,
+    /// Reused frame buffers: the outgoing frame, the incoming payload.
+    wire: Enc,
+    rbuf: Vec<u8>,
+    /// The first error of the run; once set, supersteps are skipped.
+    failed: Option<io::Error>,
 }
 
 impl<'a> SocketComm<'a> {
     /// A fresh machine for one kernel run. `peers[j]` must hold the
     /// established stream to worker `j` for every `j != me`; streams
     /// are borrowed so the mesh outlives the job.
-    pub fn new(part: Partition, me: usize, peers: &'a mut [Option<TcpStream>]) -> Self {
+    pub fn new(part: Partition, me: usize, peers: &'a mut [Option<Link>]) -> Self {
         assert_eq!(peers.len(), part.workers);
         assert!(me < part.workers && peers[me].is_none());
-        let share = part.share();
+        let levels = num_levels(part.workers).max(1);
         Self {
             part,
             me,
             peers,
-            mem: vec![Vec::new(); share],
-            inbox: vec![Vec::new(); share],
-            superstep: 0,
-            traffic: Vec::new(),
-            socket_words_per_level: vec![0; num_levels(part.workers).max(1)],
-            recv_words_per_level: vec![0; num_levels(part.workers).max(1)],
+            engine: Engine::new(part.n_pes, part.workers, me),
+            exchange_rounds: 0,
+            socket_words_per_level: vec![0; levels],
+            recv_words_per_level: vec![0; levels],
             trace: None,
-            ops: 0,
+            wire: Enc::new(),
+            rbuf: Vec::new(),
+            failed: None,
         }
     }
 
@@ -94,229 +112,164 @@ impl<'a> SocketComm<'a> {
         self
     }
 
-    /// First owned PE.
-    pub fn lo(&self) -> usize {
-        self.part.range(self.me).start
-    }
-
-    /// One past the last owned PE.
-    pub fn hi(&self) -> usize {
-        self.part.range(self.me).end
-    }
-
     /// Supersteps executed so far.
     pub fn supersteps(&self) -> u32 {
-        self.superstep
+        self.engine.supersteps() as u32
     }
 
-    /// Total operations charged by owned PEs.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// This worker's slice of the traffic signature (src-side rows).
-    pub fn traffic(&self) -> &[Vec<Msg>] {
-        &self.traffic
-    }
-
-    /// Sender-side payload words framed per cluster level.
-    pub fn socket_words_per_level(&self) -> &[u64] {
-        &self.socket_words_per_level
-    }
-
-    /// Receiver-side payload words delivered per cluster level.
-    pub fn recv_words_per_level(&self) -> &[u64] {
-        &self.recv_words_per_level
-    }
-
-    /// Consume the machine, returning the owned PE memories trimmed to
-    /// `keep` words each (the kernel's per-PE output size).
-    pub fn into_mems(mut self, keep: usize) -> Vec<Vec<u64>> {
-        for mem in &mut self.mem {
+    /// Consume the machine: the run's first error, or this worker's
+    /// result with every PE memory trimmed to `keep` words (the
+    /// kernel's per-PE output size).
+    pub fn finish(self, keep: usize) -> io::Result<DistDone> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
+        let owned = self.engine.owned();
+        let traffic = self.engine.traffic_signature();
+        let ops = self.engine.total_ops();
+        let mut mems = self.engine.into_mems();
+        for mem in &mut mems {
             mem.truncate(keep);
         }
-        self.mem
+        Ok(DistDone {
+            supersteps: traffic.len() as u32,
+            lo: owned.start as u32,
+            hi: owned.end as u32,
+            mems,
+            traffic,
+            socket_words_per_level: self.socket_words_per_level,
+            recv_words_per_level: self.recv_words_per_level,
+            ops,
+            exchange_rounds: self.exchange_rounds,
+        })
     }
 
-    fn exchange(&mut self, mut to_peer: Vec<Vec<Msg>>) -> io::Result<Vec<Msg>> {
-        let w = self.part.workers;
-        let mut incoming = Vec::new();
-        for r in 1..w {
-            let peer = self.me ^ r;
-            let level = pair_level(self.me, peer, w) as u8;
-            let out = std::mem::take(&mut to_peer[peer]);
-            let stream = self.peers[peer]
-                .as_mut()
-                .expect("mesh stream missing for peer");
-            let stamp = pack_step_level(self.superstep, level);
-            // The lower index of each XOR pair talks first; the higher
-            // one listens first. Every round is a perfect matching, so
-            // no cyclic wait can form regardless of frame sizes. The
-            // blocking `recv_data` *is* the per-round barrier, so its
-            // duration is the lateness charged to this pair.
-            let (step, got_level, msgs) = if self.me < peer {
-                send_data(stream, self.superstep, level, &out)?;
-                if let Some((sink, _)) = &self.trace {
-                    sink.emit(
-                        None,
-                        EventKind::ExchangeSend,
-                        peer as u64,
-                        stamp,
-                        out.len() as u64,
-                    );
-                }
-                let wait_from = self.trace.as_ref().map(|(sink, _)| sink.now_ns());
-                let got = recv_data(stream)?;
-                if let Some((sink, _)) = &self.trace {
-                    let waited = sink.now_ns().saturating_sub(wait_from.unwrap_or(0));
-                    sink.emit(None, EventKind::BarrierWait, peer as u64, stamp, waited);
-                    sink.emit(
-                        None,
-                        EventKind::ExchangeRecv,
-                        peer as u64,
-                        stamp,
-                        got.2.len() as u64,
-                    );
-                }
-                got
-            } else {
-                let wait_from = self.trace.as_ref().map(|(sink, _)| sink.now_ns());
-                let got = recv_data(stream)?;
-                if let Some((sink, _)) = &self.trace {
-                    let waited = sink.now_ns().saturating_sub(wait_from.unwrap_or(0));
-                    sink.emit(None, EventKind::BarrierWait, peer as u64, stamp, waited);
-                    sink.emit(
-                        None,
-                        EventKind::ExchangeRecv,
-                        peer as u64,
-                        stamp,
-                        got.2.len() as u64,
-                    );
-                }
-                send_data(stream, self.superstep, level, &out)?;
-                if let Some((sink, _)) = &self.trace {
-                    sink.emit(
-                        None,
-                        EventKind::ExchangeSend,
-                        peer as u64,
-                        stamp,
-                        out.len() as u64,
-                    );
-                }
-                got
-            };
-            if step != self.superstep {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "worker {} got superstep {step} from {peer}, expected {}",
-                        self.me, self.superstep
-                    ),
-                ));
-            }
-            if got_level != level {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "worker {} got cluster level {got_level} from {peer}, expected {level}",
-                        self.me
-                    ),
-                ));
-            }
-            self.socket_words_per_level[level as usize] += out.len() as u64;
-            self.recv_words_per_level[level as usize] += msgs.len() as u64;
-            incoming.extend(msgs);
+    fn emit(&self, kind: EventKind, a: u64, b: u64, c: u64) {
+        if let Some((sink, _)) = &self.trace {
+            sink.emit(None, kind, a, b, c);
         }
-        Ok(incoming)
+    }
+
+    /// Frame `peer_buf(peer)` to `peer` in one write.
+    fn send_frame(&mut self, peer: usize, superstep: u32, level: u8) -> io::Result<()> {
+        let out = self.engine.peer_buf(peer);
+        let words = out.len() as u64;
+        self.wire.clear();
+        self.wire.data(superstep, level, out);
+        out.clear();
+        let stream = self.peers[peer].as_mut().expect("mesh stream missing");
+        self.wire.send(stream.get_mut())?;
+        self.socket_words_per_level[level as usize] += words;
+        self.emit(
+            EventKind::ExchangeSend,
+            peer as u64,
+            pack_step_level(superstep, level),
+            words,
+        );
+        Ok(())
+    }
+
+    /// Block for `peer`'s frame (the raw payload lands in `rbuf`). The
+    /// blocking read *is* the pair's synchronisation, so its duration is
+    /// the lateness charged to this pair.
+    fn recv_frame(&mut self, peer: usize, superstep: u32, level: u8) -> io::Result<()> {
+        let wait_from = self.trace.as_ref().map(|(sink, _)| sink.now_ns());
+        let stream = self.peers[peer].as_mut().expect("mesh stream missing");
+        read_frame(stream, &mut self.rbuf)?;
+        if let (Some((sink, _)), Some(from)) = (&self.trace, wait_from) {
+            let stamp = pack_step_level(superstep, level);
+            let waited = sink.now_ns().saturating_sub(from);
+            sink.emit(None, EventKind::BarrierWait, peer as u64, stamp, waited);
+        }
+        Ok(())
+    }
+
+    /// Exchange one frame with `peer` and leave what it sent in
+    /// `peer_buf(peer)`, validated.
+    fn exchange_with(&mut self, peer: usize, superstep: u32) -> io::Result<()> {
+        let level = pair_level(self.me, peer, self.part.workers) as u8;
+        // The lower index of a pair talks first, the higher listens
+        // first, so neither end ever blocks in a send the other is not
+        // reading.
+        if self.me < peer {
+            self.send_frame(peer, superstep, level)?;
+            self.recv_frame(peer, superstep, level)?;
+        } else {
+            self.recv_frame(peer, superstep, level)?;
+            self.send_frame(peer, superstep, level)?;
+        }
+        let incoming = self.engine.peer_buf(peer);
+        let (step, got_level) = decode_data(&self.rbuf, incoming)?;
+        if (step, got_level) != (superstep, level) {
+            return Err(invalid(format!(
+                "frame stamped superstep {step} level {got_level}, \
+                 expected superstep {superstep} level {level}"
+            )));
+        }
+        // A frame may only carry the peer's PEs to ours; anything else
+        // would index out of the inboxes or break the delivery order.
+        let (theirs, ours) = (self.part.range(peer), self.part.range(self.me));
+        if let Some(&(src, dst, _)) = incoming
+            .iter()
+            .find(|m| !theirs.contains(&(m.0 as usize)) || !ours.contains(&(m.1 as usize)))
+        {
+            return Err(invalid(format!(
+                "frame carries foreign message {src} → {dst}"
+            )));
+        }
+        let words = incoming.len() as u64;
+        self.recv_words_per_level[level as usize] += words;
+        self.exchange_rounds += 1;
+        self.emit(
+            EventKind::ExchangeRecv,
+            peer as u64,
+            pack_step_level(superstep, level),
+            words,
+        );
+        Ok(())
     }
 
     /// One superstep; the fallible core [`Comm::step_dyn`] wraps.
     ///
-    /// A transport error is unrecoverable for the job — the fleet's
-    /// supersteps are in lockstep, so a lost frame cannot be resent
-    /// without replaying the superstep — and surfaces as `Err` for the
-    /// worker loop to report on the control channel.
-    pub fn try_step(&mut self, f: &mut dyn FnMut(usize, &mut Pe<'_>)) -> io::Result<()> {
-        let (lo, hi) = (self.lo(), self.hi());
-        let n = self.part.n_pes;
-        let share = self.part.share();
-        if let Some((sink, job)) = &self.trace {
-            sink.emit(
-                None,
-                EventKind::SuperstepBegin,
-                *job,
-                self.superstep as u64,
-                0,
-            );
-        }
-
-        // Phase 1: compute.
-        let mut outboxes: Vec<Vec<(u32, u64)>> = vec![Vec::new(); share];
-        for pe in lo..hi {
-            let i = pe - lo;
-            let mut ops = 0u64;
-            {
-                let mut ctx = Pe::new(
-                    &mut self.mem[i],
-                    &self.inbox[i],
-                    &mut outboxes[i],
-                    &mut ops,
-                    pe,
-                    n,
-                );
-                f(pe, &mut ctx);
+    /// An error is unrecoverable for the job — a lost frame cannot be
+    /// resent without replaying the superstep, and a scope violation is
+    /// a driver bug — and is `InvalidData` for a bad frame or an
+    /// out-of-scope send, `TimedOut` for a wedged peer, and the
+    /// transport's own kind otherwise. The machine must not be stepped
+    /// again after an `Err`.
+    pub fn try_step(
+        &mut self,
+        scope: Scope<'_>,
+        f: &mut dyn FnMut(usize, &mut Pe<'_>),
+    ) -> io::Result<()> {
+        let superstep = self.supersteps();
+        let job = self.trace.as_ref().map_or(0, |t| t.1);
+        self.emit(EventKind::SuperstepBegin, job, superstep as u64, 0);
+        self.engine
+            .compute(scope, f)
+            .map_err(|v| invalid(format!("worker {}: {v}", self.me)))?;
+        let span = self.engine.peer_span(scope);
+        for round in 1..self.part.workers {
+            let peer = self.me ^ round;
+            if !span.contains(&peer) {
+                continue;
             }
-            self.ops += ops;
+            self.exchange_with(peer, superstep).map_err(|e| {
+                // A socket read that outlives its timeout surfaces as
+                // `WouldBlock` on Unix; name it for what it is.
+                let kind = match e.kind() {
+                    io::ErrorKind::WouldBlock => io::ErrorKind::TimedOut,
+                    kind => kind,
+                };
+                let me = self.me;
+                io::Error::new(
+                    kind,
+                    format!("worker {me} superstep {superstep}: peer {peer}: {e}"),
+                )
+            })?;
         }
-
-        // Phase 2: partition + log. Scanning source PEs in increasing
-        // order keeps every per-peer buffer sorted by source, which the
-        // delivery merge below relies on.
-        let mut to_peer: Vec<Vec<Msg>> = vec![Vec::new(); self.part.workers];
-        let mut pair_words: HashMap<(u32, u32), u64> = HashMap::new();
-        for (i, out) in outboxes.into_iter().enumerate() {
-            let src = (lo + i) as u32;
-            for (dst, word) in out {
-                if dst != src {
-                    *pair_words.entry((src, dst)).or_insert(0) += 1;
-                }
-                to_peer[self.part.owner(dst as usize)].push((src, dst, word));
-            }
-        }
-        let mut rows: Vec<Msg> = pair_words
-            .into_iter()
-            .map(|((s, d), w)| (s, d, w))
-            .collect();
-        rows.sort_unstable();
-        self.traffic.push(rows);
-
-        // Phase 3: exchange (the barrier).
-        let local = std::mem::take(&mut to_peer[self.me]);
-        let incoming = self.exchange(to_peer)?;
-
-        // Phase 4: deliver. Local messages come first (sources in our
-        // own range were scanned in order); remote frames append theirs
-        // (each sorted by its sender's sources); the stable sort by
-        // source then reproduces NoMachine's delivery order exactly.
-        for ib in &mut self.inbox {
-            ib.clear();
-        }
-        for (src, dst, word) in local.into_iter().chain(incoming) {
-            self.inbox[dst as usize - lo].push((src, word));
-        }
-        for ib in &mut self.inbox {
-            ib.sort_by_key(|m| m.0);
-        }
-        if let Some((sink, job)) = &self.trace {
-            sink.emit(
-                None,
-                EventKind::SuperstepEnd,
-                *job,
-                self.superstep as u64,
-                0,
-            );
-        }
-        self.superstep += 1;
+        self.engine.deliver();
+        self.emit(EventKind::SuperstepEnd, job, superstep as u64, 0);
         Ok(())
     }
 }
@@ -327,31 +280,24 @@ impl Comm for SocketComm<'_> {
     }
 
     fn owns(&self, pe: usize) -> bool {
-        self.part.range(self.me).contains(&pe)
+        self.engine.owned().contains(&pe)
     }
 
     fn pe_mem_mut(&mut self, pe: usize) -> Option<&mut Vec<u64>> {
-        let lo = self.lo();
-        if self.owns(pe) {
-            self.mem.get_mut(pe - lo)
-        } else {
-            None
-        }
+        self.engine.mem_mut(pe)
     }
 
     fn pe_mem(&self, pe: usize) -> Option<&[u64]> {
-        if self.owns(pe) {
-            self.mem.get(pe - self.lo()).map(Vec::as_slice)
-        } else {
-            None
-        }
+        self.engine.mem(pe)
     }
 
-    fn step_dyn(&mut self, f: &mut dyn FnMut(usize, &mut Pe<'_>)) {
-        // NO drivers are infallible by signature; a dead mesh stream is
-        // a fleet-fatal condition the worker loop turns into a control
-        // error, so panicking (and letting the process supervisor see
-        // it) is the correct failure mode mid-superstep.
-        self.try_step(f).expect("D-BSP mesh exchange failed");
+    fn step_dyn(&mut self, scope: Scope<'_>, f: &mut dyn FnMut(usize, &mut Pe<'_>)) {
+        // NO drivers are infallible by signature. The first error is
+        // kept for `finish`; the rest of the driver's supersteps are
+        // skipped (their closures would read inboxes that never
+        // arrived).
+        if self.failed.is_none() {
+            self.failed = self.try_step(scope, f).err();
+        }
     }
 }

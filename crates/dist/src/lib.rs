@@ -44,12 +44,12 @@ pub mod topology;
 pub mod trace;
 pub mod worker;
 
-pub use comm::SocketComm;
+pub use comm::{Link, SocketComm};
 pub use frame::{Ctl, DistAlg, DistDone, Msg};
 pub use router::{ClockCal, DistOutcome, FleetExposition, Router};
 pub use topology::{job_key, pair_level, HashRing, Partition};
 pub use trace::{format_level_table, level_table, straggler_report, LevelRow};
-pub use worker::{run_worker, WorkerConfig};
+pub use worker::{establish_mesh, run_worker, WorkerConfig, MESH_IO_TIMEOUT};
 
 use std::io;
 use std::net::TcpListener;

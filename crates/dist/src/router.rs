@@ -91,6 +91,10 @@ pub struct DistOutcome {
     pub recv_words_per_level: Vec<u64>,
     /// Total PE operations charged across the fleet.
     pub ops: u64,
+    /// Frame exchanges each worker performed (index order): one per
+    /// in-scope peer per superstep, an exact function of
+    /// `(kernel, n, W)`.
+    pub exchange_rounds: Vec<u64>,
     /// The router-assigned fleet-unique job id this run carried (the
     /// `job` stamp on every dist trace event it produced).
     pub job: u64,
@@ -231,10 +235,14 @@ impl Router {
         for shard in &mut inner.shards {
             send_ctl(&mut shard.ctrl, &msg)?;
         }
+        // Every shard answers exactly once, done or failed; read them
+        // all so the control channels stay in step after a failed run.
         let mut dones: Vec<DistDone> = Vec::with_capacity(self.workers);
-        for shard in &mut inner.shards {
+        let mut failures = Vec::new();
+        for (w, shard) in inner.shards.iter_mut().enumerate() {
             match recv_ctl(&mut shard.ctrl)? {
                 Ctl::DistDone(d) => dones.push(d),
+                Ctl::DistFailed { reason } => failures.push(format!("worker {w}: {reason}")),
                 other => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -244,6 +252,12 @@ impl Router {
             }
         }
         drop(inner);
+        if !failures.is_empty() {
+            return Err(io::Error::other(format!(
+                "distributed run failed: {}",
+                failures.join("; ")
+            )));
+        }
         assemble(alg, n, kappa, self.workers, dones, job)
     }
 
@@ -550,6 +564,7 @@ fn assemble(
         socket_words_per_level,
         recv_words_per_level,
         ops: dones.iter().map(|d| d.ops).sum(),
+        exchange_rounds: dones.iter().map(|d| d.exchange_rounds).collect(),
         job,
     })
 }

@@ -116,8 +116,9 @@ pub fn format_level_table(rows: &[LevelRow]) -> String {
 }
 
 /// Render the per-round straggler report from a collected fleet trace:
-/// the slowest (waiter, peer) pair per `(job, superstep)`, then each
-/// worker's total barrier-blocked time.
+/// the slowest (waiter, peer) pair per `(job, superstep)` that exchanged
+/// at all (a cluster-local superstep has no pair and no row), then each
+/// worker's total blocked time and exchanges per superstep.
 pub fn straggler_report(summary: &FleetSummary) -> String {
     let mut out = String::new();
     out.push_str("slowest pair per round (waiter blocked on peer):\n");
@@ -137,9 +138,13 @@ pub fn straggler_report(summary: &FleetSummary) -> String {
     }
     out.push_str("total barrier wait per worker:\n");
     for (w, &ns) in &summary.barrier_wait_ns {
+        let steps = summary.supersteps.get(w).copied().unwrap_or(0);
+        let rounds = summary.exchange_rounds.get(w).copied().unwrap_or(0);
         out.push_str(&format!(
-            "  worker {w}: {:.3} ms (dropped events: {})\n",
+            "  worker {w}: {:.3} ms over {rounds} exchanges in {steps} supersteps \
+             ({:.2} rounds/superstep; dropped events: {})\n",
             ns as f64 / 1e6,
+            rounds as f64 / steps.max(1) as f64,
             summary.dropped.get(w).copied().unwrap_or(0)
         ));
     }
@@ -163,6 +168,7 @@ mod tests {
             socket_words_per_level: send,
             recv_words_per_level: recv,
             ops: 0,
+            exchange_rounds: Vec::new(),
             job: 1,
         }
     }

@@ -20,7 +20,7 @@
 //! over the long-lived mesh and run the *same* `no-framework` driver
 //! the simulator runs.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,10 +29,18 @@ use mo_obs::{EventKind, TraceSink};
 use mo_serve::{HwHierarchy, JobSpec, Kernel, Outcome, Rejected, ServeConfig, Server};
 use no_framework::algs::{ngep, sort};
 
-use crate::comm::SocketComm;
+use crate::comm::{Link, SocketComm};
 use crate::data;
 use crate::frame::{recv_ctl, send_ctl, Ctl, DistAlg, DistDone, WireEvent};
 use crate::topology::{num_levels, Partition};
+
+/// The fault bound on the data mesh: no single read or write on a peer
+/// stream blocks longer than this. A worker waits on a partner only
+/// while that partner computes its own PEs or waits in turn, so a live
+/// fleet never comes near it; a dead peer is noticed at once (its
+/// streams close) and a wedged one after at most this long, and either
+/// way the job ends in a [`Ctl::DistFailed`] instead of a hung fleet.
+pub const MESH_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Worker process configuration.
 #[derive(Debug, Clone)]
@@ -74,6 +82,7 @@ struct DistStats {
     worker: usize,
     jobs: u64,
     supersteps: u64,
+    exchange_rounds: u64,
     socket_words_per_level: Vec<u64>,
     recv_words_per_level: Vec<u64>,
     /// Events dropped at the dist trace ring (0 when untraced).
@@ -97,6 +106,12 @@ impl DistStats {
             "counter",
         );
         p.sample_u64("modist_supersteps_total", wl, self.supersteps);
+        p.header(
+            "modist_exchange_rounds_total",
+            "Frame exchanges with in-scope peers (one per peer per superstep).",
+            "counter",
+        );
+        p.sample_u64("modist_exchange_rounds_total", wl, self.exchange_rounds);
         p.header(
             "modist_socket_words_total",
             "Payload words framed to peers, by D-BSP cluster level.",
@@ -135,14 +150,23 @@ impl DistStats {
 
 /// Establish the full data mesh: one duplex stream per worker pair.
 /// Worker `i` dials every `j < i` (announcing its index in a hello
-/// frame) and accepts from every `j > i`.
-fn establish_mesh(
+/// frame) and accepts from every `j > i`. Every stream gets
+/// `io_timeout` as its read and write timeout before the first byte
+/// moves, so neither the handshake nor any later frame can block
+/// longer than that.
+pub fn establish_mesh(
     index: usize,
     addrs: &[String],
     listener: &TcpListener,
-) -> io::Result<Vec<Option<TcpStream>>> {
+    io_timeout: Duration,
+) -> io::Result<Vec<Option<Link>>> {
     let workers = addrs.len();
-    let mut peers: Vec<Option<TcpStream>> = (0..workers).map(|_| None).collect();
+    let prepare = |s: &TcpStream| -> io::Result<()> {
+        s.set_nodelay(true)?;
+        s.set_read_timeout(Some(io_timeout))?;
+        s.set_write_timeout(Some(io_timeout))
+    };
+    let mut peers: Vec<Option<Link>> = (0..workers).map(|_| None).collect();
     for (j, addr) in addrs.iter().enumerate().take(index) {
         // Lower-indexed listeners are already bound (they sent Hello
         // before the PeerTable went out), but their accept loop may
@@ -159,13 +183,14 @@ fn establish_mesh(
             }
         }
         let mut s = stream.expect("retry loop returned");
-        s.set_nodelay(true)?;
+        prepare(&s)?;
         crate::frame::Enc::new().u32(index as u32).send(&mut s)?;
-        peers[j] = Some(s);
+        peers[j] = Some(BufReader::new(s));
     }
     for _ in index + 1..workers {
-        let (mut s, _) = listener.accept()?;
-        s.set_nodelay(true)?;
+        let (s, _) = listener.accept()?;
+        prepare(&s)?;
+        let mut s = BufReader::new(s);
         let who = crate::frame::Dec::recv(&mut s)?.u32()? as usize;
         if who <= index || who >= workers || peers[who].is_some() {
             return Err(io::Error::new(
@@ -196,15 +221,20 @@ fn run_dist_job(
     seed: u64,
     job: u64,
     index: usize,
-    workers: usize,
-    peers: &mut [Option<TcpStream>],
+    peers: &mut [Option<Link>],
     sink: Option<&Arc<TraceSink>>,
-) -> DistDone {
+) -> io::Result<DistDone> {
+    if (0..peers.len()).any(|j| j != index && peers[j].is_none()) {
+        return Err(io::Error::new(
+            io::ErrorKind::NotConnected,
+            "data mesh is down after an earlier failed run",
+        ));
+    }
     let (n_pes, keep) = match alg {
         DistAlg::Ngep => ((n / kappa) * (n / kappa), kappa * kappa),
         DistAlg::Sort => (n, 1),
     };
-    let part = Partition::new(n_pes, workers);
+    let part = Partition::new(n_pes, peers.len());
     if let Some(sink) = sink {
         sink.emit(
             None,
@@ -236,25 +266,11 @@ fn run_dist_job(
             sort::sort_program(&mut comm, &input);
         }
     }
-    let (lo, hi) = (comm.lo() as u32, comm.hi() as u32);
     let supersteps = comm.supersteps();
-    let traffic = comm.traffic().to_vec();
-    let socket_words_per_level = comm.socket_words_per_level().to_vec();
-    let recv_words_per_level = comm.recv_words_per_level().to_vec();
-    let ops = comm.ops();
     if let Some(sink) = sink {
         sink.emit(None, EventKind::DistJobEnd, job, supersteps as u64, 0);
     }
-    DistDone {
-        supersteps,
-        lo,
-        hi,
-        mems: comm.into_mems(keep),
-        traffic,
-        socket_words_per_level,
-        recv_words_per_level,
-        ops,
-    }
+    comm.finish(keep)
 }
 
 /// Run one worker to completion (returns after [`Ctl::Shutdown`] or
@@ -298,7 +314,7 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
             ),
         ));
     }
-    let mut peers = establish_mesh(cfg.index, &addrs, &data_listener)?;
+    let mut peers = establish_mesh(cfg.index, &addrs, &data_listener, MESH_IO_TIMEOUT)?;
     // The dist trace sink: everything on this worker lands in the
     // external ring (the control loop is the only dist-event producer),
     // and its monotonic epoch clock is what clock probes read — no wall
@@ -308,6 +324,7 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
         worker: cfg.index,
         jobs: 0,
         supersteps: 0,
+        exchange_rounds: 0,
         socket_words_per_level: vec![0; num_levels(cfg.workers).max(1)],
         recv_words_per_level: vec![0; num_levels(cfg.workers).max(1)],
         trace_dropped: 0,
@@ -358,22 +375,37 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
                     seed,
                     job,
                     cfg.index,
-                    cfg.workers,
                     &mut peers,
                     sink.as_ref(),
                 );
                 stats.jobs += 1;
-                stats.supersteps += done.supersteps as u64;
-                for (l, &w) in done.socket_words_per_level.iter().enumerate() {
-                    stats.socket_words_per_level[l] += w;
-                }
-                for (l, &w) in done.recv_words_per_level.iter().enumerate() {
-                    stats.recv_words_per_level[l] += w;
-                }
                 if let Some(sink) = &sink {
                     stats.trace_dropped = sink.dropped();
                 }
-                send_ctl(&mut ctrl, &Ctl::DistDone(done))?;
+                let reply = match done {
+                    Ok(done) => {
+                        stats.supersteps += done.supersteps as u64;
+                        stats.exchange_rounds += done.exchange_rounds;
+                        for (l, &w) in done.socket_words_per_level.iter().enumerate() {
+                            stats.socket_words_per_level[l] += w;
+                        }
+                        for (l, &w) in done.recv_words_per_level.iter().enumerate() {
+                            stats.recv_words_per_level[l] += w;
+                        }
+                        Ctl::DistDone(done)
+                    }
+                    Err(e) => {
+                        // Mid-frame streams cannot be resynchronised.
+                        // Closing them also turns every partner's
+                        // pending read into an immediate EOF, so the
+                        // whole fleet reports within one timeout.
+                        peers.iter_mut().for_each(|p| *p = None);
+                        Ctl::DistFailed {
+                            reason: format!("{:?}: {e}", e.kind()),
+                        }
+                    }
+                };
+                send_ctl(&mut ctrl, &reply)?;
             }
             Ctl::ClockProbe { seq } => {
                 // Reply with the sink clock — the clock every shipped

@@ -223,3 +223,68 @@ fn fleet_metrics_merge_all_shards() {
     );
     fleet.shutdown().expect("clean shutdown");
 }
+
+/// Satellite: sim ≡ sockets on a `W = 8` fleet, where three cluster
+/// levels exist and scoped exchange lets workers drift many supersteps
+/// apart (most of the sort's supersteps touch no socket on most
+/// workers). Output, signature, superstep count and per-level
+/// send == recv must still be bit-identical to the simulator.
+#[test]
+fn w8_fleet_matches_simulator_bit_for_bit() {
+    let fleet = LocalFleet::spawn_with(8, |cfg| {
+        cfg.hierarchy = Some(HwHierarchy::flat(2, 1 << 14, 1 << 22));
+    })
+    .expect("spawn 8-worker fleet");
+    for (n, seed) in [(1024usize, 31u64), (4096, 32)] {
+        let input = mo_dist::data::sort_input(n, seed);
+        let (out, sig, steps) = sim_sort(&input);
+        let got = fleet.router().run_sort(n, seed).expect("fleet sort");
+        assert_outcome_matches(&format!("W=8 sort n={n}"), &got, &out, &sig, steps);
+        assert_eq!(got.socket_words_per_level.len(), 3, "W=8 has three levels");
+        let fleet_wide = (steps * 7) as u64;
+        assert!(
+            got.exchange_rounds.iter().all(|&r| r < fleet_wide / 3),
+            "n={n}: {:?} rounds per worker, fleet-wide exchange would be {fleet_wide}",
+            got.exchange_rounds
+        );
+    }
+    let (out, sig, steps) = sim_ngep(128, 32, 33);
+    let got = fleet.router().run_ngep(128, 32, 33).expect("fleet ngep");
+    assert_outcome_matches("W=8 ngep 128/32", &got, &out, &sig, steps);
+    fleet.shutdown().expect("clean shutdown");
+}
+
+/// Satellite: the exact, repeatable counter of the saving. Exchange
+/// rounds per worker are a function of `(kernel, n, W)` alone; with
+/// fleet-wide exchange they were `supersteps × (W − 1)` — 537 for
+/// sort 1024 and 216 for N-GEP 128/32 on four workers.
+#[test]
+fn exchange_rounds_are_pinned_and_exported() {
+    let fleet = fleet();
+    let sort = fleet.router().run_sort(1024, 7).expect("fleet sort");
+    assert_eq!(sort.supersteps, 179);
+    // The two inner workers have a neighbour on both sides.
+    assert_eq!(sort.exchange_rounds, [18, 30, 30, 18]);
+    let again = fleet.router().run_sort(1024, 8).expect("fleet sort");
+    assert_eq!(
+        again.exchange_rounds, sort.exchange_rounds,
+        "value-oblivious"
+    );
+    let ngep = fleet.router().run_ngep(128, 32, 7).expect("fleet ngep");
+    assert_eq!(ngep.supersteps, 72);
+    // Only the six root-level operand routes leave a worker.
+    assert_eq!(ngep.exchange_rounds, [12, 12, 12, 12]);
+
+    let text = fleet.router().fleet_metrics().expect("fleet metrics");
+    let samples = mo_obs::prom::parse(&text).expect("fleet view parses");
+    for w in 0..WORKERS {
+        let label = w.to_string();
+        let total = samples
+            .iter()
+            .find(|s| s.name == "modist_exchange_rounds_total" && s.label("worker") == Some(&label))
+            .unwrap_or_else(|| panic!("no exchange-round counter for worker {w}"));
+        let want = 2 * sort.exchange_rounds[w] + ngep.exchange_rounds[w];
+        assert_eq!(total.value, want as f64, "worker {w}");
+    }
+    fleet.shutdown().expect("clean shutdown");
+}

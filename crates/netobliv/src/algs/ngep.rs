@@ -28,9 +28,7 @@
 //! finalized before the call started (the I-GEP correctness order) and is
 //! routed from the parent's immutable operand frame.
 
-use std::collections::HashMap;
-
-use crate::{Comm, NoMachine};
+use crate::{Comm, NoMachine, Scope};
 
 /// The GEP update function (as in the MO side; kept as a plain `fn` so
 /// schedules stay `Copy`).
@@ -214,6 +212,14 @@ impl<C: Comm> Engine<'_, C> {
         debug_assert!(calls
             .iter()
             .all(|c| stages(c.fun, self.order).len() == nstages));
+        // Operands are routed from the parent's blocks and frames to its
+        // quadrants, so a stage's traffic stays inside the parent groups.
+        let mut groups: Vec<usize> = calls.iter().map(|c| c.group).collect();
+        groups.sort_unstable();
+        let parents = Scope::Groups {
+            starts: &groups,
+            size: s,
+        };
         for stage in 0..nstages {
             let mut subcalls = Vec::new();
             for call in &calls {
@@ -221,7 +227,7 @@ impl<C: Comm> Engine<'_, C> {
                     subcalls.push(self.make_subcall(call, fun, [xq, uq, vq, wq]));
                 }
             }
-            self.route(&subcalls);
+            self.route(parents, &subcalls);
             self.run_level(subcalls);
         }
     }
@@ -286,59 +292,59 @@ impl<C: Comm> Engine<'_, C> {
     }
 
     /// One routing superstep (+ delivery) bringing every sub-call's
-    /// non-alias operands into its group's frames.
-    fn route(&mut self, subcalls: &[Call]) {
+    /// non-alias operands into its group's frames. `parents` is the
+    /// scope the transfers stay inside.
+    fn route(&mut self, parents: Scope<'_>, subcalls: &[Call]) {
         let bsz = self.bsz;
-        // (src_pe) → [(dst_pe, src_off, dst_off)] and the receiver's view.
-        let mut sends: HashMap<usize, Vec<(usize, usize, usize)>> = HashMap::new();
-        let mut recvs: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
+        // The owned halves of the routing tables, keyed by PE and sorted
+        // so one PE's entries form a run: `src_pe → (dst_pe, dst_off,
+        // src_off)` and the receiver's view `dst_pe → (src_pe, dst_off)`.
+        // Whether the superstep happens at all is decided machine-wide.
+        let mut sends: Vec<(usize, (usize, usize, usize))> = Vec::new();
+        let mut recvs: Vec<(usize, (usize, usize))> = Vec::new();
+        let mut any = false;
         for call in subcalls {
             for (slot, &alias) in call.alias.iter().enumerate() {
                 if alias {
                     continue;
                 }
+                any = true;
                 let (src_group, src_off) = call.src[slot];
+                let soff = if src_off == usize::MAX { 0 } else { src_off };
                 let dst_off = call.frame + slot * bsz;
                 for t in 0..call.s() {
-                    let src_pe = src_group + t;
-                    let dst_pe = call.group + t;
-                    let soff = if src_off == usize::MAX { 0 } else { src_off };
-                    sends
-                        .entry(src_pe)
-                        .or_default()
-                        .push((dst_pe, soff, dst_off));
-                    recvs.entry(dst_pe).or_default().push((src_pe, dst_off));
-                }
-            }
-        }
-        if sends.is_empty() {
-            return;
-        }
-        for list in sends.values_mut() {
-            list.sort_unstable_by_key(|&(dst, _, doff)| (dst, doff));
-        }
-        for list in recvs.values_mut() {
-            list.sort_unstable_by_key(|&(src, doff)| (src, doff));
-        }
-        self.m.step(|pe, ctx| {
-            if let Some(list) = sends.get(&pe) {
-                for &(dst, soff, _) in list {
-                    let words: Vec<u64> = ctx.mem[soff..soff + bsz].to_vec();
-                    ctx.send_words(dst, &words);
-                }
-            }
-        });
-        self.m.step(|pe, ctx| {
-            if let Some(list) = recvs.get(&pe) {
-                let mut cursor = 0usize;
-                for &(_src, doff) in list {
-                    for k in 0..bsz {
-                        ctx.mem[doff + k] = ctx.inbox[cursor].1;
-                        cursor += 1;
+                    let (src_pe, dst_pe) = (src_group + t, call.group + t);
+                    if self.m.owns(src_pe) {
+                        sends.push((src_pe, (dst_pe, dst_off, soff)));
+                    }
+                    if self.m.owns(dst_pe) {
+                        recvs.push((dst_pe, (src_pe, dst_off)));
                     }
                 }
-                debug_assert_eq!(cursor, ctx.inbox.len());
             }
+        }
+        if !any {
+            return;
+        }
+        sends.sort_unstable();
+        recvs.sort_unstable();
+        let mut words: Vec<u64> = Vec::with_capacity(bsz);
+        self.m.step_in(parents, |pe, ctx| {
+            for &(_, (dst, _, soff)) in run_of(&sends, pe) {
+                words.clear();
+                words.extend_from_slice(&ctx.mem[soff..soff + bsz]);
+                ctx.send_words(dst, &words);
+            }
+        });
+        self.m.step_in(Scope::None, |pe, ctx| {
+            let mut cursor = 0usize;
+            for &(_, (_src, doff)) in run_of(&recvs, pe) {
+                for k in 0..bsz {
+                    ctx.mem[doff + k] = ctx.inbox[cursor].1;
+                    cursor += 1;
+                }
+            }
+            debug_assert_eq!(cursor, ctx.inbox.len());
         });
     }
 
@@ -349,9 +355,17 @@ impl<C: Comm> Engine<'_, C> {
         let bsz = self.bsz;
         let f = self.f;
         let sigma = self.sigma;
-        let jobs: HashMap<usize, Call> = calls.iter().map(|c| (c.group, *c)).collect();
-        self.m.step(|pe, ctx| {
-            let Some(call) = jobs.get(&pe) else { return };
+        let mut jobs: Vec<Call> = calls
+            .iter()
+            .filter(|c| self.m.owns(c.group))
+            .copied()
+            .collect();
+        jobs.sort_unstable_by_key(|c| c.group);
+        self.m.step_in(Scope::None, |pe, ctx| {
+            let Ok(at) = jobs.binary_search_by_key(&pe, |c| c.group) else {
+                return;
+            };
+            let call = &jobs[at];
             let off = |slot: usize, alias: bool| -> usize {
                 if alias {
                     0
@@ -382,6 +396,13 @@ impl<C: Comm> Engine<'_, C> {
             ctx.work(ops);
         });
     }
+}
+
+/// The run of `table` (sorted by its PE key) that belongs to `pe`.
+fn run_of<T>(table: &[(usize, T)], pe: usize) -> &[(usize, T)] {
+    let from = table.partition_point(|e| e.0 < pe);
+    let len = table[from..].partition_point(|e| e.0 == pe);
+    &table[from..from + len]
 }
 
 trait CallExt {

@@ -13,7 +13,7 @@
 //! All groups at a recursion level share supersteps (level-synchronous),
 //! so M(p,B) costs are measured with full concurrency.
 
-use crate::{Comm, NoMachine};
+use crate::{Comm, NoMachine, Scope};
 
 /// Gather-sort-scatter base size.
 const BASE: usize = 32;
@@ -21,24 +21,26 @@ const BASE: usize = 32;
 /// One permutation superstep applied within every group in `starts`
 /// (all of size `g`): local index `t` moves to `perm(t)`.
 fn permute<C: Comm>(m: &mut C, starts: &[usize], g: usize, perm: impl Fn(usize) -> usize) {
-    let mut group_of = std::collections::HashMap::new();
-    for &lo in starts {
-        for t in 0..g {
-            group_of.insert(lo + t, lo);
-        }
-    }
-    m.step(|pe, ctx| {
-        let Some(&lo) = group_of.get(&pe) else { return };
-        let t = pe - lo;
+    let n = m.n_pes();
+    let groups = Scope::Groups { starts, size: g };
+    m.step_in(groups, |pe, ctx| {
+        let Some(group) = groups.group_of(pe, n) else {
+            return;
+        };
         let v = ctx.mem[0];
-        ctx.send(lo + perm(t), v);
+        ctx.send(group.start + perm(pe - group.start), v);
         ctx.work(1);
     });
-    m.step(|pe, ctx| {
-        if group_of.contains_key(&pe) {
-            ctx.mem[0] = ctx.inbox[0].1;
-        }
-    });
+    // `perm` is a bijection of each group, so exactly the grouped PEs
+    // hear back, one word each.
+    m.step_in(Scope::None, receive_key);
+}
+
+/// A receive-only superstep body: adopt the key delivered to this PE.
+fn receive_key(_pe: usize, ctx: &mut crate::Pe<'_>) {
+    if let Some(&(_, v)) = ctx.inbox.first() {
+        ctx.mem[0] = v;
+    }
 }
 
 /// Largest power-of-two `s ≥ 2` with `2(s-1)² ≤ g/s` (column-sort
@@ -62,35 +64,29 @@ fn sort_groups<C: Comm>(m: &mut C, starts: &[usize], g: usize) {
     }
     if g <= BASE || pick_s(g).is_none() {
         // Gather to the group leader, sort, scatter.
-        let leaders: std::collections::HashSet<usize> = starts.iter().copied().collect();
-        let mut leader_of = std::collections::HashMap::new();
-        for &lo in starts {
-            for t in 0..g {
-                leader_of.insert(lo + t, lo);
-            }
-        }
-        m.step(|pe, ctx| {
-            if let Some(&lo) = leader_of.get(&pe) {
+        let n = m.n_pes();
+        let groups = Scope::Groups { starts, size: g };
+        m.step_in(groups, |pe, ctx| {
+            if let Some(group) = groups.group_of(pe, n) {
                 let v = ctx.mem[0];
-                ctx.send(lo, v);
+                ctx.send(group.start, v);
             }
         });
-        m.step(|pe, ctx| {
-            if !leaders.contains(&pe) {
+        let mut vals: Vec<u64> = Vec::new();
+        m.step_in(groups, |pe, ctx| {
+            // Only leaders were written to (each at least by itself).
+            if ctx.inbox.is_empty() {
                 return;
             }
-            let mut vals: Vec<u64> = ctx.inbox.iter().map(|&(_, w)| w).collect();
+            vals.clear();
+            vals.extend(ctx.inbox.iter().map(|&(_, w)| w));
             vals.sort_unstable();
             ctx.work((vals.len() * vals.len().max(2).ilog2() as usize) as u64);
-            for (t, v) in vals.into_iter().enumerate() {
+            for (t, &v) in vals.iter().enumerate() {
                 ctx.send(pe + t, v);
             }
         });
-        m.step(|pe, ctx| {
-            if leader_of.contains_key(&pe) {
-                ctx.mem[0] = ctx.inbox[0].1;
-            }
-        });
+        m.step_in(Scope::None, receive_key);
         return;
     }
     let s = pick_s(g).unwrap();

@@ -31,7 +31,9 @@
 
 pub mod algs;
 mod comm;
+mod engine;
 mod machine;
 
-pub use comm::Comm;
+pub use comm::{Comm, Scope};
+pub use engine::{Engine, Msg, ScopeViolation};
 pub use machine::{CostModelError, NoMachine, Pe};

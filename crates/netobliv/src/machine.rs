@@ -2,6 +2,9 @@
 
 use std::collections::HashMap;
 
+use crate::comm::Scope;
+use crate::engine::{Engine, Msg};
+
 /// One processing element's view during a superstep.
 pub struct Pe<'a> {
     /// This PE's unbounded local memory.
@@ -139,25 +142,13 @@ impl std::fmt::Display for CostModelError {
 
 impl std::error::Error for CostModelError {}
 
-/// Per-superstep log: pair-aggregated traffic and per-PE op counts
-/// (sparse).
-#[derive(Debug, Clone, Default)]
-struct StepLog {
-    /// `(src_pe, dst_pe) → words` for cross-PE messages.
-    traffic: Vec<(u32, u32, u64)>,
-    /// `(pe, ops)` for PEs that charged work.
-    ops: Vec<(u32, u64)>,
-}
-
 /// The M(N) machine: executes supersteps and logs costs.
 ///
-/// Execution is sequential and deterministic: within a superstep PEs run
-/// in index order, and messages are delivered sorted by source.
+/// Execution is sequential and deterministic: the one-worker case of
+/// the shared [`Engine`] — within a superstep PEs run in index order,
+/// and messages are delivered sorted by source.
 pub struct NoMachine {
-    n: usize,
-    mem: Vec<Vec<u64>>,
-    inbox: Vec<Vec<(u32, u64)>>,
-    log: Vec<StepLog>,
+    engine: Engine,
 }
 
 impl NoMachine {
@@ -165,83 +156,44 @@ impl NoMachine {
     pub fn new(n: usize) -> Self {
         assert!(n >= 1);
         Self {
-            n,
-            mem: vec![Vec::new(); n],
-            inbox: vec![Vec::new(); n],
-            log: Vec::new(),
+            engine: Engine::new(n, 1, 0),
         }
     }
 
     /// Number of PEs `N`.
     pub fn n_pes(&self) -> usize {
-        self.n
+        self.engine.n_pes()
     }
 
     /// Read access to a PE's memory (host-side input/output marshalling).
     pub fn mem(&self, pe: usize) -> &[u64] {
-        &self.mem[pe]
+        self.engine.mem(pe).expect("PE index out of range")
     }
 
     /// Mutable access to a PE's memory (input loading only — does not
     /// count as communication).
     pub fn mem_mut(&mut self, pe: usize) -> &mut Vec<u64> {
-        &mut self.mem[pe]
+        self.engine.mem_mut(pe).expect("PE index out of range")
     }
 
     /// Execute one superstep: `f(pe, ctx)` runs for every PE; messages
     /// sent become visible in the next superstep.
     pub fn step<F: FnMut(usize, &mut Pe<'_>)>(&mut self, mut f: F) {
-        self.step_impl(&mut f);
+        self.step_impl(Scope::All, &mut f);
     }
 
-    fn step_impl(&mut self, f: &mut dyn FnMut(usize, &mut Pe<'_>)) {
-        let mut outboxes: Vec<Vec<(u32, u64)>> = vec![Vec::new(); self.n];
-        let mut slog = StepLog::default();
-        #[allow(clippy::needless_range_loop)] // pe is also the PE id handed to f
-        for pe in 0..self.n {
-            let mut ops = 0u64;
-            {
-                let mut ctx = Pe {
-                    mem: &mut self.mem[pe],
-                    inbox: &self.inbox[pe],
-                    outbox: &mut outboxes[pe],
-                    ops: &mut ops,
-                    pe,
-                    n: self.n,
-                };
-                f(pe, &mut ctx);
-            }
-            if ops > 0 {
-                slog.ops.push((pe as u32, ops));
-            }
+    /// A send outside the declared scope is a bug in the driver, on the
+    /// simulator a panic naming the offending pair.
+    fn step_impl(&mut self, scope: Scope<'_>, f: &mut dyn FnMut(usize, &mut Pe<'_>)) {
+        if let Err(violation) = self.engine.compute(scope, f) {
+            panic!("{violation}");
         }
-        // Deliver and log.
-        let mut pair_words: HashMap<(u32, u32), u64> = HashMap::new();
-        for ib in &mut self.inbox {
-            ib.clear();
-        }
-        for (src, out) in outboxes.into_iter().enumerate() {
-            for (dst, word) in out {
-                if dst as usize != src {
-                    *pair_words.entry((src as u32, dst)).or_insert(0) += 1;
-                }
-                self.inbox[dst as usize].push((src as u32, word));
-            }
-        }
-        for ib in &mut self.inbox {
-            ib.sort_by_key(|m| m.0); // deterministic delivery order
-        }
-        slog.traffic = pair_words
-            .into_iter()
-            .map(|((s, d), w)| (s, d, w))
-            .collect();
-        slog.traffic.sort_unstable();
-        self.log.push(slog);
+        self.engine.deliver();
     }
 
     /// Number of supersteps executed.
     pub fn supersteps(&self) -> usize {
-        self.log.len()
+        self.engine.supersteps()
     }
 
     /// The communication pattern as data: per superstep, the sorted
@@ -252,19 +204,24 @@ impl NoMachine {
     /// across same-size inputs is the machine-level obliviousness check
     /// (the D-BSP optimality theorems of §VI quantify over the pattern,
     /// not the data).
-    pub fn traffic_signature(&self) -> Vec<Vec<(u32, u32, u64)>> {
-        self.log.iter().map(|s| s.traffic.clone()).collect()
+    pub fn traffic_signature(&self) -> Vec<Vec<Msg>> {
+        self.engine.traffic_signature()
     }
 
     /// Total words sent across all supersteps (PE-level, excluding
     /// same-PE messages).
     pub fn total_words(&self) -> u64 {
-        self.log.iter().flat_map(|s| &s.traffic).map(|t| t.2).sum()
+        self.engine
+            .log
+            .iter()
+            .flat_map(|s| &s.traffic)
+            .map(|t| t.2)
+            .sum()
     }
 
     fn proc_of(&self, pe: u32, p: usize) -> usize {
         // p contiguous groups of ⌈N/p⌉ PEs.
-        let per = self.n.div_ceil(p);
+        let per = self.n_pes().div_ceil(p);
         pe as usize / per
     }
 
@@ -291,7 +248,7 @@ impl NoMachine {
             return Err(CostModelError::ZeroBlockSize { level: 0 });
         }
         let mut total = 0u64;
-        for step in &self.log {
+        for step in &self.engine.log {
             let mut pair: HashMap<(usize, usize), u64> = HashMap::new();
             for &(s, d, w) in &step.traffic {
                 let (sp, dp) = (self.proc_of(s, p), self.proc_of(d, p));
@@ -316,7 +273,7 @@ impl NoMachine {
     /// PEs.
     pub fn computation_complexity(&self, p: usize) -> u64 {
         let mut total = 0u64;
-        for step in &self.log {
+        for step in &self.engine.log {
             let mut per = vec![0u64; p];
             for &(pe, ops) in &step.ops {
                 per[self.proc_of(pe, p)] += ops;
@@ -365,7 +322,7 @@ impl NoMachine {
             return Ok(0.0);
         }
         let mut time = 0.0;
-        for step in &self.log {
+        for step in &self.engine.log {
             // Finest level whose clusters contain all (src,dst) pairs.
             let mut level = logp - 1; // smallest clusters (size 2)
             let mut any = false;
@@ -410,23 +367,23 @@ impl NoMachine {
 
 impl crate::Comm for NoMachine {
     fn n_pes(&self) -> usize {
-        self.n
+        self.engine.n_pes()
     }
 
     fn owns(&self, pe: usize) -> bool {
-        pe < self.n
+        pe < self.engine.n_pes()
     }
 
     fn pe_mem_mut(&mut self, pe: usize) -> Option<&mut Vec<u64>> {
-        self.mem.get_mut(pe)
+        self.engine.mem_mut(pe)
     }
 
     fn pe_mem(&self, pe: usize) -> Option<&[u64]> {
-        self.mem.get(pe).map(Vec::as_slice)
+        self.engine.mem(pe)
     }
 
-    fn step_dyn(&mut self, f: &mut dyn FnMut(usize, &mut Pe<'_>)) {
-        self.step_impl(f);
+    fn step_dyn(&mut self, scope: Scope<'_>, f: &mut dyn FnMut(usize, &mut Pe<'_>)) {
+        self.step_impl(scope, f);
     }
 }
 

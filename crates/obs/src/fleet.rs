@@ -238,6 +238,12 @@ pub struct FleetSummary {
     pub recv_words: BTreeMap<(u32, u8), u64>,
     /// Ring-dropped events per worker (from the shipped streams).
     pub dropped: BTreeMap<u32, u64>,
+    /// Supersteps begun per worker.
+    pub supersteps: BTreeMap<u32, u64>,
+    /// Completed frame exchanges per worker. Scoped supersteps exchange
+    /// only with the workers sharing a group, so this is well below
+    /// `supersteps × (W − 1)` and a superstep may have none at all.
+    pub exchange_rounds: BTreeMap<u32, u64>,
 }
 
 /// Aggregate the shipped streams (no clock correction needed — only
@@ -249,10 +255,13 @@ pub fn summarize(streams: &[WorkerStream]) -> FleetSummary {
         s.dropped.insert(w, st.dropped);
         s.barrier_wait_ns.entry(w).or_insert(0);
         s.barrier_hist.entry(w).or_insert([0; 64]);
+        s.supersteps.entry(w).or_insert(0);
+        s.exchange_rounds.entry(w).or_insert(0);
         let mut job = 0u64;
         for e in &st.events {
             match e.kind {
                 EventKind::DistJobBegin => job = e.a,
+                EventKind::SuperstepBegin => *s.supersteps.entry(w).or_insert(0) += 1,
                 EventKind::BarrierWait => {
                     let (step, _) = unpack_step_level(e.b);
                     *s.barrier_wait_ns.entry(w).or_insert(0) += e.c;
@@ -273,6 +282,7 @@ pub fn summarize(streams: &[WorkerStream]) -> FleetSummary {
                 EventKind::ExchangeRecv => {
                     let (_, level) = unpack_step_level(e.b);
                     *s.recv_words.entry((w, level)).or_insert(0) += e.c;
+                    *s.exchange_rounds.entry(w).or_insert(0) += 1;
                 }
                 _ => {}
             }
@@ -405,6 +415,32 @@ mod tests {
         let sent: u64 = s.send_words.values().sum();
         let recv: u64 = s.recv_words.values().sum();
         assert_eq!(sent, recv);
+    }
+
+    /// A cluster-local superstep has a begin/end pair and nothing in
+    /// between: no exchange, no wait. Export and summary must take it
+    /// as an ordinary superstep, not as a hole in the trace.
+    #[test]
+    fn supersteps_without_exchange_rounds_are_tolerated() {
+        let mut streams = two_worker_streams();
+        for (st, base) in streams.iter_mut().zip([200u64, 1200]) {
+            let end = st.events.pop().expect("job end");
+            st.events.extend([
+                ev(base, EventKind::SuperstepBegin, 7, 1, 0),
+                ev(base + 5, EventKind::SuperstepEnd, 7, 1, 0),
+                ev(base + 10, end.kind, end.a, 2, end.c),
+            ]);
+        }
+        let json = to_chrome_json(&streams);
+        crate::chrome::validate(&json).expect("silent supersteps still validate");
+        assert_eq!(json.matches("\"superstep\":1}").count(), 2);
+        let s = summarize(&streams);
+        assert_eq!(s.supersteps[&0], 2);
+        assert_eq!(s.exchange_rounds[&0], 1);
+        assert_eq!(s.exchange_rounds[&1], 1);
+        // Only the superstep that exchanged has a straggler entry.
+        assert_eq!(s.slowest_pair.len(), 1);
+        assert!(s.slowest_pair.contains_key(&(7, 0)));
     }
 
     #[test]
