@@ -181,3 +181,53 @@ fn euler_tour_verifies_clean() {
         assert_clean(&verify(&ep.program), "euler");
     }
 }
+
+/// `record_measured` records once and patches the measured bounds in.
+/// That equals the two-pass construction it replaced (scout, measure,
+/// record again under the measured bounds) because a second recording of
+/// the same body reproduces the scout's trace and task tree exactly; shown
+/// on the data-dependent recorders, sort with heavy duplicates included.
+#[test]
+fn record_measured_equals_the_two_pass_construction() {
+    use mo_core::verify::measured_bounds;
+    use mo_core::Program;
+
+    fn check(what: &str, root_space: usize, body: impl Fn(&mut Recorder) + Send + Sync) {
+        let shape = |p: &Program| -> Vec<String> {
+            let task = |t: &mo_core::TaskNode| format!("{:?} {:?}", t.parent, t.segments);
+            p.tasks().iter().map(task).collect()
+        };
+        let scout = Recorder::record(root_space, &body);
+        let second = Recorder::record(root_space, &body);
+        assert!(scout.trace() == second.trace(), "{what}: trace moved");
+        assert_eq!(shape(&scout), shape(&second), "{what}: task tree moved");
+        let measured = Recorder::record_measured(root_space, &body);
+        assert!(measured.trace() == second.trace(), "{what}: trace");
+        assert_eq!(shape(&measured), shape(&second), "{what}: task tree");
+        let spaces: Vec<usize> = measured.tasks().iter().map(|t| t.space).collect();
+        assert_eq!(spaces, measured_bounds(&scout), "{what}: space bounds");
+        assert_clean(&verify(&measured), what);
+    }
+
+    let keys = lcg(9, 3000, 7); // seven distinct keys
+    check("sort", 4 * keys.len(), |rec| {
+        let a = rec.alloc_init(&keys);
+        algs::sort::mo_sort(rec, a, keys.len());
+    });
+
+    let succ = algs::listrank::random_list(700, 5);
+    let pred = algs::listrank::invert_succ(&succ);
+    check("listrank", 8 * succ.len(), |rec| {
+        let (s, p) = (rec.alloc_init(&succ), rec.alloc_init(&pred));
+        let rank = rec.alloc(succ.len());
+        algs::listrank::mo_listrank(rec, s, p, rank, succ.len());
+    });
+
+    let (n, m) = (200usize, 500usize);
+    let (eu, ev) = (lcg(1, m, n as u64), lcg(2, m, n as u64));
+    check("cc", 8 * (n + m), |rec| {
+        let (eu, ev) = (rec.alloc_init(&eu), rec.alloc_init(&ev));
+        let (comp, forest) = (rec.alloc(n), rec.alloc(m));
+        algs::graph::cc::mo_cc(rec, eu, ev, m, n, comp, forest);
+    });
+}

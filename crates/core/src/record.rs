@@ -237,9 +237,6 @@ pub struct Recorder {
     in_cgc: bool,
     /// Allocation alignment in words.
     align: usize,
-    /// Space bounds by task id that take precedence over the bounds the
-    /// algorithm declares (empty outside measured re-recording).
-    space_overrides: Vec<usize>,
 }
 
 /// Stack size for the recording thread. Recording recurses natively with
@@ -263,40 +260,7 @@ impl Recorder {
         align: usize,
         body: impl FnOnce(&mut Recorder) + Send,
     ) -> Program {
-        Self::record_impl(root_space, align, Vec::new(), body)
-    }
-
-    /// Record a program with *measured* space bounds.
-    ///
-    /// Algorithms with data-dependent task trees (sorting, list and graph
-    /// contraction) cannot state exact per-task space analytically: the
-    /// size of a recursive subproblem depends on the data (sample
-    /// dedup, bucket occupancy, independent-set size, …). This helper
-    /// records the deterministic `body` twice: a scouting pass using the
-    /// provisional bounds declared at each [`fork`](Recorder::fork), from
-    /// which [`crate::verify::measured_bounds`] measures every task's true
-    /// subtree footprint (equalized across CGC⇒SB batches), and a final
-    /// pass in which those measured bounds replace the provisional ones.
-    /// The resulting program always passes the [`crate::verify`] space
-    /// lints; the race detector is unaffected (races do not depend on
-    /// declared bounds).
-    pub fn record_measured(
-        root_space: usize,
-        mut body: impl FnMut(&mut Recorder) + Send,
-    ) -> Program {
-        let scout = Self::record_impl(root_space, 64, Vec::new(), &mut body);
-        let bounds = crate::verify::measured_bounds(&scout);
-        Self::record_impl(root_space, 64, bounds, body)
-    }
-
-    fn record_impl(
-        root_space: usize,
-        align: usize,
-        space_overrides: Vec<usize>,
-        body: impl FnOnce(&mut Recorder) + Send,
-    ) -> Program {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
-        let root = space_overrides.first().copied().unwrap_or(root_space);
         // Recording runs on its own big-stack thread (see [`RECORD_STACK`]);
         // panics from the body are re-raised on the caller's thread.
         std::thread::scope(|s| {
@@ -308,7 +272,7 @@ impl Recorder {
                         mem: Vec::new(),
                         trace: Vec::new(),
                         tasks: vec![TaskNode {
-                            space: root,
+                            space: root_space,
                             segments: Vec::new(),
                             parent: None,
                         }],
@@ -317,7 +281,6 @@ impl Recorder {
                         pending_start: 0,
                         in_cgc: false,
                         align,
-                        space_overrides,
                     };
                     body(&mut rec);
                     rec.close_pending();
@@ -335,6 +298,31 @@ impl Recorder {
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         })
+    }
+
+    /// Record a program with *measured* space bounds.
+    ///
+    /// Algorithms with data-dependent task trees (sorting, list and graph
+    /// contraction) cannot state exact per-task space analytically: the
+    /// size of a recursive subproblem depends on the data (sample
+    /// dedup, bucket occupancy, independent-set size, …). This helper
+    /// records `body` with the provisional bounds declared at each
+    /// [`fork`](Recorder::fork), measures every task's true subtree
+    /// footprint with [`crate::verify::measured_bounds`] (equalized across
+    /// CGC⇒SB batches) and replaces the provisional bounds by the measured
+    /// ones. One recording is enough: a body never sees a space bound, so
+    /// recording it again under the measured bounds would reproduce the
+    /// same trace and the same task tree.
+    /// The resulting program always passes the [`crate::verify`] space
+    /// lints; the race detector is unaffected (races do not depend on
+    /// declared bounds).
+    pub fn record_measured(root_space: usize, body: impl FnMut(&mut Recorder) + Send) -> Program {
+        let mut prog = Self::record(root_space, body);
+        let bounds = crate::verify::measured_bounds(&prog);
+        for (task, space) in prog.tasks.iter_mut().zip(bounds) {
+            task.space = space;
+        }
+        prog
     }
 
     /// Allocate `len` words of zeroed simulated memory.
@@ -468,9 +456,8 @@ impl Recorder {
                 "task DAG too large; add a base-case grain"
             );
             let id = self.tasks.len();
-            let space = self.space_overrides.get(id).copied().unwrap_or(child.space);
             self.tasks.push(TaskNode {
-                space,
+                space: child.space,
                 segments: Vec::new(),
                 parent: Some(*self.stack.last().unwrap()),
             });

@@ -2,8 +2,9 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
-use hm_model::{AccessKind, CacheId, CacheSystem, CoreId, MachineSpec, Metrics, Topology};
+use hm_model::{CacheId, CacheSystem, CoreId, MachineSpec, Metrics, Topology};
 
 use crate::record::{ForkHint, Program, Segment, TaskId};
 
@@ -82,6 +83,51 @@ struct TaskState {
     cgcsb_width: usize,
 }
 
+/// Where [`Engine::cgcsb_plan`] puts the children of one CGC⇒SB fork.
+#[derive(Debug)]
+enum CgcSbPlan {
+    /// The common bound fits no cache: every child runs from memory.
+    Memory,
+    /// Cannot descend yet: children inherit the anchor and extend the
+    /// expansion positions, `eff` wide, from `first_pos`.
+    Inherit {
+        parent: Anchor,
+        first_pos: usize,
+        eff: usize,
+    },
+    /// Child at expansion position `pos` of `eff` goes to the
+    /// `pos·q/eff`-th of the `q` level-`level` caches `caches`.
+    Spread {
+        level: usize,
+        caches: Range<usize>,
+        first_pos: usize,
+        eff: usize,
+    },
+}
+
+impl CgcSbPlan {
+    /// `(anchor, expansion position, expansion width)` of child `c`.
+    fn child(&self, c: usize) -> (Anchor, usize, usize) {
+        match self {
+            CgcSbPlan::Memory => (Anchor::Memory, 0, 1),
+            CgcSbPlan::Inherit {
+                parent,
+                first_pos,
+                eff,
+            } => (*parent, first_pos + c, *eff),
+            CgcSbPlan::Spread {
+                level,
+                caches,
+                first_pos,
+                eff,
+            } => {
+                let j = caches.start + (first_pos + c) * caches.len() / eff;
+                (Anchor::Cache(CacheId::new(*level, j)), 0, 1)
+            }
+        }
+    }
+}
+
 /// Pending scheduler work (explicit stack; see `Engine::drain`).
 #[derive(Debug, Clone, Copy)]
 enum Action {
@@ -139,20 +185,20 @@ impl<'p> Engine<'p> {
         Engine {
             prog,
             spec: spec.clone(),
-            topo: topo.clone(),
             policy,
             tstate,
             core_free: vec![0; topo.cores()],
             core_busy: vec![0; topo.cores()],
-            used: (1..=levels).map(|i| vec![0; spec.caches_at(i)]).collect(),
-            load: (1..=levels).map(|i| vec![0; spec.caches_at(i)]).collect(),
+            used: (1..=levels).map(|i| vec![0; topo.caches_at(i)]).collect(),
+            load: (1..=levels).map(|i| vec![0; topo.caches_at(i)]).collect(),
             waiting: (1..=levels)
-                .map(|i| vec![VecDeque::new(); spec.caches_at(i)])
+                .map(|i| vec![VecDeque::new(); topo.caches_at(i)])
                 .collect(),
             events: BinaryHeap::new(),
             seq: 0,
             units: Vec::new(),
             makespan: 0,
+            topo,
         }
     }
 
@@ -222,23 +268,22 @@ impl<'p> Engine<'p> {
         }
     }
 
-    fn least_loaded_under(&self, parent: Anchor, level: usize) -> CacheId {
-        let candidates: Vec<CacheId> = match parent {
-            Anchor::Memory => (0..self.topo.caches_at(level))
-                .map(|j| CacheId::new(level, j))
-                .collect(),
-            Anchor::Cache(c) => self.topo.caches_under(c, level),
-        };
-        let mut best = candidates[0];
-        let mut best_load = self.load[level - 1][best.index];
-        for c in candidates.into_iter().skip(1) {
-            let l = self.load[level - 1][c.index];
-            if l < best_load {
-                best = c;
-                best_load = l;
-            }
+    /// Indices of the level-`level` caches under `parent`'s shadow.
+    fn indices_under(&self, parent: Anchor, level: usize) -> Range<usize> {
+        match parent {
+            Anchor::Memory => 0..self.topo.caches_at(level),
+            Anchor::Cache(c) => self.topo.indices_under(c, level),
         }
-        best
+    }
+
+    /// The least-loaded such cache, ties to the lowest index.
+    fn least_loaded_under(&self, parent: Anchor, level: usize) -> CacheId {
+        let load = &self.load[level - 1];
+        let best = self
+            .indices_under(parent, level)
+            .min_by_key(|&j| load[j])
+            .expect("a shadow covers at least one cache per level");
+        CacheId::new(level, best)
     }
 
     /// CGC⇒SB anchoring (§III-C) for a block of `m` children with common
@@ -250,26 +295,17 @@ impl<'p> Engine<'p> {
     /// in the expansion) until enough subtasks exist, then distributes
     /// them evenly — in contiguous chunks, by expansion position — over
     /// the level-`t` caches under the shadow, `t = max(i, j)`.
-    /// Returns per-child `(anchor, pos, width)`.
-    fn cgcsb_anchors(
-        &self,
-        parent_task: TaskId,
-        sigma: usize,
-        m: usize,
-    ) -> Vec<(Anchor, usize, usize)> {
+    fn cgcsb_plan(&self, parent_task: TaskId, sigma: usize, m: usize) -> CgcSbPlan {
         let parent = self.tstate[parent_task].anchor;
-        let (ppos, pwidth) = (
-            self.tstate[parent_task].cgcsb_pos,
-            self.tstate[parent_task].cgcsb_width,
-        );
-        let eff = pwidth.saturating_mul(m);
+        let first_pos = self.tstate[parent_task].cgcsb_pos * m;
+        let eff = self.tstate[parent_task].cgcsb_width.saturating_mul(m);
         let top = self.spec.cache_levels();
         let parent_level = match parent {
             Anchor::Memory => top + 1,
             Anchor::Cache(c) => c.level,
         };
         let Some(i) = self.spec.smallest_level_fitting(sigma) else {
-            return (0..m).map(|_| (Anchor::Memory, 0, 1)).collect();
+            return CgcSbPlan::Memory;
         };
         // Smallest level j with at most `eff` caches under the shadow.
         let caches_under = |level: usize| -> usize {
@@ -293,23 +329,19 @@ impl<'p> Engine<'p> {
         }
         let t = i.max(j);
         if t >= parent_level {
-            // Cannot descend yet: children inherit the anchor and extend
-            // the expansion positions.
-            return (0..m).map(|c| (parent, ppos * m + c, eff)).collect();
+            CgcSbPlan::Inherit {
+                parent,
+                first_pos,
+                eff,
+            }
+        } else {
+            CgcSbPlan::Spread {
+                level: t,
+                caches: self.indices_under(parent, t),
+                first_pos,
+                eff,
+            }
         }
-        let caches: Vec<CacheId> = match parent {
-            Anchor::Memory => (0..self.topo.caches_at(t))
-                .map(|x| CacheId::new(t, x))
-                .collect(),
-            Anchor::Cache(c) => self.topo.caches_under(c, t),
-        };
-        let q = caches.len();
-        (0..m)
-            .map(|c| {
-                let pos = ppos * m + c;
-                (Anchor::Cache(caches[pos * q / eff]), 0, 1)
-            })
-            .collect()
     }
 
     fn assign_anchor(&mut self, task: TaskId, anchor: Anchor) {
@@ -366,9 +398,10 @@ impl<'p> Engine<'p> {
     /// Run the task from its current segment at time `t` until it blocks
     /// on outstanding units/children or completes.
     fn advance(&mut self, task: TaskId, t: u64, work: &mut Vec<(Action, TaskId, u64)>) {
+        let prog = self.prog;
         loop {
             let seg_idx = self.tstate[task].seg;
-            let node = &self.prog.tasks()[task];
+            let node = &prog.tasks()[task];
             if seg_idx >= node.segments.len() {
                 work.push((Action::Complete, task, t));
                 return;
@@ -393,57 +426,45 @@ impl<'p> Engine<'p> {
                     let b1 = self.spec.level(1).block;
                     let nseg = (iters / b1).clamp(1, p);
                     let per = iters.div_ceil(nseg);
-                    let start = *start;
                     // ⌈·⌉ rounding can leave trailing chunks empty; they
                     // get no unit.
-                    let ends: Vec<(usize, usize)> = (0..nseg)
-                        .map_while(|k| {
-                            let i0 = k * per;
-                            if i0 >= iters {
-                                return None;
-                            }
-                            let i1 = ((k + 1) * per).min(iters);
-                            let lo_t = if i0 == 0 { start } else { iter_ends[i0 - 1] };
-                            let hi_t = iter_ends[i1 - 1];
-                            Some((lo_t, hi_t))
-                        })
-                        .collect();
-                    self.tstate[task].outstanding = ends.len();
-                    for (k, (lo_t, hi_t)) in ends.into_iter().enumerate() {
+                    let chunks = iters.div_ceil(per);
+                    self.tstate[task].outstanding = chunks;
+                    for k in 0..chunks {
+                        let (i0, i1) = (k * per, ((k + 1) * per).min(iters));
+                        let lo_t = if i0 == 0 { *start } else { iter_ends[i0 - 1] };
                         // The j-th segment goes to the j-th core from the
                         // left of the shadow (§III-A).
-                        let core = lo + (k % p);
-                        self.schedule_unit(task, core, t, lo_t, hi_t);
+                        self.schedule_unit(task, lo + (k % p), t, lo_t, iter_ends[i1 - 1]);
                     }
                     return;
                 }
                 Segment::Fork { hint, children } => {
-                    let children = children.clone();
-                    let hint = *hint;
                     let parent_anchor = self.tstate[task].anchor;
                     self.tstate[task].outstanding = children.len();
-                    match (self.policy, hint) {
+                    match (self.policy, *hint) {
                         (Policy::Mo, ForkHint::Sb) => {
-                            for &ch in &children {
-                                let a = self.sb_anchor(parent_anchor, self.prog.tasks()[ch].space);
+                            for &ch in children {
+                                let a = self.sb_anchor(parent_anchor, prog.tasks()[ch].space);
                                 self.assign_anchor(ch, a);
                             }
                         }
                         (Policy::Mo, ForkHint::CgcSb) => {
                             let sigma = children
                                 .iter()
-                                .map(|&ch| self.prog.tasks()[ch].space)
+                                .map(|&ch| prog.tasks()[ch].space)
                                 .max()
                                 .unwrap_or(0);
-                            let anchors = self.cgcsb_anchors(task, sigma, children.len());
-                            for (&ch, (a, pos, width)) in children.iter().zip(anchors) {
+                            let plan = self.cgcsb_plan(task, sigma, children.len());
+                            for (c, &ch) in children.iter().enumerate() {
+                                let (a, pos, width) = plan.child(c);
                                 self.assign_anchor(ch, a);
                                 self.tstate[ch].cgcsb_pos = pos;
                                 self.tstate[ch].cgcsb_width = width;
                             }
                         }
                         _ => {
-                            for &ch in &children {
+                            for &ch in children {
                                 self.assign_anchor(ch, Anchor::Memory);
                             }
                         }
@@ -520,39 +541,19 @@ impl<'p> Engine<'p> {
         }
 
         // ---- cache replay in global virtual-time order ----
+        // Units were pushed in start order per core, so a stable sort by
+        // (start, core) is the merge of the per-core streams, ties to the
+        // lowest core. Each unit is replayed whole: its accesses occupy
+        // consecutive timestamps and no other unit on its core overlaps;
+        // units on other cores interleave at unit granularity, which is
+        // the resolution the analysis needs (units are single tasks'
+        // private working sets).
         let mut sys = CacheSystem::new(&self.spec);
-        // Per-core unit streams are already in start-time order.
-        let mut streams: Vec<Vec<Unit>> = vec![Vec::new(); self.topo.cores()];
-        for u in &self.units {
-            streams[u.core].push(*u);
-        }
-        let mut cursor: Vec<usize> = vec![0; streams.len()];
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        for (c, s) in streams.iter().enumerate() {
-            if !s.is_empty() {
-                heap.push(Reverse((s[0].start, c)));
-            }
-        }
+        self.units.sort_by_key(|u| (u.start, u.core));
         let trace = self.prog.trace();
-        while let Some(Reverse((_t, c))) = heap.pop() {
-            let u = streams[c][cursor[c]];
-            // Replay the whole unit: its accesses occupy consecutive
-            // timestamps and no other unit on this core overlaps; units on
-            // other cores interleave at unit granularity, which is the
-            // resolution the analysis needs (units are single tasks'
-            // private working sets).
-            for e in &trace[u.trace_lo..u.trace_hi] {
-                let kind = if e.is_write() {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                sys.access(c, e.addr(), kind);
-            }
-            cursor[c] += 1;
-            if cursor[c] < streams[c].len() {
-                heap.push(Reverse((streams[c][cursor[c]].start, c)));
-            }
+        for u in &self.units {
+            let entries = &trace[u.trace_lo..u.trace_hi];
+            sys.access_run(u.core, entries.iter().map(|e| (e.addr(), e.is_write())));
         }
 
         RunReport {

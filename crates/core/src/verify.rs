@@ -527,35 +527,47 @@ impl RaceSweep {
 }
 
 /// Measured per-task footprints: distinct words touched by each task's
-/// subtree, by bottom-up small-to-large set merging (children carry
-/// larger ids than parents, so one reverse pass suffices).
+/// subtree, as its accesses minus its repeats.
+///
+/// Strands come in recorded (depth-first) order, in which every subtree is
+/// one contiguous run. So an access repeats a word *within subtree `a`*
+/// exactly when the word's previous access lies in that subtree too, that
+/// is when `a` is the lowest common ancestor of the two accessing tasks or
+/// one of its ancestors. Each access is credited to its task and each
+/// repeat debited from that common ancestor (found by climbing from the
+/// larger id: children carry larger ids than parents); one reverse pass
+/// then sums the subtrees. Recorded addresses are dense in `0..mem.len()`,
+/// so the last task to touch each word sits in a flat table.
 fn footprints(prog: &Program, strands: &[Strand]) -> Vec<usize> {
-    use std::collections::HashSet;
+    const UNTOUCHED: u32 = u32::MAX;
     let trace = prog.trace();
-    let n = prog.tasks().len();
-    let mut sets: Vec<HashSet<u64>> = vec![HashSet::new(); n];
+    let parent = |t: usize| prog.tasks()[t].parent.expect("non-root task has a parent");
+    let mut last_task = vec![UNTOUCHED; prog.mem.len()];
+    let mut distinct = vec![0i64; prog.tasks().len()];
     for s in strands {
-        let set = &mut sets[s.task];
         for e in &trace[s.lo..s.hi] {
-            set.insert(e.addr());
+            let prev = std::mem::replace(&mut last_task[e.addr() as usize], s.task as u32);
+            if prev == s.task as u32 {
+                continue;
+            }
+            distinct[s.task] += 1;
+            if prev != UNTOUCHED {
+                let (mut a, mut b) = (s.task, prev as usize);
+                while a != b {
+                    if a > b {
+                        a = parent(a);
+                    } else {
+                        b = parent(b);
+                    }
+                }
+                distinct[a] -= 1;
+            }
         }
     }
-    let mut out = vec![0usize; n];
-    for t in (1..n).rev() {
-        out[t] = sets[t].len();
-        let p = prog.tasks()[t].parent.expect("non-root task has a parent");
-        let child = std::mem::take(&mut sets[t]);
-        if sets[p].len() < child.len() {
-            let parent = std::mem::replace(&mut sets[p], child);
-            sets[p].extend(parent);
-        } else {
-            sets[p].extend(child);
-        }
+    for t in (1..distinct.len()).rev() {
+        distinct[parent(t)] += distinct[t];
     }
-    if n > 0 {
-        out[0] = sets[0].len();
-    }
-    out
+    distinct.into_iter().map(|d| d as usize).collect()
 }
 
 /// The hint lint pass: space-bound monotonicity, CGC⇒SB equal bounds,
@@ -1211,5 +1223,93 @@ mod tests {
         assert!(r.is_pristine());
         assert_eq!(r.strands, 0);
         assert_eq!(r.max_footprint, 0);
+    }
+
+    /// The set-merging footprint oracle the flat-table one replaced.
+    fn footprints_by_set_merging(prog: &Program, strands: &[Strand]) -> Vec<usize> {
+        use std::collections::HashSet;
+        let n = prog.tasks().len();
+        let mut sets: Vec<HashSet<u64>> = vec![HashSet::new(); n];
+        for s in strands {
+            sets[s.task].extend(prog.trace()[s.lo..s.hi].iter().map(|e| e.addr()));
+        }
+        let mut out = vec![0usize; n];
+        for t in (0..n).rev() {
+            out[t] = sets[t].len();
+            if let Some(p) = prog.tasks()[t].parent {
+                let child = std::mem::take(&mut sets[t]);
+                sets[p].extend(child);
+            }
+        }
+        out
+    }
+
+    /// Random fork trees (binary and wide, SB and CGC⇒SB, with CGC loops
+    /// and compute before, between and after the forks) whose tasks read
+    /// and write overlapping windows of shared arrays: footprints must
+    /// equal the set-merging oracle's on every task.
+    #[test]
+    fn footprints_match_set_merging_on_random_trees() {
+        fn next(rng: &mut u64) -> usize {
+            *rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*rng >> 33) as usize
+        }
+        fn touch(rec: &mut Recorder, arrs: &[crate::Arr], rng: &mut u64) {
+            let a = arrs[next(rng) % arrs.len()];
+            let (lo, len) = (next(rng) % a.len(), 1 + next(rng) % 24);
+            for k in lo..(lo + len).min(a.len()) {
+                if next(rng).is_multiple_of(3) {
+                    rec.write(a, k, 1);
+                } else {
+                    rec.read(a, k);
+                }
+            }
+        }
+        fn body(rec: &mut Recorder, arrs: &[crate::Arr], depth: usize, seed: u64) {
+            let mut rng = seed;
+            for round in 0..1 + next(&mut rng) % 3 {
+                touch(rec, arrs, &mut rng);
+                if next(&mut rng).is_multiple_of(4) {
+                    let a = arrs[0];
+                    rec.cgc_for(1 + next(&mut rng) % 12, |rec, k| {
+                        rec.read(a, k % a.len());
+                    });
+                }
+                if depth == 0 {
+                    continue;
+                }
+                let hint = [ForkHint::Sb, ForkHint::CgcSb][next(&mut rng) % 2];
+                let children = (0..1 + next(&mut rng) % 4)
+                    .map(|c| {
+                        let seed = rng ^ (c as u64) << 17 ^ round as u64;
+                        spawn(1, move |rec: &mut Recorder| {
+                            body(rec, arrs, depth - 1, seed)
+                        })
+                    })
+                    .collect();
+                rec.fork(hint, children);
+            }
+            touch(rec, arrs, &mut rng);
+        }
+        for seed in 0..24u64 {
+            let prog = Recorder::record(1, |rec| {
+                let arrs: Vec<_> = (0..3).map(|k| rec.alloc(40 + 100 * k)).collect();
+                body(
+                    rec,
+                    &arrs,
+                    1 + seed as usize % 5,
+                    seed.wrapping_mul(0x9e3779b97f4a7c15) | 1,
+                );
+            });
+            let (strands, _) = collect_strands(&prog);
+            assert_eq!(
+                footprints(&prog, &strands),
+                footprints_by_set_merging(&prog, &strands),
+                "seed {seed}, {} tasks",
+                prog.tasks().len()
+            );
+        }
     }
 }

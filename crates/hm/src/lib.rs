@@ -53,6 +53,8 @@ pub mod catalog;
 mod hostmap;
 mod lru;
 mod metrics;
+#[cfg(test)]
+mod reference;
 mod spec;
 mod system;
 mod topology;

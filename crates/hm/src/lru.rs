@@ -1,11 +1,110 @@
 //! A fully-associative LRU cache over block ids (the ideal-cache model).
 //!
-//! Implemented as a hash map into a slab-backed intrusive doubly-linked
-//! list, so that probe, promote, insert and evict are all O(1).
-
-use std::collections::HashMap;
+//! Resident blocks live in a slab-backed intrusive doubly-linked list
+//! (MRU at the head) and are found through a [`BlockMap`]: an
+//! open-addressed table from block id to slab position, hashed
+//! multiplicatively, probed linearly, kept at most half full and grown
+//! lazily, so a cold cache costs a few words whatever its capacity. Blocks
+//! leave only by eviction from a full cache, and the evicted node is reused
+//! in place for the incoming block, so the slab is dense and needs no free
+//! list. Probe, promote, insert and evict are O(1); a hit on the MRU block
+//! touches nothing but its dirty bit.
 
 const NIL: u32 = u32::MAX;
+
+/// Open-addressed map from block ids to `u32` values other than `NIL`.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockMap {
+    /// `(block, value)`, the value `NIL` where empty; the length is a
+    /// power of two, at least twice `len`.
+    slots: Vec<(u64, u32)>,
+    len: usize,
+    /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
+    shift: u32,
+}
+
+impl BlockMap {
+    pub(crate) fn new() -> Self {
+        Self {
+            slots: vec![(0, NIL); 8],
+            len: 0,
+            shift: 61,
+        }
+    }
+
+    fn home(&self, block: u64) -> usize {
+        (block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// The slot holding `block`, or else the empty slot ending its probe run.
+    fn slot_of(&self, block: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(block);
+        loop {
+            match self.slots[slot] {
+                (_, NIL) => return Err(slot),
+                (b, _) if b == block => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// The value stored for `block`, if any.
+    pub(crate) fn get_mut(&mut self, block: u64) -> Option<&mut u32> {
+        let slot = self.slot_of(block).ok()?;
+        Some(&mut self.slots[slot].1)
+    }
+
+    /// Store `value` for `block`, which must be absent.
+    pub(crate) fn insert(&mut self, block: u64, value: u32) {
+        debug_assert_ne!(value, NIL);
+        self.len += 1;
+        if self.len * 2 > self.slots.len() {
+            let doubled = vec![(0, NIL); self.slots.len() * 2];
+            self.shift -= 1;
+            for (b, v) in std::mem::replace(&mut self.slots, doubled) {
+                if v != NIL {
+                    self.place(b, v);
+                }
+            }
+        }
+        self.place(block, value);
+    }
+
+    fn place(&mut self, block: u64, value: u32) {
+        let slot = self.slot_of(block).expect_err("inserted block is absent");
+        self.slots[slot] = (block, value);
+    }
+
+    /// Forget `block`, which must be present, by backward-shift deletion:
+    /// later entries of its probe run move up, so no tombstone is left.
+    pub(crate) fn remove(&mut self, block: u64) {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.slot_of(block).expect("removed block is present");
+        let mut slot = hole;
+        loop {
+            slot = (slot + 1) & mask;
+            let (b, v) = self.slots[slot];
+            if v == NIL {
+                break;
+            }
+            // An entry may fill the hole unless its home lies cyclically
+            // after the hole (it would then be probed for past itself).
+            if (slot.wrapping_sub(self.home(b)) & mask) >= (slot.wrapping_sub(hole) & mask) {
+                self.slots[hole] = (b, v);
+                hole = slot;
+            }
+        }
+        self.slots[hole].1 = NIL;
+        self.len -= 1;
+    }
+
+    /// Empty the map, keeping its table.
+    pub(crate) fn clear(&mut self) {
+        self.slots.fill((0, NIL));
+        self.len = 0;
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Node {
@@ -33,9 +132,9 @@ pub enum Probe {
 #[derive(Debug, Clone)]
 pub struct LruCache {
     capacity: usize,
-    map: HashMap<u64, u32>,
+    /// The resident blocks, densely packed.
     nodes: Vec<Node>,
-    free: Vec<u32>,
+    index: BlockMap,
     head: u32, // most recently used
     tail: u32, // least recently used
 }
@@ -45,11 +144,11 @@ impl LruCache {
     /// (`capacity ≥ 1`).
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "cache must hold at least one block");
+        assert!(capacity < NIL as usize, "block positions are 32-bit");
         Self {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
-            nodes: Vec::with_capacity(capacity.min(1 << 20)),
-            free: Vec::new(),
+            nodes: Vec::new(),
+            index: BlockMap::new(),
             head: NIL,
             tail: NIL,
         }
@@ -62,62 +161,53 @@ impl LruCache {
 
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.nodes.len()
     }
 
     /// Whether no block is resident.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Whether `block` is currently resident (does not touch LRU order).
     pub fn contains(&self, block: u64) -> bool {
-        self.map.contains_key(&block)
+        self.index.slot_of(block).is_ok()
     }
 
     /// Access `block`; `write` marks it dirty. Returns hit/miss and whether
     /// a dirty eviction (write-back) occurred.
     pub fn access(&mut self, block: u64, write: bool) -> Probe {
-        if let Some(&idx) = self.map.get(&block) {
+        if let Some(mru) = self.nodes.get_mut(self.head as usize) {
+            if mru.block == block {
+                mru.dirty |= write;
+                return Probe::Hit;
+            }
+        }
+        if let Some(&mut idx) = self.index.get_mut(block) {
             self.unlink(idx);
             self.push_front(idx);
-            if write {
-                self.nodes[idx as usize].dirty = true;
-            }
+            self.nodes[idx as usize].dirty |= write;
             return Probe::Hit;
         }
-        let mut writeback = false;
-        if self.map.len() == self.capacity {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL);
-            self.unlink(victim);
-            let node = self.nodes[victim as usize];
-            writeback = node.dirty;
-            self.map.remove(&node.block);
-            self.free.push(victim);
-        }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = Node {
-                    block,
-                    prev: NIL,
-                    next: NIL,
-                    dirty: write,
-                };
-                i
-            }
-            None => {
-                let i = self.nodes.len() as u32;
-                self.nodes.push(Node {
-                    block,
-                    prev: NIL,
-                    next: NIL,
-                    dirty: write,
-                });
-                i
-            }
+        let fresh = Node {
+            block,
+            prev: NIL,
+            next: NIL,
+            dirty: write,
         };
-        self.map.insert(block, idx);
+        let mut writeback = false;
+        let idx = if self.nodes.len() == self.capacity {
+            let victim = self.tail;
+            self.unlink(victim);
+            let evicted = std::mem::replace(&mut self.nodes[victim as usize], fresh);
+            writeback = evicted.dirty;
+            self.index.remove(evicted.block);
+            victim
+        } else {
+            self.nodes.push(fresh);
+            (self.nodes.len() - 1) as u32
+        };
+        self.index.insert(block, idx);
         self.push_front(idx);
         Probe::Miss { writeback }
     }
@@ -125,10 +215,9 @@ impl LruCache {
     /// Drop all resident blocks, returning the number that were dirty
     /// (write-backs the model would charge when flushing).
     pub fn flush(&mut self) -> u64 {
-        let dirty = self.nodes_in_use().filter(|n| n.dirty).count() as u64;
-        self.map.clear();
+        let dirty = self.nodes.iter().filter(|n| n.dirty).count() as u64;
         self.nodes.clear();
-        self.free.clear();
+        self.index.clear();
         self.head = NIL;
         self.tail = NIL;
         dirty
@@ -137,7 +226,7 @@ impl LruCache {
     /// Resident blocks from most to least recently used (for tests and
     /// debugging; O(len)).
     pub fn blocks_mru_order(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.map.len());
+        let mut out = Vec::with_capacity(self.nodes.len());
         let mut cur = self.head;
         while cur != NIL {
             let n = &self.nodes[cur as usize];
@@ -147,38 +236,27 @@ impl LruCache {
         out
     }
 
-    fn nodes_in_use(&self) -> impl Iterator<Item = &Node> {
-        self.map.values().map(|&i| &self.nodes[i as usize])
-    }
-
+    /// Take the linked node `idx` out of the list.
     fn unlink(&mut self, idx: u32) {
-        let (prev, next) = {
-            let n = &self.nodes[idx as usize];
-            (n.prev, n.next)
-        };
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
-        } else if self.head == idx {
-            self.head = next;
+        let Node { prev, next, .. } = self.nodes[idx as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
         }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
-        } else if self.tail == idx {
-            self.tail = prev;
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
         }
-        self.nodes[idx as usize].prev = NIL;
-        self.nodes[idx as usize].next = NIL;
     }
 
+    /// Link the unlinked node `idx` in as the MRU.
     fn push_front(&mut self, idx: u32) {
+        let old = std::mem::replace(&mut self.head, idx);
         self.nodes[idx as usize].prev = NIL;
-        self.nodes[idx as usize].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head as usize].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
+        self.nodes[idx as usize].next = old;
+        match old {
+            NIL => self.tail = idx,
+            h => self.nodes[h as usize].prev = idx,
         }
     }
 }
@@ -291,5 +369,47 @@ mod tests {
             assert_eq!(hit, n.access(b));
         }
         assert_eq!(c.blocks_mru_order(), n.v);
+    }
+
+    /// Same `Probe` for every access and the same observable state as the
+    /// `HashMap`-indexed cache this one replaced, across evictions, index
+    /// growth and a mid-trace flush.
+    #[test]
+    fn differential_against_hashmap_reference() {
+        use crate::reference::{stream, RefLru};
+        let steps = if cfg!(miri) { 1_500 } else { 40_000 };
+        for capacity in [1usize, 2, 7, 128, 8192] {
+            for kind in 0..4 {
+                let universe = 3 * capacity as u64 + 5;
+                let (mut lru, mut reference) = (LruCache::new(capacity), RefLru::new(capacity));
+                let mut rng = 0x9e3779b97f4a7c15 ^ (capacity as u64) << 8 ^ kind as u64;
+                let same_state = |lru: &LruCache, reference: &RefLru, probe: u64| {
+                    assert_eq!(lru.len(), reference.len());
+                    assert_eq!(lru.is_empty(), reference.len() == 0);
+                    assert_eq!(lru.blocks_mru_order(), reference.blocks_mru_order());
+                    for b in [probe, probe + 1, probe << 40, 0] {
+                        assert_eq!(lru.contains(b), reference.contains(b), "block {b}");
+                    }
+                };
+                for i in 0..steps {
+                    let block = stream(kind, universe, i, &mut rng);
+                    let write = rng >> 60 < 5;
+                    assert_eq!(
+                        lru.access(block, write),
+                        reference.access(block, write),
+                        "capacity {capacity} stream {kind} access {i}"
+                    );
+                    if i % (steps / 8) == 0 {
+                        same_state(&lru, &reference, block);
+                    }
+                    if i == steps / 2 {
+                        assert_eq!(lru.flush(), reference.flush());
+                        same_state(&lru, &reference, block);
+                    }
+                }
+                same_state(&lru, &reference, 1);
+                assert_eq!(lru.flush(), reference.flush());
+            }
+        }
     }
 }

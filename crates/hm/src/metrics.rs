@@ -60,41 +60,61 @@ pub struct LevelSummary {
 /// Metrics for a whole [`crate::CacheSystem`] run.
 #[derive(Debug, Clone)]
 pub struct Metrics {
-    /// `per_cache[i-1][j]` is the counter set of cache `j` at level `i`.
-    per_cache: Vec<Vec<CacheCounters>>,
+    /// Every counter set, level-major: cache `j` of level `i` sits at
+    /// `starts[i-1] + j`, the numbering [`crate::CacheSystem`] uses for its
+    /// caches too.
+    counters: Vec<CacheCounters>,
+    /// `starts[i-1]` is the position of level `i`'s first cache; the last
+    /// entry is the total cache count.
+    starts: Vec<usize>,
 }
 
 impl Metrics {
     /// Fresh zeroed metrics for `spec`.
     pub fn new(spec: &MachineSpec) -> Self {
-        let per_cache = (1..=spec.cache_levels())
-            .map(|i| vec![CacheCounters::default(); spec.caches_at(i)])
-            .collect();
-        Self { per_cache }
+        let mut starts = vec![0];
+        for i in 1..=spec.cache_levels() {
+            starts.push(starts[i - 1] + spec.caches_at(i));
+        }
+        Self {
+            counters: vec![CacheCounters::default(); starts[spec.cache_levels()]],
+            starts,
+        }
     }
 
     /// Counters of cache `index` at `level`.
     pub fn cache(&self, level: Level, index: usize) -> &CacheCounters {
-        &self.per_cache[level - 1][index]
+        &self.level_caches(level)[index]
     }
 
+    #[cfg(test)]
     pub(crate) fn cache_mut(&mut self, level: Level, index: usize) -> &mut CacheCounters {
-        &mut self.per_cache[level - 1][index]
+        &mut self.counters[self.starts[level - 1] + index]
+    }
+
+    /// Position of level `level`'s first cache in the level-major numbering.
+    pub(crate) fn level_start(&self, level: Level) -> usize {
+        self.starts[level - 1]
+    }
+
+    /// Every counter set in the level-major numbering.
+    pub(crate) fn counters_mut(&mut self) -> &mut [CacheCounters] {
+        &mut self.counters
     }
 
     /// Number of cache levels covered.
     pub fn cache_levels(&self) -> usize {
-        self.per_cache.len()
+        self.starts.len() - 1
     }
 
     /// All counters at `level`.
     pub fn level_caches(&self, level: Level) -> &[CacheCounters] {
-        &self.per_cache[level - 1]
+        &self.counters[self.starts[level - 1]..self.starts[level]]
     }
 
     /// Per-level summary.
     pub fn level(&self, level: Level) -> LevelSummary {
-        let caches = &self.per_cache[level - 1];
+        let caches = self.level_caches(level);
         LevelSummary {
             max_misses: caches.iter().map(|c| c.misses).max().unwrap_or(0),
             max_transfers: caches.iter().map(|c| c.transfers()).max().unwrap_or(0),
@@ -111,21 +131,14 @@ impl Metrics {
 
     /// Reset all counters to zero (e.g. after a warm-up phase).
     pub fn reset(&mut self) {
-        for level in &mut self.per_cache {
-            for c in level.iter_mut() {
-                *c = CacheCounters::default();
-            }
-        }
+        self.counters.fill(CacheCounters::default());
     }
 
     /// Merge another run's metrics into this one (same machine shape).
     pub fn merge(&mut self, other: &Metrics) {
-        assert_eq!(self.per_cache.len(), other.per_cache.len());
-        for (mine, theirs) in self.per_cache.iter_mut().zip(&other.per_cache) {
-            assert_eq!(mine.len(), theirs.len());
-            for (m, t) in mine.iter_mut().zip(theirs) {
-                m.merge(t);
-            }
+        assert_eq!(self.starts, other.starts);
+        for (m, t) in self.counters.iter_mut().zip(&other.counters) {
+            m.merge(t);
         }
     }
 }

@@ -1,7 +1,24 @@
 //! The assembled machine: one LRU cache per instance, fed by core accesses.
+//!
+//! Everything an access needs is resolved when the machine is built: block
+//! sizes are powers of two, so a level's block id is a shift; caches and
+//! counters are stored flat in one level-major numbering; each core's path
+//! of caches is a slice of positions in it; and the ping-pong writer table
+//! is the same [`BlockMap`] the caches index their blocks with.
+//!
+//! **The same-block rule.** An access by the core that issued the previous
+//! access, to the same `B_1` block, is an MRU hit at every level of that
+//! core's path: block sizes are aligned, non-decreasing powers of two, so
+//! the two addresses share their block at every level, the previous access
+//! left that block most recently used along the path, and nothing came
+//! between. It is charged one hit per level without probing. Only the
+//! first *write* of such a run does more: it dirties the block at every
+//! level and updates its last writer. A run's hits reach the counters
+//! before [`CacheSystem::access_run`] returns, so counters are exact
+//! between calls; `flush` empties the caches and so forgets the previous
+//! access (DESIGN §5 "Ideal caches").
 
-use std::collections::HashMap;
-
+use crate::lru::BlockMap;
 use crate::{Addr, CoreId, LruCache, MachineSpec, Metrics, Probe, Topology};
 
 /// Read or write, for trace replay.
@@ -31,32 +48,54 @@ pub enum AccessKind {
 pub struct CacheSystem {
     spec: MachineSpec,
     topo: Topology,
-    /// `caches[i-1][j]` is cache `j` of level `i`.
-    caches: Vec<Vec<LruCache>>,
+    /// `log2(B_i)` for each level, L1 first.
+    shifts: Vec<u32>,
+    /// Every cache, level-major: the numbering of [`Metrics`].
+    caches: Vec<LruCache>,
+    /// `paths[core * levels + i - 1]` is the position in `caches` of the
+    /// level-`i` cache above `core`.
+    paths: Vec<usize>,
     metrics: Metrics,
-    /// Last writer of each `B_1` block, for the ping-pong counter.
-    last_writer: HashMap<u64, CoreId>,
+    /// Last writer of every `B_1` block written since the last flush, for
+    /// the ping-pong counter.
+    writers: BlockMap,
     pingpongs: u64,
+    /// Core and `B_1` block of the previous access.
+    last: Option<(CoreId, u64)>,
+    /// Whether that core has written the block since `last` was set: the
+    /// block is then dirty along the path and the core is its last writer.
+    last_written: bool,
 }
 
 impl CacheSystem {
     /// Build a cold machine for `spec`.
     pub fn new(spec: &MachineSpec) -> Self {
-        let caches = (1..=spec.cache_levels())
-            .map(|i| {
-                let l = spec.level(i);
-                (0..spec.caches_at(i))
-                    .map(|_| LruCache::new(l.blocks()))
-                    .collect()
-            })
-            .collect();
+        let topo = Topology::new(spec);
+        let metrics = Metrics::new(spec);
+        let levels = 1..=spec.cache_levels();
+        let mut paths = Vec::with_capacity(topo.cores() * spec.cache_levels());
+        for core in 0..topo.cores() {
+            for i in levels.clone() {
+                paths.push(metrics.level_start(i) + topo.cache_of(core, i).index);
+            }
+        }
         Self {
+            shifts: (spec.levels().iter())
+                .map(|l| l.block.trailing_zeros())
+                .collect(),
+            caches: levels
+                .flat_map(|i| {
+                    (0..topo.caches_at(i)).map(move |_| LruCache::new(spec.level(i).blocks()))
+                })
+                .collect(),
+            paths,
             spec: spec.clone(),
-            topo: Topology::new(spec),
-            caches,
-            metrics: Metrics::new(spec),
-            last_writer: HashMap::new(),
+            topo,
+            metrics,
+            writers: BlockMap::new(),
             pingpongs: 0,
+            last: None,
+            last_written: false,
         }
     }
 
@@ -82,31 +121,59 @@ impl CacheSystem {
 
     /// Issue an access from `core` to word address `addr`.
     pub fn access(&mut self, core: CoreId, addr: Addr, kind: AccessKind) {
+        self.access_run(core, std::iter::once((addr, kind == AccessKind::Write)));
+    }
+
+    /// Issue a run of accesses from `core`, in order: each item is a word
+    /// address and whether the access writes it. Equivalent to one
+    /// [`access`](Self::access) per item.
+    pub fn access_run(&mut self, core: CoreId, accesses: impl IntoIterator<Item = (Addr, bool)>) {
         debug_assert!(core < self.topo.cores(), "core {core} out of range");
-        let write = kind == AccessKind::Write;
-        for level in 1..=self.spec.cache_levels() {
-            let block = addr / self.spec.level(level).block as u64;
-            let id = self.topo.cache_of(core, level);
-            let probe = self.caches[level - 1][id.index].access(block, write);
-            let ctr = self.metrics.cache_mut(level, id.index);
-            match probe {
-                Probe::Hit => ctr.hits += 1,
-                Probe::Miss { writeback } => {
-                    ctr.misses += 1;
-                    if writeback {
-                        ctr.writebacks += 1;
+        let levels = self.shifts.len();
+        let path = &self.paths[core * levels..(core + 1) * levels];
+        let counters = self.metrics.counters_mut();
+        // Accesses under the same-block rule: one hit at every level each.
+        let mut run_hits = 0;
+        for (addr, write) in accesses {
+            let b1 = addr >> self.shifts[0];
+            if self.last == Some((core, b1)) {
+                run_hits += 1;
+                if !write || self.last_written {
+                    continue;
+                }
+                for (&c, &shift) in path.iter().zip(&self.shifts) {
+                    self.caches[c].access(addr >> shift, true);
+                }
+            } else {
+                for (&c, &shift) in path.iter().zip(&self.shifts) {
+                    match self.caches[c].access(addr >> shift, write) {
+                        Probe::Hit => counters[c].hits += 1,
+                        Probe::Miss { writeback } => {
+                            counters[c].misses += 1;
+                            counters[c].writebacks += writeback as u64;
+                        }
                     }
                 }
-            }
-        }
-        if write {
-            let b1 = addr / self.spec.level(1).block as u64;
-            if let Some(&prev) = self.last_writer.get(&b1) {
-                if prev != core {
-                    self.pingpongs += 1;
+                self.last = Some((core, b1));
+                self.last_written = false;
+                if !write {
+                    continue;
                 }
             }
-            self.last_writer.insert(b1, core);
+            // The first write of `core` to `b1` since it got there.
+            self.last_written = true;
+            match self.writers.get_mut(b1) {
+                Some(writer) => {
+                    self.pingpongs += (*writer != core as u32) as u64;
+                    *writer = core as u32;
+                }
+                None => self.writers.insert(b1, core as u32),
+            }
+        }
+        if run_hits > 0 {
+            for &c in path {
+                counters[c].hits += run_hits;
+            }
         }
     }
 
@@ -123,13 +190,11 @@ impl CacheSystem {
     /// Flush every cache, charging dirty write-backs, and reset the
     /// ping-pong writer map. Counters are preserved.
     pub fn flush(&mut self) {
-        for level in 1..=self.spec.cache_levels() {
-            for (j, cache) in self.caches[level - 1].iter_mut().enumerate() {
-                let dirty = cache.flush();
-                self.metrics.cache_mut(level, j).writebacks += dirty;
-            }
+        for (cache, ctr) in self.caches.iter_mut().zip(self.metrics.counters_mut()) {
+            ctr.writebacks += cache.flush();
         }
-        self.last_writer.clear();
+        self.writers.clear();
+        self.last = None;
     }
 
     /// Zero all counters (cache contents are kept — useful to exclude a
@@ -275,6 +340,86 @@ mod tests {
                 n / b,
                 "level {level}"
             );
+        }
+    }
+
+    /// Every counter of every cache and the ping-pong count equal a naive
+    /// per-level machine's, for interleaved cores issuing single accesses
+    /// and runs, across `reset_metrics` and `flush`.
+    #[test]
+    fn differential_against_naive_reference() {
+        use crate::reference::{stream, RefSystem};
+        use crate::LevelSpec;
+        let asymmetric = MachineSpec::new(vec![
+            LevelSpec::new(512, 8, 1),
+            LevelSpec::new(8192, 8, 3),
+            LevelSpec::new(1 << 16, 16, 2),
+        ])
+        .unwrap();
+        let mut machines = crate::catalog::all();
+        machines.push(("asymmetric_3x2", asymmetric));
+        let steps = 6_000u64;
+        for (name, spec) in machines {
+            let (mut sys, mut reference) = (CacheSystem::new(&spec), RefSystem::new(&spec));
+            let same_counters = |sys: &CacheSystem, reference: &RefSystem, at: u64| {
+                for level in 1..=spec.cache_levels() {
+                    assert_eq!(
+                        sys.metrics().level_caches(level),
+                        &reference.counters[level - 1][..],
+                        "{name} L{level} after step {at}"
+                    );
+                }
+                assert_eq!(sys.pingpongs(), reference.pingpongs, "{name} step {at}");
+            };
+            // Words: a few L1s' worth, so L1s thrash and blocks are shared
+            // between cores; strided streams step by the largest block.
+            let words = 4 * spec.level(1).capacity as u64;
+            let top_block = spec.level(spec.cache_levels()).block as u64;
+            let mut rng = 0x2545f4914f6cdd1d;
+            let mut next = 0u64;
+            for step in 0..steps {
+                let core = (stream(3, spec.cores() as u64, step, &mut rng)) as usize;
+                let kind = (rng >> 40) as usize % 5;
+                let len = if rng >> 63 == 0 {
+                    1
+                } else {
+                    1 + (rng >> 50) % 40
+                };
+                let run: Vec<(Addr, bool)> = (0..len)
+                    .map(|_| {
+                        next += 1;
+                        let addr = match kind {
+                            0 => stream(0, words, next, &mut rng),
+                            1 => stream(0, words, next, &mut rng) * top_block,
+                            4 => next / 3 % words,
+                            k => stream(k, words, next, &mut rng),
+                        };
+                        (addr, rng >> 59 < 9)
+                    })
+                    .collect();
+                for &(addr, write) in &run {
+                    reference.access(core, addr, write);
+                }
+                match run[..] {
+                    [(addr, true)] => sys.write(core, addr),
+                    [(addr, false)] => sys.read(core, addr),
+                    _ => sys.access_run(core, run),
+                }
+                if step % 500 == 0 {
+                    same_counters(&sys, &reference, step);
+                }
+                if step == steps / 3 {
+                    sys.reset_metrics();
+                    reference.reset_metrics();
+                } else if step == 2 * steps / 3 {
+                    sys.flush();
+                    reference.flush();
+                    same_counters(&sys, &reference, step);
+                }
+            }
+            sys.flush();
+            reference.flush();
+            same_counters(&sys, &reference, steps);
         }
     }
 }

@@ -145,12 +145,18 @@ impl Topology {
     /// The caches at `level` lying under the shadow of `anchor`
     /// (`level ≤ anchor.level`). Used by the SB and CGC⇒SB schedulers.
     pub fn caches_under(&self, anchor: CacheId, level: Level) -> Vec<CacheId> {
+        self.indices_under(anchor, level)
+            .map(|j| CacheId::new(level, j))
+            .collect()
+    }
+
+    /// The indices of the caches [`caches_under`](Self::caches_under)
+    /// lists: they are contiguous, so no list is needed to walk them.
+    pub fn indices_under(&self, anchor: CacheId, level: Level) -> std::ops::Range<usize> {
         debug_assert!(level >= 1 && level <= anchor.level);
         let shadow = self.shadow(anchor);
         let span = self.cores_under[level - 1];
-        (shadow.lo / span..shadow.hi / span)
-            .map(|j| CacheId::new(level, j))
-            .collect()
+        shadow.lo / span..shadow.hi / span
     }
 
     /// Number of level-`level` caches under the shadow of `anchor`, without
