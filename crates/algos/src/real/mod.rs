@@ -21,8 +21,8 @@ pub use spms::{
 };
 
 /// Parallel out-of-place matrix transposition (`n × n`, row-major):
-/// CGC-style row-band parallelism with a serial cache-oblivious recursive
-/// kernel per band.
+/// CGC-style row-band parallelism with a serial 8 × 8-tiled kernel per
+/// band.
 pub fn par_transpose(pool: &SbPool, a: &[f64], out: &mut [f64], n: usize) {
     assert_eq!(a.len(), n * n);
     assert_eq!(out.len(), n * n);
@@ -31,6 +31,9 @@ pub fn par_transpose(pool: &SbPool, a: &[f64], out: &mut [f64], n: usize) {
         band_transpose(ctx, a, out, n, 0);
     });
 }
+
+/// Tile side of [`band_transpose`]'s base case: one 64-byte line of `f64`.
+const TILE: usize = 8;
 
 fn band_transpose(ctx: &Ctx<'_>, a: &[f64], out: &mut [f64], n: usize, j0: usize) {
     let rows = out.len() / n;
@@ -46,19 +49,38 @@ fn band_transpose(ctx: &Ctx<'_>, a: &[f64], out: &mut [f64], n: usize, j0: usize
         );
         return;
     }
-    // Serial blocked kernel: for each BLK-wide block of `a` rows, walk
-    // each `a` row once — a contiguous `rows`-long read — and scatter it
-    // down one column of the out band. Both the reads (one cache line
-    // after another along `arow`) and the writes (the same BLK × rows
-    // out tile, which fits in L1) stay in cache for the whole block.
-    const BLK: usize = 32;
-    for i0 in (0..n).step_by(BLK) {
-        let ihi = (i0 + BLK).min(n);
-        for i in i0..ihi {
-            let arow = &a[i * n + j0..i * n + j0 + rows];
-            for (dj, &v) in arow.iter().enumerate() {
-                out[dj * n + i] = v;
+    // Serial base case: TILE × TILE tiles moved through a local buffer,
+    // so every source line and every destination line is touched once,
+    // as a whole line. (A direct column scatter would advance each store
+    // by `n` words; at n = 256/512 the band's live destination lines sit
+    // 2–4 KiB apart and alias into one or two L1 sets.) The last tile of
+    // a row or column is ragged when `n` or `rows` is no multiple of 8.
+    for d0 in (0..rows).step_by(TILE) {
+        let tw = TILE.min(rows - d0);
+        for i0 in (0..n).step_by(TILE) {
+            let th = TILE.min(n - i0);
+            let (src, dst) = (&a[i0 * n + j0 + d0..], &mut out[d0 * n + i0..]);
+            if th == TILE && tw == TILE {
+                // Constant extents: the copies unroll into whole-line moves.
+                transpose_tile(src, dst, n, TILE, TILE);
+            } else {
+                transpose_tile(src, dst, n, th, tw);
             }
+        }
+    }
+}
+
+/// `dst[c][r] = src[r][c]` for `r < th`, `c < tw` (both ≤ [`TILE`]; row
+/// stride `n` on both sides), through a local buffer.
+#[inline(always)]
+fn transpose_tile(src: &[f64], dst: &mut [f64], n: usize, th: usize, tw: usize) {
+    let mut tile = [0.0f64; TILE * TILE];
+    for r in 0..th {
+        tile[r * TILE..r * TILE + tw].copy_from_slice(&src[r * n..r * n + tw]);
+    }
+    for c in 0..tw {
+        for (r, v) in dst[c * n..c * n + th].iter_mut().enumerate() {
+            *v = tile[r * TILE + c];
         }
     }
 }
@@ -386,14 +408,26 @@ mod tests {
 
     #[test]
     fn transpose_matches_naive() {
-        let n = 96;
-        let a = rand_vec(n * n, 1);
-        let mut out = vec![0.0; n * n];
         let p = pool();
-        par_transpose(&p, &a, &mut out, n);
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(out[j * n + i], a[i * n + j]);
+        // Whole tiles, ragged tiles on either edge, and sizes that fork.
+        for n in [1usize, 7, 37, 96, 100, 256] {
+            let a = rand_vec(n * n, 1);
+            let mut out = vec![0.0; n * n];
+            par_transpose(&p, &a, &mut out, n);
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(out[j * n + i], a[i * n + j], "n={n} ({i}, {j})");
+                }
+            }
+        }
+        // A band that starts inside the matrix: out rows 5..18 of n = 37.
+        let (n, j0, rows) = (37usize, 5usize, 13usize);
+        let a = rand_vec(n * n, 2);
+        let mut band = vec![0.0; rows * n];
+        p.run(|ctx| band_transpose(ctx, &a, &mut band, n, j0));
+        for dj in 0..rows {
+            for i in 0..n {
+                assert_eq!(band[dj * n + i], a[i * n + j0 + dj], "band ({dj}, {i})");
             }
         }
     }

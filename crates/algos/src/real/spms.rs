@@ -6,9 +6,10 @@
 //!
 //! 1. **Sort runs.** The input splits into `q` contiguous runs
 //!    (`q = ⌈n / leaf⌉`, capped at [`SPMS_MAX_WAYS`]); each run is
-//!    SPMS-sorted in parallel, bottoming out in an LSD radix leaf
-//!    ([`SPMS_LEAF`] keys, chosen ≥ L1 so a leaf amortizes the steal it
-//!    rode in on).
+//!    SPMS-sorted in parallel, bottoming out in a windowed LSD radix
+//!    leaf ([`SPMS_LEAF`] keys, chosen ≥ L1 so a leaf amortizes the steal
+//!    it rode in on) whose pass count follows the run length, not the
+//!    key width.
 //! 2. **Sample.** `q` regular samples per sorted run; the sorted sample
 //!    array yields `q − 1` pivots. Regular sampling off *sorted* runs
 //!    bounds every bucket at `≈ 2n/q` — the balance the SPMS analysis
@@ -45,21 +46,26 @@ use mo_core::rt::{Ctx, Jobs, SbPool};
 use super::registry;
 
 /// Inputs at or below this length are sorted in place by `sort_unstable`
-/// — below it the radix passes' fixed costs (histograms, scatter setup)
-/// dominate.
-pub const SPMS_SERIAL_CUTOFF: usize = 2048;
+/// — below it the leaf's fixed costs (two 2 KiB tables zeroed and
+/// prefix-summed per pass) dominate. Measured on full-width keys
+/// (`bench_rt --sweep`, one pinned CPU, leaf vs `sort_unstable`): 0.94–
+/// 0.97× at 256 keys, 1.10–1.14× at 384, 1.2–1.3× at 512, 1.4–1.5× at
+/// 1 024 and 2 048.
+pub const SPMS_SERIAL_CUTOFF: usize = 256;
 
 /// Serial leaf size of the SPMS recursion: runs at or below this length
-/// are sorted by the LSD radix leaf. Tunable; the default (128 Ki keys,
+/// are sorted by the radix leaf. Tunable; the default (128 Ki keys,
 /// 1 MiB) is far above every L1 this project targets (6144 words on the
-/// reference host), so one leaf amortizes many steals, its ping-pong
-/// working set (2 MiB) still fits the reference L2, and it keeps the
-/// merge fan-in at the million-key scale moderate (q = 8 at n = 1 Mi,
-/// three compare-selects per emitted key) — on a compute-bound host
-/// every extra tree level is paid per key. Measured against the
-/// neighbours on the 1-core reference host (interleaved medians,
-/// n = 1 Mi): 128 Ki beats both 256 Ki (q = 4, colder leaves) and
-/// 64 Ki (q = 16, one more tree level).
+/// reference host), so one leaf amortizes many steals, and its ping-pong
+/// working set (2 MiB) still fits the reference L2. The leaf's pass count
+/// stays at three up to 2²⁵ keys, so *serially* a bigger leaf is never
+/// worse (width-1 pool, full-width keys, structured path vs
+/// `sort_unstable` at 256 Ki / 1 Mi keys: 64 Ki leaf 1.08× / 0.99×,
+/// 128 Ki 1.04× / 0.97×, 256 Ki 1.17× / 0.98×, 1 Mi 1.16× / 1.23×) —
+/// but the leaf is also the grain of parallelism, and 128 Ki is the
+/// largest size that still gives a 256 Ki-key sort two parallel runs and
+/// keeps the merge fan-in at the million-key scale moderate (q = 8 at
+/// n = 1 Mi, three compare-selects per emitted key).
 pub const SPMS_LEAF: usize = 1 << 17;
 
 /// Maximum merge fan-in `q` of one partition level (and the loser-tree
@@ -68,21 +74,33 @@ pub const SPMS_MAX_WAYS: usize = 16;
 
 /// Radix digit width of the serial leaf. The scatter's store stream
 /// keeps one live cache line per bucket, so 512 buckets pin ~32 KiB of
-/// destination lines — inside every L1 this project targets — while
-/// covering 45-bit keys (the common shifted-PRNG shape) in five passes.
-/// Wider digits mean fewer passes but push the live-line set out of L1,
-/// and the per-store misses cost more than the saved pass.
-const RADIX_DIGIT_BITS: usize = 9;
+/// destination lines — inside every L1 this project targets. With the
+/// window deciding the pass count (two passes up to 2¹⁶ keys, three up
+/// to 2²⁵), 8-, 9- and 10-bit digits measure within noise of each other
+/// across 1 Ki – 128 Ki keys; 11 bits (2048 cursors, 128 KiB of live
+/// lines) loses 10–15 %.
+const RADIX_DIGIT_BITS: u32 = 9;
 const RADIX_BUCKETS: usize = 1 << RADIX_DIGIT_BITS;
 const RADIX_MASK: u64 = (RADIX_BUCKETS - 1) as u64;
-/// Digit positions needed to cover a full 64-bit key (the topmost digit
-/// is 9 bits wide; the shared mask over-covers it harmlessly).
-const RADIX_MAX_DIGITS: usize = (u64::BITS as usize).div_ceil(RADIX_DIGIT_BITS);
+/// Disjoint digits that fit a 64-bit key: the most scatter passes any
+/// key can take through the leaf, fix-up recursion included.
+const RADIX_MAX_DIGITS: usize = u64::BITS.div_ceil(RADIX_DIGIT_BITS) as usize;
+/// The window covers `⌈log₂ n⌉ +` this many varying bits, rounded up to
+/// whole digits, so at most `n / 2^slack` keys are expected to tie on it.
+/// 2 is the measured optimum: fixing up a quarter of the keys in pairs
+/// is still cheaper than a third pass (549 vs 601–642 µs at 64 Ki keys),
+/// while slack 1 (half the keys tying at 128 Ki) costs a pass's worth.
+const RADIX_WINDOW_SLACK: u32 = 2;
+/// Runs of window-tied keys up to this length are insertion-sorted;
+/// longer ones re-enter the leaf. 16 and 32 measure alike; at 64 the
+/// quadratic term shows (+25 % on 128 Ki keys tying in runs of ≈ 43).
+const RADIX_SHORT_RUN: usize = 32;
 
 /// Aux words (u64) live during one radix leaf: two u32 histogram /
 /// cursor tables (the current digit's, turned into scatter cursors in
 /// place, and the next digit's, filled during the scatter) plus the
-/// shift table.
+/// shift table. The fix-up sweep re-enters the leaf only after a level's
+/// tables are dead, so one level's worth is live at a time.
 pub(crate) const RADIX_AUX_WORDS: usize = 2 * RADIX_BUCKETS / 2 + 16;
 
 // The radix leaf's actual stack arrays must fit the aux budget the
@@ -163,10 +181,13 @@ pub fn par_sort(pool: &SbPool, data: &mut [u64]) {
 /// width-1 pool the bucket-merge stage has no parallelism to sell, and
 /// its ⌈log₂ q⌉ compare-selects per key are pure tax over a serial
 /// introsort, so above the leaf scale a 1-core pool takes the serial
-/// plan outright. At or below [`SPMS_LEAF`] the structured path *is*
-/// the L2-resident radix leaf, which beats introsort serially on the
-/// reference host, so it stays. Pools with p ≥ 2 always run the SPMS
-/// recursion — the algorithm itself remains oblivious to p.
+/// plan outright (`bench_rt --sweep`, full-width keys, structured path
+/// vs `sort_unstable` on one CPU: 1.04–1.12× at 256 Ki keys where
+/// q = 2, 0.97–1.03× at 1 Mi, 0.65–0.76× at 4 Mi). At or below
+/// [`SPMS_LEAF`] the structured path *is* the L2-resident radix leaf,
+/// which beats introsort serially (1.4–1.8×), so it stays. Pools with
+/// p ≥ 2 always run the SPMS recursion — the algorithm itself remains
+/// oblivious to p.
 pub fn par_sort_with_scratch(pool: &SbPool, data: &mut [u64], scratch: &mut Vec<u64>) {
     let n = data.len();
     if n <= SPMS_SERIAL_CUTOFF || (pool.hierarchy().cores() == 1 && n > SPMS_LEAF) {
@@ -345,66 +366,62 @@ fn sort_runs(
     );
 }
 
-/// Serial leaf: LSD radix sort, [`RADIX_DIGIT_BITS`] bits per pass,
-/// ping-ponging between `data` and `scratch`. The first read computes
-/// the OR/AND key reduction (whose XOR marks the digit positions where
-/// the keys actually differ — only those are scattered; real key
-/// distributions rarely use all 64 bits) fused with the lowest digit's
-/// histogram, and every scatter pass histograms the *next* digit while
-/// it moves keys, so no pass over the data exists just to count. The
-/// sorted result is steered into `scratch` when `into_scratch`, else
-/// into `data`; when the pass parity disagrees with the requested side,
-/// one cache-resident copy fixes it up.
+#[cfg(test)]
+thread_local! {
+    /// Work the leaf did on this thread: (keys moved by scatter passes,
+    /// longest run handed to `insertion_sort`).
+    static LEAF_WORK: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Serial leaf: *windowed* LSD radix sort, [`RADIX_DIGIT_BITS`] bits per
+/// pass, ping-ponging between `data` and `scratch`. One OR/AND reduction
+/// marks the bits where the keys differ; the scatter passes cover only a
+/// window of the highest varying bits — ⌈(⌈log₂ n⌉ + slack) / digit⌉
+/// digits, each starting at the highest varying bit not yet covered, so
+/// constant stretches cost nothing and the pass count follows `n`, not
+/// the key width. Each scatter histograms the *next* digit while it moves
+/// keys. The result is steered into `scratch` when `into_scratch`, else
+/// into `data` (one cache-resident copy when the pass parity disagrees),
+/// and [`finish_tied_runs`] then orders the keys that tie on the whole
+/// window.
 fn radix_sort_leaf(data: &mut [u64], scratch: &mut [u64], into_scratch: bool) {
     let n = data.len();
     debug_assert!(scratch.len() >= n);
     let scratch = &mut scratch[..n];
-    if n < 2 {
-        if into_scratch {
-            scratch.copy_from_slice(data);
-        }
-        return;
-    }
     debug_assert!(n <= u32::MAX as usize, "radix leaf counters are u32");
 
-    // First read: OR/AND reduction + digit-0 histogram, one pass.
-    let (mut all_or, mut all_and) = (0u64, u64::MAX);
-    let mut h = [0u32; RADIX_BUCKETS];
-    for &v in data.iter() {
-        all_or |= v;
-        all_and &= v;
-        h[(v & RADIX_MASK) as usize] += 1;
-    }
-    let varying = all_or ^ all_and;
-    let mut shifts = [0u32; RADIX_MAX_DIGITS];
-    let mut nd = 0usize;
-    for d in 0..RADIX_MAX_DIGITS {
-        let sh = (RADIX_DIGIT_BITS * d) as u32;
-        if (varying >> sh) & RADIX_MASK != 0 {
-            shifts[nd] = sh;
-            nd += 1;
-        }
-    }
-    if nd == 0 {
+    let (all_or, all_and) = data
+        .iter()
+        .fold((0u64, u64::MAX), |(o, a), &v| (o | v, a & v));
+    let mut rest = all_or ^ all_and;
+    if n < 2 || rest == 0 {
         // All keys are identical — already sorted wherever they sit.
         if into_scratch {
             scratch.copy_from_slice(data);
         }
         return;
     }
-    if shifts[0] != 0 {
-        // The low digit is constant, so the fused digit-0 counts are
-        // useless: recount on the first digit that actually varies.
-        h = [0u32; RADIX_BUCKETS];
-        for &v in data.iter() {
-            h[((v >> shifts[0]) & RADIX_MASK) as usize] += 1;
-        }
+    // The window, top digit first; `lo` is its lowest bit.
+    let want = ((n - 1).ilog2() + 1 + RADIX_WINDOW_SLACK).div_ceil(RADIX_DIGIT_BITS);
+    let mut shifts = [0u32; RADIX_MAX_DIGITS];
+    let mut nd = 0usize;
+    while rest != 0 && nd < want as usize {
+        let sh = (u64::BITS - rest.leading_zeros()).saturating_sub(RADIX_DIGIT_BITS);
+        shifts[nd] = sh;
+        nd += 1;
+        rest &= (1u64 << sh) - 1;
     }
+    let shifts = &shifts[..nd];
+    let lo = shifts[nd - 1];
 
-    // LSD scatter passes over the varying digits only; each pass counts
+    let mut h = [0u32; RADIX_BUCKETS];
+    for &v in data.iter() {
+        h[((v >> lo) & RADIX_MASK) as usize] += 1;
+    }
+    // LSD scatter passes, lowest window digit first; each pass counts
     // the next pass's digit on the fly.
     let mut src_is_data = true;
-    for i in 0..nd {
+    for i in (0..nd).rev() {
         // In-place exclusive prefix sum turns counts into cursors.
         let mut sum = 0u32;
         for c in h.iter_mut() {
@@ -414,9 +431,9 @@ fn radix_sort_leaf(data: &mut [u64], scratch: &mut [u64], into_scratch: bool) {
         }
         let sh = shifts[i];
         let mut hnext = [0u32; RADIX_BUCKETS];
-        match (src_is_data, i + 1 < nd) {
-            (true, true) => scatter_hist(data, scratch, &mut h, sh, shifts[i + 1], &mut hnext),
-            (false, true) => scatter_hist(scratch, data, &mut h, sh, shifts[i + 1], &mut hnext),
+        match (src_is_data, i > 0) {
+            (true, true) => scatter_hist(data, scratch, &mut h, sh, shifts[i - 1], &mut hnext),
+            (false, true) => scatter_hist(scratch, data, &mut h, sh, shifts[i - 1], &mut hnext),
             (true, false) => scatter(data, scratch, &mut h, sh),
             (false, false) => scatter(scratch, data, &mut h, sh),
         }
@@ -430,6 +447,56 @@ fn radix_sort_leaf(data: &mut [u64], scratch: &mut [u64], into_scratch: bool) {
         scratch.copy_from_slice(data);
     } else if !in_data && !into_scratch {
         data.copy_from_slice(scratch);
+    }
+    #[cfg(test)]
+    LEAF_WORK.with(|w| w.set((w.get().0 + nd * n, w.get().1)));
+    if into_scratch {
+        finish_tied_runs(scratch, data, lo);
+    } else {
+        finish_tied_runs(data, scratch, lo);
+    }
+}
+
+/// The leaf's fix-up sweep: `keys` is sorted on every bit at or above
+/// `lo` (bits the window skipped are constant), so what is left is to
+/// order each run of keys that agree on all of them. Short runs are
+/// insertion-sorted; a long run goes through [`radix_sort_leaf`] again on
+/// its own slices of the two buffers, where the reduction sees only the
+/// bits below `lo` vary — one window lower. Every digit of every level is
+/// a disjoint bit range, so a key is scattered at most
+/// [`RADIX_MAX_DIGITS`] times however the input clusters.
+fn finish_tied_runs(keys: &mut [u64], spare: &mut [u64], lo: u32) {
+    if lo == 0 {
+        return;
+    }
+    let n = keys.len();
+    let mut i = 0usize;
+    while i + 1 < n {
+        let head = keys[i] >> lo;
+        let mut j = i + 1;
+        while j < n && keys[j] >> lo == head {
+            j += 1;
+        }
+        if j - i > RADIX_SHORT_RUN {
+            radix_sort_leaf(&mut keys[i..j], &mut spare[i..j], false);
+        } else if j - i > 1 {
+            insertion_sort(&mut keys[i..j]);
+        }
+        i = j;
+    }
+}
+
+fn insertion_sort(keys: &mut [u64]) {
+    #[cfg(test)]
+    LEAF_WORK.with(|w| w.set((w.get().0, w.get().1.max(keys.len()))));
+    for i in 1..keys.len() {
+        let v = keys[i];
+        let mut j = i;
+        while j > 0 && keys[j - 1] > v {
+            keys[j] = keys[j - 1];
+            j -= 1;
+        }
+        keys[j] = v;
     }
 }
 
@@ -811,28 +878,116 @@ mod tests {
         }
     }
 
-    #[test]
-    fn radix_leaf_matches_std() {
-        // Both parity targets, across key widths that skip different
-        // numbers of digit passes.
-        for (n, modulus) in [
-            (5000usize, u64::MAX),
-            (4096, 256),
-            (3000, 1),
-            (6000, 1 << 44),
-        ] {
-            let mut x = 9u64;
-            let data: Vec<u64> = (0..n).map(|_| splitmix(&mut x) % modulus).collect();
+    /// The input shapes that break a top-bits radix: ties on the window
+    /// (clusters, few distinct high words, packed records), windows with
+    /// one useful bit (`u64::MAX` sentinels), presorted and low-entropy
+    /// keys — next to the two shapes the service and `bench_rt` draw.
+    fn leaf_families(n: usize, x: &mut u64) -> Vec<(&'static str, Vec<u64>)> {
+        let highs: Vec<u64> = (0..1000).map(|_| splitmix(x) >> 32 << 32).collect();
+        let mut gen = |f: &mut dyn FnMut(usize, u64) -> u64| -> Vec<u64> {
+            (0..n).map(|i| f(i, splitmix(x))).collect()
+        };
+        vec![
+            ("uniform 64-bit", gen(&mut |_, r| r)),
+            ("44-bit", gen(&mut |_, r| r >> 20)),
+            ("below 2^20", gen(&mut |_, r| r & 0xf_ffff)),
+            ("constant", gen(&mut |_, _| 7)),
+            (
+                "two clusters",
+                gen(&mut |i, r| ((i as u64 & 1) << 63) | (r & 0xffff_ffff)),
+            ),
+            (
+                "1000 high words",
+                gen(&mut |_, r| highs[(r >> 40) as usize % 1000] | (r & 0xffff_ffff)),
+            ),
+            ("sorted", gen(&mut |i, _| i as u64)),
+            ("reverse", gen(&mut |i, _| (n - i) as u64)),
+            ("organ-pipe", gen(&mut |i, _| i.min(n - i) as u64)),
+            ("sawtooth 17", gen(&mut |i, _| (i % 17) as u64)),
+            (
+                "every third MAX",
+                gen(&mut |i, _| if i % 3 == 0 { u64::MAX } else { i as u64 }),
+            ),
+            (
+                "packed records",
+                gen(&mut |i, r| ((r % 1000) << 32) | i as u64),
+            ),
+            // The work bound's worst case: every digit of every level
+            // resolves a single bit, 256 distinct keys.
+            (
+                "one bit per digit",
+                gen(&mut |_, r| (0..8).fold(0, |k, d| k | ((r >> d & 1) << (9 * d)))),
+            ),
+        ]
+    }
+
+    /// Differential check of the leaf against `sort_unstable` at both
+    /// parities, with the work bound: over all recursion levels a key is
+    /// scattered at most [`RADIX_MAX_DIGITS`] times (what a full-width
+    /// LSD radix pays on every 64-bit input), and no run longer than
+    /// [`RADIX_SHORT_RUN`] is ever comparison-sorted.
+    fn check_leaf(n: usize) {
+        let mut x = n as u64;
+        for (family, data) in leaf_families(n, &mut x) {
             let mut want = data.clone();
             want.sort_unstable();
-            let mut in_place = data.clone();
-            let mut scratch = vec![0u64; n];
-            radix_sort_leaf(&mut in_place, &mut scratch, false);
-            assert_eq!(in_place, want, "in-place n={n} modulus={modulus}");
-            let mut src = data.clone();
-            let mut dst = vec![0u64; n];
-            radix_sort_leaf(&mut src, &mut dst, true);
-            assert_eq!(dst, want, "into-scratch n={n} modulus={modulus}");
+            for into_scratch in [false, true] {
+                let what = format!("{family}, n={n}, into_scratch={into_scratch}");
+                let mut keys = data.clone();
+                let mut scratch = vec![0u64; n];
+                LEAF_WORK.with(|w| w.set((0, 0)));
+                radix_sort_leaf(&mut keys, &mut scratch, into_scratch);
+                let got = if into_scratch { &scratch } else { &keys };
+                assert_eq!(got, &want, "{what}");
+                let (moved, longest) = LEAF_WORK.with(|w| w.get());
+                assert!(moved <= RADIX_MAX_DIGITS * n, "{what}: {moved} scatters");
+                assert!(
+                    longest <= RADIX_SHORT_RUN,
+                    "{what}: insertion-sorted {longest}"
+                );
+                if family == "packed records" {
+                    let mut payloads: Vec<u64> = got.iter().map(|v| v & 0xffff_ffff).collect();
+                    payloads.sort_unstable();
+                    assert!(payloads.iter().enumerate().all(|(i, &p)| p == i as u64));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn radix_leaf_matches_std_on_adversarial_families() {
+        for n in [2usize, 3, 17, 2049, 5000] {
+            check_leaf(n);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "leaf-scale families run in the release test job"
+    )]
+    fn radix_leaf_matches_std_at_leaf_scale() {
+        check_leaf(SPMS_LEAF);
+    }
+
+    #[test]
+    fn window_follows_n_not_the_key_width() {
+        // Uniform keys: the scatter pass count is ⌈(⌈log₂ n⌉ + slack) / 9⌉
+        // whether the keys are 64 or 44 bits wide.
+        for (n, passes) in [(4096usize, 2usize), (20_000, 2), (70_000, 3)] {
+            for narrow in [0u32, 20] {
+                let mut x = 1u64;
+                let mut keys: Vec<u64> = (0..n).map(|_| splitmix(&mut x) >> narrow).collect();
+                let mut scratch = vec![0u64; n];
+                LEAF_WORK.with(|w| w.set((0, 0)));
+                // Even pass counts land in `data`, odd ones in `scratch`.
+                radix_sort_leaf(&mut keys, &mut scratch, passes % 2 == 1);
+                let moved = LEAF_WORK.with(|w| w.get().0);
+                assert!(
+                    (passes * n..passes * n + n / 8).contains(&moved),
+                    "n={n} >> {narrow}: {moved} scatters"
+                );
+            }
         }
     }
 

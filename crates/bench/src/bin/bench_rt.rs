@@ -23,9 +23,10 @@ use std::time::Instant;
 
 use mo_algorithms::gep::floyd_warshall_reference;
 use mo_algorithms::real::registry::{run_kernel, Kernel};
+use mo_algorithms::real::spms::spms_with_params;
 use mo_algorithms::real::{
     par_fft_with_scratch, par_floyd_warshall, par_matmul, par_sort_with_scratch, par_spmdv,
-    par_transpose, serial_fft, spms_sort_in_ctx, C64,
+    par_transpose, serial_fft, SpmsParams, C64, SPMS_LEAF, SPMS_SERIAL_CUTOFF,
 };
 use mo_baselines::matmul::naive_matmul;
 use mo_baselines::transpose::naive_transpose;
@@ -85,12 +86,17 @@ fn rand_f64(seed: u64, n: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Full-width 64-bit keys (SplitMix64) — the shape `Kernel::Sort` jobs
+/// sort in the service, so the `sort` row measures the served path.
 fn rand_u64(seed: u64, n: usize) -> Vec<u64> {
-    let mut x = seed | 1;
+    let mut x = seed;
     (0..n)
         .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            x >> 20
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
         })
         .collect()
 }
@@ -293,34 +299,61 @@ const SCHEMA: u64 = 3;
 /// `[floor, 1.0)` band are printed as below parity but do not fail.
 const REGRESSION_FLOOR: f64 = 0.8;
 
-/// `--sweep`: sort-only size sweep for leaf tuning. Always drives the
-/// structured SPMS path (`spms_sort_in_ctx`), even at sizes where
-/// `par_sort` itself would pick the serial plan on a width-1 pool —
-/// the point is to see the structure's constants move as `n` crosses
-/// the leaf and fan-in boundaries, not to re-measure plan selection.
+/// `--sweep`: sort-only size sweep for leaf tuning, on full-width keys.
+/// Always drives the structured SPMS path, with the serial cutoff set to
+/// zero so the radix leaf is what runs below [`SPMS_SERIAL_CUTOFF`] too —
+/// the point is to see where the leaf starts to win and how the
+/// structure's constants move as `n` crosses the leaf and fan-in
+/// boundaries. One extra line repeats a leaf size on 44-bit keys: the
+/// windowed leaf's pass count follows `n`, so it should cost what the
+/// 64-bit line of that size costs.
 fn sweep_sort(pool: &SbPool, reps: usize) {
     println!(
-        "sort sweep (structured SPMS path, leaf = {} keys, median of {reps}):",
-        mo_algorithms::real::SPMS_LEAF
+        "sort sweep (structured SPMS path; shipped cutoff = {SPMS_SERIAL_CUTOFF} keys, \
+         leaf = {SPMS_LEAF} keys; median of >= {reps} pairs):"
     );
-    let sizes = [1usize << 16, 1 << 18, 1 << 20, 1 << 22];
+    let params = SpmsParams {
+        serial_cutoff: 0,
+        ..SpmsParams::default()
+    };
+    let sizes = [
+        256usize,
+        384,
+        512,
+        1 << 10,
+        1 << 11,
+        1 << 12,
+        1 << 14,
+        1 << 16,
+        1 << 17,
+        1 << 18,
+        1 << 20,
+        1 << 22,
+    ];
     let nmax = *sizes.last().expect("sizes");
     let data = rand_u64(5, nmax);
+    let narrow: Vec<u64> = data[..1 << 16].iter().map(|v| v >> 20).collect();
     let mut buf = data.clone();
     let mut scratch = vec![0u64; nmax];
-    for n in sizes {
+    let runs = sizes
+        .iter()
+        .map(|&n| ("sort", &data[..n]))
+        .chain([("sort 44-bit", &narrow[..])]);
+    for (label, keys) in runs {
+        let n = keys.len();
+        // Small sizes finish inside the timer's resolution: more pairs.
+        let reps = reps.max((1 << 18) / n).min(401);
         let (serial_ns, pool_ns, speedup) = paired_ns(reps, |par| {
-            buf[..n].copy_from_slice(&data[..n]);
+            buf[..n].copy_from_slice(keys);
             if par {
                 let (b, s) = (&mut buf[..n], &mut scratch[..n]);
-                pool.run(|ctx| spms_sort_in_ctx(ctx, b, s));
+                pool.run(|ctx| spms_with_params(ctx, b, s, &params));
             } else {
                 buf[..n].sort_unstable();
             }
         });
         println!(
-            "{:>16} n={:<8} serial {:>12} ns   spms {:>12} ns   speedup {:.3}x",
-            "sort", n, serial_ns, pool_ns, speedup
+            "{label:>16} n={n:<8} serial {serial_ns:>12} ns   spms {pool_ns:>12} ns   speedup {speedup:.3}x"
         );
     }
 }
