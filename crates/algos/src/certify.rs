@@ -1,165 +1,21 @@
-//! Certification adapters: the bridge between the kernel registry
-//! ([`crate::real::registry`]) and the recorded MO programs the
-//! `mo_certify` pass suite analyses.
+//! Certification over the kernel registry ([`crate::real::registry`]):
+//! the recorded MO program of each registry kernel, and a lint pass over
+//! the registry's declared metadata.
 //!
-//! Each registry kernel maps to its recorded counterpart at a given
-//! size, with *independently seeded input values* — the knob the
-//! value-obliviousness certifier (`mo_core::certify`) turns: record the
-//! same `(kernel, n)` under several seeds and diff the canonical
-//! traces. A registry-metadata lint pass rides along, cross-checking
-//! the declared grain hints and data-dependence markers against how
-//! the programs actually record.
+//! Each registry row records its kernel at a given size with
+//! *independently seeded input values* ([`record_kernel`]) — the knob
+//! the value-obliviousness certifier (`mo_core::certify`) turns: record
+//! the same `(kernel, n)` under several seeds and diff the canonical
+//! traces. The lint pass checks the row's grain hint against the
+//! recorded leaves ([`lint_kernel`]) and its data-dependence marker
+//! against the classification those recordings certify to
+//! ([`lint_marker`]).
 
-use mo_core::{Program, Recorder, Segment};
+use mo_core::certify::Classification;
+use mo_core::{Program, Segment};
 
-use crate::real::registry::{footprint_words, Kernel};
-
-/// Splitmix generator mirroring the registry's input generator, so the
-/// certifier's seeded values are as cheap and deterministic as the
-/// serving layer's.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
-    }
-
-    fn f64_unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// Default certification size per kernel: large enough that the
-/// recorded DAG exercises every hint the kernel uses (forks past the
-/// base case, several CGC levels), small enough that recording K runs
-/// of every kernel stays in CI-smoke territory.
-pub fn certify_size(kernel: Kernel) -> usize {
-    match kernel {
-        Kernel::Transpose => 32,
-        Kernel::Fft => 1 << 10,
-        Kernel::Matmul => 32,
-        Kernel::Sort => 1 << 11,
-        Kernel::SpmDv => 256, // 16×16 mesh
-        Kernel::Scan => 1 << 11,
-    }
-}
-
-/// Whether the kernel's recorded program uses measured space bounds
-/// ([`Recorder::record_measured`]) — the recording style that *should*
-/// accompany a [`Kernel::is_data_dependent`] marker. The lint pass
-/// flags disagreement between the two.
-pub fn records_measured(kernel: Kernel) -> bool {
-    matches!(kernel, Kernel::Sort)
-}
-
-/// The analytic footprint admission control charges a size-`n` job of
-/// `kernel` — re-exported next to the adapter so the auditor compares
-/// declared and recorded words through one module.
-pub fn declared_words(kernel: Kernel, n: usize) -> usize {
-    footprint_words(kernel, n)
-}
-
-/// Record `kernel` at size `n` with values drawn from `seed`.
-///
-/// The *structure* of the input (array lengths, the SpM-DV sparsity
-/// pattern) is fixed by `n`; only the **values** vary with the seed.
-/// That is exactly the experiment value-obliviousness is about: a
-/// certified kernel's DAG and canonical trace must not move when only
-/// values move.
-pub fn record_kernel(kernel: Kernel, n: usize, seed: u64) -> Program {
-    let mut g = Gen(seed ^ (kernel.index() as u64).wrapping_mul(0xa076_1d64_78bd_642f));
-    match kernel {
-        Kernel::Transpose => {
-            let data: Vec<u64> = (0..n * n).map(|_| g.next()).collect();
-            crate::transpose::transpose_program(&data, n).program
-        }
-        Kernel::Fft => {
-            let len = n.next_power_of_two();
-            let input: Vec<(f64, f64)> = (0..len).map(|_| (g.f64_unit(), g.f64_unit())).collect();
-            crate::fft::fft_program(&input).program
-        }
-        Kernel::Matmul => {
-            let a: Vec<f64> = (0..n * n).map(|_| g.f64_unit()).collect();
-            let b: Vec<f64> = (0..n * n).map(|_| g.f64_unit()).collect();
-            crate::gep::matmul_program(&a, &b, n).program
-        }
-        Kernel::Sort => {
-            let data: Vec<u64> = (0..n).map(|_| g.next()).collect();
-            crate::sort::sort_program(&data).program
-        }
-        Kernel::SpmDv => {
-            // Fixed mesh sparsity pattern; seeded nonzero and vector
-            // values.
-            let side = (n as f64).sqrt().round().max(2.0) as usize;
-            let mut m = crate::separator::mesh_matrix(side);
-            for row in &mut m.rows {
-                for (_, v) in row.iter_mut() {
-                    *v = g.f64_unit();
-                }
-            }
-            let x: Vec<f64> = (0..m.n).map(|_| g.f64_unit()).collect();
-            crate::spmdv::spmdv_program(&m, &x).program
-        }
-        Kernel::Scan => {
-            let len = n.next_power_of_two();
-            let data: Vec<u64> = (0..len).map(|_| g.next()).collect();
-            Recorder::record(2 * len, |rec| {
-                let a = rec.alloc_init(&data);
-                crate::scan::mo_prefix_sum(rec, a, len);
-            })
-        }
-    }
-}
-
-/// The effective problem size the analytic footprint is parameterized
-/// on for a recording made by [`record_kernel`] — `n` for every kernel
-/// except SpM-DV, whose mesh rounds `n` to a square.
-pub fn effective_n(kernel: Kernel, n: usize) -> usize {
-    match kernel {
-        Kernel::SpmDv => {
-            let side = (n as f64).sqrt().round().max(2.0) as usize;
-            side * side
-        }
-        _ => n,
-    }
-}
-
-/// Known, documented footprint-audit exceptions: kernels whose recorded
-/// MO program legitimately touches more distinct words than the served
-/// real-machine kernel that admission control charges for. Returns the
-/// justification, or `None` if declared-≥-recorded must hold.
-///
-/// These entries mirror `certify/exceptions.json` at the workspace root
-/// (the `mo_certify --gate` input); the audit gate fails if a kernel
-/// understates its footprint *without* an entry here, and the tests fail
-/// if an entry goes stale (the gap closes).
-pub fn footprint_exception(kernel: Kernel) -> Option<&'static str> {
-    match kernel {
-        Kernel::Transpose => Some(
-            "recorded MO-MT routes through a Morton-order intermediate \
-             (3n² words live) while the served kernel transposes \
-             out-of-place in the 2n² that admission control charges",
-        ),
-        Kernel::Fft => Some(
-            "recorded MO-FFT keeps every recursion level's n1×n1 working \
-             matrix and transpose intermediate live (fft_space(n) = 2n + \
-             O(n log log n) words) while the served kernel runs in the 4n \
-             that admission control charges",
-        ),
-        Kernel::Sort => Some(
-            "recorded SPMS sort keeps per-level sample, pivot, count and \
-             distribution arrays live (≈6n words) while the served \
-             real-machine SPMS sort runs in the 2n + o(n) words of \
-             spms_working_set_words that admission control charges \
-             (keys + caller-owned ping-pong scratch + radix histograms)",
-        ),
-        _ => None,
-    }
-}
+pub use crate::real::registry::record_kernel;
+use crate::real::registry::Kernel;
 
 /// A registry-metadata lint finding (warning severity: these weaken
 /// constants or documentation honesty, not the scheduler theorems —
@@ -193,16 +49,15 @@ pub enum RegistryLint {
         /// Number of distinct blocks written by two or more siblings.
         shared_blocks: usize,
     },
-    /// The kernel records with measured bounds
-    /// ([`Recorder::record_measured`]) but is not marked
-    /// [`Kernel::is_data_dependent`]: the registry under-documents a
-    /// value leak.
+    /// The kernel's recordings certify `data-dependent` but it is not
+    /// marked [`Kernel::is_data_dependent`]: the registry
+    /// under-documents a value leak.
     MissingDataDependentMarker {
         /// The offending kernel.
         kernel: Kernel,
     },
-    /// The kernel carries the data-dependent marker but records with
-    /// analytic bounds: the marker is stale.
+    /// The kernel carries the data-dependent marker but its recordings
+    /// certify `oblivious`: the marker is stale.
     SpuriousDataDependentMarker {
         /// The offending kernel.
         kernel: Kernel,
@@ -234,13 +89,13 @@ impl std::fmt::Display for RegistryLint {
             ),
             RegistryLint::MissingDataDependentMarker { kernel } => write!(
                 f,
-                "{kernel}: records with measured bounds but lacks the \
-                 data-dependent marker"
+                "{kernel}: recordings certify data-dependent but the registry \
+                 row lacks the data-dependent marker"
             ),
             RegistryLint::SpuriousDataDependentMarker { kernel } => write!(
                 f,
-                "{kernel}: carries the data-dependent marker but records \
-                 with analytic bounds"
+                "{kernel}: carries the data-dependent marker but its \
+                 recordings certify oblivious"
             ),
         }
     }
@@ -251,15 +106,25 @@ impl std::fmt::Display for RegistryLint {
 /// block size the stock machine specs use.
 const ALIAS_BLOCK_WORDS: u64 = 64;
 
-/// Lint one kernel's metadata against one of its recordings.
+/// Lint one kernel's data-dependence marker against the
+/// classification its paired recordings certified to
+/// (`mo_core::certify::classify`).
+pub fn lint_marker(kernel: Kernel, certified: Classification) -> Option<RegistryLint> {
+    match (kernel.is_data_dependent(), certified) {
+        (false, Classification::DataDependent) => {
+            Some(RegistryLint::MissingDataDependentMarker { kernel })
+        }
+        (true, Classification::Oblivious) => {
+            Some(RegistryLint::SpuriousDataDependentMarker { kernel })
+        }
+        _ => None,
+    }
+}
+
+/// Lint one kernel's grain hint and sibling block-sharing against one of
+/// its recordings.
 pub fn lint_kernel(kernel: Kernel, prog: &Program) -> Vec<RegistryLint> {
     let mut findings = Vec::new();
-    if records_measured(kernel) && !kernel.is_data_dependent() {
-        findings.push(RegistryLint::MissingDataDependentMarker { kernel });
-    }
-    if !records_measured(kernel) && kernel.is_data_dependent() {
-        findings.push(RegistryLint::SpuriousDataDependentMarker { kernel });
-    }
     let fp = mo_core::verify::task_footprints(prog);
     // Grain honesty: forked leaves must fit the declared grain.
     let grain = kernel.grain_words();
@@ -358,8 +223,9 @@ fn sibling_aliasing(kernel: Kernel, prog: &Program) -> Vec<RegistryLint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mo_core::certify::{classify, Classification};
-    use mo_core::{spawn, ForkHint};
+    use crate::real::registry::footprint_words;
+    use mo_core::certify::classify;
+    use mo_core::{spawn, ForkHint, Recorder};
 
     #[test]
     fn deterministic_kernels_certify_oblivious_at_small_sizes() {
@@ -386,14 +252,9 @@ mod tests {
     #[test]
     fn registry_kernels_pass_their_own_lint() {
         for kernel in Kernel::ALL {
-            let n = match kernel {
-                Kernel::Transpose | Kernel::Matmul => 16,
-                Kernel::SpmDv => 64,
-                _ => 256,
-            };
-            let prog = record_kernel(kernel, n, 7);
+            let prog = record_kernel(kernel, kernel.recorded_n(), 7);
             let findings = lint_kernel(kernel, &prog);
-            // Grain and marker lints must be clean on the shipped
+            // The grain lint must be clean on the shipped
             // registry; block-level aliasing of shared outputs is
             // tolerated (reported, not asserted) for kernels whose
             // siblings tile one output array.
@@ -472,58 +333,70 @@ mod tests {
     }
 
     #[test]
-    fn marker_lints_fire_on_disagreement() {
-        // Synthetic: pretend a measured-bounds kernel lost its marker by
-        // checking the two helper predicates stay in sync on the real
-        // registry…
-        for k in Kernel::ALL {
-            assert_eq!(records_measured(k), k.is_data_dependent(), "{k}");
-        }
-        // …and that the lint would fire if they disagreed (exercise via
-        // a direct construction of the finding's Display).
-        let f = RegistryLint::MissingDataDependentMarker {
-            kernel: Kernel::Sort,
+    fn marker_lint_reports_a_flag_that_disagrees_with_the_recordings() {
+        let certified = |kernel, n| {
+            let runs: Vec<(u64, Program)> =
+                (0..2).map(|s| (s, record_kernel(kernel, n, s))).collect();
+            classify(&runs).0
         };
-        assert!(f.to_string().contains("measured bounds"));
+        let (scan, sort) = (certified(Kernel::Scan, 16), certified(Kernel::Sort, 256));
+        // Each row's own flag agrees with its own recordings…
+        assert_eq!(lint_marker(Kernel::Scan, scan), None);
+        assert_eq!(lint_marker(Kernel::Sort, sort), None);
+        // …and a row whose flag is the other way round is reported:
+        // sort's marker over scan's oblivious recordings is stale,
+        // scan's clear flag over sort's recordings hides a leak.
+        assert_eq!(
+            lint_marker(Kernel::Sort, scan),
+            Some(RegistryLint::SpuriousDataDependentMarker {
+                kernel: Kernel::Sort
+            })
+        );
+        assert_eq!(
+            lint_marker(Kernel::Scan, sort),
+            Some(RegistryLint::MissingDataDependentMarker {
+                kernel: Kernel::Scan
+            })
+        );
     }
 
     #[test]
     fn footprint_audit_declared_covers_recorded() {
+        // certify/exceptions.json is the reviewed list of kernels whose
+        // recorded MO program keeps temporaries live that the served
+        // real kernel does not (the `mo_certify --gate` input).
+        let exceptions =
+            mo_core::certify::json::parse(include_str!("../../../certify/exceptions.json"))
+                .expect("certify/exceptions.json parses");
+        let excused: Vec<&str> = exceptions
+            .get("exceptions")
+            .and_then(|e| e.as_arr())
+            .expect("exceptions array")
+            .iter()
+            .filter_map(|e| e.get("kernel")?.as_str())
+            .collect();
         for kernel in Kernel::ALL {
-            let n = match kernel {
-                Kernel::Transpose | Kernel::Matmul => 16,
-                Kernel::SpmDv => 64,
-                _ => 256,
-            };
+            let n = kernel.recorded_n();
             let prog = record_kernel(kernel, n, 3);
             let recorded = mo_core::certify::max_working_set(&prog);
-            let en = effective_n(kernel, n);
-            let declared = declared_words(kernel, en);
-            if footprint_exception(kernel).is_some() {
-                // Documented exceptions (see `footprint_exception` and
-                // certify/exceptions.json): the recorded MO program keeps
-                // temporaries live that the served real kernel does not.
+            let declared = footprint_words(kernel, kernel.effective_n(n));
+            if excused.contains(&kernel.name()) {
                 // The auditor must *see* the gap — an exception whose gap
                 // has closed is stale and must be removed…
                 assert!(declared < recorded, "{kernel}: exception became stale");
-                // …but the gap stays within each recording's own honest
-                // arena bound.
-                let cap = match kernel {
-                    Kernel::Transpose => 3 * en * en,
-                    Kernel::Fft => crate::fft::fft_space(en),
-                    Kernel::Sort => 8 * en,
-                    _ => unreachable!(),
-                };
+                // …but the gap stays within the recording's own declared
+                // root space bound.
+                let cap = prog.tasks()[prog.root()].space;
                 assert!(
                     recorded <= cap,
-                    "{kernel}: recorded {recorded} exceeds honest bound {cap}"
+                    "{kernel}: recorded {recorded} exceeds its root space bound {cap}"
                 );
-                continue;
+            } else {
+                assert!(
+                    declared >= recorded,
+                    "{kernel}: declared {declared} < recorded {recorded}"
+                );
             }
-            assert!(
-                declared >= recorded,
-                "{kernel}: declared {declared} < recorded {recorded}"
-            );
         }
     }
 }

@@ -267,56 +267,38 @@ fn fw_bands(ctx: &Ctx<'_>, x: &mut [f64], rowk: &[f64], n: usize, k: usize) {
     }
 }
 
-/// Parallel exclusive prefix sum (wrapping u64): block-scan with a serial
-/// combine of per-block totals.
+/// Parallel exclusive prefix sum (wrapping u64): [`scan_in_ctx`] under
+/// one pool entry.
 pub fn par_prefix_sum(pool: &SbPool, a: &mut [u64]) {
-    let n = a.len();
-    if n == 0 {
+    pool.run(|ctx| scan_in_ctx(ctx, a));
+}
+
+/// `Ctx`-native exclusive prefix sum (block-scan): per-block totals, a
+/// tiny serial combine, then per-block scans seeded by the block
+/// offsets. The 16-way split is fixed — like every kernel here it reads
+/// no machine parameter, and the pool decides from the declared
+/// `2·block` words how many of the blocks run in parallel. Never
+/// re-enters the pool, so a server batch can run many under one `enter`.
+fn scan_in_ctx(ctx: &Ctx<'_>, a: &mut [u64]) {
+    let block = a.len().div_ceil(16).max(1024);
+    if a.len() <= block {
+        serial_exclusive(a, 0);
         return;
     }
-    let cores = pool.hierarchy().cores();
-    let block = n.div_ceil(cores).max(1024);
-    let nb = n.div_ceil(block);
-    if nb <= 1 {
-        serial_exclusive(a);
-        return;
-    }
-    // Phase 1: per-block totals.
-    let mut totals = vec![0u64; nb];
-    pool.run(|ctx| {
-        let mut jobs: Jobs<'_, (usize, u64)> = Vec::new();
-        for (bi, chunk) in a.chunks(block).enumerate() {
-            let sum: &[u64] = chunk;
-            jobs.push(Box::new(move |_| {
-                (bi, sum.iter().fold(0u64, |s, &v| s.wrapping_add(v)))
-            }));
-        }
-        for (bi, t) in ctx.join_all(2 * block, jobs) {
-            totals[bi] = t;
-        }
-    });
-    // Phase 2: exclusive scan of totals (tiny, serial).
-    let mut acc = 0u64;
-    for t in totals.iter_mut() {
-        let nt = acc.wrapping_add(*t);
-        *t = acc;
-        acc = nt;
-    }
-    // Phase 3: per-block exclusive scans seeded by the block offset.
-    pool.run(|ctx| {
-        let mut jobs: Jobs<'_, ()> = Vec::new();
-        for (chunk, &base) in a.chunks_mut(block).zip(&totals) {
-            jobs.push(Box::new(move |_| {
-                let mut acc = base;
-                for v in chunk.iter_mut() {
-                    let nv = acc.wrapping_add(*v);
-                    *v = acc;
-                    acc = nv;
-                }
-            }));
-        }
-        ctx.join_all(2 * block, jobs);
-    });
+    let jobs: Jobs<'_, u64> = a
+        .chunks(block)
+        .map(|chunk| {
+            Box::new(move |_: &Ctx<'_>| chunk.iter().fold(0u64, |s, &v| s.wrapping_add(v))) as _
+        })
+        .collect();
+    let mut bases = ctx.join_all(2 * block, jobs);
+    serial_exclusive(&mut bases, 0);
+    let jobs: Jobs<'_, ()> = a
+        .chunks_mut(block)
+        .zip(bases)
+        .map(|(chunk, base)| Box::new(move |_: &Ctx<'_>| serial_exclusive(chunk, base)) as _)
+        .collect();
+    ctx.join_all(2 * block, jobs);
 }
 
 /// Parallel SpM-DV (`y = A·x`) over a CSR matrix: SB fork–join over row
@@ -376,8 +358,9 @@ fn spmdv_rows(
     }
 }
 
-fn serial_exclusive(a: &mut [u64]) {
-    let mut acc = 0u64;
+/// Exclusive wrapping prefix sum of `a`, continuing from `base`.
+fn serial_exclusive(a: &mut [u64], base: u64) {
+    let mut acc = base;
     for v in a.iter_mut() {
         let nv = acc.wrapping_add(*v);
         *v = acc;
@@ -477,7 +460,7 @@ mod tests {
             let p = pool();
             par_prefix_sum(&p, &mut par);
             let mut ser = src.clone();
-            serial_exclusive(&mut ser);
+            serial_exclusive(&mut ser, 0);
             assert_eq!(par, ser, "n = {n}");
         }
     }

@@ -1,7 +1,15 @@
 //! Kernel registry for the serving layer: every real-machine kernel the
-//! service can run, keyed by a [`Kernel`] tag, with an **analytic
-//! footprint function** — the space bound `s(τ)` in words that a job of
-//! size `n` declares to the scheduler and the admission controller.
+//! service can run, keyed by a [`Kernel`] tag and **defined once** as a
+//! row of the descriptor table [`KERNELS`] — the shape of one figure of
+//! the paper: the algorithm (a seeded real run and a recorded MO
+//! program), its `Space Bound:` annotation (the analytic footprint
+//! `s(τ)` in words that a size-`n` job declares to the scheduler and the
+//! admission controller) and the work term of its theorem's
+//! `Q(n; C, B)`. Everything else in the workspace — `mo-serve`,
+//! `mo_certify`, `obs_report`, `bench_rt`, `serve_load`, the benchmark
+//! and the tier tests — reads the table through [`Kernel`]'s methods and
+//! the free functions below; adding a kernel is one enum variant and one
+//! row.
 //!
 //! The footprint is the currency of the whole system: the recorded MO
 //! algorithms declare it per fork (and `mo_core::verify` audits it);
@@ -9,7 +17,8 @@
 //! `mo-serve` admits or queues whole *jobs* with it. The functions here
 //! count exactly the words a job's working set touches (inputs, outputs
 //! and scratch), mirroring the per-algorithm accounting documented on
-//! each kernel (e.g. [`crate::spmdv::spmdv_space`]).
+//! each kernel (e.g. [`crate::spmdv::spmdv_space`]). Job sizes are
+//! stated in the same currency: [`Kernel::size_within`].
 //!
 //! Jobs execute against deterministic seed-generated inputs and return
 //! a checksum, so callers (the server's batch path, the load generator,
@@ -19,11 +28,14 @@
 //! the pool's fork statistics cumulative.
 
 use mo_core::rt::{Ctx, Jobs, SbPool};
+use mo_core::{Program, Recorder};
 
 /// Average nonzeros per row of the generated SpM-DV instances.
 const SPMDV_DEG: usize = 8;
 
-/// The kernels the serving layer knows how to run.
+/// The kernels the serving layer knows how to run. The tag is wire
+/// format (scenario files, metric labels, event codes, certificates);
+/// what a kernel *is* lives in its [`KERNELS`] row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Out-of-place `n × n` matrix transposition.
@@ -40,8 +52,183 @@ pub enum Kernel {
     Scan,
 }
 
+/// One kernel, defined once. The fields are the parts of the paper's
+/// figure for an algorithm: the algorithm itself twice over (`run`, the
+/// served real-machine kernel on seeded inputs; `record`, its MO program
+/// on the recorder), its `Space Bound:` annotation (`footprint`) and its
+/// theorem (`q_scale · (q_work / q_i + words / B + B + 1)`, see
+/// [`analytic_transfers`]); the rest is registry metadata the certifier
+/// audits against the recording.
+struct KernelDef {
+    /// Stable lower-case name (scenario files, metrics labels).
+    name: &'static str,
+    /// See [`Kernel::grain_words`].
+    grain_words: usize,
+    /// See [`Kernel::is_data_dependent`].
+    data_dependent: bool,
+    /// See [`footprint_words`].
+    footprint: fn(usize) -> usize,
+    /// Deliberately generous constant of the transfer bound.
+    q_scale: f64,
+    /// Work term of the sequential cache complexity `Q(n; C, B)` as a
+    /// function of `(n, C, B)`, without the compulsory `words / B`.
+    q_work: fn(f64, f64, f64) -> f64,
+    /// The served kernel on inputs drawn from the generator, inside an
+    /// existing pool context; returns the output checksum.
+    run: fn(&Ctx<'_>, usize, &mut Gen) -> u64,
+    /// The recorded MO program on values drawn from the generator.
+    record: fn(usize, &mut Gen) -> Program,
+    /// See [`Kernel::effective_n`].
+    effective_n: fn(usize) -> usize,
+    /// See [`Kernel::recorded_n`].
+    recorded_n: usize,
+}
+
+/// The descriptor table, indexed by `Kernel as usize`.
+static KERNELS: [KernelDef; Kernel::ALL.len()] = [
+    KernelDef {
+        name: "transpose",
+        // 8×8 tiles, two matrices, plus alignment padding slop.
+        grain_words: 512,
+        data_dependent: false,
+        // a (n²) + out (n²).
+        footprint: |n| 2 * n * n,
+        // Q(n²; C, B) = O(n²/B): scan-bound (n is the matrix side).
+        q_scale: 8.0,
+        q_work: |n, _, b| n * n / b,
+        run: |ctx, n, g| {
+            let a = g.f64s(n * n);
+            let mut out = vec![0.0f64; n * n];
+            super::band_transpose(ctx, &a, &mut out, n, 0);
+            checksum_f64(&out)
+        },
+        record: |n, g| crate::transpose::transpose_program(&g.words(n * n), n).program,
+        effective_n: |n| n,
+        recorded_n: 32,
+    },
+    KernelDef {
+        name: "fft",
+        // FFT leaf transforms plus twiddle scratch.
+        grain_words: 4096,
+        data_dependent: false,
+        // x + scratch, 2 words per complex sample, length rounded up.
+        footprint: |n| 4 * n.next_power_of_two(),
+        // Q = O((n/B)·log_C n) with at least one pass.
+        q_scale: 16.0,
+        q_work: |n, c, b| {
+            let m = (n as usize).next_power_of_two() as f64;
+            (m / b) * passes(m, c)
+        },
+        run: |ctx, n, g| {
+            let mut x = g.complex(n.next_power_of_two());
+            if x.len() <= super::FFT_LEAF {
+                super::serial_fft(&mut x);
+            } else {
+                let mut scratch = vec![(0.0, 0.0); x.len()];
+                super::fft_rec(ctx, &mut x, &mut scratch);
+            }
+            x.iter().fold(0u64, |acc, c| {
+                acc.wrapping_mul(31)
+                    .wrapping_add(c.0.to_bits() ^ c.1.to_bits())
+            })
+        },
+        record: |n, g| crate::fft::fft_program(&g.complex(n.next_power_of_two())).program,
+        effective_n: |n| n,
+        recorded_n: 1 << 10,
+    },
+    KernelDef {
+        name: "matmul",
+        // 8×8×8 GEP base case touches three 64-word tiles.
+        grain_words: 512,
+        data_dependent: false,
+        // a + b + c.
+        footprint: |n| 3 * n * n,
+        // Q = O(n³/(B·√C)) beside the compulsory tile reads.
+        q_scale: 16.0,
+        q_work: |n, c, b| n * n * n / (b * c.sqrt()),
+        run: |ctx, n, g| {
+            let (a, b) = (g.f64s(n * n), g.f64s(n * n));
+            let mut c = vec![0.0f64; n * n];
+            super::mm_rows(ctx, &mut c, &a, &b, n);
+            checksum_f64(&c)
+        },
+        record: |n, g| {
+            let (a, b) = (g.f64s(n * n), g.f64s(n * n));
+            crate::gep::matmul_program(&a, &b, n).program
+        },
+        effective_n: |n| n,
+        recorded_n: 32,
+    },
+    KernelDef {
+        name: "sort",
+        // SPMS leaves sort sample-bounded buckets.
+        grain_words: 8192,
+        // The sample sort's buckets follow the key values: it records
+        // with measured space bounds (`Recorder::record_measured`).
+        data_dependent: true,
+        // keys + merge scratch + the SPMS per-level sampling/split/
+        // histogram auxiliaries (2n + o(n)).
+        footprint: super::spms::spms_working_set_words,
+        // Same recurrence shape as FFT; sample sort's constant is larger.
+        q_scale: 48.0,
+        q_work: |n, c, b| (n / b) * passes(n, c),
+        run: |ctx, n, g| {
+            let mut data = g.words(n);
+            sort_in_ctx_with_pooled_scratch(ctx, &mut data);
+            checksum_u64(&data)
+        },
+        record: |n, g| crate::sort::sort_program(&g.words(n)).program,
+        effective_n: |n| n,
+        recorded_n: 1 << 11,
+    },
+    KernelDef {
+        name: "spmdv",
+        // Separator-tree leaves own small row blocks.
+        grain_words: 4096,
+        data_dependent: false,
+        // row_ptr (n+1) + cols (deg·n) + vals (deg·n) + x (n) + y (n).
+        footprint: |n| (3 + 2 * SPMDV_DEG) * n + 1,
+        // Q = O(nnz/B + n/√C) for n^(1/2)-edge-separator matrices; the
+        // generator averages SPMDV_DEG nonzeros per row (the recorded
+        // mesh has at most 5).
+        q_scale: 16.0,
+        q_work: |n, c, b| SPMDV_DEG as f64 * n / b + n / c.sqrt(),
+        run: run_spmdv,
+        record: record_spmdv,
+        // The recorded mesh rounds `n` to a square.
+        effective_n: |n| mesh_side(n) * mesh_side(n),
+        recorded_n: 256, // 16×16 mesh
+    },
+    KernelDef {
+        name: "scan",
+        // Scan never forks (pure CGC); no leaf grain to bound.
+        grain_words: usize::MAX,
+        data_dependent: false,
+        // In-place tree scan over the power-of-two padded array, plus
+        // the per-block totals of the real-machine kernel.
+        footprint: |n| 2 * n.next_power_of_two(),
+        // Scan-bound like transpose: two tree sweeps over the array.
+        q_scale: 8.0,
+        q_work: |n, _, b| (n as usize).next_power_of_two() as f64 / b,
+        run: |ctx, n, g| {
+            let mut data = g.words(n);
+            super::scan_in_ctx(ctx, &mut data);
+            checksum_u64(&data)
+        },
+        record: |n, g| {
+            let data = g.words(n.next_power_of_two());
+            Recorder::record(2 * data.len(), |rec| {
+                let a = rec.alloc_init(&data);
+                crate::scan::mo_prefix_sum(rec, a, data.len());
+            })
+        },
+        effective_n: |n| n,
+        recorded_n: 1 << 11,
+    },
+];
+
 impl Kernel {
-    /// Every registered kernel.
+    /// Every registered kernel, in [`KERNELS`] order.
     pub const ALL: [Kernel; 6] = [
         Kernel::Transpose,
         Kernel::Fft,
@@ -51,16 +238,13 @@ impl Kernel {
         Kernel::Scan,
     ];
 
+    fn def(self) -> &'static KernelDef {
+        &KERNELS[self as usize]
+    }
+
     /// Stable lower-case name (scenario files, metrics labels).
     pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Transpose => "transpose",
-            Kernel::Fft => "fft",
-            Kernel::Matmul => "matmul",
-            Kernel::Sort => "sort",
-            Kernel::SpmDv => "spmdv",
-            Kernel::Scan => "scan",
-        }
+        self.def().name
     }
 
     /// Parse a [`name`](Self::name), case-insensitively.
@@ -70,19 +254,25 @@ impl Kernel {
             .find(|k| k.name().eq_ignore_ascii_case(s.trim()))
     }
 
-    /// Index of this kernel inside [`Kernel::ALL`].
+    /// Index of this kernel inside [`Kernel::ALL`] (the event and
+    /// metrics code of the kernel).
     pub fn index(self) -> usize {
-        Kernel::ALL.iter().position(|k| *k == self).unwrap_or(0)
+        self as usize
+    }
+
+    /// The kernel whose [`index`](Self::index) is `index`.
+    pub fn from_index(index: usize) -> Option<Kernel> {
+        Kernel::ALL.get(index).copied()
     }
 
     /// Whether the kernel's recorded MO program is *declared*
     /// data-dependent: its task tree or address trace varies with the
     /// input values, so it records with measured space bounds
     /// ([`mo_core::Recorder::record_measured`]) and can never hold an
-    /// `oblivious` certificate. The certifier's lint pass cross-checks
-    /// this marker against how the program actually records.
+    /// `oblivious` certificate. The certifier's lint pass checks this
+    /// marker against the classification its recordings certify to.
     pub fn is_data_dependent(self) -> bool {
-        matches!(self, Kernel::Sort)
+        self.def().data_dependent
     }
 
     /// Declared serial-grain hint in words: an upper bound on the
@@ -92,20 +282,44 @@ impl Kernel {
     /// must stay below this; the certifier's lint pass flags recorded
     /// leaves that exceed it (a missing or mis-sized base-case grain).
     pub fn grain_words(self) -> usize {
-        match self {
-            // 8×8 tiles, two matrices, plus alignment padding slop.
-            Kernel::Transpose => 512,
-            // FFT leaf transforms plus twiddle scratch.
-            Kernel::Fft => 4096,
-            // 8×8×8 GEP base case touches three 64-word tiles.
-            Kernel::Matmul => 512,
-            // SPMS leaves sort sample-bounded buckets.
-            Kernel::Sort => 8192,
-            // Separator-tree leaves own small row blocks.
-            Kernel::SpmDv => 4096,
-            // Scan never forks (pure CGC); no leaf grain to bound.
-            Kernel::Scan => usize::MAX,
+        self.def().grain_words
+    }
+
+    /// The size `mo_certify` records the kernel at, pinned by
+    /// `certify/certificates.json`: large enough that the recorded DAG
+    /// exercises every hint the kernel uses (forks past the base case,
+    /// several CGC levels), small enough that recording K runs of every
+    /// kernel stays in CI-smoke territory.
+    pub fn recorded_n(self) -> usize {
+        self.def().recorded_n
+    }
+
+    /// The problem size the analytic footprint is parameterized on for
+    /// a recording made by [`record_kernel`] at size `n` — `n` itself
+    /// for every kernel except SpM-DV, whose mesh rounds `n` to a square.
+    pub fn effective_n(self, n: usize) -> usize {
+        (self.def().effective_n)(n)
+    }
+
+    /// The largest job size whose declared footprint fits in `words`
+    /// (0 when not even `n = 1` fits): sizes stated in the system's own
+    /// currency, the space bound. Bisection on the monotone footprint.
+    pub fn size_within(self, words: usize) -> usize {
+        let fits = |n| footprint_words(self, n) <= words;
+        let mut hi = 1;
+        while fits(hi) {
+            hi *= 2;
         }
+        let mut lo = hi / 2;
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if fits(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 }
 
@@ -115,85 +329,93 @@ impl std::fmt::Display for Kernel {
     }
 }
 
+/// Parse one `kernel  size  weight` line of a scenario file; `#` starts
+/// a comment, and a blank or comment-only line is `Ok(None)`.
+pub fn parse_scenario_line(line: &str) -> Result<Option<(Kernel, usize, u32)>, &'static str> {
+    let mut fields = line.split('#').next().unwrap_or("").split_whitespace();
+    let Some(name) = fields.next() else {
+        return Ok(None);
+    };
+    let kernel = Kernel::parse(name).ok_or("unknown kernel")?;
+    let n = fields
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or("bad size")?;
+    let weight = fields
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or("bad weight")?;
+    if fields.next().is_some() {
+        return Err("trailing fields");
+    }
+    Ok(Some((kernel, n, weight)))
+}
+
 /// Analytic footprint in words of a size-`n` job: every word of input,
 /// output and scratch the kernel touches. This is the space bound the
 /// job declares to admission control.
 pub fn footprint_words(kernel: Kernel, n: usize) -> usize {
-    match kernel {
-        // a (n²) + out (n²).
-        Kernel::Transpose => 2 * n * n,
-        // x + scratch, 2 words per complex sample, length rounded up.
-        Kernel::Fft => 4 * n.next_power_of_two(),
-        // a + b + c.
-        Kernel::Matmul => 3 * n * n,
-        // keys + merge scratch + the SPMS per-level sampling/split/
-        // histogram auxiliaries (2n + o(n); see
-        // [`super::spms::spms_working_set_words`]).
-        Kernel::Sort => super::spms::spms_working_set_words(n),
-        // row_ptr (n+1) + cols (deg·n) + vals (deg·n) + x (n) + y (n).
-        Kernel::SpmDv => (3 + 2 * SPMDV_DEG) * n + 1,
-        // In-place tree scan over the power-of-two padded array, plus
-        // the per-block totals of the real-machine kernel.
-        Kernel::Scan => 2 * n.next_power_of_two(),
-    }
+    (kernel.def().footprint)(n)
 }
 
 /// Cache-line size in words (64-byte lines of `u64` words) assumed by
 /// [`analytic_transfers`] when the caller has no measured block size.
 pub const BLOCK_WORDS: usize = 8;
 
-/// Analytic sequential cache-transfer bound `Q(n; C, B)` of one
-/// size-`n` job against a single cache of `capacity_words` words with
-/// `block_words`-word lines: the paper's per-kernel cache complexity
-/// (Theorems 1–4 shapes), with the same deliberately generous constants
-/// the obs-report witness gate uses. `mo-serve` multiplies this by the
-/// batch size to form the *expected* transfers behind its
-/// `moserve_witness_divergence` gauges — the point is the shape and
-/// catching order-of-magnitude divergence, not tight constants.
+/// Analytic per-cache transfer bound of one size-`n` job at a level of
+/// `caches` caches of `capacity_words` words with `block_words`-word
+/// lines: the paper's sequential cache complexity `Q(n; C, B)`
+/// (Theorems 1–4 shapes) distributed over the `q_i = caches` caches of
+/// the level (the theorems bound the per-cache maximum by the
+/// sequential complexity divided by `q_i`, up to constants), plus the
+/// compulsory `words / B` every cache pays at least once, where `words`
+/// is the working set of the run being bounded — [`footprint_words`]
+/// for a served job, the recording's declared root space for a replayed
+/// MO program (the recorded MO-FFT keeps 30 words per sample live, not
+/// the served kernel's 4).
+///
+/// The constants are calibrated against the LRU replay so measured
+/// ratios sit below 1 with headroom, and are deliberately generous:
+/// `mo-serve` multiplies this by the batch size behind its
+/// `moserve_witness_divergence` gauges and `obs_report` gates measured
+/// transfers against it — the point is the shape and catching
+/// order-of-magnitude divergence, not tight constants.
 pub fn analytic_transfers(
     kernel: Kernel,
     n: usize,
+    words: usize,
     capacity_words: usize,
     block_words: usize,
+    caches: usize,
 ) -> f64 {
+    let def = kernel.def();
     let b = block_words.max(1) as f64;
-    let c = capacity_words.max(2) as f64;
-    let n = n.max(2) as f64;
-    match kernel {
-        // Q(n²; C, B) = O(n²/B): scan-bound (n is the matrix side).
-        Kernel::Transpose => 8.0 * (2.0 * n * n / b + b + 1.0),
-        // Q = O((n/B)·log_C n) with at least one pass.
-        Kernel::Fft => {
-            let m = (n as usize).next_power_of_two() as f64;
-            let passes = (m.log2() / c.log2()).max(1.0);
-            16.0 * ((m / b) * passes + m / b + b + 1.0)
-        }
-        // Q = O(n³/(B·√C)) + the 3n²/B compulsory tile reads.
-        Kernel::Matmul => 16.0 * (n * n * n / (b * c.sqrt()) + 3.0 * n * n / b + b + 1.0),
-        // Same recurrence shape as FFT; sample sort's constant is larger.
-        Kernel::Sort => {
-            let passes = (n.log2() / c.log2()).max(1.0);
-            48.0 * ((n / b) * passes + n / b + b + 1.0)
-        }
-        // Q = O(nnz/B + n/√C); the generator averages SPMDV_DEG
-        // nonzeros per row.
-        Kernel::SpmDv => {
-            let nnz = SPMDV_DEG as f64 * n;
-            16.0 * (2.0 * nnz / b + n / c.sqrt() + b + 1.0)
-        }
-        // Scan-bound like transpose: two tree sweeps over the array.
-        Kernel::Scan => {
-            let m = (n as usize).next_power_of_two() as f64;
-            8.0 * (2.0 * m / b + b + 1.0)
-        }
-    }
+    let work = (def.q_work)(n.max(2) as f64, capacity_words.max(2) as f64, b);
+    def.q_scale * (work / caches.max(1) as f64 + words as f64 / b + b + 1.0)
+}
+
+/// `max(1, log_C n)`: the passes a divide-and-conquer over `n` words
+/// makes through a cache of `c` words.
+fn passes(n: f64, c: f64) -> f64 {
+    (n.log2() / c.log2()).max(1.0)
+}
+
+/// Side of the square mesh the recorded SpM-DV is built on at size `n`.
+fn mesh_side(n: usize) -> usize {
+    (n as f64).sqrt().round().max(2.0) as usize
 }
 
 /// Splitmix-style generator so inputs are cheap and deterministic.
-pub(crate) struct Gen(pub(crate) u64);
+struct Gen(u64);
 
 impl Gen {
-    pub(crate) fn next(&mut self) -> u64 {
+    /// The input stream of job `(kernel, seed)`, shared by the served
+    /// run and the recording.
+    fn for_job(kernel: Kernel, seed: u64) -> Gen {
+        Gen(seed ^ (kernel.index() as u64).wrapping_mul(0xa076_1d64_78bd_642f))
+    }
+
+    fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -201,8 +423,22 @@ impl Gen {
         z ^ (z >> 31)
     }
 
-    pub(crate) fn f64_unit(&mut self) -> f64 {
+    fn f64_unit(&mut self) -> f64 {
         (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn words(&mut self, len: usize) -> Vec<u64> {
+        (0..len).map(|_| self.next()).collect()
+    }
+
+    fn f64s(&mut self, len: usize) -> Vec<f64> {
+        (0..len).map(|_| self.f64_unit()).collect()
+    }
+
+    fn complex(&mut self, len: usize) -> Vec<super::C64> {
+        (0..len)
+            .map(|_| (self.f64_unit(), self.f64_unit()))
+            .collect()
     }
 }
 
@@ -210,6 +446,11 @@ fn checksum_f64(xs: &[f64]) -> u64 {
     xs.iter().fold(0u64, |acc, v| {
         acc.wrapping_mul(31).wrapping_add(v.to_bits())
     })
+}
+
+fn checksum_u64(xs: &[u64]) -> u64 {
+    xs.iter()
+        .fold(0u64, |acc, v| acc.wrapping_mul(31).wrapping_add(*v))
 }
 
 thread_local! {
@@ -241,123 +482,45 @@ fn sort_in_ctx_with_pooled_scratch(ctx: &Ctx<'_>, data: &mut [u64]) {
     });
 }
 
-/// Ctx-native exclusive prefix sum (block-scan): per-block totals, a
-/// tiny serial combine, then seeded per-block scans. Like
-/// [`sort_in_ctx`], it never re-enters the pool.
-fn scan_in_ctx(ctx: &Ctx<'_>, a: &mut [u64]) {
-    let n = a.len();
-    let block = n.div_ceil(16).max(1024);
-    if n <= block {
-        let mut acc = 0u64;
-        for v in a.iter_mut() {
-            let nv = acc.wrapping_add(*v);
-            *v = acc;
-            acc = nv;
+/// Served SpM-DV: a seeded CSR instance of `n` rows with 1 to
+/// `2·SPMDV_DEG − 1` nonzeros each.
+fn run_spmdv(ctx: &Ctx<'_>, n: usize, g: &mut Gen) -> u64 {
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0usize);
+    let mut cols = Vec::new();
+    let mut vals = Vec::new();
+    for _ in 0..n {
+        let deg = 1 + (g.next() as usize) % (2 * SPMDV_DEG - 1);
+        for _ in 0..deg {
+            cols.push((g.next() as usize) % n);
+            vals.push(g.f64_unit());
         }
-        return;
+        row_ptr.push(cols.len());
     }
-    let totals: Vec<(usize, u64)> = {
-        let jobs: Jobs<'_, (usize, u64)> = a
-            .chunks(block)
-            .enumerate()
-            .map(|(bi, chunk)| {
-                Box::new(move |_: &Ctx<'_>| {
-                    (bi, chunk.iter().fold(0u64, |s, &v| s.wrapping_add(v)))
-                }) as _
-            })
-            .collect();
-        ctx.join_all(2 * block, jobs)
-    };
-    let mut bases = vec![0u64; totals.len()];
-    let mut acc = 0u64;
-    for (bi, t) in totals {
-        bases[bi] = acc;
-        acc = acc.wrapping_add(t);
+    let x = g.f64s(n);
+    let mut y = vec![0.0f64; n];
+    super::spmdv_rows(ctx, &row_ptr, &cols, &vals, &x, &mut y, 0);
+    checksum_f64(&y)
+}
+
+/// Recorded SpM-DV: a fixed mesh sparsity pattern with seeded nonzero
+/// and vector values.
+fn record_spmdv(n: usize, g: &mut Gen) -> Program {
+    let mut m = crate::separator::mesh_matrix(mesh_side(n));
+    for row in &mut m.rows {
+        for (_, v) in row.iter_mut() {
+            *v = g.f64_unit();
+        }
     }
-    // Re-derive per-block bases in order (join_all returns in order, but
-    // keep the explicit indexing so the pairing is self-evident).
-    let jobs: Jobs<'_, ()> = a
-        .chunks_mut(block)
-        .zip(bases)
-        .map(|(chunk, base)| {
-            Box::new(move |_: &Ctx<'_>| {
-                let mut acc = base;
-                for v in chunk.iter_mut() {
-                    let nv = acc.wrapping_add(*v);
-                    *v = acc;
-                    acc = nv;
-                }
-            }) as _
-        })
-        .collect();
-    ctx.join_all(2 * block, jobs);
+    let x = g.f64s(m.n);
+    crate::spmdv::spmdv_program(&m, &x).program
 }
 
 /// Run one job of `kernel` at size `n` with seed-generated inputs inside
 /// an existing pool context; returns the output checksum. Deterministic
 /// in `(kernel, n, seed)` regardless of batching or thread schedule.
 pub fn run_in(ctx: &Ctx<'_>, kernel: Kernel, n: usize, seed: u64) -> u64 {
-    let n = n.max(1);
-    let mut g = Gen(seed ^ (kernel.index() as u64).wrapping_mul(0xa076_1d64_78bd_642f));
-    match kernel {
-        Kernel::Transpose => {
-            let a: Vec<f64> = (0..n * n).map(|_| g.f64_unit()).collect();
-            let mut out = vec![0.0f64; n * n];
-            super::band_transpose(ctx, &a, &mut out, n, 0);
-            checksum_f64(&out)
-        }
-        Kernel::Fft => {
-            let len = n.next_power_of_two();
-            let mut x: Vec<super::C64> = (0..len).map(|_| (g.f64_unit(), g.f64_unit())).collect();
-            if len <= super::FFT_LEAF {
-                super::serial_fft(&mut x);
-            } else {
-                let mut scratch = vec![(0.0, 0.0); len];
-                super::fft_rec(ctx, &mut x, &mut scratch);
-            }
-            x.iter().fold(0u64, |acc, c| {
-                acc.wrapping_mul(31)
-                    .wrapping_add(c.0.to_bits() ^ c.1.to_bits())
-            })
-        }
-        Kernel::Matmul => {
-            let a: Vec<f64> = (0..n * n).map(|_| g.f64_unit()).collect();
-            let b: Vec<f64> = (0..n * n).map(|_| g.f64_unit()).collect();
-            let mut c = vec![0.0f64; n * n];
-            super::mm_rows(ctx, &mut c, &a, &b, n);
-            checksum_f64(&c)
-        }
-        Kernel::Sort => {
-            let mut data: Vec<u64> = (0..n).map(|_| g.next()).collect();
-            sort_in_ctx_with_pooled_scratch(ctx, &mut data);
-            data.iter()
-                .fold(0u64, |acc, v| acc.wrapping_mul(31).wrapping_add(*v))
-        }
-        Kernel::SpmDv => {
-            let mut row_ptr = Vec::with_capacity(n + 1);
-            row_ptr.push(0usize);
-            let mut cols = Vec::new();
-            let mut vals = Vec::new();
-            for _ in 0..n {
-                let deg = 1 + (g.next() as usize) % (2 * SPMDV_DEG - 1);
-                for _ in 0..deg {
-                    cols.push((g.next() as usize) % n);
-                    vals.push(g.f64_unit());
-                }
-                row_ptr.push(cols.len());
-            }
-            let x: Vec<f64> = (0..n).map(|_| g.f64_unit()).collect();
-            let mut y = vec![0.0f64; n];
-            super::spmdv_rows(ctx, &row_ptr, &cols, &vals, &x, &mut y, 0);
-            checksum_f64(&y)
-        }
-        Kernel::Scan => {
-            let mut data: Vec<u64> = (0..n).map(|_| g.next()).collect();
-            scan_in_ctx(ctx, &mut data);
-            data.iter()
-                .fold(0u64, |acc, v| acc.wrapping_mul(31).wrapping_add(*v))
-        }
-    }
+    (kernel.def().run)(ctx, n.max(1), &mut Gen::for_job(kernel, seed))
 }
 
 /// Convenience single-job entry: enters `pool` (without resetting its
@@ -380,6 +543,18 @@ pub fn run_batch_in(ctx: &Ctx<'_>, kernel: Kernel, n: usize, seeds: &[u64]) -> V
     ctx.join_all(space_each, jobs)
 }
 
+/// Record `kernel`'s MO program at size `n` with values drawn from
+/// `seed` — the same stream [`run_in`] feeds the served kernel.
+///
+/// The *structure* of the input (array lengths, the SpM-DV sparsity
+/// pattern) is fixed by `n`; only the **values** vary with the seed.
+/// That is exactly the experiment value-obliviousness is about: a
+/// certified kernel's DAG and canonical trace must not move when only
+/// values move.
+pub fn record_kernel(kernel: Kernel, n: usize, seed: u64) -> Program {
+    (kernel.def().record)(n, &mut Gen::for_job(kernel, seed))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,80 +565,23 @@ mod tests {
     }
 
     #[test]
-    fn names_round_trip() {
-        for k in Kernel::ALL {
-            assert_eq!(Kernel::parse(k.name()), Some(k));
-            assert_eq!(Kernel::parse(&k.name().to_uppercase()), Some(k));
-            assert_eq!(Kernel::ALL[k.index()], k);
-        }
-        assert_eq!(Kernel::parse("no-such-kernel"), None);
-    }
-
-    #[test]
-    fn footprints_are_monotone_in_n() {
-        for k in Kernel::ALL {
-            let mut prev = 0usize;
-            for n in [16usize, 64, 256, 1024] {
-                let f = footprint_words(k, n);
-                assert!(f > prev, "{k} footprint not monotone at n={n}");
-                prev = f;
-            }
-        }
-    }
-
-    #[test]
-    fn runs_are_deterministic_across_schedules() {
-        // Same (kernel, n, seed) must hash identically on 1-core and
-        // 4-core pools and under run_kernel vs a batched run.
-        let p1 = SbPool::new(HwHierarchy::flat(1, 1 << 12, 1 << 22));
-        let p4 = pool();
-        for k in Kernel::ALL {
-            let n = match k {
-                Kernel::Transpose | Kernel::Matmul => 48,
-                _ => 3000,
-            };
-            let a = run_kernel(&p1, k, n, 42);
-            let b = run_kernel(&p4, k, n, 42);
-            assert_eq!(a, b, "{k} differs across pools");
-            let batched = p4.enter(|ctx| run_batch_in(ctx, k, n, &[41, 42, 43]));
-            assert_eq!(batched[1], a, "{k} differs when batched");
-            assert_ne!(batched[0], batched[2], "{k} seeds collide");
-        }
-    }
-
-    #[test]
-    fn scan_in_ctx_matches_serial_reference() {
-        let p = pool();
-        let mut g = Gen(11);
-        let data: Vec<u64> = (0..40_000).map(|_| g.next() % 1000).collect();
-        let mut got = data.clone();
-        p.run(|ctx| scan_in_ctx(ctx, &mut got));
-        let mut acc = 0u64;
-        for (k, &v) in data.iter().enumerate() {
-            assert_eq!(got[k], acc, "at {k}");
-            acc = acc.wrapping_add(v);
-        }
-        // Small inputs take the serial path.
-        let mut tiny = vec![5u64, 7, 9];
-        p.run(|ctx| scan_in_ctx(ctx, &mut tiny));
-        assert_eq!(tiny, vec![0, 5, 12]);
-    }
-
-    #[test]
-    fn data_dependent_markers_match_recording_style() {
-        // Exactly the measured-bounds kernels carry the marker.
-        let marked: Vec<Kernel> = Kernel::ALL
-            .into_iter()
-            .filter(|k| k.is_data_dependent())
-            .collect();
-        assert_eq!(marked, vec![Kernel::Sort]);
+    fn scenario_lines_parse_or_say_why() {
+        assert_eq!(parse_scenario_line("  # comment only"), Ok(None));
+        assert_eq!(parse_scenario_line(""), Ok(None));
+        assert_eq!(
+            parse_scenario_line("SpMDV 2048 3  # L2"),
+            Ok(Some((Kernel::SpmDv, 2048, 3)))
+        );
+        assert_eq!(parse_scenario_line("quicksort 1 1"), Err("unknown kernel"));
+        assert_eq!(parse_scenario_line("sort many 1"), Err("bad size"));
+        assert_eq!(parse_scenario_line("sort 1024"), Err("bad weight"));
+        assert_eq!(parse_scenario_line("sort 1024 1 1"), Err("trailing fields"));
     }
 
     #[test]
     fn sort_in_ctx_sorts_large_inputs() {
         let p = pool();
-        let mut g = Gen(7);
-        let mut data: Vec<u64> = (0..50_000).map(|_| g.next()).collect();
+        let mut data = Gen(7).words(50_000);
         let mut want = data.clone();
         want.sort_unstable();
         p.run(|ctx| sort_in_ctx_with_pooled_scratch(ctx, &mut data));

@@ -993,7 +993,7 @@ mod tests {
 
     #[test]
     fn declared_footprint_covers_spms_working_set() {
-        use registry::{footprint_words, Kernel};
+        use registry::{footprint_words, record_kernel, Kernel};
         // The SB footprint admission control charges covers the real
         // path's peak working set at every size…
         for n in [
@@ -1018,14 +1018,13 @@ mod tests {
         // live (its per-level sample/count/distribution arrays): that
         // gap is the documented footprint exception the certify gate
         // audits — it must still be visible, or the exception is stale.
-        let n = crate::certify::certify_size(Kernel::Sort);
-        let prog = crate::certify::record_kernel(Kernel::Sort, n, 1);
+        let n = Kernel::Sort.recorded_n();
+        let prog = record_kernel(Kernel::Sort, n, 1);
         let recorded = mo_core::certify::max_working_set(&prog);
         assert!(
             footprint_words(Kernel::Sort, n) < recorded,
             "recorded MO sort no longer exceeds the served footprint: \
              remove the exception in certify/exceptions.json"
         );
-        assert!(crate::certify::footprint_exception(Kernel::Sort).is_some());
     }
 }

@@ -17,8 +17,8 @@
 //! 3. verifies schedule-obliviousness: the SP-order race sweep plus the
 //!    hint invariants (`mo_core::verify`) must come back clean;
 //! 4. lints registry metadata: grain hints vs recorded leaf footprints,
-//!    sibling scratch block-sharing, and measured-bounds recording
-//!    without the data-dependent marker (or vice versa).
+//!    sibling scratch block-sharing, and the row's data-dependent
+//!    marker vs the classification step 1 certified.
 //!
 //! The certificates are written as a JSON artifact (`--out`, default
 //! `certify/certificates.json`) which `mo-serve` loads to gate its
@@ -32,19 +32,13 @@
 //! * any kernel understates its footprint (declared < recorded) without
 //!   a justified entry in `certify/exceptions.json` — or holds an entry
 //!   whose gap has closed (stale exception);
-//! * the exceptions file disagrees with
-//!   [`mo_algorithms::certify::footprint_exception`] (file and code
-//!   must list the same kernels);
 //! * any registry lint other than the tolerated sibling block-sharing
 //!   fires, or the race/hint verification is not clean.
 
 use std::process::ExitCode;
 
-use mo_algorithms::certify::{
-    certify_size, declared_words, effective_n, footprint_exception, lint_kernel, record_kernel,
-    RegistryLint,
-};
-use mo_algorithms::real::registry::Kernel;
+use mo_algorithms::certify::{lint_kernel, lint_marker, record_kernel, RegistryLint};
+use mo_algorithms::real::registry::{footprint_words, Kernel};
 use mo_core::certify::{classify, json, json::Json, max_working_set};
 use mo_core::{Certificate, CertificateSet, Classification};
 
@@ -108,17 +102,18 @@ struct KernelResult {
 }
 
 fn certify_kernel(kernel: Kernel, runs: u64) -> KernelResult {
-    let n = certify_size(kernel);
+    let n = kernel.recorded_n();
     let recordings: Vec<(u64, mo_core::Program)> = (1..=runs)
         .map(|seed| (seed, record_kernel(kernel, n, seed)))
         .collect();
     let (classification, witness) = classify(&recordings);
     let base = &recordings[0].1;
     let recorded_words = max_working_set(base);
-    let declared = declared_words(kernel, effective_n(kernel, n));
+    let declared = footprint_words(kernel, kernel.effective_n(n));
     let report = mo_core::verify(base);
     let verify_clean = report.races.is_empty() && report.is_clean();
-    let lints = lint_kernel(kernel, base);
+    let mut lints = lint_kernel(kernel, base);
+    lints.extend(lint_marker(kernel, classification));
     KernelResult {
         cert: Certificate {
             kernel: kernel.name().to_string(),
@@ -191,8 +186,7 @@ fn main() -> ExitCode {
     }
 
     // --gate: fail CI on classification drift, unjustified or stale
-    // footprint exceptions, disagreement between the exceptions file and
-    // the code, sanitizer findings, or unexpected lints.
+    // footprint exceptions, sanitizer findings, or unexpected lints.
     let mut breaches: Vec<String> = Vec::new();
 
     match load_expected(&expected_path) {
@@ -222,6 +216,13 @@ fn main() -> ExitCode {
 
     match load_exceptions(&exceptions_path) {
         Ok(exceptions) => {
+            for (kernel, _) in &exceptions {
+                if Kernel::parse(kernel).is_none() {
+                    breaches.push(format!(
+                        "{exceptions_path} excuses {kernel}, which is not a registry kernel"
+                    ));
+                }
+            }
             for r in &results {
                 let excused = exceptions.iter().any(|(k, _)| k == &r.cert.kernel);
                 if !r.cert.footprint_sound && !excused {
@@ -237,18 +238,6 @@ fn main() -> ExitCode {
                         "stale exception: {} is listed in {exceptions_path} but declared \
                          ({}) now covers recorded ({})",
                         r.cert.kernel, r.cert.declared_words, r.cert.recorded_words
-                    ));
-                }
-            }
-            // The file and `footprint_exception` must agree kernel-for-kernel.
-            for kernel in Kernel::ALL {
-                let in_code = footprint_exception(kernel).is_some();
-                let in_file = exceptions.iter().any(|(k, _)| k == kernel.name());
-                if in_code != in_file {
-                    breaches.push(format!(
-                        "exceptions drift: {kernel} is {} footprint_exception() but {} {exceptions_path}",
-                        if in_code { "in" } else { "not in" },
-                        if in_file { "in" } else { "not in" },
                     ));
                 }
             }

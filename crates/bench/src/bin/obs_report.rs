@@ -66,6 +66,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use hm_model::{spec_from_host, MachineSpec};
+use mo_algorithms::certify::record_kernel;
 use mo_algorithms::real::registry::{
     analytic_transfers, footprint_words, run_kernel, Kernel, BLOCK_WORDS,
 };
@@ -98,51 +99,9 @@ fn level_name(level: u64) -> String {
     }
 }
 
-fn kernel_size(k: Kernel, smoke: bool) -> usize {
-    match k {
-        Kernel::Transpose => {
-            if smoke {
-                64
-            } else {
-                512
-            }
-        }
-        Kernel::Matmul => {
-            if smoke {
-                64
-            } else {
-                256
-            }
-        }
-        Kernel::Fft => {
-            if smoke {
-                1 << 12
-            } else {
-                1 << 16
-            }
-        }
-        Kernel::Sort => {
-            if smoke {
-                1 << 12
-            } else {
-                1 << 18
-            }
-        }
-        Kernel::SpmDv => {
-            if smoke {
-                2_000
-            } else {
-                100_000
-            }
-        }
-        Kernel::Scan => {
-            if smoke {
-                1 << 12
-            } else {
-                1 << 18
-            }
-        }
-    }
+/// Name of the kernel whose [`Kernel::index`] the span events carry.
+fn kernel_name_of(code: u64) -> String {
+    Kernel::from_index(code as usize).map_or_else(|| format!("kernel{code}"), |k| k.to_string())
 }
 
 /// One kernel's traced run: execute, drain, summarize, and print the
@@ -298,132 +257,10 @@ impl Backend {
 }
 
 /// Problem size for the *simulated* witness run: the LRU replay
-/// interprets every memory operation, so these stay small. For SpmDv
-/// the size is the mesh side (`n = side²`).
+/// interprets every memory operation, so these stay small — the size
+/// `mo_certify` records at, four times it for the full report.
 fn sim_size(k: Kernel, smoke: bool) -> usize {
-    match k {
-        Kernel::Transpose => {
-            if smoke {
-                32
-            } else {
-                64
-            }
-        }
-        Kernel::Matmul => {
-            if smoke {
-                32
-            } else {
-                64
-            }
-        }
-        Kernel::Fft => {
-            if smoke {
-                1 << 10
-            } else {
-                1 << 12
-            }
-        }
-        Kernel::Sort => {
-            if smoke {
-                1 << 10
-            } else {
-                1 << 12
-            }
-        }
-        Kernel::SpmDv => {
-            if smoke {
-                16
-            } else {
-                32
-            }
-        }
-        Kernel::Scan => {
-            if smoke {
-                1 << 10
-            } else {
-                1 << 12
-            }
-        }
-    }
-}
-
-/// A recorded kernel instance ready for replay: the program plus the
-/// effective problem dimension the analytic bound is parameterized on.
-struct SimProgram {
-    program: mo_core::Program,
-    /// The `n` of the analytic bound (elements; `side²` for SpmDv).
-    n: usize,
-    /// Nonzero count, for the SpmDv bound.
-    nnz: usize,
-}
-
-fn build_program(k: Kernel, size: usize) -> SimProgram {
-    match k {
-        Kernel::Transpose => {
-            let data: Vec<u64> = (0..size * size).map(|i| i as u64).collect();
-            SimProgram {
-                program: mo_algorithms::transpose::transpose_program(&data, size).program,
-                n: size * size,
-                nnz: 0,
-            }
-        }
-        Kernel::Matmul => {
-            let a: Vec<f64> = (0..size * size).map(|i| (i % 13) as f64 * 0.5).collect();
-            let b: Vec<f64> = (0..size * size).map(|i| (i % 7) as f64 * 0.25).collect();
-            SimProgram {
-                program: mo_algorithms::gep::matmul_program(&a, &b, size).program,
-                n: size,
-                nnz: 0,
-            }
-        }
-        Kernel::Fft => {
-            let input: Vec<(f64, f64)> = (0..size)
-                .map(|i| ((i % 17) as f64, (i % 5) as f64 * 0.1))
-                .collect();
-            SimProgram {
-                program: mo_algorithms::fft::fft_program(&input).program,
-                n: size,
-                nnz: 0,
-            }
-        }
-        Kernel::Sort => {
-            let data: Vec<u64> = (0..size as u64)
-                .map(|i| i.wrapping_mul(0x9e37) % 8191)
-                .collect();
-            SimProgram {
-                program: mo_algorithms::sort::sort_program(&data).program,
-                n: size,
-                nnz: 0,
-            }
-        }
-        Kernel::SpmDv => {
-            let m = mo_algorithms::separator::mesh_matrix(size);
-            let x: Vec<f64> = (0..m.n).map(|i| ((i * 37) % 101) as f64 * 0.25).collect();
-            let nnz = m.nnz();
-            SimProgram {
-                program: mo_algorithms::spmdv::spmdv_program(&m, &x).program,
-                n: m.n,
-                nnz,
-            }
-        }
-        Kernel::Scan => {
-            // `sim_size` only hands out powers of two, which is what the
-            // in-place tree scan requires.
-            let len = size.next_power_of_two();
-            let data: Vec<u64> = (0..len as u64)
-                .map(|i| i.wrapping_mul(0x9e37) % 8191)
-                .collect();
-            let program = mo_core::Recorder::record(2 * len, |rec| {
-                let a = rec.alloc_init(&data);
-                mo_algorithms::scan::mo_prefix_sum(rec, a, len);
-            });
-            SimProgram {
-                program,
-                n: len,
-                nnz: 0,
-            }
-        }
-    }
+    k.recorded_n() * if smoke { 1 } else { 4 }
 }
 
 /// Number of level-`level` cache instances on `spec` (the paper's
@@ -431,55 +268,6 @@ fn build_program(k: Kernel, size: usize) -> SimProgram {
 fn caches_at(spec: &MachineSpec, level: usize) -> usize {
     let sharing: usize = (1..=level).map(|i| spec.level(i).fanout).product();
     (spec.cores() / sharing.max(1)).max(1)
-}
-
-/// Analytic per-level transfer bound: the paper's cache complexity
-/// `Q(n; C_i, B_i)` for the kernel, distributed over the `q_i` caches
-/// of the level (Theorems 1–4 bound the per-cache maximum by the
-/// sequential complexity divided by `q_i`, up to constants), plus the
-/// compulsory footprint term that every cache pays at least once.
-///
-/// The constants are calibrated against the LRU replay so measured
-/// ratios sit below 1 with headroom on the `--gate` factor; they are
-/// deliberately generous — the point is the *shape* `Q_i(n, C_i, B_i)`
-/// and catching order-of-magnitude regressions, not tight-constant
-/// bounds.
-///
-/// `n` is the kernel's analytic dimension (elements for transpose /
-/// FFT / sort / SpmDv, matrix side for matmul); `nnz` only matters for
-/// SpmDv.
-fn analytic_q(k: Kernel, n: usize, nnz: usize, spec: &MachineSpec, level: usize) -> f64 {
-    let l = spec.level(level);
-    let b = l.block as f64;
-    let c = l.capacity as f64;
-    let q = caches_at(spec, level) as f64;
-    let n = n as f64;
-    match k {
-        // Q(n²; C, B) = O(n²/B): scan-bound (tall caches).
-        Kernel::Transpose => 8.0 * (n / (b * q) + n / b + b + 1.0),
-        // Q = O(n³ / (B·√C)) + the n²/B compulsory reads of A, B, X.
-        Kernel::Matmul => {
-            let n3 = n * n * n;
-            16.0 * (n3 / (b * c.sqrt() * q) + 3.0 * n * n / b + b + 1.0)
-        }
-        // Q = O((n/B)·log_C n) with at least one pass.
-        Kernel::Fft => {
-            let passes = (n.log2() / c.log2()).max(1.0);
-            16.0 * ((n / b) * passes / q + n / b + b + 1.0)
-        }
-        // Same recurrence shape as FFT; sample sort's constant is larger.
-        Kernel::Sort => {
-            let passes = (n.log2() / c.log2()).max(1.0);
-            48.0 * ((n / b) * passes / q + n / b + b + 1.0)
-        }
-        // Q = O(nnz/B + n/√C) for n^(1/2)-edge-separator matrices.
-        Kernel::SpmDv => {
-            let nnz = nnz as f64;
-            16.0 * ((nnz / b + n / c.sqrt()) / q + nnz / b + b + 1.0)
-        }
-        // Scan-bound like transpose: Q = O(n/B), two tree sweeps.
-        Kernel::Scan => 8.0 * (n / (b * q) + n / b + b + 1.0),
-    }
 }
 
 /// One (kernel, level) comparison row of the witness table.
@@ -526,8 +314,10 @@ fn describe_spec(spec: &MachineSpec) -> String {
 /// the LRU simulator on the host map, and print measured-vs-analytic
 /// per level. Returns the comparison rows for the gate.
 fn sim_witness_kernel(k: Kernel, size: usize, spec: &MachineSpec) -> Vec<WitnessRow> {
-    let sp = build_program(k, size);
-    let report = simulate(&sp.program, spec, Policy::Mo);
+    // Seed 1 is `mo_certify`'s base run, so the smoke replay is the very
+    // program `certify/certificates.json` describes.
+    let program = record_kernel(k, size, 1);
+    let report = simulate(&program, spec, Policy::Mo);
     let mut witness = ReplayWitness::new(|| {
         let levels: Vec<LevelTransfers> = (1..=report.metrics.cache_levels())
             .map(|i| LevelTransfers {
@@ -544,15 +334,18 @@ fn sim_witness_kernel(k: Kernel, size: usize, spec: &MachineSpec) -> Vec<Witness
         ))
     });
     let m = witness.measure().expect("LRU replay cannot fail");
-    print_witness_kernel(k, sp.n, sp.nnz, &m, spec)
+    // The replayed program's working set is its declared root space.
+    let words = program.tasks()[program.root()].space;
+    print_witness_kernel(k, k.effective_n(size), words, &m, spec)
 }
 
-/// Print one kernel's witness measurement against the analytic bounds;
+/// Print one kernel's witness measurement against the analytic bounds
+/// `Q_i(n; C_i, B_i)` of a size-`n` run whose working set is `words`;
 /// returns the rows (empty for levels the backend did not measure).
 fn print_witness_kernel(
     k: Kernel,
     n: usize,
-    nnz: usize,
+    words: usize,
     m: &WitnessMeasurement,
     spec: &MachineSpec,
 ) -> Vec<WitnessRow> {
@@ -562,12 +355,13 @@ fn print_witness_kernel(
         if lt.level > spec.cache_levels() {
             continue;
         }
-        let bound = analytic_q(k, n, nnz, spec, lt.level);
+        let l = spec.level(lt.level);
+        let caches = caches_at(spec, lt.level);
         let row = WitnessRow {
             kernel: k,
             level: lt.level,
             measured: lt.transfers,
-            analytic: bound,
+            analytic: analytic_transfers(k, n, words, l.capacity, l.block, caches),
         };
         println!(
             "  Q_{}: measured {:>10} transfers, analytic {:>12.0}, ratio {:.3}",
@@ -628,42 +422,6 @@ fn print_certificate_summary(path: &str) {
 // Serve mode: request-path phase attribution for every registry kernel.
 // ---------------------------------------------------------------------------
 
-/// Problem size for the serve-mode phase report: big enough that
-/// execution is visible in the spans, small enough that a burst of
-/// jobs drains in well under the queue deadline.
-fn serve_size(k: Kernel, smoke: bool) -> usize {
-    match k {
-        Kernel::Transpose => {
-            if smoke {
-                64
-            } else {
-                128
-            }
-        }
-        Kernel::Matmul => {
-            if smoke {
-                48
-            } else {
-                96
-            }
-        }
-        Kernel::Fft | Kernel::Sort | Kernel::Scan => {
-            if smoke {
-                1 << 10
-            } else {
-                1 << 12
-            }
-        }
-        Kernel::SpmDv => {
-            if smoke {
-                1_000
-            } else {
-                2_048
-            }
-        }
-    }
-}
-
 /// `--serve` mode: burst-submit every registry kernel through an
 /// in-process server, reassemble the request spans, print the phase
 /// attribution table, and gate queueing latency against what the
@@ -680,6 +438,12 @@ fn serve_phase_report(smoke: bool, gate: Option<f64>, out_path: &str) -> ! {
         .unwrap_or(l1);
     let batch_max = 8;
     let per: usize = if smoke { 12 } else { 48 };
+    // Job working sets, in the scheduler's own currency: the smoke run
+    // submits the largest "small tasks" (footprint = L1, so the CGC⇒SB
+    // batcher engages for every kernel), the full run jobs that anchor
+    // above L1, big enough that execution is visible in the spans and
+    // small enough that a burst drains well under the queue deadline.
+    let job_words = if smoke { l1 } else { 8 * l1 };
     let server = Server::start(
         hier,
         ServeConfig {
@@ -695,7 +459,7 @@ fn serve_phase_report(smoke: bool, gate: Option<f64>, out_path: &str) -> ! {
         "== serve phase attribution: burst of {per} jobs per kernel, batch_max {batch_max} ==\n"
     );
     for k in Kernel::ALL {
-        let n = serve_size(k, smoke);
+        let n = k.size_within(job_words);
         let tickets: Vec<_> = (0..per)
             .map(|i| {
                 server
@@ -711,15 +475,7 @@ fn serve_phase_report(smoke: bool, gate: Option<f64>, out_path: &str) -> ! {
     let events = sink.drain();
     let set = span::assemble(&events);
     let stats = span::phase_stats(&set);
-    print!(
-        "{}",
-        span::format_phase_table(&stats, |code| {
-            Kernel::ALL
-                .get(code as usize)
-                .map(|k| k.name().to_string())
-                .unwrap_or_else(|| format!("kernel{code}"))
-        })
-    );
+    print!("{}", span::format_phase_table(&stats, kernel_name_of));
     let dropped: u64 = sink.dropped_per_worker().iter().sum();
     println!(
         "spans: {} opened, {} closed, {} orphan closes, {} ring events dropped",
@@ -756,9 +512,10 @@ fn serve_phase_report(smoke: bool, gate: Option<f64>, out_path: &str) -> ! {
         // cost cannot explain. The 1 ms floor absorbs wakeup jitter.
         let waves = (per as f64 / avg_batch.max(1.0)).ceil();
         let explained = waves * x99 as f64 + 1_000_000.0;
-        let n = serve_size(k, smoke);
-        let q_l1 = analytic_transfers(k, n, l1, BLOCK_WORDS) * avg_batch;
-        let q_llc = analytic_transfers(k, n, llc, BLOCK_WORDS) * avg_batch;
+        let n = k.size_within(job_words);
+        let batch_q =
+            |cap| analytic_transfers(k, n, footprint_words(k, n), cap, BLOCK_WORDS, 1) * avg_batch;
+        let (q_l1, q_llc) = (batch_q(l1), batch_q(llc));
         println!(
             "{k}: p99 dominant {} ({dom_ns} ns); queue p99 {q99} ns vs {waves:.0} waves of ~{avg_batch:.1}-job \
              batches x execute p99 {x99} ns; analytic batch cost L1 {q_l1:.0} / LLC {q_llc:.0} transfers",
@@ -908,25 +665,20 @@ fn main() {
     let spec = host_spec(&hier);
     let mut all_events = Vec::new();
     let mut divergences = 0;
+    // Real runs are sized in the system's own currency: the largest
+    // job whose declared footprint fits this many words.
+    let run_words = if smoke { 1 << 14 } else { 1 << 19 };
     for k in Kernel::ALL {
-        let n = kernel_size(k, smoke);
+        let n = k.size_within(run_words);
         let (events, flags) = report_kernel(&pool, &sink, k, n);
         if perf_attached {
             // Per-task hardware deltas are already in the drain; roll
-            // them up to a kernel-level measurement. The registry sizes
-            // kernels by side (transpose/matmul), length (fft/sort) or
-            // rows (spmdv, ~8 nonzeros per row) — map to the analytic
-            // dimension the bound is parameterized on.
-            let (n_eff, nnz) = match k {
-                Kernel::Transpose => (n * n, 0),
-                Kernel::SpmDv => (n, 8 * n),
-                _ => (n, 0),
-            };
+            // them up to a kernel-level measurement.
             let run_events = events.clone();
             let mut w = TracedRunWitness::new(last_level, move || Ok(run_events.clone()));
             match (w.measure(), &spec) {
                 (Ok(m), Ok(spec)) => {
-                    print_witness_kernel(k, n_eff, nnz, &m, spec);
+                    print_witness_kernel(k, n, footprint_words(k, n), &m, spec);
                     println!();
                 }
                 (Ok(m), Err(_)) => {

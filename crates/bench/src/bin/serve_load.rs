@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
+use mo_algorithms::real::registry::parse_scenario_line;
 use mo_serve::{HwHierarchy, JobSpec, Kernel, Outcome, Rejected, ServeConfig, Server, Ticket};
 
 /// One weighted line of the workload mix.
@@ -56,53 +57,22 @@ struct Mix {
     weight: u32,
 }
 
-fn builtin_mix() -> Vec<Mix> {
-    [
-        (Kernel::Sort, 1024, 2),
-        (Kernel::Sort, 4096, 4),
-        (Kernel::Sort, 20_000, 1),
-        (Kernel::Fft, 4096, 3),
-        (Kernel::Fft, 16_384, 1),
-        (Kernel::SpmDv, 2048, 3),
-        (Kernel::Transpose, 128, 2),
-        (Kernel::Transpose, 256, 1),
-        (Kernel::Matmul, 96, 2),
-        (Kernel::Matmul, 160, 1),
-    ]
-    .into_iter()
-    .map(|(kernel, n, weight)| Mix { kernel, n, weight })
-    .collect()
-}
+/// The default workload, compiled in.
+const BUILTIN_MIX: &str = include_str!("../../scenarios/mixed.scn");
 
-fn parse_scenario(path: &str) -> Result<Vec<Mix>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+/// Parse a scenario (`kernel  size  weight` lines); `origin` names it in
+/// error messages.
+fn parse_scenario(origin: &str, text: &str) -> Result<Vec<Mix>, String> {
     let mut mix = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+        match parse_scenario_line(line) {
+            Ok(Some((kernel, n, weight))) => mix.push(Mix { kernel, n, weight }),
+            Ok(None) => {}
+            Err(what) => return Err(format!("{origin}:{}: {what}: {line:?}", lineno + 1)),
         }
-        let mut it = line.split_whitespace();
-        let err = |what: &str| format!("{path}:{}: {what}: {line:?}", lineno + 1);
-        let kernel = it
-            .next()
-            .and_then(Kernel::parse)
-            .ok_or_else(|| err("unknown kernel"))?;
-        let n = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| err("bad size"))?;
-        let weight = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| err("bad weight"))?;
-        if it.next().is_some() {
-            return Err(err("trailing fields"));
-        }
-        mix.push(Mix { kernel, n, weight });
     }
     if mix.is_empty() {
-        return Err(format!("{path}: no workload lines"));
+        return Err(format!("{origin}: no workload lines"));
     }
     Ok(mix)
 }
@@ -299,10 +269,7 @@ fn open_loop(server: &Server, draw: &mut Draw, tally: &Tally, rate: f64, until: 
 /// the arrive event carries [`Kernel::index`].
 #[cfg(feature = "obs")]
 fn kernel_name_of(code: u64) -> String {
-    Kernel::ALL
-        .get(code as usize)
-        .map(|k| k.name().to_string())
-        .unwrap_or_else(|| format!("kernel{code}"))
+    Kernel::from_index(code as usize).map_or_else(|| format!("kernel{code}"), |k| k.to_string())
 }
 
 #[cfg(feature = "obs")]
@@ -441,14 +408,17 @@ fn main() {
         }
     };
     let mix = match &args.scenario {
-        Some(path) => match parse_scenario(path) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("serve_load: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => builtin_mix(),
+        Some(path) => std::fs::read_to_string(path)
+            .map_err(|e| format!("{path}: {e}"))
+            .and_then(|text| parse_scenario(path, &text)),
+        None => parse_scenario("built-in mixed.scn", BUILTIN_MIX),
+    };
+    let mix = match mix {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("serve_load: {e}");
+            std::process::exit(2);
+        }
     };
     let (duration, clients, rate) = if args.smoke {
         (Duration::from_millis(1500), 2, 100.0)

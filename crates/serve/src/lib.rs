@@ -86,12 +86,8 @@ mod tests {
         let tickets: Vec<_> = Kernel::ALL
             .iter()
             .map(|&k| {
-                let n = match k {
-                    Kernel::Transpose | Kernel::Matmul => 64,
-                    // 19n + 1 words must stay inside the 64 KiW L2.
-                    Kernel::SpmDv => 2048,
-                    _ => 4096,
-                };
+                // The largest job that fits a quarter of the 64 KiW L2.
+                let n = k.size_within(1 << 14);
                 (k, server.submit(JobSpec::new(k, n, 7)).unwrap())
             })
             .collect();

@@ -749,8 +749,9 @@ fn execute(sh: &Shared, batch: Batch) {
         // `moserve_witness_divergence` gauges.
         let hier = sh.pool.hierarchy();
         let llc = hier.levels().len().saturating_sub(1);
+        let words = footprint_words(kernel, n);
         let expected = [hier.l1_capacity(), hier.level_capacity(llc).unwrap_or(0)].map(|cap| {
-            (analytic_transfers(kernel, n, cap, BLOCK_WORDS) * jobs.len() as f64) as u64
+            (analytic_transfers(kernel, n, words, cap, BLOCK_WORDS, 1) * jobs.len() as f64) as u64
         });
         sh.metrics.add_expected_transfers(kernel, expected);
     }
