@@ -28,11 +28,9 @@
 //! finalized before the call started (the I-GEP correctness order) and is
 //! routed from the parent's immutable operand frame.
 
-use crate::{Comm, NoMachine, Scope};
+use std::ops::Range;
 
-/// The GEP update function (as in the MO side; kept as a plain `fn` so
-/// schedules stay `Copy`).
-pub type GepF = fn(f64, f64, f64, f64) -> f64;
+use crate::{Comm, NoMachine, Scope};
 
 /// The update set `Σ_f` with box pruning (mirrors `mo_algorithms`; kept
 /// local so the NO framework stands alone).
@@ -45,10 +43,14 @@ pub enum UpdateSet {
 }
 
 impl UpdateSet {
-    fn contains(self, i: usize, j: usize, k: usize) -> bool {
+    /// The columns `j` of a `κ`-wide block starting at global column
+    /// `col0` that row `i`, step `k` (both global) updates: `Σ_f` is an
+    /// interval in `j` for both sets.
+    fn cols(self, i: usize, k: usize, col0: usize, kappa: usize) -> Range<usize> {
         match self {
-            UpdateSet::All => true,
-            UpdateSet::KBelowMin => k < i && k < j,
+            UpdateSet::All => 0..kappa,
+            UpdateSet::KBelowMin if k < i => (k + 1).saturating_sub(col0).min(kappa)..kappa,
+            UpdateSet::KBelowMin => 0..0,
         }
     }
     fn intersects(self, i0: usize, j0: usize, k0: usize, m: usize) -> bool {
@@ -184,16 +186,16 @@ fn stages(fun: Fun, order: DOrder) -> Vec<Vec<Spec>> {
     }
 }
 
-struct Engine<'m, C: Comm> {
+struct Engine<'m, C: Comm, F> {
     m: &'m mut C,
     kappa: usize,
     bsz: usize,
-    f: GepF,
+    f: F,
     sigma: UpdateSet,
     order: DOrder,
 }
 
-impl<C: Comm> Engine<'_, C> {
+impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
     /// Execute all `calls` (same family, same size) in lock-step.
     fn run_level(&mut self, calls: Vec<Call>) {
         let calls: Vec<Call> = calls
@@ -337,19 +339,20 @@ impl<C: Comm> Engine<'_, C> {
             }
         });
         self.m.step_in(Scope::None, |pe, ctx| {
-            let mut cursor = 0usize;
+            let mut inbox = ctx.inbox;
             for &(_, (_src, doff)) in run_of(&recvs, pe) {
-                for k in 0..bsz {
-                    ctx.mem[doff + k] = ctx.inbox[cursor].1;
-                    cursor += 1;
+                let (block, rest) = inbox.split_at(bsz);
+                for (word, msg) in ctx.mem[doff..doff + bsz].iter_mut().zip(block) {
+                    *word = msg.1;
                 }
+                inbox = rest;
             }
-            debug_assert_eq!(cursor, ctx.inbox.len());
+            debug_assert!(inbox.is_empty());
         });
     }
 
     /// Base case: every call is a single block on a single PE; one local
-    /// superstep runs the k-major triple loop.
+    /// superstep runs [`leaf_update`] on each.
     fn leaf_step(&mut self, calls: &[Call]) {
         let kappa = self.kappa;
         let bsz = self.bsz;
@@ -366,36 +369,86 @@ impl<C: Comm> Engine<'_, C> {
                 return;
             };
             let call = &jobs[at];
-            let off = |slot: usize, alias: bool| -> usize {
-                if alias {
+            // An operand aliased to `X` is the block at offset 0.
+            let offsets: [usize; 3] = std::array::from_fn(|slot| {
+                if call.alias[slot] {
                     0
                 } else {
                     call.frame + slot * bsz
                 }
-            };
-            let (uo, vo, wo) = (
-                off(0, call.alias[0]),
-                off(1, call.alias[1]),
-                off(2, call.alias[2]),
-            );
-            let mut ops = 0u64;
-            for k in 0..kappa {
-                for i in 0..kappa {
-                    for j in 0..kappa {
-                        if sigma.contains(call.x.row0 + i, call.x.col0 + j, call.u.col0 + k) {
-                            let xv = f64::from_bits(ctx.mem[i * kappa + j]);
-                            let uv = f64::from_bits(ctx.mem[uo + i * kappa + k]);
-                            let vv = f64::from_bits(ctx.mem[vo + k * kappa + j]);
-                            let wv = f64::from_bits(ctx.mem[wo + k * kappa + k]);
-                            ctx.mem[i * kappa + j] = f(xv, uv, vv, wv).to_bits();
-                            ops += 1;
-                        }
-                    }
-                }
-            }
+            });
+            let origin = (call.x.row0, call.x.col0, call.u.col0);
+            let ops = leaf_update(ctx.mem, kappa, offsets, origin, f, sigma);
             ctx.work(ops);
         });
     }
+}
+
+/// The `κ × κ` GEP base case on one PE's memory: the k-major
+/// `(k, i, j)` triple loop `x[i,j] ← f(x[i,j], u[i,k], v[k,j], w[k,k])`
+/// over `Σ_f`, with everything loop-invariant hoisted out of the `j`
+/// loop. Returns the number of updates applied.
+///
+/// `x` is the block at `mem[..κ²]`; `offsets` are the word offsets of the
+/// `u`, `v`, `w` blocks, `0` for an operand aliased to `x` and a
+/// disjoint frame slot at or past `κ²` otherwise. `origin` is the global
+/// `(row, column, k)` of the block's first element, which is all `Σ_f`
+/// needs.
+///
+/// Hoisting is exact for every alias pattern because within one
+/// `(k, i)` row the loop can change only two of the values it reads,
+/// and both only at `j = k`: `u[i,k]` when `u` aliases `x`, and
+/// `w[k,k]` when `w` aliases `x` and `i = k`. So the row's admitted
+/// `j`-range is cut at `k + 1` and `u`, `w` are re-read once per
+/// segment: `j ≤ k` sees the values from before the write at `j = k`,
+/// `j > k` the ones after it. `v[k,j]` is either a row of another block,
+/// another row of `x` (both disjoint from the row being written), or —
+/// `v` aliased and `i = k` — the element being updated itself, read
+/// before it is written.
+fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
+    mem: &mut [u64],
+    kappa: usize,
+    offsets: [usize; 3],
+    origin: (usize, usize, usize),
+    f: F,
+    sigma: UpdateSet,
+) -> u64 {
+    let [uo, vo, wo] = offsets;
+    let (row0, col0, k0) = origin;
+    let mut ops = 0u64;
+    for k in 0..kappa {
+        for i in 0..kappa {
+            let cols = sigma.cols(row0 + i, k0 + k, col0, kappa);
+            let cut = (k + 1).clamp(cols.start, cols.end);
+            for seg in [cols.start..cut, cut..cols.end] {
+                if seg.is_empty() {
+                    continue;
+                }
+                let u = f64::from_bits(mem[uo + i * kappa + k]);
+                let w = f64::from_bits(mem[wo + k * kappa + k]);
+                let (xi, vk) = (i * kappa, vo + k * kappa);
+                ops += seg.len() as u64;
+                if xi == vk {
+                    for x in &mut mem[xi + seg.start..xi + seg.end] {
+                        let xv = f64::from_bits(*x);
+                        *x = f(xv, u, xv, w).to_bits();
+                    }
+                    continue;
+                }
+                // Rows `x[i, ·]` and `v[k, ·]` are disjoint: split between them.
+                let (lo, hi) = mem.split_at_mut(xi.max(vk));
+                let (x, v) = if xi < vk {
+                    (&mut lo[xi..xi + kappa], &hi[..kappa])
+                } else {
+                    (&mut hi[..kappa], &lo[vk..vk + kappa])
+                };
+                for (x, &v) in x[seg.clone()].iter_mut().zip(&v[seg]) {
+                    *x = f(f64::from_bits(*x), u, f64::from_bits(v), w).to_bits();
+                }
+            }
+        }
+    }
+    ops
 }
 
 /// The run of `table` (sorted by its PE key) that belongs to `pe`.
@@ -476,12 +529,12 @@ fn frame_words(npes: usize, bsz: usize) -> usize {
 /// executes every superstep; output collection is the caller's (each
 /// owned PE's first `κ²` memory words are its finished block, in
 /// row-major order, at the PE index [`morton`]`(bi, bj)`).
-pub fn ngep_program_on<C: Comm>(
+pub fn ngep_program_on<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy>(
     m: &mut C,
     data: &[f64],
     n: usize,
     kappa: usize,
-    f: GepF,
+    f: F,
     sigma: UpdateSet,
     order: DOrder,
 ) {
@@ -531,11 +584,11 @@ pub fn ngep_program_on<C: Comm>(
 /// Run the full N-GEP computation `𝒜(x, x, x, x)` on M((n/κ)²), the
 /// matrix distributed in `κ × κ` Morton-ordered blocks. Returns the
 /// machine (for cost evaluation) and the transformed matrix.
-pub fn ngep_program(
+pub fn ngep_program<F: Fn(f64, f64, f64, f64) -> f64 + Copy>(
     data: &[f64],
     n: usize,
     kappa: usize,
-    f: GepF,
+    f: F,
     sigma: UpdateSet,
     order: DOrder,
 ) -> (NoMachine, Vec<f64>) {
@@ -615,6 +668,18 @@ mod tests {
         x - (u / w) * v
     }
 
+    type GepF = fn(f64, f64, f64, f64) -> f64;
+
+    impl UpdateSet {
+        /// `Σ_f` membership, one triplet at a time.
+        fn contains(self, i: usize, j: usize, k: usize) -> bool {
+            match self {
+                UpdateSet::All => true,
+                UpdateSet::KBelowMin => k < i && k < j,
+            }
+        }
+    }
+
     fn gep_reference(x: &mut [f64], n: usize, f: GepF, sigma: UpdateSet) {
         for k in 0..n {
             for i in 0..n {
@@ -642,6 +707,95 @@ mod tests {
             }
         }
         d
+    }
+
+    /// The base case as it was before [`leaf_update`]: every operand
+    /// re-read from memory for every `(k, i, j)`.
+    fn leaf_reference(
+        mem: &mut [u64],
+        kappa: usize,
+        [uo, vo, wo]: [usize; 3],
+        (row0, col0, k0): (usize, usize, usize),
+        f: GepF,
+        sigma: UpdateSet,
+    ) -> u64 {
+        let mut ops = 0u64;
+        for k in 0..kappa {
+            for i in 0..kappa {
+                for j in 0..kappa {
+                    if sigma.contains(row0 + i, col0 + j, k0 + k) {
+                        let xv = f64::from_bits(mem[i * kappa + j]);
+                        let uv = f64::from_bits(mem[uo + i * kappa + k]);
+                        let vv = f64::from_bits(mem[vo + k * kappa + j]);
+                        let wv = f64::from_bits(mem[wo + k * kappa + k]);
+                        mem[i * kappa + j] = f(xv, uv, vv, wv).to_bits();
+                        ops += 1;
+                    }
+                }
+            }
+        }
+        ops
+    }
+
+    /// [`leaf_update`] against the plain triple loop, bit for bit, on
+    /// every alias pattern, both update sets and origins that put the
+    /// `KBelowMin` cut inside, at the edges of and outside the block.
+    #[test]
+    fn leaf_update_matches_the_triple_loop_on_every_alias_pattern() {
+        // Order-sensitive in all four operands.
+        fn mix(x: f64, u: f64, v: f64, w: f64) -> f64 {
+            x * 0.75 + u * v * 0.125 - w * 0.0625
+        }
+        let mut state = 17u64;
+        let mut cases = 0;
+        for kappa in [1usize, 2, 4, 8, 32] {
+            let bsz = kappa * kappa;
+            // `k0` relative to the block's rows and columns: far below
+            // (everything admitted), overlapping with the cut at the
+            // first column, inside, at the last column, and past the
+            // block (nothing admitted).
+            let origins = [
+                (4 * kappa, 4 * kappa, 0),
+                (kappa, kappa, kappa - 1),
+                (kappa, kappa, kappa),
+                (kappa, kappa, kappa + kappa / 2),
+                (kappa + kappa / 2, kappa, kappa),
+                (kappa, kappa + kappa / 2, kappa),
+                (kappa, kappa, 2 * kappa - 1),
+                (kappa, kappa, 2 * kappa),
+                (0, 0, 4 * kappa),
+            ];
+            for aliases in 0..8usize {
+                let offsets: [usize; 3] = std::array::from_fn(|slot| {
+                    if aliases >> slot & 1 == 1 {
+                        0
+                    } else {
+                        (slot + 1) * bsz
+                    }
+                });
+                for sigma in [UpdateSet::All, UpdateSet::KBelowMin] {
+                    for origin in origins {
+                        let mut want: Vec<u64> = (0..4 * bsz)
+                            .map(|_| {
+                                state = state
+                                    .wrapping_mul(6364136223846793005)
+                                    .wrapping_add(1442695040888963407);
+                                (0.5 + (state >> 11) as f64 / (1u64 << 53) as f64).to_bits()
+                            })
+                            .collect();
+                        let mut got = want.clone();
+                        let want_ops =
+                            leaf_reference(&mut want, kappa, offsets, origin, mix, sigma);
+                        let got_ops = leaf_update(&mut got, kappa, offsets, origin, mix, sigma);
+                        let case = format!("κ={kappa} offsets={offsets:?} {sigma:?} {origin:?}");
+                        assert_eq!(got_ops, want_ops, "ops: {case}");
+                        assert_eq!(got, want, "memory: {case}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 5 * 8 * 2 * 9);
     }
 
     #[test]

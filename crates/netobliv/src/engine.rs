@@ -6,13 +6,15 @@
 //!
 //! 1. **compute** — the driver closure runs for every owned PE in
 //!    increasing index order;
-//! 2. **partition** — each PE's outbox is checked against the declared
-//!    [`Scope`] and split into one buffer per destination worker
-//!    (scanning sources in increasing order keeps every buffer sorted
-//!    by source);
-//! 3. **signature log** — the PE's `(src, dst) → words` rows come from
-//!    sorting its destinations and run-length counting them, so the
-//!    step's rows are sorted without any map;
+//! 2. **partition** — each PE's outbox is walked by runs of equal
+//!    destination: a run is checked against the declared [`Scope`] once
+//!    and appended whole to its destination worker's buffer (scanning
+//!    sources in increasing order keeps every buffer sorted by source);
+//! 3. **signature log** — every cross-PE run is one `(src, dst, len)`
+//!    row, so a block of words costs one entry, not one per word; the
+//!    step's rows are then sorted (linear when drivers send in ascending
+//!    destination order, as they mostly do) and rows of one pair merged,
+//!    without any map;
 //! 4. **deliver** — the per-worker buffers, taken in worker order, are
 //!    appended to the owned inboxes. Worker ranges ascend with the
 //!    worker index, so every inbox ends up ordered by source PE and,
@@ -80,11 +82,9 @@ pub struct Engine {
     /// The running PE's outbox (partitioned as soon as its closure
     /// returns, so one suffices).
     outbox: Vec<(u32, u64)>,
-    /// Scratch: the running PE's cross-PE destinations, and the rows
-    /// of the step being logged (copied out at their exact size — a
-    /// log grown by pushing would carry up to 2× slack for the whole
-    /// run).
-    dsts: Vec<u32>,
+    /// Scratch: the rows of the step being logged (copied out at their
+    /// exact size — a log grown by pushing would carry up to 2× slack
+    /// for the whole run).
     rows: Vec<Msg>,
     /// One message buffer per worker; empty between supersteps.
     bufs: Vec<Vec<Msg>>,
@@ -108,7 +108,6 @@ impl Engine {
             mem: vec![Vec::new(); share],
             inbox: vec![Vec::new(); share],
             outbox: Vec::new(),
-            dsts: Vec::new(),
             rows: Vec::new(),
             bufs: vec![Vec::new(); workers],
             log: Vec::new(),
@@ -220,8 +219,8 @@ impl Engine {
                 continue;
             }
             let group = scope.group_of(pe, self.n).unwrap_or(pe..pe);
-            self.dsts.clear();
-            for (dst, word) in self.outbox.drain(..) {
+            for run in self.outbox.chunk_by(|a, b| a.0 == b.0) {
+                let dst = run[0].0;
                 if !group.contains(&(dst as usize)) {
                     return Err(ScopeViolation {
                         superstep: self.log.len(),
@@ -230,15 +229,24 @@ impl Engine {
                     });
                 }
                 if dst as usize != pe {
-                    self.dsts.push(dst);
+                    self.rows.push((pe as u32, dst, run.len() as u64));
                 }
-                self.bufs[dst as usize / self.share].push((pe as u32, dst, word));
+                self.bufs[dst as usize / self.share]
+                    .extend(run.iter().map(|&(_, word)| (pe as u32, dst, word)));
             }
-            self.dsts.sort_unstable();
-            for run in self.dsts.chunk_by(|a, b| a == b) {
-                self.rows.push((pe as u32, run[0], run.len() as u64));
-            }
+            self.outbox.clear();
         }
+        // One row per run so far, sources ascending. Drivers mostly send
+        // in ascending destination order too, and the sort is linear on
+        // sorted input; what it leaves adjacent is merged per pair.
+        self.rows.sort_unstable_by_key(|r| (r.0, r.1));
+        self.rows.dedup_by(|next, row| {
+            let same_pair = (next.0, next.1) == (row.0, row.1);
+            if same_pair {
+                row.2 += next.2;
+            }
+            same_pair
+        });
         self.outbox.shrink_to(KEEP_MSGS);
         self.log.push(StepLog {
             traffic: self.rows.clone(),
@@ -328,5 +336,80 @@ mod tests {
         e.deliver();
         // The same-PE message is delivered but not logged.
         assert_eq!(e.traffic_signature(), vec![vec![(1, 0, 2), (1, 3, 3)]]);
+    }
+
+    /// Interleaved runs to two destinations and to the sender itself,
+    /// from two sources, mixing `send` and `send_words`: one row per
+    /// `(src, dst)` pair, every inbox in source-then-send order.
+    #[test]
+    fn destination_runs_are_merged_per_pair_and_delivered_in_send_order() {
+        const A: usize = 3;
+        const B: usize = 0;
+        let mut e = Engine::new(4, 1, 0);
+        e.compute(Scope::All, &mut |pe, ctx| {
+            if pe == 1 || pe == 2 {
+                let tag = pe as u64 * 100;
+                ctx.send_words(A, &[tag, tag + 1]);
+                ctx.send_words(B, &[]);
+                ctx.send(B, tag + 2);
+                ctx.send(A, tag + 3);
+                ctx.send(pe, tag + 4);
+                ctx.send(B, tag + 5);
+            }
+        })
+        .unwrap();
+        e.deliver();
+        assert_eq!(
+            e.traffic_signature(),
+            vec![vec![(1, 0, 2), (1, 3, 3), (2, 0, 2), (2, 3, 3)]]
+        );
+        assert_eq!(
+            e.inbox[A],
+            [(1, 100), (1, 101), (1, 103), (2, 200), (2, 201), (2, 203)]
+        );
+        assert_eq!(e.inbox[B], [(1, 102), (1, 105), (2, 202), (2, 205)]);
+        assert_eq!(e.inbox[1], [(1, 104)]);
+        assert_eq!(e.inbox[2], [(2, 204)]);
+    }
+
+    #[test]
+    fn empty_send_words_sends_nothing() {
+        let mut e = Engine::new(4, 1, 0);
+        // Out of scope for PE 0, were it a message.
+        e.compute(Scope::None, &mut |_, ctx| ctx.send_words(3, &[]))
+            .unwrap();
+        e.deliver();
+        assert_eq!(e.traffic_signature(), vec![vec![]]);
+        assert!(e.inbox.iter().all(Vec::is_empty));
+    }
+
+    /// The scope is checked once per destination run; a violation in a
+    /// later run of an outbox is still caught and names its pair.
+    #[test]
+    fn scope_violation_in_a_later_run_names_the_pair_and_superstep() {
+        let pairs = Scope::Groups {
+            starts: &[0, 2],
+            size: 2,
+        };
+        let mut e = Engine::new(4, 1, 0);
+        e.compute(pairs, &mut |pe, ctx| ctx.send(pe ^ 1, 7))
+            .unwrap();
+        e.deliver();
+        let err = e
+            .compute(pairs, &mut |pe, ctx| {
+                if pe == 2 {
+                    ctx.send_words(3, &[1, 2]);
+                    ctx.send_words(1, &[3, 4]);
+                }
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ScopeViolation {
+                superstep: 1,
+                src: 2,
+                dst: 1
+            }
+        );
     }
 }

@@ -1,9 +1,7 @@
 //! The M(N) superstep machine with deferred M(p,B) / D-BSP accounting.
 
-use std::collections::HashMap;
-
 use crate::comm::Scope;
-use crate::engine::{Engine, Msg};
+use crate::engine::{Engine, Msg, StepLog};
 
 /// One processing element's view during a superstep.
 pub struct Pe<'a> {
@@ -65,9 +63,8 @@ impl Pe<'_> {
 
     /// Send several words to `dst` (arrive contiguously, in order).
     pub fn send_words(&mut self, dst: usize, words: &[u64]) {
-        for &w in words {
-            self.send(dst, w);
-        }
+        debug_assert!(dst < self.n, "send to PE {dst} out of range");
+        self.outbox.extend(words.iter().map(|&w| (dst as u32, w)));
     }
 
     /// Charge local computation.
@@ -225,6 +222,33 @@ impl NoMachine {
         pe as usize / per
     }
 
+    /// The h-relation of one superstep on `p` processors with blocks of
+    /// `block` words: max over processors of max(blocks sent, blocks
+    /// received), the words of each (src, dst) processor pair packed
+    /// into `⌈words/block⌉` blocks.
+    fn h_relation(&self, step: &StepLog, p: usize, block: usize) -> u64 {
+        let mut pairs: Vec<(usize, usize, u64)> = step
+            .traffic
+            .iter()
+            .map(|&(s, d, w)| (self.proc_of(s, p), self.proc_of(d, p), w))
+            .filter(|&(sp, dp, _)| sp != dp)
+            .collect();
+        pairs.sort_unstable();
+        let mut sent = vec![0u64; p];
+        let mut recv = vec![0u64; p];
+        for pair in pairs.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let words: u64 = pair.iter().map(|t| t.2).sum();
+            let blocks = words.div_ceil(block as u64);
+            sent[pair[0].0] += blocks;
+            recv[pair[0].1] += blocks;
+        }
+        sent.iter()
+            .zip(&recv)
+            .map(|(s, r)| *s.max(r))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Communication complexity on M(p, B): Σ_steps max_proc
     /// max(blocks sent, blocks received), with per-destination block
     /// packing (`⌈words/B⌉` per (src,dst) processor pair).
@@ -247,26 +271,8 @@ impl NoMachine {
         if b == 0 {
             return Err(CostModelError::ZeroBlockSize { level: 0 });
         }
-        let mut total = 0u64;
-        for step in &self.engine.log {
-            let mut pair: HashMap<(usize, usize), u64> = HashMap::new();
-            for &(s, d, w) in &step.traffic {
-                let (sp, dp) = (self.proc_of(s, p), self.proc_of(d, p));
-                if sp != dp {
-                    *pair.entry((sp, dp)).or_insert(0) += w;
-                }
-            }
-            let mut sent = vec![0u64; p];
-            let mut recv = vec![0u64; p];
-            for (&(sp, dp), &w) in &pair {
-                let blocks = w.div_ceil(b as u64);
-                sent[sp] += blocks;
-                recv[dp] += blocks;
-            }
-            let h = (0..p).map(|i| sent[i].max(recv[i])).max().unwrap_or(0);
-            total += h;
-        }
-        Ok(total)
+        let steps = self.engine.log.iter();
+        Ok(steps.map(|step| self.h_relation(step, p, b)).sum())
     }
 
     /// Computation complexity on M(p, ·): Σ_steps max_proc Σ ops of its
@@ -342,23 +348,7 @@ impl NoMachine {
             if !any {
                 continue;
             }
-            // h at block size B_level within this step.
-            let mut pair: HashMap<(usize, usize), u64> = HashMap::new();
-            for &(s, d, w) in &step.traffic {
-                let (sp, dp) = (self.proc_of(s, p), self.proc_of(d, p));
-                if sp != dp {
-                    *pair.entry((sp, dp)).or_insert(0) += w;
-                }
-            }
-            let bs = b[level] as u64;
-            let mut sent = vec![0u64; p];
-            let mut recv = vec![0u64; p];
-            for (&(sp, dp), &w) in &pair {
-                let blocks = w.div_ceil(bs);
-                sent[sp] += blocks;
-                recv[dp] += blocks;
-            }
-            let h = (0..p).map(|i| sent[i].max(recv[i])).max().unwrap_or(0);
+            let h = self.h_relation(step, p, b[level]);
             time += h as f64 * g[level];
         }
         Ok(time)
