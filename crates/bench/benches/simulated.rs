@@ -5,17 +5,25 @@
 use std::hint::black_box;
 
 use hm_model::{CacheSystem, MachineSpec};
+use mo_algorithms::bitinterleave::beta_inv;
 use mo_bench::{bench, default_machine, rand_u64};
 use mo_core::sched::{simulate, Policy};
 use mo_core::Recorder;
 
-/// One million accesses per stream on the Fig. 1 machine. The sequential
-/// scan is the fast path (seven of eight accesses fall under the
-/// same-block rule); a stride of `B_4` misses at every level on every
-/// access (the miss path: evict, unindex, reindex); uniform-random words
-/// over 4 × `C_4` mix misses with hits on blocks that are not the MRU
-/// (the promote path); and two cores writing alternate words of the same
-/// blocks defeat the same-block rule and take the ping-pong path.
+/// One million accesses per stream on the Fig. 1 machine, issued one
+/// `access` call at a time. The simulator keeps the last four `B_1` blocks
+/// of the current core in a recency window and probes its LRU lists only
+/// for an access that misses the window. The sequential scan hits the
+/// window's front seven times in eight; a stride of `B_4` misses the
+/// window and every level on every access (the miss path: evict, unindex,
+/// reindex); uniform-random words over 4 × `C_4` mix misses with hits on
+/// blocks that are neither in the window nor the MRU (the promote path);
+/// two cores writing alternate words of the same blocks empty the window
+/// at every access and take the ping-pong path. The last three are the
+/// shapes the MO kernels record, two to four interleaved streams that all
+/// stay in the window: `A[k]` read and `B[k]` written, the three reads and
+/// one write of a matrix-product step, and MO-MT's first pass, `A[β⁻¹(k)]`
+/// read and `I[k]` written.
 fn bench_cache_system() {
     println!("cache_system_access");
     const N: u64 = 1_000_000;
@@ -50,6 +58,35 @@ fn bench_cache_system() {
             sys.write(black_box(w as usize % 2), w);
         }
         sys.pingpongs()
+    });
+    // Streams start 2^24 words apart: no two share a block at any level.
+    let stream = |s: u64, k: u64| (s << 24) + k;
+    bench("two_array_copy_1M", || {
+        let mut sys = CacheSystem::new(&spec);
+        for k in 0..N / 2 {
+            sys.read(black_box(0), stream(0, k));
+            sys.write(0, stream(1, k));
+        }
+        sys.metrics().cache_complexity(1)
+    });
+    bench("four_stream_cycle_1M", || {
+        let mut sys = CacheSystem::new(&spec);
+        for k in 0..N / 4 {
+            for s in 0..3 {
+                sys.read(black_box(0), stream(s, k));
+            }
+            sys.write(0, stream(3, k));
+        }
+        sys.metrics().cache_complexity(1)
+    });
+    bench("morton_gather_1M", || {
+        let mut sys = CacheSystem::new(&spec);
+        for k in 0..N / 2 {
+            let (i, j) = beta_inv(k);
+            sys.read(black_box(0), stream(0, ((i as u64) << 10) + j as u64));
+            sys.write(0, stream(1, k));
+        }
+        sys.metrics().cache_complexity(1)
     });
 }
 

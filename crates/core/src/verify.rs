@@ -32,7 +32,6 @@
 //! hint-dishonest algorithm fails loudly long before its (meaningless)
 //! cache-complexity table is admired.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::record::{ForkHint, Program, Segment, TaskId};
@@ -438,34 +437,29 @@ fn hebrew_labels(prog: &Program, strands: &[Strand], segs: &[Vec<SegStrands>]) -
     hebrew
 }
 
-/// Last writer and the most-parallel reader of one shadow word.
-#[derive(Clone, Copy, Default)]
+/// `NO_STRAND` in a [`Shadow`] word.
+const NO_SHADOW: u32 = u32::MAX;
+
+/// Last writer and the most-parallel reader of one shadow word, as strand
+/// ids.
+#[derive(Clone, Copy)]
 struct Shadow {
-    /// Strand of the last write, `NO_STRAND` if never written.
-    writer: usize,
+    /// Strand of the last write, `NO_SHADOW` if never written.
+    writer: u32,
     /// Among readers since the last write, the strand with the maximum
     /// Hebrew label — if any past reader is parallel to a new writer,
     /// this one is.
-    reader: usize,
+    reader: u32,
 }
 
+#[derive(Default)]
 struct RaceSweep {
-    shadow: HashMap<u64, Shadow>,
     conflicts: u64,
+    /// At most `MAX_RACES`, one per kind and pair of tasks.
     races: Vec<Race>,
-    seen: HashMap<(RaceKind, TaskId, TaskId), ()>,
 }
 
 impl RaceSweep {
-    fn new() -> Self {
-        RaceSweep {
-            shadow: HashMap::new(),
-            conflicts: 0,
-            races: Vec::new(),
-            seen: HashMap::new(),
-        }
-    }
-
     fn report(
         &mut self,
         kind: RaceKind,
@@ -475,14 +469,14 @@ impl RaceSweep {
         later: usize,
     ) {
         self.conflicts += 1;
-        let key = (kind, strands[earlier].task, strands[later].task);
-        if self.races.len() < MAX_RACES && !self.seen.contains_key(&key) {
-            self.seen.insert(key, ());
+        let (first, second) = (strands[earlier].task, strands[later].task);
+        let seen = |r: &Race| (r.kind, r.first, r.second) == (kind, first, second);
+        if self.races.len() < MAX_RACES && !self.races.iter().any(seen) {
             self.races.push(Race {
                 kind,
                 addr,
-                first: strands[earlier].task,
-                second: strands[later].task,
+                first,
+                second,
                 first_strand: earlier,
                 second_strand: later,
             });
@@ -490,35 +484,43 @@ impl RaceSweep {
     }
 
     /// Sweep every access in English order. `hebrew[w] > hebrew[s]` for an
-    /// English-earlier strand `w` means `w ∥ s`.
+    /// English-earlier strand `w` means `w ∥ s`. Recorded addresses are
+    /// dense in `0..mem.len()`, so the shadow words sit in a flat table.
     fn run(&mut self, prog: &Program, strands: &[Strand], hebrew: &[usize]) {
+        assert!(strands.len() < NO_SHADOW as usize, "strand ids are 32-bit");
         let trace = prog.trace();
+        let untouched = Shadow {
+            writer: NO_SHADOW,
+            reader: NO_SHADOW,
+        };
+        let mut shadow = vec![untouched; prog.mem.len()];
         for (sid, s) in strands.iter().enumerate() {
             let h = hebrew[sid];
+            // Whether the strand `other` of a shadow word races with `sid`.
+            let parallel = |other: u32| {
+                other != NO_SHADOW && other as usize != sid && hebrew[other as usize] > h
+            };
             for e in &trace[s.lo..s.hi] {
                 let addr = e.addr();
-                let cell = self.shadow.entry(addr).or_insert(Shadow {
-                    writer: NO_STRAND,
-                    reader: NO_STRAND,
-                });
+                let cell = &mut shadow[addr as usize];
                 let (w, r) = (cell.writer, cell.reader);
                 if e.is_write() {
-                    if w != NO_STRAND && w != sid && hebrew[w] > h {
-                        self.report(RaceKind::WriteWrite, addr, strands, w, sid);
+                    *cell = Shadow {
+                        writer: sid as u32,
+                        reader: NO_SHADOW,
+                    };
+                    if parallel(w) {
+                        self.report(RaceKind::WriteWrite, addr, strands, w as usize, sid);
                     }
-                    if r != NO_STRAND && r != sid && hebrew[r] > h {
-                        self.report(RaceKind::ReadWrite, addr, strands, r, sid);
+                    if parallel(r) {
+                        self.report(RaceKind::ReadWrite, addr, strands, r as usize, sid);
                     }
-                    let cell = self.shadow.get_mut(&addr).unwrap();
-                    cell.writer = sid;
-                    cell.reader = NO_STRAND;
                 } else {
-                    if w != NO_STRAND && w != sid && hebrew[w] > h {
-                        self.report(RaceKind::ReadWrite, addr, strands, w, sid);
+                    if r == NO_SHADOW || hebrew[r as usize] < h {
+                        cell.reader = sid as u32;
                     }
-                    let cell = self.shadow.get_mut(&addr).unwrap();
-                    if cell.reader == NO_STRAND || hebrew[cell.reader] < h {
-                        cell.reader = sid;
+                    if parallel(w) {
+                        self.report(RaceKind::ReadWrite, addr, strands, w as usize, sid);
                     }
                 }
             }
@@ -593,6 +595,11 @@ fn lint_hints(
         }
     };
     let trace = prog.trace();
+    // For the CGC write-overlap lint: per word, the last loop that wrote it
+    // (loops numbered from 1 as they are met, so the table is never
+    // cleared) and the iteration of that loop that did.
+    let mut loop_writers = vec![(0u32, 0usize); prog.mem.len()];
+    let mut loops = 0u32;
     for (tid, task) in prog.tasks().iter().enumerate() {
         // Footprint honesty.
         if fp[tid] > task.space {
@@ -653,7 +660,7 @@ fn lint_hints(
                     }
                 }
                 Segment::CgcLoop { start, iter_ends } => {
-                    let mut writers: HashMap<u64, usize> = HashMap::new();
+                    loops = loops.checked_add(1).expect("CGC loop ids are 32-bit");
                     let mut last_min = 0u64;
                     let mut last_max = 0u64;
                     let mut have_prev = false;
@@ -683,22 +690,21 @@ fn lint_hints(
                             let addr = e.addr();
                             wmin = wmin.min(addr);
                             wmax = wmax.max(addr);
-                            match writers.insert(addr, k) {
-                                Some(prev) if prev != k => {
-                                    push(
-                                        HintViolation::CgcWriteOverlap {
-                                            task: tid,
-                                            seg: seg_idx,
-                                            addr,
-                                            iter_a: prev,
-                                            iter_b: k,
-                                        },
-                                        violations,
-                                        violation_count,
-                                        warnings,
-                                    );
-                                }
-                                _ => {}
+                            let (prev_loop, prev) =
+                                std::mem::replace(&mut loop_writers[addr as usize], (loops, k));
+                            if prev_loop == loops && prev != k {
+                                push(
+                                    HintViolation::CgcWriteOverlap {
+                                        task: tid,
+                                        seg: seg_idx,
+                                        addr,
+                                        iter_a: prev,
+                                        iter_b: k,
+                                    },
+                                    violations,
+                                    violation_count,
+                                    warnings,
+                                );
                             }
                         }
                         if wmin != u64::MAX {
@@ -779,7 +785,7 @@ pub fn measured_bounds(prog: &Program) -> Vec<usize> {
 pub fn verify(prog: &Program) -> VerifyReport {
     let (strands, segs) = collect_strands(prog);
     let hebrew = hebrew_labels(prog, &strands, &segs);
-    let mut sweep = RaceSweep::new();
+    let mut sweep = RaceSweep::default();
     sweep.run(prog, &strands, &hebrew);
     let fp = footprints(prog, &strands);
     let mut violations = Vec::new();

@@ -6,17 +6,34 @@
 //! of caches is a slice of positions in it; and the ping-pong writer table
 //! is the same [`BlockMap`] the caches index their blocks with.
 //!
-//! **The same-block rule.** An access by the core that issued the previous
-//! access, to the same `B_1` block, is an MRU hit at every level of that
-//! core's path: block sizes are aligned, non-decreasing powers of two, so
-//! the two addresses share their block at every level, the previous access
-//! left that block most recently used along the path, and nothing came
-//! between. It is charged one hit per level without probing. Only the
-//! first *write* of such a run does more: it dirties the block at every
-//! level and updates its last writer. A run's hits reach the counters
+//! **The recency window.** The machine remembers the last [`WINDOW`]
+//! distinct `B_1` blocks the current core touched, most recent first. An
+//! access that finds its block there is a hit at every level of the core's
+//! path and is only counted and moved to the window's front; the LRU lists
+//! are not probed and so *lag* the window's order. Four facts make that
+//! exact (DESIGN §5 "Ideal caches"):
+//!
+//! 1. Block sizes are aligned, non-decreasing powers of two, so two
+//!    addresses in one `B_1` block share their block at every level.
+//! 2. The window is emptied whenever the core changes, so every access
+//!    since one of its blocks entered came from this core: those blocks
+//!    are the most recently used blocks of every cache on the path.
+//! 3. The window never holds more blocks than the smallest cache, so the
+//!    victim of a probe — the least recently used block of a full cache —
+//!    is never one of them, provided the lists are in order by then.
+//! 4. The order of an LRU list depends only on when each block was last
+//!    touched, and nothing reads it between two probes. Touching the
+//!    lagging blocks oldest first along the path therefore restores the
+//!    exact order.
+//!
+//! This *settling* happens where the order starts to matter: before an
+//! access that misses the window (its probes may evict), before another
+//! core's first access (along the previous core's path), and at the first
+//! *write* to a window block, which also dirties the block at every level
+//! and updates its last writer at once. A run's hits reach the counters
 //! before [`CacheSystem::access_run`] returns, so counters are exact
-//! between calls; `flush` empties the caches and so forgets the previous
-//! access (DESIGN §5 "Ideal caches").
+//! between calls while list order may stay pending across them; `flush`
+//! empties the caches and the window with them, `reset_metrics` keeps both.
 
 use crate::lru::BlockMap;
 use crate::{Addr, CoreId, LruCache, MachineSpec, Metrics, Probe, Topology};
@@ -28,6 +45,126 @@ pub enum AccessKind {
     Read,
     /// A store.
     Write,
+}
+
+/// Blocks the recency window holds at most (fewer on a machine whose
+/// smallest cache holds fewer). Sized on one `sim_replay` round of
+/// `mo-benchmark`, 3.58 M accesses of which 0.36 M miss an L1
+/// (EXPERIMENTS "Simulator recency window"): a window of 1 — the previous
+/// access only, the rule before the window — probes the LRU lists for
+/// 1.83 M of them, 2 for 1.07 M, 4 for 0.63 M (it holds the four streams
+/// of a matrix-product step), 8 for 0.55 M and 16 for 0.54 M. The last
+/// two save fewer probes than their longer scans and shifts cost:
+/// replayed on one core, five of the six recorded traces run 1–27 %
+/// slower at 8 than at 4 (spmdv 6 % faster) and all six slower at 16, by
+/// up to 70 %; the benchmark reads 170 ops/s at 2, 181 at 4, 174 at 8 and
+/// 156 at 16 (4 runs each, 4 the fastest in every round).
+const WINDOW: usize = 4;
+
+/// The recency window (module docs). Position 0 is the most recently
+/// touched block; positions from `len` on hold stale values. The methods
+/// are inlined into [`CacheSystem::access_run`]'s loop: each is a few
+/// moves or compares over arrays of constant length, less than a call.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    /// The core whose accesses filled the window.
+    core: CoreId,
+    /// The `B_1` blocks.
+    blocks: [u64; WINDOW],
+    /// Whether `core` has written the block since it entered the window:
+    /// the block is then dirty along the path and `core` its last writer.
+    written: [bool; WINDOW],
+    /// The block's position when the LRU lists were last brought into the
+    /// window's order.
+    settled_at: [u8; WINDOW],
+    len: usize,
+    /// `WINDOW`, clipped to the block count of the smallest cache.
+    cap: usize,
+}
+
+/// Move `a[at]` to the front and `a[..at]` up by one.
+#[inline(always)]
+fn to_front<T: Copy>(a: &mut [T; WINDOW], at: usize) {
+    let hit = a[at];
+    for i in (1..WINDOW).rev() {
+        if i <= at {
+            a[i] = a[i - 1];
+        }
+    }
+    a[0] = hit;
+}
+
+impl Window {
+    fn new(cap: usize) -> Self {
+        Self {
+            core: 0,
+            blocks: [0; WINDOW],
+            written: [false; WINDOW],
+            settled_at: [0; WINDOW],
+            len: 0,
+            cap: cap.min(WINDOW),
+        }
+    }
+
+    /// The position of `block`, if the window holds it.
+    #[inline(always)]
+    fn find(&self, block: u64) -> Option<usize> {
+        // A match from `len` on is a stale value.
+        let at = self.blocks.iter().position(|&b| b == block)?;
+        (at < self.len).then_some(at)
+    }
+
+    /// Note an access to the block at `at`.
+    #[inline(always)]
+    fn touch(&mut self, at: usize) {
+        if at > 0 {
+            to_front(&mut self.blocks, at);
+            to_front(&mut self.written, at);
+            to_front(&mut self.settled_at, at);
+        }
+    }
+
+    /// Enter `block`, just probed and so at the head of every list on the
+    /// path; the oldest block leaves a full window.
+    #[inline(always)]
+    fn push(&mut self, block: u64) {
+        self.blocks.copy_within(..WINDOW - 1, 1);
+        self.written.copy_within(..WINDOW - 1, 1);
+        (self.blocks[0], self.written[0]) = (block, false);
+        self.settled_at = std::array::from_fn(|i| i as u8);
+        self.len = (self.len + 1).min(self.cap);
+    }
+
+    /// Bring the LRU lists along `path` into the window's order, and with
+    /// `dirty_front` mark the front block dirty in them. The oldest blocks
+    /// that still stand in the order they were settled in stand so in the
+    /// lists too; the blocks before them are touched, oldest first.
+    #[inline(always)]
+    fn settle(
+        &mut self,
+        caches: &mut [LruCache],
+        path: &[usize],
+        shifts: &[u32],
+        dirty_front: bool,
+    ) {
+        let mut lagging = 0;
+        for i in 1..WINDOW {
+            if i < self.len && self.settled_at[i - 1] > self.settled_at[i] {
+                lagging = i;
+            }
+        }
+        let touched = lagging.max(dirty_front as usize);
+        if touched == 0 {
+            return;
+        }
+        for (&c, &shift) in path.iter().zip(shifts) {
+            for (i, block) in self.blocks[..touched].iter().enumerate().rev() {
+                let probe = caches[c].access(block >> shift, dirty_front && i == 0);
+                debug_assert_eq!(probe, Probe::Hit, "window blocks are resident");
+            }
+        }
+        self.settled_at = std::array::from_fn(|i| i as u8);
+    }
 }
 
 /// The HM cache hierarchy simulator.
@@ -48,7 +185,10 @@ pub enum AccessKind {
 pub struct CacheSystem {
     spec: MachineSpec,
     topo: Topology,
-    /// `log2(B_i)` for each level, L1 first.
+    /// `log2(B_1)`.
+    b1_shift: u32,
+    /// `log2(B_i / B_1)` for each level, L1 first: a `B_1` block id shifted
+    /// by it is the level's block id.
     shifts: Vec<u32>,
     /// Every cache, level-major: the numbering of [`Metrics`].
     caches: Vec<LruCache>,
@@ -60,11 +200,7 @@ pub struct CacheSystem {
     /// the ping-pong counter.
     writers: BlockMap,
     pingpongs: u64,
-    /// Core and `B_1` block of the previous access.
-    last: Option<(CoreId, u64)>,
-    /// Whether that core has written the block since `last` was set: the
-    /// block is then dirty along the path and the core is its last writer.
-    last_written: bool,
+    window: Window,
 }
 
 impl CacheSystem {
@@ -79,9 +215,12 @@ impl CacheSystem {
                 paths.push(metrics.level_start(i) + topo.cache_of(core, i).index);
             }
         }
+        let b1_shift = spec.level(1).block.trailing_zeros();
+        let smallest = spec.levels().iter().map(|l| l.blocks()).min();
         Self {
+            b1_shift,
             shifts: (spec.levels().iter())
-                .map(|l| l.block.trailing_zeros())
+                .map(|l| l.block.trailing_zeros() - b1_shift)
                 .collect(),
             caches: levels
                 .flat_map(|i| {
@@ -94,8 +233,7 @@ impl CacheSystem {
             metrics,
             writers: BlockMap::new(),
             pingpongs: 0,
-            last: None,
-            last_written: false,
+            window: Window::new(smallest.expect("a machine has a cache level")),
         }
     }
 
@@ -130,23 +268,30 @@ impl CacheSystem {
     pub fn access_run(&mut self, core: CoreId, accesses: impl IntoIterator<Item = (Addr, bool)>) {
         debug_assert!(core < self.topo.cores(), "core {core} out of range");
         let levels = self.shifts.len();
-        let path = &self.paths[core * levels..(core + 1) * levels];
+        let path_of = |core: CoreId| &self.paths[core * levels..(core + 1) * levels];
+        let (caches, shifts) = (&mut self.caches[..], &self.shifts[..]);
+        let win = &mut self.window;
+        if win.core != core {
+            win.settle(caches, path_of(win.core), shifts, false);
+            (win.core, win.len) = (core, 0);
+        }
+        let path = path_of(core);
         let counters = self.metrics.counters_mut();
-        // Accesses under the same-block rule: one hit at every level each.
+        // Accesses that hit the window: one hit at every level each.
         let mut run_hits = 0;
         for (addr, write) in accesses {
-            let b1 = addr >> self.shifts[0];
-            if self.last == Some((core, b1)) {
+            let b1 = addr >> self.b1_shift;
+            if let Some(at) = win.find(b1) {
                 run_hits += 1;
-                if !write || self.last_written {
+                win.touch(at);
+                if !write || win.written[0] {
                     continue;
                 }
-                for (&c, &shift) in path.iter().zip(&self.shifts) {
-                    self.caches[c].access(addr >> shift, true);
-                }
+                win.settle(caches, path, shifts, true);
             } else {
-                for (&c, &shift) in path.iter().zip(&self.shifts) {
-                    match self.caches[c].access(addr >> shift, write) {
+                win.settle(caches, path, shifts, false);
+                for (&c, &shift) in path.iter().zip(shifts) {
+                    match caches[c].access(b1 >> shift, write) {
                         Probe::Hit => counters[c].hits += 1,
                         Probe::Miss { writeback } => {
                             counters[c].misses += 1;
@@ -154,14 +299,13 @@ impl CacheSystem {
                         }
                     }
                 }
-                self.last = Some((core, b1));
-                self.last_written = false;
+                win.push(b1);
                 if !write {
                     continue;
                 }
             }
-            // The first write of `core` to `b1` since it got there.
-            self.last_written = true;
+            // The first write of `core` to `b1` since it entered the window.
+            win.written[0] = true;
             match self.writers.get_mut(b1) {
                 Some(writer) => {
                     self.pingpongs += (*writer != core as u32) as u64;
@@ -194,7 +338,7 @@ impl CacheSystem {
             ctr.writebacks += cache.flush();
         }
         self.writers.clear();
-        self.last = None;
+        self.window.len = 0;
     }
 
     /// Zero all counters (cache contents are kept — useful to exclude a
@@ -358,7 +502,7 @@ mod tests {
         .unwrap();
         let mut machines = crate::catalog::all();
         machines.push(("asymmetric_3x2", asymmetric));
-        let steps = 6_000u64;
+        let steps = if cfg!(miri) { 400 } else { 6_000u64 };
         for (name, spec) in machines {
             let (mut sys, mut reference) = (CacheSystem::new(&spec), RefSystem::new(&spec));
             let same_counters = |sys: &CacheSystem, reference: &RefSystem, at: u64| {
@@ -420,6 +564,203 @@ mod tests {
             sys.flush();
             reference.flush();
             same_counters(&sys, &reference, steps);
+        }
+    }
+
+    /// The machine and the naive reference, driven together; every counter
+    /// and the ping-pong count compared after every call.
+    struct Both {
+        spec: MachineSpec,
+        sys: CacheSystem,
+        reference: crate::reference::RefSystem,
+    }
+
+    impl Both {
+        fn new(spec: &MachineSpec) -> Self {
+            Self {
+                spec: spec.clone(),
+                sys: CacheSystem::new(spec),
+                reference: crate::reference::RefSystem::new(spec),
+            }
+        }
+
+        fn check(&self, what: &str) {
+            for level in 1..=self.spec.cache_levels() {
+                assert_eq!(
+                    self.sys.metrics().level_caches(level),
+                    &self.reference.counters[level - 1][..],
+                    "L{level} after {what}"
+                );
+            }
+            assert_eq!(self.sys.pingpongs(), self.reference.pingpongs, "{what}");
+        }
+
+        /// One `access_run` call.
+        fn run(&mut self, core: CoreId, run: &[(Addr, bool)]) {
+            for &(addr, write) in run {
+                self.reference.access(core, addr, write);
+            }
+            self.sys.access_run(core, run.iter().copied());
+            self.check("a run");
+        }
+
+        /// One `access` call per item.
+        fn each(&mut self, core: CoreId, run: &[(Addr, bool)]) {
+            for &(addr, write) in run {
+                self.run(core, &[(addr, write)]);
+            }
+        }
+
+        fn flush(&mut self) {
+            self.sys.flush();
+            self.reference.flush();
+            self.check("a flush");
+        }
+
+        /// Make the order of every LRU list observable: single accesses
+        /// from every core over a few L1s' worth of words thrash the
+        /// caches, so a block out of place is evicted at the wrong time.
+        fn churn(&mut self, mut rng: u64) {
+            let words = 3 * self.spec.level(1).capacity as u64;
+            for i in 0..300 {
+                let core = crate::reference::stream(3, self.spec.cores() as u64, i, &mut rng);
+                let addr = crate::reference::stream(3, words, i, &mut rng);
+                self.each(core as usize, &[(addr, rng >> 61 == 0)]);
+            }
+        }
+    }
+
+    /// Four cores in pairs under two L2s and one L3, the L1s holding
+    /// `l1_blocks` blocks of 4 words.
+    fn tiny(l1_blocks: usize) -> MachineSpec {
+        use crate::LevelSpec;
+        let c1 = 4 * l1_blocks;
+        MachineSpec::new(vec![
+            LevelSpec::new(c1, 4, 1),
+            LevelSpec::new(4 * c1, 8, 2),
+            LevelSpec::new(16 * c1, 16, 2),
+        ])
+        .unwrap()
+    }
+
+    /// Word `i` of each of `k` sequential streams in turn, the streams far
+    /// apart and out of phase with the blocks; with `write_last` the last
+    /// stream is written (the read-`A`, write-`B` shape of the MO loops).
+    fn interleaved(k: u64, len: u64, write_last: bool) -> Vec<(Addr, bool)> {
+        (0..len)
+            .flat_map(|i| (0..k).map(move |s| (s * 1031 + i, write_last && s == k - 1)))
+            .collect()
+    }
+
+    #[test]
+    fn interleaved_streams_below_at_and_above_the_window() {
+        for spec in [tiny(8), MachineSpec::example_h5()] {
+            for k in 1..=6 {
+                for write_last in [false, true] {
+                    let mut both = Both::new(&spec);
+                    let stream = interleaved(k, 150, write_last);
+                    // As runs that cut the streams anywhere, then again by
+                    // single accesses from the core next door.
+                    for run in stream.chunks(7) {
+                        both.run(1, run);
+                    }
+                    both.each(0, &stream);
+                    both.churn(k);
+                    both.flush();
+                }
+            }
+        }
+    }
+
+    /// Four blocks read round-robin: every access finds its block in the
+    /// window's last position, and the lists are left a full rotation
+    /// behind, or one, two or three accesses short of it.
+    #[test]
+    fn a_cycle_over_the_window_hits_its_last_position() {
+        assert_eq!(CacheSystem::new(&tiny(8)).window.cap, 4);
+        for extra in 0..4 {
+            for written in [false, true] {
+                let mut both = Both::new(&tiny(8));
+                // Blocks 0 and 1 share an L2 block, 0..4 an L3 block.
+                let cycle = (0..40 + extra).map(|i| (4 * (i % 4) + i % 3, written && i == 17));
+                both.run(2, &cycle.collect::<Vec<_>>());
+                // Fresh blocks now evict the four in the order of the cycle.
+                both.run(2, &interleaved(1, 64, false)[16..]);
+                both.churn(extra);
+                both.flush();
+            }
+        }
+    }
+
+    #[test]
+    fn first_write_to_a_block_that_entered_the_window_by_a_read() {
+        let mut both = Both::new(&tiny(4));
+        // Block 0 enters clean, falls behind block 5, then is written.
+        both.run(0, &[(1, false), (20, false), (2, true), (3, true)]);
+        // The other core of the pair writes it: one ping-pong.
+        both.run(1, &[(0, true)]);
+        assert_eq!(both.sys.pingpongs(), 1);
+        // Pushed out of core 0's L1, it is written back.
+        both.run(0, &interleaved(1, 20, false)[4..]);
+        assert_eq!(both.sys.metrics().cache(1, 0).writebacks, 1);
+        both.churn(7);
+        both.flush();
+    }
+
+    /// Window hits by single `access` calls leave the lists behind the
+    /// window between calls; whatever comes next must find them settled.
+    #[test]
+    fn a_lag_carried_across_calls_is_settled_before_anything_can_observe_it() {
+        // Five blocks through core 0's 8-block L1, then the oldest three
+        // of the window again: the lists lag by three.
+        let lagging = |both: &mut Both| {
+            both.each(0, &interleaved(1, 20, false));
+            both.each(0, &[(6, false), (9, true), (13, false)]);
+        };
+        // Core 1 shares core 0's L2 and reads the same `B_2` blocks, then
+        // fills the L2: its victims follow core 0's true order.
+        let mut both = Both::new(&tiny(8));
+        lagging(&mut both);
+        both.each(1, &[(7, false), (15, false)]);
+        both.each(1, &interleaved(1, 8 * 32, false)[24..]);
+        both.churn(1);
+        both.flush();
+        // A flush drops the window with the caches.
+        let mut both = Both::new(&tiny(8));
+        lagging(&mut both);
+        both.flush();
+        both.each(0, &[(13, false), (9, false)]);
+        assert_eq!(both.sys.metrics().cache(1, 0).misses, 5 + 2);
+        both.churn(2);
+        // Resetting the counters keeps the window and what it owes.
+        let mut both = Both::new(&tiny(8));
+        lagging(&mut both);
+        both.sys.reset_metrics();
+        both.reference.reset_metrics();
+        both.each(0, &[(9, true), (6, false)]);
+        assert_eq!(both.sys.metrics().cache(1, 0).hits, 2);
+        both.each(0, &interleaved(1, 4 * 9, false)[20..]);
+        both.churn(3);
+        both.flush();
+    }
+
+    /// The window never outgrows the smallest cache, which need not be the
+    /// L1; where that cache holds one block only the previous access counts.
+    #[test]
+    fn window_is_clipped_to_the_smallest_cache() {
+        use crate::LevelSpec;
+        let narrow_l2 =
+            MachineSpec::new(vec![LevelSpec::new(32, 4, 1), LevelSpec::new(64, 32, 2)]).unwrap();
+        let machines = [(tiny(1), 1), (tiny(2), 2), (tiny(3), 3), (narrow_l2, 2)];
+        for (spec, cap) in machines {
+            assert_eq!(CacheSystem::new(&spec).window.cap, cap);
+            for k in 1..=5 {
+                let mut both = Both::new(&spec);
+                both.run(0, &interleaved(k, 40, true));
+                both.each(1, &interleaved(k, 40, false));
+                both.churn(k);
+                both.flush();
+            }
         }
     }
 }

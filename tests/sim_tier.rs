@@ -63,3 +63,48 @@ fn flat_and_serial_policies_simulate_to_the_pinned_statistics() {
         assert_eq!(rep.units, units, "{policy:?}");
     }
 }
+
+/// FNV-1a over every cache's `(hits, misses, writebacks)` in level-major
+/// order, then ping-pongs, makespan and unit count.
+fn digest(rep: &RunReport) -> u64 {
+    let levels = 1..=rep.metrics.cache_levels();
+    let caches = levels.flat_map(|level| rep.metrics.level_caches(level));
+    let words = caches
+        .flat_map(|c| [c.hits, c.misses, c.writebacks])
+        .chain([rep.pingpongs, rep.makespan, rep.units as u64]);
+    words
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Hits, write-backs, ping-pongs and the caches that do not carry a
+/// level's maximum, which the pins above never see: one digest per
+/// `sim_replay` class and policy, captured with the simulator as it stood
+/// before PR 18 gave it a recency window.
+#[test]
+fn every_counter_of_every_cache_is_pinned_under_all_three_policies() {
+    let spec = MachineSpec::example_h5();
+    #[rustfmt::skip]
+    let pins: [(Kernel, usize, u64, [u64; 3]); 8] = [
+        (Kernel::SpmDv, 4096, 1, [0x011ab2421b370392, 0xbdc4cb6b48b7ef2a, 0x025bb6bf7296ac7f]),
+        (Kernel::Matmul, 32, 1, [0xab68c1ae5ec35877, 0xe6e61840e200e682, 0x1e0f14de2f96614f]),
+        (Kernel::Fft, 1024, 1, [0x51221bd9f19e5e8a, 0x1594cc8aa00fe882, 0x6371f4d0daa41105]),
+        (Kernel::Scan, 32768, 1, [0x0c86326e70825737, 0xfa5361a6964abfbe, 0xa0461dece0cd641a]),
+        (Kernel::Transpose, 256, 1, [0x040d7690856becc1, 0x040d7690856becc1, 0x2c0dee2ebcb47f80]),
+        (Kernel::Sort, 2048, 0, [0x2d70527451b1bc13, 0x0406c8dfcafec2f4, 0x81a09b4a8b88722a]),
+        (Kernel::Sort, 2048, 1, [0x66ecfd6e3da407a7, 0x31d1cb7580db249b, 0x17a3f2fdb655f6c6]),
+        (Kernel::Sort, 2048, 2, [0x9e09dbbef011e1e1, 0xfa3e0abc4a8ef0d5, 0x3aa7cfb2b1863ea7]),
+    ];
+    for (kernel, n, seed, want) in pins {
+        let prog = record_kernel(kernel, n, seed);
+        let got = [Policy::Mo, Policy::Flat, Policy::Serial]
+            .map(|policy| digest(&simulate(&prog, &spec, policy)));
+        assert!(
+            got == want,
+            "{} {n} seed {seed}: got {got:#018x?}, pinned {want:#018x?}",
+            kernel.name()
+        );
+    }
+}
