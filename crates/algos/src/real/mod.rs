@@ -11,6 +11,7 @@
 //! band is serial index arithmetic.
 
 use mo_core::rt::{Ctx, Jobs, SbPool};
+use std::sync::OnceLock;
 
 pub mod registry;
 pub mod spms;
@@ -535,99 +536,143 @@ fn cmul(a: C64, b: C64) -> C64 {
     (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0)
 }
 
-/// Recursion cutoff for the parallel FFT: transforms at or below this
-/// size run through the iterative [`serial_fft`], which fits in L1 and
-/// needs no deinterleave copies or per-level twiddle work.
+/// `ω_n^k = e^(−2πi·k/n)`, `k < n`, from one `sin_cos`: what every table
+/// entry below is built from, and the per-block factor of the combine.
+/// Whole quarter turns are taken out in integers, so the angle that is
+/// rounded lies below π/2 and the root is good to 2.5e-16 at every `k`
+/// (`cos`/`sin` of `−2πk/n` directly: 4.7e-16 towards the half turn).
+fn root_of_unity(n: usize, k: usize) -> C64 {
+    let (quarters, rest) = (4 * k / n, 4 * k % n);
+    let (s, c) = (std::f64::consts::FRAC_PI_2 * rest as f64 / n as f64).sin_cos();
+    match quarters {
+        0 => (c, -s),
+        1 => (-s, -c),
+        2 => (-c, s),
+        _ => (s, c),
+    }
+}
+
+/// Recursion cutoff of the FFT: a transform at or below this size is one
+/// [`fft_leaf`] — 32 KiB of samples and pass tables, L1-resident, no
+/// deinterleave copy; above it [`fft_rec`] splits.
 pub(crate) const FFT_LEAF: usize = 1024;
 
-/// Parallel recursive FFT (`Y[i] = Σ_j X[j]·ω_n^{-ij}`, in place, `n` a
-/// power of two): even/odd split into a scratch buffer, the two halves
-/// recurse in parallel under SB space bounds, butterflies combine.
+/// The leaf's twiddles: for each pass length `len` = 2, 4, … `FFT_LEAF`
+/// the `len / 2` roots `ω_len^k`, laid back to back (pass `len` starts
+/// at `len / 2 − 1`). `FFT_LEAF − 1` entries = 16 KiB, built once per
+/// process and shared read-only by every job, like code. Each pass zips
+/// its slice with the two half-blocks, so a butterfly is 10 flops that
+/// wait on no other butterfly; the recurrence `w ← w·ω_len` this
+/// replaces put a complex multiply's latency between consecutive
+/// butterflies and read 21.0 µs at n = 1024 where the table reads
+/// 10.1 µs. Measured beside it: pairs of passes fused in place
+/// (radix-2²) 9.4 µs — not worth a second loop; a split re/im layout
+/// 12.5 µs with its conversions.
+static FFT_PASSES: OnceLock<Vec<C64>> = OnceLock::new();
+
+/// Twiddles of one combine step are `ω_n^(B·b + j) = ω_n^(B·b) · ω_n^j`
+/// for blocks of `B = FFT_BLOCK` butterflies: the first factor is one
+/// `sin_cos` per block, the second a table per level.
+const FFT_BLOCK: usize = 64;
+
+/// `FFT_LO[log₂ n][j] = ω_n^j`, `j < FFT_BLOCK`: 1 KiB per level of the
+/// recursion, built when a transform first reaches that level (levels
+/// up to `log₂ FFT_LEAF` never are). Rebuilding it per node instead — 64
+/// `sin_cos` — costs 3 % of a transform at 4 096 … 65 536.
+static FFT_LO: [OnceLock<[C64; FFT_BLOCK]>; usize::BITS as usize] =
+    [const { OnceLock::new() }; usize::BITS as usize];
+
+/// Parallel recursive FFT (`Y[i] = Σ_j X[j]·ω_n^{ij}`, `ω_n = e^(−2πi/n)`,
+/// in place, `n` a power of two): even/odd split into a scratch buffer,
+/// the two halves recurse in parallel under SB space bounds, butterflies
+/// combine.
 pub fn par_fft(pool: &SbPool, x: &mut [C64]) {
-    let mut scratch = Vec::new();
-    par_fft_with_scratch(pool, x, &mut scratch);
+    par_fft_with_scratch(pool, x, &mut Vec::new());
 }
 
 /// [`par_fft`] with a caller-owned scratch buffer, so repeated
 /// transforms of the same size (a server loop, a bench harness) reuse
 /// one allocation instead of paying a fresh `n`-element vector per
-/// call. The buffer is grown as needed and its contents on return are
+/// call. A buffer shorter than `n` is replaced by a zeroed one of `n`
+/// samples (never for `n ≤ FFT_LEAF`); its contents on return are
 /// unspecified.
 ///
-/// As with `par_sort`, plan choice is resource-aware even though the
-/// algorithm is oblivious: a width-1 pool gets the iterative
-/// [`serial_fft`] directly — the recursion's deinterleave copies and
-/// per-level twiddles only pay for themselves once the halves actually
-/// run in parallel.
+/// The pool decides where the halves run and nothing else: the result
+/// is the same bits on every pool, and [`serial_fft`]'s.
 pub fn par_fft_with_scratch(pool: &SbPool, x: &mut [C64], scratch: &mut Vec<C64>) {
-    let n = x.len();
-    assert!(n.is_power_of_two() || n == 0);
-    if n <= 1 {
-        return;
-    }
-    if n <= FFT_LEAF || pool.hierarchy().cores() == 1 {
-        serial_fft(x);
-        return;
-    }
-    if scratch.len() < n {
-        scratch.resize(n, (0.0, 0.0));
-    }
-    pool.run(|ctx| fft_rec(ctx, x, &mut scratch[..n]));
+    pool.run(|ctx| fft_in(Some(ctx), x, scratch));
 }
 
-fn fft_rec(ctx: &Ctx<'_>, x: &mut [C64], scratch: &mut [C64]) {
-    let n = x.len();
-    if n <= FFT_LEAF {
-        serial_fft(x);
-        return;
-    }
-    let half = n / 2;
-    // Deinterleave into scratch: evens first, odds second.
-    for k in 0..half {
-        scratch[k] = x[2 * k];
-        scratch[half + k] = x[2 * k + 1];
-    }
-    {
-        let (se, so) = scratch.split_at_mut(half);
-        let (xe, xo) = x.split_at_mut(half);
-        // Recurse with roles swapped (scratch holds the data, x is free).
-        ctx.join(
-            4 * half,
-            |c| fft_rec(c, se, xe),
-            4 * half,
-            |c| fft_rec(c, so, xo),
-        );
-    }
-    // Combine back into x. Twiddles advance by recurrence (one complex
-    // multiply per step instead of a cos/sin pair), re-seeded from trig
-    // every `RESYNC` steps to stop rounding drift from accumulating —
-    // well inside the verification tolerance of the tests.
-    const RESYNC: usize = 64;
-    let ang = -2.0 * std::f64::consts::PI / n as f64;
-    let step = (ang.cos(), ang.sin());
-    let mut w = (1.0, 0.0);
-    for k in 0..half {
-        if k % RESYNC == 0 {
-            let a = ang * k as f64;
-            w = (a.cos(), a.sin());
-        }
-        let e = scratch[k];
-        let o = cmul(w, scratch[half + k]);
-        x[k] = (e.0 + o.0, e.1 + o.1);
-        x[k + half] = (e.0 - o.0, e.1 - o.1);
-        w = cmul(w, step);
-    }
-}
-
-/// Serial iterative radix-2 FFT (bit-reversal + butterfly passes): the
-/// wall-clock baseline.
+/// The same transform with no pool: the recursion's two halves run one
+/// after the other on the calling thread.
 pub fn serial_fft(x: &mut [C64]) {
+    fft_in(None, x, &mut Vec::new());
+}
+
+/// The one door into the transform — the public entries above and the
+/// registry row are this call. `ctx` is where forks go (`None`: nowhere).
+pub(crate) fn fft_in(ctx: Option<&Ctx<'_>>, x: &mut [C64], scratch: &mut Vec<C64>) {
     let n = x.len();
     if n <= 1 {
         return;
     }
     assert!(n.is_power_of_two());
-    // Bit-reversal permutation.
+    if n > FFT_LEAF && scratch.len() < n {
+        *scratch = vec![(0.0, 0.0); n];
+    }
+    fft_rec(ctx, x, scratch);
+}
+
+/// `scratch` holds at least `x.len()` samples unless `x` is a leaf.
+fn fft_rec(ctx: Option<&Ctx<'_>>, x: &mut [C64], scratch: &mut [C64]) {
+    let n = x.len();
+    if n <= FFT_LEAF {
+        return fft_leaf(x);
+    }
+    let half = n / 2;
+    let (se, so) = scratch[..n].split_at_mut(half);
+    // Deinterleave into scratch: evens first, odds second.
+    for ((pair, e), o) in x.chunks_exact(2).zip(&mut *se).zip(&mut *so) {
+        (*e, *o) = (pair[0], pair[1]);
+    }
+    let (xl, xh) = x.split_at_mut(half);
+    // Recurse with roles swapped (scratch holds the data, x is free).
+    match ctx {
+        Some(ctx) => {
+            ctx.join(
+                4 * half,
+                |c| fft_rec(Some(c), se, xl),
+                4 * half,
+                |c| fft_rec(Some(c), so, xh),
+            );
+        }
+        None => {
+            fft_rec(None, se, xl);
+            fft_rec(None, so, xh);
+        }
+    }
+    // Combine back into x, a block of FFT_BLOCK butterflies at a time:
+    // no twiddle is computed from another butterfly's.
+    let lo = FFT_LO[n.trailing_zeros() as usize]
+        .get_or_init(|| std::array::from_fn(|j| root_of_unity(n, j)));
+    let blocks = se
+        .chunks_exact(FFT_BLOCK)
+        .zip(so.chunks_exact(FFT_BLOCK))
+        .zip(xl.chunks_exact_mut(FFT_BLOCK))
+        .zip(xh.chunks_exact_mut(FFT_BLOCK));
+    for (b, (((es, os), ls), hs)) in blocks.enumerate() {
+        let hi = root_of_unity(n, FFT_BLOCK * b);
+        for ((((e, o), l), h), &w) in es.iter().zip(os).zip(ls).zip(hs).zip(lo) {
+            let o = cmul(cmul(hi, w), *o);
+            *l = (e.0 + o.0, e.1 + o.1);
+            *h = (e.0 - o.0, e.1 - o.1);
+        }
+    }
+}
+
+/// Bit-reversal permutation of `n ≥ 2` samples, `n` a power of two.
+fn bit_reverse(x: &mut [C64]) {
+    let n = x.len();
     let bits = n.trailing_zeros();
     for i in 0..n {
         let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
@@ -635,26 +680,36 @@ pub fn serial_fft(x: &mut [C64]) {
             x.swap(i, j);
         }
     }
-    let mut len = 2;
-    while len <= n {
-        let ang = -2.0 * std::f64::consts::PI / len as f64;
-        let wl = (ang.cos(), ang.sin());
-        for base in (0..n).step_by(len) {
-            let mut w = (1.0, 0.0);
-            for k in 0..len / 2 {
-                let e = x[base + k];
-                let o = cmul(w, x[base + k + len / 2]);
-                x[base + k] = (e.0 + o.0, e.1 + o.1);
-                x[base + k + len / 2] = (e.0 - o.0, e.1 - o.1);
-                w = cmul(w, wl);
+}
+
+/// Iterative radix-2 transform of `2 ≤ n ≤ FFT_LEAF` samples in place:
+/// bit reversal, then `log₂ n` butterfly passes over [`FFT_PASSES`].
+fn fft_leaf(x: &mut [C64]) {
+    let n = x.len();
+    bit_reverse(x);
+    let passes = FFT_PASSES.get_or_init(|| {
+        let lens = (1..=FFT_LEAF.trailing_zeros()).map(|log| 1usize << log);
+        lens.flat_map(|len| (0..len / 2).map(move |k| root_of_unity(len, k)))
+            .collect()
+    });
+    let mut half = 1;
+    while half < n {
+        let twiddles = &passes[half - 1..2 * half - 1];
+        for block in x.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for ((e, o), &w) in lo.iter_mut().zip(hi).zip(twiddles) {
+                let (a, b) = (*e, cmul(w, *o));
+                *e = (a.0 + b.0, a.1 + b.1);
+                *o = (a.0 - b.0, a.1 - b.1);
             }
         }
-        len *= 2;
+        half *= 2;
     }
 }
 
 #[cfg(test)]
 mod fft_tests {
+    use super::registry::{Gen, Kernel};
     use super::*;
     use mo_core::rt::HwHierarchy;
 
@@ -662,47 +717,200 @@ mod fft_tests {
         SbPool::new(HwHierarchy::flat(4, 1 << 10, 1 << 22))
     }
 
-    fn reference_dft(input: &[C64]) -> Vec<C64> {
-        let n = input.len();
-        (0..n)
-            .map(|i| {
-                let mut acc = (0.0, 0.0);
-                for (j, &v) in input.iter().enumerate() {
-                    let ang = -2.0 * std::f64::consts::PI * (i * j) as f64 / n as f64;
-                    let t = cmul(v, (ang.cos(), ang.sin()));
-                    acc = (acc.0 + t.0, acc.1 + t.1);
-                }
-                acc
-            })
-            .collect()
+    /// The input of served job `(fft, n, seed)`, as the registry row draws it.
+    fn served_input(n: usize, seed: u64) -> Vec<C64> {
+        Gen::for_job(Kernel::Fft, seed).complex(n)
+    }
+
+    /// `ω_n^m = e^(−2πi·m/n)` for the references below: the angle is
+    /// folded into the first octant in integers before anything is
+    /// rounded, so the root is good to an ulp or two at every `m`.
+    fn omega(n: usize, m: usize) -> C64 {
+        let eighths = 8 * (m % n);
+        let (octant, rest) = (eighths / n, eighths % n);
+        let from_axis = if octant % 2 == 0 { rest } else { n - rest };
+        let (s, c) = (std::f64::consts::FRAC_PI_4 * from_axis as f64 / n as f64).sin_cos();
+        let (cos, sin) = match octant {
+            0 => (c, s),
+            1 => (s, c),
+            2 => (-s, c),
+            3 => (-c, s),
+            4 => (-c, -s),
+            5 => (-s, -c),
+            6 => (s, -c),
+            _ => (c, -s),
+        };
+        (cos, -sin)
+    }
+
+    fn roots(n: usize) -> Vec<C64> {
+        (0..n).map(|m| omega(n, m)).collect()
     }
 
     #[test]
-    fn serial_and_parallel_match_reference() {
-        for n in [1usize, 2, 8, 64, 256, 1024] {
-            let input: Vec<C64> = (0..n)
-                .map(|t| ((t as f64 * 0.31).sin(), (t as f64 * 0.17).cos()))
-                .collect();
-            let want = reference_dft(&input);
-            let mut s = input.clone();
-            serial_fft(&mut s);
-            let mut p = input.clone();
-            let pl = pool();
-            par_fft(&pl, &mut p);
-            for k in 0..n {
-                assert!(
-                    (s[k].0 - want[k].0).abs() < 1e-6 * n as f64,
-                    "serial n={n} k={k}"
-                );
-                assert!(
-                    (p[k].0 - want[k].0).abs() < 1e-6 * n as f64,
-                    "par n={n} k={k}"
-                );
-                assert!(
-                    (p[k].1 - want[k].1).abs() < 1e-6 * n as f64,
-                    "par im n={n} k={k}"
-                );
+    fn reference_roots_are_the_textbook_ones() {
+        for n in [1usize, 2, 4, 8, 16, 8192] {
+            for (m, got) in roots(n).into_iter().enumerate() {
+                let ang = -2.0 * std::f64::consts::PI * m as f64 / n as f64;
+                let err = (got.0 - ang.cos()).hypot(got.1 - ang.sin());
+                assert!(err <= 1e-15, "n={n} m={m}: {err:e}");
             }
+        }
+        assert_eq!(omega(4, 1), (0.0, -1.0));
+        assert_eq!(omega(2, 3), (-1.0, 0.0));
+    }
+
+    /// Output `k` of the DFT as the direct sum `Σ_j x_j·ω_n^((k·j) mod n)`,
+    /// Kahan-summed.
+    fn dft_at(x: &[C64], roots: &[C64], k: usize) -> C64 {
+        let (mut sum, mut lost) = ((0.0, 0.0), (0.0, 0.0));
+        for (j, &v) in x.iter().enumerate() {
+            let t = cmul(v, roots[(k * j) % x.len()]);
+            let y = (t.0 - lost.0, t.1 - lost.1);
+            let s = (sum.0 + y.0, sum.1 + y.1);
+            lost = ((s.0 - sum.0) - y.0, (s.1 - sum.1) - y.1);
+            sum = s;
+        }
+        sum
+    }
+
+    fn max_abs(x: &[C64]) -> f64 {
+        x.iter().map(|c| c.0.hypot(c.1)).fold(0.0, f64::max)
+    }
+
+    /// Worst `|X_k − Σ_j x_j·ω_n^(kj)| / max|X|` over every `k` up to
+    /// `n = 64` and 64 seeded ones above — of `serial_fft`, which
+    /// `par_fft` on four cores and the registry row's call must equal
+    /// bit for bit.
+    fn worst_error(n: usize) -> f64 {
+        let input = served_input(n, n as u64);
+        let pl = pool();
+        let mut x = input.clone();
+        serial_fft(&mut x);
+        let (mut par, mut row) = (input.clone(), input.clone());
+        par_fft(&pl, &mut par);
+        pl.enter(|ctx| fft_in(Some(ctx), &mut row, &mut Vec::new()));
+        let bits = |x: &[C64]| -> Vec<(u64, u64)> {
+            x.iter().map(|c| (c.0.to_bits(), c.1.to_bits())).collect()
+        };
+        let serial = bits(&x);
+        assert!(bits(&par) == serial && bits(&row) == serial, "n = {n}");
+        let roots = roots(n);
+        let mut pick = Gen::for_job(Kernel::Fft, !(n as u64));
+        let mut worst = 0.0f64;
+        for i in 0..n.min(64) {
+            let k = match i {
+                _ if n <= 64 => i,
+                0..=3 => [0, 1, n / 2, n - 1][i],
+                _ => pick.next() as usize % n,
+            };
+            let want = dft_at(&input, &roots, k);
+            worst = worst.max((x[k].0 - want.0).hypot(x[k].1 - want.1));
+        }
+        worst / max_abs(&x)
+    }
+
+    /// Bound on [`worst_error`]. The `w ← w·ω_len` recurrence this
+    /// transform replaced read up to 6.1e-15 (serially, at 2¹⁷) and was
+    /// held to 1e-14; the table transform reads at most 2.3e-16.
+    const REFERENCE_TOLERANCE: f64 = 1e-15;
+
+    fn assert_matches_direct_sum(sizes: std::ops::RangeInclusive<u32>) {
+        for log in sizes {
+            let worst = worst_error(1 << log);
+            assert!(worst <= REFERENCE_TOLERANCE, "n = 2^{log}: {worst:e}");
+        }
+    }
+
+    #[test]
+    fn every_door_matches_the_direct_sum_on_both_sides_of_the_leaf() {
+        assert_matches_direct_sum(0..=15);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "64 direct sums over 2^17 terms")]
+    fn every_door_matches_the_direct_sum_at_the_l2_anchored_sizes() {
+        assert_matches_direct_sum(16..=17);
+    }
+
+    #[test]
+    fn impulse_parseval_and_double_transform_hold_around_the_leaf() {
+        let pl = pool();
+        for n in [FFT_LEAF, 2 * FFT_LEAF, 8 * FFT_LEAF] {
+            // A unit impulse at `p` transforms to the twiddle column
+            // `ω_n^(p·k)`. Position 1 is odd at the top level only, so
+            // its column is the combine's (the last pass's) twiddles as
+            // they are; `n − 1` is odd at every level and multiplies
+            // `log₂ n` of them up. (The recurrence read 3.0e-14.)
+            for (p, tolerance) in [(1, 1e-15), (n / 2 + 3, 1e-15), (n - 1, 2e-15)] {
+                let mut x = vec![(0.0, 0.0); n];
+                x[p] = (1.0, 0.0);
+                par_fft(&pl, &mut x);
+                for (k, got) in x.iter().enumerate() {
+                    let want = omega(n, p * k);
+                    let err = (got.0 - want.0).hypot(got.1 - want.1);
+                    assert!(err <= tolerance, "n={n} p={p} k={k}: {err:e}");
+                }
+            }
+            let input = served_input(n, 7);
+            let energy = |x: &[C64]| x.iter().map(|c| c.0 * c.0 + c.1 * c.1).sum::<f64>();
+            let mut x = input.clone();
+            par_fft(&pl, &mut x);
+            // Parseval: Σ|X_k|² = n·Σ|x_j|².
+            let (time, freq) = (n as f64 * energy(&input), energy(&x));
+            assert!(((freq - time) / time).abs() <= 1e-12, "n={n}: Parseval");
+            // Forward, conjugate, forward: conj(n·x).
+            for c in &mut x {
+                c.1 = -c.1;
+            }
+            par_fft(&pl, &mut x);
+            let scale = n as f64 * max_abs(&input);
+            for (j, (got, x)) in x.iter().zip(&input).enumerate() {
+                let err = (got.0 - n as f64 * x.0).hypot(-got.1 - n as f64 * x.1);
+                assert!(err <= 1e-12 * scale, "n={n} j={j}: {err:e}");
+            }
+        }
+    }
+
+    /// The transform as it was served until PR 20: every twiddle of a
+    /// pass the previous one times `ω_len` — the differential partner.
+    fn recurrence_fft(x: &mut [C64]) {
+        let n = x.len();
+        bit_reverse(x);
+        let mut len = 2;
+        while len <= n {
+            let ang = -2.0 * std::f64::consts::PI / len as f64;
+            let wl = (ang.cos(), ang.sin());
+            for base in (0..n).step_by(len) {
+                let mut w = (1.0, 0.0);
+                for k in 0..len / 2 {
+                    let e = x[base + k];
+                    let o = cmul(w, x[base + k + len / 2]);
+                    x[base + k] = (e.0 + o.0, e.1 + o.1);
+                    x[base + k + len / 2] = (e.0 - o.0, e.1 - o.1);
+                    w = cmul(w, wl);
+                }
+            }
+            len *= 2;
+        }
+    }
+
+    #[test]
+    fn agrees_with_the_recurrence_transform_it_replaced() {
+        let pl = pool();
+        for n in (1..=13).map(|log| 1usize << log) {
+            let mut old = served_input(n, 3);
+            let mut new = old.clone();
+            recurrence_fft(&mut old);
+            par_fft(&pl, &mut new);
+            let dist: f64 = old
+                .iter()
+                .zip(&new)
+                .map(|(a, b)| (a.0 - b.0).powi(2) + (a.1 - b.1).powi(2))
+                .sum();
+            let norm: f64 = old.iter().map(|c| c.0 * c.0 + c.1 * c.1).sum();
+            let rel = (dist / norm).sqrt();
+            assert!(rel <= 1e-13, "n={n}: relative L2 distance {rel:e}");
         }
     }
 

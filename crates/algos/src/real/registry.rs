@@ -108,10 +108,15 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
     },
     KernelDef {
         name: "fft",
-        // FFT leaf transforms plus twiddle scratch.
+        // One `FFT_LEAF` transform: its samples and its pass tables.
         grain_words: 4096,
         data_dependent: false,
-        // x + scratch, 2 words per complex sample, length rounded up.
+        // 2 words per complex sample, length rounded up: above
+        // `FFT_LEAF` x + scratch (4n); at or below it x (2n) and the
+        // pass tables the transform reads (2n − 2). The tables
+        // themselves (2 046 words of passes, 128 per level above the
+        // leaf) are process-wide and read-only, shared by the jobs of
+        // a batch like code, and not charged per job above the leaf.
         footprint: |n| 4 * n.next_power_of_two(),
         // Q = O((n/B)·log_C n) with at least one pass.
         q_scale: 16.0,
@@ -121,12 +126,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         },
         run: |ctx, n, g| {
             let mut x = g.complex(n.next_power_of_two());
-            if x.len() <= super::FFT_LEAF {
-                super::serial_fft(&mut x);
-            } else {
-                let mut scratch = vec![(0.0, 0.0); x.len()];
-                super::fft_rec(ctx, &mut x, &mut scratch);
-            }
+            super::fft_in(Some(ctx), &mut x, &mut Vec::new());
             x.iter().fold(0u64, |acc, c| {
                 acc.wrapping_mul(31)
                     .wrapping_add(c.0.to_bits() ^ c.1.to_bits())
@@ -406,16 +406,16 @@ fn mesh_side(n: usize) -> usize {
 }
 
 /// Splitmix-style generator so inputs are cheap and deterministic.
-struct Gen(u64);
+pub(super) struct Gen(u64);
 
 impl Gen {
     /// The input stream of job `(kernel, seed)`, shared by the served
     /// run and the recording.
-    fn for_job(kernel: Kernel, seed: u64) -> Gen {
+    pub(super) fn for_job(kernel: Kernel, seed: u64) -> Gen {
         Gen(seed ^ (kernel.index() as u64).wrapping_mul(0xa076_1d64_78bd_642f))
     }
 
-    fn next(&mut self) -> u64 {
+    pub(super) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -435,7 +435,7 @@ impl Gen {
         (0..len).map(|_| self.f64_unit()).collect()
     }
 
-    fn complex(&mut self, len: usize) -> Vec<super::C64> {
+    pub(super) fn complex(&mut self, len: usize) -> Vec<super::C64> {
         (0..len)
             .map(|_| (self.f64_unit(), self.f64_unit()))
             .collect()

@@ -142,11 +142,14 @@ fn bench_prefix_sum() {
 
 fn bench_fft() {
     println!("fft");
-    for n in [1usize << 14, 1 << 17] {
+    // 1 024 is the leaf alone (the burst class of `serve_burst_small`),
+    // 65 536 the L2-anchored served class; `serial_fft` is the same
+    // transform as `par_fft` with no pool.
+    for n in [1usize << 10, 1 << 14, 1 << 16, 1 << 17] {
         let input: Vec<(f64, f64)> = (0..n)
             .map(|t| ((t as f64 * 0.3).sin(), (t as f64 * 0.7).cos()))
             .collect();
-        bench(&format!("serial_iterative/{n}"), || {
+        bench(&format!("serial/{n}"), || {
             let mut d = input.clone();
             serial_fft(black_box(&mut d));
             d

@@ -16,6 +16,7 @@ use oblivious::algs::certify::record_kernel;
 use oblivious::algs::real::registry::{
     footprint_words, parse_scenario_line, run_batch_in, run_kernel, Kernel,
 };
+use oblivious::algs::real::{par_fft, serial_fft, C64};
 use oblivious::mo::rt::{HwHierarchy, HwLevel, SbPool};
 
 const MIXED: &str = include_str!("../benchmark/scenarios/serve_mixed.scn");
@@ -79,6 +80,31 @@ fn served_classes_agree_across_pools_batches_and_std_sort() {
     }
 }
 
+/// One FFT behind every door: a pool decides where the halves of the
+/// recursion run, never what they compute. (Until PR 20 a width-1 pool
+/// was handed to a different, iterative transform: 1 920 of 2 048 and
+/// 65 408 of 65 536 outputs differed in their bits.)
+#[test]
+fn par_fft_is_bit_identical_on_every_pool_and_serially() {
+    let width1 = SbPool::new(HwHierarchy::flat(1, 1 << 12, 1 << 22));
+    let four = SbPool::new(HwHierarchy::flat(4, 1 << 12, 1 << 22));
+    for n in [2048usize, 65_536] {
+        let input: Vec<C64> = (0..n)
+            .map(|t| ((t as f64 * 0.31).sin(), (t as f64 * 0.17).cos()))
+            .collect();
+        let bits = |x: &[C64]| -> Vec<(u64, u64)> {
+            x.iter().map(|c| (c.0.to_bits(), c.1.to_bits())).collect()
+        };
+        let mut serial = input.clone();
+        serial_fft(&mut serial);
+        for pool in [&width1, &four, &h2()] {
+            let mut x = input.clone();
+            par_fft(pool, &mut x);
+            assert!(bits(&x) == bits(&serial), "n={n} on {pool:?}");
+        }
+    }
+}
+
 /// `(name, served n, checksum, recorded n, work, trace hash)` per
 /// registry row, captured at commit 18f1f49 — before the kernels became
 /// descriptor rows — with the parent's own `run_kernel` and
@@ -99,7 +125,12 @@ const GOLDEN: [(&str, usize, u64, usize, u64, u64); 6] = [
     (
         "fft",
         16384,
-        0xbbf375561e862677,
+        // Re-captured at PR 20 (was 0xbbf375561e862677): the served FFT
+        // takes its twiddles from tables instead of the `w = w·wl`
+        // recurrence, so its rounding moved. What vouches for the new
+        // bits is `real::fft_tests` (direct sums up to 2¹⁷); the row's
+        // recording and the five other rows are as captured.
+        0x40fc6af554d69aff,
         1024,
         233472,
         0xe0e49d38a0833325,
