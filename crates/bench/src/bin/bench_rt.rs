@@ -364,20 +364,14 @@ fn sweep_sort(pool: &SbPool, reps: usize) {
     }
 }
 
-/// The `"schema"` value of an existing record, if the file parses far
-/// enough to have one (the pre-versioning layout reports `None`).
-fn existing_schema(path: &str) -> Option<u64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let at = text.find("\"schema\"")?;
-    let rest = text[at + "\"schema\"".len()..]
-        .trim_start()
-        .strip_prefix(':')?;
-    let digits: String = rest
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+/// The top-level `"schema"` value of an existing record, if the text
+/// is a JSON object that has one (the pre-versioning layout, and
+/// anything that does not parse, report `None`).
+fn schema_of(record: &str) -> Option<u64> {
+    mo_core::certify::json::parse(record)
+        .ok()?
+        .get("schema")?
+        .as_u64()
 }
 
 fn main() {
@@ -397,7 +391,9 @@ fn main() {
     let reps = if smoke { 3 } else { 7 };
 
     if std::path::Path::new(&out_path).exists() && !force {
-        let found = existing_schema(&out_path);
+        let found = std::fs::read_to_string(&out_path)
+            .ok()
+            .and_then(|text| schema_of(&text));
         if found != Some(SCHEMA) {
             eprintln!(
                 "refusing to overwrite {out_path}: its schema is {} but this binary writes schema {SCHEMA}; \
@@ -475,5 +471,29 @@ fn main() {
             regressions.join(", ")
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::schema_of;
+
+    #[test]
+    fn schema_is_read_from_the_top_level_key_only() {
+        assert_eq!(schema_of("{\"schema\": 3, \"cores\": 2}"), Some(3));
+        assert_eq!(
+            schema_of(include_str!("../../../../BENCH_rt.json")),
+            Some(super::SCHEMA)
+        );
+        // The pre-versioning layout has no such key.
+        assert_eq!(schema_of("{\"cores\": 2}"), None);
+        // The key inside a string, or below the top level, is not the
+        // record's schema.
+        assert_eq!(schema_of("{\"note\": \"\\\"schema\\\": 3\"}"), None);
+        assert_eq!(schema_of("{\"host\": {\"schema\": 3}}"), None);
+        // Not JSON at all, or not a version number.
+        assert_eq!(schema_of("\"schema\": 3"), None);
+        assert_eq!(schema_of("{\"schema\": \"3\"}"), None);
+        assert_eq!(schema_of("{\"schema\": 3"), None);
     }
 }

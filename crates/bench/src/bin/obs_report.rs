@@ -70,6 +70,7 @@ use mo_algorithms::certify::record_kernel;
 use mo_algorithms::real::registry::{
     analytic_transfers, footprint_words, run_kernel, Kernel, BLOCK_WORDS,
 };
+use mo_bench::kernel_name_of;
 use mo_core::rt::{HwHierarchy, SbPool};
 use mo_core::sched::{simulate, Policy};
 use mo_obs::witness::{
@@ -97,11 +98,6 @@ fn level_name(level: u64) -> String {
     } else {
         format!("L{}", level + 1)
     }
-}
-
-/// Name of the kernel whose [`Kernel::index`] the span events carry.
-fn kernel_name_of(code: u64) -> String {
-    Kernel::from_index(code as usize).map_or_else(|| format!("kernel{code}"), |k| k.to_string())
 }
 
 /// One kernel's traced run: execute, drain, summarize, and print the
@@ -162,6 +158,7 @@ fn report_kernel(
     if nsegs > 0 {
         let hist: Vec<String> = s
             .seg_log2
+            .buckets
             .iter()
             .enumerate()
             .filter(|(_, c)| **c > 0)
@@ -497,8 +494,8 @@ fn serve_phase_report(smoke: bool, gate: Option<f64>, out_path: &str) -> ! {
             continue;
         };
         let (dom, dom_ns) = kp.dominant_phase(0.99);
-        let q99 = kp.phases[Phase::Queue as usize].quantile_ns(0.99);
-        let x99 = kp.phases[Phase::Execute as usize].quantile_ns(0.99);
+        let q99 = kp.phases[Phase::Queue as usize].quantile(0.99);
+        let x99 = kp.phases[Phase::Execute as usize].quantile(0.99);
         let sizes: Vec<u64> = set
             .spans
             .iter()

@@ -265,21 +265,14 @@ fn open_loop(server: &Server, draw: &mut Draw, tally: &Tally, rate: f64, until: 
     });
 }
 
-/// Kernel-code → name mapping for the phase table and the JSON report:
-/// the arrive event carries [`Kernel::index`].
 #[cfg(feature = "obs")]
-fn kernel_name_of(code: u64) -> String {
-    Kernel::from_index(code as usize).map_or_else(|| format!("kernel{code}"), |k| k.to_string())
-}
-
-#[cfg(feature = "obs")]
-fn phase_json(h: &mo_obs::span::Log2Hist) -> String {
+fn phase_json(h: &mo_obs::hist::Log2Hist) -> String {
     format!(
         "{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
         h.count,
-        h.quantile_ns(0.50),
-        h.quantile_ns(0.95),
-        h.quantile_ns(0.99)
+        h.quantile(0.50),
+        h.quantile(0.95),
+        h.quantile(0.99)
     )
 }
 
@@ -289,6 +282,7 @@ fn phase_json(h: &mo_obs::span::Log2Hist) -> String {
 /// `false` when a drop-free run failed to conserve its spans.
 #[cfg(feature = "obs")]
 fn phase_report(args: &Args, sink: &mo_obs::TraceSink, tally: &Tally, duration: Duration) -> bool {
+    use mo_bench::kernel_name_of;
     use mo_obs::span::{self, Phase};
     let events = sink.drain();
     let dropped: u64 = sink.dropped_per_worker().iter().sum();

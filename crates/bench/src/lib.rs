@@ -157,9 +157,29 @@ pub fn fw_instance(n: usize, seed: u64) -> Vec<f64> {
     d
 }
 
+/// Name of the registry kernel whose [`Kernel::index`] a serve span
+/// event carries (`kernel<code>` for a code no row has) — the mapping
+/// behind the phase tables of `serve_load --phases` and
+/// `obs_report --serve`.
+///
+/// [`Kernel::index`]: mo_algorithms::real::registry::Kernel::index
+pub fn kernel_name_of(code: u64) -> String {
+    mo_algorithms::real::registry::Kernel::from_index(code as usize)
+        .map_or_else(|| format!("kernel{code}"), |k| k.to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kernel_codes_map_to_registry_names() {
+        use mo_algorithms::real::registry::Kernel;
+        for k in Kernel::ALL {
+            assert_eq!(kernel_name_of(k.index() as u64), k.name());
+        }
+        assert_eq!(kernel_name_of(99), "kernel99");
+    }
 
     #[test]
     fn machines_are_valid() {

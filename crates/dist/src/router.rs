@@ -11,10 +11,8 @@
 
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mo_obs::fleet::WorkerStream;
 use mo_obs::{Event, EventKind, WORKER_EXTERNAL};
@@ -22,6 +20,11 @@ use mo_obs::{Event, EventKind, WORKER_EXTERNAL};
 use crate::data;
 use crate::frame::{recv_ctl, send_ctl, Ctl, DistAlg, DistDone, Msg};
 use crate::topology::{job_key, num_levels, HashRing, Partition};
+
+/// A running fleet `/metrics` endpoint ([`Router::serve_fleet_metrics`]):
+/// the one exposition server in `mo-obs`, rendering
+/// [`Router::fleet_metrics`] per scrape. Dropping the handle stops it.
+pub use mo_obs::expose::Exposition as FleetExposition;
 
 /// One connected shard.
 struct Shard {
@@ -391,46 +394,29 @@ impl Router {
             }
         }
         let mut p = mo_obs::prom::PromText::new();
-        p.header(
-            "modist_fleet_workers",
-            "Number of connected shards.",
-            "gauge",
-        );
-        p.sample_u64("modist_fleet_workers", &[], inner.shards.len() as u64);
-        p.header(
+        p.gauge("modist_fleet_workers", "Number of connected shards.")
+            .u64(&[], inner.shards.len() as u64);
+        let mut f = p.counter(
             "modist_jobs_routed_total",
             "Single-shard jobs routed by consistent hash, per shard.",
-            "counter",
         );
         for (i, &jobs) in inner.jobs_routed.iter().enumerate() {
-            let shard = i.to_string();
-            p.sample_u64("modist_jobs_routed_total", &[("shard", &shard)], jobs);
+            f.u64(&[("shard", &i.to_string())], jobs);
         }
-        p.header(
+        p.counter(
             "modist_fleet_dist_jobs_total",
             "Fleet-wide distributed kernel runs.",
-            "counter",
-        );
-        p.sample_u64("modist_fleet_dist_jobs_total", &[], inner.dist_jobs);
+        )
+        .u64(&[], inner.dist_jobs);
         if let Some(tr) = &inner.last_trace {
-            p.header(
+            let mut f = p.histogram(
                 "modist_barrier_wait_seconds",
                 "Per-round barrier wait (lateness) per worker, from the last collected fleet trace.",
-                "histogram",
             );
             for (w, hist) in &tr.barrier_hist {
-                let worker = w.to_string();
-                let sum = tr.barrier_wait_ns.get(w).copied().unwrap_or(0);
-                p.histogram_log2(
-                    "modist_barrier_wait_seconds",
-                    &[("worker", &worker)],
-                    hist,
-                    sum,
-                    1e9,
-                );
+                f.hist(&[("worker", &w.to_string())], hist, 1e9);
             }
         }
-        let mut out = p.finish();
         for (i, text) in texts.iter().enumerate() {
             let shard = i.to_string();
             let samples = mo_obs::prom::parse(text)
@@ -438,26 +424,23 @@ impl Router {
             for s in &samples {
                 let mut labels: Vec<(&str, &str)> = vec![("shard", &shard)];
                 labels.extend(s.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())));
-                let mut one = mo_obs::prom::PromText::new();
-                one.sample_f64(&s.name, &labels, s.value);
-                out.push_str(&one.finish());
+                p.sample(&s.name, &labels, s.value);
             }
         }
-        Ok(out)
+        Ok(p.finish())
     }
 
     /// Serve [`fleet_metrics`](Self::fleet_metrics) over HTTP on `addr`
     /// (`GET /metrics`, text format 0.0.4). Each scrape pulls fresh
     /// per-shard expositions over the control channels.
     pub fn serve_fleet_metrics(&self, addr: impl ToSocketAddrs) -> io::Result<FleetExposition> {
-        FleetExposition::bind(self.clone_handle(), addr)
-    }
-
-    fn clone_handle(&self) -> Router {
-        Router {
+        let router = Router {
             inner: Arc::clone(&self.inner),
             workers: self.workers,
-        }
+        };
+        FleetExposition::bind(addr, "mo-dist-fleet-metrics", move || {
+            router.fleet_metrics()
+        })
     }
 
     /// Stop every worker (best effort) and drop the control channels.
@@ -567,104 +550,4 @@ fn assemble(
         exchange_rounds: dones.iter().map(|d| d.exchange_rounds).collect(),
         job,
     })
-}
-
-/// How often the fleet-metrics accept loop re-checks its stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
-/// A running fleet `/metrics` endpoint. Dropping the handle stops it.
-pub struct FleetExposition {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for FleetExposition {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetExposition")
-            .field("addr", &self.addr)
-            .finish_non_exhaustive()
-    }
-}
-
-impl FleetExposition {
-    fn bind(router: Router, addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = thread::Builder::new()
-            .name("mo-dist-fleet-metrics".into())
-            .spawn(move || accept_loop(&listener, &router, &flag))?;
-        Ok(Self {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The bound address (useful with port `0`).
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for FleetExposition {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn accept_loop(listener: &TcpListener, router: &Router, stop: &AtomicBool) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                let _ = serve_one(stream, router);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-fn serve_one(mut stream: TcpStream, router: &Router) -> io::Result<()> {
-    use std::io::{Read, Write};
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            break;
-        }
-        buf.extend_from_slice(&chunk[..n]);
-        if buf.len() > 16 * 1024 {
-            break;
-        }
-    }
-    let head = String::from_utf8_lossy(&buf);
-    let mut parts = head.lines().next().unwrap_or("").split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (status, body) = if method != "GET" {
-        ("405 Method Not Allowed", String::new())
-    } else if path == "/metrics" || path == "/" {
-        match router.fleet_metrics() {
-            Ok(text) => ("200 OK", text),
-            Err(e) => ("500 Internal Server Error", e.to_string()),
-        }
-    } else {
-        ("404 Not Found", String::new())
-    };
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()
 }

@@ -92,58 +92,44 @@ struct DistStats {
 impl DistStats {
     fn to_prometheus_text(&self) -> String {
         let mut p = mo_obs::prom::PromText::new();
-        let worker = self.worker.to_string();
-        let wl: &[(&str, &str)] = &[("worker", &worker)];
-        p.header(
+        let index = self.worker.to_string();
+        let worker = ("worker", index.as_str());
+        p.counter(
             "modist_dist_jobs_total",
             "Fleet-wide distributed kernel runs this shard took part in.",
-            "counter",
-        );
-        p.sample_u64("modist_dist_jobs_total", wl, self.jobs);
-        p.header(
+        )
+        .u64(&[worker], self.jobs);
+        p.counter(
             "modist_supersteps_total",
             "D-BSP supersteps executed by this shard.",
-            "counter",
-        );
-        p.sample_u64("modist_supersteps_total", wl, self.supersteps);
-        p.header(
+        )
+        .u64(&[worker], self.supersteps);
+        p.counter(
             "modist_exchange_rounds_total",
             "Frame exchanges with in-scope peers (one per peer per superstep).",
-            "counter",
-        );
-        p.sample_u64("modist_exchange_rounds_total", wl, self.exchange_rounds);
-        p.header(
+        )
+        .u64(&[worker], self.exchange_rounds);
+        let mut per_level = |name, help, words: &[u64]| {
+            let mut f = p.counter(name, help);
+            for (level, &words) in words.iter().enumerate() {
+                f.u64(&[worker, ("level", &level.to_string())], words);
+            }
+        };
+        per_level(
             "modist_socket_words_total",
             "Payload words framed to peers, by D-BSP cluster level.",
-            "counter",
+            &self.socket_words_per_level,
         );
-        for (level, &words) in self.socket_words_per_level.iter().enumerate() {
-            let level = level.to_string();
-            p.sample_u64(
-                "modist_socket_words_total",
-                &[("worker", &worker), ("level", &level)],
-                words,
-            );
-        }
-        p.header(
+        per_level(
             "modist_recv_words_total",
             "Payload words delivered from peers, by D-BSP cluster level.",
-            "counter",
+            &self.recv_words_per_level,
         );
-        for (level, &words) in self.recv_words_per_level.iter().enumerate() {
-            let level = level.to_string();
-            p.sample_u64(
-                "modist_recv_words_total",
-                &[("worker", &worker), ("level", &level)],
-                words,
-            );
-        }
-        p.header(
+        p.counter(
             "modist_trace_ring_dropped_total",
             "Dist trace events dropped at this shard's full ring.",
-            "counter",
-        );
-        p.sample_u64("modist_trace_ring_dropped_total", wl, self.trace_dropped);
+        )
+        .u64(&[worker], self.trace_dropped);
         p.finish()
     }
 }
@@ -447,4 +433,31 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The equivalence pin for the shard's dist families: the
+    /// family-writer rendering is the parent commit's text, line for
+    /// line.
+    #[test]
+    fn dist_stats_exposition_matches_the_parent_commit() {
+        let stats = DistStats {
+            worker: 2,
+            jobs: 3,
+            supersteps: 251,
+            exchange_rounds: 78,
+            socket_words_per_level: vec![1000, 20],
+            recv_words_per_level: vec![1001, 21],
+            trace_dropped: 5,
+        };
+        let text = stats.to_prometheus_text();
+        assert_eq!(
+            text,
+            include_str!("../tests/fixtures/dist_stats_parent.prom")
+        );
+        mo_obs::prom::parse(&text).expect("valid exposition");
+    }
 }

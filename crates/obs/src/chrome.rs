@@ -19,7 +19,10 @@
 //! Timestamps are microseconds (the format's unit) with nanosecond
 //! fraction preserved.
 
-use crate::event::{Event, EventKind, WORKER_EXTERNAL};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use crate::event::{unpack_step_level, Event, EventKind, WORKER_EXTERNAL};
 
 /// Track id used for external (non-resident) threads. Chosen high so
 /// worker tracks sort first.
@@ -33,159 +36,168 @@ fn tid(worker: u32) -> u64 {
     }
 }
 
-fn push_common(out: &mut String, name: &str, ph: char, e: &Event) {
-    let us = e.ts_ns / 1000;
-    let frac = e.ts_ns % 1000;
-    out.push_str(&format!(
-        "{{\"name\":\"{name}\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\"ts\":{us}.{frac:03}",
-        tid(e.worker)
-    ));
+/// The document envelope every exporter opens with and [`validate`]
+/// insists on.
+const ENVELOPE_HEAD: &str = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
+
+/// The track an event renders on: chrome's `(pid, tid)` pair. The
+/// single-process exporter uses `pid = 1` and one thread track per pool
+/// worker; the fleet merger uses one process track per fleet worker.
+pub(crate) type Track = (u32, u64);
+
+/// Start one event object on `track` — the separator and everything
+/// up to and including its `ts`; the caller appends the kind-specific
+/// tail and the closing brace.
+pub(crate) fn begin_event(out: &mut String, name: &str, ph: char, track: Track, ts_ns: u64) {
+    let (pid, tid) = track;
+    separate(out);
+    let _ = write!(
+        out,
+        "{{\"name\":\"{name}\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{}.{:03}",
+        ts_ns / 1000,
+        ts_ns % 1000
+    );
 }
 
-/// The slice-track name a begin/end event pair renders under.
-fn slice_name(kind: EventKind) -> &'static str {
-    match kind {
-        EventKind::TaskEnter | EventKind::TaskExit => "task",
-        EventKind::SuperstepBegin | EventKind::SuperstepEnd => "superstep",
-        EventKind::DistJobBegin | EventKind::DistJobEnd => "dist_job",
-        _ => "parked",
+/// The comma between two event objects (the envelope's `[` is the only
+/// place an object starts without one).
+fn separate(out: &mut String) {
+    if !out.ends_with('[') {
+        out.push(',');
     }
 }
 
-/// `true` for kinds that open a `"B"` slice.
-fn is_begin(kind: EventKind) -> bool {
-    matches!(
-        kind,
-        EventKind::TaskEnter
-            | EventKind::Park
-            | EventKind::SuperstepBegin
-            | EventKind::DistJobBegin
-    )
+/// The slice-track name a begin/end event pair renders under, and
+/// whether the kind opens (`true`) or closes (`false`) it; `None` for
+/// every kind that is not half of a `"B"`/`"E"` pair.
+fn slice_of(kind: EventKind) -> Option<(&'static str, bool)> {
+    Some(match kind {
+        EventKind::TaskEnter => ("task", true),
+        EventKind::TaskExit => ("task", false),
+        EventKind::Park => ("parked", true),
+        EventKind::Unpark => ("parked", false),
+        EventKind::SuperstepBegin => ("superstep", true),
+        EventKind::SuperstepEnd => ("superstep", false),
+        EventKind::DistJobBegin => ("dist_job", true),
+        EventKind::DistJobEnd => ("dist_job", false),
+        _ => return None,
+    })
 }
 
-/// `true` for kinds that close a `"B"` slice.
-fn is_end(kind: EventKind) -> bool {
-    matches!(
-        kind,
-        EventKind::TaskExit | EventKind::Unpark | EventKind::SuperstepEnd | EventKind::DistJobEnd
-    )
-}
-
-/// Render a drained, time-ordered event stream as a chrome-trace JSON
-/// document.
+/// The one event writer: render a time-ordered `(track, event)` stream
+/// as a chrome-trace document that opens with the `metadata` objects,
+/// calling `after` behind every event it wrote (the fleet merger hangs
+/// its send→recv flow arrows there).
 ///
 /// The stream may be structurally unbalanced: a drain races task
 /// completion (a join returns the moment the latch is set, before the
 /// worker records its `TaskExit`), parked workers have an open `Park`,
-/// and a full ring can drop a begin while keeping its end. The exporter
+/// and a full ring can drop a begin while keeping its end. The writer
 /// therefore balances slices the way Perfetto renders incomplete
 /// traces: an end with no open begin on its track is skipped, and every
 /// still-open begin is closed at the last timestamp in the stream — so
 /// the emitted document always passes [`validate`].
-pub fn to_chrome_json(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 96 + 64);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut open: std::collections::BTreeMap<(u64, &'static str), u64> =
-        std::collections::BTreeMap::new();
+pub(crate) fn render<'a>(
+    metadata: &[String],
+    events: impl ExactSizeIterator<Item = (Track, &'a Event)>,
+    mut after: impl FnMut(&mut String, Track, &Event),
+) -> String {
+    let mut out = String::with_capacity(events.len() * 128 + 256);
+    out.push_str(ENVELOPE_HEAD);
+    for object in metadata {
+        separate(&mut out);
+        out.push_str(object);
+    }
+    let mut open: BTreeMap<(Track, &'static str), u64> = BTreeMap::new();
     let mut last_ts = 0u64;
-    let mut first = true;
-    for e in events {
+    for (track, e) in events {
         last_ts = last_ts.max(e.ts_ns);
-        if is_begin(e.kind) {
-            *open.entry((tid(e.worker), slice_name(e.kind))).or_insert(0) += 1;
-        } else if is_end(e.kind) {
-            let depth = open.entry((tid(e.worker), slice_name(e.kind))).or_insert(0);
-            if *depth == 0 {
+        let slice = slice_of(e.kind);
+        if let Some((name, begins)) = slice {
+            let depth = open.entry((track, name)).or_insert(0);
+            if begins {
+                *depth += 1;
+            } else if *depth == 0 {
                 continue; // orphan end: its begin was dropped at the ring
+            } else {
+                *depth -= 1;
             }
-            *depth -= 1;
         }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        match e.kind {
+        // A barrier wait is a complete ("X") event: a slice of the wait
+        // duration that needs no B/E balancing. The event is stamped
+        // when the wait *ends*, so the slice starts `dur` earlier.
+        let (name, ph, ts_ns) = match (slice, e.kind) {
+            (Some((name, begins)), _) => (name, if begins { 'B' } else { 'E' }, e.ts_ns),
+            (None, EventKind::BarrierWait) => (e.kind.name(), 'X', e.ts_ns.saturating_sub(e.c)),
+            (None, EventKind::CacheWitness) => (crate::witness::counter_name(e.a), 'C', e.ts_ns),
+            (None, EventKind::StealSuccess) => ("steal", 'i', e.ts_ns),
+            (None, kind) => (kind.name(), 'i', e.ts_ns),
+        };
+        begin_event(&mut out, name, ph, track, ts_ns);
+        let _ = match e.kind {
             EventKind::TaskEnter => {
-                push_common(&mut out, "task", 'B', e);
                 let origin = match e.b {
                     1 => "injector",
                     2 => "steal",
                     _ => "own",
                 };
-                out.push_str(&format!(
+                write!(
+                    out,
                     ",\"args\":{{\"job\":{},\"origin\":\"{origin}\",\"victim\":{}}}}}",
                     e.a, e.c
-                ));
-            }
-            EventKind::TaskExit => {
-                push_common(&mut out, "task", 'E', e);
-                out.push('}');
-            }
-            EventKind::Park => {
-                push_common(&mut out, "parked", 'B', e);
-                out.push('}');
-            }
-            EventKind::Unpark => {
-                push_common(&mut out, "parked", 'E', e);
-                out.push('}');
-            }
-            EventKind::ForkSerial | EventKind::ForkParallel | EventKind::ForkDenied => {
-                push_common(&mut out, e.kind.name(), 'i', e);
-                out.push_str(&format!(
-                    ",\"s\":\"t\",\"args\":{{\"space_words\":{},\"anchor_level\":{}}}}}",
-                    e.a,
-                    level_str(e.b)
-                ));
-            }
-            EventKind::CgcSegment => {
-                push_common(&mut out, "cgc_segment", 'i', e);
-                out.push_str(&format!(
-                    ",\"s\":\"t\",\"args\":{{\"lo\":{},\"hi\":{},\"grain\":{}}}}}",
-                    e.a, e.b, e.c
-                ));
-            }
-            EventKind::StealSuccess => {
-                push_common(&mut out, "steal", 'i', e);
-                out.push_str(&format!(
-                    ",\"s\":\"t\",\"args\":{{\"victim\":{},\"job\":{}}}}}",
-                    e.a, e.b
-                ));
-            }
-            EventKind::StealAttempt | EventKind::InjectorPop => {
-                push_common(&mut out, e.kind.name(), 'i', e);
-                out.push_str(",\"s\":\"t\"}");
-            }
-            EventKind::CacheWitness => {
-                push_common(&mut out, crate::witness::counter_name(e.a), 'C', e);
-                out.push_str(&format!(",\"args\":{{\"value\":{}}}}}", e.b));
+                )
             }
             EventKind::SuperstepBegin => {
-                push_common(&mut out, "superstep", 'B', e);
-                out.push_str(&format!(
-                    ",\"args\":{{\"job\":{},\"superstep\":{}}}}}",
-                    e.a, e.b
-                ));
-            }
-            EventKind::SuperstepEnd => {
-                push_common(&mut out, "superstep", 'E', e);
-                out.push('}');
+                write!(out, ",\"args\":{{\"job\":{},\"superstep\":{}}}}}", e.a, e.b)
             }
             EventKind::DistJobBegin => {
-                push_common(&mut out, "dist_job", 'B', e);
-                out.push_str(&format!(",\"args\":{{\"job\":{},\"n\":{}}}}}", e.a, e.c));
+                write!(out, ",\"args\":{{\"job\":{},\"n\":{}}}}}", e.a, e.c)
             }
-            EventKind::DistJobEnd => {
-                push_common(&mut out, "dist_job", 'E', e);
-                out.push('}');
-            }
+            EventKind::TaskExit
+            | EventKind::Park
+            | EventKind::Unpark
+            | EventKind::SuperstepEnd
+            | EventKind::DistJobEnd => write!(out, "}}"),
+            EventKind::ForkSerial | EventKind::ForkParallel | EventKind::ForkDenied => write!(
+                out,
+                ",\"s\":\"t\",\"args\":{{\"space_words\":{},\"anchor_level\":{}}}}}",
+                e.a,
+                level_str(e.b)
+            ),
+            EventKind::CgcSegment => write!(
+                out,
+                ",\"s\":\"t\",\"args\":{{\"lo\":{},\"hi\":{},\"grain\":{}}}}}",
+                e.a, e.b, e.c
+            ),
+            EventKind::StealSuccess => write!(
+                out,
+                ",\"s\":\"t\",\"args\":{{\"victim\":{},\"job\":{}}}}}",
+                e.a, e.b
+            ),
+            EventKind::StealAttempt | EventKind::InjectorPop => write!(out, ",\"s\":\"t\"}}"),
+            EventKind::CacheWitness => write!(out, ",\"args\":{{\"value\":{}}}}}", e.b),
             EventKind::ExchangeSend | EventKind::ExchangeRecv => {
-                let (step, level) = crate::event::unpack_step_level(e.b);
-                push_common(&mut out, e.kind.name(), 'i', e);
-                out.push_str(&format!(
+                let (step, level) = unpack_step_level(e.b);
+                write!(
+                    out,
                     ",\"s\":\"t\",\"args\":{{\"peer\":{},\"superstep\":{step},\"level\":{level},\"words\":{}}}}}",
                     e.a, e.c
-                ));
+                )
             }
+            EventKind::BarrierWait => {
+                let (step, level) = unpack_step_level(e.b);
+                write!(
+                    out,
+                    ",\"dur\":{}.{:03},\"args\":{{\"peer\":{},\"superstep\":{step},\"level\":{level}}}}}",
+                    e.c / 1000,
+                    e.c % 1000,
+                    e.a
+                )
+            }
+            // Serve phase boundaries are instants, not B/E slices: a
+            // request hops threads (submitter -> worker), so a per-track
+            // slice pairing cannot hold. The span module reconstructs
+            // durations from the request id in `a`.
             EventKind::ServeArrive
             | EventKind::ServeAdmit
             | EventKind::ServeEnqueue
@@ -193,52 +205,31 @@ pub fn to_chrome_json(events: &[Event]) -> String {
             | EventKind::ServeBatchForm
             | EventKind::ServeExecute
             | EventKind::ServeRespond
-            | EventKind::ServeShed => {
-                // Serve phase boundaries are instants, not B/E slices:
-                // a request hops threads (submitter -> worker), so a
-                // per-track slice pairing cannot hold. The span module
-                // reconstructs durations from the request id in `a`.
-                push_common(&mut out, e.kind.name(), 'i', e);
-                out.push_str(&format!(
-                    ",\"s\":\"t\",\"args\":{{\"req\":{},\"b\":{},\"c\":{}}}}}",
-                    e.a, e.b, e.c
-                ));
-            }
-            EventKind::BarrierWait => {
-                // A complete ("X") event: renders as a slice of the wait
-                // duration without needing B/E balancing. The event is
-                // stamped when the wait *ends*, so the slice starts
-                // `dur` earlier.
-                let (step, level) = crate::event::unpack_step_level(e.b);
-                let start = e.ts_ns.saturating_sub(e.c);
-                out.push_str(&format!(
-                    "{{\"name\":\"barrier_wait\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{}.{:03},\"dur\":{}.{:03},\"args\":{{\"peer\":{},\"superstep\":{step},\"level\":{level}}}}}",
-                    tid(e.worker),
-                    start / 1000,
-                    start % 1000,
-                    e.c / 1000,
-                    e.c % 1000,
-                    e.a
-                ));
-            }
-        }
+            | EventKind::ServeShed => write!(
+                out,
+                ",\"s\":\"t\",\"args\":{{\"req\":{},\"b\":{},\"c\":{}}}}}",
+                e.a, e.b, e.c
+            ),
+        };
+        after(&mut out, track, e);
     }
     // Close the slices the drain caught mid-flight.
     for (&(track, name), &depth) in &open {
         for _ in 0..depth {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let us = last_ts / 1000;
-            let frac = last_ts % 1000;
-            out.push_str(&format!(
-                "{{\"name\":\"{name}\",\"ph\":\"E\",\"pid\":1,\"tid\":{track},\"ts\":{us}.{frac:03}}}"
-            ));
+            begin_event(&mut out, name, 'E', track, last_ts);
+            out.push('}');
         }
     }
     out.push_str("]}");
     out
+}
+
+/// Render a drained, time-ordered event stream as a chrome-trace JSON
+/// document: process 1, one thread track per pool worker (see
+/// [`render`] for how unbalanced streams are handled).
+pub fn to_chrome_json(events: &[Event]) -> String {
+    let tracked = events.iter().map(|e| ((1, tid(e.worker)), e));
+    render(&[], tracked, |_, _, _| {})
 }
 
 /// `u64::MAX` encodes "no level fits"; render it as a JSON null.
@@ -254,7 +245,7 @@ fn level_str(level: u64) -> String {
 /// the document has the expected envelope, every `B` has a matching
 /// `E` on the same track, and braces/brackets balance outside strings.
 pub fn validate(json: &str) -> Result<(), String> {
-    if !json.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[") || !json.ends_with("]}") {
+    if !json.starts_with(ENVELOPE_HEAD) || !json.ends_with("]}") {
         return Err("missing traceEvents envelope".into());
     }
     let mut depth_brace = 0i64;

@@ -24,12 +24,15 @@
 //!   `mo_dist --trace` report.
 //!
 //! The emitted document passes [`chrome::validate`](crate::chrome::validate)
-//! by construction (the same orphan-end / open-begin balancing as the
-//! single-process exporter).
+//! by construction: events are written by the single-process exporter's
+//! own writer, so orphan ends and open begins balance in one place.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
+use crate::chrome;
 use crate::event::{unpack_step_level, Event, EventKind};
+use crate::hist::Log2Hist;
 
 /// One worker's shipped trace: its drained events plus the clock
 /// calibration the router measured for it.
@@ -84,139 +87,42 @@ fn flow_id(job: u64, superstep: u32, src: u32, dst: u32) -> u64 {
     x ^ (x >> 31)
 }
 
-fn push_ts(out: &mut String, ts_ns: u64) {
-    out.push_str(&format!("{}.{:03}", ts_ns / 1000, ts_ns % 1000));
-}
-
-fn push_head(out: &mut String, name: &str, ph: char, pid: u32, ts_ns: u64) {
-    out.push_str(&format!(
-        "{{\"name\":\"{name}\",\"ph\":\"{ph}\",\"pid\":{pid},\"tid\":0,\"ts\":"
-    ));
-    push_ts(out, ts_ns);
-}
-
 /// Render the merged fleet timeline as a chrome-trace JSON document
-/// with one process track per worker and send→recv flow arrows.
-///
-/// Only the dist event kinds are rendered (a worker's stream holds
-/// nothing else today); unknown kinds are skipped rather than risking
-/// an unbalanced slice.
+/// with one process track per worker and send→recv flow arrows:
+/// [`align`], process-name metadata, then the single-process exporter's
+/// event writer at `pid = worker` (so slices balance the same way),
+/// with the flow arrows hung behind every exchange instant.
 pub fn to_chrome_json(streams: &[WorkerStream]) -> String {
     let merged = align(streams);
-    let mut out = String::with_capacity(merged.len() * 128 + 256);
-    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-    };
     // Process-name metadata: one track per worker, sorted by index.
     let mut workers: Vec<u32> = streams.iter().map(|s| s.worker).collect();
     workers.sort_unstable();
-    for w in &workers {
-        sep(&mut out);
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{w},\"args\":{{\"name\":\"worker {w}\"}}}}"
-        ));
-    }
+    let tracks: Vec<String> = workers
+        .iter()
+        .map(|w| format!("{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{w},\"args\":{{\"name\":\"worker {w}\"}}}}"))
+        .collect();
     // Per-worker current job id (DistJobBegin..DistJobEnd bracket) so
     // exchange flows are disambiguated across jobs.
     let mut cur_job: BTreeMap<u32, u64> = BTreeMap::new();
-    // Open B-slice depth per (pid, name): skip orphan ends, close
-    // leftovers at the last timestamp.
-    let mut open: BTreeMap<(u32, &'static str), u64> = BTreeMap::new();
-    let mut last_ts = 0u64;
-    for (w, e) in &merged {
-        let (w, e) = (*w, e);
-        last_ts = last_ts.max(e.ts_ns);
-        match e.kind {
+    let tracked = merged.iter().map(|(w, e)| ((*w, 0), e));
+    chrome::render(&tracks, tracked, |out, track, e| {
+        let w = track.0;
+        let (src, dst, ph) = match e.kind {
             EventKind::DistJobBegin => {
                 cur_job.insert(w, e.a);
-                *open.entry((w, "dist_job")).or_insert(0) += 1;
-                sep(&mut out);
-                push_head(&mut out, "dist_job", 'B', w, e.ts_ns);
-                out.push_str(&format!(",\"args\":{{\"job\":{},\"n\":{}}}}}", e.a, e.c));
+                return;
             }
-            EventKind::DistJobEnd => {
-                let depth = open.entry((w, "dist_job")).or_insert(0);
-                if *depth == 0 {
-                    continue;
-                }
-                *depth -= 1;
-                sep(&mut out);
-                push_head(&mut out, "dist_job", 'E', w, e.ts_ns);
-                out.push('}');
-            }
-            EventKind::SuperstepBegin => {
-                *open.entry((w, "superstep")).or_insert(0) += 1;
-                sep(&mut out);
-                push_head(&mut out, "superstep", 'B', w, e.ts_ns);
-                out.push_str(&format!(
-                    ",\"args\":{{\"job\":{},\"superstep\":{}}}}}",
-                    e.a, e.b
-                ));
-            }
-            EventKind::SuperstepEnd => {
-                let depth = open.entry((w, "superstep")).or_insert(0);
-                if *depth == 0 {
-                    continue;
-                }
-                *depth -= 1;
-                sep(&mut out);
-                push_head(&mut out, "superstep", 'E', w, e.ts_ns);
-                out.push('}');
-            }
-            EventKind::ExchangeSend | EventKind::ExchangeRecv => {
-                let (step, level) = unpack_step_level(e.b);
-                let peer = e.a as u32;
-                let job = cur_job.get(&w).copied().unwrap_or(0);
-                let (src, dst, ph, name) = if e.kind == EventKind::ExchangeSend {
-                    (w, peer, 's', "exchange_send")
-                } else {
-                    (peer, w, 'f', "exchange_recv")
-                };
-                let id = flow_id(job, step, src, dst);
-                sep(&mut out);
-                push_head(&mut out, name, 'i', w, e.ts_ns);
-                out.push_str(&format!(
-                    ",\"s\":\"t\",\"args\":{{\"peer\":{peer},\"superstep\":{step},\"level\":{level},\"words\":{}}}}}",
-                    e.c
-                ));
-                // The flow event binds to the enclosing superstep slice.
-                sep(&mut out);
-                push_head(&mut out, "exchange", ph, w, e.ts_ns);
-                out.push_str(&format!(",\"cat\":\"dbsp\",\"id\":\"{id:#x}\""));
-                if ph == 'f' {
-                    out.push_str(",\"bp\":\"e\"");
-                }
-                out.push('}');
-            }
-            EventKind::BarrierWait => {
-                let (step, level) = unpack_step_level(e.b);
-                let start = e.ts_ns.saturating_sub(e.c);
-                sep(&mut out);
-                push_head(&mut out, "barrier_wait", 'X', w, start);
-                out.push_str(&format!(
-                    ",\"dur\":{}.{:03},\"args\":{{\"peer\":{},\"superstep\":{step},\"level\":{level}}}}}",
-                    e.c / 1000,
-                    e.c % 1000,
-                    e.a
-                ));
-            }
-            _ => {}
-        }
-    }
-    for (&(pid, name), &depth) in &open {
-        for _ in 0..depth {
-            sep(&mut out);
-            push_head(&mut out, name, 'E', pid, last_ts);
-            out.push('}');
-        }
-    }
-    out.push_str("]}");
-    out
+            EventKind::ExchangeSend => (w, e.a as u32, 's'),
+            EventKind::ExchangeRecv => (e.a as u32, w, 'f'),
+            _ => return,
+        };
+        let (step, _) = unpack_step_level(e.b);
+        let id = flow_id(cur_job.get(&w).copied().unwrap_or(0), step, src, dst);
+        // The flow event binds to the enclosing superstep slice.
+        chrome::begin_event(out, "exchange", ph, track, e.ts_ns);
+        let _ = write!(out, ",\"cat\":\"dbsp\",\"id\":\"{id:#x}\"");
+        out.push_str(if ph == 'f' { ",\"bp\":\"e\"}" } else { "}" });
+    })
 }
 
 /// Per-round lateness aggregates and word totals over a merged fleet
@@ -226,9 +132,9 @@ pub fn to_chrome_json(streams: &[WorkerStream]) -> String {
 pub struct FleetSummary {
     /// Total barrier-wait nanoseconds per worker index.
     pub barrier_wait_ns: BTreeMap<u32, u64>,
-    /// Per-worker log₂ histogram of individual round waits: bucket `i`
-    /// counts waits with `2^(i-1) < ns ≤ 2^i`.
-    pub barrier_hist: BTreeMap<u32, [u64; 64]>,
+    /// Per-worker log₂ histogram of individual round waits, ns (its
+    /// `sum` is the worker's `barrier_wait_ns`).
+    pub barrier_hist: BTreeMap<u32, Log2Hist>,
     /// Slowest pair per `(job, superstep)`: `(wait_ns, waiter, peer)` —
     /// the round's straggler attribution.
     pub slowest_pair: BTreeMap<(u64, u32), (u64, u32, u32)>,
@@ -254,7 +160,7 @@ pub fn summarize(streams: &[WorkerStream]) -> FleetSummary {
         let w = st.worker;
         s.dropped.insert(w, st.dropped);
         s.barrier_wait_ns.entry(w).or_insert(0);
-        s.barrier_hist.entry(w).or_insert([0; 64]);
+        s.barrier_hist.entry(w).or_default();
         s.supersteps.entry(w).or_insert(0);
         s.exchange_rounds.entry(w).or_insert(0);
         let mut job = 0u64;
@@ -265,8 +171,7 @@ pub fn summarize(streams: &[WorkerStream]) -> FleetSummary {
                 EventKind::BarrierWait => {
                     let (step, _) = unpack_step_level(e.b);
                     *s.barrier_wait_ns.entry(w).or_insert(0) += e.c;
-                    let idx = (64 - e.c.leading_zeros() as usize).min(63);
-                    s.barrier_hist.entry(w).or_insert([0; 64])[idx] += 1;
+                    s.barrier_hist.entry(w).or_default().push(e.c);
                     let slot = s
                         .slowest_pair
                         .entry((job, step))

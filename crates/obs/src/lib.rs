@@ -17,9 +17,15 @@
 //!   [`TraceSink::drain`] that merges all streams into one global
 //!   timeline;
 //! * a **chrome-trace / Perfetto JSON exporter** ([`chrome`]) so a
-//!   whole pool run can be inspected per worker in `ui.perfetto.dev`;
+//!   whole pool run can be inspected per worker in `ui.perfetto.dev` —
+//!   the one event writer, which the fleet merger renders through too;
+//! * the **one log₂ histogram** ([`hist`]): bucket rule, plain value
+//!   type and atomic recording front behind every latency, wait and
+//!   length histogram in the tree;
 //! * a **Prometheus text-exposition writer and a tiny parser**
-//!   ([`prom`]) used by `mo-serve`'s `/metrics` endpoint and its tests;
+//!   ([`prom`]) — a family handle that spells each metric name once —
+//!   and the **one `/metrics` HTTP server** ([`expose`]) that `mo-serve`
+//!   and `mo-dist`'s router both bind with a render closure;
 //! * **trace summaries** ([`summary`]) — steal rates, anchor-level
 //!   distributions, segment-size histograms — consumed by the
 //!   `obs_report` bench binary to compare measured scheduler behaviour
@@ -59,7 +65,9 @@
 
 pub mod chrome;
 mod event;
+pub mod expose;
 pub mod fleet;
+pub mod hist;
 pub mod prom;
 mod ring;
 mod sink;

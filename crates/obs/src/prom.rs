@@ -8,7 +8,9 @@
 //! tests — names, label sets, float values, histogram-bucket
 //! monotonicity — without pulling a dependency into the tree.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+
+use crate::hist::{bucket_upper, Log2Hist};
 
 /// Incremental builder for one exposition document.
 #[derive(Debug, Default)]
@@ -22,27 +24,40 @@ impl PromText {
         Self::default()
     }
 
-    /// Emit the `# HELP` / `# TYPE` header for a metric family.
-    /// `kind` is `counter`, `gauge`, or `histogram`.
-    pub fn header(&mut self, name: &str, help: &str, kind: &str) {
+    /// Open a counter family: writes its `# HELP` / `# TYPE` header once
+    /// and returns the handle its samples are written through, so the
+    /// family name is spelled in one place.
+    pub fn counter<'a>(&'a mut self, name: &'a str, help: &str) -> Family<'a> {
+        self.family(name, help, "counter")
+    }
+
+    /// Open a gauge family (see [`counter`](Self::counter)).
+    pub fn gauge<'a>(&'a mut self, name: &'a str, help: &str) -> Family<'a> {
+        self.family(name, help, "gauge")
+    }
+
+    /// Open a histogram family (see [`counter`](Self::counter)); its
+    /// series are written with [`Family::hist`].
+    pub fn histogram<'a>(&'a mut self, name: &'a str, help: &str) -> Family<'a> {
+        self.family(name, help, "histogram")
+    }
+
+    fn family<'a>(&'a mut self, name: &'a str, help: &str, kind: &str) -> Family<'a> {
         let _ = writeln!(self.buf, "# HELP {name} {help}");
         let _ = writeln!(self.buf, "# TYPE {name} {kind}");
+        Family { doc: self, name }
     }
 
-    /// Emit one sample line with integer value.
-    pub fn sample_u64(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.write_name_labels(name, labels);
-        let _ = writeln!(self.buf, " {value}");
+    /// Emit one sample line outside any family header — for re-emitting
+    /// samples parsed from another exposition (the fleet view prepends a
+    /// `shard` label to every shard's samples this way).
+    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+        self.line(name, "", labels, value);
     }
 
-    /// Emit one sample line with float value.
-    pub fn sample_f64(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.write_name_labels(name, labels);
-        let _ = writeln!(self.buf, " {value}");
-    }
-
-    fn write_name_labels(&mut self, name: &str, labels: &[(&str, &str)]) {
-        self.buf.push_str(name);
+    fn line(&mut self, family: &str, suffix: &str, labels: &[(&str, &str)], value: impl Display) {
+        self.buf.push_str(family);
+        self.buf.push_str(suffix);
         if !labels.is_empty() {
             self.buf.push('{');
             for (i, (k, v)) in labels.iter().enumerate() {
@@ -65,50 +80,64 @@ impl PromText {
             }
             self.buf.push('}');
         }
-    }
-
-    /// Emit one full histogram series (`_bucket` lines, `_sum`,
-    /// `_count`) from *non-cumulative* log₂ buckets: bucket `i` counts
-    /// observations in `(2^(i-1), 2^i]` native units, the last bucket
-    /// is open-ended (`+Inf`), and `le` is rendered in seconds by
-    /// dividing through `units_per_second` (`1e6` for µs buckets,
-    /// `1e9` for ns). `sum` is in the same native unit. The caller
-    /// emits the family [`header`](Self::header) once before its
-    /// series. Used by `mo-serve`'s latency families and the fleet
-    /// barrier-wait families so every log₂ histogram in the tree
-    /// renders (and validates) identically.
-    pub fn histogram_log2(
-        &mut self,
-        family: &str,
-        labels: &[(&str, &str)],
-        buckets: &[u64],
-        sum: u64,
-        units_per_second: f64,
-    ) {
-        let bucket_name = format!("{family}_bucket");
-        let mut cum = 0u64;
-        for (i, c) in buckets.iter().enumerate() {
-            cum += c;
-            let le = if i + 1 < buckets.len() {
-                format!("{}", (1u64 << i.min(62)) as f64 / units_per_second)
-            } else {
-                "+Inf".to_string()
-            };
-            let mut ls: Vec<(&str, &str)> = labels.to_vec();
-            ls.push(("le", &le));
-            self.sample_u64(&bucket_name, &ls, cum);
-        }
-        self.sample_f64(
-            &format!("{family}_sum"),
-            labels,
-            sum as f64 / units_per_second,
-        );
-        self.sample_u64(&format!("{family}_count"), labels, cum);
+        let _ = writeln!(self.buf, " {value}");
     }
 
     /// The finished document.
     pub fn finish(self) -> String {
         self.buf
+    }
+}
+
+/// One open metric family of a [`PromText`] document: every sample
+/// written through it carries the family's name.
+#[derive(Debug)]
+pub struct Family<'a> {
+    doc: &'a mut PromText,
+    name: &'a str,
+}
+
+impl Family<'_> {
+    /// Emit one sample with an integer value.
+    pub fn u64(&mut self, labels: &[(&str, &str)], value: u64) -> &mut Self {
+        self.doc.line(self.name, "", labels, value);
+        self
+    }
+
+    /// Emit one sample with a float value.
+    pub fn f64(&mut self, labels: &[(&str, &str)], value: f64) -> &mut Self {
+        self.doc.line(self.name, "", labels, value);
+        self
+    }
+
+    /// Emit one full histogram series (`_bucket` lines, `_sum`,
+    /// `_count`) from a [`Log2Hist`]: bucket `i` counts observations in
+    /// `(2^(i-1), 2^i]` native units, so its cumulative count goes out
+    /// under an inclusive `le = 2^i`; the last bucket is open-ended
+    /// (`+Inf`). `le` and `_sum` are rendered in seconds by dividing
+    /// through `units_per_second` (`1e6` for a µs histogram, `1e9` for
+    /// ns). Every log₂ histogram in the tree renders (and validates)
+    /// through here.
+    pub fn hist(
+        &mut self,
+        labels: &[(&str, &str)],
+        h: &Log2Hist,
+        units_per_second: f64,
+    ) -> &mut Self {
+        let mut cum = 0u64;
+        for (i, c) in h.buckets.iter().enumerate() {
+            cum += c;
+            let le = bucket_upper(i).map_or("+Inf".to_string(), |upper| {
+                format!("{}", upper as f64 / units_per_second)
+            });
+            let mut ls: Vec<(&str, &str)> = labels.to_vec();
+            ls.push(("le", &le));
+            self.doc.line(self.name, "_bucket", &ls, cum);
+        }
+        let sum = h.sum as f64 / units_per_second;
+        self.doc.line(self.name, "_sum", labels, sum);
+        self.doc.line(self.name, "_count", labels, cum);
+        self
     }
 }
 
@@ -329,11 +358,10 @@ mod tests {
     #[test]
     fn writer_output_parses_back() {
         let mut w = PromText::new();
-        w.header("jobs_total", "Jobs by kernel.", "counter");
-        w.sample_u64("jobs_total", &[("kernel", "sort")], 41);
-        w.sample_u64("jobs_total", &[("kernel", "fft"), ("ok", "yes")], 1);
-        w.header("queue_depth", "Current depth.", "gauge");
-        w.sample_f64("queue_depth", &[], 3.5);
+        w.counter("jobs_total", "Jobs by kernel.")
+            .u64(&[("kernel", "sort")], 41)
+            .u64(&[("kernel", "fft"), ("ok", "yes")], 1);
+        w.gauge("queue_depth", "Current depth.").f64(&[], 3.5);
         let text = w.finish();
         let samples = parse(&text).unwrap();
         assert_eq!(samples.len(), 3);
@@ -344,15 +372,19 @@ mod tests {
     }
 
     #[test]
-    fn histogram_log2_writer_validates() {
+    fn histogram_writer_validates() {
+        let mut h = Log2Hist::default();
+        for us in [1, 3, 4, 34] {
+            h.push(us); // buckets (..1], (2,4] twice, (32,64] native µs
+        }
         let mut w = PromText::new();
-        w.header("lat_seconds", "Latency.", "histogram");
-        // 4 non-cumulative buckets: (..1], (1,2], (2,4], +Inf native µs.
-        w.histogram_log2("lat_seconds", &[("k", "sort")], &[1, 0, 2, 1], 42, 1e6);
+        w.histogram("lat_seconds", "Latency.")
+            .hist(&[("k", "sort")], &h, 1e6);
         let text = w.finish();
         let samples = parse(&text).unwrap();
         assert_eq!(check_histograms(&samples).unwrap(), 1);
         assert!(text.contains("lat_seconds_bucket{k=\"sort\",le=\"0.000001\"} 1"));
+        assert!(text.contains("lat_seconds_bucket{k=\"sort\",le=\"0.000004\"} 3"));
         assert!(text.contains("lat_seconds_bucket{k=\"sort\",le=\"+Inf\"} 4"));
         assert!(text.contains("lat_seconds_count{k=\"sort\"} 4"));
         assert!(text.contains("lat_seconds_sum{k=\"sort\"} 0.000042"));
@@ -365,8 +397,8 @@ mod tests {
         // write → parse round trip escaped per the exposition format.
         let hostile = "sort\"v2\\latest\nline2,x={y}";
         let mut w = PromText::new();
-        w.header("jobs_total", "Jobs by kernel.", "counter");
-        w.sample_u64("jobs_total", &[("kernel", hostile), ("ok", "yes")], 3);
+        w.counter("jobs_total", "Jobs by kernel.")
+            .u64(&[("kernel", hostile), ("ok", "yes")], 3);
         let text = w.finish();
         // One escaped line on the wire: the newline is the two
         // characters `\n`, not a line break.
@@ -377,6 +409,184 @@ mod tests {
         assert_eq!(samples[0].label("kernel"), Some(hostile));
         assert_eq!(samples[0].label("ok"), Some("yes"));
         assert_eq!(samples[0].value, 3.0);
+    }
+
+    /// SplitMix64: the seeded stream behind the property test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
+            from[self.below(from.len() as u64) as usize]
+        }
+
+        /// A metric or label name: `[a-zA-Z_:][a-zA-Z0-9_:]*` (labels
+        /// never draw the colon).
+        fn name(&mut self, colon: bool) -> String {
+            let first = ["a", "Z", "_", "m", if colon { ":" } else { "q" }];
+            let rest = ["a", "Z", "_", "0", "9", "x", if colon { ":" } else { "y" }];
+            let mut s = self.pick(&first).to_string();
+            for _ in 0..self.below(4) {
+                s.push_str(self.pick(&rest));
+            }
+            s
+        }
+
+        /// A label value over the alphabet the format must escape or
+        /// pass through untouched.
+        fn label_value(&mut self) -> String {
+            let alphabet = [
+                "\\", "\"", "\n", "a", " ", ",", "=", "{", "}", "#", "é", "λ", "→", "🦀",
+            ];
+            (0..self.below(4)).map(|_| self.pick(&alphabet)).collect()
+        }
+
+        fn value_u64(&mut self) -> u64 {
+            match self.below(4) {
+                0 => self.below(10),
+                1 => 1u64 << self.below(64),
+                2 => u64::MAX,
+                _ => self.next(),
+            }
+        }
+
+        /// Mostly values that print in a few digits; now and then any
+        /// finite bit pattern (`Display` writes those out in full, up
+        /// to some 300 digits).
+        fn value_f64(&mut self) -> f64 {
+            let any = f64::from_bits(self.next());
+            match self.below(32) {
+                0 if any.is_finite() => any,
+                1..=8 => (self.below(2001) as f64 - 1000.0) / 8.0,
+                _ => self.next() as i64 as f64 / 10f64.powi(self.below(25) as i32),
+            }
+        }
+    }
+
+    /// One random family written through the handle (its first sample
+    /// a histogram series when `hist` is set); returns the samples a
+    /// faithful parse must give back.
+    fn write_random_family(rng: &mut Rng, w: &mut PromText, hist: bool) -> Vec<Sample> {
+        let name = rng.name(true);
+        let mut f = match (hist, rng.below(2)) {
+            (true, _) => w.histogram(&name, "Help."),
+            (false, 0) => w.counter(&name, "Help."),
+            (false, _) => w.gauge(&name, "Help."),
+        };
+        let mut want = Vec::new();
+        for nth in 0..1 + rng.below(2) {
+            let mut owned: Vec<(String, String)> = Vec::new();
+            for _ in 0..rng.below(3) {
+                let key = rng.name(false);
+                // `le` is the histogram writer's own label.
+                if key != "le" && owned.iter().all(|(k, _)| *k != key) {
+                    owned.push((key, rng.label_value()));
+                }
+            }
+            let labels: Vec<(&str, &str)> = owned
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            let mut expect = |suffix: &str, le: Option<String>, value: f64| {
+                let mut labels = owned.clone();
+                labels.extend(le.map(|le| ("le".to_string(), le)));
+                want.push(Sample {
+                    name: format!("{name}{suffix}"),
+                    labels,
+                    value,
+                });
+            };
+            match rng.below(8) {
+                _ if hist && nth == 0 => {
+                    let mut h = Log2Hist::default();
+                    for _ in 0..rng.below(20) {
+                        h.push(rng.value_u64() >> rng.below(64));
+                    }
+                    let units = [1.0, 1e6, 1e9][rng.below(3) as usize];
+                    f.hist(&labels, &h, units);
+                    let mut cum = 0;
+                    for (i, c) in h.buckets.iter().enumerate() {
+                        cum += c;
+                        let le = bucket_upper(i).map_or("+Inf".to_string(), |upper| {
+                            format!("{}", upper as f64 / units)
+                        });
+                        expect("_bucket", Some(le), cum as f64);
+                    }
+                    expect("_sum", None, h.sum as f64 / units);
+                    expect("_count", None, h.count as f64);
+                }
+                0..=3 => {
+                    let v = rng.value_u64();
+                    f.u64(&labels, v);
+                    expect("", None, v as f64);
+                }
+                _ => {
+                    let v = rng.value_f64();
+                    f.f64(&labels, v);
+                    expect("", None, v);
+                }
+            }
+        }
+        want
+    }
+
+    /// ROADMAP 1(d), the Prometheus third: `parse(write(x)) == x` over
+    /// random families, hostile label values and every value kind, and
+    /// no truncation or single-byte corruption of a written document
+    /// makes the parser (or the histogram checker) panic — each is
+    /// `Ok` or a typed `Err`.
+    #[test]
+    fn random_documents_round_trip_and_mutations_never_panic() {
+        fn survives(bytes: &[u8]) {
+            if let Ok(samples) = parse(&String::from_utf8_lossy(bytes)) {
+                let _ = check_histograms(&samples);
+            }
+        }
+        let mut rng = Rng(0x6d6f_2d6f_6273);
+        for case in 0..2_000 {
+            let mut w = PromText::new();
+            let mut want = Vec::new();
+            for _ in 0..1 + rng.below(4) / 3 {
+                want.extend(write_random_family(&mut rng, &mut w, case % 500 == 0));
+            }
+            let text = w.finish();
+            let got = parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+            assert_eq!(got, want, "case {case}:\n{text}");
+
+            // `parse` carries nothing from one line to the next, so a
+            // mutated document is judged on the lines the mutation
+            // touches: a cut leaves intact lines (parsed above) and one
+            // partial line; a corrupted byte changes its own line, and
+            // the line after it too when it was the newline between
+            // them.
+            let lines: Vec<&str> = text.split_inclusive('\n').collect();
+            for (i, line) in lines.iter().enumerate() {
+                let next = lines.get(i + 1).copied().unwrap_or("");
+                let mut unit = [line.as_bytes(), next.as_bytes()].concat();
+                for at in 0..line.len() {
+                    survives(&unit[..at]);
+                    let intact = std::mem::replace(&mut unit[at], rng.next() as u8);
+                    let reach = if at + 1 == line.len() {
+                        unit.len()
+                    } else {
+                        line.len()
+                    };
+                    survives(&unit[..reach]);
+                    unit[at] = intact;
+                }
+            }
+        }
     }
 
     #[test]

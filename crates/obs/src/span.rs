@@ -26,6 +26,7 @@
 use std::collections::BTreeMap;
 
 use crate::event::{Event, EventKind};
+use crate::hist::Log2Hist;
 
 /// Typed shed reason carried in `c`/`b` of [`EventKind::ServeShed`].
 /// The codes mirror mo-serve's `Rejected` variants; they live here so
@@ -234,65 +235,6 @@ pub fn assemble(events: &[Event]) -> SpanSet {
     set
 }
 
-/// A log₂-bucketed nanosecond histogram: bucket `i` counts durations
-/// `2^(i-1) < ns ≤ 2^i` (bucket 0 counts 0–1 ns).
-#[derive(Debug, Clone)]
-pub struct Log2Hist {
-    /// Per-bucket counts.
-    pub buckets: [u64; 64],
-    /// Observations recorded.
-    pub count: u64,
-    /// Sum of all recorded durations, ns.
-    pub sum_ns: u64,
-}
-
-impl Default for Log2Hist {
-    fn default() -> Self {
-        Self {
-            buckets: [0; 64],
-            count: 0,
-            sum_ns: 0,
-        }
-    }
-}
-
-impl Log2Hist {
-    /// Record one duration.
-    pub fn push(&mut self, ns: u64) {
-        let idx = (64 - ns.leading_zeros() as usize).min(63);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum_ns += ns;
-    }
-
-    /// Upper bound of the bucket holding quantile `q` (0 when empty).
-    /// Coarse by construction (factor-of-two buckets) but monotone and
-    /// allocation-free, matching serve's latency histogram semantics.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return 1u64 << i.min(62);
-            }
-        }
-        1u64 << 62
-    }
-
-    /// Mean duration in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-}
-
 /// Per-kernel phase decomposition: one histogram per phase plus the
 /// end-to-end total, over the *complete* spans of one kernel.
 #[derive(Debug, Clone, Default)]
@@ -301,9 +243,9 @@ pub struct KernelPhases {
     pub count: u64,
     /// Shed spans seen for this kernel (not in the histograms).
     pub shed: u64,
-    /// One histogram per [`Phase`].
+    /// One nanosecond histogram per [`Phase`].
     pub phases: [Log2Hist; NPHASES],
-    /// End-to-end (`arrive → respond`) histogram.
+    /// End-to-end (`arrive → respond`) nanosecond histogram.
     pub total: Log2Hist,
 }
 
@@ -313,7 +255,7 @@ impl KernelPhases {
     pub fn dominant_phase(&self, q: f64) -> (Phase, u64) {
         Phase::ALL
             .iter()
-            .map(|&p| (p, self.phases[p as usize].quantile_ns(q)))
+            .map(|&p| (p, self.phases[p as usize].quantile(q)))
             .max_by_key(|&(_, ns)| ns)
             .unwrap_or((Phase::Admission, 0))
     }
@@ -382,17 +324,17 @@ pub fn format_phase_table(
             out.push_str(&format!(
                 "  {:<10} {:>10} {:>10} {:>10}\n",
                 p.name(),
-                fmt_ns(h.quantile_ns(0.50)),
-                fmt_ns(h.quantile_ns(0.95)),
-                fmt_ns(h.quantile_ns(0.99)),
+                fmt_ns(h.quantile(0.50)),
+                fmt_ns(h.quantile(0.95)),
+                fmt_ns(h.quantile(0.99)),
             ));
         }
         out.push_str(&format!(
             "  {:<10} {:>10} {:>10} {:>10}\n",
             "total",
-            fmt_ns(k.total.quantile_ns(0.50)),
-            fmt_ns(k.total.quantile_ns(0.95)),
-            fmt_ns(k.total.quantile_ns(0.99)),
+            fmt_ns(k.total.quantile(0.50)),
+            fmt_ns(k.total.quantile(0.95)),
+            fmt_ns(k.total.quantile(0.99)),
         ));
         for q in [0.50, 0.95, 0.99] {
             let (p, ns) = k.dominant_phase(q);
@@ -494,19 +436,6 @@ mod tests {
         assert_eq!(set.opened, 1);
         assert_eq!(set.closed, 2);
         assert!(!set.conserved());
-    }
-
-    #[test]
-    fn quantiles_hit_log2_bucket_bounds() {
-        let mut h = Log2Hist::default();
-        for _ in 0..99 {
-            h.push(1_000); // bucket 10 (2^10 = 1024)
-        }
-        h.push(1_000_000); // bucket 20 (2^20)
-        assert_eq!(h.quantile_ns(0.50), 1 << 10);
-        assert_eq!(h.quantile_ns(0.99), 1 << 10);
-        assert_eq!(h.quantile_ns(1.0), 1 << 20);
-        assert_eq!(Log2Hist::default().quantile_ns(0.5), 0);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 use std::collections::BTreeMap;
 
 use crate::event::{Event, EventKind, NKINDS};
+use crate::hist::Log2Hist;
 
 /// Aggregates over one drained event stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
     /// Event count per [`EventKind`] discriminant.
     pub counts: [u64; NKINDS],
@@ -15,9 +16,9 @@ pub struct TraceSummary {
     pub anchor_levels: BTreeMap<u64, u64>,
     /// Largest space bound seen on any fork, in words.
     pub max_fork_space: u64,
-    /// CGC segment lengths (`hi - lo`), log₂ histogram: index `i`
-    /// counts segments with `2^(i-1) < len ≤ 2^i`.
-    pub seg_log2: [u64; 64],
+    /// CGC segment lengths (`hi - lo`, in iterations) as a log₂
+    /// histogram.
+    pub seg_log2: Log2Hist,
     /// Smallest / largest CGC segment seen (0/0 without segments).
     pub seg_min: u64,
     /// Largest CGC segment seen.
@@ -29,21 +30,6 @@ pub struct TraceSummary {
     /// ([`crate::witness::CTR_L1D_MISS`] etc.): the sum of the measured
     /// per-task deltas over the stream.
     pub witness: [u64; crate::witness::NCOUNTERS],
-}
-
-impl Default for TraceSummary {
-    fn default() -> Self {
-        Self {
-            counts: [0; NKINDS],
-            anchor_levels: BTreeMap::new(),
-            max_fork_space: 0,
-            seg_log2: [0; 64],
-            seg_min: 0,
-            seg_max: 0,
-            seg_below_grain: 0,
-            witness: [0; crate::witness::NCOUNTERS],
-        }
-    }
 }
 
 impl TraceSummary {
@@ -91,8 +77,7 @@ pub fn summarize(events: &[Event]) -> TraceSummary {
         }
         if e.kind == EventKind::CgcSegment {
             let len = e.b.saturating_sub(e.a);
-            let idx = (64 - len.leading_zeros() as usize).min(63);
-            s.seg_log2[idx] += 1;
+            s.seg_log2.push(len);
             if s.count(EventKind::CgcSegment) == 1 {
                 s.seg_min = len;
                 s.seg_max = len;

@@ -47,12 +47,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod expose;
 mod job;
 mod metrics;
 mod server;
 
-pub use expose::MetricsExposition;
 pub use job::{CertifyGap, Done, JobSpec, Kernel, Outcome, Rejected, Ticket};
 pub use metrics::{
     KernelSnapshot, LevelSnapshot, MetricsSnapshot, SloObjectiveSnapshot, SloWindowSnapshot,
@@ -60,6 +58,10 @@ pub use metrics::{
 pub use server::{ServeConfig, Server, SloConfig};
 
 pub use mo_core::rt::HwHierarchy;
+/// The running `/metrics` endpoint [`Server::serve_metrics`] returns:
+/// the one exposition server in `mo-obs`, rendering this server's
+/// snapshot per scrape. Dropping the handle stops it.
+pub use mo_obs::expose::Exposition as MetricsExposition;
 
 #[cfg(test)]
 mod tests {
@@ -355,7 +357,7 @@ mod tests {
         let delta = server.metrics().delta_since(&mid);
         assert_eq!(delta.kernels[Kernel::Sort.index()].completed, 0);
         assert_eq!(delta.kernels[Kernel::Fft.index()].completed, 3);
-        assert_eq!(delta.kernels[Kernel::Fft.index()].latency_count(), 3);
+        assert_eq!(delta.kernels[Kernel::Fft.index()].latency.count, 3);
         assert_eq!(delta.completed_total(), 3);
         // Full-lifetime counters are untouched by taking a delta.
         assert_eq!(server.metrics().completed_total(), 8);

@@ -1,73 +1,29 @@
 //! Lock-free service metrics and their snapshot API.
 //!
 //! Counters are plain relaxed atomics bumped on the hot paths; latency
-//! is a fixed set of log₂-microsecond buckets per kernel, so quantiles
-//! cost a 48-entry walk and recording costs one `fetch_add`. A
-//! [`MetricsSnapshot`] is a plain-data copy suitable for printing,
+//! is one [`mo_obs::hist`] log₂ histogram per kernel, in microseconds,
+//! so recording costs two `fetch_add`s and a quantile one bucket walk.
+//! A [`MetricsSnapshot`] is a plain-data copy suitable for printing,
 //! asserting in tests, or shipping to an external collector.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use mo_core::rt::RtStats;
+use mo_obs::hist::{AtomicLog2Hist, Log2Hist};
+use mo_obs::prom::{Family, PromText};
 use mo_obs::witness::{CTR_INSTRUCTIONS, CTR_L1D_MISS, CTR_LLC_MISS, NCOUNTERS};
 
 use crate::job::Kernel;
 
-const NBUCKETS: usize = 48;
-
-/// Log₂-microsecond latency histogram, plus the running sum needed for
-/// a Prometheus histogram's `_sum` series.
-#[derive(Debug)]
-pub(crate) struct LatencyHist {
-    buckets: [AtomicU64; NBUCKETS],
-    sum_us: AtomicU64,
+/// Quantile `q` of a microsecond histogram, in milliseconds: the upper
+/// bound of the bucket where the cumulative count crosses `q`. `None`
+/// without samples.
+fn latency_ms(h: &Log2Hist, q: f64) -> Option<f64> {
+    (h.count > 0).then(|| h.quantile(q) as f64 / 1000.0)
 }
 
-impl LatencyHist {
-    fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_us: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn record(&self, d: Duration) {
-        let us = d.as_micros() as u64;
-        let idx = (64 - us.leading_zeros() as usize).min(NBUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> Vec<u64> {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
-/// Quantile over a log₂ histogram: upper bound (in ms) of the bucket
-/// where the cumulative count crosses `q`. `None` without samples.
-fn quantile_ms(buckets: &[u64], q: f64) -> Option<f64> {
-    let total: u64 = buckets.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let target = ((total as f64) * q).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (idx, &c) in buckets.iter().enumerate() {
-        seen += c;
-        if seen >= target {
-            // Bucket idx holds latencies in [2^(idx-1), 2^idx) µs.
-            let upper_us = if idx >= 63 { u64::MAX } else { 1u64 << idx };
-            return Some(upper_us as f64 / 1000.0);
-        }
-    }
-    None
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct KernelCells {
     pub(crate) submitted: AtomicU64,
     pub(crate) completed: AtomicU64,
@@ -77,7 +33,8 @@ pub(crate) struct KernelCells {
     pub(crate) shed_not_certified: AtomicU64,
     pub(crate) batches: AtomicU64,
     pub(crate) batched_jobs: AtomicU64,
-    pub(crate) latency: LatencyHist,
+    /// Total (queue + service) latency, µs.
+    pub(crate) latency: AtomicLog2Hist,
     /// Cache-witness counter deltas attributed to this kernel's
     /// batches, indexed by witness counter id (`l1d_miss`, `llc_miss`,
     /// `instructions`). Measured on the serving thread that executed
@@ -89,43 +46,15 @@ pub(crate) struct KernelCells {
     pub(crate) expected_transfers: [AtomicU64; 2],
 }
 
-impl KernelCells {
-    fn new() -> Self {
-        Self {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            shed_queue_full: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            shed_too_large: AtomicU64::new(0),
-            shed_not_certified: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batched_jobs: AtomicU64::new(0),
-            latency: LatencyHist::new(),
-            witness: std::array::from_fn(|_| AtomicU64::new(0)),
-            expected_transfers: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct LevelCells {
     pub(crate) admitted_jobs: AtomicU64,
     pub(crate) admitted_words: AtomicU64,
     pub(crate) peak_inflight_words: AtomicUsize,
 }
 
-impl LevelCells {
-    fn new() -> Self {
-        Self {
-            admitted_jobs: AtomicU64::new(0),
-            admitted_words: AtomicU64::new(0),
-            peak_inflight_words: AtomicUsize::new(0),
-        }
-    }
-}
-
 /// The server's live counters (internal; read via snapshots).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Metrics {
     pub(crate) kernels: Vec<KernelCells>,
     pub(crate) levels: Vec<LevelCells>,
@@ -137,10 +66,9 @@ pub(crate) struct Metrics {
 impl Metrics {
     pub(crate) fn new(nlevels: usize) -> Self {
         Self {
-            kernels: Kernel::ALL.iter().map(|_| KernelCells::new()).collect(),
-            levels: (0..nlevels).map(|_| LevelCells::new()).collect(),
-            queue_peak: AtomicUsize::new(0),
-            witness_available: AtomicU64::new(0),
+            kernels: Kernel::ALL.iter().map(|_| KernelCells::default()).collect(),
+            levels: (0..nlevels).map(|_| LevelCells::default()).collect(),
+            ..Self::default()
         }
     }
 
@@ -200,12 +128,11 @@ pub struct KernelSnapshot {
     pub p50_ms: Option<f64>,
     /// 99th-percentile total latency in milliseconds.
     pub p99_ms: Option<f64>,
-    /// Raw log₂-µs latency buckets (bucket `i` holds latencies in
-    /// `(2^(i-1), 2^i]` µs; the last bucket is open-ended). Counts are
-    /// *not* cumulative here; the Prometheus renderer accumulates them.
-    pub latency_buckets: Vec<u64>,
-    /// Sum of recorded latencies in microseconds.
-    pub latency_sum_us: u64,
+    /// Total (queue + service) latency as a log₂ histogram in
+    /// microseconds (bucket `i` holds latencies in `(2^(i-1), 2^i]` µs;
+    /// the last bucket is open-ended). Counts are *not* cumulative
+    /// here; the Prometheus renderer accumulates them.
+    pub latency: Log2Hist,
     /// Cache-witness counter totals for this kernel's batches, indexed
     /// by witness counter id ([`mo_obs::witness::CTR_L1D_MISS`] etc.);
     /// all zero when the hardware witness is unavailable.
@@ -233,11 +160,6 @@ impl KernelSnapshot {
     /// All sheds for this kernel.
     pub fn shed_total(&self) -> u64 {
         self.shed_queue_full + self.shed_deadline + self.shed_too_large + self.shed_not_certified
-    }
-
-    /// Recorded latency samples.
-    pub fn latency_count(&self) -> u64 {
-        self.latency_buckets.iter().sum()
     }
 
     /// Jobs accepted but not yet resolved at snapshot time.
@@ -348,7 +270,7 @@ impl MetricsSnapshot {
             .iter()
             .map(|&k| {
                 let c = m.kernel(k);
-                let hist = c.latency.snapshot();
+                let latency = c.latency.snapshot();
                 // Conservation ordering: a job is *resolved*
                 // (completed / deadline-shed) only after it was counted
                 // submitted, and both sides use SeqCst, so loading the
@@ -368,10 +290,9 @@ impl MetricsSnapshot {
                     shed_not_certified: c.shed_not_certified.load(Ordering::Relaxed),
                     batches: c.batches.load(Ordering::Relaxed),
                     batched_jobs: c.batched_jobs.load(Ordering::Relaxed),
-                    p50_ms: quantile_ms(&hist, 0.50),
-                    p99_ms: quantile_ms(&hist, 0.99),
-                    latency_sum_us: c.latency.sum_us.load(Ordering::Relaxed),
-                    latency_buckets: hist,
+                    p50_ms: latency_ms(&latency, 0.50),
+                    p99_ms: latency_ms(&latency, 0.99),
+                    latency,
                     witness: std::array::from_fn(|i| c.witness[i].load(Ordering::Relaxed)),
                     expected_transfers: std::array::from_fn(|i| {
                         c.expected_transfers[i].load(Ordering::Relaxed)
@@ -437,12 +358,7 @@ impl MetricsSnapshot {
             .iter()
             .zip(&prev.kernels)
             .map(|(now, old)| {
-                let buckets: Vec<u64> = now
-                    .latency_buckets
-                    .iter()
-                    .zip(&old.latency_buckets)
-                    .map(|(n, o)| n.saturating_sub(*o))
-                    .collect();
+                let latency = now.latency.delta_since(&old.latency);
                 KernelSnapshot {
                     kernel: now.kernel,
                     submitted: now.submitted.saturating_sub(old.submitted),
@@ -455,10 +371,9 @@ impl MetricsSnapshot {
                         .saturating_sub(old.shed_not_certified),
                     batches: now.batches.saturating_sub(old.batches),
                     batched_jobs: now.batched_jobs.saturating_sub(old.batched_jobs),
-                    p50_ms: quantile_ms(&buckets, 0.50),
-                    p99_ms: quantile_ms(&buckets, 0.99),
-                    latency_sum_us: now.latency_sum_us.saturating_sub(old.latency_sum_us),
-                    latency_buckets: buckets,
+                    p50_ms: latency_ms(&latency, 0.50),
+                    p99_ms: latency_ms(&latency, 0.99),
+                    latency,
                     witness: std::array::from_fn(|i| now.witness[i].saturating_sub(old.witness[i])),
                     expected_transfers: std::array::from_fn(|i| {
                         now.expected_transfers[i].saturating_sub(old.expected_transfers[i])
@@ -512,289 +427,192 @@ impl MetricsSnapshot {
     /// in seconds, per-level admission gauges, and the runtime's
     /// scheduler counters. This is what `/metrics` serves.
     pub fn to_prometheus_text(&self) -> String {
-        let mut w = mo_obs::prom::PromText::new();
-        w.header(
-            "moserve_jobs_submitted_total",
-            "Jobs accepted into the queue.",
-            "counter",
-        );
-        for k in &self.kernels {
-            w.sample_u64(
+        let mut w = PromText::new();
+        let per_kernel = |mut f: Family<'_>, get: fn(&KernelSnapshot) -> u64| {
+            for k in &self.kernels {
+                f.u64(&[("kernel", k.kernel.name())], get(k));
+            }
+        };
+        per_kernel(
+            w.counter(
                 "moserve_jobs_submitted_total",
-                &[("kernel", k.kernel.name())],
-                k.submitted,
-            );
-        }
-        w.header(
-            "moserve_jobs_completed_total",
-            "Jobs served to completion.",
-            "counter",
+                "Jobs accepted into the queue.",
+            ),
+            |k| k.submitted,
         );
-        for k in &self.kernels {
-            w.sample_u64(
-                "moserve_jobs_completed_total",
-                &[("kernel", k.kernel.name())],
-                k.completed,
-            );
-        }
-        w.header(
+        per_kernel(
+            w.counter("moserve_jobs_completed_total", "Jobs served to completion."),
+            |k| k.completed,
+        );
+        let mut f = w.counter(
             "moserve_jobs_shed_total",
             "Jobs shed, by kernel and reason.",
-            "counter",
         );
         for k in &self.kernels {
-            let name = k.kernel.name();
             for (reason, v) in [
                 ("queue_full", k.shed_queue_full),
                 ("deadline", k.shed_deadline),
                 ("too_large", k.shed_too_large),
                 ("not_certified", k.shed_not_certified),
             ] {
-                w.sample_u64(
-                    "moserve_jobs_shed_total",
-                    &[("kernel", name), ("reason", reason)],
-                    v,
-                );
+                f.u64(&[("kernel", k.kernel.name()), ("reason", reason)], v);
             }
         }
-        w.header(
-            "moserve_batches_total",
-            "CGC=>SB batches executed (each >= 2 jobs).",
-            "counter",
-        );
-        for k in &self.kernels {
-            w.sample_u64(
+        per_kernel(
+            w.counter(
                 "moserve_batches_total",
-                &[("kernel", k.kernel.name())],
-                k.batches,
-            );
-        }
-        w.header(
-            "moserve_jobs_in_flight",
-            "Accepted jobs not yet resolved.",
-            "gauge",
+                "CGC=>SB batches executed (each >= 2 jobs).",
+            ),
+            |k| k.batches,
         );
-        for k in &self.kernels {
-            w.sample_u64(
-                "moserve_jobs_in_flight",
-                &[("kernel", k.kernel.name())],
-                k.in_flight(),
-            );
-        }
-        w.header(
+        per_kernel(
+            w.gauge("moserve_jobs_in_flight", "Accepted jobs not yet resolved."),
+            KernelSnapshot::in_flight,
+        );
+        let mut f = w.histogram(
             "moserve_latency_seconds",
             "Total (queue + service) latency.",
-            "histogram",
         );
         for k in &self.kernels {
-            w.histogram_log2(
-                "moserve_latency_seconds",
-                &[("kernel", k.kernel.name())],
-                &k.latency_buckets,
-                k.latency_sum_us,
-                1e6,
-            );
+            f.hist(&[("kernel", k.kernel.name())], &k.latency, 1e6);
         }
-        w.header("moserve_queue_depth", "Jobs waiting in the queue.", "gauge");
-        w.sample_u64("moserve_queue_depth", &[], self.queue_depth as u64);
-        w.header(
-            "moserve_queue_peak",
-            "High-water mark of the queue depth.",
-            "gauge",
-        );
-        w.sample_u64("moserve_queue_peak", &[], self.queue_peak as u64);
-        w.header(
+        w.gauge("moserve_queue_depth", "Jobs waiting in the queue.")
+            .u64(&[], self.queue_depth as u64);
+        w.gauge("moserve_queue_peak", "High-water mark of the queue depth.")
+            .u64(&[], self.queue_peak as u64);
+        let mut f = w.gauge(
             "moserve_level_inflight_words",
             "Footprint words admitted against each cache level.",
-            "gauge",
         );
         for l in &self.levels {
-            w.sample_u64(
-                "moserve_level_inflight_words",
-                &[("level", &l.level.to_string())],
-                l.inflight_words as u64,
-            );
+            f.u64(&[("level", &l.level.to_string())], l.inflight_words as u64);
         }
-        w.header(
+        let mut f = w.counter(
             "moserve_level_admitted_jobs_total",
             "Jobs or batches admitted against each cache level.",
-            "counter",
         );
         for l in &self.levels {
-            w.sample_u64(
-                "moserve_level_admitted_jobs_total",
-                &[("level", &l.level.to_string())],
-                l.admitted_jobs,
-            );
+            f.u64(&[("level", &l.level.to_string())], l.admitted_jobs);
         }
-        w.header(
+        w.counter(
             "moserve_rt_forks_total",
             "SB scheduler fork decisions, by kind.",
-            "counter",
-        );
-        for (kind, v) in [
-            ("parallel", self.rt.parallel_forks),
-            ("serial", self.rt.serial_forks),
-            ("denied", self.rt.denied_forks),
-        ] {
-            w.sample_u64("moserve_rt_forks_total", &[("kind", kind)], v);
-        }
-        w.header(
+        )
+        .u64(&[("kind", "parallel")], self.rt.parallel_forks)
+        .u64(&[("kind", "serial")], self.rt.serial_forks)
+        .u64(&[("kind", "denied")], self.rt.denied_forks);
+        w.counter(
             "moserve_rt_steals_total",
             "Tasks executed from another worker's deque.",
-            "counter",
-        );
-        w.sample_u64("moserve_rt_steals_total", &[], self.rt.steals);
-        w.header(
+        )
+        .u64(&[], self.rt.steals);
+        w.counter(
             "moserve_rt_failed_steals_total",
             "Work-finding scans that found nothing.",
-            "counter",
-        );
-        w.sample_u64("moserve_rt_failed_steals_total", &[], self.rt.failed_steals);
-        w.header(
+        )
+        .u64(&[], self.rt.failed_steals);
+        w.counter(
             "moserve_rt_parks_total",
             "Times a runtime thread slept on the idle condvar.",
-            "counter",
-        );
-        w.sample_u64("moserve_rt_parks_total", &[], self.rt.parks);
-        w.header(
+        )
+        .u64(&[], self.rt.parks);
+        w.counter(
             "moserve_rt_injector_pops_total",
             "Tasks popped from the external-submission injector.",
-            "counter",
-        );
-        w.sample_u64("moserve_rt_injector_pops_total", &[], self.rt.injector_pops);
-        w.header(
+        )
+        .u64(&[], self.rt.injector_pops);
+        w.gauge(
             "moserve_cache_witness_available",
             "Whether the hardware cache witness (perf_event_open) is active.",
-            "gauge",
-        );
-        w.sample_u64(
-            "moserve_cache_witness_available",
-            &[],
-            self.witness_available as u64,
-        );
-        w.header(
+        )
+        .u64(&[], self.witness_available as u64);
+        let last_level = self.levels.len().max(1).to_string();
+        let mut f = w.counter(
             "moserve_cache_transfers_total",
             "Measured cache transfers attributed to each kernel's batches \
              (serving-thread traffic; see the cache-witness docs).",
-            "counter",
         );
-        let last_level = self.levels.len().max(1).to_string();
         for k in &self.kernels {
-            let name = k.kernel.name();
             for (level, ctr) in [("1", CTR_L1D_MISS), (last_level.as_str(), CTR_LLC_MISS)] {
-                w.sample_u64(
-                    "moserve_cache_transfers_total",
-                    &[("kernel", name), ("level", level), ("backend", "perf")],
-                    k.witness[ctr as usize],
-                );
+                let labels = [
+                    ("kernel", k.kernel.name()),
+                    ("level", level),
+                    ("backend", "perf"),
+                ];
+                f.u64(&labels, k.witness[ctr as usize]);
             }
         }
-        w.header(
+        let mut f = w.counter(
             "moserve_cache_instructions_total",
             "Instructions retired by each kernel's batches (serving thread).",
-            "counter",
         );
         for k in &self.kernels {
-            w.sample_u64(
-                "moserve_cache_instructions_total",
-                &[("kernel", k.kernel.name()), ("backend", "perf")],
-                k.witness[CTR_INSTRUCTIONS as usize],
-            );
+            let labels = [("kernel", k.kernel.name()), ("backend", "perf")];
+            f.u64(&labels, k.witness[CTR_INSTRUCTIONS as usize]);
         }
-        w.header(
+        let mut f = w.gauge(
             "moserve_witness_divergence",
             "Measured-over-analytic cache transfer ratio per kernel and \
              level (witnessed batches only; absent without both sides).",
-            "gauge",
         );
         for k in &self.kernels {
             let div = k.witness_divergence();
             for (level, d) in [("1", div[0]), (last_level.as_str(), div[1])] {
                 if let Some(d) = d {
-                    w.sample_f64(
-                        "moserve_witness_divergence",
-                        &[("kernel", k.kernel.name()), ("level", level)],
-                        d,
-                    );
+                    f.f64(&[("kernel", k.kernel.name()), ("level", level)], d);
                 }
             }
         }
         if !self.slo.is_empty() {
-            w.header(
+            let mut f = w.gauge(
                 "moserve_slo_target",
                 "Required good fraction per SLO objective.",
-                "gauge",
             );
             for o in &self.slo {
-                w.sample_f64(
-                    "moserve_slo_target",
-                    &[("objective", &o.objective)],
-                    o.target,
-                );
+                f.f64(&[("objective", &o.objective)], o.target);
             }
-            w.header(
+            let mut f = w.gauge(
                 "moserve_slo_burn_rate",
                 "Error-budget burn rate per objective, window pair, and horizon.",
-                "gauge",
             );
             for o in &self.slo {
                 for (i, wd) in o.windows.iter().enumerate() {
                     let pair = i.to_string();
                     for (horizon, rate) in [("short", wd.burn_short), ("long", wd.burn_long)] {
-                        w.sample_f64(
-                            "moserve_slo_burn_rate",
-                            &[
-                                ("objective", &o.objective),
-                                ("pair", &pair),
-                                ("horizon", horizon),
-                            ],
-                            rate,
-                        );
+                        let labels = [
+                            ("objective", &*o.objective),
+                            ("pair", &*pair),
+                            ("horizon", horizon),
+                        ];
+                        f.f64(&labels, rate);
                     }
                 }
             }
-            w.header(
+            let mut f = w.gauge(
                 "moserve_slo_burning",
                 "1 while an objective's multi-window burn condition fires.",
-                "gauge",
             );
             for o in &self.slo {
-                w.sample_u64(
-                    "moserve_slo_burning",
-                    &[("objective", &o.objective)],
-                    o.burning as u64,
-                );
+                f.u64(&[("objective", &o.objective)], o.burning as u64);
             }
-            w.header(
+            w.counter(
                 "moserve_slo_dumps_total",
                 "Flight-recorder trace dumps written on burn edges.",
-                "counter",
-            );
-            w.sample_u64("moserve_slo_dumps_total", &[], self.slo_dumps);
+            )
+            .u64(&[], self.slo_dumps);
         }
-        if !self.ring_dropped.is_empty() {
-            w.header(
+        if let Some((external, workers)) = self.ring_dropped.split_last() {
+            let mut f = w.counter(
                 "moserve_ring_dropped_total",
                 "Trace events dropped at each worker's full ring.",
-                "counter",
             );
-            let last = self.ring_dropped.len() - 1;
-            for (i, &v) in self.ring_dropped.iter().enumerate() {
-                let worker = if i == last {
-                    "external".to_string()
-                } else {
-                    i.to_string()
-                };
-                w.sample_u64("moserve_ring_dropped_total", &[("worker", &worker)], v);
+            for (i, &v) in workers.iter().enumerate() {
+                f.u64(&[("worker", &i.to_string())], v);
             }
+            f.u64(&[("worker", "external")], *external);
         }
-        w.header(
-            "moserve_uptime_seconds",
-            "Time since the server started.",
-            "gauge",
-        );
-        w.sample_f64("moserve_uptime_seconds", &[], self.uptime.as_secs_f64());
+        w.gauge("moserve_uptime_seconds", "Time since the server started.")
+            .f64(&[], self.uptime.as_secs_f64());
         w.finish()
     }
 }
@@ -893,19 +711,143 @@ impl std::fmt::Display for MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// Every counter non-zero, two SLO objectives with two windows
+    /// each, witness on, three ring-drop entries — the state whose
+    /// parent-commit rendering is `tests/fixtures/exposition_parent.prom`.
+    fn pinned_snapshot() -> MetricsSnapshot {
+        let m = Metrics::new(3);
+        m.witness_available.store(1, Ordering::Relaxed);
+        m.queue_peak.store(17, Ordering::Relaxed);
+        for (i, &k) in Kernel::ALL.iter().enumerate() {
+            let i = i as u64 + 1;
+            let c = m.kernel(k);
+            c.submitted.store(100 * i, Ordering::SeqCst);
+            c.completed.store(90 * i, Ordering::SeqCst);
+            c.shed_queue_full.store(2 * i, Ordering::Relaxed);
+            c.shed_deadline.store(3 * i, Ordering::SeqCst);
+            c.shed_too_large.store(i, Ordering::Relaxed);
+            c.shed_not_certified.store(4 * i, Ordering::Relaxed);
+            c.batches.store(7 * i, Ordering::Relaxed);
+            c.batched_jobs.store(20 * i, Ordering::Relaxed);
+            for us in [0, 3, 1000, 1024, 5000 * i] {
+                c.latency.record(us);
+            }
+            m.add_witness(k, [40 * i, 4 * i, 9000 * i]);
+            m.add_expected_transfers(k, [21 * i, 10 * i]);
+        }
+        let sort = m.kernel(Kernel::Sort);
+        sort.latency.record(1);
+        sort.latency.record(1 << 50);
+        for (i, l) in m.levels.iter().enumerate() {
+            l.admitted_jobs
+                .store(11 * (i as u64 + 1), Ordering::Relaxed);
+            l.admitted_words
+                .store(4096 * (i as u64 + 1), Ordering::Relaxed);
+            l.peak_inflight_words.store(512 << i, Ordering::Relaxed);
+        }
+        let rt = RtStats {
+            parallel_forks: 50,
+            serial_forks: 400,
+            denied_forks: 6,
+            steals: 7,
+            failed_steals: 31,
+            parks: 3,
+            injector_pops: 12,
+        };
+        let window = |short_secs, burn_short, burn_long, burning| SloWindowSnapshot {
+            short_secs,
+            long_secs: short_secs * 12.0,
+            factor: 10.0,
+            burn_short,
+            burn_long,
+            burning,
+        };
+        let slo = vec![
+            SloObjectiveSnapshot {
+                objective: "latency".into(),
+                target: 0.99,
+                burning: true,
+                windows: vec![
+                    window(5.0, 25.0, 12.5, true),
+                    window(30.0, 2.0, 0.25, false),
+                ],
+            },
+            SloObjectiveSnapshot {
+                objective: "availability".into(),
+                target: 0.999,
+                burning: false,
+                windows: vec![
+                    window(5.0, 0.5, 0.125, false),
+                    window(30.0, 1.5, 0.75, false),
+                ],
+            },
+        ];
+        MetricsSnapshot::collect(
+            &m,
+            &[6144, 262_144, 4_194_304],
+            &[10, 20, 30],
+            5,
+            rt,
+            vec![4, 1, 9],
+            slo,
+            3,
+            Duration::from_millis(12_500),
+        )
+    }
+
+    /// The equivalence pin: the family-writer rendering carries the
+    /// parent commit's `(name, labels, value)` samples in the parent's
+    /// family order. Two differences are permitted and listed here:
+    /// the `le` lines the single 64-bucket constant adds above the old
+    /// 48-bucket ladder, and the samples the inclusive bucket edge
+    /// moves one `le` down (an observation of exactly 2^k µs).
     #[test]
-    fn quantiles_walk_buckets() {
-        let mut buckets = vec![0u64; NBUCKETS];
-        // 99 samples in bucket 4 (≤16 µs), 1 in bucket 20 (≤ ~1 s).
-        buckets[4] = 99;
-        buckets[20] = 1;
-        let p50 = quantile_ms(&buckets, 0.50).unwrap();
-        let p99 = quantile_ms(&buckets, 0.99).unwrap();
-        let p999 = quantile_ms(&buckets, 0.999).unwrap();
-        assert!(p50 <= 0.016001, "{p50}");
-        assert!(p99 <= 0.016001, "{p99}");
-        assert!(p999 > 1.0, "{p999}");
-        assert_eq!(quantile_ms(&vec![0u64; NBUCKETS], 0.5), None);
+    fn exposition_matches_the_parent_commit_on_the_pinned_state() {
+        use mo_obs::prom::{check_histograms, parse, Sample};
+        let parent_text = include_str!("../tests/fixtures/exposition_parent.prom");
+        let text = pinned_snapshot().to_prometheus_text();
+        let comments = |t: &str| -> Vec<String> {
+            let lines = t.lines().filter(|l| l.starts_with('#'));
+            lines.map(str::to_string).collect()
+        };
+        assert_eq!(comments(&text), comments(parent_text), "family order");
+
+        let is_latency_le = |s: &Sample, le: &str| {
+            s.name == "moserve_latency_seconds_bucket" && s.label("le") == Some(le)
+        };
+        // Permitted difference 1: finite bounds 2^47..2^62 µs, which
+        // the parent folded into +Inf.
+        let added: Vec<String> = (47..63)
+            .map(|i| format!("{}", (1u64 << i) as f64 / 1e6))
+            .collect();
+        let mut parent = parse(parent_text).expect("fixture parses");
+        // Permitted difference 2: every kernel recorded one 1 024 µs
+        // latency, now counted under le="0.001024" and not first under
+        // le="0.002048"; sort also recorded 1 µs, now under
+        // le="0.000001" and not first under le="0.000002".
+        for s in &mut parent {
+            if is_latency_le(s, "0.001024")
+                || (is_latency_le(s, "0.000001") && s.label("kernel") == Some("sort"))
+            {
+                s.value += 1.0;
+            }
+        }
+        let samples = parse(&text).expect("valid exposition");
+        assert_eq!(check_histograms(&samples), Ok(Kernel::ALL.len()));
+        let kept: Vec<Sample> = samples
+            .into_iter()
+            .filter(|s| !added.iter().any(|le| is_latency_le(s, le)))
+            .collect();
+        assert_eq!(kept.len(), parent.len());
+        for (got, want) in kept.iter().zip(&parent) {
+            assert_eq!(got, want);
+        }
+        // The 2^50 µs latency the parent could only count under +Inf
+        // now has a finite bound of its own.
+        let le = format!("{}", (1u64 << 50) as f64 / 1e6);
+        assert!(text.contains(&format!(
+            "moserve_latency_seconds_bucket{{kernel=\"sort\",le=\"{le}\"}} 7"
+        )));
     }
 
     #[test]
@@ -917,7 +859,7 @@ mod tests {
         let c = m.kernel(Kernel::Sort);
         c.submitted.store(10, Ordering::SeqCst);
         c.completed.store(8, Ordering::SeqCst);
-        c.latency.record(Duration::from_micros(100));
+        c.latency.record(100);
         m.add_witness(Kernel::Sort, [5, 2, 1000]);
         let rt_hi = RtStats {
             parallel_forks: 50,
@@ -1088,16 +1030,5 @@ mod tests {
             Duration::ZERO,
         );
         assert!(!bare.to_prometheus_text().contains("moserve_slo_"));
-    }
-
-    #[test]
-    fn record_hits_expected_bucket() {
-        let h = LatencyHist::new();
-        h.record(Duration::from_micros(3)); // bucket: 64-62=2
-        h.record(Duration::from_millis(10)); // 10_000 µs → bucket 14
-        let snap = h.snapshot();
-        assert_eq!(snap[2], 1);
-        assert_eq!(snap[14], 1);
-        assert_eq!(snap.iter().sum::<u64>(), 2);
     }
 }

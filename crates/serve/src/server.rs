@@ -297,11 +297,7 @@ impl Shared {
         let threshold_us = rt.cfg.latency.as_micros().max(1) as u64;
         let (mut lat_good, mut completed, mut shed) = (0u64, 0u64, 0u64);
         for cells in &self.metrics.kernels {
-            for (idx, count) in cells.latency.snapshot().into_iter().enumerate() {
-                if idx < 63 && (1u64 << idx) <= threshold_us {
-                    lat_good += count;
-                }
-            }
+            lat_good += cells.latency.snapshot().count_at_most(threshold_us);
             completed += cells.completed.load(Ordering::SeqCst);
             shed += cells.shed_queue_full.load(Ordering::Relaxed)
                 + cells.shed_deadline.load(Ordering::SeqCst);
@@ -591,8 +587,11 @@ impl Server {
     pub fn serve_metrics(
         &self,
         addr: impl std::net::ToSocketAddrs,
-    ) -> std::io::Result<crate::expose::MetricsExposition> {
-        crate::expose::MetricsExposition::bind(Arc::clone(&self.shared), addr)
+    ) -> std::io::Result<crate::MetricsExposition> {
+        let shared = Arc::clone(&self.shared);
+        crate::MetricsExposition::bind(addr, "mo-serve-metrics", move || {
+            Ok(shared.snapshot().to_prometheus_text())
+        })
     }
 }
 
@@ -768,7 +767,7 @@ fn execute(sh: &Shared, batch: Batch) {
     for (q, checksum) in jobs.into_iter().zip(sums) {
         let queued = t0.saturating_duration_since(q.enqueued);
         cells.completed.fetch_add(1, Ordering::SeqCst); // conservation protocol
-        cells.latency.record(queued + service);
+        cells.latency.record((queued + service).as_micros() as u64);
         // Respond closes the span; emitted before the ticket resolves
         // so a drain racing the waiter still sees a closed span.
         serve_event!(sh, ServeRespond, q.req, service.as_nanos(), batch_size);
