@@ -1,51 +1,42 @@
 //! # mo-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 and
-//! EXPERIMENTS.md for the index):
+//! One row of [`experiments::EXPERIMENTS`] per table/figure of the paper
+//! (see DESIGN.md §4 and EXPERIMENTS.md for the index), all behind the
+//! one `tables` binary:
 //!
 //! ```text
-//! cargo run --release -p mo-bench --bin table_model      # Fig. 1
-//! cargo run --release -p mo-bench --bin table_transpose  # Fig. 2 / Thm 1
-//! cargo run --release -p mo-bench --bin table_fft        # Fig. 3 / Thm 2
-//! cargo run --release -p mo-bench --bin table_sort       # Thm 3
-//! cargo run --release -p mo-bench --bin table_spmdv      # Fig. 4 / Thm 4
-//! cargo run --release -p mo-bench --bin table_gep        # Fig. 5 / Thm 5
-//! cargo run --release -p mo-bench --bin table_dstar      # Table I
-//! cargo run --release -p mo-bench --bin table_ngep       # Thm 6
-//! cargo run --release -p mo-bench --bin table_listrank   # Fig. 6 / Thm 7
-//! cargo run --release -p mo-bench --bin table_cc         # Thm 8
-//! cargo run --release -p mo-bench --bin table_nolr       # Thm 9
-//! cargo run --release -p mo-bench --bin table_nocc       # Thm 10
-//! cargo run --release -p mo-bench --bin table_slice_vs_mo # §II claim
-//! cargo run --release -p mo-bench --bin table_summary    # Table II
+//! cargo run --release -p mo-bench --bin tables               # list the rows
+//! cargo run --release -p mo-bench --bin tables -- all        # every row, EXPERIMENTS.md order
+//! cargo run --release -p mo-bench --bin tables -- fft summary # those two
 //! ```
 //!
 //! Each prints measured quantities next to the paper's Θ(·) prediction
 //! and the measured/predicted ratio; ratio *stability across scale* is
 //! the reproduction criterion (absolute constants are implementation-
-//! specific). Criterion wall-clock benches live under `benches/`.
+//! specific). Every row's output is deterministic and pinned byte for
+//! byte by `tests/tables.rs` against `tests/fixtures/tables/`.
+//! Criterion wall-clock benches live under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod experiments;
 
 use hm_model::MachineSpec;
 use mo_core::sched::{simulate, Policy, RunReport};
 use mo_core::Program;
 
-/// The default machine sweep used by the table binaries: a 3-level
+/// The default machine sweep used by the experiments: a 3-level
 /// machine (8 cores, 1 KiW L1 / B₁ = 8, 256 KiW shared L2 / B₂ = 32) and
 /// the 5-level Fig. 1 machine.
 pub fn machines() -> Vec<(String, MachineSpec)> {
     vec![
-        (
-            "3-level p=8".to_string(),
-            MachineSpec::three_level(8, 1 << 10, 8, 1 << 18, 32).unwrap(),
-        ),
+        ("3-level p=8".to_string(), default_machine()),
         ("Fig.1 h=5 p=8".to_string(), MachineSpec::example_h5()),
     ]
 }
 
-/// A smaller single-machine default for the heavier experiments.
+/// The 3-level machine alone: the default for the heavier experiments.
 pub fn default_machine() -> MachineSpec {
     MachineSpec::three_level(8, 1 << 10, 8, 1 << 18, 32).unwrap()
 }
@@ -74,13 +65,24 @@ pub fn header(id: &str, what: &str) {
 
 /// One measured-vs-predicted row.
 pub fn row(label: &str, measured: f64, predicted: f64) {
+    row_with(label, measured, predicted, 0);
+}
+
+/// The `speed-up vs p` row of a run on `p` cores: a [`row`] with two
+/// decimals, because both sides are of order one (whole numbers print a
+/// measured 3.84 as 4 beside a ratio of 0.48).
+pub fn speedup_row(r: &RunReport, p: f64) {
+    row_with("speed-up vs p", r.speedup(), p, 2);
+}
+
+fn row_with(label: &str, measured: f64, predicted: f64, decimals: usize) {
     let ratio = if predicted > 0.0 {
         measured / predicted
     } else {
         f64::NAN
     };
     println!(
-        "  {label:<44} measured {measured:>12.0}  Θ-pred {predicted:>12.0}  ratio {ratio:>7.2}"
+        "  {label:<44} measured {measured:>12.decimals$}  Θ-pred {predicted:>12.decimals$}  ratio {ratio:>7.2}"
     );
 }
 

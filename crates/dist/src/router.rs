@@ -140,12 +140,7 @@ impl Router {
                         metrics_addr,
                     });
                 }
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("expected Hello, got {other:?}"),
-                    ))
-                }
+                other => return Err(unexpected("Hello", &other)),
             }
         }
         let mut shards: Vec<Shard> = slots
@@ -217,10 +212,7 @@ impl Router {
         )?;
         match recv_ctl(ctrl)? {
             Ctl::KernelDone { result } => Ok((shard, result)),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected KernelDone, got {other:?}"),
-            )),
+            other => Err(unexpected("KernelDone", &other)),
         }
     }
 
@@ -246,12 +238,7 @@ impl Router {
             match recv_ctl(&mut shard.ctrl)? {
                 Ctl::DistDone(d) => dones.push(d),
                 Ctl::DistFailed { reason } => failures.push(format!("worker {w}: {reason}")),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("expected DistDone, got {other:?}"),
-                    ))
-                }
+                other => return Err(unexpected("DistDone", &other)),
             }
         }
         drop(inner);
@@ -285,12 +272,7 @@ impl Router {
                 send_ctl(&mut shard.ctrl, &Ctl::ClockProbe { seq })?;
                 let t_ns = match recv_ctl(&mut shard.ctrl)? {
                     Ctl::ClockReply { seq: got, t_ns } if got == seq => t_ns,
-                    other => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("expected ClockReply({seq}), got {other:?}"),
-                        ))
-                    }
+                    other => return Err(unexpected(&format!("ClockReply({seq})"), &other)),
                 };
                 let t3 = epoch.elapsed().as_nanos() as u64;
                 let rtt = t3.saturating_sub(t0);
@@ -321,12 +303,7 @@ impl Router {
             send_ctl(&mut shard.ctrl, &Ctl::CollectTrace)?;
             let (dropped, wire) = match recv_ctl(&mut shard.ctrl)? {
                 Ctl::TraceData { dropped, events } => (dropped, events),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("expected TraceData, got {other:?}"),
-                    ))
-                }
+                other => return Err(unexpected("TraceData", &other)),
             };
             if dropped > 0 {
                 eprintln!(
@@ -385,12 +362,7 @@ impl Router {
             send_ctl(&mut shard.ctrl, &Ctl::MetricsReq)?;
             match recv_ctl(&mut shard.ctrl)? {
                 Ctl::MetricsText { text } => texts.push(text),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("expected MetricsText, got {other:?}"),
-                    ))
-                }
+                other => return Err(unexpected("MetricsText", &other)),
             }
         }
         let mut p = mo_obs::prom::PromText::new();
@@ -450,6 +422,15 @@ impl Router {
             let _ = send_ctl(&mut shard.ctrl, &Ctl::Shutdown);
         }
     }
+}
+
+/// The error for a control message other than the one the protocol
+/// allows next.
+fn unexpected(what: &str, got: &Ctl) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("expected {what}, got {got:?}"),
+    )
 }
 
 /// Merge per-shard results into the machine-wide outcome.

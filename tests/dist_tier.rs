@@ -115,7 +115,7 @@ fn ngep_outputs_and_costs_equal_the_values_pinned_before_the_kernel_leaf() {
     fn ge(x: f64, u: f64, v: f64, w: f64) -> f64 {
         x - (u / w) * v
     }
-    // `table_dstar`'s non-commutative update.
+    // `tables dstar`'s non-commutative update.
     fn nc(x: f64, u: f64, v: f64, _w: f64) -> f64 {
         2.0 * x + u - v
     }
