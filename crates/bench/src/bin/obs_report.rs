@@ -73,9 +73,7 @@ use mo_algorithms::real::registry::{
 use mo_bench::kernel_name_of;
 use mo_core::rt::{HwHierarchy, SbPool};
 use mo_core::sched::{simulate, Policy};
-use mo_obs::witness::{
-    CacheWitness, LevelTransfers, PerfWitness, ReplayWitness, TracedRunWitness, WitnessMeasurement,
-};
+use mo_obs::witness::{LevelTransfers, PerfWitness, WitnessBackend, WitnessMeasurement};
 use mo_obs::{chrome, summary, EventKind, TraceSink};
 
 /// Median-of-`reps` wall-clock nanoseconds of `f` (one warmup call).
@@ -315,22 +313,20 @@ fn sim_witness_kernel(k: Kernel, size: usize, spec: &MachineSpec) -> Vec<Witness
     // program `certify/certificates.json` describes.
     let program = record_kernel(k, size, 1);
     let report = simulate(&program, spec, Policy::Mo);
-    let mut witness = ReplayWitness::new(|| {
-        let levels: Vec<LevelTransfers> = (1..=report.metrics.cache_levels())
+    let m = WitnessMeasurement {
+        backend: WitnessBackend::Sim,
+        levels: (1..=report.metrics.cache_levels())
             .map(|i| LevelTransfers {
                 level: i,
                 transfers: report.metrics.level(i).max_transfers,
             })
-            .collect();
-        Ok((
-            levels,
-            format!(
-                "{} mem-ops replayed, makespan {} steps",
-                report.work, report.makespan
-            ),
-        ))
-    });
-    let m = witness.measure().expect("LRU replay cannot fail");
+            .collect(),
+        instructions: None,
+        detail: format!(
+            "{} mem-ops replayed, makespan {} steps",
+            report.work, report.makespan
+        ),
+    };
     // The replayed program's working set is its declared root space.
     let words = program.tasks()[program.root()].space;
     print_witness_kernel(k, k.effective_n(size), words, &m, spec)
@@ -671,9 +667,7 @@ fn main() {
         if perf_attached {
             // Per-task hardware deltas are already in the drain; roll
             // them up to a kernel-level measurement.
-            let run_events = events.clone();
-            let mut w = TracedRunWitness::new(last_level, move || Ok(run_events.clone()));
-            match (w.measure(), &spec) {
+            match (WitnessMeasurement::from_trace(&events, last_level), &spec) {
                 (Ok(m), Ok(spec)) => {
                     print_witness_kernel(k, n, footprint_words(k, n), &m, spec);
                     println!();

@@ -42,17 +42,13 @@ use std::sync::Arc;
 use mo_obs::{pack_step_level, EventKind, TraceSink};
 use no_framework::{Comm, Engine, Pe, Scope};
 
-use crate::frame::{decode_data, read_frame, DistDone, Enc};
+use crate::frame::{decode_data, invalid, read_frame, DistDone, Enc};
 use crate::topology::{num_levels, pair_level, Partition};
 
 /// One duplex mesh stream: reads go through a buffer that lives as long
 /// as the mesh (a frame's prefix and payload arrive in one `read`),
 /// writes go straight to the socket.
 pub type Link = BufReader<TcpStream>;
-
-fn invalid(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
 
 /// The socket-backed superstep machine of one worker process.
 pub struct SocketComm<'a> {

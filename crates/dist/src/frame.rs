@@ -24,6 +24,10 @@
 
 use std::io::{self, Read, Write};
 
+use mo_obs::{Event, EventKind, WORKER_EXTERNAL};
+
+use crate::alg::DistAlg;
+
 /// Hard cap on a single frame's payload, a defense against a corrupt
 /// or hostile length prefix (256 MiB).
 pub const MAX_FRAME: usize = 256 << 20;
@@ -109,6 +113,18 @@ fn eof(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::UnexpectedEof, format!("truncated {what}"))
 }
 
+/// A protocol violation: bytes, a control message or a peer's result
+/// that the protocol does not allow where they arrived.
+pub(crate) fn invalid(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// The error for a control message other than the one the protocol
+/// allows next.
+pub(crate) fn unexpected(what: &str, got: &Ctl) -> io::Error {
+    invalid(format!("expected {what}, got {got:?}"))
+}
+
 /// Read one length-prefixed frame's payload from `r` into `buf`
 /// (replacing its contents; the allocation is reused).
 pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<()> {
@@ -116,10 +132,9 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<()> {
     r.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;
     if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {MAX_FRAME}"),
-        ));
+        return Err(invalid(format!(
+            "frame length {len} exceeds cap {MAX_FRAME}"
+        )));
     }
     buf.clear();
     // `take` + `read_to_end` grows the buffer only as bytes arrive, so a
@@ -177,9 +192,7 @@ impl Dec {
         let len = self.u32()? as usize;
         let end = self.pos + len;
         let b = self.buf.get(self.pos..end).ok_or_else(|| eof("string"))?;
-        let s = std::str::from_utf8(b)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-            .to_string();
+        let s = std::str::from_utf8(b).map_err(invalid)?.to_string();
         self.pos = end;
         Ok(s)
     }
@@ -232,43 +245,6 @@ pub fn recv_data(r: &mut impl Read) -> io::Result<(u32, u8, Vec<Msg>)> {
     Ok((superstep, level, msgs))
 }
 
-/// The fleet-wide distributed kernels (run across *all* shards).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DistAlg {
-    /// N-GEP `𝒜(x,x,x,x)` with the Floyd–Warshall update, `𝒟*` order.
-    Ngep,
-    /// The column-sort-based NO sort, one key per PE.
-    Sort,
-}
-
-impl DistAlg {
-    pub(crate) fn code(self) -> u8 {
-        match self {
-            DistAlg::Ngep => 0,
-            DistAlg::Sort => 1,
-        }
-    }
-
-    fn from_code(c: u8) -> io::Result<Self> {
-        match c {
-            0 => Ok(DistAlg::Ngep),
-            1 => Ok(DistAlg::Sort),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown dist alg code {other}"),
-            )),
-        }
-    }
-
-    /// Stable display name (used in metrics labels and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            DistAlg::Ngep => "ngep",
-            DistAlg::Sort => "no_sort",
-        }
-    }
-}
-
 /// Per-worker result of a distributed kernel run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistDone {
@@ -299,11 +275,6 @@ pub struct DistDone {
     /// superstep. An exact, repeatable function of `(kernel, n, W)`.
     pub exchange_rounds: u64,
 }
-
-/// One trace event on the wire: `(ts_ns, kind, a, b, c)` — the same
-/// five words as [`mo_obs::Event`] with the kind as its discriminant
-/// byte (worker attribution is implied by which shard shipped it).
-pub type WireEvent = (u64, u8, u64, u64, u64);
 
 /// Control messages on the router ↔ worker connection.
 #[derive(Debug, Clone, PartialEq)]
@@ -394,8 +365,12 @@ pub enum Ctl {
     TraceData {
         /// Events dropped at the worker's full trace ring.
         dropped: u64,
-        /// Drained events in ring (time) order.
-        events: Vec<WireEvent>,
+        /// Drained events in ring (time) order. Each travels as
+        /// `[u64 ts][u8 kind][u64 a][u64 b][u64 c]`: the emitting worker
+        /// is implied by the shard that shipped it, so every decoded
+        /// event carries [`mo_obs::WORKER_EXTERNAL`], the id of the
+        /// worker sink's own (external) ring.
+        events: Vec<Event>,
     },
     /// Stop the worker process.
     Shutdown,
@@ -517,8 +492,12 @@ fn encode_ctl(e: &mut Enc, msg: &Ctl) {
         }
         Ctl::TraceData { dropped, events } => {
             e.u8(T_TRACE_DATA).u64(*dropped).u32(events.len() as u32);
-            for &(ts, kind, a, b, c) in events {
-                e.u64(ts).u8(kind).u64(a).u64(b).u64(c);
+            for ev in events {
+                e.u64(ev.ts_ns)
+                    .u8(ev.kind as u8)
+                    .u64(ev.a)
+                    .u64(ev.b)
+                    .u64(ev.c);
             }
         }
         Ctl::Shutdown => {
@@ -623,15 +602,23 @@ pub fn recv_ctl(r: &mut impl Read) -> io::Result<Ctl> {
             let count = d.count(33)?;
             let mut events = Vec::with_capacity(count);
             for _ in 0..count {
-                events.push((d.u64()?, d.u8()?, d.u64()?, d.u64()?, d.u64()?));
+                let ts_ns = d.u64()?;
+                let kind = d.u8()?;
+                let kind = EventKind::from_u8(kind)
+                    .ok_or_else(|| invalid(format!("unknown trace event kind {kind}")))?;
+                events.push(Event {
+                    ts_ns,
+                    kind,
+                    worker: WORKER_EXTERNAL,
+                    a: d.u64()?,
+                    b: d.u64()?,
+                    c: d.u64()?,
+                });
             }
             Ok(Ctl::TraceData { dropped, events })
         }
         T_SHUTDOWN => Ok(Ctl::Shutdown),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown control tag {other}"),
-        )),
+        other => Err(invalid(format!("unknown control tag {other}"))),
     }
 }
 
@@ -697,9 +684,20 @@ mod tests {
             dropped: 0,
             events: vec![],
         });
+        let ev = |ts_ns, kind, a, b, c| Event {
+            ts_ns,
+            kind,
+            worker: WORKER_EXTERNAL,
+            a,
+            b,
+            c,
+        };
         roundtrip(Ctl::TraceData {
             dropped: 3,
-            events: vec![(100, 12, 7, 0, 0), (200, 14, 1, 0x301, 64)],
+            events: vec![
+                ev(100, EventKind::SuperstepBegin, 7, 0, 0),
+                ev(200, EventKind::ExchangeSend, 1, 0x301, 64),
+            ],
         });
         roundtrip(Ctl::MetricsReq);
         roundtrip(Ctl::MetricsText {
@@ -768,6 +766,16 @@ mod tests {
                 .map(|_| (self.next() as u32, self.next() as u32, self.next()))
                 .collect()
         }
+        fn event(&mut self) -> Event {
+            Event {
+                ts_ns: self.next(),
+                kind: EventKind::ALL[self.below(EventKind::ALL.len())],
+                worker: WORKER_EXTERNAL,
+                a: self.next(),
+                b: self.next(),
+                c: self.next(),
+            }
+        }
     }
 
     const VARIANTS: usize = 14;
@@ -818,7 +826,7 @@ mod tests {
                 },
             },
             4 => Ctl::RunDist {
-                alg: [DistAlg::Ngep, DistAlg::Sort][rng.below(2)],
+                alg: DistAlg::ALL[rng.below(DistAlg::ALL.len())],
                 n: rng.next(),
                 kappa: rng.next() as u32,
                 seed: rng.next(),
@@ -850,17 +858,7 @@ mod tests {
             11 => Ctl::CollectTrace,
             12 => Ctl::TraceData {
                 dropped: rng.next(),
-                events: (0..rng.below(5))
-                    .map(|_| {
-                        (
-                            rng.next(),
-                            rng.next() as u8,
-                            rng.next(),
-                            rng.next(),
-                            rng.next(),
-                        )
-                    })
-                    .collect(),
+                events: (0..rng.below(5)).map(|_| rng.event()).collect(),
             },
             _ => Ctl::Shutdown,
         }
@@ -906,6 +904,20 @@ mod tests {
                 let back = recv_ctl(&mut frame.as_slice()).unwrap();
                 assert_eq!(back, msg, "round {round} variant {variant}");
                 assert_damage_is_typed(&mut rng, &frame, |r| recv_ctl(r));
+                // An event kind no `EventKind` has is a typed error, never
+                // an event dropped on the floor. The kind byte of event `i`
+                // follows the length prefix, tag, `dropped`, count and the
+                // event's own timestamp.
+                let traced = match &msg {
+                    Ctl::TraceData { events, .. } => events.len(),
+                    _ => 0,
+                };
+                if traced > 0 {
+                    let kinds = EventKind::ALL.len();
+                    frame[25 + 33 * rng.below(traced)] = (kinds + rng.below(256 - kinds)) as u8;
+                    let err = recv_ctl(&mut frame.as_slice()).unwrap_err();
+                    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+                }
             }
         }
     }

@@ -9,7 +9,8 @@
 //! kernel sources — N-GEP and the column-sort-based NO sort — run
 //! across them through the [`no_framework::Comm`] trait, one backend
 //! being the in-process [`no_framework::NoMachine`], the other
-//! [`SocketComm`].
+//! [`SocketComm`]. Each such program is one [`DistAlg`] ([`alg`]): its
+//! PE shape, seeded driver, output gather and simulator reference.
 //!
 //! Because the kernels are network-oblivious, every worker derives the
 //! whole superstep schedule from the input size alone; the sockets
@@ -36,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod alg;
 pub mod comm;
 pub mod data;
 pub mod frame;
@@ -44,8 +46,9 @@ pub mod topology;
 pub mod trace;
 pub mod worker;
 
+pub use alg::DistAlg;
 pub use comm::{Link, SocketComm};
-pub use frame::{Ctl, DistAlg, DistDone, Msg};
+pub use frame::{Ctl, DistDone, Msg};
 pub use router::{ClockCal, DistOutcome, FleetExposition, Router};
 pub use topology::{job_key, pair_level, HashRing, Partition};
 pub use trace::{format_level_table, level_table, straggler_report, LevelRow};

@@ -15,10 +15,10 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mo_obs::fleet::WorkerStream;
-use mo_obs::{Event, EventKind, WORKER_EXTERNAL};
 
+use crate::alg::DistAlg;
 use crate::data;
-use crate::frame::{recv_ctl, send_ctl, Ctl, DistAlg, DistDone, Msg};
+use crate::frame::{invalid, recv_ctl, send_ctl, unexpected, Ctl, DistDone, Msg};
 use crate::topology::{job_key, num_levels, HashRing, Partition};
 
 /// A running fleet `/metrics` endpoint ([`Router::serve_fleet_metrics`]):
@@ -129,10 +129,7 @@ impl Router {
                 } => {
                     let i = index as usize;
                     if i >= workers || slots[i].is_some() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("bad or duplicate worker index {i}"),
-                        ));
+                        return Err(invalid(format!("bad or duplicate worker index {i}")));
                     }
                     slots[i] = Some(Shard {
                         ctrl,
@@ -216,7 +213,13 @@ impl Router {
         }
     }
 
-    fn run_dist(&self, alg: DistAlg, n: usize, kappa: usize, seed: u64) -> io::Result<DistOutcome> {
+    /// Run fleet program `alg` at size `n` (N-GEP block side `kappa`,
+    /// ignored by sort) on input `seed` across every shard: each worker
+    /// runs [`DistAlg::run`] over its PE range of
+    /// [`DistAlg::shape`]`(n, kappa).0` PEs, and the router assembles
+    /// the outcome. A failed run on any shard is one `io::Error` naming
+    /// each failed worker.
+    pub fn run(&self, alg: DistAlg, n: usize, kappa: usize, seed: u64) -> io::Result<DistOutcome> {
         let mut inner = self.inner.lock().unwrap();
         inner.dist_jobs += 1;
         let job = inner.dist_jobs;
@@ -301,7 +304,7 @@ impl Router {
         let mut streams = Vec::with_capacity(inner.shards.len());
         for (w, shard) in inner.shards.iter_mut().enumerate() {
             send_ctl(&mut shard.ctrl, &Ctl::CollectTrace)?;
-            let (dropped, wire) = match recv_ctl(&mut shard.ctrl)? {
+            let (dropped, events) = match recv_ctl(&mut shard.ctrl)? {
                 Ctl::TraceData { dropped, events } => (dropped, events),
                 other => return Err(unexpected("TraceData", &other)),
             };
@@ -311,19 +314,6 @@ impl Router {
                      event(s); the merged timeline has holes"
                 );
             }
-            let events: Vec<Event> = wire
-                .into_iter()
-                .filter_map(|(ts_ns, kind, a, b, c)| {
-                    Some(Event {
-                        ts_ns,
-                        kind: EventKind::from_u8(kind)?,
-                        worker: WORKER_EXTERNAL,
-                        a,
-                        b,
-                        c,
-                    })
-                })
-                .collect();
             let cal = cals.get(w).copied().unwrap_or(ClockCal {
                 offset_ns: 0,
                 rtt_ns: 0,
@@ -340,16 +330,14 @@ impl Router {
         Ok(streams)
     }
 
-    /// Run the distributed N-GEP (Floyd–Warshall instance, `𝒟*` order)
-    /// across every shard: `(n/κ)²` PEs over `W` workers.
+    /// [`run`](Self::run) of [`DistAlg::Ngep`].
     pub fn run_ngep(&self, n: usize, kappa: usize, seed: u64) -> io::Result<DistOutcome> {
-        self.run_dist(DistAlg::Ngep, n, kappa, seed)
+        self.run(DistAlg::Ngep, n, kappa, seed)
     }
 
-    /// Run the distributed column sort across every shard: `n` PEs,
-    /// one key each.
+    /// [`run`](Self::run) of [`DistAlg::Sort`].
     pub fn run_sort(&self, n: usize, seed: u64) -> io::Result<DistOutcome> {
-        self.run_dist(DistAlg::Sort, n, 0, seed)
+        self.run(DistAlg::Sort, n, 0, seed)
     }
 
     /// The merged fleet Prometheus view: every shard's exposition with a
@@ -391,8 +379,7 @@ impl Router {
         }
         for (i, text) in texts.iter().enumerate() {
             let shard = i.to_string();
-            let samples = mo_obs::prom::parse(text)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+            let samples = mo_obs::prom::parse(text).map_err(invalid)?;
             for s in &samples {
                 let mut labels: Vec<(&str, &str)> = vec![("shard", &shard)];
                 labels.extend(s.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())));
@@ -424,15 +411,6 @@ impl Router {
     }
 }
 
-/// The error for a control message other than the one the protocol
-/// allows next.
-fn unexpected(what: &str, got: &Ctl) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("expected {what}, got {got:?}"),
-    )
-}
-
 /// Merge per-shard results into the machine-wide outcome.
 fn assemble(
     alg: DistAlg,
@@ -442,18 +420,14 @@ fn assemble(
     dones: Vec<DistDone>,
     job: u64,
 ) -> io::Result<DistOutcome> {
-    let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let supersteps = dones[0].supersteps;
     if dones.iter().any(|d| d.supersteps != supersteps) {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "superstep counts diverged: {:?}",
             dones.iter().map(|d| d.supersteps).collect::<Vec<_>>()
         )));
     }
-    let n_pes = match alg {
-        DistAlg::Ngep => (n / kappa) * (n / kappa),
-        DistAlg::Sort => n,
-    };
+    let (n_pes, keep) = alg.shape(n, kappa);
     let part = Partition::new(n_pes, workers);
     // Per-PE output words, assembled from owned ranges.
     let mut pe_mem: Vec<&[u64]> = vec![&[]; n_pes];
@@ -461,34 +435,18 @@ fn assemble(
         let range = part.range(w);
         if (d.lo as usize, d.hi as usize) != (range.start, range.end) || d.mems.len() != range.len()
         {
-            return Err(bad(format!("worker {w} returned a foreign PE range")));
+            return Err(invalid(format!("worker {w} returned a foreign PE range")));
+        }
+        if d.mems.iter().any(|m| m.len() != keep) {
+            return Err(invalid(format!(
+                "worker {w} returned PE memories that are not {keep} words"
+            )));
         }
         for (i, mem) in d.mems.iter().enumerate() {
             pe_mem[range.start + i] = mem;
         }
     }
-    let output: Vec<u64> = match alg {
-        DistAlg::Sort => pe_mem
-            .iter()
-            .map(|m| m.first().copied().unwrap_or_default())
-            .collect(),
-        DistAlg::Ngep => {
-            // Morton blocks back to row-major element order.
-            let nb = n / kappa;
-            let mut out = vec![0u64; n * n];
-            for bi in 0..nb {
-                for bj in 0..nb {
-                    let block = pe_mem[no_framework::algs::ngep::morton(bi, bj)];
-                    for i in 0..kappa {
-                        for j in 0..kappa {
-                            out[(bi * kappa + i) * n + bj * kappa + j] = block[i * kappa + j];
-                        }
-                    }
-                }
-            }
-            out
-        }
-    };
+    let output = alg.gather(n, kappa, |pe| pe_mem[pe]);
     // Merge traffic rows: shards hold disjoint src ranges, so the
     // machine-wide sorted row list is the sorted concatenation.
     let mut signature: Vec<Vec<Msg>> = vec![Vec::new(); supersteps as usize];
@@ -515,7 +473,7 @@ fn assemble(
     // their level stamp and receivers validate it, so a mismatch means
     // a lost or double-counted frame).
     if socket_words_per_level != recv_words_per_level {
-        return Err(bad(format!(
+        return Err(invalid(format!(
             "send/recv word conservation violated: sent {socket_words_per_level:?}, \
              delivered {recv_words_per_level:?}"
         )));

@@ -40,8 +40,8 @@ pub struct LevelRow {
 
 /// Build the per-level measured-vs-analytic table for one fleet run.
 ///
-/// `n_pes` is the run's PE count (`DistOutcome` does not carry it: `n`
-/// keys for sort, `(n/κ)²` blocks for N-GEP).
+/// `n_pes` is the run's PE count, [`DistAlg::shape`](crate::DistAlg::shape)`.0`
+/// (`DistOutcome` does not carry it).
 pub fn level_table(outcome: &DistOutcome, n_pes: usize, workers: usize) -> Vec<LevelRow> {
     let levels = num_levels(workers).max(1);
     let part = Partition::new(n_pes, workers);

@@ -18,7 +18,7 @@
 //! shard's admission decisions, queueing, and shedding are exactly the
 //! single-process service's. Fleet jobs build a fresh [`SocketComm`]
 //! over the long-lived mesh and run the *same* `no-framework` driver
-//! the simulator runs.
+//! the simulator runs ([`DistAlg::run`]).
 
 use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
@@ -27,11 +27,10 @@ use std::time::Duration;
 
 use mo_obs::{EventKind, TraceSink};
 use mo_serve::{HwHierarchy, JobSpec, Kernel, Outcome, Rejected, ServeConfig, Server};
-use no_framework::algs::{ngep, sort};
 
+use crate::alg::DistAlg;
 use crate::comm::{Link, SocketComm};
-use crate::data;
-use crate::frame::{recv_ctl, send_ctl, Ctl, DistAlg, DistDone, WireEvent};
+use crate::frame::{invalid, recv_ctl, send_ctl, unexpected, Ctl, DistDone};
 use crate::topology::{num_levels, Partition};
 
 /// The fault bound on the data mesh: no single read or write on a peer
@@ -179,10 +178,7 @@ pub fn establish_mesh(
         let mut s = BufReader::new(s);
         let who = crate::frame::Dec::recv(&mut s)?.u32()? as usize;
         if who <= index || who >= workers || peers[who].is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected mesh hello from worker {who}"),
-            ));
+            return Err(invalid(format!("unexpected mesh hello from worker {who}")));
         }
         peers[who] = Some(s);
     }
@@ -216,10 +212,7 @@ fn run_dist_job(
             "data mesh is down after an earlier failed run",
         ));
     }
-    let (n_pes, keep) = match alg {
-        DistAlg::Ngep => ((n / kappa) * (n / kappa), kappa * kappa),
-        DistAlg::Sort => (n, 1),
-    };
+    let (n_pes, keep) = alg.shape(n, kappa);
     let part = Partition::new(n_pes, peers.len());
     if let Some(sink) = sink {
         sink.emit(
@@ -234,24 +227,7 @@ fn run_dist_job(
     if let Some(sink) = sink {
         comm = comm.with_trace(Arc::clone(sink), job);
     }
-    match alg {
-        DistAlg::Ngep => {
-            let input = data::ngep_input(n, seed);
-            ngep::ngep_program_on(
-                &mut comm,
-                &input,
-                n,
-                kappa,
-                data::fw_update,
-                ngep::UpdateSet::All,
-                ngep::DOrder::DStar,
-            );
-        }
-        DistAlg::Sort => {
-            let input = data::sort_input(n, seed);
-            sort::sort_program(&mut comm, &input);
-        }
-    }
+    alg.run(&mut comm, n, kappa, seed);
     let supersteps = comm.supersteps();
     if let Some(sink) = sink {
         sink.emit(None, EventKind::DistJobEnd, job, supersteps as u64, 0);
@@ -283,22 +259,14 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
     )?;
     let addrs = match recv_ctl(&mut ctrl)? {
         Ctl::PeerTable { addrs } => addrs,
-        other => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected PeerTable, got {other:?}"),
-            ))
-        }
+        other => return Err(unexpected("PeerTable", &other)),
     };
     if addrs.len() != cfg.workers {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "peer table names {} workers, expected {}",
-                addrs.len(),
-                cfg.workers
-            ),
-        ));
+        return Err(invalid(format!(
+            "peer table names {} workers, expected {}",
+            addrs.len(),
+            cfg.workers
+        )));
     }
     let mut peers = establish_mesh(cfg.index, &addrs, &data_listener, MESH_IO_TIMEOUT)?;
     // The dist trace sink: everything on this worker lands in the
@@ -403,14 +371,7 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
             Ctl::CollectTrace => {
                 let (dropped, events) = match &sink {
                     None => (0, Vec::new()),
-                    Some(s) => {
-                        let evs: Vec<WireEvent> = s
-                            .drain()
-                            .into_iter()
-                            .map(|e| (e.ts_ns, e.kind as u8, e.a, e.b, e.c))
-                            .collect();
-                        (s.dropped(), evs)
-                    }
+                    Some(s) => (s.dropped(), s.drain()),
                 };
                 stats.trace_dropped = dropped;
                 send_ctl(&mut ctrl, &Ctl::TraceData { dropped, events })?;
@@ -424,12 +385,7 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
                 send_ctl(&mut ctrl, &Ctl::MetricsText { text })?;
             }
             Ctl::Shutdown => break,
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected control message {other:?}"),
-                ))
-            }
+            other => return Err(invalid(format!("unexpected control message {other:?}"))),
         }
     }
     Ok(())

@@ -5,15 +5,10 @@
 //! signatures — the machine-level statement that the socket tier
 //! changed the transport and nothing else.
 
-use mo_dist::{DistOutcome, LocalFleet};
+use mo_dist::{DistAlg, DistOutcome, LocalFleet};
 use mo_serve::HwHierarchy;
-use no_framework::algs::{ngep, sort};
-use no_framework::NoMachine;
 
 const WORKERS: usize = 4;
-
-/// Per-superstep sorted `(src, dst, words)` rows.
-type Signature = Vec<Vec<(u32, u32, u64)>>;
 
 fn fleet() -> LocalFleet {
     LocalFleet::spawn_with(WORKERS, |cfg| {
@@ -22,70 +17,29 @@ fn fleet() -> LocalFleet {
     .expect("spawn local fleet")
 }
 
-/// The simulator reference for the distributed sort: output keys and
-/// traffic signature from the identical driver.
-fn sim_sort(input: &[u64]) -> (Vec<u64>, Signature, usize) {
-    let mut m = NoMachine::new(input.len());
-    sort::sort_program(&mut m, input);
-    let out = (0..input.len()).map(|pe| m.mem(pe)[0]).collect();
-    (out, m.traffic_signature(), m.supersteps())
-}
-
-/// The simulator reference for the distributed N-GEP: row-major `f64`
-/// bit patterns assembled from Morton blocks exactly as the router
-/// assembles the fleet's.
-fn sim_ngep(n: usize, kappa: usize, seed: u64) -> (Vec<u64>, Signature, usize) {
-    let input = mo_dist::data::ngep_input(n, seed);
-    let nb = n / kappa;
-    let mut m = NoMachine::new(nb * nb);
-    ngep::ngep_program_on(
-        &mut m,
-        &input,
-        n,
-        kappa,
-        mo_dist::data::fw_update,
-        ngep::UpdateSet::All,
-        ngep::DOrder::DStar,
+/// Run `alg` on the fleet and on `NoMachine` and require every check of
+/// `DistOutcome::mismatches` to hold: output words, checksum, superstep
+/// count, the per-superstep signature, fleet-wide send == recv per
+/// cluster level (mirrors serve's submitted ≥ completed + shed
+/// accounting), and wire words equal to the signature-implied ones.
+/// Returns the fleet's outcome and the simulator's output.
+fn assert_fleet_matches_simulator(
+    fleet: &LocalFleet,
+    alg: DistAlg,
+    n: usize,
+    kappa: usize,
+    seed: u64,
+) -> (DistOutcome, Vec<u64>) {
+    let (sim, want) = alg.reference(n, kappa, seed);
+    let got = fleet.router().run(alg, n, kappa, seed).expect("fleet run");
+    let problems = got.mismatches(&sim, &want);
+    assert!(
+        problems.is_empty(),
+        "{} n={n} kappa={kappa} on {} workers: {problems:?}",
+        alg.name(),
+        fleet.router().workers()
     );
-    let mut out = vec![0u64; n * n];
-    for bi in 0..nb {
-        for bj in 0..nb {
-            let block = m.mem(ngep::morton(bi, bj));
-            for i in 0..kappa {
-                for j in 0..kappa {
-                    out[(bi * kappa + i) * n + bj * kappa + j] = block[i * kappa + j];
-                }
-            }
-        }
-    }
-    (out, m.traffic_signature(), m.supersteps())
-}
-
-fn assert_outcome_matches(
-    label: &str,
-    got: &DistOutcome,
-    out: &[u64],
-    sig: &[Vec<(u32, u32, u64)>],
-    supersteps: usize,
-) {
-    assert_eq!(got.supersteps, supersteps, "{label}: superstep count");
-    assert_eq!(got.output, out, "{label}: output words");
-    assert_eq!(
-        got.checksum,
-        mo_dist::data::checksum_words(out.iter().copied()),
-        "{label}: checksum"
-    );
-    assert_eq!(got.signature.len(), sig.len(), "{label}: signature length");
-    for (s, (a, b)) in got.signature.iter().zip(sig).enumerate() {
-        assert_eq!(a, b, "{label}: traffic rows diverge at superstep {s}");
-    }
-    // Conservation invariant: every word framed to a cluster level was
-    // delivered from that level somewhere in the fleet (mirrors serve's
-    // submitted ≥ completed + shed accounting).
-    assert_eq!(
-        got.socket_words_per_level, got.recv_words_per_level,
-        "{label}: fleet-wide send/recv word totals must match per level"
-    );
+    (got, want)
 }
 
 /// Satellite: NO sort over sockets is bit-identical to the simulator —
@@ -94,15 +48,11 @@ fn assert_outcome_matches(
 fn sort_socket_matches_simulator_at_three_sizes() {
     let fleet = fleet();
     for (n, seed) in [(16usize, 11u64), (64, 12), (256, 13)] {
-        let input = mo_dist::data::sort_input(n, seed);
-        let (out, sig, steps) = sim_sort(&input);
+        let (_, out) = assert_fleet_matches_simulator(&fleet, DistAlg::Sort, n, 0, seed);
         // The kernel really sorts (independent ground truth).
-        let mut expect = input.clone();
+        let mut expect = mo_dist::data::sort_input(n, seed);
         expect.sort_unstable();
         assert_eq!(out, expect, "simulator output is not sorted (n={n})");
-
-        let got = fleet.router().run_sort(n, seed).expect("fleet sort");
-        assert_outcome_matches(&format!("sort n={n}"), &got, &out, &sig, steps);
     }
     fleet.shutdown().expect("clean shutdown");
 }
@@ -113,15 +63,7 @@ fn sort_socket_matches_simulator_at_three_sizes() {
 fn ngep_socket_matches_simulator_at_three_sizes() {
     let fleet = fleet();
     for (n, kappa, seed) in [(8usize, 2usize, 21u64), (16, 4, 22), (16, 2, 23)] {
-        let (out, sig, steps) = sim_ngep(n, kappa, seed);
-        let got = fleet.router().run_ngep(n, kappa, seed).expect("fleet ngep");
-        assert_outcome_matches(
-            &format!("ngep n={n} kappa={kappa}"),
-            &got,
-            &out,
-            &sig,
-            steps,
-        );
+        assert_fleet_matches_simulator(&fleet, DistAlg::Ngep, n, kappa, seed);
     }
     fleet.shutdown().expect("clean shutdown");
 }
@@ -236,21 +178,16 @@ fn w8_fleet_matches_simulator_bit_for_bit() {
     })
     .expect("spawn 8-worker fleet");
     for (n, seed) in [(1024usize, 31u64), (4096, 32)] {
-        let input = mo_dist::data::sort_input(n, seed);
-        let (out, sig, steps) = sim_sort(&input);
-        let got = fleet.router().run_sort(n, seed).expect("fleet sort");
-        assert_outcome_matches(&format!("W=8 sort n={n}"), &got, &out, &sig, steps);
+        let (got, _) = assert_fleet_matches_simulator(&fleet, DistAlg::Sort, n, 0, seed);
         assert_eq!(got.socket_words_per_level.len(), 3, "W=8 has three levels");
-        let fleet_wide = (steps * 7) as u64;
+        let fleet_wide = (got.supersteps * 7) as u64;
         assert!(
             got.exchange_rounds.iter().all(|&r| r < fleet_wide / 3),
             "n={n}: {:?} rounds per worker, fleet-wide exchange would be {fleet_wide}",
             got.exchange_rounds
         );
     }
-    let (out, sig, steps) = sim_ngep(128, 32, 33);
-    let got = fleet.router().run_ngep(128, 32, 33).expect("fleet ngep");
-    assert_outcome_matches("W=8 ngep 128/32", &got, &out, &sig, steps);
+    assert_fleet_matches_simulator(&fleet, DistAlg::Ngep, 128, 32, 33);
     fleet.shutdown().expect("clean shutdown");
 }
 

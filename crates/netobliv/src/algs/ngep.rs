@@ -468,8 +468,7 @@ impl CallExt for Call {
 }
 
 /// Morton (bit-interleaved) index of block `(bi, bj)` — the PE owning
-/// that `κ × κ` block. Public so distributed backends can assemble a
-/// full matrix from per-PE block memories.
+/// that `κ × κ` block.
 pub fn morton(bi: usize, bj: usize) -> usize {
     let mut z = 0usize;
     for bit in 0..usize::BITS as usize / 2 {
@@ -500,21 +499,31 @@ fn load_blocks<C: Comm>(m: &mut C, data: &[f64], n: usize, kappa: usize, off: us
     }
 }
 
-fn store_blocks(m: &NoMachine, n: usize, kappa: usize) -> Vec<f64> {
+/// The inverse of the block distribution: the row-major `n × n` words
+/// whose `κ × κ` block `(bi, bj)` is the first `κ²` words of
+/// `pe_mem(`[`morton`]`(bi, bj))`. The one output gather of every
+/// backend — `NoMachine` here, a socket fleet's assembled PE memories in
+/// `mo-dist`.
+pub fn gather_blocks<'a>(n: usize, kappa: usize, pe_mem: impl Fn(usize) -> &'a [u64]) -> Vec<u64> {
     let nb = n / kappa;
-    let mut out = vec![0.0f64; n * n];
+    let mut out = vec![0u64; n * n];
     for bi in 0..nb {
         for bj in 0..nb {
-            let pe = morton(bi, bj);
+            let block = pe_mem(morton(bi, bj));
             for i in 0..kappa {
-                for j in 0..kappa {
-                    out[(bi * kappa + i) * n + bj * kappa + j] =
-                        f64::from_bits(m.mem(pe)[i * kappa + j]);
-                }
+                let row = (bi * kappa + i) * n + bj * kappa;
+                out[row..row + kappa].copy_from_slice(&block[i * kappa..(i + 1) * kappa]);
             }
         }
     }
     out
+}
+
+fn store_blocks(m: &NoMachine, n: usize, kappa: usize) -> Vec<f64> {
+    gather_blocks(n, kappa, |pe| m.mem(pe))
+        .into_iter()
+        .map(f64::from_bits)
+        .collect()
 }
 
 fn frame_words(npes: usize, bsz: usize) -> usize {
@@ -526,9 +535,10 @@ fn frame_words(npes: usize, bsz: usize) -> usize {
 /// Run the full N-GEP computation `𝒜(x, x, x, x)` on an arbitrary
 /// [`Comm`] backend with `(n/κ)²` PEs, the matrix distributed in
 /// `κ × κ` Morton-ordered blocks. Loads the input into owned PEs and
-/// executes every superstep; output collection is the caller's (each
-/// owned PE's first `κ²` memory words are its finished block, in
-/// row-major order, at the PE index [`morton`]`(bi, bj)`).
+/// executes every superstep; output collection is the caller's, through
+/// [`gather_blocks`] (each owned PE's first `κ²` memory words are its
+/// finished block, in row-major order, at the PE index
+/// [`morton`]`(bi, bj)`).
 pub fn ngep_program_on<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy>(
     m: &mut C,
     data: &[f64],

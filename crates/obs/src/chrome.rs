@@ -243,7 +243,10 @@ fn level_str(level: u64) -> String {
 
 /// Structural sanity check used by tests and `obs_report --smoke`:
 /// the document has the expected envelope, every `B` has a matching
-/// `E` on the same track, and braces/brackets balance outside strings.
+/// `E` of the same name on the same track — the `(pid, tid)` pair, so
+/// an open slice on one fleet worker's process track cannot be closed
+/// by an orphan end on another's — and braces/brackets balance outside
+/// strings.
 pub fn validate(json: &str) -> Result<(), String> {
     if !json.starts_with(ENVELOPE_HEAD) || !json.ends_with("]}") {
         return Err("missing traceEvents envelope".into());
@@ -274,22 +277,24 @@ pub fn validate(json: &str) -> Result<(), String> {
     if depth_brace != 0 || depth_bracket != 0 || in_str {
         return Err("unterminated document".into());
     }
-    // Per-track B/E balance.
-    let mut opens: std::collections::HashMap<(String, String), i64> =
-        std::collections::HashMap::new();
+    // Per-track, per-name B/E balance.
+    let mut opens: BTreeMap<(&str, &str, &str), i64> = BTreeMap::new();
     for obj in json.split("{\"name\":").skip(1) {
-        let name = obj.split('"').nth(1).unwrap_or("").to_string();
+        let name = obj.split('"').nth(1).unwrap_or("");
         let ph = obj
             .split("\"ph\":\"")
             .nth(1)
             .and_then(|s| s.chars().next())
             .unwrap_or('?');
-        let tid = obj
-            .split("\"tid\":")
-            .nth(1)
-            .map(|s| s.chars().take_while(|c| c.is_ascii_digit()).collect())
-            .unwrap_or_default();
-        let slot = opens.entry((name, tid)).or_insert(0);
+        let field = |key: &str| {
+            obj.split(key).nth(1).map_or("", |s| {
+                let digits = s.bytes().take_while(u8::is_ascii_digit).count();
+                &s[..digits]
+            })
+        };
+        let slot = opens
+            .entry((field("\"pid\":"), field("\"tid\":"), name))
+            .or_insert(0);
         match ph {
             'B' => *slot += 1,
             'E' => {
@@ -415,5 +420,79 @@ mod tests {
             "unclosed B slice on a track".to_string()
         );
         assert!(validate("{\"traceEvents\":[]}").is_err());
+    }
+
+    /// A fleet document has one process track per worker, every one at
+    /// `tid` 0: an open superstep on worker 1 and an orphan end on
+    /// worker 2 are two faults, not a balanced pair.
+    #[test]
+    fn validator_keys_the_balance_by_process_track() {
+        let doc = |pid_end: u32| {
+            format!(
+                "{ENVELOPE_HEAD}\
+                 {{\"name\":\"superstep\",\"ph\":\"B\",\"pid\":1,\"tid\":0,\"ts\":0.000}},\
+                 {{\"name\":\"superstep\",\"ph\":\"E\",\"pid\":{pid_end},\"tid\":0,\"ts\":0.010}}]}}"
+            )
+        };
+        validate(&doc(1)).unwrap();
+        assert_eq!(
+            validate(&doc(2)).unwrap_err(),
+            "E without matching B on a track"
+        );
+    }
+
+    /// An unbalanced random stream: kinds from every `EventKind`, on a
+    /// few tracks, in time order.
+    fn random_stream(rng: &mut crate::prom::tests::Rng, workers: &[u32]) -> Vec<Event> {
+        let mut ts = 0;
+        (0..rng.below(40))
+            .map(|_| {
+                ts += rng.below(500);
+                let kind = EventKind::ALL[rng.below(EventKind::ALL.len() as u64) as usize];
+                let worker = workers[rng.below(workers.len() as u64) as usize];
+                let (a, b, c) = (rng.below(8), rng.below(1 << 12), rng.below(300));
+                ev(ts, kind, worker, a, b, c)
+            })
+            .collect()
+    }
+
+    /// The two renderers never write a document the validator refuses,
+    /// and the validator refuses every strict prefix of one and every
+    /// copy with one `E` object removed.
+    #[test]
+    fn random_streams_render_valid_documents_and_damage_is_refused() {
+        let mut rng = crate::prom::tests::Rng(0xc4_0e);
+        for case in 0..300 {
+            let json = if case % 2 == 0 {
+                to_chrome_json(&random_stream(&mut rng, &[0, 1, 2, WORKER_EXTERNAL]))
+            } else {
+                let streams: Vec<_> = (0..1 + rng.below(3) as u32)
+                    .map(|w| crate::fleet::WorkerStream {
+                        worker: w,
+                        offset_ns: rng.below(2_000) as i64 - 1_000,
+                        rtt_ns: 0,
+                        dropped: 0,
+                        events: random_stream(&mut rng, &[WORKER_EXTERNAL]),
+                    })
+                    .collect();
+                crate::fleet::to_chrome_json(&streams)
+            };
+            validate(&json).unwrap_or_else(|e| panic!("case {case}: {e}\n{json}"));
+            for cut in 0..json.len() {
+                assert!(validate(&json[..cut]).is_err(), "case {case}: prefix {cut}");
+            }
+            for (at, _) in json.match_indices("\"ph\":\"E\"") {
+                let start = json[..at]
+                    .rfind(",{\"name\":")
+                    .expect("an E is never first");
+                let end = at + json[at..].find('}').expect("object closes") + 1;
+                let cut = format!("{}{}", &json[..start], &json[end..]);
+                assert!(
+                    validate(&cut).is_err(),
+                    "case {case}: removing {} validates",
+                    &json[start + 1..end]
+                );
+            }
+        }
     }
 }

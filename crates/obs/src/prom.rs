@@ -352,7 +352,7 @@ pub fn check_histograms(samples: &[Sample]) -> Result<usize, String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -411,11 +411,11 @@ mod tests {
         assert_eq!(samples[0].value, 3.0);
     }
 
-    /// SplitMix64: the seeded stream behind the property test.
-    struct Rng(u64);
+    /// SplitMix64: the seeded stream behind the crate's property tests.
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -423,7 +423,7 @@ mod tests {
             z ^ (z >> 31)
         }
 
-        fn below(&mut self, n: u64) -> u64 {
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
             self.next() % n
         }
 

@@ -4,27 +4,26 @@
 //! The paper's headline metric is *cache complexity* — block transfers
 //! into each level-`i` cache — but the live runtime (unlike the
 //! simulator) does not see its own memory traffic. This module closes
-//! that loop with two backends behind one measurement trait:
+//! that loop with two backends that produce one measurement type:
 //!
 //! * a **Linux `perf_event_open` backend** ([`PerfWitness`]) that reads
 //!   hardware L1D-miss / LLC-miss / instruction counters per thread,
 //!   scoped around task enter/exit so counts attribute to the task
 //!   (and hence the SB anchor level) that incurred them; the deltas
-//!   land in the trace as [`EventKind::CacheWitness`] events;
-//! * a **portable simulator backend** ([`ReplayWitness`]) that replays
-//!   the recorded access trace through the `hm` LRU cache simulator
-//!   against the detected host topology, so CI containers without perf
-//!   access still produce per-level transfer counts.
+//!   land in the trace as [`EventKind::CacheWitness`] events, and
+//!   [`WitnessMeasurement::from_trace`] rolls a kernel's drained trace
+//!   up into levels;
+//! * a **portable simulator backend** (`obs_report`'s sim rows) that
+//!   replays the recorded access trace through the `hm` LRU cache
+//!   simulator against the detected host topology, so CI containers
+//!   without perf access still produce per-level transfer counts.
 //!
 //! Both produce a [`WitnessMeasurement`]: per-level transfer counts
 //! tagged with the backend that measured them, which `obs_report`
 //! compares against the analytic `Q_i` bounds and `mo-serve` exports
-//! as `cache_transfers_total{level,backend}`.
-//!
-//! Two traits, two granularities: [`TaskWitness`] is the *scoping*
-//! surface the runtime drives around every task (implemented by
-//! [`PerfWitness`]); [`CacheWitness`] is the *measurement* surface a
-//! report drives once per kernel run (implemented by both backends).
+//! as `cache_transfers_total{level,backend}`. [`TaskWitness`] is the
+//! *scoping* surface the runtime drives around every task (implemented
+//! by [`PerfWitness`]).
 
 pub mod perf;
 
@@ -158,86 +157,15 @@ impl WitnessMeasurement {
             .find(|l| l.level == level)
             .map(|l| l.transfers)
     }
-}
 
-/// The kernel-level measurement surface: one backend, one
-/// [`measure`](Self::measure) per kernel run.
-pub trait CacheWitness {
-    /// Which backend this is.
-    fn backend(&self) -> WitnessBackend;
-    /// Run the kernel (or its replay) and report per-level transfers.
-    fn measure(&mut self) -> Result<WitnessMeasurement, String>;
-}
-
-/// The simulator backend: a closure replays the kernel's recorded
-/// access trace through the `hm` LRU simulator (which lives upstream of
-/// this crate, hence the injection) and returns per-level transfers
-/// plus a provenance string.
-pub struct ReplayWitness<F> {
-    replay: F,
-}
-
-impl<F> ReplayWitness<F>
-where
-    F: FnMut() -> Result<(Vec<LevelTransfers>, String), String>,
-{
-    /// Wrap a replay closure.
-    pub fn new(replay: F) -> Self {
-        Self { replay }
-    }
-}
-
-impl<F> CacheWitness for ReplayWitness<F>
-where
-    F: FnMut() -> Result<(Vec<LevelTransfers>, String), String>,
-{
-    fn backend(&self) -> WitnessBackend {
-        WitnessBackend::Sim
-    }
-
-    fn measure(&mut self) -> Result<WitnessMeasurement, String> {
-        let (levels, detail) = (self.replay)()?;
-        Ok(WitnessMeasurement {
-            backend: WitnessBackend::Sim,
-            levels,
-            instructions: None,
-            detail,
-        })
-    }
-}
-
-/// The hardware backend at kernel granularity: a closure runs the
-/// kernel on a pool with a [`PerfWitness`] attached and returns the
-/// drained trace; the measurement is the aggregate of its
-/// [`EventKind::CacheWitness`] deltas. L1D misses map to level 1 and
-/// LLC misses to `last_level` (the hardware sees nothing in between).
-pub struct TracedRunWitness<F> {
-    last_level: usize,
-    run: F,
-}
-
-impl<F> TracedRunWitness<F>
-where
-    F: FnMut() -> Result<Vec<Event>, String>,
-{
-    /// Wrap a traced-run closure; `last_level` is the 1-based number of
-    /// the outermost cache level LLC misses count transfers into.
-    pub fn new(last_level: usize, run: F) -> Self {
-        Self { last_level, run }
-    }
-}
-
-impl<F> CacheWitness for TracedRunWitness<F>
-where
-    F: FnMut() -> Result<Vec<Event>, String>,
-{
-    fn backend(&self) -> WitnessBackend {
-        WitnessBackend::Perf
-    }
-
-    fn measure(&mut self) -> Result<WitnessMeasurement, String> {
-        let events = (self.run)()?;
-        let t = totals(&events);
+    /// The perf backend's kernel-level measurement: the aggregate of a
+    /// drained trace's [`EventKind::CacheWitness`] deltas. L1D misses
+    /// map to level 1 and LLC misses to `last_level`, the 1-based number
+    /// of the outermost cache level (the hardware sees nothing in
+    /// between). A trace without witness events is an error, not a
+    /// zero measurement.
+    pub fn from_trace(events: &[Event], last_level: usize) -> Result<Self, String> {
+        let t = totals(events);
         if t.events == 0 {
             return Err("trace carried no cache-witness events".into());
         }
@@ -245,13 +173,13 @@ where
             level: 1,
             transfers: t.counts[CTR_L1D_MISS as usize],
         }];
-        if self.last_level > 1 {
+        if last_level > 1 {
             levels.push(LevelTransfers {
-                level: self.last_level,
+                level: last_level,
                 transfers: t.counts[CTR_LLC_MISS as usize],
             });
         }
-        Ok(WitnessMeasurement {
+        Ok(Self {
             backend: WitnessBackend::Perf,
             levels,
             instructions: Some(t.counts[CTR_INSTRUCTIONS as usize]),
@@ -368,46 +296,20 @@ mod tests {
     }
 
     #[test]
-    fn replay_witness_reports_sim_backend() {
-        let mut w = ReplayWitness::new(|| {
-            Ok((
-                vec![
-                    LevelTransfers {
-                        level: 1,
-                        transfers: 100,
-                    },
-                    LevelTransfers {
-                        level: 2,
-                        transfers: 20,
-                    },
-                ],
-                "3-level host map".to_string(),
-            ))
-        });
-        assert_eq!(w.backend(), WitnessBackend::Sim);
-        let m = w.measure().unwrap();
-        assert_eq!(m.backend, WitnessBackend::Sim);
-        assert_eq!(m.transfers_at(1), Some(100));
-        assert_eq!(m.transfers_at(2), Some(20));
-        assert_eq!(m.transfers_at(3), None);
-        assert_eq!(m.instructions, None);
-    }
-
-    #[test]
-    fn traced_run_witness_maps_counters_to_levels() {
+    fn from_trace_maps_counters_to_levels() {
         let evs = vec![
             wev(CTR_L1D_MISS, 40),
             wev(CTR_LLC_MISS, 4),
             wev(CTR_INSTRUCTIONS, 9000),
         ];
-        let mut w = TracedRunWitness::new(3, move || Ok(evs.clone()));
-        assert_eq!(w.backend(), WitnessBackend::Perf);
-        let m = w.measure().unwrap();
+        let m = WitnessMeasurement::from_trace(&evs, 3).unwrap();
+        assert_eq!(m.backend, WitnessBackend::Perf);
         assert_eq!(m.transfers_at(1), Some(40));
         assert_eq!(m.transfers_at(2), None);
         assert_eq!(m.transfers_at(3), Some(4));
         assert_eq!(m.instructions, Some(9000));
-        let mut empty = TracedRunWitness::new(3, || Ok(Vec::new()));
-        assert!(empty.measure().is_err());
+        let l1_only = WitnessMeasurement::from_trace(&evs, 1).unwrap();
+        assert_eq!(l1_only.levels.len(), 1);
+        assert!(WitnessMeasurement::from_trace(&[], 3).is_err());
     }
 }
