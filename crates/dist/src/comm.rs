@@ -42,7 +42,7 @@ use std::sync::Arc;
 use mo_obs::{pack_step_level, EventKind, TraceSink};
 use no_framework::{Comm, Engine, Pe, Scope};
 
-use crate::frame::{decode_data, invalid, read_frame, DistDone, Enc};
+use crate::frame::{decode_runs, invalid, read_frame, DistDone, Enc};
 use crate::topology::{num_levels, pair_level, Partition};
 
 /// One duplex mesh stream: reads go through a buffer that lives as long
@@ -149,10 +149,9 @@ impl<'a> SocketComm<'a> {
     /// Frame `peer_buf(peer)` to `peer` in one write.
     fn send_frame(&mut self, peer: usize, superstep: u32, level: u8) -> io::Result<()> {
         let out = self.engine.peer_buf(peer);
-        let words = out.len() as u64;
+        let words = out.words.len() as u64;
         self.wire.clear();
-        self.wire.data(superstep, level, out);
-        out.clear();
+        self.wire.runs(superstep, level, out);
         let stream = self.peers[peer].as_mut().expect("mesh stream missing");
         self.wire.send(stream.get_mut())?;
         self.socket_words_per_level[level as usize] += words;
@@ -194,8 +193,11 @@ impl<'a> SocketComm<'a> {
             self.recv_frame(peer, superstep, level)?;
             self.send_frame(peer, superstep, level)?;
         }
+        // The decoder replaces what was sent with what arrived, and
+        // holds the frame to its own shape: exact length, sources
+        // ascending, no empty run, lengths summing to the word count.
         let incoming = self.engine.peer_buf(peer);
-        let (step, got_level) = decode_data(&self.rbuf, incoming)?;
+        let (step, got_level) = decode_runs(&self.rbuf, incoming)?;
         if (step, got_level) != (superstep, level) {
             return Err(invalid(format!(
                 "frame stamped superstep {step} level {got_level}, \
@@ -206,14 +208,13 @@ impl<'a> SocketComm<'a> {
         // would index out of the inboxes or break the delivery order.
         let (theirs, ours) = (self.part.range(peer), self.part.range(self.me));
         if let Some(&(src, dst, _)) = incoming
+            .heads
             .iter()
-            .find(|m| !theirs.contains(&(m.0 as usize)) || !ours.contains(&(m.1 as usize)))
+            .find(|h| !theirs.contains(&(h.0 as usize)) || !ours.contains(&(h.1 as usize)))
         {
-            return Err(invalid(format!(
-                "frame carries foreign message {src} → {dst}"
-            )));
+            return Err(invalid(format!("frame carries foreign run {src} → {dst}")));
         }
-        let words = incoming.len() as u64;
+        let words = incoming.words.len() as u64;
         self.recv_words_per_level[level as usize] += words;
         self.exchange_rounds += 1;
         self.emit(

@@ -4,14 +4,19 @@
 //! `u32` byte length followed by that many payload bytes:
 //!
 //! * **Data frames** (worker ↔ worker, one per peer per superstep):
-//!   `[u32 superstep][u8 level][u32 count]` then `count` messages of
-//!   `[u32 src_pe][u32 dst_pe][u64 word]`. The `level` byte is the
-//!   D-BSP cluster level of the worker pair (`log₂ W − ⌈log₂ (a⊕b)⌉`-ish;
-//!   see [`crate::topology::pair_level`]): the recursive-subnetwork
+//!   `[u32 superstep][u8 level][u32 runs][u32 words]`, then `runs` run
+//!   heads `[u32 src_pe][u32 dst_pe][u32 len]`, then the `words` words
+//!   (`u64` each) of every run back to back, in head order — the
+//!   engine's [`Runs`] buffer as it is, so a routed word costs 8 bytes
+//!   and a block one 12-byte head. Heads are sorted by source and no
+//!   run is empty. The `level` byte is the D-BSP cluster level of the
+//!   worker pair (`log₂ W − ⌈log₂ (a⊕b)⌉`-ish; see
+//!   [`crate::topology::pair_level`]): the recursive-subnetwork
 //!   structure is stamped on every frame and validated by the
-//!   receiver. An empty frame (`count == 0`) carries only the
+//!   receiver. An empty frame (`runs == 0`) carries only the
 //!   synchronisation: the pair shares a group of the superstep's scope
-//!   but has no words for each other.
+//!   but has no words for each other. [`send_data`] / [`recv_data`]
+//!   speak the same format in tagged `(src, dst, word)` form.
 //! * **Control messages** (router ↔ worker): a one-byte tag followed by
 //!   tag-specific fields, see [`Ctl`].
 //!
@@ -82,14 +87,39 @@ impl Enc {
         self
     }
 
-    /// Append one data-frame body: stamp, count, messages.
-    pub fn data(&mut self, superstep: u32, level: u8, msgs: &[Msg]) -> &mut Self {
-        self.u32(superstep).u8(level).u32(msgs.len() as u32);
-        self.buf.reserve(msgs.len() * MSG_BYTES);
-        for &(src, dst, word) in msgs {
-            self.u32(src).u32(dst).u64(word);
+    /// Append one data-frame body: stamp, counts, run heads, words.
+    pub fn runs(&mut self, superstep: u32, level: u8, runs: &Runs) -> &mut Self {
+        let (heads, words) = (&runs.heads, &runs.words);
+        self.u32(superstep)
+            .u8(level)
+            .u32(heads.len() as u32)
+            .u32(words.len() as u32);
+        let at = self.buf.len();
+        self.buf
+            .resize(at + heads.len() * HEAD_BYTES + words.len() * 8, 0);
+        let (head_bytes, word_bytes) = self.buf[at..].split_at_mut(heads.len() * HEAD_BYTES);
+        for (bytes, &(src, dst, len)) in head_bytes.chunks_exact_mut(HEAD_BYTES).zip(heads) {
+            bytes[..4].copy_from_slice(&src.to_le_bytes());
+            bytes[4..8].copy_from_slice(&dst.to_le_bytes());
+            bytes[8..].copy_from_slice(&(len as u32).to_le_bytes());
+        }
+        for (bytes, w) in word_bytes.chunks_exact_mut(8).zip(words) {
+            bytes.copy_from_slice(&w.to_le_bytes());
         }
         self
+    }
+
+    /// Append one data-frame body from tagged messages: consecutive
+    /// messages of one `(src, dst)` pair travel as one run.
+    pub fn data(&mut self, superstep: u32, level: u8, msgs: &[Msg]) -> &mut Self {
+        let mut runs = Runs {
+            heads: Vec::with_capacity(msgs.len()),
+            words: Vec::with_capacity(msgs.len()),
+        };
+        for &(src, dst, word) in msgs {
+            runs.push(src, dst, &[word]);
+        }
+        self.runs(superstep, level, &runs)
     }
 
     /// Write the frame — length prefix plus payload — to `w` in one
@@ -198,42 +228,99 @@ impl Dec {
     }
 }
 
-pub use no_framework::Msg;
+pub use no_framework::{Msg, Runs};
 
-/// Wire bytes of one message: `[u32 src][u32 dst][u64 word]`.
-const MSG_BYTES: usize = 16;
+/// Wire bytes of a data frame's fixed header:
+/// `[u32 superstep][u8 level][u32 runs][u32 words]`.
+const DATA_HEADER_BYTES: usize = 13;
 
-/// Send one superstep data frame (possibly empty).
+/// Wire bytes of one run head: `[u32 src][u32 dst][u32 len]`.
+const HEAD_BYTES: usize = 12;
+
+/// Wire bytes of one signature row: `[u32 src][u32 dst][u64 words]`.
+const ROW_BYTES: usize = 16;
+
+/// Send one superstep data frame (possibly empty) of tagged messages.
 pub fn send_data(w: &mut impl Write, superstep: u32, level: u8, msgs: &[Msg]) -> io::Result<()> {
     Enc::new().data(superstep, level, msgs).send(w)
 }
 
-/// Decode one data-frame payload, appending its messages to `msgs`;
+/// Decode one data-frame payload into `runs` (replacing its contents);
 /// returns the `(superstep, level)` stamp.
-pub fn decode_data(payload: &[u8], msgs: &mut Vec<Msg>) -> io::Result<(u32, u8)> {
+///
+/// The payload must be exactly the header, the heads and the words it
+/// announces; the heads' sources must not decrease (the receiver's
+/// inboxes are ordered by source), every run must carry a word, and
+/// the lengths must sum to the word count. A short payload is
+/// `UnexpectedEof`, every other violation `InvalidData`. Which PEs a
+/// head may name is the receiver's to check.
+pub fn decode_runs(payload: &[u8], runs: &mut Runs) -> io::Result<(u32, u8)> {
     let (head, body) = payload
-        .split_at_checked(9)
+        .split_at_checked(DATA_HEADER_BYTES)
         .ok_or_else(|| eof("data frame header"))?;
     let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4-byte field"));
-    let (superstep, level, count) = (word(&head[..4]), head[4], word(&head[5..]) as usize);
-    if body.len() != count.saturating_mul(MSG_BYTES) {
+    let (superstep, level) = (word(&head[..4]), head[4]);
+    let (nruns, nwords) = (word(&head[5..9]) as usize, word(&head[9..]) as usize);
+    let want = nruns as u64 * HEAD_BYTES as u64 + nwords as u64 * 8;
+    if body.len() as u64 != want {
         return Err(io::Error::new(
-            if body.len() < count.saturating_mul(MSG_BYTES) {
+            if (body.len() as u64) < want {
                 io::ErrorKind::UnexpectedEof
             } else {
                 io::ErrorKind::InvalidData
             },
             format!(
-                "data frame announces {count} messages, carries {} bytes",
+                "data frame announces {nruns} runs of {nwords} words, carries {} bytes",
                 body.len()
             ),
         ));
     }
-    msgs.extend(body.chunks_exact(MSG_BYTES).map(|m| {
-        let word64 = u64::from_le_bytes(m[8..].try_into().expect("8-byte field"));
-        (word(&m[..4]), word(&m[4..8]), word64)
-    }));
+    let (heads, words) = body.split_at(nruns * HEAD_BYTES);
+    runs.clear();
+    runs.heads.extend(
+        heads
+            .chunks_exact(HEAD_BYTES)
+            .map(|h| (word(&h[..4]), word(&h[4..8]), word(&h[8..]) as u64)),
+    );
+    let (mut total, mut last_src) = (0u64, 0);
+    for &(src, dst, len) in &runs.heads {
+        if src < last_src {
+            return Err(invalid(format!(
+                "data frame run {src} → {dst} follows a run from PE {last_src}"
+            )));
+        }
+        if len == 0 {
+            return Err(invalid(format!("data frame run {src} → {dst} is empty")));
+        }
+        last_src = src;
+        total += len;
+    }
+    if total != nwords as u64 {
+        return Err(invalid(format!(
+            "data frame runs hold {total} words, header announces {nwords}"
+        )));
+    }
+    runs.words.extend(
+        words
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte field"))),
+    );
     Ok((superstep, level))
+}
+
+/// Decode one data-frame payload, appending its messages to `msgs` in
+/// tagged form; returns the `(superstep, level)` stamp.
+pub fn decode_data(payload: &[u8], msgs: &mut Vec<Msg>) -> io::Result<(u32, u8)> {
+    let mut runs = Runs::default();
+    let stamp = decode_runs(payload, &mut runs)?;
+    msgs.reserve(runs.words.len());
+    let mut rest = &runs.words[..];
+    for &(src, dst, len) in &runs.heads {
+        let (run, tail) = rest.split_at(len as usize);
+        rest = tail;
+        msgs.extend(run.iter().map(|&w| (src, dst, w)));
+    }
+    Ok(stamp)
 }
 
 /// Receive one superstep data frame: `(superstep, level, messages)`.
@@ -559,7 +646,7 @@ pub fn recv_ctl(r: &mut impl Read) -> io::Result<Ctl> {
             let nsteps = d.count(4)?;
             let mut traffic = Vec::with_capacity(nsteps);
             for _ in 0..nsteps {
-                let rows = d.count(MSG_BYTES)?;
+                let rows = d.count(ROW_BYTES)?;
                 let mut step = Vec::with_capacity(rows);
                 for _ in 0..rows {
                     step.push((d.u32()?, d.u32()?, d.u64()?));
@@ -706,18 +793,42 @@ mod tests {
         roundtrip(Ctl::Shutdown);
     }
 
+    /// `send_data` / `recv_data` over the run codec: one-word runs,
+    /// tagged messages merged into one run per consecutive pair (a head
+    /// per run, 8 bytes a word), and an empty frame, which is only a
+    /// barrier.
     #[test]
     fn data_frames_roundtrip_and_empty_frames_are_barriers() {
+        let ones = [(0, 9, 123), (1, 9, 456), (1, 8, 7)];
+        let merged = [
+            (2, 5, 1),
+            (2, 5, 2),
+            (2, 5, 3),
+            (2, 6, 4),
+            (3, 5, 5),
+            (3, 5, 6),
+        ];
         let mut buf = Vec::new();
-        send_data(&mut buf, 7, 1, &[(0, 9, 123), (1, 9, 456)]).unwrap();
-        send_data(&mut buf, 8, 0, &[]).unwrap();
+        send_data(&mut buf, 7, 1, &ones).unwrap();
+        assert_eq!(buf.len(), 4 + DATA_HEADER_BYTES + 3 * (HEAD_BYTES + 8));
+        let at = buf.len();
+        send_data(&mut buf, 8, 2, &merged).unwrap();
+        assert_eq!(
+            buf.len() - at,
+            4 + DATA_HEADER_BYTES + 3 * HEAD_BYTES + 6 * 8
+        );
+        let mut runs = Runs::default();
+        assert_eq!(decode_runs(&buf[at + 4..], &mut runs).unwrap(), (8, 2));
+        assert_eq!(runs.heads, [(2, 5, 3), (2, 6, 1), (3, 5, 2)]);
+        assert_eq!(runs.words, [1, 2, 3, 4, 5, 6]);
+        let at = buf.len();
+        send_data(&mut buf, 9, 0, &[]).unwrap();
+        assert_eq!(buf.len() - at, 4 + DATA_HEADER_BYTES);
         let mut r = buf.as_slice();
-        let (s, l, msgs) = recv_data(&mut r).unwrap();
-        assert_eq!((s, l), (7, 1));
-        assert_eq!(msgs, vec![(0, 9, 123), (1, 9, 456)]);
-        let (s, l, msgs) = recv_data(&mut r).unwrap();
-        assert_eq!((s, l), (8, 0));
-        assert!(msgs.is_empty());
+        assert_eq!(recv_data(&mut r).unwrap(), (7, 1, ones.to_vec()));
+        assert_eq!(recv_data(&mut r).unwrap(), (8, 2, merged.to_vec()));
+        assert_eq!(recv_data(&mut r).unwrap(), (9, 0, vec![]));
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -764,6 +875,17 @@ mod tests {
         fn msgs(&mut self, max: usize) -> Vec<Msg> {
             (0..self.below(max + 1))
                 .map(|_| (self.next() as u32, self.next() as u32, self.next()))
+                .collect()
+        }
+        /// Tagged messages as a worker sends them: sources ascending,
+        /// often several words to one destination in a row.
+        fn sent(&mut self, max: usize) -> Vec<Msg> {
+            let mut src = self.next() as u32 >> 4;
+            (0..self.below(max + 1))
+                .map(|_| {
+                    src += (self.below(4) == 0) as u32;
+                    (src, self.below(3) as u32, self.next())
+                })
                 .collect()
         }
         fn event(&mut self) -> Event {
@@ -922,14 +1044,23 @@ mod tests {
         }
     }
 
-    /// Satellite: the same for data frames through `send_data` /
-    /// `recv_data`, including back-to-back frames on one stream.
+    /// Re-frame `payload` behind a fresh length prefix.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    /// Satellite: the same for run frames through `send_data` /
+    /// `recv_data`, including back-to-back frames on one stream; and a
+    /// head whose length no longer sums with the others to the word
+    /// count, or bytes after the words, is `InvalidData`.
     #[test]
     fn data_frames_roundtrip_and_survive_damage() {
         let mut rng = Rng(0xda7a);
         for _ in 0..60 {
             let (step, level) = (rng.next() as u32, rng.next() as u8);
-            let msgs = rng.msgs(40);
+            let msgs = rng.sent(40);
             let mut frame = Vec::new();
             send_data(&mut frame, step, level, &msgs).unwrap();
             let solo = frame.len();
@@ -942,18 +1073,55 @@ mod tests {
             );
             assert!(r.is_empty());
             assert_damage_is_typed(&mut rng, &frame[..solo], |r| recv_data(r));
+
+            let payload = &frame[4..solo];
+            let nruns = u32::from_le_bytes(payload[5..9].try_into().unwrap()) as usize;
+            if nruns > 0 {
+                let mut bad = payload.to_vec();
+                let len_at = DATA_HEADER_BYTES + HEAD_BYTES * rng.below(nruns) + 8;
+                let len = u32::from_le_bytes(bad[len_at..len_at + 4].try_into().unwrap());
+                let wrong = len.wrapping_add(1 + rng.below(5) as u32);
+                bad[len_at..len_at + 4].copy_from_slice(&wrong.to_le_bytes());
+                let err = recv_data(&mut framed(&bad).as_slice()).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            }
+            let mut long = payload.to_vec();
+            long.extend((0..1 + rng.below(8)).map(|_| rng.next() as u8));
+            let err = recv_data(&mut framed(&long).as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         }
     }
 
+    /// Frames of the right size whose runs break the format are
+    /// `InvalidData`: sources that decrease (the receiver's inboxes
+    /// would leave source order), an empty run (the encoder never emits
+    /// one), lengths that do not sum to the word count.
     #[test]
-    fn data_frame_with_trailing_bytes_is_invalid() {
-        let mut frame = Vec::new();
-        Enc::new()
-            .data(3, 1, &[(1, 2, 3)])
-            .u8(0xff)
-            .send(&mut frame)
-            .unwrap();
-        let err = recv_data(&mut frame.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    fn malformed_runs_are_invalid_data() {
+        let frame = |heads: &[(u32, u32, u32)], words: u32| {
+            let mut e = Enc::new();
+            e.u32(3).u8(1).u32(heads.len() as u32).u32(words);
+            for &(src, dst, len) in heads {
+                e.u32(src).u32(dst).u32(len);
+            }
+            for w in 0..words {
+                e.u64(w as u64);
+            }
+            let mut out = Vec::new();
+            e.send(&mut out).unwrap();
+            out
+        };
+        let ok = frame(&[(1, 2, 2), (1, 3, 1), (4, 2, 1)], 4);
+        let (_, _, msgs) = recv_data(&mut ok.as_slice()).unwrap();
+        assert_eq!(msgs, [(1, 2, 0), (1, 2, 1), (1, 3, 2), (4, 2, 3)]);
+        for (what, bad) in [
+            ("descending sources", frame(&[(4, 2, 2), (1, 2, 2)], 4)),
+            ("an empty run", frame(&[(1, 2, 0), (4, 2, 4)], 4)),
+            ("lengths over the count", frame(&[(1, 2, 3), (4, 2, 2)], 4)),
+            ("lengths under the count", frame(&[(1, 2, 1), (4, 2, 2)], 4)),
+        ] {
+            let err = recv_data(&mut bad.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
     }
 }

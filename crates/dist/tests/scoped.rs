@@ -120,7 +120,7 @@ fn in_scope_sends_exchange_only_with_scope_partners() {
             }
         });
         comm.step_in(Scope::None, |_, ctx| {
-            if let Some(&(_, v)) = ctx.inbox.first() {
+            if let Some(&v) = ctx.inbox.first() {
                 ctx.mem[0] = v;
             }
         });
@@ -135,6 +135,46 @@ fn in_scope_sends_exchange_only_with_scope_partners() {
     let mut want: Vec<u64> = (0..16).collect();
     want[6..10].reverse();
     assert_eq!(out, want);
+}
+
+/// An impostor peer sends a well-formed frame — right stamp, every run
+/// from its PEs to ours — whose sources descend. Delivered, it would
+/// leave PE 4's inbox out of source order without any error; the
+/// receiver must refuse it as `InvalidData` instead.
+#[test]
+fn frame_with_descending_sources_is_refused() {
+    use mo_dist::frame::{recv_data, send_data};
+    // 8 PEs over 2 workers (0..4, 4..8); worker 0 is the impostor.
+    let results = on_mesh(2, |w, mesh| {
+        let level = mo_dist::pair_level(0, 1, 2) as u8;
+        if w == 0 {
+            let link = mesh[1].as_mut().expect("stream to worker 1");
+            send_data(link.get_mut(), 0, level, &[(3, 4, 30), (1, 4, 10)]).expect("send");
+            recv_data(link).expect("worker 1's frame");
+            return None;
+        }
+        let mut comm = SocketComm::new(Partition::new(8, 2), w, mesh);
+        let got = comm.try_step(Scope::All, &mut |_, _| {});
+        Some(got.map(|()| {
+            let mut inbox = Vec::new();
+            comm.step_in(Scope::None, |pe, ctx| {
+                if pe == 4 {
+                    inbox = ctx.inbox.to_vec();
+                }
+            });
+            format!("{inbox:?}")
+        }))
+    });
+    let got = results[1].as_ref().expect("worker 1 ran");
+    let err = got
+        .as_ref()
+        .expect_err("a frame out of source order must not be delivered");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    let text = err.to_string();
+    assert!(
+        text.contains("worker 1 superstep 0: peer 0") && text.contains("run 1 → 4 follows"),
+        "{text}"
+    );
 }
 
 /// Satellite: the fault bound. A peer that accepts the mesh and then

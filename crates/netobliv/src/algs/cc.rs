@@ -50,8 +50,7 @@ pub fn no_cc(n: usize, edges: &[(usize, usize)]) -> (NoMachine, Vec<u64>) {
                 return;
             }
             let label = ctx.mem[0];
-            let asks: Vec<u64> = ctx.inbox.iter().map(|&(_, w)| w).collect();
-            for e in asks {
+            for &e in ctx.inbox {
                 ctx.send(e as usize, label);
             }
         });
@@ -61,19 +60,10 @@ pub fn no_cc(n: usize, edges: &[(usize, usize)]) -> (NoMachine, Vec<u64>) {
                 return;
             }
             let (u, v) = (ctx.mem[0] as usize, ctx.mem[1] as usize);
-            let mut lu = 0;
-            let mut lv = 0;
-            for &(src, w) in ctx.inbox {
-                if src as usize == u {
-                    lu = w;
-                } else if src as usize == v {
-                    lv = w;
-                }
-            }
-            // Self-loop at a vertex: u == v means one reply serves both.
-            if u == v {
-                lv = lu;
-            }
+            // A self-loop (u == v) hears twice from one vertex; either
+            // reply serves both ends.
+            let label = |src| ctx.from(src).last().copied().unwrap_or(0);
+            let (lu, lv) = (label(u), label(v));
             ctx.mem[2] = lu;
             ctx.mem[3] = lv;
             if lu != lv {
@@ -87,7 +77,7 @@ pub fn no_cc(n: usize, edges: &[(usize, usize)]) -> (NoMachine, Vec<u64>) {
             if pe >= n {
                 return;
             }
-            let best = ctx.inbox.iter().map(|&(_, w)| w).min();
+            let best = ctx.inbox.iter().min().copied();
             if let Some(b) = best {
                 if ctx.mem[0] == pe as u64 && b < ctx.mem[0] {
                     ctx.mem[0] = b;
@@ -110,8 +100,7 @@ pub fn no_cc(n: usize, edges: &[(usize, usize)]) -> (NoMachine, Vec<u64>) {
                     return;
                 }
                 let label = ctx.mem[0];
-                let asks: Vec<u64> = ctx.inbox.iter().map(|&(_, w)| w).collect();
-                for v in asks {
+                for &v in ctx.inbox {
                     ctx.send(v as usize, label);
                 }
             });
@@ -120,7 +109,7 @@ pub fn no_cc(n: usize, edges: &[(usize, usize)]) -> (NoMachine, Vec<u64>) {
                     return;
                 }
                 // Exactly one reply: from label(pe).
-                if let Some(&(_, w)) = ctx.inbox.first() {
+                if let Some(&w) = ctx.inbox.first() {
                     ctx.mem[0] = w;
                 }
             });

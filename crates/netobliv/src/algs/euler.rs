@@ -123,7 +123,7 @@ pub fn no_euler(parent: &[usize], root: usize) -> NoEuler {
         if pe >= num_arcs {
             return;
         }
-        let s = ctx.inbox[0].1;
+        let s = ctx.inbox[0];
         ctx.mem[eoff + E_SUCC] = if s == a0 { SENT } else { s };
         // Announce myself to my successor so it learns its predecessor.
         if ctx.mem[eoff + E_SUCC] != SENT {
@@ -136,7 +136,7 @@ pub fn no_euler(parent: &[usize], root: usize) -> NoEuler {
         if pe >= num_arcs {
             return;
         }
-        if let Some(&(_, w)) = ctx.inbox.first() {
+        if let Some(&w) = ctx.inbox.first() {
             ctx.mem[eoff + E_PRED] = w;
         }
     });
@@ -188,7 +188,7 @@ pub fn no_euler(parent: &[usize], root: usize) -> NoEuler {
         if pe >= num_arcs || pe % 2 != 0 {
             return;
         }
-        let pu = ctx.inbox[0].1;
+        let pu = ctx.inbox[0];
         let pd = ctx.mem[eoff + E_POS];
         debug_assert!(pd < pu, "down arc precedes up arc");
         let r1 = ctx.mem[eoff + E_RANK1];
@@ -214,9 +214,9 @@ pub fn no_euler(parent: &[usize], root: usize) -> NoEuler {
             ctx.mem[base + V_PRE] = 0;
         } else {
             ctx.mem[base + V_PARENT] = parent_in[pe];
-            ctx.mem[base + V_DEPTH] = ctx.inbox[0].1;
-            ctx.mem[base + V_SIZE] = ctx.inbox[1].1;
-            ctx.mem[base + V_PRE] = ctx.inbox[2].1;
+            ctx.mem[base + V_DEPTH] = ctx.inbox[0];
+            ctx.mem[base + V_SIZE] = ctx.inbox[1];
+            ctx.mem[base + V_PRE] = ctx.inbox[2];
         }
     });
 

@@ -35,8 +35,8 @@ fn permute(m: &mut NoMachine, g: usize, perm: impl Fn(usize) -> usize) {
         ctx.work(1);
     });
     m.step(|_pe, ctx| {
-        ctx.mem[0] = ctx.inbox[0].1;
-        ctx.mem[1] = ctx.inbox[1].1;
+        ctx.mem[0] = ctx.inbox[0];
+        ctx.mem[1] = ctx.inbox[1];
     });
 }
 
@@ -58,8 +58,8 @@ fn fft_groups(m: &mut NoMachine, g: usize) {
             let vals: Vec<(f64, f64)> = (0..g)
                 .map(|t| {
                     (
-                        f64::from_bits(ctx.inbox[2 * t].1),
-                        f64::from_bits(ctx.inbox[2 * t + 1].1),
+                        f64::from_bits(ctx.inbox[2 * t]),
+                        f64::from_bits(ctx.inbox[2 * t + 1]),
                     )
                 })
                 .collect();
@@ -74,8 +74,8 @@ fn fft_groups(m: &mut NoMachine, g: usize) {
             ctx.work((g * g) as u64);
         });
         m.step(|_pe, ctx| {
-            ctx.mem[0] = ctx.inbox[0].1;
-            ctx.mem[1] = ctx.inbox[1].1;
+            ctx.mem[0] = ctx.inbox[0];
+            ctx.mem[1] = ctx.inbox[1];
         });
         return;
     }

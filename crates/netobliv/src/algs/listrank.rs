@@ -46,7 +46,7 @@ fn scan_slot(m: &mut NoMachine, m_pad: usize, slot_idx: usize) -> u64 {
             if pe >= m_pad {
                 return;
             }
-            if let Some(&(_, w)) = ctx.inbox.first() {
+            if let Some(&w) = ctx.inbox.first() {
                 ctx.mem.push(w);
                 ctx.mem[slot_idx] = ctx.mem[slot_idx].wrapping_add(w);
                 ctx.work(1);
@@ -61,7 +61,7 @@ fn scan_slot(m: &mut NoMachine, m_pad: usize, slot_idx: usize) -> u64 {
         if pe >= m_pad {
             return;
         }
-        if let Some(&(_, w)) = ctx.inbox.first() {
+        if let Some(&w) = ctx.inbox.first() {
             ctx.mem.push(w);
             ctx.mem[slot_idx] = ctx.mem[slot_idx].wrapping_add(w);
         }
@@ -78,7 +78,7 @@ fn scan_slot(m: &mut NoMachine, m_pad: usize, slot_idx: usize) -> u64 {
             if pe >= m_pad {
                 return;
             }
-            if let Some(&(_, w)) = ctx.inbox.first() {
+            if let Some(&w) = ctx.inbox.first() {
                 ctx.mem[slot_idx] = w;
             }
             if pe % stride == stride - 1 {
@@ -94,7 +94,7 @@ fn scan_slot(m: &mut NoMachine, m_pad: usize, slot_idx: usize) -> u64 {
         if pe >= m_pad {
             return;
         }
-        if let Some(&(_, w)) = ctx.inbox.first() {
+        if let Some(&w) = ctx.inbox.first() {
             ctx.mem[slot_idx] = w;
         }
     });
@@ -134,7 +134,7 @@ fn no_is(m: &mut NoMachine, n: usize, depth: usize) {
                 return;
             }
             let cv = ctx.mem[b(S_COLOR)];
-            let nc = if let Some(&(_, cs)) = ctx.inbox.first() {
+            let nc = if let Some(&cs) = ctx.inbox.first() {
                 debug_assert_ne!(cv, cs);
                 let l = (cv ^ cs).trailing_zeros() as u64;
                 2 * l + ((cv >> l) & 1)
@@ -154,7 +154,7 @@ fn no_is(m: &mut NoMachine, n: usize, depth: usize) {
                 return;
             }
             if ctx.mem[b(S_SUCC)] == SENT {
-                let pc = ctx.inbox.first().map(|&(_, c)| c).unwrap_or(1);
+                let pc = ctx.inbox.first().copied().unwrap_or(1);
                 ctx.mem[b(S_NEWCOLOR)] = if pc == 0 { 1 } else { 0 };
             }
             ctx.mem[b(S_COLOR)] = ctx.mem[b(S_NEWCOLOR)];
@@ -205,7 +205,7 @@ pub(crate) fn lr_level(m: &mut NoMachine, n: usize, depth: usize) {
             let mut dist = vec![0u64; n];
             let mut chunks = ctx.inbox.chunks_exact(3);
             for ch in &mut chunks {
-                let (id, s, d) = (ch[0].1 as usize, ch[1].1, ch[2].1);
+                let (id, s, d) = (ch[0] as usize, ch[1], ch[2]);
                 succ[id] = s;
                 dist[id] = d;
             }
@@ -239,7 +239,7 @@ pub(crate) fn lr_level(m: &mut NoMachine, n: usize, depth: usize) {
             if pe >= n {
                 return;
             }
-            ctx.mem[b(S_RANK)] = ctx.inbox[0].1;
+            ctx.mem[b(S_RANK)] = ctx.inbox[0];
         });
         return;
     }
@@ -263,14 +263,14 @@ pub(crate) fn lr_level(m: &mut NoMachine, n: usize, depth: usize) {
         }
         let mut i = 0;
         while i < ctx.inbox.len() {
-            match ctx.inbox[i].1 {
+            match ctx.inbox[i] {
                 0 => {
-                    ctx.mem[b(S_SUCC)] = ctx.inbox[i + 1].1;
-                    ctx.mem[b(S_DIST)] = ctx.mem[b(S_DIST)].wrapping_add(ctx.inbox[i + 2].1);
+                    ctx.mem[b(S_SUCC)] = ctx.inbox[i + 1];
+                    ctx.mem[b(S_DIST)] = ctx.mem[b(S_DIST)].wrapping_add(ctx.inbox[i + 2]);
                     i += 3;
                 }
                 _ => {
-                    ctx.mem[b(S_PRED)] = ctx.inbox[i + 1].1;
+                    ctx.mem[b(S_PRED)] = ctx.inbox[i + 1];
                     i += 2;
                 }
             }
@@ -303,7 +303,7 @@ pub(crate) fn lr_level(m: &mut NoMachine, n: usize, depth: usize) {
         if pe >= n || ctx.mem[b(S_INS)] == 1 {
             return;
         }
-        let succ_new = ctx.inbox.first().map(|&(_, w)| w).unwrap_or(SENT);
+        let succ_new = ctx.inbox.first().copied().unwrap_or(SENT);
         let dst = ctx.mem[b(S_NEWID)] as usize;
         let d = ctx.mem[b(S_DIST)];
         ctx.send_words(dst, &[succ_new, d, pe as u64]);
@@ -313,9 +313,9 @@ pub(crate) fn lr_level(m: &mut NoMachine, n: usize, depth: usize) {
         if pe >= n1 {
             return;
         }
-        ctx.mem[nb(S_SUCC)] = ctx.inbox[0].1;
-        ctx.mem[nb(S_DIST)] = ctx.inbox[1].1;
-        ctx.mem[nb(S_OLD)] = ctx.inbox[2].1;
+        ctx.mem[nb(S_SUCC)] = ctx.inbox[0];
+        ctx.mem[nb(S_DIST)] = ctx.inbox[1];
+        ctx.mem[nb(S_OLD)] = ctx.inbox[2];
         ctx.mem[nb(S_PRED)] = SENT;
         let s = ctx.mem[nb(S_SUCC)];
         if s != SENT {
@@ -326,7 +326,7 @@ pub(crate) fn lr_level(m: &mut NoMachine, n: usize, depth: usize) {
         if pe >= n1 {
             return;
         }
-        if let Some(&(_, w)) = ctx.inbox.first() {
+        if let Some(&w) = ctx.inbox.first() {
             ctx.mem[nb(S_PRED)] = w;
         }
     });
@@ -347,7 +347,7 @@ pub(crate) fn lr_level(m: &mut NoMachine, n: usize, depth: usize) {
         if pe >= n || ctx.mem[b(S_INS)] == 1 {
             return;
         }
-        ctx.mem[b(S_RANK)] = ctx.inbox[0].1;
+        ctx.mem[b(S_RANK)] = ctx.inbox[0];
     });
     // Extension: S-nodes ask their successor for its rank.
     m.step(|pe, ctx| {
@@ -362,8 +362,7 @@ pub(crate) fn lr_level(m: &mut NoMachine, n: usize, depth: usize) {
             return;
         }
         let r = ctx.mem[b(S_RANK)];
-        let msgs: Vec<u64> = ctx.inbox.iter().map(|&(_, w)| w).collect();
-        for asker in msgs {
+        for &asker in ctx.inbox {
             ctx.send(asker as usize, r);
         }
     });
@@ -371,7 +370,7 @@ pub(crate) fn lr_level(m: &mut NoMachine, n: usize, depth: usize) {
         if pe >= n || ctx.mem[b(S_INS)] != 1 {
             return;
         }
-        let r = ctx.inbox[0].1;
+        let r = ctx.inbox[0];
         ctx.mem[b(S_RANK)] = r.wrapping_add(ctx.mem[b(S_DIST)]);
         ctx.work(1);
     });

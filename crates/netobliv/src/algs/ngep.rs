@@ -330,21 +330,16 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
         }
         sends.sort_unstable();
         recvs.sort_unstable();
-        let mut words: Vec<u64> = Vec::with_capacity(bsz);
         self.m.step_in(parents, |pe, ctx| {
             for &(_, (dst, _, soff)) in run_of(&sends, pe) {
-                words.clear();
-                words.extend_from_slice(&ctx.mem[soff..soff + bsz]);
-                ctx.send_words(dst, &words);
+                ctx.send_mem(dst, soff..soff + bsz);
             }
         });
         self.m.step_in(Scope::None, |pe, ctx| {
             let mut inbox = ctx.inbox;
             for &(_, (_src, doff)) in run_of(&recvs, pe) {
                 let (block, rest) = inbox.split_at(bsz);
-                for (word, msg) in ctx.mem[doff..doff + bsz].iter_mut().zip(block) {
-                    *word = msg.1;
-                }
+                ctx.mem[doff..doff + bsz].copy_from_slice(block);
                 inbox = rest;
             }
             debug_assert!(inbox.is_empty());

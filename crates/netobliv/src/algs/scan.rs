@@ -23,7 +23,7 @@ pub fn no_prefix_sum(values: &[u64]) -> (NoMachine, Vec<u64>) {
         let stride = 1usize << (d + 1);
         m.step(|pe, ctx| {
             // Apply level d-1 receipt.
-            if let Some(&(_, w)) = ctx.inbox.first() {
+            if let Some(&w) = ctx.inbox.first() {
                 ctx.mem.push(w); // record child subtotal
                 ctx.mem[0] = ctx.mem[0].wrapping_add(w);
                 ctx.work(1);
@@ -37,7 +37,7 @@ pub fn no_prefix_sum(values: &[u64]) -> (NoMachine, Vec<u64>) {
     // Root applies the final receipt and clears itself for the
     // down-sweep.
     m.step(|pe, ctx| {
-        if let Some(&(_, w)) = ctx.inbox.first() {
+        if let Some(&w) = ctx.inbox.first() {
             ctx.mem.push(w);
             ctx.mem[0] = ctx.mem[0].wrapping_add(w);
             ctx.work(1);
@@ -51,7 +51,7 @@ pub fn no_prefix_sum(values: &[u64]) -> (NoMachine, Vec<u64>) {
     for d in (0..levels).rev() {
         let stride = 1usize << (d + 1);
         m.step(|pe, ctx| {
-            if let Some(&(_, w)) = ctx.inbox.first() {
+            if let Some(&w) = ctx.inbox.first() {
                 ctx.mem[0] = w;
             }
             if pe % stride == stride - 1 {
@@ -65,7 +65,7 @@ pub fn no_prefix_sum(values: &[u64]) -> (NoMachine, Vec<u64>) {
     }
     // Deliver the last level.
     m.step(|_pe, ctx| {
-        if let Some(&(_, w)) = ctx.inbox.first() {
+        if let Some(&w) = ctx.inbox.first() {
             ctx.mem[0] = w;
         }
     });

@@ -38,7 +38,7 @@ fn permute<C: Comm>(m: &mut C, starts: &[usize], g: usize, perm: impl Fn(usize) 
 
 /// A receive-only superstep body: adopt the key delivered to this PE.
 fn receive_key(_pe: usize, ctx: &mut crate::Pe<'_>) {
-    if let Some(&(_, v)) = ctx.inbox.first() {
+    if let Some(&v) = ctx.inbox.first() {
         ctx.mem[0] = v;
     }
 }
@@ -79,7 +79,7 @@ fn sort_groups<C: Comm>(m: &mut C, starts: &[usize], g: usize) {
                 return;
             }
             vals.clear();
-            vals.extend(ctx.inbox.iter().map(|&(_, w)| w));
+            vals.extend_from_slice(ctx.inbox);
             vals.sort_unstable();
             ctx.work((vals.len() * vals.len().max(2).ilog2() as usize) as u64);
             for (t, &v) in vals.iter().enumerate() {

@@ -19,7 +19,7 @@ pub fn no_transpose(a: &[u64], n: usize) -> (NoMachine, Vec<u64>) {
         ctx.work(1);
     });
     m.step(|_pe, ctx| {
-        let v = ctx.inbox[0].1;
+        let v = ctx.inbox[0];
         ctx.mem[0] = v;
     });
     let out = (0..n * n).map(|pe| m.mem(pe)[0]).collect();

@@ -135,7 +135,7 @@ mod tests {
                 ctx.send((pe + 1) % ctx.n_pes(), v);
             });
             m.step(|_, ctx| {
-                let v = ctx.inbox[0].1;
+                let v = ctx.inbox[0];
                 ctx.mem.push(v);
             });
         }

@@ -1,24 +1,29 @@
 //! The superstep engine every [`Comm`](crate::Comm) backend runs.
 //!
 //! One worker of a `W`-worker machine owns a contiguous run of `N/W`
-//! PEs ([`NoMachine`](crate::NoMachine) is the `W = 1` case). A
-//! superstep is the same pipeline on every backend:
+//! PEs ([`NoMachine`](crate::NoMachine) is the `W = 1` case). Messages
+//! travel as *runs* from outbox to inbox: the words one source sent one
+//! destination back to back, under one header, never one tag per word.
+//! A superstep is the same pipeline on every backend:
 //!
 //! 1. **compute** — the driver closure runs for every owned PE in
-//!    increasing index order;
-//! 2. **partition** — each PE's outbox is walked by runs of equal
-//!    destination: a run is checked against the declared [`Scope`] once
-//!    and appended whole to its destination worker's buffer (scanning
-//!    sources in increasing order keeps every buffer sorted by source);
+//!    increasing index order; its sends land in a [`Mailbox`] of
+//!    `(dst, len)` runs (consecutive sends to one destination extend
+//!    one run);
+//! 2. **partition** — each run is checked against the declared
+//!    [`Scope`] once and copied as one slice into its destination
+//!    worker's [`Runs`] buffer (scanning sources in increasing order
+//!    keeps every buffer sorted by source);
 //! 3. **signature log** — every cross-PE run is one `(src, dst, len)`
 //!    row, so a block of words costs one entry, not one per word; the
 //!    step's rows are then sorted (linear when drivers send in ascending
 //!    destination order, as they mostly do) and rows of one pair merged,
 //!    without any map;
 //! 4. **deliver** — the per-worker buffers, taken in worker order, are
-//!    appended to the owned inboxes. Worker ranges ascend with the
-//!    worker index, so every inbox ends up ordered by source PE and,
-//!    within a source, in send order — no sort.
+//!    copied run by run into the owned inboxes. Worker ranges ascend
+//!    with the worker index, so every inbox ends up ordered by source PE
+//!    and, within a source, in send order — no sort — with one
+//!    `(src, len)` run per source beside its words.
 //!
 //! A socket backend adds only the exchange between 3 and 4: it ships
 //! [`Engine::peer_buf`]`(w)` to worker `w` and refills it with what `w`
@@ -29,14 +34,103 @@ use std::ops::Range;
 use crate::comm::Scope;
 use crate::machine::Pe;
 
-/// One message or one signature row: `(src_pe, dst_pe, word_or_count)`.
+/// One signature row `(src_pe, dst_pe, words)`, or one run header
+/// `(src_pe, dst_pe, len)` of a [`Runs`] buffer.
 pub type Msg = (u32, u32, u64);
 
-/// Capacity (in messages) a reused buffer keeps between supersteps.
-/// Reuse pays in the many-small-supersteps regime, where allocation
-/// rivals the work; a bulk superstep's buffers are released instead, so
-/// `W` workers do not each pin their largest step for the whole run.
+/// Capacity (in words, and in run headers) a reused buffer keeps
+/// between supersteps. Reuse pays in the many-small-supersteps regime,
+/// where allocation rivals the work; a bulk superstep's buffers are
+/// released instead, so `W` workers do not each pin their largest step
+/// for the whole run.
 const KEEP_MSGS: usize = 512;
+
+/// Append `words` to a word buffer. A one-word run — every message of
+/// the sort's supersteps — is a `push`: the `memcpy` call of a slice
+/// copy costs more than the word.
+fn append(buf: &mut Vec<u64>, words: &[u64]) {
+    if let [w] = words {
+        buf.push(*w);
+    } else {
+        buf.extend_from_slice(words);
+    }
+}
+
+/// Messages in flight between workers: one `(src, dst, len)` header per
+/// run and every run's words back to back, in header order.
+///
+/// This is the unit a socket backend frames: the engine fills one per
+/// destination worker, and the exchange refills it with what that
+/// worker sent here. Delivery keeps inboxes in source order only if
+/// the headers are sorted by source, every `len ≥ 1` and the lengths
+/// sum to `words.len()`; a backend that decodes a buffer from outside
+/// must check all three.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Runs {
+    /// `(src_pe, dst_pe, len)` per run.
+    pub heads: Vec<Msg>,
+    /// The runs' words, in header order.
+    pub words: Vec<u64>,
+}
+
+impl Runs {
+    /// Append `words` (non-empty) as a run `src → dst`, extending the
+    /// last run when it is the same pair.
+    #[inline]
+    pub fn push(&mut self, src: u32, dst: u32, words: &[u64]) {
+        debug_assert!(!words.is_empty(), "a run carries at least one word");
+        match self.heads.last_mut() {
+            Some(head) if (head.0, head.1) == (src, dst) => head.2 += words.len() as u64,
+            _ => self.heads.push((src, dst, words.len() as u64)),
+        }
+        append(&mut self.words, words);
+    }
+
+    /// Drop every run.
+    pub fn clear(&mut self) {
+        self.heads.clear();
+        self.words.clear();
+    }
+}
+
+/// One PE's outbox or inbox: `(pe, len)` runs, keyed by the destination
+/// in an outbox and by the source in an inbox, and their words back to
+/// back. Appending to the key of the last run extends it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Mailbox {
+    pub(crate) runs: Vec<(u32, u32)>,
+    pub(crate) words: Vec<u64>,
+}
+
+impl Mailbox {
+    fn open(&mut self, pe: u32, len: usize) {
+        match self.runs.last_mut() {
+            Some(run) if run.0 == pe => run.1 += len as u32,
+            _ => self.runs.push((pe, len as u32)),
+        }
+    }
+
+    /// Append one word keyed by `pe`.
+    pub(crate) fn push(&mut self, pe: u32, word: u64) {
+        self.open(pe, 1);
+        self.words.push(word);
+    }
+
+    /// Append `words` keyed by `pe`; nothing at all when it is empty.
+    #[inline]
+    pub(crate) fn extend(&mut self, pe: u32, words: &[u64]) {
+        if words.is_empty() {
+            return;
+        }
+        self.open(pe, words.len());
+        append(&mut self.words, words);
+    }
+
+    fn clear(&mut self) {
+        self.runs.clear();
+        self.words.clear();
+    }
+}
 
 /// A PE sent a message outside the scope its driver declared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,16 +172,16 @@ pub struct Engine {
     share: usize,
     me: usize,
     mem: Vec<Vec<u64>>,
-    inbox: Vec<Vec<(u32, u64)>>,
+    inbox: Vec<Mailbox>,
     /// The running PE's outbox (partitioned as soon as its closure
     /// returns, so one suffices).
-    outbox: Vec<(u32, u64)>,
+    outbox: Mailbox,
     /// Scratch: the rows of the step being logged (copied out at their
     /// exact size — a log grown by pushing would carry up to 2× slack
     /// for the whole run).
     rows: Vec<Msg>,
-    /// One message buffer per worker; empty between supersteps.
-    bufs: Vec<Vec<Msg>>,
+    /// One run buffer per worker; empty between supersteps.
+    bufs: Vec<Runs>,
     pub(crate) log: Vec<StepLog>,
 }
 
@@ -106,10 +200,10 @@ impl Engine {
             share,
             me,
             mem: vec![Vec::new(); share],
-            inbox: vec![Vec::new(); share],
-            outbox: Vec::new(),
+            inbox: vec![Mailbox::default(); share],
+            outbox: Mailbox::default(),
             rows: Vec::new(),
-            bufs: vec![Vec::new(); workers],
+            bufs: vec![Runs::default(); workers],
             log: Vec::new(),
         }
     }
@@ -215,12 +309,12 @@ impl Engine {
             if ops > 0 {
                 ops_log.push((pe as u32, ops));
             }
-            if self.outbox.is_empty() {
+            if self.outbox.runs.is_empty() {
                 continue;
             }
             let group = scope.group_of(pe, self.n).unwrap_or(pe..pe);
-            for run in self.outbox.chunk_by(|a, b| a.0 == b.0) {
-                let dst = run[0].0;
+            let mut at = 0;
+            for &(dst, len) in &self.outbox.runs {
                 if !group.contains(&(dst as usize)) {
                     return Err(ScopeViolation {
                         superstep: self.log.len(),
@@ -229,10 +323,11 @@ impl Engine {
                     });
                 }
                 if dst as usize != pe {
-                    self.rows.push((pe as u32, dst, run.len() as u64));
+                    self.rows.push((pe as u32, dst, len as u64));
                 }
-                self.bufs[dst as usize / self.share]
-                    .extend(run.iter().map(|&(_, word)| (pe as u32, dst, word)));
+                let words = &self.outbox.words[at..at + len as usize];
+                at += len as usize;
+                self.bufs[dst as usize / self.share].push(pe as u32, dst, words);
             }
             self.outbox.clear();
         }
@@ -247,7 +342,8 @@ impl Engine {
             }
             same_pair
         });
-        self.outbox.shrink_to(KEEP_MSGS);
+        self.outbox.runs.shrink_to(KEEP_MSGS);
+        self.outbox.words.shrink_to(KEEP_MSGS);
         self.log.push(StepLog {
             traffic: self.rows.clone(),
             ops: ops_log,
@@ -255,25 +351,30 @@ impl Engine {
         Ok(())
     }
 
-    /// The buffer of messages addressed to worker `w` (after
+    /// The runs addressed to worker `w` (after
     /// [`compute`](Self::compute)); an exchanging backend replaces its
-    /// contents with the messages `w` sent here, sorted by source.
-    pub fn peer_buf(&mut self, w: usize) -> &mut Vec<Msg> {
+    /// contents with the runs `w` sent here, sorted by source.
+    pub fn peer_buf(&mut self, w: usize) -> &mut Runs {
         &mut self.bufs[w]
     }
 
-    /// Phase 4: move every buffered message into its inbox, visible to
-    /// the next superstep. Every destination must be an owned PE.
+    /// Phase 4: copy every buffered run into its inbox, visible to the
+    /// next superstep. Every destination must be an owned PE.
     pub fn deliver(&mut self) {
         for ib in &mut self.inbox {
             ib.clear();
         }
         let lo = self.owned().start;
         for buf in &mut self.bufs {
-            for (src, dst, word) in buf.drain(..) {
-                self.inbox[dst as usize - lo].push((src, word));
+            let mut at = 0;
+            for &(src, dst, len) in &buf.heads {
+                let words = &buf.words[at..at + len as usize];
+                at += len as usize;
+                self.inbox[dst as usize - lo].extend(src, words);
             }
-            buf.shrink_to(KEEP_MSGS);
+            buf.clear();
+            buf.heads.shrink_to(KEEP_MSGS);
+            buf.words.shrink_to(KEEP_MSGS);
         }
     }
 }
@@ -339,8 +440,9 @@ mod tests {
     }
 
     /// Interleaved runs to two destinations and to the sender itself,
-    /// from two sources, mixing `send` and `send_words`: one row per
-    /// `(src, dst)` pair, every inbox in source-then-send order.
+    /// from two sources, mixing `send`, `send_words` and `send_mem`: one
+    /// row per `(src, dst)` pair, every inbox in source-then-send order
+    /// with one run per source.
     #[test]
     fn destination_runs_are_merged_per_pair_and_delivered_in_send_order() {
         const A: usize = 3;
@@ -349,11 +451,13 @@ mod tests {
         e.compute(Scope::All, &mut |pe, ctx| {
             if pe == 1 || pe == 2 {
                 let tag = pe as u64 * 100;
+                ctx.mem.extend([tag + 3, tag + 4]);
                 ctx.send_words(A, &[tag, tag + 1]);
                 ctx.send_words(B, &[]);
                 ctx.send(B, tag + 2);
-                ctx.send(A, tag + 3);
-                ctx.send(pe, tag + 4);
+                ctx.send_mem(A, 0..1);
+                ctx.send_mem(pe, 1..2);
+                ctx.send_mem(B, 2..2);
                 ctx.send(B, tag + 5);
             }
         })
@@ -363,24 +467,33 @@ mod tests {
             e.traffic_signature(),
             vec![vec![(1, 0, 2), (1, 3, 3), (2, 0, 2), (2, 3, 3)]]
         );
-        assert_eq!(
-            e.inbox[A],
-            [(1, 100), (1, 101), (1, 103), (2, 200), (2, 201), (2, 203)]
-        );
-        assert_eq!(e.inbox[B], [(1, 102), (1, 105), (2, 202), (2, 205)]);
-        assert_eq!(e.inbox[1], [(1, 104)]);
-        assert_eq!(e.inbox[2], [(2, 204)]);
+        assert_eq!(e.inbox[A].words, [100, 101, 103, 200, 201, 203]);
+        assert_eq!(e.inbox[A].runs, [(1, 3), (2, 3)]);
+        assert_eq!(e.inbox[B].words, [102, 105, 202, 205]);
+        assert_eq!(e.inbox[B].runs, [(1, 2), (2, 2)]);
+        assert_eq!(e.inbox[1].words, [104]);
+        assert_eq!(e.inbox[2].words, [204]);
+        e.compute(Scope::None, &mut |pe, ctx| {
+            if pe == A {
+                assert_eq!(ctx.from(2), [200, 201, 203]);
+                assert!(ctx.from(0).is_empty() && ctx.from(3).is_empty());
+            }
+        })
+        .unwrap();
     }
 
     #[test]
     fn empty_send_words_sends_nothing() {
         let mut e = Engine::new(4, 1, 0);
         // Out of scope for PE 0, were it a message.
-        e.compute(Scope::None, &mut |_, ctx| ctx.send_words(3, &[]))
-            .unwrap();
+        e.compute(Scope::None, &mut |_, ctx| {
+            ctx.send_words(3, &[]);
+            ctx.send_mem(3, 0..0);
+        })
+        .unwrap();
         e.deliver();
         assert_eq!(e.traffic_signature(), vec![vec![]]);
-        assert!(e.inbox.iter().all(Vec::is_empty));
+        assert!(e.inbox.iter().all(|ib| ib.words.is_empty()));
     }
 
     /// The scope is checked once per destination run; a violation in a
@@ -410,6 +523,238 @@ mod tests {
                 src: 2,
                 dst: 1
             }
+        );
+    }
+
+    /// SplitMix64, the property test's seeded source.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut x = self.0;
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+            x ^ (x >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// One send of the generated programs.
+    #[derive(Debug, Clone)]
+    enum Send {
+        Word(usize, u64),
+        Words(usize, Vec<u64>),
+        Mem(usize, Range<usize>),
+    }
+
+    const MEM: usize = 6;
+
+    /// Random disjoint ascending groups over `n` PEs (sometimes the
+    /// whole machine or nothing).
+    fn arbitrary_scope(rng: &mut Rng, n: usize) -> (Vec<usize>, usize) {
+        let size = 1 + rng.below(n);
+        let mut starts = Vec::new();
+        let mut pe = rng.below(3);
+        while pe < n {
+            if rng.below(4) > 0 {
+                starts.push(pe);
+                pe += size + rng.below(2);
+            } else {
+                pe += 1 + rng.below(size);
+            }
+        }
+        (starts, size)
+    }
+
+    /// Each PE's sends for one superstep: mostly inside its group, now
+    /// and then (one superstep in ~30) anywhere.
+    fn arbitrary_sends(rng: &mut Rng, n: usize, scope: Scope<'_>) -> Vec<Vec<Send>> {
+        let wild = rng.below(30) == 0;
+        (0..n)
+            .map(|pe| {
+                let group = match scope.group_of(pe, n) {
+                    Some(group) => group,
+                    None if wild => pe..pe + 1,
+                    None => return Vec::new(),
+                };
+                (0..rng.below(6))
+                    .map(|_| {
+                        let dst = if wild {
+                            rng.below(n)
+                        } else {
+                            group.start + rng.below(group.len())
+                        };
+                        match rng.below(4) {
+                            0 | 1 => Send::Word(dst, rng.next()),
+                            2 => Send::Words(dst, (0..rng.below(4)).map(|_| rng.next()).collect()),
+                            _ => {
+                                let a = rng.below(MEM + 1);
+                                Send::Mem(dst, a..a + rng.below(MEM + 1 - a))
+                            }
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The naive per-word model of one superstep on a `w`-worker
+    /// machine: every word tagged, every send checked, inboxes sorted
+    /// by source (stable). Returns per PE `(inbox words, inbox runs)`,
+    /// per worker its sorted signature rows or its first violation.
+    #[allow(clippy::type_complexity)]
+    fn reference_step(
+        n: usize,
+        w: usize,
+        superstep: usize,
+        scope: Scope<'_>,
+        mems: &[Vec<u64>],
+        sends: &[Vec<Send>],
+    ) -> (
+        Vec<(Vec<u64>, Vec<(u32, u32)>)>,
+        Vec<Result<Vec<Msg>, ScopeViolation>>,
+    ) {
+        let share = n / w;
+        let mut tagged: Vec<(usize, usize, u64)> = Vec::new();
+        let mut per_worker = Vec::new();
+        for worker in 0..w {
+            let mut rows: Vec<Msg> = Vec::new();
+            let mut violation = None;
+            'pes: for pe in worker * share..(worker + 1) * share {
+                let group = scope.group_of(pe, n).unwrap_or(pe..pe);
+                for send in &sends[pe] {
+                    let (dst, words): (usize, Vec<u64>) = match send {
+                        Send::Word(d, x) => (*d, vec![*x]),
+                        Send::Words(d, xs) => (*d, xs.clone()),
+                        Send::Mem(d, r) => (*d, mems[pe][r.clone()].to_vec()),
+                    };
+                    for x in words {
+                        if !group.contains(&dst) {
+                            violation = Some(ScopeViolation {
+                                superstep,
+                                src: pe,
+                                dst,
+                            });
+                            break 'pes;
+                        }
+                        tagged.push((pe, dst, x));
+                        if dst != pe {
+                            match rows
+                                .iter_mut()
+                                .find(|r| (r.0, r.1) == (pe as u32, dst as u32))
+                            {
+                                Some(row) => row.2 += 1,
+                                None => rows.push((pe as u32, dst as u32, 1)),
+                            }
+                        }
+                    }
+                }
+            }
+            rows.sort_unstable();
+            per_worker.push(violation.map_or(Ok(rows), Err));
+        }
+        tagged.sort_by_key(|t| t.0);
+        let inboxes = (0..n)
+            .map(|dst| {
+                let mine: Vec<_> = tagged.iter().filter(|t| t.1 == dst).collect();
+                let words = mine.iter().map(|t| t.2).collect();
+                let runs = mine
+                    .chunk_by(|a, b| a.0 == b.0)
+                    .map(|run| (run[0].0 as u32, run.len() as u32))
+                    .collect();
+                (words, runs)
+            })
+            .collect();
+        (inboxes, per_worker)
+    }
+
+    /// Satellite: the run-granular engine against the per-word model,
+    /// over random interleavings of `send`, `send_words` (empty too) and
+    /// `send_mem`, random `Scope::Groups`, on 1, 2 and 4 workers whose
+    /// exchange swaps the paired `peer_buf`s: identical inbox words,
+    /// inbox runs, signature rows and scope violations.
+    #[test]
+    fn runs_match_the_per_word_model() {
+        const N: usize = 8;
+        let mut rng = Rng(0x5eed_0026);
+        let mut violations = 0;
+        for w in [1, 2, 4] {
+            for case in 0..150 {
+                let mems: Vec<Vec<u64>> = (0..N)
+                    .map(|_| (0..MEM).map(|_| rng.next()).collect())
+                    .collect();
+                let mut engines: Vec<Engine> = (0..w).map(|me| Engine::new(N, w, me)).collect();
+                for e in &mut engines {
+                    for pe in e.owned() {
+                        *e.mem_mut(pe).unwrap() = mems[pe].clone();
+                    }
+                }
+                let mut want_sig: Vec<Vec<Vec<Msg>>> = vec![Vec::new(); w];
+                for superstep in 0..4 {
+                    let (starts, size) = arbitrary_scope(&mut rng, N);
+                    let scope = match rng.below(6) {
+                        0 => Scope::All,
+                        1 => Scope::None,
+                        _ => Scope::Groups {
+                            starts: &starts,
+                            size,
+                        },
+                    };
+                    let sends = arbitrary_sends(&mut rng, N, scope);
+                    let (want_inbox, want_step) =
+                        reference_step(N, w, superstep, scope, &mems, &sends);
+                    let got_step: Vec<_> = engines
+                        .iter_mut()
+                        .map(|e| {
+                            e.compute(scope, &mut |pe, ctx| {
+                                for send in &sends[pe] {
+                                    match send {
+                                        Send::Word(d, x) => ctx.send(*d, *x),
+                                        Send::Words(d, xs) => ctx.send_words(*d, xs),
+                                        Send::Mem(d, r) => ctx.send_mem(*d, r.clone()),
+                                    }
+                                }
+                            })
+                        })
+                        .collect();
+                    let ctx = format!("w {w} case {case} superstep {superstep} {scope:?}");
+                    for (worker, (got, want)) in got_step.iter().zip(&want_step).enumerate() {
+                        match (got, want) {
+                            (Ok(()), Ok(rows)) => want_sig[worker].push(rows.clone()),
+                            (Err(g), Err(v)) => assert_eq!(g, v, "{ctx}"),
+                            _ => panic!("{ctx}: worker {worker} got {got:?}, want {want:?}"),
+                        }
+                    }
+                    if want_step.iter().any(Result::is_err) {
+                        violations += 1;
+                        break;
+                    }
+                    for a in 0..w {
+                        for b in a + 1..w {
+                            let (lo, hi) = engines.split_at_mut(b);
+                            std::mem::swap(lo[a].peer_buf(b), hi[0].peer_buf(a));
+                        }
+                    }
+                    for e in &mut engines {
+                        e.deliver();
+                        for pe in e.owned() {
+                            let ib = &e.inbox[pe - e.owned().start];
+                            assert_eq!(ib.words, want_inbox[pe].0, "{ctx}: PE {pe} words");
+                            assert_eq!(ib.runs, want_inbox[pe].1, "{ctx}: PE {pe} runs");
+                        }
+                    }
+                }
+                for (e, want) in engines.iter().zip(&want_sig) {
+                    assert_eq!(&e.traffic_signature(), want, "w {w} case {case}");
+                }
+            }
+        }
+        assert!(
+            violations > 10,
+            "only {violations} violating supersteps generated"
         );
     }
 }

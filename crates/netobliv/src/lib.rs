@@ -35,5 +35,5 @@ mod engine;
 mod machine;
 
 pub use comm::{Comm, Scope};
-pub use engine::{Engine, Msg, ScopeViolation};
+pub use engine::{Engine, Msg, Runs, ScopeViolation};
 pub use machine::{CostModelError, NoMachine, Pe};

@@ -1,40 +1,42 @@
 //! The M(N) superstep machine with deferred M(p,B) / D-BSP accounting.
 
+use std::ops::Range;
+
 use crate::comm::Scope;
-use crate::engine::{Engine, Msg, StepLog};
+use crate::engine::{Engine, Mailbox, Msg, StepLog};
 
 /// One processing element's view during a superstep.
 pub struct Pe<'a> {
     /// This PE's unbounded local memory.
     pub mem: &'a mut Vec<u64>,
-    /// Messages delivered from the previous superstep, in `(src, word)`
-    /// form, ordered by source PE (stable within a source).
-    pub inbox: &'a [(u32, u64)],
-    outbox: &'a mut Vec<(u32, u64)>,
+    /// Words delivered from the previous superstep, ordered by source
+    /// PE and, within a source, in send order.
+    pub inbox: &'a [u64],
+    /// The `(src, len)` runs of [`inbox`](Self::inbox): one per source
+    /// that sent, sources ascending.
+    pub inbox_runs: &'a [(u32, u32)],
+    outbox: &'a mut Mailbox,
     ops: &'a mut u64,
     pe: usize,
     n: usize,
 }
 
 impl<'a> Pe<'a> {
-    /// Construct a PE view over externally owned state.
-    ///
-    /// This is the hook for alternative [`Comm`](crate::Comm) backends
-    /// (e.g. the socket-based D-BSP tier): a backend that owns a PE's
-    /// memory and message buffers builds the same per-superstep view
-    /// the simulator hands to its closures. `ops` accumulates the
-    /// computation charged through [`Pe::work`].
-    pub fn new(
+    /// The view the [`Engine`] hands a PE's closure: its memory, last
+    /// superstep's inbox, the shared outbox, and `ops`, which
+    /// accumulates the computation charged through [`Pe::work`].
+    pub(crate) fn new(
         mem: &'a mut Vec<u64>,
-        inbox: &'a [(u32, u64)],
-        outbox: &'a mut Vec<(u32, u64)>,
+        inbox: &'a Mailbox,
+        outbox: &'a mut Mailbox,
         ops: &'a mut u64,
         pe: usize,
         n: usize,
     ) -> Pe<'a> {
         Pe {
             mem,
-            inbox,
+            inbox: &inbox.words,
+            inbox_runs: &inbox.runs,
             outbox,
             ops,
             pe,
@@ -58,13 +60,20 @@ impl Pe<'_> {
     /// superstep).
     pub fn send(&mut self, dst: usize, word: u64) {
         debug_assert!(dst < self.n, "send to PE {dst} out of range");
-        self.outbox.push((dst as u32, word));
+        self.outbox.push(dst as u32, word);
     }
 
     /// Send several words to `dst` (arrive contiguously, in order).
     pub fn send_words(&mut self, dst: usize, words: &[u64]) {
         debug_assert!(dst < self.n, "send to PE {dst} out of range");
-        self.outbox.extend(words.iter().map(|&w| (dst as u32, w)));
+        self.outbox.extend(dst as u32, words);
+    }
+
+    /// Send the words `range` of this PE's own memory to `dst`: the
+    /// same as `send_words(dst, &mem[range])`, without staging a copy.
+    pub fn send_mem(&mut self, dst: usize, range: Range<usize>) {
+        debug_assert!(dst < self.n, "send to PE {dst} out of range");
+        self.outbox.extend(dst as u32, &self.mem[range]);
     }
 
     /// Charge local computation.
@@ -73,9 +82,16 @@ impl Pe<'_> {
     }
 
     /// All inbox words from a given source, in send order.
-    pub fn from(&self, src: usize) -> impl Iterator<Item = u64> + '_ {
-        let src = src as u32;
-        self.inbox.iter().filter(move |m| m.0 == src).map(|m| m.1)
+    pub fn from(&self, src: usize) -> &[u64] {
+        let mut at = 0;
+        for &(s, len) in self.inbox_runs {
+            let end = at + len as usize;
+            if s as usize == src {
+                return &self.inbox[at..end];
+            }
+            at = end;
+        }
+        &[]
     }
 }
 
@@ -388,8 +404,7 @@ mod tests {
             ctx.send((pe + 1) % 4, pe as u64 * 10);
         });
         m.step(|pe, ctx| {
-            let got: Vec<u64> = ctx.inbox.iter().map(|m| m.1).collect();
-            assert_eq!(got, vec![((pe + 3) % 4) as u64 * 10]);
+            assert_eq!(ctx.inbox, [((pe + 3) % 4) as u64 * 10]);
         });
         assert_eq!(m.supersteps(), 2);
     }
@@ -473,8 +488,8 @@ mod tests {
         });
         m.step(|pe, ctx| {
             if pe == 0 {
-                let srcs: Vec<u32> = ctx.inbox.iter().map(|m| m.0).collect();
-                assert_eq!(srcs, vec![1, 2, 3]);
+                assert_eq!(ctx.inbox, [1, 2, 3]);
+                assert_eq!(ctx.inbox_runs, [(1, 1), (2, 1), (3, 1)]);
             }
         });
     }
