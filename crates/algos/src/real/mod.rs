@@ -28,7 +28,7 @@ pub fn par_transpose(pool: &SbPool, a: &[f64], out: &mut [f64], n: usize) {
     assert_eq!(a.len(), n * n);
     assert_eq!(out.len(), n * n);
     // out[j][i] = a[i][j]: parallelize over bands of out rows (j ranges).
-    pool.run(|ctx| {
+    pool.enter(|ctx| {
         band_transpose(ctx, a, out, n, 0);
     });
 }
@@ -92,7 +92,7 @@ pub fn par_matmul(pool: &SbPool, c: &mut [f64], a: &[f64], b: &[f64], n: usize) 
     assert_eq!(c.len(), n * n);
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
-    pool.run(|ctx| mm_rows(ctx, c, a, b, n));
+    pool.enter(|ctx| mm_rows(ctx, c, a, b, n));
 }
 
 fn mm_rows(ctx: &Ctx<'_>, c: &mut [f64], a: &[f64], b: &[f64], n: usize) {
@@ -235,7 +235,7 @@ pub fn par_floyd_warshall(pool: &SbPool, x: &mut [f64], n: usize) {
     for k in 0..n {
         rowk.copy_from_slice(&x[k * n..(k + 1) * n]);
         let rk = &rowk;
-        pool.run(|ctx| {
+        pool.enter(|ctx| {
             fw_bands(ctx, x, rk, n, k);
         });
     }
@@ -271,7 +271,7 @@ fn fw_bands(ctx: &Ctx<'_>, x: &mut [f64], rowk: &[f64], n: usize, k: usize) {
 /// Parallel exclusive prefix sum (wrapping u64): [`scan_in_ctx`] under
 /// one pool entry.
 pub fn par_prefix_sum(pool: &SbPool, a: &mut [u64]) {
-    pool.run(|ctx| scan_in_ctx(ctx, a));
+    pool.enter(|ctx| scan_in_ctx(ctx, a));
 }
 
 /// `Ctx`-native exclusive prefix sum (block-scan): per-block totals, a
@@ -323,7 +323,7 @@ pub fn par_spmdv(
     if m == 0 {
         return;
     }
-    pool.run(|ctx| spmdv_rows(ctx, row_ptr, cols, vals, x, y, 0));
+    pool.enter(|ctx| spmdv_rows(ctx, row_ptr, cols, vals, x, y, 0));
 }
 
 fn spmdv_rows(
@@ -408,7 +408,7 @@ mod tests {
         let (n, j0, rows) = (37usize, 5usize, 13usize);
         let a = rand_vec(n * n, 2);
         let mut band = vec![0.0; rows * n];
-        p.run(|ctx| band_transpose(ctx, &a, &mut band, n, j0));
+        p.enter(|ctx| band_transpose(ctx, &a, &mut band, n, j0));
         for dj in 0..rows {
             for i in 0..n {
                 assert_eq!(band[dj * n + i], a[i * n + j0 + dj], "band ({dj}, {i})");
@@ -600,7 +600,7 @@ pub fn par_fft(pool: &SbPool, x: &mut [C64]) {
 /// The pool decides where the halves run and nothing else: the result
 /// is the same bits on every pool, and [`serial_fft`]'s.
 pub fn par_fft_with_scratch(pool: &SbPool, x: &mut [C64], scratch: &mut Vec<C64>) {
-    pool.run(|ctx| fft_in(Some(ctx), x, scratch));
+    pool.enter(|ctx| fft_in(Some(ctx), x, scratch));
 }
 
 /// The same transform with no pool: the recursion's two halves run one

@@ -523,8 +523,7 @@ pub fn run_in(ctx: &Ctx<'_>, kernel: Kernel, n: usize, seed: u64) -> u64 {
     (kernel.def().run)(ctx, n.max(1), &mut Gen::for_job(kernel, seed))
 }
 
-/// Convenience single-job entry: enters `pool` (without resetting its
-/// statistics) and runs the job.
+/// Convenience single-job entry: enters `pool` and runs the job.
 pub fn run_kernel(pool: &SbPool, kernel: Kernel, n: usize, seed: u64) -> u64 {
     pool.enter(|ctx| run_in(ctx, kernel, n, seed))
 }
@@ -584,7 +583,7 @@ mod tests {
         let mut data = Gen(7).words(50_000);
         let mut want = data.clone();
         want.sort_unstable();
-        p.run(|ctx| sort_in_ctx_with_pooled_scratch(ctx, &mut data));
+        p.enter(|ctx| sort_in_ctx_with_pooled_scratch(ctx, &mut data));
         assert_eq!(data, want);
     }
 

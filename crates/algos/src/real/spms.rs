@@ -198,7 +198,7 @@ pub fn par_sort_with_scratch(pool: &SbPool, data: &mut [u64], scratch: &mut Vec<
         scratch.resize(n, 0);
     }
     let scratch = &mut scratch[..n];
-    pool.run(|ctx| spms_sort_in_ctx(ctx, data, scratch));
+    pool.enter(|ctx| spms_sort_in_ctx(ctx, data, scratch));
 }
 
 /// Ctx-native SPMS entry: runs inside an existing pool context (a
@@ -781,7 +781,7 @@ mod tests {
                 leaf,
                 max_ways: ways,
             };
-            p.run(|ctx| spms_with_params(ctx, &mut got, &mut scratch, &params));
+            p.enter(|ctx| spms_with_params(ctx, &mut got, &mut scratch, &params));
             assert_eq!(got, want, "{label}: cutoff={cutoff} leaf={leaf} q={ways}");
         }
     }
@@ -835,7 +835,7 @@ mod tests {
             leaf: 2048,
             max_ways: 8,
         };
-        p.run(|ctx| spms_with_params(ctx, &mut got, &mut scratch, &params));
+        p.enter(|ctx| spms_with_params(ctx, &mut got, &mut scratch, &params));
         assert_eq!(got, want);
         // Keys are grouped and non-decreasing; payloads per key intact.
         let mut payloads: Vec<u64> = got.iter().map(|v| v & 0xffff_ffff).collect();

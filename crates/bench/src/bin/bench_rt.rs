@@ -353,7 +353,7 @@ fn sweep_sort(pool: &SbPool, reps: usize) {
             buf[..n].copy_from_slice(keys);
             if par {
                 let (b, s) = (&mut buf[..n], &mut scratch[..n]);
-                pool.run(|ctx| spms_with_params(ctx, b, s, &params));
+                pool.enter(|ctx| spms_with_params(ctx, b, s, &params));
             } else {
                 buf[..n].sort_unstable();
             }

@@ -43,9 +43,8 @@
 //!
 //! `--smoke` shrinks sizes for CI and additionally asserts that the
 //! tracing machinery itself is cheap: matmul with a sink attached must
-//! stay within 5% (plus a fixed noise floor) of the same build with no
-//! sink, so an `obs`-enabled binary that never attaches a sink pays
-//! nothing measurable.
+//! stay within 5% (plus a fixed noise floor) of the same pool with no
+//! sink attached.
 //!
 //! **Serve mode** (`--serve`): instead of tracing the pool directly,
 //! boot an in-process `mo-serve` server with a trace sink attached,

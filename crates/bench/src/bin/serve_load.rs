@@ -24,7 +24,6 @@
 //!                         [default certify/certificates.json]
 //!   --phases              attach a trace sink and print the per-kernel
 //!                         per-phase p50/p95/p99 attribution table
-//!                         (requires the `obs` feature)
 //!   --trace-out FILE      with --phases: write the request-span
 //!                         timeline as validated chrome-trace JSON
 //!   --report FILE         with --phases: write the closed-loop report
@@ -32,7 +31,7 @@
 //!                         quantiles) as JSON
 //!   --overhead-check      run traced-vs-untraced closed-loop controls
 //!                         and exit non-zero if span emission costs
-//!                         more than 5% throughput (requires `obs`)
+//!                         more than 5% throughput
 //! ```
 //!
 //! Both modes print the server's final [`MetricsSnapshot`] plus a
@@ -265,7 +264,6 @@ fn open_loop(server: &Server, draw: &mut Draw, tally: &Tally, rate: f64, until: 
     });
 }
 
-#[cfg(feature = "obs")]
 fn phase_json(h: &mo_obs::hist::Log2Hist) -> String {
     format!(
         "{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
@@ -280,7 +278,6 @@ fn phase_json(h: &mo_obs::hist::Log2Hist) -> String {
 /// per-kernel phase-attribution table, enforce span conservation, and
 /// write the optional chrome-trace / JSON report artifacts. Returns
 /// `false` when a drop-free run failed to conserve its spans.
-#[cfg(feature = "obs")]
 fn phase_report(args: &Args, sink: &mo_obs::TraceSink, tally: &Tally, duration: Duration) -> bool {
     use mo_bench::kernel_name_of;
     use mo_obs::span::{self, Phase};
@@ -356,7 +353,6 @@ fn phase_report(args: &Args, sink: &mo_obs::TraceSink, tally: &Tally, duration: 
 /// and mix — and fails if the traced server serves more than 5% fewer
 /// jobs, minus a small fixed allowance absorbing scheduler noise at
 /// sub-second run lengths.
-#[cfg(feature = "obs")]
 fn overhead_check(mix: &[Mix]) -> bool {
     let dur = Duration::from_millis(600);
     let run_once = |traced: bool, seed: u64| -> u64 {
@@ -454,15 +450,6 @@ fn main() {
     } else {
         None
     };
-    #[cfg(not(feature = "obs"))]
-    if args.phases || args.overhead_check || args.trace_out.is_some() || args.report.is_some() {
-        eprintln!(
-            "serve_load: --phases/--trace-out/--report/--overhead-check need the traced build; \
-             rerun with `--features obs`"
-        );
-        std::process::exit(2);
-    }
-    #[cfg(feature = "obs")]
     let cores = hier.cores();
     let server = Server::start(
         hier,
@@ -474,7 +461,6 @@ fn main() {
             ..ServeConfig::default()
         },
     );
-    #[cfg(feature = "obs")]
     let sink = args.phases.then(|| {
         // Serve events and the pool's helper-thread scheduler events
         // share the external ring, so a load run needs more headroom
@@ -500,13 +486,10 @@ fn main() {
         "client tally: {done} served, {shed_submit} refused at submit, {shed_deadline} shed by deadline ({:.1} jobs/s served)",
         done as f64 / duration.as_secs_f64()
     );
-    #[cfg(feature = "obs")]
     let spans_ok = match &sink {
         Some(sink) => phase_report(&args, sink, &tally, duration),
         None => true,
     };
-    #[cfg(not(feature = "obs"))]
-    let spans_ok = true;
     // The run doubles as an assertion: the drain must be clean and the
     // server must have made progress. In smoke mode this gates CI.
     let clean = snapshot.queue_depth == 0
@@ -522,7 +505,6 @@ fn main() {
         std::process::exit(1);
     }
     println!("drain clean");
-    #[cfg(feature = "obs")]
     if args.overhead_check {
         if !overhead_check(&draw.mix) {
             eprintln!("serve_load: span overhead above the 5% gate");

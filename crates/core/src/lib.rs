@@ -64,3 +64,8 @@ pub use record::{
 };
 pub use trace::TraceEntry;
 pub use verify::{verify, HintViolation, Race, RaceKind, VerifyReport};
+
+// The path `obs_event!` names event kinds through, so a crate that
+// emits with it (mo-serve) needs no path of its own.
+#[doc(hidden)]
+pub use mo_obs;

@@ -20,9 +20,9 @@
 //!   *other* ready tasks while it waits instead of blocking the OS
 //!   thread.
 //! * **An injector queue** for threads that are not pool workers (a
-//!   server thread inside [`SbPool::enter`], a test thread inside
-//!   `run`): their forks are pushed there and stolen by the residents,
-//!   while the submitting thread help-waits like any worker.
+//!   server thread or a test thread inside [`SbPool::enter`]): their
+//!   forks are pushed there and stolen by the residents, while the
+//!   submitting thread help-waits like any worker.
 //! * **Event-counted sleeping**: idle workers park on a condvar guarded
 //!   by a monotone event counter. Every push and every task completion
 //!   bumps the counter and broadcasts, and a would-be sleeper re-checks
@@ -54,7 +54,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use super::{obs_event, Ctx, Inner, SbPool};
+use super::{Ctx, Inner, SbPool};
 
 /// Where a scan found a runnable job: the scanner's own deque, the
 /// external injector, or stolen from worker `.0`'s deque.
@@ -307,40 +307,33 @@ impl Registry {
 fn execute_found(ctx: &Ctx<'_>, job: JobRef, origin: Origin) {
     let inner = ctx.inner();
     let me = ctx.worker_index();
+    let sink = inner.sink.get();
     let (ocode, victim) = match origin {
         Origin::Own => (0u64, 0usize),
         Origin::Injector => {
             inner.stats.injector_pops.fetch_add(1, Ordering::Relaxed);
-            obs_event!(inner, me, InjectorPop, job.id() as usize, 0, 0);
+            obs_event!(sink, me, InjectorPop, job.id() as usize, 0, 0);
             (1, 0)
         }
         Origin::Stolen(v) => {
             inner.stats.steals.fetch_add(1, Ordering::Relaxed);
-            obs_event!(inner, me, StealSuccess, v, job.id() as usize, 0);
+            obs_event!(sink, me, StealSuccess, v, job.id() as usize, 0);
             (2, v)
         }
     };
-    // The macro ignores unused bindings when tracing is compiled out.
-    let _ = (ocode, victim);
-    obs_event!(inner, me, TaskEnter, job.id() as usize, ocode, victim);
-    #[cfg(feature = "obs")]
-    let wscope = inner.witness.get().map(|w| {
-        mo_obs::witness::scope(
-            w.as_ref(),
-            inner.sink.get().map(|s| s.as_ref()),
-            me,
-            job.id() as u64,
-        )
-    });
+    obs_event!(sink, me, TaskEnter, job.id() as usize, ocode, victim);
+    let wscope = inner
+        .witness
+        .get()
+        .map(|w| mo_obs::witness::scope(w.as_ref(), sink.map(|s| s.as_ref()), me, job.id() as u64));
     // SAFETY: popped from a queue, so this thread owns the right to run
     // the job and its frame is still pinned (module docs).
     unsafe { job.execute(ctx) };
     // Close the witness scope before TaskExit so the delta lands inside
     // the task's slice (`execute` never unwinds: the stack job catches
     // panics internally).
-    #[cfg(feature = "obs")]
     drop(wscope);
-    obs_event!(inner, me, TaskExit, job.id() as usize, 0, 0);
+    obs_event!(sink, me, TaskExit, job.id() as usize, 0, 0);
     inner.note_task(me);
     inner.reg.signal();
 }
@@ -349,7 +342,7 @@ fn execute_found(ctx: &Ctx<'_>, job: JobRef, origin: Origin) {
 fn note_empty_scan(ctx: &Ctx<'_>) {
     let inner = ctx.inner();
     inner.stats.failed_steals.fetch_add(1, Ordering::Relaxed);
-    obs_event!(inner, ctx.worker_index(), StealAttempt, 0, 0, 0);
+    obs_event!(inner.sink.get(), ctx.worker_index(), StealAttempt, 0, 0, 0);
 }
 
 thread_local! {
@@ -394,9 +387,9 @@ pub(super) fn worker_loop(inner: Arc<Inner>, idx: usize) {
             return;
         }
         inner.stats.parks.fetch_add(1, Ordering::Relaxed);
-        obs_event!(inner, Some(idx), Park, 0, 0, 0);
+        obs_event!(inner.sink.get(), Some(idx), Park, 0, 0, 0);
         drop(reg.wake.wait(g).unwrap());
-        obs_event!(inner, Some(idx), Unpark, 0, 0, 0);
+        obs_event!(inner.sink.get(), Some(idx), Unpark, 0, 0, 0);
     }
 }
 
@@ -425,8 +418,8 @@ pub(super) fn wait_until(ctx: &Ctx<'_>, latch: &Latch) {
             continue;
         }
         inner.stats.parks.fetch_add(1, Ordering::Relaxed);
-        obs_event!(inner, ctx.worker_index(), Park, 0, 0, 0);
+        obs_event!(inner.sink.get(), ctx.worker_index(), Park, 0, 0, 0);
         drop(reg.wake.wait(g).unwrap());
-        obs_event!(inner, ctx.worker_index(), Unpark, 0, 0, 0);
+        obs_event!(inner.sink.get(), ctx.worker_index(), Unpark, 0, 0, 0);
     }
 }

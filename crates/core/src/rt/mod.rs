@@ -33,40 +33,34 @@
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicIsize, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-#[cfg(feature = "obs")]
-use std::sync::OnceLock;
-
-mod exec;
-pub mod sysfs;
-
-/// Record one trace event against the pool's attached sink, if any.
+/// Record one trace event into `$sink` — an `Option` of a
+/// [`mo_obs::TraceSink`] reference such as
+/// [`SbPool::sink`](crate::rt::SbPool::sink) — when a sink is attached.
 ///
-/// With the `obs` feature off this expands to nothing at all — the
-/// payload expressions are not evaluated — so an untraced build carries
-/// zero cost. With the feature on but no sink attached, the cost is one
-/// `OnceLock` load (a single atomic read) per call site.
-///
-/// Payload expressions must be pure: they disappear from untraced
-/// builds.
+/// Tracing is a run-time switch: with no sink attached a call site
+/// costs the `Option` test (for the pool, one `OnceLock` load) and the
+/// payload expressions are not evaluated. The runtime's scheduler
+/// decisions and `mo-serve`'s request spans both emit through this one
+/// macro.
+#[macro_export]
 macro_rules! obs_event {
-    ($inner:expr, $worker:expr, $kind:ident, $a:expr, $b:expr, $c:expr) => {
-        #[cfg(feature = "obs")]
-        {
-            if let Some(sink) = $inner.sink.get() {
-                sink.emit(
-                    $worker,
-                    mo_obs::EventKind::$kind,
-                    $a as u64,
-                    $b as u64,
-                    $c as u64,
-                );
-            }
+    ($sink:expr, $worker:expr, $kind:ident, $a:expr, $b:expr, $c:expr) => {
+        if let Some(sink) = $sink {
+            sink.emit(
+                $worker,
+                $crate::mo_obs::EventKind::$kind,
+                $a as u64,
+                $b as u64,
+                $c as u64,
+            );
         }
     };
 }
-pub(crate) use obs_event;
+
+mod exec;
+pub mod sysfs;
 
 /// One level of the real machine's hierarchy (capacity in *words*, i.e.
 /// `u64`-sized units, to match the simulator's convention).
@@ -169,8 +163,11 @@ impl HwHierarchy {
     }
 }
 
-/// Statistics of a pool run (monotone counters, reset per [`SbPool::run`]).
-#[derive(Debug, Default, Clone, Copy)]
+/// Runtime counters of a pool since it was created.
+///
+/// Every field only grows, so the activity of an interval is the
+/// difference of two reads: `pool.stats().since(&before)`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RtStats {
     /// Forks executed in parallel (the second branch became stealable).
     pub parallel_forks: u64,
@@ -193,134 +190,50 @@ impl RtStats {
     pub fn total_forks(&self) -> u64 {
         self.parallel_forks + self.serial_forks + self.denied_forks
     }
-}
 
-// Loom model builds (CI-only: `RUSTFLAGS="--cfg loom"` plus a CI-time
-// dev-dependency, see .github/workflows/ci.yml) swap the seqlock's
-// atomics for loom's permutation-tested ones; everything else in the
-// pool keeps std's.
-#[cfg(loom)]
-use loom::sync::atomic::{fence, AtomicU64 as SeqAtomicU64};
-#[cfg(not(loom))]
-use std::sync::atomic::{fence, AtomicU64 as SeqAtomicU64};
-
-/// Lock-free counters backing [`RtStats`], snapshotted under a
-/// generation seqlock.
-///
-/// # Snapshot/reset protocol
-///
-/// The counters themselves are independent relaxed atomics — cheap to
-/// bump from any thread — so a multi-cell snapshot is only meaningful
-/// if it cannot interleave with [`reset`](Self::reset) (which would mix
-/// pre- and post-reset values across cells: the race this generation
-/// word exists to close). `reset` bumps `generation` to an odd value,
-/// issues a release fence, zeroes every cell, then bumps it back to
-/// even with release ordering; `snapshot` retries until it reads the
-/// same even generation on both sides of its loads, with an acquire
-/// fence between the cell loads and the recheck.
-///
-/// The fence pair is load-bearing: the cell stores and loads are all
-/// relaxed, so without it a snapshot could observe a reset's zeroes
-/// while both generation loads still return the old even value (the
-/// classic seqlock weak-memory trap). With it, a cell load that read
-/// any reset store forces the recheck to see the odd generation
-/// (release/acquire fence synchronization), and a first load that read
-/// the final even generation forces every cell load to see the zeroes
-/// (release store / acquire load). Concurrent *increments* during a
-/// snapshot remain visible or not per cell — that is inherent to
-/// monotone relaxed counters and harmless; what cannot happen is a
-/// snapshot that saw `serial_forks` after a reset but `parallel_forks`
-/// from before it. The `loom_tests` module model-checks exactly this.
-#[derive(Debug)]
-struct StatCells {
-    generation: SeqAtomicU64,
-    parallel_forks: SeqAtomicU64,
-    serial_forks: SeqAtomicU64,
-    denied_forks: SeqAtomicU64,
-    steals: SeqAtomicU64,
-    failed_steals: SeqAtomicU64,
-    parks: SeqAtomicU64,
-    injector_pops: SeqAtomicU64,
-}
-
-impl Default for StatCells {
-    // Not derived: loom's `AtomicU64` lacks the `Default` impl.
-    fn default() -> Self {
+    /// The activity between `prev` and `self`, field by field. Reads of
+    /// one pool never decrease; the subtraction saturates at zero so a
+    /// mismatched pair (two pools, or the arguments swapped) cannot
+    /// underflow.
+    pub fn since(&self, prev: &Self) -> Self {
         Self {
-            generation: SeqAtomicU64::new(0),
-            parallel_forks: SeqAtomicU64::new(0),
-            serial_forks: SeqAtomicU64::new(0),
-            denied_forks: SeqAtomicU64::new(0),
-            steals: SeqAtomicU64::new(0),
-            failed_steals: SeqAtomicU64::new(0),
-            parks: SeqAtomicU64::new(0),
-            injector_pops: SeqAtomicU64::new(0),
+            parallel_forks: self.parallel_forks.saturating_sub(prev.parallel_forks),
+            serial_forks: self.serial_forks.saturating_sub(prev.serial_forks),
+            denied_forks: self.denied_forks.saturating_sub(prev.denied_forks),
+            steals: self.steals.saturating_sub(prev.steals),
+            failed_steals: self.failed_steals.saturating_sub(prev.failed_steals),
+            parks: self.parks.saturating_sub(prev.parks),
+            injector_pops: self.injector_pops.saturating_sub(prev.injector_pops),
         }
     }
+}
+
+/// Lock-free counters backing [`RtStats`]: independent relaxed atomics,
+/// cheap to bump from any thread and never reset. A snapshot loads each
+/// cell once; increments racing it are visible or not per cell, and no
+/// cell ever reads lower than in an earlier snapshot.
+#[derive(Debug, Default)]
+struct StatCells {
+    parallel_forks: AtomicU64,
+    serial_forks: AtomicU64,
+    denied_forks: AtomicU64,
+    steals: AtomicU64,
+    failed_steals: AtomicU64,
+    parks: AtomicU64,
+    injector_pops: AtomicU64,
 }
 
 impl StatCells {
-    fn cells(&self) -> [&SeqAtomicU64; 7] {
-        [
-            &self.parallel_forks,
-            &self.serial_forks,
-            &self.denied_forks,
-            &self.steals,
-            &self.failed_steals,
-            &self.parks,
-            &self.injector_pops,
-        ]
-    }
-
-    /// Zero every counter, atomically with respect to [`snapshot`](Self::snapshot).
-    fn reset(&self) {
-        // Odd generation = reset in progress; snapshots spin past it.
-        self.generation.fetch_add(1, Ordering::Relaxed);
-        // Pairs with the acquire fence in `snapshot`: a snapshot whose
-        // cell loads saw any of the zeroes below must then see the odd
-        // generation on its recheck and retry.
-        fence(Ordering::Release);
-        for c in self.cells() {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// A consistent multi-cell copy (see the protocol above).
     fn snapshot(&self) -> RtStats {
-        loop {
-            let before = self.generation.load(Ordering::Acquire);
-            if before & 1 == 1 {
-                Self::backoff();
-                continue;
-            }
-            let s = RtStats {
-                parallel_forks: self.parallel_forks.load(Ordering::Relaxed),
-                serial_forks: self.serial_forks.load(Ordering::Relaxed),
-                denied_forks: self.denied_forks.load(Ordering::Relaxed),
-                steals: self.steals.load(Ordering::Relaxed),
-                failed_steals: self.failed_steals.load(Ordering::Relaxed),
-                parks: self.parks.load(Ordering::Relaxed),
-                injector_pops: self.injector_pops.load(Ordering::Relaxed),
-            };
-            // Pairs with the release fence in `reset` (see above).
-            fence(Ordering::Acquire);
-            if self.generation.load(Ordering::Relaxed) == before {
-                return s;
-            }
+        RtStats {
+            parallel_forks: self.parallel_forks.load(Ordering::Relaxed),
+            serial_forks: self.serial_forks.load(Ordering::Relaxed),
+            denied_forks: self.denied_forks.load(Ordering::Relaxed),
+            steals: self.steals.load(Ordering::Relaxed),
+            failed_steals: self.failed_steals.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
+            injector_pops: self.injector_pops.load(Ordering::Relaxed),
         }
-    }
-
-    #[cfg(not(loom))]
-    fn backoff() {
-        std::hint::spin_loop();
-    }
-
-    // Loom needs an explicit yield to know the spinner is not making
-    // progress on its own; a raw spin hint would livelock the model.
-    #[cfg(loom)]
-    fn backoff() {
-        loom::thread::yield_now();
     }
 }
 
@@ -337,13 +250,11 @@ struct Inner {
     tasks: Box<[AtomicU64]>,
     reg: exec::Registry,
     /// The attached trace sink, set at most once per pool lifetime.
-    #[cfg(feature = "obs")]
     sink: OnceLock<Arc<mo_obs::TraceSink>>,
     /// The attached cache witness, set at most once per pool lifetime.
     /// Scoped around every queued task (and the root of each `enter`)
     /// so measured cache traffic attributes to the task that incurred
     /// it; deltas are recorded against `sink` as `CacheWitness` events.
-    #[cfg(feature = "obs")]
     witness: OnceLock<Arc<dyn mo_obs::witness::TaskWitness>>,
 }
 
@@ -421,9 +332,7 @@ impl SbPool {
                     .collect(),
                 reg: exec::Registry::new(cores.max(1) as usize),
                 hier,
-                #[cfg(feature = "obs")]
                 sink: OnceLock::new(),
-                #[cfg(feature = "obs")]
                 witness: OnceLock::new(),
             }),
             handles: Mutex::new(Vec::new()),
@@ -448,16 +357,15 @@ impl SbPool {
         &self.inner.hier
     }
 
-    /// Statistics of the runtime activity so far: a consistent snapshot
-    /// with respect to [`run`](Self::run)'s reset (see [`StatCells`]'s
-    /// protocol note).
+    /// The runtime counters since the pool was created. They only
+    /// grow: measure an interval as `stats().since(&before)`.
     pub fn stats(&self) -> RtStats {
         self.inner.stats.snapshot()
     }
 
     /// Queued tasks executed per resident worker since the pool was
     /// created; the trailing slot aggregates every external thread that
-    /// help-executed inside `enter`/`run`. Never reset.
+    /// help-executed inside `enter`.
     pub fn per_worker_tasks(&self) -> Vec<u64> {
         self.inner
             .tasks
@@ -466,17 +374,9 @@ impl SbPool {
             .collect()
     }
 
-    /// Run a root task. The context it receives exposes `join` and `pfor`.
-    pub fn run<R: Send>(&self, f: impl FnOnce(&Ctx<'_>) -> R + Send) -> R {
-        self.inner.stats.reset();
-        self.enter(f)
-    }
-
-    /// Like [`run`](Self::run) but *without* resetting [`stats`](Self::stats)
-    /// (monotone counters accumulate across entries). This is the entry
-    /// point for long-lived services where several threads run tasks on
-    /// one shared pool concurrently: resetting would race, and a server
-    /// wants cumulative fork counts for its metrics deltas anyway.
+    /// Run a root task. The context it receives exposes `join` and
+    /// `pfor`. Any number of threads may be inside `enter` on one pool
+    /// at once; their forks all count into [`stats`](Self::stats).
     ///
     /// The closure runs on the calling thread; only stealable forks it
     /// takes move to the resident workers. A call from a resident
@@ -488,7 +388,6 @@ impl SbPool {
         };
         // Witness root scope (job id 0): traffic the calling thread
         // incurs inline — outside any queued task — still attributes.
-        #[cfg(feature = "obs")]
         let _wscope = self.inner.witness.get().map(|w| {
             mo_obs::witness::scope(
                 w.as_ref(),
@@ -536,13 +435,11 @@ impl SbPool {
     /// attached. The sink should have [`mo_obs::TraceSink::workers`]
     /// rings ≥ the pool's core count, or events from the extra workers
     /// are routed to its external ring.
-    #[cfg(feature = "obs")]
     pub fn attach_sink(&self, sink: Arc<mo_obs::TraceSink>) -> bool {
         self.inner.sink.set(sink).is_ok()
     }
 
     /// The attached trace sink, if any.
-    #[cfg(feature = "obs")]
     pub fn sink(&self) -> Option<&Arc<mo_obs::TraceSink>> {
         self.inner.sink.get()
     }
@@ -554,13 +451,11 @@ impl SbPool {
     /// `CacheWitness` events, so for a useful trace attach the sink
     /// first. At most one witness per pool lifetime: returns `false`
     /// (and keeps the existing witness) on a second attach.
-    #[cfg(feature = "obs")]
     pub fn attach_witness(&self, witness: Arc<dyn mo_obs::witness::TaskWitness>) -> bool {
         self.inner.witness.set(witness).is_ok()
     }
 
     /// The attached cache witness, if any.
-    #[cfg(feature = "obs")]
     pub fn witness(&self) -> Option<&Arc<dyn mo_obs::witness::TaskWitness>> {
         self.inner.witness.get()
     }
@@ -623,7 +518,6 @@ impl Drop for SbPool {
 
 /// SB anchor level of `words` against `hier`, encoded for event
 /// payloads (`u64::MAX` = fits no level).
-#[cfg(feature = "obs")]
 fn anchor_of(hier: &HwHierarchy, words: usize) -> u64 {
     hier.anchor_level(words).map_or(u64::MAX, |l| l as u64)
 }
@@ -682,7 +576,7 @@ impl<'p> Ctx<'p> {
             // Both children would anchor at one private cache: serialize.
             inner.stats.serial_forks.fetch_add(1, Ordering::Relaxed);
             obs_event!(
-                inner,
+                inner.sink.get(),
                 self.worker,
                 ForkSerial,
                 space,
@@ -694,7 +588,7 @@ impl<'p> Ctx<'p> {
         if inner.try_acquire() {
             inner.stats.parallel_forks.fetch_add(1, Ordering::Relaxed);
             obs_event!(
-                inner,
+                inner.sink.get(),
                 self.worker,
                 ForkParallel,
                 space,
@@ -711,7 +605,7 @@ impl<'p> Ctx<'p> {
         if inner.try_acquire() {
             inner.stats.parallel_forks.fetch_add(1, Ordering::Relaxed);
             obs_event!(
-                inner,
+                inner.sink.get(),
                 self.worker,
                 ForkParallel,
                 space,
@@ -722,7 +616,7 @@ impl<'p> Ctx<'p> {
         }
         inner.stats.denied_forks.fetch_add(1, Ordering::Relaxed);
         obs_event!(
-            inner,
+            inner.sink.get(),
             self.worker,
             ForkDenied,
             space,
@@ -843,15 +737,9 @@ impl<'p> Ctx<'p> {
         let grain = grain.max(1);
         let cores = self.inner().hier.cores();
         let nseg = (n / grain).clamp(1, cores);
+        let sink = self.inner().sink.get();
         if nseg == 1 {
-            obs_event!(
-                self.inner(),
-                self.worker,
-                CgcSegment,
-                range.start,
-                range.end,
-                grain
-            );
+            obs_event!(sink, self.worker, CgcSegment, range.start, range.end, grain);
             body(range);
             return;
         }
@@ -862,7 +750,7 @@ impl<'p> Ctx<'p> {
                 let lo = range.start + k * per;
                 let hi = (range.start + (k + 1) * per).min(range.end);
                 (lo < hi).then(|| {
-                    obs_event!(self.inner(), self.worker, CgcSegment, lo, hi, grain);
+                    obs_event!(sink, self.worker, CgcSegment, lo, hi, grain);
                     exec::StackJob::new(move |_: &Ctx<'_>| body(lo..hi))
                 })
             })
@@ -875,15 +763,9 @@ impl<'p> Ctx<'p> {
                 .reg
                 .push(self.worker, unsafe { job.as_job_ref() });
         }
-        obs_event!(
-            self.inner(),
-            self.worker,
-            CgcSegment,
-            range.start,
-            range.start + per,
-            grain
-        );
-        let first = panic::catch_unwind(AssertUnwindSafe(|| body(range.start..range.start + per)));
+        let head = range.start..range.start + per;
+        obs_event!(sink, self.worker, CgcSegment, head.start, head.end, grain);
+        let first = panic::catch_unwind(AssertUnwindSafe(|| body(head)));
         for job in &jobs {
             exec::wait_until(self, job.latch());
         }
@@ -896,10 +778,7 @@ impl<'p> Ctx<'p> {
     }
 }
 
-// Not compiled under `--cfg loom`: these tests drive real pools and
-// std threads, which loom's replacement atomics cannot run outside a
-// model. The loom build runs `loom_tests` below instead.
-#[cfg(all(test, not(loom)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -911,14 +790,14 @@ mod tests {
     #[test]
     fn join_returns_both_results() {
         let p = pool();
-        let (a, b) = p.run(|ctx| ctx.join(1 << 16, |_| 21u32, 1 << 16, |_| 2u32));
+        let (a, b) = p.enter(|ctx| ctx.join(1 << 16, |_| 21u32, 1 << 16, |_| 2u32));
         assert_eq!(a * b, 42);
     }
 
     #[test]
     fn small_forks_serialize() {
         let p = pool();
-        p.run(|ctx| {
+        p.enter(|ctx| {
             ctx.join(10, |_| (), 10, |_| ());
         });
         let st = p.stats();
@@ -929,7 +808,7 @@ mod tests {
     #[test]
     fn large_forks_parallelize() {
         let p = pool();
-        p.run(|ctx| {
+        p.enter(|ctx| {
             ctx.join(1 << 16, |_| (), 1 << 16, |_| ());
         });
         assert_eq!(p.stats().parallel_forks, 1);
@@ -947,7 +826,7 @@ mod tests {
         }
         let data: Vec<u64> = (0..100_000u64).collect();
         let p = pool();
-        let total = p.run(|ctx| sum(ctx, &data));
+        let total = p.enter(|ctx| sum(ctx, &data));
         assert_eq!(total, 100_000 * 99_999 / 2);
     }
 
@@ -956,7 +835,7 @@ mod tests {
         let n = 10_000;
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
         let p = pool();
-        p.run(|ctx| {
+        p.enter(|ctx| {
             ctx.pfor(0..n, 64, |r| {
                 for i in r {
                     hits[i].fetch_add(1, Ordering::Relaxed);
@@ -970,7 +849,7 @@ mod tests {
     fn pfor_small_range_runs_inline() {
         let p = pool();
         let counter = AtomicU64::new(0);
-        p.run(|ctx| {
+        p.enter(|ctx| {
             ctx.pfor(0..10, 64, |r| {
                 counter.fetch_add(r.len() as u64, Ordering::Relaxed);
             });
@@ -995,7 +874,7 @@ mod tests {
             );
         }
         let p = pool();
-        p.run(|ctx| spin(ctx, 4));
+        p.enter(|ctx| spin(ctx, 4));
         let st = p.stats();
         assert!(st.parallel_forks >= 1);
         assert!(st.parallel_forks <= 3 + st.denied_forks + 16);
@@ -1009,9 +888,9 @@ mod tests {
         // Regression: an empty batch used to reach a `pop().unwrap()`
         // style path; it must be a clean no-op.
         let p = pool();
-        let out: Vec<u32> = p.run(|ctx| ctx.join_all(1 << 14, Vec::new()));
+        let out: Vec<u32> = p.enter(|ctx| ctx.join_all(1 << 14, Vec::new()));
         assert!(out.is_empty());
-        let one: Vec<u32> = p.run(|ctx| {
+        let one: Vec<u32> = p.enter(|ctx| {
             let fs: Jobs<'_, u32> = vec![Box::new(|_: &Ctx<'_>| 7)];
             ctx.join_all(1 << 14, fs)
         });
@@ -1039,89 +918,73 @@ mod tests {
     fn enter_accumulates_stats_and_permits_recover() {
         let p = pool();
         assert_eq!(p.available_permits(), 3);
-        p.run(|ctx| {
+        let big = |ctx: &Ctx<'_>| {
             ctx.join(1 << 16, |_| (), 1 << 16, |_| ());
-        });
-        p.enter(|ctx| {
-            ctx.join(1 << 16, |_| (), 1 << 16, |_| ());
-        });
-        // enter() did not reset the counter from run().
+        };
+        p.enter(big);
+        p.enter(big);
+        // The second entry added to the first's count.
         assert_eq!(p.stats().parallel_forks, 2);
         assert_eq!(p.available_permits(), 3);
-    }
 
-    #[test]
-    fn stats_snapshot_is_consistent_across_reset() {
-        // Hammer reset() from one thread while another snapshots: the
-        // seqlock must never let a snapshot mix pre- and post-reset
-        // cells. The writer bumps `serial_forks` before `parallel_forks`
-        // and `snapshot()` loads `parallel_forks` before `serial_forks`,
-        // so within one generation every snapshot has serial >= parallel.
-        // How far above is unbounded — increments landing between the
-        // two loads open that gap legitimately — so only the other side
-        // is a tear: a pre-reset `parallel_forks` beside a post-reset
-        // `serial_forks`.
-        let cells = Arc::new(StatCells::default());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let writer = {
-            let cells = Arc::clone(&cells);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    cells.serial_forks.fetch_add(1, Ordering::Relaxed);
-                    cells.parallel_forks.fetch_add(1, Ordering::Relaxed);
-                    i += 1;
-                    if i.is_multiple_of(64) {
-                        cells.reset();
-                    }
-                }
-            })
-        };
-        for _ in 0..10_000 {
-            let s = cells.snapshot();
-            // Without the generation word, a snapshot racing reset sees
-            // e.g. parallel=63, serial=0.
-            assert!(
-                s.serial_forks >= s.parallel_forks,
-                "torn snapshot across reset: serial={} parallel={}",
+        // Monotone: while two threads interleave entries, no read of
+        // any counter is below the read before it.
+        let cells = |s: RtStats| {
+            [
+                s.parallel_forks,
                 s.serial_forks,
-                s.parallel_forks
-            );
-        }
-        stop.store(true, Ordering::Release);
-        writer.join().unwrap();
-    }
-
-    #[test]
-    fn seqlock_generation_protocol() {
-        // The generation word advances by exactly 2 per reset (odd =
-        // reset in progress, even = quiescent) ...
-        let cells = StatCells::default();
-        assert_eq!(cells.generation.load(Ordering::Relaxed), 0);
-        cells.reset();
-        assert_eq!(cells.generation.load(Ordering::Relaxed), 2);
-        cells.reset();
-        assert_eq!(cells.generation.load(Ordering::Relaxed), 4);
-        // ... and a snapshot caught under an odd generation must spin
-        // until the reset completes rather than return a torn copy.
-        let cells = Arc::new(StatCells::default());
-        cells.generation.fetch_add(1, Ordering::Release);
-        let snap = {
-            let cells = Arc::clone(&cells);
-            std::thread::spawn(move || cells.snapshot())
+                s.denied_forks,
+                s.steals,
+                s.failed_steals,
+                s.parks,
+                s.injector_pops,
+            ]
         };
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        assert!(
-            !snap.is_finished(),
-            "snapshot returned while a reset was in progress"
+        std::thread::scope(|s| {
+            let callers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        for _ in 0..200 {
+                            p.enter(|ctx| {
+                                ctx.join(10, |_| (), 10, |_| ());
+                                big(ctx);
+                            });
+                        }
+                    })
+                })
+                .collect();
+            let mut last = cells(p.stats());
+            while !callers.iter().all(|h| h.is_finished()) {
+                let now = cells(p.stats());
+                assert!(
+                    now.iter().zip(&last).all(|(n, l)| n >= l),
+                    "a counter went down: {last:?} -> {now:?}"
+                );
+                last = now;
+            }
+        });
+        assert_eq!(p.stats().serial_forks, 400);
+        assert_eq!(p.available_permits(), 3);
+
+        // The delta around one program is exactly its forks: three
+        // below the L1 cutoff, one above it with every permit free.
+        let before = p.stats();
+        p.enter(|ctx| {
+            for _ in 0..3 {
+                ctx.join(10, |_| (), 10, |_| ());
+            }
+            big(ctx);
+        });
+        let d = p.stats().since(&before);
+        assert_eq!(
+            (d.serial_forks, d.parallel_forks, d.denied_forks),
+            (3, 1, 0)
         );
-        cells.serial_forks.store(9, Ordering::Relaxed);
-        cells.generation.fetch_add(1, Ordering::Release);
-        assert_eq!(snap.join().unwrap().serial_forks, 9);
+        assert_eq!(d.total_forks(), 4);
+        // Swapped arguments saturate instead of underflowing.
+        assert_eq!(before.since(&p.stats()), RtStats::default());
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn attached_witness_brackets_every_task() {
         use std::sync::atomic::AtomicI64;
@@ -1150,7 +1013,7 @@ mod tests {
         assert!(p.attach_sink(Arc::clone(&sink)));
         assert!(p.attach_witness(Arc::clone(&mock) as _));
         assert!(!p.attach_witness(Arc::clone(&mock) as _)); // once per pool
-        p.run(|ctx| {
+        p.enter(|ctx| {
             ctx.join(1 << 16, |_| (), 1 << 16, |_| ());
             ctx.join(1 << 16, |_| (), 1 << 16, |_| ());
         });
@@ -1164,7 +1027,7 @@ mod tests {
         }
         assert_eq!(mock.open.load(Ordering::SeqCst), 0, "unbalanced scopes");
         let scopes = mock.scopes.load(Ordering::SeqCst);
-        assert!(scopes >= 1, "at least the root scope of run()");
+        assert!(scopes >= 1, "at least the root scope of enter()");
         let evs = sink.drain();
         let wit: Vec<_> = evs
             .iter()
@@ -1212,7 +1075,7 @@ mod tests {
         }
         let p = pool();
         p.warm();
-        p.run(|ctx| spin(ctx, 8));
+        p.enter(|ctx| spin(ctx, 8));
         let st = p.stats();
         assert!(st.parallel_forks >= 1);
         let moved = st.steals + st.injector_pops;
@@ -1228,7 +1091,6 @@ mod tests {
         assert_eq!(p.per_worker_tasks().len(), 5); // 4 workers + external
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn attached_sink_records_fork_decisions() {
         let p = pool();
@@ -1238,7 +1100,7 @@ mod tests {
         ));
         assert!(p.attach_sink(Arc::clone(&sink)));
         assert!(!p.attach_sink(Arc::clone(&sink))); // once per pool
-        p.run(|ctx| {
+        p.enter(|ctx| {
             ctx.join(10, |_| (), 10, |_| ());
             ctx.join(1 << 16, |_| (), 1 << 16, |_| ());
             ctx.pfor(0..4096, 64, |_r| {});
@@ -1264,48 +1126,12 @@ mod tests {
     #[test]
     fn join_all_preserves_order() {
         let p = pool();
-        let out = p.run(|ctx| {
+        let out = p.enter(|ctx| {
             let fs: Jobs<'_, usize> = (0..9usize)
                 .map(|i| Box::new(move |_: &Ctx<'_>| i * i) as _)
                 .collect();
             ctx.join_all(1 << 14, fs)
         });
         assert_eq!(out, (0..9).map(|i| i * i).collect::<Vec<_>>());
-    }
-}
-
-/// Loom model checks for the [`StatCells`] generation seqlock: every
-/// interleaving (and every C11-permitted weak-memory outcome) of a
-/// snapshot racing a reset must yield an all-pre or all-post snapshot,
-/// never a mix. CI runs this with `RUSTFLAGS="--cfg loom"` after
-/// adding `loom` as a CI-time dev-dependency; local builds compile it
-/// away entirely.
-#[cfg(all(test, loom))]
-mod loom_tests {
-    use super::*;
-    use loom::sync::Arc;
-    use loom::thread;
-
-    #[test]
-    fn loom_stats_snapshot_never_mixes_across_reset() {
-        loom::model(|| {
-            let cells = Arc::new(StatCells::default());
-            // Both cells start equal; the spawn edge publishes them to
-            // the resetter, so any mixed (1, 0) / (0, 1) snapshot can
-            // only come from interleaving with the reset itself.
-            cells.parallel_forks.store(1, Ordering::Relaxed);
-            cells.serial_forks.store(1, Ordering::Relaxed);
-            let c = Arc::clone(&cells);
-            let resetter = thread::spawn(move || c.reset());
-            let s = cells.snapshot();
-            assert_eq!(
-                s.parallel_forks, s.serial_forks,
-                "snapshot mixed pre- and post-reset cells: {s:?}"
-            );
-            resetter.join().unwrap();
-            // After the reset is joined, a snapshot must see the zeroes.
-            let s = cells.snapshot();
-            assert_eq!((s.parallel_forks, s.serial_forks), (0, 0));
-        });
     }
 }

@@ -209,7 +209,7 @@ fn rt_pool_detects_some_machine() {
     let pool = mo_core::rt::SbPool::detected();
     assert!(pool.hierarchy().cores() >= 1);
     assert!(pool.hierarchy().l1_capacity() > 0);
-    let sum = pool.run(|ctx| {
+    let sum = pool.enter(|ctx| {
         let (a, b) = ctx.join(1 << 20, |_| 20u64, 1 << 20, |_| 22u64);
         a + b
     });

@@ -20,7 +20,7 @@ use mo_core::rt::{Ctx, HwHierarchy, SbPool};
 
 fn chunks_of(pool: &SbPool, range: Range<usize>, grain: usize) -> Vec<Range<usize>> {
     let seen = Mutex::new(Vec::new());
-    pool.run(|ctx| {
+    pool.enter(|ctx| {
         ctx.pfor(range, grain, |r| {
             seen.lock().unwrap().push(r);
         });

@@ -7,7 +7,7 @@
 //! atomic stores — no allocation, no serialization on the hot path.
 
 /// Worker id recorded for events emitted by threads that are not
-/// resident pool workers (server threads, test threads inside `run`).
+/// resident pool workers (server threads, test threads inside `enter`).
 pub const WORKER_EXTERNAL: u32 = u32::MAX;
 
 /// What happened. The payload convention per kind (`a`/`b`/`c` are the

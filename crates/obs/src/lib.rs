@@ -52,10 +52,9 @@
 //! The crate is dependency-free, and the only `unsafe` is the raw
 //! `perf_event_open` syscall shim confined to [`witness::perf`] (which
 //! degrades to a graceful "unavailable" everywhere the kernel refuses
-//! it); `mo-core` depends on it *optionally* behind its `obs` feature,
-//! so with the feature off the runtime carries zero tracing cost (the
-//! emission macro compiles to nothing — not even its arguments are
-//! evaluated).
+//! it). `mo-core` depends on it in every build: tracing starts when a
+//! [`TraceSink`] is attached to a pool, and until then each emission
+//! site costs one `OnceLock` load and evaluates none of its payload.
 
 #![deny(unsafe_code)]
 // The syscall shim must wrap every unsafe operation in an explicit,

@@ -16,7 +16,7 @@ const DEFAULT_CAPACITY: usize = 1 << 16;
 /// Resident worker `i` writes ring `i` lock-free (SPSC: the worker is
 /// the only producer, [`drain`](TraceSink::drain) the only consumer).
 /// Events from threads that are not resident workers — a server thread
-/// inside `SbPool::enter`, a test thread inside `run` — go to one
+/// or a test thread inside `SbPool::enter` — go to one
 /// shared ring whose *producer side* is serialized by a mutex (such
 /// threads fork rarely compared to the workers' task churn; their
 /// events are off the steal/park hot paths).
@@ -125,7 +125,7 @@ impl TraceSink {
     /// Empty every ring and merge the streams into one globally
     /// time-ordered timeline. Safe to call while producers are still
     /// emitting (their new events land in the next drain); for a
-    /// complete trace, drain at quiescence (after `run` returns).
+    /// complete trace, drain at quiescence (after `enter` returns).
     pub fn drain(&self) -> Vec<Event> {
         let _g = self.drain_lock.lock().unwrap();
         let mut out = Vec::new();

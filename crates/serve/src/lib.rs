@@ -23,10 +23,11 @@
 //!   `/metrics` endpoint ([`Server::serve_metrics`]);
 //! * **graceful drain** — shutdown stops intake, finishes (or sheds)
 //!   the queue, and resolves every outstanding [`Ticket`];
-//! * **request-path spans** — with the `obs` feature every submission
-//!   carries a fleet-unique request id through `arrive → admit →
-//!   enqueue → dequeue → batch-form → execute → respond` (or a typed
-//!   shed) phase events in the pool's trace sink, reassembled by
+//! * **request-path spans** — once a trace sink is attached
+//!   ([`Server::attach_sink`], at any time) every submission carries a
+//!   fleet-unique request id through `arrive → admit → enqueue →
+//!   dequeue → batch-form → execute → respond` (or a typed shed) phase
+//!   events in the pool's trace sink, reassembled by
 //!   `mo_obs::span` into per-kernel per-phase tail-latency
 //!   attributions;
 //! * **SLO burn rates** — an optional [`SloConfig`] evaluates latency
@@ -188,9 +189,8 @@ mod tests {
         // still in flight — never double-counted, never lost — in
         // *every* snapshot, not only at quiescence.
         let server = small_server(512, 4);
-        // With tracing on, the same run must also conserve *spans*:
+        // With a sink attached, the same run must also conserve *spans*:
         // every submission opens one and closes it exactly once.
-        #[cfg(feature = "obs")]
         let sink = {
             let sink = Arc::new(mo_obs::TraceSink::new(4));
             assert!(server.attach_sink(Arc::clone(&sink)));
@@ -262,23 +262,20 @@ mod tests {
         assert_eq!(sort.completed + sort.shed_deadline, accepted);
         assert_eq!(snap.in_flight_total(), 0);
         assert!(sort.completed > 0, "no job ever completed");
-        #[cfg(feature = "obs")]
-        {
-            assert!(
-                snap.ring_dropped.iter().all(|&d| d == 0),
-                "rings dropped events; conservation check is void"
-            );
-            let set = mo_obs::span::assemble(&sink.drain());
-            // 600 submissions attempted: every one opened a span
-            // (queue-full rejects open and immediately close).
-            assert_eq!(set.opened, 600);
-            assert!(
-                set.conserved(),
-                "opened {} closed {}",
-                set.opened,
-                set.closed
-            );
-        }
+        assert!(
+            snap.ring_dropped.iter().all(|&d| d == 0),
+            "rings dropped events; conservation check is void"
+        );
+        let set = mo_obs::span::assemble(&sink.drain());
+        // 600 submissions attempted: every one opened a span
+        // (queue-full rejects open and immediately close).
+        assert_eq!(set.opened, 600);
+        assert!(
+            set.conserved(),
+            "opened {} closed {}",
+            set.opened,
+            set.closed
+        );
     }
 
     #[test]
@@ -361,6 +358,24 @@ mod tests {
         assert_eq!(delta.completed_total(), 3);
         // Full-lifetime counters are untouched by taking a delta.
         assert_eq!(server.metrics().completed_total(), 8);
+    }
+
+    #[test]
+    fn delta_keeps_the_ring_drops_of_a_sink_attached_in_the_interval() {
+        // A scraper that starts before the sink: the earlier snapshot
+        // has no ring entries, the later one W + 1, and the delta must
+        // keep all of them rather than stop at the shorter side.
+        let server = small_server(8, 1);
+        let before = server.metrics();
+        assert!(before.ring_dropped.is_empty());
+        let workers = server.hierarchy().cores();
+        let sink = std::sync::Arc::new(mo_obs::TraceSink::new(workers));
+        assert!(server.attach_sink(sink));
+        let delta = server.metrics().delta_since(&before);
+        assert_eq!(delta.ring_dropped, vec![0; workers + 1]);
+        assert!(delta
+            .to_prometheus_text()
+            .contains("moserve_ring_dropped_total{worker=\"external\"} 0"));
     }
 
     #[test]
@@ -495,8 +510,7 @@ mod tests {
     }
 
     /// Every typed shed path must close its request span exactly once,
-    /// with the matching reason code (PR satellite: span lifecycle).
-    #[cfg(feature = "obs")]
+    /// with the matching reason code.
     #[test]
     fn every_shed_path_closes_its_span_exactly_once() {
         use mo_obs::span;
@@ -635,7 +649,6 @@ mod tests {
 
     /// An SLO burn must fire the flight recorder, and the artifact must
     /// be valid Perfetto JSON containing the request spans.
-    #[cfg(feature = "obs")]
     #[test]
     fn slo_burn_writes_validated_perfetto_dump() {
         use std::sync::Arc;

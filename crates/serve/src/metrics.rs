@@ -235,14 +235,14 @@ pub struct MetricsSnapshot {
     /// High-water mark of the queue depth.
     pub queue_peak: usize,
     /// Cumulative fork statistics of the underlying [`mo_core::rt::SbPool`]
-    /// since the server started (the RtStats delta of the serving run).
+    /// since the server started.
     pub rt: RtStats,
     /// Whether the hardware cache witness (`perf_event_open`) opened at
     /// startup; when `false` every per-kernel witness count is zero.
     pub witness_available: bool,
     /// Trace-ring overflow drops per pool worker (trailing entry =
-    /// external ring); empty when no trace sink is attached (only the
-    /// `obs` feature attaches one).
+    /// external ring); empty until a trace sink is attached
+    /// ([`crate::Server::attach_sink`]).
     pub ring_dropped: Vec<u64>,
     /// Evaluated SLO objectives; empty when the server runs without an
     /// SLO config.
@@ -396,24 +396,15 @@ impl MetricsSnapshot {
             levels,
             queue_depth: self.queue_depth,
             queue_peak: self.queue_peak,
-            rt: RtStats {
-                parallel_forks: self
-                    .rt
-                    .parallel_forks
-                    .saturating_sub(prev.rt.parallel_forks),
-                serial_forks: self.rt.serial_forks.saturating_sub(prev.rt.serial_forks),
-                denied_forks: self.rt.denied_forks.saturating_sub(prev.rt.denied_forks),
-                steals: self.rt.steals.saturating_sub(prev.rt.steals),
-                failed_steals: self.rt.failed_steals.saturating_sub(prev.rt.failed_steals),
-                parks: self.rt.parks.saturating_sub(prev.rt.parks),
-                injector_pops: self.rt.injector_pops.saturating_sub(prev.rt.injector_pops),
-            },
+            rt: self.rt.since(&prev.rt),
             witness_available: self.witness_available,
+            // A sink attached between the two snapshots has no `prev`
+            // entries: its drops count from zero.
             ring_dropped: self
                 .ring_dropped
                 .iter()
-                .zip(&prev.ring_dropped)
-                .map(|(n, o)| n.saturating_sub(*o))
+                .enumerate()
+                .map(|(i, n)| n.saturating_sub(prev.ring_dropped.get(i).copied().unwrap_or(0)))
                 .collect(),
             // Burn rates are already windowed, so they stay point-in-time.
             slo: self.slo.clone(),
@@ -851,10 +842,11 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_saturates_across_racing_reset() {
-        // An embedder calling `SbPool::run` resets RtStats between two
-        // exposition scrapes, so "now" can carry *smaller* rt counters
-        // than "prev". Every delta must saturate to zero, never panic.
+    fn delta_since_saturates_on_a_mismatched_pair() {
+        // Snapshots of one server never decrease, but a pair taken from
+        // two servers (or passed in the wrong order) can carry *smaller*
+        // counters in "now" than in "prev". Every delta must saturate
+        // to zero, never panic.
         let m = Metrics::new(2);
         let c = m.kernel(Kernel::Sort);
         c.submitted.store(10, Ordering::SeqCst);
@@ -900,13 +892,14 @@ mod tests {
         assert_eq!(d.rt.steals, 0);
         assert_eq!(d.rt.parks, 0);
         assert_eq!(d.ring_dropped, vec![0, 0, 0]); // 1 - 4 saturates
-                                                   // Counters that did not move delta to zero.
+
+        // Counters that did not move delta to zero.
         let row = &d.kernels[Kernel::Sort.index()];
         assert_eq!(row.submitted, 0);
         assert_eq!(row.witness, [0, 0, 0]);
         assert_eq!(row.p50_ms, None); // no interval samples
-                                      // The fully swapped order (a mismatched pair) must not panic
-                                      // either, in any field.
+
+        // The fully swapped order must not panic either, in any field.
         let swapped = prev.delta_since(&now);
         assert_eq!(swapped.rt.parallel_forks, 47);
         assert_eq!(swapped.uptime, Duration::ZERO); // 10s - 11s saturates

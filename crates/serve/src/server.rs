@@ -26,18 +26,18 @@
 //!   finish the queue (still shedding whatever expires) and exit;
 //!   [`Server::drain`] joins them and returns the final metrics
 //!   snapshot. Every ticket resolves exactly once.
-//! * **Request-path spans.** With the `obs` feature and a sink attached
-//!   ([`Server::attach_sink`]), every submission gets a fleet-unique
+//! * **Request-path spans.** Every submission gets a fleet-unique
 //!   request id (`(shard << 48) | seq`, or the [`JobSpec::trace_id`]
-//!   the dist router already stamped) and emits monotonic
+//!   the dist router already stamped). Once a sink is attached
+//!   ([`Server::attach_sink`], at any time), each request emits monotonic
 //!   phase-boundary events — `serve_arrive → serve_admit →
 //!   serve_enqueue → serve_dequeue → serve_batch_form → serve_execute
 //!   → serve_respond`, or a typed `serve_shed` — into the same
 //!   timeline as the SB pool's scheduler and witness events. A span
 //!   opens at arrival and closes exactly once; `mo_obs::span`
 //!   reassembles the ring into per-kernel per-phase latency
-//!   histograms. Without the feature the emission macro compiles to
-//!   nothing.
+//!   histograms. With no sink attached an emission site costs one
+//!   `OnceLock` load.
 //! * **SLO burn rates.** An optional [`SloConfig`] evaluates a latency
 //!   and an availability objective as multi-window error-budget burn
 //!   rates ([`mo_obs::slo`]), exported as `moserve_slo_*` families on
@@ -53,31 +53,15 @@ use std::time::{Duration, Instant};
 use mo_algorithms::real::registry::{
     analytic_transfers, footprint_words, run_batch_in, BLOCK_WORDS,
 };
+use mo_core::obs_event;
 use mo_core::rt::{HwHierarchy, PoolInfo, SbPool};
 use mo_obs::slo::{BurnTracker, BurnWindow, SloSpec};
+use mo_obs::span::{
+    SHED_DEADLINE, SHED_NOT_CERTIFIED, SHED_QUEUE_FULL, SHED_SHUTTING_DOWN, SHED_TOO_LARGE,
+};
 
 use crate::job::{Done, JobSpec, Outcome, Rejected, Ticket};
 use crate::metrics::{Metrics, MetricsSnapshot, SloObjectiveSnapshot, SloWindowSnapshot};
-
-/// Emit one request-span event into the pool's trace sink. Compiles to
-/// nothing — arguments unevaluated — without the `obs` feature, same
-/// contract as the runtime's `obs_event!`. Serve events are emitted
-/// from service threads (not pool residents), so they land in the
-/// sink's external ring and merge into the worker timeline at drain.
-macro_rules! serve_event {
-    ($sh:expr, $kind:ident, $a:expr, $b:expr, $c:expr) => {{
-        #[cfg(feature = "obs")]
-        if let Some(sink) = $sh.pool.sink() {
-            sink.emit(
-                None,
-                mo_obs::EventKind::$kind,
-                $a as u64,
-                $b as u64,
-                $c as u64,
-            );
-        }
-    }};
-}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -120,9 +104,8 @@ pub struct ServeConfig {
 /// completed; queue-full and deadline sheds count bad, while
 /// `too_large` / `not_certified` rejections are client errors and count
 /// toward neither). On the not-burning → burning edge the server
-/// drains the trace sink (when the `obs` feature is on and a sink is
-/// attached) into a validated Perfetto JSON flight-recorder artifact
-/// at [`Self::dump_path`].
+/// drains the trace sink (when one is attached) into a validated
+/// Perfetto JSON flight-recorder artifact at [`Self::dump_path`].
 #[derive(Debug, Clone)]
 pub struct SloConfig {
     /// Latency threshold: completions at or under this are good.
@@ -172,9 +155,7 @@ struct Queued {
     enqueued: Instant,
     deadline: Instant,
     tx: mpsc::Sender<Outcome>,
-    /// Request id for this job's span (only minted when tracing can
-    /// observe it).
-    #[cfg(feature = "obs")]
+    /// Request id for this job's span.
     req: u64,
 }
 
@@ -205,7 +186,6 @@ pub(crate) struct Shared {
     /// bound on the batch's true traffic, attributed per kernel.
     witness: Option<mo_obs::witness::PerfWitness>,
     /// Sequence counter behind server-minted request ids.
-    #[cfg(feature = "obs")]
     next_req: std::sync::atomic::AtomicU64,
     /// Burn-rate trackers, present when an SLO config was given.
     slo: Option<Mutex<SloRuntime>>,
@@ -250,14 +230,11 @@ impl Shared {
     /// Point-in-time copy of every metric (shared by [`Server::metrics`]
     /// and the `/metrics` exposition thread).
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        #[cfg(feature = "obs")]
         let ring_dropped = self
             .pool
             .sink()
             .map(|s| s.dropped_per_worker())
             .unwrap_or_default();
-        #[cfg(not(feature = "obs"))]
-        let ring_dropped = Vec::new();
         // Evaluate SLOs before taking the state lock (the evaluator
         // only touches its own mutex and the metric atomics).
         let (slo, slo_dumps) = self.slo_eval();
@@ -277,7 +254,6 @@ impl Shared {
 
     /// Mint a fleet-unique request id for a job that arrived without
     /// one: shard in the top 16 bits, a monotone sequence below.
-    #[cfg(feature = "obs")]
     fn next_request_id(&self) -> u64 {
         ((self.cfg.shard as u64) << 48) | (self.next_req.fetch_add(1, Ordering::Relaxed) + 1)
     }
@@ -344,7 +320,6 @@ impl Shared {
     /// Perfetto JSON artifact. Draining consumes the rings, so the dump
     /// captures the window since the last drain — exactly the flight
     /// these spans flew.
-    #[cfg(feature = "obs")]
     fn flight_record(&self, cfg: &SloConfig) {
         let Some(path) = cfg.dump_path.as_ref() else {
             return;
@@ -358,9 +333,6 @@ impl Shared {
             let _ = std::fs::write(path, json);
         }
     }
-
-    #[cfg(not(feature = "obs"))]
-    fn flight_record(&self, _cfg: &SloConfig) {}
 
     /// Smallest level that fits `footprint` per-instance *and* still has
     /// room for it machine-wide: the admission query.
@@ -424,7 +396,6 @@ impl Server {
             cv: Condvar::new(),
             metrics: Metrics::new(nlevels),
             witness: mo_obs::witness::PerfWitness::try_new().ok(),
-            #[cfg(feature = "obs")]
             next_req: std::sync::atomic::AtomicU64::new(0),
             slo,
             started: Instant::now(),
@@ -474,10 +445,12 @@ impl Server {
         let footprint = footprint_words(spec.kernel, spec.n);
         let cells = sh.metrics.kernel(spec.kernel);
         // Span opens here; every return below closes it exactly once
-        // (respond in `execute`, or one typed shed).
-        #[cfg(feature = "obs")]
+        // (respond in `execute`, or one typed shed). Serve events come
+        // from service threads, not pool residents (worker `None`), so
+        // they land in the sink's external ring.
         let req = spec.trace_id.unwrap_or_else(|| sh.next_request_id());
-        serve_event!(sh, ServeArrive, req, spec.kernel.index(), spec.n);
+        let sink = sh.pool.sink();
+        obs_event!(sink, None, ServeArrive, req, spec.kernel.index(), spec.n);
         // The secure gate is checked first: certification is a static
         // property of the kernel, independent of load or size.
         if sh.cfg.secure {
@@ -495,32 +468,30 @@ impl Server {
             };
             if let Some(gap) = gap {
                 cells.shed_not_certified.fetch_add(1, Ordering::Relaxed);
-                serve_event!(sh, ServeShed, req, mo_obs::span::SHED_NOT_CERTIFIED, 0);
+                obs_event!(sink, None, ServeShed, req, SHED_NOT_CERTIFIED, 0);
                 return Err(Rejected::NotCertified { gap });
             }
         }
         let hier = sh.pool.hierarchy();
         let Some(static_anchor) = hier.anchor_level(footprint) else {
             cells.shed_too_large.fetch_add(1, Ordering::Relaxed);
-            serve_event!(sh, ServeShed, req, mo_obs::span::SHED_TOO_LARGE, 0);
+            obs_event!(sink, None, ServeShed, req, SHED_TOO_LARGE, 0);
             let largest = hier.levels().iter().map(|l| l.capacity).max().unwrap_or(0);
             return Err(Rejected::TooLarge { footprint, largest });
         };
         let mut st = sh.state.lock().unwrap();
         if st.draining {
-            serve_event!(sh, ServeShed, req, mo_obs::span::SHED_SHUTTING_DOWN, 0);
+            obs_event!(sink, None, ServeShed, req, SHED_SHUTTING_DOWN, 0);
             return Err(Rejected::ShuttingDown);
         }
         if st.queue.len() >= sh.cfg.queue_cap {
             cells.shed_queue_full.fetch_add(1, Ordering::Relaxed);
-            serve_event!(sh, ServeShed, req, mo_obs::span::SHED_QUEUE_FULL, 0);
+            obs_event!(sink, None, ServeShed, req, SHED_QUEUE_FULL, 0);
             return Err(Rejected::QueueFull {
                 depth: st.queue.len(),
             });
         }
-        serve_event!(sh, ServeAdmit, req, footprint, static_anchor);
-        #[cfg(not(feature = "obs"))]
-        let _ = static_anchor; // only the admit event consumes it
+        obs_event!(sink, None, ServeAdmit, req, footprint, static_anchor);
         let (tx, rx) = mpsc::channel();
         let now = Instant::now();
         let budget = spec.deadline.unwrap_or(sh.cfg.default_deadline);
@@ -531,14 +502,14 @@ impl Server {
             enqueued: now,
             deadline,
             tx,
-            #[cfg(feature = "obs")]
             req,
         });
-        serve_event!(sh, ServeEnqueue, req, st.queue.len(), budget.as_nanos());
+        let depth = st.queue.len();
+        obs_event!(sink, None, ServeEnqueue, req, depth, budget.as_nanos());
         // SeqCst: part of the submitted >= completed + shed_deadline
         // conservation protocol (see `MetricsSnapshot::collect`).
         cells.submitted.fetch_add(1, Ordering::SeqCst);
-        sh.metrics.note_queue_depth(st.queue.len());
+        sh.metrics.note_queue_depth(depth);
         drop(st);
         sh.cv.notify_one();
         Ok(Ticket { rx })
@@ -576,7 +547,6 @@ impl Server {
     /// per-worker ring overflow-drop counts surface in snapshots and as
     /// `moserve_ring_dropped_total{worker}` in the `/metrics`
     /// exposition. Returns `false` if a sink is already attached.
-    #[cfg(feature = "obs")]
     pub fn attach_sink(&self, sink: std::sync::Arc<mo_obs::TraceSink>) -> bool {
         self.shared.pool.attach_sink(sink)
     }
@@ -619,16 +589,13 @@ fn worker_loop(sh: &Shared) {
         if let Some((idx, anchor)) = first_admissible(sh, &st) {
             let batch = gather_batch(sh, &mut st, idx, anchor);
             let total: usize = batch.jobs.iter().map(|q| q.footprint).sum();
-            #[cfg(feature = "obs")]
-            for q in &batch.jobs {
-                serve_event!(
-                    sh,
-                    ServeDequeue,
-                    q.req,
-                    q.enqueued.elapsed().as_nanos(),
-                    batch.anchor
-                );
-                serve_event!(sh, ServeBatchForm, q.req, batch.jobs.len(), total);
+            let sink = sh.pool.sink();
+            if sink.is_some() {
+                for q in &batch.jobs {
+                    let waited = q.enqueued.elapsed().as_nanos();
+                    obs_event!(sink, None, ServeDequeue, q.req, waited, batch.anchor);
+                    obs_event!(sink, None, ServeBatchForm, q.req, batch.jobs.len(), total);
+                }
             }
             st.inflight[batch.anchor] += total;
             sh.metrics
@@ -656,6 +623,7 @@ fn worker_loop(sh: &Shared) {
 
 fn shed_expired(sh: &Shared, st: &mut QueueState) {
     let now = Instant::now();
+    let sink = sh.pool.sink();
     let mut i = 0;
     while i < st.queue.len() {
         if st.queue[i].deadline <= now {
@@ -665,13 +633,8 @@ fn shed_expired(sh: &Shared, st: &mut QueueState) {
                 .kernel(q.spec.kernel)
                 .shed_deadline
                 .fetch_add(1, Ordering::SeqCst); // conservation protocol
-            serve_event!(
-                sh,
-                ServeShed,
-                q.req,
-                mo_obs::span::SHED_DEADLINE,
-                waited.as_nanos()
-            );
+            let waited_ns = waited.as_nanos();
+            obs_event!(sink, None, ServeShed, q.req, SHED_DEADLINE, waited_ns);
             let _ =
                 q.tx.send(Outcome::Rejected(Rejected::DeadlineExpired { waited }));
         } else {
@@ -734,9 +697,11 @@ fn execute(sh: &Shared, batch: Batch) {
     let kernel = jobs[0].spec.kernel;
     let n = jobs[0].spec.n;
     let seeds: Vec<u64> = jobs.iter().map(|q| q.spec.seed).collect();
-    #[cfg(feature = "obs")]
-    for q in &jobs {
-        serve_event!(sh, ServeExecute, q.req, jobs.len(), anchor);
+    let sink = sh.pool.sink();
+    if sink.is_some() {
+        for q in &jobs {
+            obs_event!(sink, None, ServeExecute, q.req, jobs.len(), anchor);
+        }
     }
     let t0 = Instant::now();
     let span = sh.witness.as_ref().and_then(|w| w.span());
@@ -764,13 +729,14 @@ fn execute(sh: &Shared, batch: Batch) {
             .fetch_add(batch_size as u64, Ordering::Relaxed);
     }
     let total: usize = jobs.iter().map(|q| q.footprint).sum();
+    let service_ns = service.as_nanos();
     for (q, checksum) in jobs.into_iter().zip(sums) {
         let queued = t0.saturating_duration_since(q.enqueued);
         cells.completed.fetch_add(1, Ordering::SeqCst); // conservation protocol
         cells.latency.record((queued + service).as_micros() as u64);
         // Respond closes the span; emitted before the ticket resolves
         // so a drain racing the waiter still sees a closed span.
-        serve_event!(sh, ServeRespond, q.req, service.as_nanos(), batch_size);
+        obs_event!(sink, None, ServeRespond, q.req, service_ns, batch_size);
         let _ = q.tx.send(Outcome::Done(Done {
             checksum,
             queued,

@@ -1,7 +1,9 @@
 //! The real-machine side: run the parallel kernels on the space-bound
-//! pool, check them against references, and show the pool's fork
+//! pool, check them against references, and show each kernel's fork
 //! statistics — how many forks the SB cutoff serialized versus ran in
-//! parallel (the rt realization of the paper's SB discipline).
+//! parallel (the rt realization of the paper's SB discipline). The
+//! pool's counters only grow, so a kernel's share is the difference of
+//! a read before and after it (`RtStats::since`).
 //!
 //! ```sh
 //! cargo run --release --example real_kernels
@@ -26,12 +28,13 @@ pub fn main() {
     let n = 512;
     let a: Vec<f64> = (0..n * n).map(|t| t as f64).collect();
     let mut out = vec![0.0; n * n];
+    let before = pool.stats();
     let t0 = Instant::now();
     par_transpose(&pool, &a, &mut out, n);
     println!(
         "transpose {n}x{n}: {:?}  (stats {:?})",
         t0.elapsed(),
-        pool.stats()
+        pool.stats().since(&before)
     );
     assert!(out[1] == a[n]);
 
@@ -40,12 +43,13 @@ pub fn main() {
     let a: Vec<f64> = (0..n * n).map(|t| ((t % 7) as f64) * 0.5).collect();
     let b: Vec<f64> = (0..n * n).map(|t| ((t % 5) as f64) * 0.25).collect();
     let mut c = vec![0.0; n * n];
+    let before = pool.stats();
     let t0 = Instant::now();
     par_matmul(&pool, &mut c, &a, &b, n);
     println!(
         "matmul {n}x{n}:    {:?}  (stats {:?})",
         t0.elapsed(),
-        pool.stats()
+        pool.stats().since(&before)
     );
 
     // FFT vs its serial baseline.
@@ -56,6 +60,7 @@ pub fn main() {
     serial_fft(&mut d1);
     let ts = t0.elapsed();
     let mut d2 = sig.clone();
+    let before = pool.stats();
     let t0 = Instant::now();
     par_fft(&pool, &mut d2);
     let tp = t0.elapsed();
@@ -64,7 +69,7 @@ pub fn main() {
     }
     println!(
         "fft n={n}:        serial {ts:?} vs pool {tp:?}  (stats {:?})",
-        pool.stats()
+        pool.stats().since(&before)
     );
 
     // Sort and prefix sum.

@@ -286,7 +286,7 @@ fn par_sort_matches_serial_for_any_pool() {
                 let mut scratch = vec![0u64; n];
                 let mut want = data.clone();
                 want.sort_unstable();
-                pool.run(|ctx| spms_with_params(ctx, &mut data, &mut scratch, &params));
+                pool.enter(|ctx| spms_with_params(ctx, &mut data, &mut scratch, &params));
                 assert_eq!(
                     data, want,
                     "spms cores={cores} n={n} leaf={leaf} ways={ways}"

@@ -3,12 +3,18 @@
 //! scrape of `serve_metrics` — so `cargo test` at the root exercises
 //! `mo-serve`, the one log₂ histogram, the Prometheus family writer and
 //! the one exposition server in `mo-obs`, and not only `--workspace`.
+//! Tracing is a run-time switch of that same build: attaching a sink to
+//! a running server turns request spans on without moving a result.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::Duration;
 
+use oblivious::algs::real::registry::run_kernel;
+use oblivious::mo::rt::SbPool;
 use oblivious::obs::prom::{check_histograms, parse, Sample};
-use oblivious::serve::{HwHierarchy, JobSpec, Kernel, ServeConfig, Server};
+use oblivious::obs::{span, TraceSink};
+use oblivious::serve::{HwHierarchy, JobSpec, Kernel, Outcome, ServeConfig, Server};
 
 fn scrape(addr: std::net::SocketAddr) -> Vec<Sample> {
     let mut conn = std::net::TcpStream::connect(addr).expect("connect to /metrics");
@@ -77,4 +83,47 @@ fn every_kernel_is_served_and_the_scrape_accounts_for_it() {
     assert_eq!(snap.shed_total(), 0);
     drop(endpoint);
     assert_eq!(server.drain().completed_total(), Kernel::ALL.len() as u64);
+}
+
+#[test]
+fn attaching_a_sink_turns_tracing_on_without_moving_a_result() {
+    let hier = HwHierarchy::flat(4, 2048, 1 << 16);
+    let server = Server::start(
+        hier.clone(),
+        ServeConfig {
+            workers: 2,
+            default_deadline: Duration::from_secs(30),
+            ..ServeConfig::default()
+        },
+    );
+    // One job per registry kernel; the reference is the same job on a
+    // width-1 pool, which never forks in parallel.
+    let serial = SbPool::new(HwHierarchy::flat(1, 2048, 1 << 16));
+    let serve_all = |seed: u64| {
+        for k in Kernel::ALL {
+            let n = k.size_within(1 << 14);
+            let ticket = server.submit(JobSpec::new(k, n, seed)).expect("admitted");
+            let Outcome::Done(d) = ticket.wait() else {
+                panic!("{k} seed {seed} was not served");
+            };
+            let want = run_kernel(&serial, k, n, seed);
+            assert_eq!(d.checksum, want, "{k} seed {seed}");
+        }
+    };
+    let jobs = Kernel::ALL.len() as u64;
+    serve_all(1);
+    let sink = Arc::new(TraceSink::new(hier.cores()));
+    assert!(server.attach_sink(Arc::clone(&sink)));
+    serve_all(2);
+    drop(server);
+
+    assert_eq!(sink.dropped(), 0, "ring drops void the span count");
+    let set = span::assemble(&sink.drain());
+    // Exactly the post-attach requests, ids jobs + 1 ..= 2 jobs of
+    // shard 0, each opened, completed and closed once.
+    assert!(set.conserved(), "{set:?}");
+    assert_eq!((set.opened, set.closed), (jobs, jobs));
+    let ids: Vec<u64> = set.spans.iter().map(|s| s.req).collect();
+    assert_eq!(ids, (jobs + 1..=2 * jobs).collect::<Vec<_>>());
+    assert!(set.spans.iter().all(|s| s.complete() && s.closes == 1));
 }
