@@ -104,6 +104,8 @@ impl WindowState {
 pub struct SloState {
     /// Objective name.
     pub name: String,
+    /// The objective's required good fraction ([`SloSpec::target`]).
+    pub target: f64,
     /// Per-window-pair rates.
     pub windows: Vec<WindowState>,
     /// `true` when any window pair is burning.
@@ -139,9 +141,10 @@ impl BurnTracker {
         }
     }
 
-    /// The objective this tracker evaluates.
-    pub fn spec(&self) -> &SloSpec {
-        &self.spec
+    /// Samples currently held: at most one per `observe` call within
+    /// the retention (twice the longest window), plus one baseline.
+    pub fn history_len(&self) -> usize {
+        self.samples.len()
     }
 
     /// Record the cumulative counters as of `now_ns`. Out-of-order or
@@ -174,13 +177,9 @@ impl BurnTracker {
         let start = now_ns.saturating_sub(window_ns);
         // Baseline: the last sample at-or-before the window start; if
         // the history does not reach back that far, the earliest one.
-        let base = self
-            .samples
-            .iter()
-            .rev()
-            .find(|s| s.ts_ns <= start)
-            .or_else(|| self.samples.front())
-            .expect("non-empty");
+        // `observe` keeps the samples sorted by timestamp.
+        let at_or_before = self.samples.partition_point(|s| s.ts_ns <= start);
+        let base = &self.samples[at_or_before.saturating_sub(1)];
         let total = latest.total.saturating_sub(base.total);
         if total == 0 {
             return 0.0;
@@ -205,6 +204,7 @@ impl BurnTracker {
         let burning = windows.iter().any(|w| w.burning());
         SloState {
             name: self.spec.name.clone(),
+            target: self.spec.target,
             windows,
             burning,
         }
@@ -296,6 +296,41 @@ mod tests {
         t.observe(10 * S, 500, 1000);
         t.observe(20 * S, 100, 200); // regressed: server restarted
         assert_eq!(t.burn_over(20 * S, 60 * S), 0.0);
+    }
+
+    #[test]
+    fn baseline_is_the_last_sample_at_or_before_the_window_start() {
+        let mut t = BurnTracker::new(spec());
+        // Repeated timestamps (two observations in one instant) and a
+        // history that starts after some window starts.
+        for (ts, good, total) in [
+            (3, 0, 10),
+            (3, 5, 20),
+            (7, 5, 40),
+            (9, 35, 70),
+            (12, 35, 80),
+        ] {
+            t.observe(ts * S, good, total);
+        }
+        let naive = |now: u64, window: u64| {
+            let start = now.saturating_sub(window);
+            let s = &t.samples;
+            let base = s.iter().rev().find(|x| x.ts_ns <= start).unwrap_or(&s[0]);
+            let latest = s.back().unwrap();
+            let total = latest.total - base.total;
+            let bad = total - (latest.good - base.good);
+            if total == 0 {
+                0.0
+            } else {
+                bad as f64 / total as f64 / t.spec.budget()
+            }
+        };
+        for now in 0..16 {
+            for window in 0..16 {
+                assert_eq!(t.burn_over(now * S, window * S), naive(now * S, window * S));
+            }
+        }
+        assert_eq!(t.state(12 * S).target, 0.99);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::time::Duration;
 use mo_core::rt::RtStats;
 use mo_obs::hist::{AtomicLog2Hist, Log2Hist};
 use mo_obs::prom::{Family, PromText};
+use mo_obs::slo::SloState;
 use mo_obs::witness::{CTR_INSTRUCTIONS, CTR_L1D_MISS, CTR_LLC_MISS, NCOUNTERS};
 
 use crate::job::Kernel;
@@ -193,36 +194,6 @@ pub struct LevelSnapshot {
     pub admitted_words: u64,
 }
 
-/// One evaluated SLO burn-rate window pair at snapshot time.
-#[derive(Debug, Clone, Copy)]
-pub struct SloWindowSnapshot {
-    /// Short-window length in seconds.
-    pub short_secs: f64,
-    /// Long-window length in seconds.
-    pub long_secs: f64,
-    /// Burn-rate factor both windows must exceed to page.
-    pub factor: f64,
-    /// Burn rate over the short window.
-    pub burn_short: f64,
-    /// Burn rate over the long window.
-    pub burn_long: f64,
-    /// Whether this pair is firing.
-    pub burning: bool,
-}
-
-/// One evaluated SLO objective at snapshot time.
-#[derive(Debug, Clone)]
-pub struct SloObjectiveSnapshot {
-    /// Objective name (`latency` or `availability`).
-    pub objective: String,
-    /// Required good fraction.
-    pub target: f64,
-    /// Whether any window pair is firing.
-    pub burning: bool,
-    /// Per-window-pair burn rates.
-    pub windows: Vec<SloWindowSnapshot>,
-}
-
 /// A point-in-time copy of every service metric.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
@@ -244,9 +215,9 @@ pub struct MetricsSnapshot {
     /// external ring); empty until a trace sink is attached
     /// ([`crate::Server::attach_sink`]).
     pub ring_dropped: Vec<u64>,
-    /// Evaluated SLO objectives; empty when the server runs without an
-    /// SLO config.
-    pub slo: Vec<SloObjectiveSnapshot>,
+    /// The SLO objectives (latency, then availability) as of the
+    /// server's last burn-rate evaluation.
+    pub slo: Vec<SloState>,
     /// Flight-recorder dumps written on not-burning → burning edges.
     pub slo_dumps: u64,
     /// Time since the server started.
@@ -262,7 +233,7 @@ impl MetricsSnapshot {
         queue_depth: usize,
         rt: RtStats,
         ring_dropped: Vec<u64>,
-        slo: Vec<SloObjectiveSnapshot>,
+        slo: Vec<SloState>,
         slo_dumps: u64,
         uptime: Duration,
     ) -> Self {
@@ -554,44 +525,42 @@ impl MetricsSnapshot {
                 }
             }
         }
-        if !self.slo.is_empty() {
-            let mut f = w.gauge(
-                "moserve_slo_target",
-                "Required good fraction per SLO objective.",
-            );
-            for o in &self.slo {
-                f.f64(&[("objective", &o.objective)], o.target);
-            }
-            let mut f = w.gauge(
-                "moserve_slo_burn_rate",
-                "Error-budget burn rate per objective, window pair, and horizon.",
-            );
-            for o in &self.slo {
-                for (i, wd) in o.windows.iter().enumerate() {
-                    let pair = i.to_string();
-                    for (horizon, rate) in [("short", wd.burn_short), ("long", wd.burn_long)] {
-                        let labels = [
-                            ("objective", &*o.objective),
-                            ("pair", &*pair),
-                            ("horizon", horizon),
-                        ];
-                        f.f64(&labels, rate);
-                    }
+        let mut f = w.gauge(
+            "moserve_slo_target",
+            "Required good fraction per SLO objective.",
+        );
+        for o in &self.slo {
+            f.f64(&[("objective", &o.name)], o.target);
+        }
+        let mut f = w.gauge(
+            "moserve_slo_burn_rate",
+            "Error-budget burn rate per objective, window pair, and horizon.",
+        );
+        for o in &self.slo {
+            for (i, wd) in o.windows.iter().enumerate() {
+                let pair = i.to_string();
+                for (horizon, rate) in [("short", wd.burn_short), ("long", wd.burn_long)] {
+                    let labels = [
+                        ("objective", &*o.name),
+                        ("pair", &*pair),
+                        ("horizon", horizon),
+                    ];
+                    f.f64(&labels, rate);
                 }
             }
-            let mut f = w.gauge(
-                "moserve_slo_burning",
-                "1 while an objective's multi-window burn condition fires.",
-            );
-            for o in &self.slo {
-                f.u64(&[("objective", &o.objective)], o.burning as u64);
-            }
-            w.counter(
-                "moserve_slo_dumps_total",
-                "Flight-recorder trace dumps written on burn edges.",
-            )
-            .u64(&[], self.slo_dumps);
         }
+        let mut f = w.gauge(
+            "moserve_slo_burning",
+            "1 while an objective's multi-window burn condition fires.",
+        );
+        for o in &self.slo {
+            f.u64(&[("objective", &o.name)], o.burning as u64);
+        }
+        w.counter(
+            "moserve_slo_dumps_total",
+            "Flight-recorder trace dumps written on burn edges.",
+        )
+        .u64(&[], self.slo_dumps);
         if let Some((external, workers)) = self.ring_dropped.split_last() {
             let mut f = w.counter(
                 "moserve_ring_dropped_total",
@@ -688,7 +657,7 @@ impl std::fmt::Display for MetricsSnapshot {
             writeln!(
                 f,
                 "slo {:<13} target {:.4}  peak burn {:.2}  {}",
-                o.objective,
+                o.name,
                 o.target,
                 peak,
                 if o.burning { "BURNING" } else { "ok" },
@@ -701,6 +670,32 @@ impl std::fmt::Display for MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mo_obs::slo::{BurnWindow, WindowState};
+
+    /// One evaluated objective over `(short secs, burn short, burn
+    /// long)` window pairs, each with a 12× long window and factor 10.
+    fn slo_state<const N: usize>(
+        name: &str,
+        target: f64,
+        burning: bool,
+        windows: [(u64, f64, f64); N],
+    ) -> SloState {
+        let windows = windows.map(|(short, burn_short, burn_long)| WindowState {
+            window: BurnWindow {
+                short_ns: short * 1_000_000_000,
+                long_ns: short * 12_000_000_000,
+                factor: 10.0,
+            },
+            burn_short,
+            burn_long,
+        });
+        SloState {
+            name: name.into(),
+            target,
+            windows: windows.to_vec(),
+            burning,
+        }
+    }
 
     /// Every counter non-zero, two SLO objectives with two windows
     /// each, witness on, three ring-drop entries — the state whose
@@ -745,33 +740,14 @@ mod tests {
             parks: 3,
             injector_pops: 12,
         };
-        let window = |short_secs, burn_short, burn_long, burning| SloWindowSnapshot {
-            short_secs,
-            long_secs: short_secs * 12.0,
-            factor: 10.0,
-            burn_short,
-            burn_long,
-            burning,
-        };
         let slo = vec![
-            SloObjectiveSnapshot {
-                objective: "latency".into(),
-                target: 0.99,
-                burning: true,
-                windows: vec![
-                    window(5.0, 25.0, 12.5, true),
-                    window(30.0, 2.0, 0.25, false),
-                ],
-            },
-            SloObjectiveSnapshot {
-                objective: "availability".into(),
-                target: 0.999,
-                burning: false,
-                windows: vec![
-                    window(5.0, 0.5, 0.125, false),
-                    window(30.0, 1.5, 0.75, false),
-                ],
-            },
+            slo_state("latency", 0.99, true, [(5, 25.0, 12.5), (30, 2.0, 0.25)]),
+            slo_state(
+                "availability",
+                0.999,
+                false,
+                [(5, 0.5, 0.125), (30, 1.5, 0.75)],
+            ),
         ];
         MetricsSnapshot::collect(
             &m,
@@ -969,19 +945,7 @@ mod tests {
     #[test]
     fn slo_state_renders_typed_and_as_prometheus() {
         let m = Metrics::new(1);
-        let slo = vec![SloObjectiveSnapshot {
-            objective: "latency".into(),
-            target: 0.99,
-            burning: true,
-            windows: vec![SloWindowSnapshot {
-                short_secs: 5.0,
-                long_secs: 60.0,
-                factor: 10.0,
-                burn_short: 25.0,
-                burn_long: 12.5,
-                burning: true,
-            }],
-        }];
+        let slo = vec![slo_state("latency", 0.99, true, [(5, 25.0, 12.5)])];
         let s = MetricsSnapshot::collect(
             &m,
             &[0],
@@ -1010,18 +974,5 @@ mod tests {
         let d = s.delta_since(&s);
         assert_eq!(d.slo_dumps, 0);
         assert_eq!(d.slo.len(), 1);
-        // Without an SLO config the families disappear entirely.
-        let bare = MetricsSnapshot::collect(
-            &m,
-            &[0],
-            &[0],
-            0,
-            RtStats::default(),
-            Vec::new(),
-            Vec::new(),
-            0,
-            Duration::ZERO,
-        );
-        assert!(!bare.to_prometheus_text().contains("moserve_slo_"));
     }
 }
