@@ -92,7 +92,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         grain_words: 512,
         data_dependent: false,
         // a (n²) + out (n²).
-        footprint: |n| 2 * n * n,
+        footprint: |n| n.saturating_mul(n).saturating_mul(2),
         // Q(n²; C, B) = O(n²/B): scan-bound (n is the matrix side).
         q_scale: 8.0,
         q_work: |n, _, b| n * n / b,
@@ -117,7 +117,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         // themselves (2 046 words of passes, 128 per level above the
         // leaf) are process-wide and read-only, shared by the jobs of
         // a batch like code, and not charged per job above the leaf.
-        footprint: |n| 4 * n.next_power_of_two(),
+        footprint: |n| pow2_words(n, 4),
         // Q = O((n/B)·log_C n) with at least one pass.
         q_scale: 16.0,
         q_work: |n, c, b| {
@@ -142,7 +142,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         grain_words: 512,
         data_dependent: false,
         // a + b + c.
-        footprint: |n| 3 * n * n,
+        footprint: |n| n.saturating_mul(n).saturating_mul(3),
         // Q = O(n³/(B·√C)) beside the compulsory tile reads.
         q_scale: 16.0,
         q_work: |n, c, b| n * n * n / (b * c.sqrt()),
@@ -187,7 +187,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         grain_words: 4096,
         data_dependent: false,
         // row_ptr (n+1) + cols (deg·n) + vals (deg·n) + x (n) + y (n).
-        footprint: |n| (3 + 2 * SPMDV_DEG) * n + 1,
+        footprint: |n| n.saturating_mul(3 + 2 * SPMDV_DEG).saturating_add(1),
         // Q = O(nnz/B + n/√C) for n^(1/2)-edge-separator matrices; the
         // generator averages SPMDV_DEG nonzeros per row (the recorded
         // mesh has at most 5).
@@ -206,7 +206,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         data_dependent: false,
         // In-place tree scan over the power-of-two padded array, plus
         // the per-block totals of the real-machine kernel.
-        footprint: |n| 2 * n.next_power_of_two(),
+        footprint: |n| pow2_words(n, 2),
         // Scan-bound like transpose: two tree sweeps over the array.
         q_scale: 8.0,
         q_work: |n, _, b| (n as usize).next_power_of_two() as f64 / b,
@@ -353,7 +353,9 @@ pub fn parse_scenario_line(line: &str) -> Result<Option<(Kernel, usize, u32)>, &
 
 /// Analytic footprint in words of a size-`n` job: every word of input,
 /// output and scratch the kernel touches. This is the space bound the
-/// job declares to admission control.
+/// job declares to admission control, so it saturates at `usize::MAX`
+/// rather than wrap: a size from outside that overflows the formula is
+/// too large for every level, never small.
 pub fn footprint_words(kernel: Kernel, n: usize) -> usize {
     (kernel.def().footprint)(n)
 }
@@ -398,6 +400,13 @@ pub fn analytic_transfers(
 /// makes through a cache of `c` words.
 fn passes(n: f64, c: f64) -> f64 {
     (n.log2() / c.log2()).max(1.0)
+}
+
+/// `per` words for each slot of `n` rounded up to a power of two,
+/// saturating.
+fn pow2_words(n: usize, per: usize) -> usize {
+    n.checked_next_power_of_two()
+        .map_or(usize::MAX, |p| p.saturating_mul(per))
 }
 
 /// Side of the square mesh the recorded SpM-DV is built on at size `n`.
@@ -575,6 +584,21 @@ mod tests {
         assert_eq!(parse_scenario_line("sort many 1"), Err("bad size"));
         assert_eq!(parse_scenario_line("sort 1024"), Err("bad weight"));
         assert_eq!(parse_scenario_line("sort 1024 1 1"), Err("trailing fields"));
+    }
+
+    /// A size from outside (a `submit`, a wire `RunKernel`) can overflow
+    /// a footprint formula: the declared space must then be huge, never
+    /// wrap to a size some cache level would admit.
+    #[test]
+    fn footprints_saturate_instead_of_wrapping() {
+        for k in Kernel::ALL {
+            for n in [1usize << 32, 1 << 33, usize::MAX] {
+                let words = footprint_words(k, n);
+                assert!(words >= n, "{k} at n = {n}: {words} words");
+                assert!(words >= footprint_words(k, n / 2), "{k} at n = {n}");
+            }
+            assert_eq!(footprint_words(k, usize::MAX), usize::MAX, "{k}");
+        }
     }
 
     #[test]

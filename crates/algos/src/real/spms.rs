@@ -163,7 +163,8 @@ fn spms_aux_words(n: usize, p: &SpmsParams) -> usize {
 /// space ≥ the sort's real working set by construction — the debug
 /// assertions in [`spms_sort_in_ctx`] keep the two from drifting.
 pub fn spms_working_set_words(n: usize) -> usize {
-    2 * n + spms_aux_words(n, &SpmsParams::default())
+    n.saturating_mul(2)
+        .saturating_add(spms_aux_words(n, &SpmsParams::default()))
 }
 
 /// Parallel SPMS sort (allocates its own scratch).

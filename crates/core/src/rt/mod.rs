@@ -271,6 +271,19 @@ impl Inner {
         self.permits.fetch_add(1, Ordering::AcqRel);
     }
 
+    /// Run a forked branch that holds a core permit, and return the
+    /// permit when it ends, by return or by unwind.
+    fn with_permit<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Permit<'a>(&'a Inner);
+        impl Drop for Permit<'_> {
+            fn drop(&mut self) {
+                self.0.release();
+            }
+        }
+        let _permit = Permit(self);
+        f()
+    }
+
     /// Count one executed queued task against `worker` (the trailing
     /// slot aggregates all external threads).
     fn note_task(&self, worker: Option<usize>) {
@@ -644,11 +657,7 @@ impl<'p> Ctx<'p> {
         RB: Send,
     {
         let inner = self.inner();
-        let job = exec::StackJob::new(move |c: &Ctx<'_>| {
-            let r = fb(c);
-            inner.release();
-            r
-        });
+        let job = exec::StackJob::new(move |c: &Ctx<'_>| inner.with_permit(|| fb(c)));
         self.pool.ensure_started();
         // SAFETY: `job` stays pinned in this frame until it has run or
         // been reclaimed below, on both the return and unwind paths.
@@ -686,11 +695,7 @@ impl<'p> Ctx<'p> {
         RB: Send,
     {
         let inner = self.inner();
-        let job = exec::StackJob::new(move |c: &Ctx<'_>| {
-            let r = fb(c);
-            inner.release();
-            r
-        });
+        let job = exec::StackJob::new(move |c: &Ctx<'_>| inner.with_permit(|| fb(c)));
         self.pool.ensure_started();
         // SAFETY: `wait_until` does not return before the job has run.
         inner.reg.push(self.worker, unsafe { job.as_job_ref() });
@@ -983,6 +988,41 @@ mod tests {
         assert_eq!(d.total_forks(), 4);
         // Swapped arguments saturate instead of underflowing.
         assert_eq!(before.since(&p.stats()), RtStats::default());
+    }
+
+    /// A forked branch that unwinds still returns its core permit, on
+    /// the parallel fork and on the denied-retry fork alike; otherwise
+    /// every caught panic would narrow the pool for good.
+    #[test]
+    fn a_panicking_branch_returns_its_core_permit() {
+        let p = pool();
+        let caught = |f: &(dyn Fn(&Ctx<'_>) + Sync)| {
+            let entered = panic::catch_unwind(AssertUnwindSafe(|| p.enter(|ctx| f(ctx))));
+            assert!(entered.is_err(), "the branch's panic reaches the caller");
+        };
+        for _ in 0..3 {
+            caught(&|ctx| {
+                ctx.join(1 << 16, |_| (), 1 << 16, |_| panic!("injected"));
+            });
+            assert_eq!(p.available_permits(), 3);
+        }
+        // Every permit is taken when `join` first asks, and one frees
+        // while the first branch runs: the second becomes a stealable
+        // fork, the retry path.
+        while p.try_acquire() {}
+        caught(&|ctx| {
+            ctx.join(
+                1 << 16,
+                |c| c.pool().release(),
+                1 << 16,
+                |_| panic!("injected"),
+            );
+        });
+        p.release();
+        p.release();
+        assert_eq!(p.available_permits(), 3);
+        let s = p.stats();
+        assert_eq!((s.parallel_forks, s.denied_forks), (4, 0));
     }
 
     #[test]

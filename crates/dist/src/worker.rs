@@ -192,6 +192,7 @@ fn reject_name(r: &Rejected) -> String {
         Rejected::TooLarge { .. } => "TooLarge".into(),
         Rejected::ShuttingDown => "ShuttingDown".into(),
         Rejected::NotCertified { .. } => "NotCertified".into(),
+        Rejected::KernelPanicked => "KernelPanicked".into(),
     }
 }
 

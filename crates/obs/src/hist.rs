@@ -1,5 +1,6 @@
-//! The one log₂ histogram: bucket rule, plain value type, atomic
-//! recording front.
+//! The one log₂ histogram: bucket rule and plain value type, owned by
+//! whoever records into it (mo-serve's latency rows live under the
+//! server's one lock).
 //!
 //! Every duration or length the tree buckets — mo-serve's per-kernel
 //! latency (µs), the request-span phases (ns), the fleet's barrier
@@ -10,8 +11,6 @@
 //!
 //! The histogram is unit-agnostic: the caller picks the unit and keeps
 //! it (`sum` is in that unit, quantiles come back in it).
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Buckets per histogram. Bucket `i < NBUCKETS - 1` counts observations
 /// in `(2^(i-1), 2^i]` (bucket 0 counts 0 and 1); the last bucket is
@@ -106,44 +105,6 @@ impl Log2Hist {
     }
 }
 
-/// The lock-free recording front of a [`Log2Hist`]: one relaxed
-/// `fetch_add` per bucket and one for the sum, no ordering between
-/// them (a snapshot racing a `record` may see the bucket without the
-/// sum; both are statistics, nothing is published through them).
-#[derive(Debug)]
-pub struct AtomicLog2Hist {
-    buckets: [AtomicU64; NBUCKETS],
-    sum: AtomicU64,
-}
-
-impl Default for AtomicLog2Hist {
-    fn default() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl AtomicLog2Hist {
-    /// Record one observation.
-    pub fn record(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// A plain-data copy; `count` is the sum of the buckets read.
-    pub fn snapshot(&self) -> Log2Hist {
-        let buckets: [u64; NBUCKETS] =
-            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
-        Log2Hist {
-            count: buckets.iter().sum(),
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,13 +133,12 @@ mod tests {
         for k in [0u32, 1, 10, 46, 47, 62, 63] {
             let p = 1u64 << k;
             for v in [p - 1, p, p.saturating_add(1)] {
-                let h = AtomicLog2Hist::default();
-                h.record(v);
+                let mut h = Log2Hist::default();
+                h.push(v);
                 let mut w = PromText::new();
                 // One native unit per "second": every `le` is an exact
                 // power of two on the wire.
-                w.histogram("edge", "Edge probe.")
-                    .hist(&[], &h.snapshot(), 1.0);
+                w.histogram("edge", "Edge probe.").hist(&[], &h, 1.0);
                 let samples = parse(&w.finish()).expect("valid exposition");
                 assert_eq!(check_histograms(&samples), Ok(1));
                 let first_counted = samples
@@ -217,19 +177,16 @@ mod tests {
     }
 
     #[test]
-    fn atomic_front_snapshots_to_the_plain_type_and_deltas_saturate() {
-        let a = AtomicLog2Hist::default();
-        let mut plain = Log2Hist::default();
+    fn deltas_count_the_interval_and_saturate() {
+        let mut h = Log2Hist::default();
         for v in [0, 1, 2, 3, 1024, 1025, u64::MAX / 4] {
-            a.record(v);
-            plain.push(v);
+            h.push(v);
         }
-        let before = a.snapshot();
-        assert_eq!(before, plain);
-        a.record(7);
-        let d = a.snapshot().delta_since(&before);
+        let before = h.clone();
+        h.push(7);
+        let d = h.delta_since(&before);
         assert_eq!((d.count, d.sum, d.buckets[3]), (1, 7, 1));
         // A mismatched pair saturates to an empty histogram.
-        assert_eq!(before.delta_since(&a.snapshot()), Log2Hist::default());
+        assert_eq!(before.delta_since(&h), Log2Hist::default());
     }
 }

@@ -40,6 +40,8 @@ pub const SHED_TOO_LARGE: u64 = 2;
 pub const SHED_NOT_CERTIFIED: u64 = 3;
 /// Server was draining.
 pub const SHED_SHUTTING_DOWN: u64 = 4;
+/// The kernel panicked while running the request's batch.
+pub const SHED_KERNEL_PANIC: u64 = 5;
 
 /// Stable name for a shed reason code.
 pub fn shed_reason_name(code: u64) -> &'static str {
@@ -49,6 +51,7 @@ pub fn shed_reason_name(code: u64) -> &'static str {
         SHED_TOO_LARGE => "too_large",
         SHED_NOT_CERTIFIED => "not_certified",
         SHED_SHUTTING_DOWN => "shutting_down",
+        SHED_KERNEL_PANIC => "kernel_panic",
         _ => "unknown",
     }
 }
@@ -445,6 +448,7 @@ mod tests {
         assert_eq!(shed_reason_name(SHED_TOO_LARGE), "too_large");
         assert_eq!(shed_reason_name(SHED_NOT_CERTIFIED), "not_certified");
         assert_eq!(shed_reason_name(SHED_SHUTTING_DOWN), "shutting_down");
+        assert_eq!(shed_reason_name(SHED_KERNEL_PANIC), "kernel_panic");
         assert_eq!(shed_reason_name(99), "unknown");
     }
 }

@@ -75,6 +75,10 @@ pub enum Rejected {
         /// What the loaded certificate set says about the kernel.
         gap: CertifyGap,
     },
+    /// The kernel panicked while running the job's batch. Every job of
+    /// that batch fails with it; the server, its pool and every other
+    /// batch are unaffected.
+    KernelPanicked,
 }
 
 /// Why a kernel fails the secure-mode certificate gate
@@ -122,10 +126,11 @@ impl Outcome {
 
 /// Handle to a queued job's eventual [`Outcome`].
 ///
-/// Every admitted job resolves exactly once — at completion, at
-/// deadline shedding, or during drain — so `wait` cannot hang on a
-/// healthy server; a disconnected channel (a worker died) surfaces as
-/// a [`Rejected::ShuttingDown`] outcome rather than a panic.
+/// Every admitted job resolves exactly once — at completion, at a
+/// kernel panic, at deadline shedding, or during drain — so `wait`
+/// cannot hang on a running server; a disconnected channel (the server
+/// was dropped with the job unresolved) surfaces as a
+/// [`Rejected::ShuttingDown`] outcome rather than a panic.
 #[derive(Debug)]
 pub struct Ticket {
     pub(crate) rx: mpsc::Receiver<Outcome>,

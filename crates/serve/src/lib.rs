@@ -159,9 +159,9 @@ mod tests {
         use std::sync::Arc;
         // Several submitter threads race the worker pool while a
         // snapshot loop continuously checks conservation: every
-        // accepted job is exactly one of completed, deadline-shed, or
-        // still in flight — never double-counted, never lost — in
-        // *every* snapshot, not only at quiescence.
+        // accepted job is exactly one of completed, deadline-shed,
+        // failed, or still in flight — never double-counted, never
+        // lost — in *every* snapshot, not only at quiescence.
         let server = small_server(512, 4);
         // With a sink attached, the same run must also conserve *spans*:
         // every submission opens one and closes it exactly once.
@@ -208,18 +208,22 @@ mod tests {
                 while !stop.load(Ordering::Acquire) {
                     let snap = server.metrics();
                     for k in &snap.kernels {
-                        assert!(
-                            k.submitted >= k.completed + k.shed_deadline,
-                            "{}: submitted {} < completed {} + deadline-shed {}",
-                            k.kernel.name(),
+                        assert_eq!(
                             k.submitted,
-                            k.completed,
-                            k.shed_deadline
+                            k.completed + k.shed_deadline + k.failed + k.in_flight(),
+                            "{}",
+                            k.kernel.name()
                         );
-                        // in_flight() is the same inequality rearranged;
-                        // calling it proves it does not underflow-panic.
-                        let _ = k.in_flight();
                     }
+                    // Every job in flight is queued or in one of the two
+                    // service threads' batches of at most 4, as of the
+                    // same instant as the counters.
+                    let sort = &snap.kernels[Kernel::Sort.index()];
+                    let running = sort
+                        .in_flight()
+                        .checked_sub(snap.queue_depth as u64)
+                        .expect("every queued job is counted in flight");
+                    assert!(running <= 2 * 4, "{running} jobs running");
                     checks += 1;
                 }
                 checks
@@ -229,10 +233,12 @@ mod tests {
         stop.store(true, Ordering::Release);
         assert!(checker.join().unwrap() > 0);
         // Every ticket resolved, so nothing is in flight: accepted jobs
-        // now split exactly into completed + deadline-shed.
+        // now split exactly into completed + deadline-shed (no kernel
+        // failed).
         let snap = server.metrics();
         let sort = &snap.kernels[Kernel::Sort.index()];
         assert_eq!(sort.submitted, accepted);
+        assert_eq!(sort.failed, 0);
         assert_eq!(sort.completed + sort.shed_deadline, accepted);
         assert_eq!(snap.in_flight_total(), 0);
         assert!(sort.completed > 0, "no job ever completed");
@@ -372,8 +378,21 @@ mod tests {
             }
             other => panic!("expected TooLarge, got {other:?}"),
         }
+        // Sizes whose footprint formula overflows are too large too:
+        // they must not wrap to a footprint some level admits.
+        for k in Kernel::ALL {
+            for n in [1usize << 32, 1 << 33, usize::MAX] {
+                match server.submit(JobSpec::new(k, n, 0)) {
+                    Err(Rejected::TooLarge { footprint, largest }) => {
+                        assert!(footprint > largest && footprint >= n, "{k} at {n}");
+                    }
+                    other => panic!("{k} at n = {n}: expected TooLarge, got {other:?}"),
+                }
+            }
+        }
         let snap = server.drain();
-        assert_eq!(snap.kernels[Kernel::Matmul.index()].shed_too_large, 1);
+        assert_eq!(snap.kernels[Kernel::Matmul.index()].shed_too_large, 4);
+        assert_eq!(snap.kernels[Kernel::Scan.index()].shed_too_large, 3);
     }
 
     #[test]

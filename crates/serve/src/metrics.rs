@@ -1,16 +1,17 @@
-//! Lock-free service metrics and their snapshot API.
+//! The service metrics as plain data: the per-kernel and per-level
+//! rows, the snapshot that carries them, its interval deltas and its
+//! Prometheus rendering.
 //!
-//! Counters are plain relaxed atomics bumped on the hot paths; latency
-//! is one [`mo_obs::hist`] log₂ histogram per kernel, in microseconds,
-//! so recording costs two `fetch_add`s and a quantile one bucket walk.
-//! A [`MetricsSnapshot`] is a plain-data copy suitable for printing,
-//! asserting in tests, or shipping to an external collector.
+//! The live rows are these same types, owned by the serving state
+//! machine (`state::Core`) and counted under its lock; latency is one
+//! [`mo_obs::hist`] log₂ histogram per kernel, in microseconds. A
+//! [`MetricsSnapshot`] is a copy suitable for printing, asserting in
+//! tests, or shipping to an external collector.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use mo_core::rt::RtStats;
-use mo_obs::hist::{AtomicLog2Hist, Log2Hist};
+use mo_obs::hist::Log2Hist;
 use mo_obs::prom::{Family, PromText};
 use mo_obs::slo::SloState;
 use mo_obs::witness::{CTR_INSTRUCTIONS, CTR_L1D_MISS, CTR_LLC_MISS, NCOUNTERS};
@@ -24,85 +25,6 @@ fn latency_ms(h: &Log2Hist, q: f64) -> Option<f64> {
     (h.count > 0).then(|| h.quantile(q) as f64 / 1000.0)
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct KernelCells {
-    pub(crate) submitted: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) shed_queue_full: AtomicU64,
-    pub(crate) shed_deadline: AtomicU64,
-    pub(crate) shed_too_large: AtomicU64,
-    pub(crate) shed_not_certified: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batched_jobs: AtomicU64,
-    /// Total (queue + service) latency, µs.
-    pub(crate) latency: AtomicLog2Hist,
-    /// Cache-witness counter deltas attributed to this kernel's
-    /// batches, indexed by witness counter id (`l1d_miss`, `llc_miss`,
-    /// `instructions`). Measured on the serving thread that executed
-    /// the batch (see `Server` docs for the attribution caveat).
-    pub(crate) witness: [AtomicU64; NCOUNTERS],
-    /// Analytic expected cache transfers (`Q_i`, in cache lines) for
-    /// the same batches the witness measured, `[L1, LLC]`; the ratio
-    /// measured/expected feeds the `moserve_witness_divergence` gauges.
-    pub(crate) expected_transfers: [AtomicU64; 2],
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct LevelCells {
-    pub(crate) admitted_jobs: AtomicU64,
-    pub(crate) admitted_words: AtomicU64,
-    pub(crate) peak_inflight_words: AtomicUsize,
-}
-
-/// The server's live counters (internal; read via snapshots).
-#[derive(Debug, Default)]
-pub(crate) struct Metrics {
-    pub(crate) kernels: Vec<KernelCells>,
-    pub(crate) levels: Vec<LevelCells>,
-    pub(crate) queue_peak: AtomicUsize,
-    /// 1 when the hardware cache witness opened at startup.
-    pub(crate) witness_available: AtomicU64,
-}
-
-impl Metrics {
-    pub(crate) fn new(nlevels: usize) -> Self {
-        Self {
-            kernels: Kernel::ALL.iter().map(|_| KernelCells::default()).collect(),
-            levels: (0..nlevels).map(|_| LevelCells::default()).collect(),
-            ..Self::default()
-        }
-    }
-
-    pub(crate) fn kernel(&self, k: Kernel) -> &KernelCells {
-        &self.kernels[k.index()]
-    }
-
-    /// Credit measured witness counter deltas to `k`'s cells.
-    pub(crate) fn add_witness(&self, k: Kernel, deltas: [u64; NCOUNTERS]) {
-        for (cell, d) in self.kernel(k).witness.iter().zip(deltas) {
-            cell.fetch_add(d, Ordering::Relaxed);
-        }
-    }
-
-    /// Credit the analytic expected transfers `[L1, LLC]` (in cache
-    /// lines) of a witnessed batch to `k`'s cells.
-    pub(crate) fn add_expected_transfers(&self, k: Kernel, expected: [u64; 2]) {
-        for (cell, e) in self.kernel(k).expected_transfers.iter().zip(expected) {
-            cell.fetch_add(e, Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn note_peak_inflight(&self, level: usize, inflight: usize) {
-        self.levels[level]
-            .peak_inflight_words
-            .fetch_max(inflight, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_queue_depth(&self, depth: usize) {
-        self.queue_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-}
-
 /// Per-kernel counters at snapshot time.
 #[derive(Debug, Clone)]
 pub struct KernelSnapshot {
@@ -112,6 +34,9 @@ pub struct KernelSnapshot {
     pub submitted: u64,
     /// Jobs served to completion.
     pub completed: u64,
+    /// Jobs failed because the kernel panicked in their batch
+    /// ([`crate::Rejected::KernelPanicked`]).
+    pub failed: u64,
     /// Jobs shed at submission because the queue was full.
     pub shed_queue_full: u64,
     /// Jobs shed in the queue past their deadline.
@@ -137,7 +62,7 @@ pub struct KernelSnapshot {
     /// Cache-witness counter totals for this kernel's batches, indexed
     /// by witness counter id ([`mo_obs::witness::CTR_L1D_MISS`] etc.);
     /// all zero when the hardware witness is unavailable.
-    pub witness: [u64; mo_obs::witness::NCOUNTERS],
+    pub witness: [u64; NCOUNTERS],
     /// Analytic expected transfers `[L1, LLC]` (cache lines) for the
     /// witnessed batches — `registry::analytic_transfers` summed over
     /// every batch that also carried a witness span.
@@ -145,6 +70,36 @@ pub struct KernelSnapshot {
 }
 
 impl KernelSnapshot {
+    /// The row of `kernel` before any job.
+    pub(crate) fn new(kernel: Kernel) -> Self {
+        Self {
+            kernel,
+            submitted: 0,
+            completed: 0,
+            failed: 0,
+            shed_queue_full: 0,
+            shed_deadline: 0,
+            shed_too_large: 0,
+            shed_not_certified: 0,
+            batches: 0,
+            batched_jobs: 0,
+            p50_ms: None,
+            p99_ms: None,
+            latency: Log2Hist::default(),
+            witness: [0; NCOUNTERS],
+            expected_transfers: [0; 2],
+        }
+    }
+
+    /// This row with `p50_ms` and `p99_ms` read off its histogram.
+    pub(crate) fn with_quantiles(self) -> Self {
+        Self {
+            p50_ms: latency_ms(&self.latency, 0.50),
+            p99_ms: latency_ms(&self.latency, 0.99),
+            ..self
+        }
+    }
+
     /// Measured-over-analytic transfer ratio `[L1, LLC]` — the value
     /// behind the `moserve_witness_divergence` gauges. `None` at an
     /// index without both a measurement and an expectation.
@@ -165,15 +120,17 @@ impl KernelSnapshot {
 
     /// Jobs accepted but not yet resolved at snapshot time.
     ///
-    /// Only `completed` and `shed_deadline` resolve *accepted* jobs
-    /// (`queue_full` / `too_large` rejections never count as
-    /// submitted), so `submitted - completed - shed_deadline` is the
-    /// number still queued or running. [`MetricsSnapshot::collect`]
-    /// loads the resolution counters *before* `submitted` with SeqCst
-    /// ordering, so this never underflows even against a racing
-    /// snapshot — see the conservation note there.
+    /// Only `completed`, `shed_deadline` and `failed` resolve
+    /// *accepted* jobs (the other rejections never count as
+    /// submitted), so `submitted - completed - shed_deadline - failed`
+    /// is the number still queued or running. A server snapshot copies
+    /// every counter under the one lock that also moves them, so the
+    /// equation is exact there; over a [`MetricsSnapshot::delta_since`]
+    /// interval, which may resolve jobs submitted before it, it
+    /// saturates at zero.
     pub fn in_flight(&self) -> u64 {
-        self.submitted - (self.completed + self.shed_deadline)
+        self.submitted
+            .saturating_sub(self.completed + self.shed_deadline + self.failed)
     }
 }
 
@@ -192,6 +149,21 @@ pub struct LevelSnapshot {
     pub admitted_jobs: u64,
     /// Cumulative footprint words admitted against this level.
     pub admitted_words: u64,
+}
+
+impl LevelSnapshot {
+    /// The row of cache level `level`, `capacity_words` machine-wide,
+    /// before any admission.
+    pub(crate) fn new(level: usize, capacity_words: usize) -> Self {
+        Self {
+            level,
+            capacity_words,
+            inflight_words: 0,
+            peak_inflight_words: 0,
+            admitted_jobs: 0,
+            admitted_words: 0,
+        }
+    }
 }
 
 /// A point-in-time copy of every service metric.
@@ -225,79 +197,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    #[allow(clippy::too_many_arguments)] // one field per server subsystem
-    pub(crate) fn collect(
-        m: &Metrics,
-        level_caps: &[usize],
-        inflight: &[usize],
-        queue_depth: usize,
-        rt: RtStats,
-        ring_dropped: Vec<u64>,
-        slo: Vec<SloState>,
-        slo_dumps: u64,
-        uptime: Duration,
-    ) -> Self {
-        let kernels = Kernel::ALL
-            .iter()
-            .map(|&k| {
-                let c = m.kernel(k);
-                let latency = c.latency.snapshot();
-                // Conservation ordering: a job is *resolved*
-                // (completed / deadline-shed) only after it was counted
-                // submitted, and both sides use SeqCst, so loading the
-                // resolution counters first guarantees
-                // `submitted ≥ completed + shed_deadline` in every
-                // snapshot — the invariant `in_flight()` relies on.
-                let completed = c.completed.load(Ordering::SeqCst);
-                let shed_deadline = c.shed_deadline.load(Ordering::SeqCst);
-                let submitted = c.submitted.load(Ordering::SeqCst);
-                KernelSnapshot {
-                    kernel: k,
-                    submitted,
-                    completed,
-                    shed_queue_full: c.shed_queue_full.load(Ordering::Relaxed),
-                    shed_deadline,
-                    shed_too_large: c.shed_too_large.load(Ordering::Relaxed),
-                    shed_not_certified: c.shed_not_certified.load(Ordering::Relaxed),
-                    batches: c.batches.load(Ordering::Relaxed),
-                    batched_jobs: c.batched_jobs.load(Ordering::Relaxed),
-                    p50_ms: latency_ms(&latency, 0.50),
-                    p99_ms: latency_ms(&latency, 0.99),
-                    latency,
-                    witness: std::array::from_fn(|i| c.witness[i].load(Ordering::Relaxed)),
-                    expected_transfers: std::array::from_fn(|i| {
-                        c.expected_transfers[i].load(Ordering::Relaxed)
-                    }),
-                }
-            })
-            .collect();
-        let levels = m
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(i, lc)| LevelSnapshot {
-                level: i,
-                capacity_words: level_caps.get(i).copied().unwrap_or(0),
-                inflight_words: inflight.get(i).copied().unwrap_or(0),
-                peak_inflight_words: lc.peak_inflight_words.load(Ordering::Relaxed),
-                admitted_jobs: lc.admitted_jobs.load(Ordering::Relaxed),
-                admitted_words: lc.admitted_words.load(Ordering::Relaxed),
-            })
-            .collect();
-        Self {
-            kernels,
-            levels,
-            queue_depth,
-            queue_peak: m.queue_peak.load(Ordering::Relaxed),
-            rt,
-            witness_available: m.witness_available.load(Ordering::Relaxed) != 0,
-            ring_dropped,
-            slo,
-            slo_dumps,
-            uptime,
-        }
-    }
-
     /// Total jobs served across kernels.
     pub fn completed_total(&self) -> u64 {
         self.kernels.iter().map(|k| k.completed).sum()
@@ -329,11 +228,11 @@ impl MetricsSnapshot {
             .iter()
             .zip(&prev.kernels)
             .map(|(now, old)| {
-                let latency = now.latency.delta_since(&old.latency);
                 KernelSnapshot {
                     kernel: now.kernel,
                     submitted: now.submitted.saturating_sub(old.submitted),
                     completed: now.completed.saturating_sub(old.completed),
+                    failed: now.failed.saturating_sub(old.failed),
                     shed_queue_full: now.shed_queue_full.saturating_sub(old.shed_queue_full),
                     shed_deadline: now.shed_deadline.saturating_sub(old.shed_deadline),
                     shed_too_large: now.shed_too_large.saturating_sub(old.shed_too_large),
@@ -342,14 +241,15 @@ impl MetricsSnapshot {
                         .saturating_sub(old.shed_not_certified),
                     batches: now.batches.saturating_sub(old.batches),
                     batched_jobs: now.batched_jobs.saturating_sub(old.batched_jobs),
-                    p50_ms: latency_ms(&latency, 0.50),
-                    p99_ms: latency_ms(&latency, 0.99),
-                    latency,
+                    p50_ms: None,
+                    p99_ms: None,
+                    latency: now.latency.delta_since(&old.latency),
                     witness: std::array::from_fn(|i| now.witness[i].saturating_sub(old.witness[i])),
                     expected_transfers: std::array::from_fn(|i| {
                         now.expected_transfers[i].saturating_sub(old.expected_transfers[i])
                     }),
                 }
+                .with_quantiles()
             })
             .collect();
         let levels = self
@@ -405,6 +305,13 @@ impl MetricsSnapshot {
         per_kernel(
             w.counter("moserve_jobs_completed_total", "Jobs served to completion."),
             |k| k.completed,
+        );
+        per_kernel(
+            w.counter(
+                "moserve_jobs_failed_total",
+                "Jobs failed by a kernel panic in their batch.",
+            ),
+            |k| k.failed,
         );
         let mut f = w.counter(
             "moserve_jobs_shed_total",
@@ -596,10 +503,11 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "{:<10} {:>9} {:>9} {:>6} {:>8} {:>7} {:>8} {:>7} {:>9} {:>9}",
+            "{:<10} {:>9} {:>9} {:>6} {:>6} {:>8} {:>7} {:>8} {:>7} {:>9} {:>9}",
             "kernel",
             "submitted",
             "completed",
+            "failed",
             "shed",
             "deadline",
             "toobig",
@@ -618,10 +526,11 @@ impl std::fmt::Display for MetricsSnapshot {
             };
             writeln!(
                 f,
-                "{:<10} {:>9} {:>9} {:>6} {:>8} {:>7} {:>8} {:>7} {:>9} {:>9}",
+                "{:<10} {:>9} {:>9} {:>6} {:>6} {:>8} {:>7} {:>8} {:>7} {:>9} {:>9}",
                 k.kernel.name(),
                 k.submitted,
                 k.completed,
+                k.failed,
                 k.shed_queue_full,
                 k.shed_deadline,
                 k.shed_too_large,
@@ -697,41 +606,59 @@ mod tests {
         }
     }
 
-    /// Every counter non-zero, two SLO objectives with two windows
-    /// each, witness on, three ring-drop entries — the state whose
-    /// parent-commit rendering is `tests/fixtures/exposition_parent.prom`.
+    /// A snapshot of a server that has done nothing, over `nlevels`
+    /// cache levels of capacity 0.
+    fn idle(nlevels: usize) -> MetricsSnapshot {
+        MetricsSnapshot {
+            kernels: Kernel::ALL.map(KernelSnapshot::new).to_vec(),
+            levels: (0..nlevels).map(|l| LevelSnapshot::new(l, 0)).collect(),
+            queue_depth: 0,
+            queue_peak: 0,
+            rt: RtStats::default(),
+            witness_available: false,
+            ring_dropped: Vec::new(),
+            slo: Vec::new(),
+            slo_dumps: 0,
+            uptime: Duration::ZERO,
+        }
+    }
+
+    /// Every counter the parent rendered non-zero, two SLO objectives
+    /// with two windows each, witness on, three ring-drop entries — the
+    /// state whose parent-commit rendering is
+    /// `tests/fixtures/exposition_parent.prom`.
     fn pinned_snapshot() -> MetricsSnapshot {
-        let m = Metrics::new(3);
-        m.witness_available.store(1, Ordering::Relaxed);
-        m.queue_peak.store(17, Ordering::Relaxed);
-        for (i, &k) in Kernel::ALL.iter().enumerate() {
+        let mut s = idle(3);
+        s.witness_available = true;
+        s.queue_depth = 5;
+        s.queue_peak = 17;
+        for (i, row) in s.kernels.iter_mut().enumerate() {
             let i = i as u64 + 1;
-            let c = m.kernel(k);
-            c.submitted.store(100 * i, Ordering::SeqCst);
-            c.completed.store(90 * i, Ordering::SeqCst);
-            c.shed_queue_full.store(2 * i, Ordering::Relaxed);
-            c.shed_deadline.store(3 * i, Ordering::SeqCst);
-            c.shed_too_large.store(i, Ordering::Relaxed);
-            c.shed_not_certified.store(4 * i, Ordering::Relaxed);
-            c.batches.store(7 * i, Ordering::Relaxed);
-            c.batched_jobs.store(20 * i, Ordering::Relaxed);
+            row.submitted = 100 * i;
+            row.completed = 90 * i;
+            row.shed_queue_full = 2 * i;
+            row.shed_deadline = 3 * i;
+            row.shed_too_large = i;
+            row.shed_not_certified = 4 * i;
+            row.batches = 7 * i;
+            row.batched_jobs = 20 * i;
             for us in [0, 3, 1000, 1024, 5000 * i] {
-                c.latency.record(us);
+                row.latency.push(us);
             }
-            m.add_witness(k, [40 * i, 4 * i, 9000 * i]);
-            m.add_expected_transfers(k, [21 * i, 10 * i]);
+            row.witness = [40 * i, 4 * i, 9000 * i];
+            row.expected_transfers = [21 * i, 10 * i];
         }
-        let sort = m.kernel(Kernel::Sort);
-        sort.latency.record(1);
-        sort.latency.record(1 << 50);
-        for (i, l) in m.levels.iter().enumerate() {
-            l.admitted_jobs
-                .store(11 * (i as u64 + 1), Ordering::Relaxed);
-            l.admitted_words
-                .store(4096 * (i as u64 + 1), Ordering::Relaxed);
-            l.peak_inflight_words.store(512 << i, Ordering::Relaxed);
+        let sort = &mut s.kernels[Kernel::Sort.index()].latency;
+        sort.push(1);
+        sort.push(1 << 50);
+        for (i, l) in s.levels.iter_mut().enumerate() {
+            l.capacity_words = [6144, 262_144, 4_194_304][i];
+            l.inflight_words = [10, 20, 30][i];
+            l.admitted_jobs = 11 * (i as u64 + 1);
+            l.admitted_words = 4096 * (i as u64 + 1);
+            l.peak_inflight_words = 512 << i;
         }
-        let rt = RtStats {
+        s.rt = RtStats {
             parallel_forks: 50,
             serial_forks: 400,
             denied_forks: 6,
@@ -740,7 +667,7 @@ mod tests {
             parks: 3,
             injector_pops: 12,
         };
-        let slo = vec![
+        s.slo = vec![
             slo_state("latency", 0.99, true, [(5, 25.0, 12.5), (30, 2.0, 0.25)]),
             slo_state(
                 "availability",
@@ -749,22 +676,16 @@ mod tests {
                 [(5, 0.5, 0.125), (30, 1.5, 0.75)],
             ),
         ];
-        MetricsSnapshot::collect(
-            &m,
-            &[6144, 262_144, 4_194_304],
-            &[10, 20, 30],
-            5,
-            rt,
-            vec![4, 1, 9],
-            slo,
-            3,
-            Duration::from_millis(12_500),
-        )
+        s.ring_dropped = vec![4, 1, 9];
+        s.slo_dumps = 3;
+        s.uptime = Duration::from_millis(12_500);
+        s
     }
 
     /// The equivalence pin: the family-writer rendering carries the
     /// parent commit's `(name, labels, value)` samples in the parent's
-    /// family order. Two differences are permitted and listed here:
+    /// family order. Three differences are permitted and listed here:
+    /// the `moserve_jobs_failed_total` family the parent did not have,
     /// the `le` lines the single 64-bucket constant adds above the old
     /// 48-bucket ladder, and the samples the inclusive bucket edge
     /// moves one `le` down (an observation of exactly 2^k µs).
@@ -773,8 +694,15 @@ mod tests {
         use mo_obs::prom::{check_histograms, parse, Sample};
         let parent_text = include_str!("../tests/fixtures/exposition_parent.prom");
         let text = pinned_snapshot().to_prometheus_text();
+        // Permitted difference 1: the failed-jobs family, one zero per
+        // kernel in the pinned state.
+        const FAILED: &str = "moserve_jobs_failed_total";
+        let failed_lines = text.lines().filter(|l| l.contains(FAILED));
+        assert_eq!(failed_lines.count(), 2 + Kernel::ALL.len());
         let comments = |t: &str| -> Vec<String> {
-            let lines = t.lines().filter(|l| l.starts_with('#'));
+            let lines = t
+                .lines()
+                .filter(|l| l.starts_with('#') && !l.contains(FAILED));
             lines.map(str::to_string).collect()
         };
         assert_eq!(comments(&text), comments(parent_text), "family order");
@@ -782,13 +710,13 @@ mod tests {
         let is_latency_le = |s: &Sample, le: &str| {
             s.name == "moserve_latency_seconds_bucket" && s.label("le") == Some(le)
         };
-        // Permitted difference 1: finite bounds 2^47..2^62 µs, which
+        // Permitted difference 2: finite bounds 2^47..2^62 µs, which
         // the parent folded into +Inf.
         let added: Vec<String> = (47..63)
             .map(|i| format!("{}", (1u64 << i) as f64 / 1e6))
             .collect();
         let mut parent = parse(parent_text).expect("fixture parses");
-        // Permitted difference 2: every kernel recorded one 1 024 µs
+        // Permitted difference 3: every kernel recorded one 1 024 µs
         // latency, now counted under le="0.001024" and not first under
         // le="0.002048"; sort also recorded 1 µs, now under
         // le="0.000001" and not first under le="0.000002".
@@ -803,7 +731,7 @@ mod tests {
         assert_eq!(check_histograms(&samples), Ok(Kernel::ALL.len()));
         let kept: Vec<Sample> = samples
             .into_iter()
-            .filter(|s| !added.iter().any(|le| is_latency_le(s, le)))
+            .filter(|s| s.name != FAILED && !added.iter().any(|le| is_latency_le(s, le)))
             .collect();
         assert_eq!(kept.len(), parent.len());
         for (got, want) in kept.iter().zip(&parent) {
@@ -823,46 +751,27 @@ mod tests {
         // two servers (or passed in the wrong order) can carry *smaller*
         // counters in "now" than in "prev". Every delta must saturate
         // to zero, never panic.
-        let m = Metrics::new(2);
-        let c = m.kernel(Kernel::Sort);
-        c.submitted.store(10, Ordering::SeqCst);
-        c.completed.store(8, Ordering::SeqCst);
-        c.latency.record(100);
-        m.add_witness(Kernel::Sort, [5, 2, 1000]);
-        let rt_hi = RtStats {
+        let mut prev = idle(2);
+        let row = &mut prev.kernels[Kernel::Sort.index()];
+        row.submitted = 10;
+        row.completed = 8;
+        row.latency.push(100);
+        row.witness = [5, 2, 1000];
+        prev.rt = RtStats {
             parallel_forks: 50,
             steals: 7,
             parks: 3,
             ..Default::default()
         };
-        let caps = [1024usize, 4096];
-        let infl = [0usize, 0];
-        let prev = MetricsSnapshot::collect(
-            &m,
-            &caps,
-            &infl,
-            0,
-            rt_hi,
-            vec![4, 0, 0],
-            Vec::new(),
-            0,
-            Duration::from_secs(10),
-        );
-        let rt_lo = RtStats {
+        prev.ring_dropped = vec![4, 0, 0];
+        prev.uptime = Duration::from_secs(10);
+        let mut now = prev.clone();
+        now.rt = RtStats {
             parallel_forks: 3,
             ..Default::default()
         };
-        let now = MetricsSnapshot::collect(
-            &m,
-            &caps,
-            &infl,
-            0,
-            rt_lo,
-            vec![1, 0, 0],
-            Vec::new(),
-            0,
-            Duration::from_secs(11),
-        );
+        now.ring_dropped = vec![1, 0, 0];
+        now.uptime = Duration::from_secs(11);
         let d = now.delta_since(&prev);
         assert_eq!(d.rt.parallel_forks, 0); // 3 - 50 saturates
         assert_eq!(d.rt.steals, 0);
@@ -879,30 +788,23 @@ mod tests {
         let swapped = prev.delta_since(&now);
         assert_eq!(swapped.rt.parallel_forks, 47);
         assert_eq!(swapped.uptime, Duration::ZERO); // 10s - 11s saturates
+
+        // An interval that resolves jobs submitted before it has none
+        // in flight, rather than an underflow.
+        now.kernels[Kernel::Sort.index()].completed = 10;
+        let d = now.delta_since(&prev);
+        assert_eq!(d.kernels[Kernel::Sort.index()].completed, 2);
+        assert_eq!(d.in_flight_total(), 0);
     }
 
     #[test]
     fn witness_counts_flow_to_snapshot_and_prometheus() {
-        let m = Metrics::new(3);
-        m.witness_available.store(1, Ordering::Relaxed);
-        m.add_witness(Kernel::Matmul, [40, 4, 9000]);
-        m.add_witness(Kernel::Matmul, [2, 1, 1000]);
-        m.add_expected_transfers(Kernel::Matmul, [21, 10]);
-        let caps = [0usize; 3];
-        let infl = [0usize; 3];
-        let s = MetricsSnapshot::collect(
-            &m,
-            &caps,
-            &infl,
-            0,
-            RtStats::default(),
-            vec![0, 3, 0, 0],
-            Vec::new(),
-            0,
-            Duration::ZERO,
-        );
-        assert!(s.witness_available);
-        assert_eq!(s.kernels[Kernel::Matmul.index()].witness, [42, 5, 10000]);
+        let mut s = idle(3);
+        s.witness_available = true;
+        let row = &mut s.kernels[Kernel::Matmul.index()];
+        row.witness = [42, 5, 10000];
+        row.expected_transfers = [21, 10];
+        s.ring_dropped = vec![0, 3, 0, 0];
         let text = s.to_prometheus_text();
         assert!(text.contains(
             "moserve_cache_transfers_total{kernel=\"matmul\",level=\"1\",backend=\"perf\"} 42"
@@ -926,37 +828,17 @@ mod tests {
         let samples = mo_obs::prom::parse(&text).expect("valid exposition");
         mo_obs::prom::check_histograms(&samples).expect("consistent histograms");
         // Without a sink the drop family disappears entirely.
-        let bare = MetricsSnapshot::collect(
-            &m,
-            &caps,
-            &infl,
-            0,
-            RtStats::default(),
-            Vec::new(),
-            Vec::new(),
-            0,
-            Duration::ZERO,
-        );
-        assert!(!bare
+        s.ring_dropped.clear();
+        assert!(!s
             .to_prometheus_text()
             .contains("moserve_ring_dropped_total"));
     }
 
     #[test]
     fn slo_state_renders_typed_and_as_prometheus() {
-        let m = Metrics::new(1);
-        let slo = vec![slo_state("latency", 0.99, true, [(5, 25.0, 12.5)])];
-        let s = MetricsSnapshot::collect(
-            &m,
-            &[0],
-            &[0],
-            0,
-            RtStats::default(),
-            Vec::new(),
-            slo,
-            3,
-            Duration::ZERO,
-        );
+        let mut s = idle(1);
+        s.slo = vec![slo_state("latency", 0.99, true, [(5, 25.0, 12.5)])];
+        s.slo_dumps = 3;
         let text = s.to_prometheus_text();
         assert!(text.contains("moserve_slo_target{objective=\"latency\"} 0.99"));
         assert!(text.contains(

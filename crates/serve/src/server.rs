@@ -38,6 +38,12 @@
 //!   reassembles the ring into per-kernel per-phase latency
 //!   histograms. With no sink attached an emission site costs one
 //!   `OnceLock` load.
+//! * **A panicking kernel fails its batch only.** The unwind is caught
+//!   around the pool entry: that batch's tickets resolve as
+//!   [`Rejected::KernelPanicked`] (counted as `failed`, their spans
+//!   closed as `kernel_panic`), its footprint is returned, and the
+//!   service thread, the pool's core permits and every other batch
+//!   carry on.
 //! * **SLO burn rates.** A latency objective (100 ms at 0.99) and an
 //!   availability objective (0.999) are evaluated as multi-window
 //!   error-budget burn rates ([`mo_obs::slo`]), exported as
@@ -45,26 +51,25 @@
 //!   burning edge a flight recorder drains the span rings into a
 //!   validated Perfetto artifact at [`ServeConfig::slo_dump`].
 //!
-//! All of the above is one clock-free state machine, `state::Core`;
-//! this module is its thread shell: one lock, one condvar, and the
-//! service threads, which sleep until notified or until the earliest
-//! queued deadline. No thread exists for the SLOs.
+//! All of the above, and every counter it produces, is one clock-free
+//! state machine, `state::Core`; this module is its thread shell: one
+//! lock, one condvar, and the service threads, which sleep until
+//! notified or until the earliest queued deadline. No thread exists
+//! for the SLOs.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mo_algorithms::real::registry::{
-    analytic_transfers, footprint_words, run_batch_in, BLOCK_WORDS,
-};
 use mo_core::obs_event;
 use mo_core::rt::{HwHierarchy, PoolInfo, SbPool};
 
-use crate::job::{Done, JobSpec, Outcome, Rejected, Ticket};
-use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::state::{Batch, Core, Step};
+use crate::job::{JobSpec, Rejected, Ticket};
+use crate::metrics::MetricsSnapshot;
+use crate::state::{Batch, Core, Ran, Step};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -124,7 +129,6 @@ pub(crate) struct Shared {
     pool_info: PoolInfo,
     core: Mutex<Core>,
     cv: Condvar,
-    metrics: Metrics,
     /// The hardware cache witness, when `perf_event_open` is available.
     /// Batch execution wraps a per-thread span around the pool entry,
     /// so the measured counts cover the serving thread's share of the
@@ -137,9 +141,10 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// The serving state. No kernel code runs under this lock (a batch
-    /// executes after it is dropped), so only a bug in `Core` could
-    /// poison it; the guard is then recovered rather than turning that
-    /// one fault into a panic on every later call.
+    /// executes after it is dropped, and a kernel's panic is caught
+    /// there), so only a bug in `Core` could poison it; the guard is
+    /// then recovered rather than turning that one fault into a panic
+    /// on every later call.
     fn core(&self) -> MutexGuard<'_, Core> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -148,12 +153,11 @@ impl Shared {
     /// and the `/metrics` exposition thread).
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let (now, pool) = (Instant::now(), &self.pool);
-        let (snap, burned) = self
-            .core()
-            .snapshot(now, &self.metrics, pool.stats(), pool.sink());
+        let (mut snap, burned) = self.core().snapshot(now, pool.stats(), pool.sink());
         if burned {
             self.flight_record();
         }
+        snap.witness_available = self.witness.is_some();
         snap
     }
 
@@ -203,7 +207,6 @@ impl Server {
     /// the service workers, on top of the pool's resident threads.
     pub fn start(hier: HwHierarchy, cfg: ServeConfig) -> Self {
         let core = Core::new(hier.clone(), &cfg, Instant::now());
-        let metrics = Metrics::new(hier.levels().len());
         let pool = SbPool::new(hier);
         // Spawn the pool's resident stealing workers up front: every
         // batch runs on this long-lived pool via `enter`, so first-job
@@ -222,14 +225,9 @@ impl Server {
             pool_info,
             core: Mutex::new(core),
             cv: Condvar::new(),
-            metrics,
             witness: mo_obs::witness::PerfWitness::try_new().ok(),
             next_req: AtomicU64::new(0),
         });
-        shared
-            .metrics
-            .witness_available
-            .store(shared.witness.is_some() as u64, Ordering::Relaxed);
         let workers = (0..workers)
             .map(|_| {
                 let sh = Arc::clone(&shared);
@@ -260,9 +258,7 @@ impl Server {
         let req = spec.trace_id.unwrap_or_else(|| sh.next_request_id());
         let sink = sh.pool.sink();
         obs_event!(sink, None, ServeArrive, req, spec.kernel.index(), spec.n);
-        let ticket = sh
-            .core()
-            .submit(Instant::now(), spec, req, &sh.metrics, sink)?;
+        let ticket = sh.core().submit(Instant::now(), spec, req, sink)?;
         sh.cv.notify_one();
         Ok(ticket)
     }
@@ -330,15 +326,19 @@ fn worker_loop(sh: &Shared) {
     let mut core = sh.core();
     loop {
         let now = Instant::now();
-        match core.next(now, &sh.metrics, sh.pool.sink()) {
+        match core.next(now, sh.pool.sink()) {
             Step::Run(batch) => {
-                let (anchor, words) = (batch.anchor, batch.words);
                 drop(core);
-                execute(sh, batch);
-                core = sh.core();
-                core.release(anchor, words);
+                let (started, finished, ran) = execute(sh, &batch);
+                let replies = sh
+                    .core()
+                    .complete(batch, started, finished, ran, sh.pool.sink());
+                for (tx, outcome) in replies {
+                    let _ = tx.send(outcome);
+                }
                 // Wake anyone waiting on the released capacity.
                 sh.cv.notify_all();
+                core = sh.core();
             }
             Step::Dump => {
                 drop(core);
@@ -358,56 +358,120 @@ fn worker_loop(sh: &Shared) {
     }
 }
 
-fn execute(sh: &Shared, batch: Batch) {
+/// Run an admitted batch on the pool, outside the lock; returns when
+/// it started and finished and how it ended. A panic anywhere in the
+/// kernel's fork tree reaches `enter` and is caught here, so it fails
+/// this batch and nothing else.
+fn execute(sh: &Shared, batch: &Batch) -> (Instant, Instant, Ran) {
     let Batch { jobs, anchor, .. } = batch;
-    let kernel = jobs[0].spec.kernel;
-    let n = jobs[0].spec.n;
+    let (kernel, n) = (jobs[0].spec.kernel, jobs[0].spec.n);
     let seeds: Vec<u64> = jobs.iter().map(|q| q.spec.seed).collect();
     let sink = sh.pool.sink();
     if sink.is_some() {
-        for q in &jobs {
-            obs_event!(sink, None, ServeExecute, q.req, jobs.len(), anchor);
+        for q in jobs {
+            obs_event!(sink, None, ServeExecute, q.req, jobs.len(), *anchor);
         }
     }
-    let t0 = Instant::now();
+    let started = Instant::now();
     let span = sh.witness.as_ref().and_then(|w| w.span());
-    let sums = sh.pool.enter(|ctx| run_batch_in(ctx, kernel, n, &seeds));
-    if let (Some(w), Some(span)) = (sh.witness.as_ref(), span.as_ref()) {
-        sh.metrics.add_witness(kernel, w.span_delta(span));
-        // Pair the measured transfers with the analytic expectation for
-        // the same batch, per compared level, behind the
-        // `moserve_witness_divergence` gauges.
-        let hier = sh.pool.hierarchy();
-        let llc = hier.levels().len().saturating_sub(1);
-        let words = footprint_words(kernel, n);
-        let expected = [hier.l1_capacity(), hier.level_capacity(llc).unwrap_or(0)].map(|cap| {
-            (analytic_transfers(kernel, n, words, cap, BLOCK_WORDS, 1) * jobs.len() as f64) as u64
-        });
-        sh.metrics.add_expected_transfers(kernel, expected);
+    let run = || sh.pool.enter(|ctx| run_batch(ctx, kernel, n, &seeds));
+    let ran = match panic::catch_unwind(AssertUnwindSafe(run)) {
+        Ok(sums) => Ran::Done {
+            sums,
+            witness: sh.witness.as_ref().zip(span).map(|(w, s)| w.span_delta(&s)),
+        },
+        Err(_) => Ran::Panicked,
+    };
+    (started, Instant::now(), ran)
+}
+
+// The batch body. A test build swaps in one whose kernel can be made
+// to panic, `tests::run_batch`.
+#[cfg(not(test))]
+use mo_algorithms::real::registry::run_batch_in as run_batch;
+#[cfg(test)]
+use tests::run_batch;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Kernel, Outcome};
+    use mo_algorithms::real::registry::{footprint_words, run_in};
+    use mo_core::rt::{Ctx, Jobs};
+
+    /// The seed whose job panics in a test build's kernel.
+    const PANIC_SEED: u64 = 0xdead_beef;
+
+    /// [`run_batch_in`](mo_algorithms::real::registry::run_batch_in)
+    /// with one fault added: a job seeded [`PANIC_SEED`] panics inside
+    /// its own branch of the batch's fork tree.
+    pub(super) fn run_batch(ctx: &Ctx<'_>, kernel: Kernel, n: usize, seeds: &[u64]) -> Vec<u64> {
+        let jobs: Jobs<'_, u64> = seeds
+            .iter()
+            .map(|&seed| {
+                Box::new(move |c: &Ctx<'_>| {
+                    assert_ne!(seed, PANIC_SEED, "injected kernel panic");
+                    run_in(c, kernel, n, seed)
+                }) as _
+            })
+            .collect();
+        ctx.join_all(footprint_words(kernel, n), jobs)
     }
-    let service = t0.elapsed();
-    let batch_size = jobs.len();
-    let cells = sh.metrics.kernel(kernel);
-    if batch_size > 1 {
-        cells.batches.fetch_add(1, Ordering::Relaxed);
-        cells
-            .batched_jobs
-            .fetch_add(batch_size as u64, Ordering::Relaxed);
-    }
-    let service_ns = service.as_nanos();
-    for (q, checksum) in jobs.into_iter().zip(sums) {
-        let queued = t0.saturating_duration_since(q.enqueued);
-        cells.completed.fetch_add(1, Ordering::SeqCst); // conservation protocol
-        cells.latency.record((queued + service).as_micros() as u64);
-        // Respond closes the span; emitted before the ticket resolves
-        // so a drain racing the waiter still sees a closed span.
-        obs_event!(sink, None, ServeRespond, q.req, service_ns, batch_size);
-        let _ = q.tx.send(Outcome::Done(Done {
-            checksum,
-            queued,
-            service,
-            anchor_level: anchor,
-            batch_size,
-        }));
+
+    /// A kernel that panics on job 3 of a batch of four fails that
+    /// batch only: the batch queued beside it completes, the next one
+    /// runs with every core permit back, and the counters conserve.
+    #[test]
+    fn a_panicking_kernel_fails_its_batch_only() {
+        let server = Server::start(
+            HwHierarchy::flat(4, 2048, 1 << 16),
+            ServeConfig {
+                workers: 1,
+                batch_max: 4,
+                batch_words_max: Some(4096),
+                ..ServeConfig::default()
+            },
+        );
+        let sh = &server.shared;
+        // Queue both batches under one hold of the lock, so the one
+        // service thread forms the four sorts into one batch. The
+        // panicking job sits in the batch's second half, the branch
+        // `join_all` forks with a core permit.
+        let queued: Vec<(u64, Ticket)> = {
+            let mut core = sh.core();
+            let mut queue = |kernel, n, seed| {
+                let spec = JobSpec::new(kernel, n, seed);
+                let ticket = core.submit(Instant::now(), spec, sh.next_request_id(), None);
+                (seed, ticket.expect("queued"))
+            };
+            let mut jobs: Vec<_> = [1, 2, PANIC_SEED, 3]
+                .map(|seed| queue(Kernel::Sort, 1000, seed))
+                .into();
+            jobs.push(queue(Kernel::Scan, 64, 4));
+            jobs
+        };
+        sh.cv.notify_all();
+        for (seed, ticket) in queued {
+            match ticket.wait() {
+                Outcome::Rejected(Rejected::KernelPanicked) if seed != 4 => {}
+                Outcome::Done(d) if seed == 4 => assert_eq!(d.batch_size, 1),
+                other => panic!("job seeded {seed}: {other:?}"),
+            }
+        }
+        let next = server.submit(JobSpec::new(Kernel::Sort, 1000, 5));
+        assert!(next.expect("admitted").wait().is_done());
+        assert_eq!(sh.pool.available_permits(), 3, "a permit leaked");
+
+        let snap = server.metrics();
+        let sort = &snap.kernels[Kernel::Sort.index()];
+        assert_eq!((sort.submitted, sort.completed, sort.failed), (5, 1, 4));
+        for row in &snap.kernels {
+            let resolved = row.completed + row.shed_deadline + row.failed;
+            assert_eq!(row.submitted, resolved + row.in_flight(), "{}", row.kernel);
+        }
+        assert!(snap.levels.iter().all(|l| l.inflight_words == 0));
+        let text = snap.to_prometheus_text();
+        assert!(text.contains("moserve_jobs_failed_total{kernel=\"sort\"} 4"));
+        assert_eq!(server.drain().in_flight_total(), 0);
     }
 }

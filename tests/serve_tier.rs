@@ -66,19 +66,22 @@ fn every_kernel_is_served_and_the_scrape_accounts_for_it() {
         assert_eq!(value("moserve_jobs_completed_total", &k), 1.0);
         assert_eq!(value("moserve_latency_seconds_count", &k), 1.0);
         // Conservation, on the snapshot and on the wire: every accepted
-        // job is completed, shed past its deadline, or still in flight.
+        // job is completed, shed past its deadline, failed with its
+        // batch's kernel, or still in flight.
         assert_eq!(
             row.submitted,
-            row.completed + row.shed_deadline + row.in_flight(),
+            row.completed + row.shed_deadline + row.failed + row.in_flight(),
             "{k:?}"
         );
         assert_eq!(
             value("moserve_jobs_submitted_total", &k),
             value("moserve_jobs_completed_total", &k)
                 + value("moserve_jobs_shed_total", &[k[0], ("reason", "deadline")])
+                + value("moserve_jobs_failed_total", &k)
                 + value("moserve_jobs_in_flight", &k),
             "{k:?}"
         );
+        assert_eq!(value("moserve_jobs_failed_total", &k), 0.0);
     }
     assert_eq!(snap.shed_total(), 0);
     drop(endpoint);
