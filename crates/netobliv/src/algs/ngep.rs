@@ -53,6 +53,15 @@ impl UpdateSet {
             UpdateSet::KBelowMin => 0..0,
         }
     }
+    /// Whether every triplet of the `κ × κ × κ` leaf whose first element
+    /// is at global `(row0, col0, k0)` is in `Σ_f`: then no row needs
+    /// [`cols`](Self::cols).
+    fn admits_block(self, row0: usize, col0: usize, k0: usize, kappa: usize) -> bool {
+        match self {
+            UpdateSet::All => true,
+            UpdateSet::KBelowMin => k0 + kappa - 1 < row0.min(col0),
+        }
+    }
     fn intersects(self, i0: usize, j0: usize, k0: usize, m: usize) -> bool {
         match self {
             UpdateSet::All => true,
@@ -130,52 +139,52 @@ struct Call {
 /// One sub-call spec: `(fun, x_q, u_q, v_q, w_q)`.
 type Spec = (Fun, usize, usize, usize, usize);
 
-fn stages(fun: Fun, order: DOrder) -> Vec<Vec<Spec>> {
+fn stages(fun: Fun, order: DOrder) -> &'static [&'static [Spec]] {
     use Fun::*;
     match fun {
-        A => vec![
-            vec![(A, 0, 0, 0, 0)],
-            vec![(B, 1, 0, 1, 0), (C, 2, 2, 0, 0)],
-            vec![(D, 3, 2, 1, 0)],
-            vec![(A, 3, 3, 3, 3)],
-            vec![(B, 2, 3, 2, 3), (C, 1, 1, 3, 3)],
-            vec![(D, 0, 1, 2, 3)],
+        A => &[
+            &[(A, 0, 0, 0, 0)],
+            &[(B, 1, 0, 1, 0), (C, 2, 2, 0, 0)],
+            &[(D, 3, 2, 1, 0)],
+            &[(A, 3, 3, 3, 3)],
+            &[(B, 2, 3, 2, 3), (C, 1, 1, 3, 3)],
+            &[(D, 0, 1, 2, 3)],
         ],
-        B => vec![
-            vec![(B, 0, 0, 0, 0), (B, 1, 0, 1, 0)],
-            vec![(D, 2, 2, 0, 0), (D, 3, 2, 1, 0)],
-            vec![(B, 2, 3, 2, 3), (B, 3, 3, 3, 3)],
-            vec![(D, 0, 1, 2, 3), (D, 1, 1, 3, 3)],
+        B => &[
+            &[(B, 0, 0, 0, 0), (B, 1, 0, 1, 0)],
+            &[(D, 2, 2, 0, 0), (D, 3, 2, 1, 0)],
+            &[(B, 2, 3, 2, 3), (B, 3, 3, 3, 3)],
+            &[(D, 0, 1, 2, 3), (D, 1, 1, 3, 3)],
         ],
-        C => vec![
-            vec![(C, 0, 0, 0, 0), (C, 2, 2, 0, 0)],
-            vec![(D, 1, 0, 1, 0), (D, 3, 2, 1, 0)],
-            vec![(C, 1, 1, 3, 3), (C, 3, 3, 3, 3)],
-            vec![(D, 0, 1, 2, 3), (D, 2, 3, 2, 3)],
+        C => &[
+            &[(C, 0, 0, 0, 0), (C, 2, 2, 0, 0)],
+            &[(D, 1, 0, 1, 0), (D, 3, 2, 1, 0)],
+            &[(C, 1, 1, 3, 3), (C, 3, 3, 3, 3)],
+            &[(D, 0, 1, 2, 3), (D, 2, 3, 2, 3)],
         ],
         D => match order {
-            DOrder::IGep => vec![
-                vec![
+            DOrder::IGep => &[
+                &[
                     (D, 0, 0, 0, 0),
                     (D, 1, 0, 1, 0),
                     (D, 2, 2, 0, 0),
                     (D, 3, 2, 1, 0),
                 ],
-                vec![
+                &[
                     (D, 0, 1, 2, 3),
                     (D, 1, 1, 3, 3),
                     (D, 2, 3, 2, 3),
                     (D, 3, 3, 3, 3),
                 ],
             ],
-            DOrder::DStar => vec![
-                vec![
+            DOrder::DStar => &[
+                &[
                     (D, 0, 0, 0, 0),
                     (D, 1, 1, 3, 3),
                     (D, 2, 3, 2, 3),
                     (D, 3, 2, 1, 0),
                 ],
-                vec![
+                &[
                     (D, 0, 1, 2, 3),
                     (D, 1, 0, 1, 0),
                     (D, 2, 2, 0, 0),
@@ -225,7 +234,7 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
         for stage in 0..nstages {
             let mut subcalls = Vec::new();
             for call in &calls {
-                for &(fun, xq, uq, vq, wq) in &stages(call.fun, self.order)[stage] {
+                for &(fun, xq, uq, vq, wq) in stages(call.fun, self.order)[stage] {
                     subcalls.push(self.make_subcall(call, fun, [xq, uq, vq, wq]));
                 }
             }
@@ -379,6 +388,16 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
     }
 }
 
+/// How many `k` steps [`leaf_update`] applies to a disjoint, fully
+/// admitted block per pass over an `x` row.
+const LEAF_K_GROUP: usize = 4;
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`leaf_update`] on this thread that took the grouped shape.
+    static GROUPED_LEAVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The `κ × κ` GEP base case on one PE's memory: the k-major
 /// `(k, i, j)` triple loop `x[i,j] ← f(x[i,j], u[i,k], v[k,j], w[k,k])`
 /// over `Σ_f`, with everything loop-invariant hoisted out of the `j`
@@ -390,16 +409,18 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
 /// `(row, column, k)` of the block's first element, which is all `Σ_f`
 /// needs.
 ///
-/// Hoisting is exact for every alias pattern because within one
-/// `(k, i)` row the loop can change only two of the values it reads,
-/// and both only at `j = k`: `u[i,k]` when `u` aliases `x`, and
-/// `w[k,k]` when `w` aliases `x` and `i = k`. So the row's admitted
-/// `j`-range is cut at `k + 1` and `u`, `w` are re-read once per
-/// segment: `j ≤ k` sees the values from before the write at `j = k`,
-/// `j > k` the ones after it. `v[k,j]` is either a row of another block,
-/// another row of `x` (both disjoint from the row being written), or —
-/// `v` aliased and `i = k` — the element being updated itself, read
-/// before it is written.
+/// A block whose operands are all disjoint from `x` and whose every
+/// triplet is in `Σ_f` goes to [`leaf_disjoint`]. Every other block runs
+/// the loop here, where hoisting is exact for every alias pattern
+/// because within one `(k, i)` row the loop can change only two of the
+/// values it reads, and both only at `j = k`: `u[i,k]` when `u` aliases
+/// `x`, and `w[k,k]` when `w` aliases `x` and `i = k`. So when either
+/// does, the row's admitted `j`-range is cut at `k + 1` and `u`, `w` are
+/// re-read once per segment: `j ≤ k` sees the values from before the
+/// write at `j = k`, `j > k` the ones after it. `v[k,j]` is either a row
+/// of another block, another row of `x` (both disjoint from the row
+/// being written), or — `v` aliased and `i = k` — the element being
+/// updated itself, read before it is written.
 fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
     mem: &mut [u64],
     kappa: usize,
@@ -410,11 +431,22 @@ fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
 ) -> u64 {
     let [uo, vo, wo] = offsets;
     let (row0, col0, k0) = origin;
+    if uo != 0 && vo != 0 && wo != 0 && sigma.admits_block(row0, col0, k0, kappa) {
+        #[cfg(test)]
+        GROUPED_LEAVES.with(|c| c.set(c.get() + 1));
+        leaf_disjoint(mem, kappa, offsets, f);
+        return (kappa * kappa * kappa) as u64;
+    }
+    let cut_at_k = uo == 0 || wo == 0;
     let mut ops = 0u64;
     for k in 0..kappa {
         for i in 0..kappa {
             let cols = sigma.cols(row0 + i, k0 + k, col0, kappa);
-            let cut = (k + 1).clamp(cols.start, cols.end);
+            let cut = if cut_at_k {
+                (k + 1).clamp(cols.start, cols.end)
+            } else {
+                cols.end
+            };
             for seg in [cols.start..cut, cut..cols.end] {
                 if seg.is_empty() {
                     continue;
@@ -444,6 +476,53 @@ fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
         }
     }
     ops
+}
+
+/// [`leaf_update`] on a block whose `u`, `v`, `w` are all disjoint from
+/// `x` and whose every triplet is in `Σ_f`: each `x` row is loaded and
+/// stored once per [`LEAF_K_GROUP`] steps of `k`, the rest of `k` one
+/// step a pass. This is the k-major loop bit for bit, for any `f`: the
+/// leaf never writes an operand, so every `x[i,j]` still sees `k` in
+/// increasing order with the same `u`, `v`, `w` values.
+fn leaf_disjoint<F: Fn(f64, f64, f64, f64) -> f64>(
+    mem: &mut [u64],
+    kappa: usize,
+    offsets: [usize; 3],
+    f: F,
+) {
+    let bsz = kappa * kappa;
+    let (x, rest) = mem.split_at_mut(bsz);
+    let uvw = offsets.map(|off| &rest[off - bsz..][..bsz]);
+    let grouped = kappa - kappa % LEAF_K_GROUP;
+    for k in (0..grouped).step_by(LEAF_K_GROUP) {
+        k_steps::<LEAF_K_GROUP, F>(x, uvw, kappa, k, &f);
+    }
+    for k in grouped..kappa {
+        k_steps::<1, F>(x, uvw, kappa, k, &f);
+    }
+}
+
+/// Steps `k .. k + G` of [`leaf_disjoint`], in one pass over the rows
+/// of `x`.
+fn k_steps<const G: usize, F: Fn(f64, f64, f64, f64) -> f64>(
+    x: &mut [u64],
+    [u, v, w]: [&[u64]; 3],
+    kappa: usize,
+    k: usize,
+    f: &F,
+) {
+    let vk: [&[u64]; G] = std::array::from_fn(|g| &v[(k + g) * kappa..][..kappa]);
+    let wk: [f64; G] = std::array::from_fn(|g| f64::from_bits(w[(k + g) * (kappa + 1)]));
+    for (x, u) in x.chunks_exact_mut(kappa).zip(u.chunks_exact(kappa)) {
+        let uk: [f64; G] = std::array::from_fn(|g| f64::from_bits(u[k + g]));
+        for (j, x) in x.iter_mut().enumerate() {
+            let mut xv = f64::from_bits(*x);
+            for g in 0..G {
+                xv = f(xv, uk[g], f64::from_bits(vk[g][j]), wk[g]);
+            }
+            *x = xv.to_bits();
+        }
+    }
 }
 
 /// The run of `table` (sorted by its PE key) that belongs to `pe`.
@@ -745,6 +824,9 @@ mod tests {
     /// [`leaf_update`] against the plain triple loop, bit for bit, on
     /// every alias pattern, both update sets and origins that put the
     /// `KBelowMin` cut inside, at the edges of and outside the block.
+    /// The grouped shape must be taken by exactly the blocks whose
+    /// operands are all disjoint from `x` and whose every triplet is in
+    /// `Σ_f`, for every `κ` below, at and above [`LEAF_K_GROUP`].
     #[test]
     fn leaf_update_matches_the_triple_loop_on_every_alias_pattern() {
         // Order-sensitive in all four operands.
@@ -753,7 +835,8 @@ mod tests {
         }
         let mut state = 17u64;
         let mut cases = 0;
-        for kappa in [1usize, 2, 4, 8, 32] {
+        let mut grouped_cases = 0;
+        for kappa in [1usize, 2, 4, 8, 16, 32] {
             let bsz = kappa * kappa;
             // `k0` relative to the block's rows and columns: far below
             // (everything admitted), overlapping with the cut at the
@@ -791,16 +874,26 @@ mod tests {
                         let mut got = want.clone();
                         let want_ops =
                             leaf_reference(&mut want, kappa, offsets, origin, mix, sigma);
+                        GROUPED_LEAVES.with(|c| c.set(0));
                         let got_ops = leaf_update(&mut got, kappa, offsets, origin, mix, sigma);
                         let case = format!("κ={kappa} offsets={offsets:?} {sigma:?} {origin:?}");
                         assert_eq!(got_ops, want_ops, "ops: {case}");
                         assert_eq!(got, want, "memory: {case}");
+                        // The reference applies every triplet exactly when
+                        // all of them are in `Σ_f`.
+                        let exact = aliases == 0 && want_ops == (kappa * kappa * kappa) as u64;
+                        let grouped = GROUPED_LEAVES.with(|c| c.get());
+                        assert_eq!(grouped, u64::from(exact), "grouped shape: {case}");
+                        grouped_cases += grouped;
                         cases += 1;
                     }
                 }
             }
         }
-        assert_eq!(cases, 5 * 8 * 2 * 9);
+        assert_eq!(cases, 6 * 8 * 2 * 9);
+        // Per κ: `All` at every origin and `KBelowMin` far below the
+        // block; at κ = 1 also `KBelowMin` at `(κ, κ, κ − 1)`.
+        assert_eq!(grouped_cases, 6 * 9 + 6 + 1);
     }
 
     #[test]

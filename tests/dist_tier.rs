@@ -134,4 +134,46 @@ fn ngep_outputs_and_costs_equal_the_values_pinned_before_the_kernel_leaf() {
             (checksum, 32_768, 10_752),
         );
     }
+
+    // The fleet's 128/32 shape under the other two updates, captured
+    // before `𝒟` leaves with disjoint operands grouped their `k` steps.
+    // At 128/32 `KBelowMin` has fully admitted `𝒟` leaves; at 32/4 it
+    // has none.
+    let n = 128;
+    let mut a = unit_stream(n * n, 4);
+    for i in 0..n {
+        a[i * n + i] += 2.0 * n as f64;
+    }
+    for (order, checksum) in [
+        (DOrder::IGep, 0xaa60d851d61fe417),
+        (DOrder::DStar, 0xbd51d03bfbc71c28),
+    ] {
+        let (sim, out) = ngep::ngep_program(&a, n, 32, ge, UpdateSet::KBelowMin, order);
+        check(
+            &format!("ge 128/32 {order:?}"),
+            &sim,
+            out.iter().map(|x| x.to_bits()),
+            (checksum, 690_880, 129_024),
+        );
+    }
+
+    // `nc` grows about 2^1250-fold over 128 steps, so the input is
+    // scaled by 2^-900 (exact) to keep every output finite.
+    let d: Vec<f64> = unit_stream(n * n, 5)
+        .into_iter()
+        .map(|x| x * 2f64.powi(-900))
+        .collect();
+    for (order, checksum) in [
+        (DOrder::IGep, 0x735ccc7756e20637),
+        (DOrder::DStar, 0x0bc3d16d41605c37),
+    ] {
+        let (sim, out) = ngep::ngep_program(&d, n, 32, nc, UpdateSet::All, order);
+        assert!(out.iter().all(|x| x.is_finite()), "nc 128/32 {order:?}");
+        check(
+            &format!("nc 128/32 {order:?}"),
+            &sim,
+            out.iter().map(|x| x.to_bits()),
+            (checksum, 2_097_152, 172_032),
+        );
+    }
 }
