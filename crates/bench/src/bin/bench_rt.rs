@@ -1,11 +1,10 @@
 //! Runtime perf trajectory: every real kernel against its serial
 //! baseline, written to `BENCH_rt.json` at the repo root.
 //!
-//! Unlike the Criterion-style `wallclock` bench (interactive, shape
-//! oriented), this binary produces a small machine-readable record —
-//! median-of-k nanoseconds per kernel, serial vs pool, plus the core
-//! count — so successive PRs can track the runtime's wall-clock
-//! trajectory in version control.
+//! The binary produces a small machine-readable record — median-of-k
+//! nanoseconds per kernel, serial vs pool, plus the core count — so
+//! successive PRs can track the runtime's wall-clock trajectory in
+//! version control.
 //!
 //! `--smoke` runs tiny sizes and asserts that every kernel's checksum
 //! (via the registry's deterministic seed-generated jobs) is identical

@@ -15,7 +15,8 @@
 //! the reproduction criterion (absolute constants are implementation-
 //! specific). Every row's output is deterministic and pinned byte for
 //! byte by `tests/tables.rs` against `tests/fixtures/tables/`.
-//! Criterion wall-clock benches live under `benches/`.
+//! Wall-clock timings of the real kernels are the `bench_rt` binary's;
+//! `benches/simulated.rs` times the simulator's access streams.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -91,8 +92,8 @@ pub fn val(label: &str, v: f64) {
     println!("  {label:<44} {v:>12.2}");
 }
 
-/// A dependency-free micro-benchmark timer for the `benches/` targets
-/// (the container has no criterion): adaptive iteration count, median of
+/// A dependency-free micro-benchmark timer for `benches/simulated.rs`
+/// (no criterion dependency): adaptive iteration count, median of
 /// several timed batches, `ns/iter` output.
 pub fn bench<R>(label: &str, mut f: impl FnMut() -> R) {
     use std::hint::black_box;

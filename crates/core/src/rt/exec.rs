@@ -69,7 +69,7 @@ pub(super) enum Origin {
 #[derive(Clone, Copy)]
 pub(super) struct JobRef {
     data: *const (),
-    exec: unsafe fn(*const (), &Ctx<'_>),
+    exec: unsafe fn(*const (), &Ctx<'_>, &mut dyn FnMut()),
 }
 
 // SAFETY: the pointee is pinned for the job's whole queue lifetime and
@@ -82,16 +82,18 @@ impl JobRef {
         self.data
     }
 
-    /// Run the job on the calling thread.
+    /// Run the job on the calling thread, then `epilogue`, then set the
+    /// job's latch: whatever the epilogue accounts is complete by the
+    /// time the owner's join returns.
     ///
     /// # Safety
     /// The caller must have obtained this reference from a queue (so it
     /// is the unique owner of the right to execute it) and the backing
     /// [`StackJob`] must still be pinned.
-    pub(super) unsafe fn execute(self, ctx: &Ctx<'_>) {
+    pub(super) unsafe fn execute(self, ctx: &Ctx<'_>, epilogue: &mut dyn FnMut()) {
         // SAFETY: forwarding the caller's contract — `data` points to
         // the pinned `StackJob` that `exec` was monomorphized for.
-        unsafe { (self.exec)(self.data, ctx) }
+        unsafe { (self.exec)(self.data, ctx, epilogue) }
     }
 }
 
@@ -149,7 +151,7 @@ where
         }
     }
 
-    unsafe fn execute_erased(data: *const (), ctx: &Ctx<'_>) {
+    unsafe fn execute_erased(data: *const (), ctx: &Ctx<'_>, epilogue: &mut dyn FnMut()) {
         // SAFETY: `data` came from `as_job_ref` on a still-pinned
         // `StackJob<F, R>` (caller contract via `JobRef::execute`).
         let this = unsafe { &*(data as *const Self) };
@@ -161,7 +163,14 @@ where
         let res = panic::catch_unwind(AssertUnwindSafe(|| f(ctx)));
         // SAFETY: same exclusive-execution argument as the read above.
         unsafe { *this.result.get() = Some(res) };
+        // The latch is set even if the epilogue unwinds, so the owner
+        // never waits on a job that has finished; the unwind then
+        // carries on from here.
+        let tail = panic::catch_unwind(AssertUnwindSafe(epilogue));
         this.latch.set();
+        if let Err(payload) = tail {
+            panic::resume_unwind(payload);
+        }
     }
 
     pub(super) fn latch(&self) -> &Latch {
@@ -322,18 +331,21 @@ fn execute_found(ctx: &Ctx<'_>, job: JobRef, origin: Origin) {
         }
     };
     obs_event!(sink, me, TaskEnter, job.id() as usize, ocode, victim);
-    let wscope = inner
+    let mut wscope = inner
         .witness
         .get()
         .map(|w| mo_obs::witness::scope(w.as_ref(), sink.map(|s| s.as_ref()), me, job.id() as u64));
+    // The task's exit accounting runs before its latch is set, so a
+    // trace drained when the owner's join returns holds all of it.
+    // The witness scope closes before TaskExit so the delta lands
+    // inside the task's slice.
+    let mut exit = || {
+        drop(wscope.take());
+        obs_event!(sink, me, TaskExit, job.id() as usize, 0, 0);
+    };
     // SAFETY: popped from a queue, so this thread owns the right to run
     // the job and its frame is still pinned (module docs).
-    unsafe { job.execute(ctx) };
-    // Close the witness scope before TaskExit so the delta lands inside
-    // the task's slice (`execute` never unwinds: the stack job catches
-    // panics internally).
-    drop(wscope);
-    obs_event!(sink, me, TaskExit, job.id() as usize, 0, 0);
+    unsafe { job.execute(ctx, &mut exit) };
     inner.note_task(me);
     inner.reg.signal();
 }

@@ -1027,7 +1027,7 @@ mod tests {
 
     #[test]
     fn attached_witness_brackets_every_task() {
-        use std::sync::atomic::AtomicI64;
+        use std::sync::atomic::{AtomicBool, AtomicI64};
 
         #[derive(Default)]
         struct Mock {
@@ -1043,6 +1043,11 @@ mod tests {
                 if let Some(s) = sink {
                     s.emit(worker, mo_obs::EventKind::CacheWitness, 0, 1, job);
                 }
+                // Stands in for the counter reads of a real witness (a
+                // system call for the perf witness): an exit takes time.
+                for _ in 0..200 {
+                    std::hint::spin_loop();
+                }
                 self.open.fetch_sub(1, Ordering::SeqCst);
             }
         }
@@ -1053,28 +1058,47 @@ mod tests {
         assert!(p.attach_sink(Arc::clone(&sink)));
         assert!(p.attach_witness(Arc::clone(&mock) as _));
         assert!(!p.attach_witness(Arc::clone(&mock) as _)); // once per pool
-        p.enter(|ctx| {
-            ctx.join(1 << 16, |_| (), 1 << 16, |_| ());
-            ctx.join(1 << 16, |_| (), 1 << 16, |_| ());
-        });
-        // A worker closes its scope just after setting the join latch,
-        // so give in-flight exits a moment before asserting balance.
-        for _ in 0..1000 {
-            if mock.open.load(Ordering::SeqCst) == 0 {
-                break;
+
+        // A stolen task closes its scope before it sets its join latch,
+        // so every scope is closed, and its event is in the sink, the
+        // moment `enter` returns.
+        let mut witnessed = 0u64;
+        let mut roots = 0u64;
+        for i in 0..10_000 {
+            p.enter(|ctx| {
+                for _ in 0..2 {
+                    // The first branch lingers until a thief has started
+                    // the second (or a bounded spin ends), so it returns
+                    // while a stolen second branch is finishing.
+                    let started = AtomicBool::new(false);
+                    ctx.join(
+                        1 << 16,
+                        |_| {
+                            for _ in 0..1000 {
+                                if started.load(Ordering::SeqCst) {
+                                    break;
+                                }
+                                std::hint::spin_loop();
+                            }
+                        },
+                        1 << 16,
+                        |_| started.store(true, Ordering::SeqCst),
+                    );
+                }
+            });
+            let open = mock.open.load(Ordering::SeqCst);
+            assert_eq!(open, 0, "enter {i} returned with {open} scopes open");
+            for e in sink.drain() {
+                if e.kind == mo_obs::EventKind::CacheWitness {
+                    witnessed += 1;
+                    roots += u64::from(e.c == 0);
+                }
             }
-            std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert_eq!(mock.open.load(Ordering::SeqCst), 0, "unbalanced scopes");
-        let scopes = mock.scopes.load(Ordering::SeqCst);
-        assert!(scopes >= 1, "at least the root scope of enter()");
-        let evs = sink.drain();
-        let wit: Vec<_> = evs
-            .iter()
-            .filter(|e| e.kind == mo_obs::EventKind::CacheWitness)
-            .collect();
-        assert_eq!(wit.len() as u64, scopes);
-        assert!(wit.iter().any(|e| e.c == 0), "root scope recorded job 0");
+        assert!(witnessed > roots, "no branch was ever stolen");
+        assert_eq!(sink.dropped(), 0);
+        assert_eq!(witnessed, mock.scopes.load(Ordering::SeqCst));
+        assert_eq!(roots, 10_000, "every enter's root scope recorded job 0");
     }
 
     #[test]

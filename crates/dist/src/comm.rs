@@ -42,7 +42,7 @@ use std::sync::Arc;
 use mo_obs::{pack_step_level, EventKind, TraceSink};
 use no_framework::{Comm, Engine, Pe, Scope};
 
-use crate::frame::{decode_runs, invalid, read_frame, DistDone, Enc};
+use crate::frame::{decode_runs, in_context, invalid, read_frame, DistDone, Enc};
 use crate::topology::{num_levels, pair_level, Partition};
 
 /// One duplex mesh stream: reads go through a buffer that lives as long
@@ -251,17 +251,11 @@ impl<'a> SocketComm<'a> {
             if !span.contains(&peer) {
                 continue;
             }
+            let me = self.me;
             self.exchange_with(peer, superstep).map_err(|e| {
-                // A socket read that outlives its timeout surfaces as
-                // `WouldBlock` on Unix; name it for what it is.
-                let kind = match e.kind() {
-                    io::ErrorKind::WouldBlock => io::ErrorKind::TimedOut,
-                    kind => kind,
-                };
-                let me = self.me;
-                io::Error::new(
-                    kind,
-                    format!("worker {me} superstep {superstep}: peer {peer}: {e}"),
+                in_context(
+                    e,
+                    format_args!("worker {me} superstep {superstep}: peer {peer}"),
                 )
             })?;
         }

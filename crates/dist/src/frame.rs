@@ -149,6 +149,16 @@ pub(crate) fn invalid(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) 
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// `e` with `context` in front of its text. A socket read that outlives
+/// its timeout surfaces as `WouldBlock` on Unix; it is named `TimedOut`.
+pub(crate) fn in_context(e: io::Error, context: std::fmt::Arguments<'_>) -> io::Error {
+    let kind = match e.kind() {
+        io::ErrorKind::WouldBlock => io::ErrorKind::TimedOut,
+        kind => kind,
+    };
+    io::Error::new(kind, format!("{context}: {e}"))
+}
+
 /// The error for a control message other than the one the protocol
 /// allows next.
 pub(crate) fn unexpected(what: &str, got: &Ctl) -> io::Error {

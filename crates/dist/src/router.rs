@@ -12,14 +12,15 @@
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mo_obs::fleet::WorkerStream;
 
 use crate::alg::DistAlg;
 use crate::data;
-use crate::frame::{invalid, recv_ctl, send_ctl, unexpected, Ctl, DistDone, Msg};
+use crate::frame::{in_context, invalid, recv_ctl, send_ctl, unexpected, Ctl, DistDone, Msg};
 use crate::topology::{job_key, num_levels, HashRing, Partition};
+use crate::worker::MESH_IO_TIMEOUT;
 
 /// A running fleet `/metrics` endpoint ([`Router::serve_fleet_metrics`]):
 /// the one exposition server in `mo-obs`, rendering
@@ -114,14 +115,33 @@ pub struct Router {
 impl Router {
     /// Accept `workers` shard registrations on `listener`, then
     /// broadcast the peer table that lets the shards build their data
-    /// mesh. Returns once the fleet is fully connected.
+    /// mesh. Returns once the fleet is fully connected. A peer that
+    /// connects and then falls silent for [`MESH_IO_TIMEOUT`] before
+    /// its [`Ctl::Hello`] is complete fails the bootstrap as
+    /// `TimedOut`, naming its address.
     pub fn accept_fleet(listener: &TcpListener, workers: usize) -> io::Result<Router> {
+        Self::accept_fleet_within(listener, workers, MESH_IO_TIMEOUT)
+    }
+
+    /// [`accept_fleet`](Self::accept_fleet) with `bound` on each
+    /// shard's `Hello`.
+    pub(crate) fn accept_fleet_within(
+        listener: &TcpListener,
+        workers: usize,
+        bound: Duration,
+    ) -> io::Result<Router> {
         assert!(workers >= 1 && workers.is_power_of_two());
         let mut slots: Vec<Option<Shard>> = (0..workers).map(|_| None).collect();
         for _ in 0..workers {
-            let (mut ctrl, _) = listener.accept()?;
+            let (mut ctrl, peer) = listener.accept()?;
             ctrl.set_nodelay(true)?;
-            match recv_ctl(&mut ctrl)? {
+            // Bounded while the peer has yet to say who it is; a shard's
+            // control stream then waits on jobs with no timeout.
+            ctrl.set_read_timeout(Some(bound))?;
+            let hello = recv_ctl(&mut ctrl)
+                .map_err(|e| in_context(e, format_args!("fleet bootstrap: peer {peer}")))?;
+            ctrl.set_read_timeout(None)?;
+            match hello {
                 Ctl::Hello {
                     index,
                     data_addr,
@@ -489,4 +509,32 @@ fn assemble(
         exchange_rounds: dones.iter().map(|d| d.exchange_rounds).collect(),
         job,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::thread;
+
+    /// A peer that connects to the router and says nothing fails the
+    /// bootstrap within the bound, as `TimedOut` naming the peer.
+    #[test]
+    fn a_silent_peer_times_out_the_fleet_bootstrap() {
+        let bound = Duration::from_millis(200);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let silent = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (done, result) = mpsc::channel();
+        let bootstrap = thread::spawn(move || {
+            let _ = done.send(Router::accept_fleet_within(&listener, 1, bound).map(|_| ()));
+        });
+        let err = result
+            .recv_timeout(10 * bound)
+            .expect("the bootstrap returns")
+            .expect_err("a silent peer is not a shard");
+        bootstrap.join().expect("bootstrap thread");
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        let me = silent.local_addr().expect("addr").to_string();
+        assert!(err.to_string().contains(&me), "{err} must name {me}");
+    }
 }

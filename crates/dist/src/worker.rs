@@ -134,11 +134,18 @@ impl DistStats {
 }
 
 /// Establish the full data mesh: one duplex stream per worker pair.
-/// Worker `i` dials every `j < i` (announcing its index in a hello
+/// Worker `i` dials every `j < i` once (announcing its index in a hello
 /// frame) and accepts from every `j > i`. Every stream gets
 /// `io_timeout` as its read and write timeout before the first byte
 /// moves, so neither the handshake nor any later frame can block
 /// longer than that.
+///
+/// One dial is enough: a worker binds `listener` before it sends its
+/// [`Ctl::Hello`], and the router sends the [`Ctl::PeerTable`] only
+/// after every worker's `Hello`, so every address in `addrs` is already
+/// listening and the kernel's listen backlog completes the dial whether
+/// or not its owner has reached `accept`. A refused dial is a dead peer,
+/// returned at once as its `io::Error`.
 pub fn establish_mesh(
     index: usize,
     addrs: &[String],
@@ -153,21 +160,7 @@ pub fn establish_mesh(
     };
     let mut peers: Vec<Option<Link>> = (0..workers).map(|_| None).collect();
     for (j, addr) in addrs.iter().enumerate().take(index) {
-        // Lower-indexed listeners are already bound (they sent Hello
-        // before the PeerTable went out), but their accept loop may
-        // lag; retry briefly.
-        let mut stream = None;
-        for attempt in 0..50 {
-            match TcpStream::connect(addr) {
-                Ok(s) => {
-                    stream = Some(s);
-                    break;
-                }
-                Err(e) if attempt == 49 => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
-            }
-        }
-        let mut s = stream.expect("retry loop returned");
+        let mut s = TcpStream::connect(addr)?;
         prepare(&s)?;
         crate::frame::Enc::new().u32(index as u32).send(&mut s)?;
         peers[j] = Some(BufReader::new(s));

@@ -7,6 +7,7 @@
 
 use std::io;
 use std::net::TcpListener;
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -186,13 +187,17 @@ fn wedged_peer_times_out_within_the_bound() {
     let (ls, addrs) = listeners(2);
     let err = thread::scope(|s| {
         // Worker 0 is the impostor: it completes the mesh handshake
-        // and then holds the stream open in silence.
-        let wedged = s.spawn(|| {
-            let mesh = establish_mesh(0, &addrs, &ls[0], Duration::from_secs(20)).expect("mesh");
-            thread::sleep(4 * bound);
+        // and then holds the stream open in silence until the
+        // assertion below has been made (or has failed: a panic here
+        // drops `release` and so frees it too).
+        let (release, released) = mpsc::channel::<()>();
+        let (addrs, ls) = (&addrs, &ls);
+        let wedged = s.spawn(move || {
+            let mesh = establish_mesh(0, addrs, &ls[0], Duration::from_secs(20)).expect("mesh");
+            let _ = released.recv();
             drop(mesh);
         });
-        let mut mesh = establish_mesh(1, &addrs, &ls[1], bound).expect("mesh");
+        let mut mesh = establish_mesh(1, addrs, &ls[1], bound).expect("mesh");
         let mut comm = SocketComm::new(Partition::new(4, 2), 1, &mut mesh);
         let started = Instant::now();
         // Worker 1 is the higher index of the pair: it listens first.
@@ -204,6 +209,7 @@ fn wedged_peer_times_out_within_the_bound() {
             waited >= bound && waited < 3 * bound,
             "gave up after {waited:?}, bound {bound:?}"
         );
+        release.send(()).expect("impostor waiting");
         wedged.join().expect("impostor thread");
         err
     });
@@ -212,6 +218,23 @@ fn wedged_peer_times_out_within_the_bound() {
     assert!(
         text.contains("worker 1 superstep 0: peer 0"),
         "error must name the pair: {text}"
+    );
+}
+
+/// A mesh peer whose listener is gone refuses the one dial at once:
+/// a typed `ConnectionRefused`, not a retry on a timer.
+#[test]
+fn a_dead_peer_refuses_the_mesh_dial_at_once() {
+    let (mut ls, addrs) = listeners(2);
+    drop(ls.remove(0));
+    let started = Instant::now();
+    let err = establish_mesh(1, &addrs, &ls[0], Duration::from_secs(20))
+        .expect_err("worker 0's listener is closed");
+    let waited = started.elapsed();
+    assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{err}");
+    assert!(
+        waited < Duration::from_millis(100),
+        "refused after {waited:?}"
     );
 }
 

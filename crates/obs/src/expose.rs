@@ -6,19 +6,17 @@
 //! view. Scrapes are rare (seconds apart) and the response is one
 //! contiguous string, so one accept thread handling connections
 //! serially is deliberate: no connection pool, no request pipelining,
-//! no external dependency. The listener runs non-blocking and the
-//! thread polls a stop flag between accepts, so dropping the handle
-//! shuts it down promptly.
+//! no external dependency. The thread blocks in `accept` and never
+//! wakes on a timer: dropping the handle raises a stop flag and then
+//! connects to the listener itself, and the loop leaves on the accept
+//! that connection completes.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// How often the accept loop re-checks the stop flag while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// Bound on each socket read and write, and on reading one request
 /// head as a whole: one slow or silent scraper must not wedge the loop.
@@ -31,7 +29,9 @@ const HEAD_CAP: usize = 16 * 1024;
 /// A running metrics endpoint. Serves `GET /metrics` (and `GET /`) as
 /// `text/plain; version=0.0.4`; any other path is a 404, any other
 /// method a 405, and a renderer error a 500 carrying the error text.
-/// Dropping the handle stops the endpoint and joins its thread.
+/// Dropping the handle stops the endpoint and joins its thread (or,
+/// if the wake-up connection cannot be made, detaches it, so a drop
+/// waits at most for the scrape in progress).
 #[derive(Debug)]
 pub struct Exposition {
     addr: SocketAddr,
@@ -48,7 +48,6 @@ impl Exposition {
         render: impl Fn() -> io::Result<String> + Send + 'static,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
@@ -70,23 +69,33 @@ impl Exposition {
 
 impl Drop for Exposition {
     fn drop(&mut self) {
-        // Pairs with the Acquire load in `accept_loop`.
+        // Pairs with the Acquire load in `accept_loop`: the accept this
+        // connection completes sees the flag.
         self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let woken = TcpStream::connect_timeout(&wake, IO_TIMEOUT).is_ok();
+        if let Some(h) = self.handle.take().filter(|_| woken) {
             let _ = h.join();
         }
     }
 }
 
 fn accept_loop(listener: &TcpListener, render: &dyn Fn() -> io::Result<String>, stop: &AtomicBool) {
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-                let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                let _ = serve_one(stream, render);
-            }
-            Err(_) => thread::sleep(ACCEPT_POLL),
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        if let Ok((stream, _)) = accepted {
+            let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+            let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+            let _ = serve_one(stream, render);
         }
     }
 }
@@ -227,15 +236,65 @@ mod tests {
         drop(silent);
     }
 
+    /// The `voluntary_ctxt_switches` count of this process's thread
+    /// named `name`, once that thread is asleep.
+    #[cfg(target_os = "linux")]
+    fn switches_when_asleep(name: &str) -> u64 {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            assert!(Instant::now() < deadline, "no sleeping thread named {name}");
+            for task in std::fs::read_dir("/proc/self/task").expect("task dir") {
+                let dir = task.expect("task entry").path();
+                let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+                let status = std::fs::read_to_string(dir.join("status")).unwrap_or_default();
+                let field = |key: &str| {
+                    status
+                        .lines()
+                        .find_map(|l| l.strip_prefix(key))
+                        .map(str::trim)
+                        .unwrap_or_default()
+                        .to_string()
+                };
+                if comm.trim_end() == name && field("State:").starts_with('S') {
+                    return field("voluntary_ctxt_switches:").parse().expect("count");
+                }
+            }
+            thread::yield_now();
+        }
+    }
+
+    /// An idle endpoint sleeps in `accept` until a connection arrives:
+    /// no timer wakes it. Linux-only, as it reads `/proc`.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_idle_endpoint_makes_no_voluntary_switches() {
+        let name = "idle-expose";
+        let ex = Exposition::bind("127.0.0.1:0", name, || Ok(String::new())).expect("bind");
+        // One scrape settles the thread past its start-up.
+        assert!(get(ex.addr(), "/").starts_with("HTTP/1.1 200"));
+        let before = switches_when_asleep(name);
+        // An observation window, not a wait for an event.
+        let end = Instant::now() + Duration::from_millis(500);
+        while let Some(left) = end.checked_duration_since(Instant::now()) {
+            thread::park_timeout(left);
+        }
+        let after = switches_when_asleep(name);
+        assert_eq!(after - before, 0, "the idle accept thread woke up");
+    }
+
     #[test]
     fn dropping_the_handle_joins_promptly() {
-        let ex = endpoint(|| Ok(String::new()));
-        let addr = ex.addr();
-        assert!(get(addr, "/").starts_with("HTTP/1.1 200"));
-        let t = Instant::now();
-        drop(ex);
-        assert!(t.elapsed() < Duration::from_secs(1), "{:?}", t.elapsed());
-        // The thread is gone and the listener with it.
-        assert!(TcpStream::connect(addr).is_err());
+        // On the unspecified address the wake-up dials loopback.
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let ex = Exposition::bind(bind, "test-metrics", || Ok(String::new())).expect("bind");
+            let mut addr = ex.addr();
+            addr.set_ip(Ipv4Addr::LOCALHOST.into());
+            assert!(get(addr, "/").starts_with("HTTP/1.1 200"));
+            let t = Instant::now();
+            drop(ex);
+            assert!(t.elapsed() < Duration::from_secs(1), "{:?}", t.elapsed());
+            // The thread is gone and the listener with it.
+            assert!(TcpStream::connect(addr).is_err());
+        }
     }
 }
