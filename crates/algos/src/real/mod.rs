@@ -1,36 +1,42 @@
 //! Real-machine (wall-clock) counterparts of the MO algorithms, running
 //! on the space-bound pool of [`mo_core::rt`].
 //!
-//! These are plain-Rust parallel implementations used by the Criterion
-//! benches to compare against the naive/cache-aware baselines. They keep
-//! the same algorithmic structure as the recorded versions — space-bound
-//! driven fork–join recursion and CGC-style contiguous chunking — but
-//! operate directly on slices. Safe-Rust parallelism dictates the data
-//! decomposition: parallel splits always follow row bands or contiguous
-//! ranges (`split_at_mut`), while cache-oblivious recursion *within* a
-//! band is serial index arithmetic.
+//! These are plain-Rust parallel implementations, served by the kernel
+//! [`registry`] and timed by `bench_rt` against the naive/cache-aware
+//! baselines. They keep the same algorithmic structure as the recorded
+//! versions — space-bound driven fork–join recursion and CGC-style
+//! contiguous chunking — but operate directly on slices. Safe-Rust
+//! parallelism dictates the data decomposition: parallel splits always
+//! follow row bands or contiguous ranges (`split_at_mut`), while
+//! cache-oblivious recursion *within* a band is serial index arithmetic.
+//!
+//! Every kernel has one public entry, and it runs inside a pool context:
+//! a caller holding a pool writes `pool.enter(|ctx| real::sort(ctx, …))`,
+//! and a server batch runs many under one `enter`. The entry is what the
+//! kernel's registry row calls, so it is the served code. No entry
+//! re-enters the pool or keeps anything between calls; [`fft`] alone
+//! also runs with no pool (`None`: both halves on the calling thread).
 
-use mo_core::rt::{Ctx, Jobs, SbPool};
+use mo_core::rt::{Ctx, Jobs};
 use std::sync::OnceLock;
 
 pub mod registry;
 pub mod spms;
 
 pub use spms::{
-    par_sort, par_sort_with_scratch, spms_sort_in_ctx, spms_working_set_words, SpmsParams,
-    SPMS_LEAF, SPMS_MAX_WAYS, SPMS_SERIAL_CUTOFF,
+    sort, spms_with_params, spms_working_set_words, SpmsParams, SPMS_LEAF, SPMS_MAX_WAYS,
+    SPMS_SERIAL_CUTOFF,
 };
 
-/// Parallel out-of-place matrix transposition (`n × n`, row-major):
-/// CGC-style row-band parallelism with a serial 8 × 8-tiled kernel per
-/// band.
-pub fn par_transpose(pool: &SbPool, a: &[f64], out: &mut [f64], n: usize) {
+/// Out-of-place matrix transposition (`n × n`, row-major): CGC-style
+/// row-band parallelism with a serial 8 × 8-tiled kernel per band.
+pub fn transpose(ctx: &Ctx<'_>, a: &[f64], out: &mut [f64], n: usize) {
     assert_eq!(a.len(), n * n);
     assert_eq!(out.len(), n * n);
-    // out[j][i] = a[i][j]: parallelize over bands of out rows (j ranges).
-    pool.enter(|ctx| {
+    if n > 0 {
+        // out[j][i] = a[i][j]: parallelize over bands of out rows (j ranges).
         band_transpose(ctx, a, out, n, 0);
-    });
+    }
 }
 
 /// Tile side of [`band_transpose`]'s base case: one 64-byte line of `f64`.
@@ -86,13 +92,15 @@ fn transpose_tile(src: &[f64], dst: &mut [f64], n: usize, th: usize, tw: usize) 
     }
 }
 
-/// Parallel `C += A·B` (row-major `n × n`): parallel row-band split with
-/// a serial cache-oblivious `(j, k)` recursion inside each band.
-pub fn par_matmul(pool: &SbPool, c: &mut [f64], a: &[f64], b: &[f64], n: usize) {
+/// `C += A·B` (row-major `n × n`): parallel row-band split with a
+/// serial cache-oblivious `(j, k)` recursion inside each band.
+pub fn matmul(ctx: &Ctx<'_>, c: &mut [f64], a: &[f64], b: &[f64], n: usize) {
     assert_eq!(c.len(), n * n);
     assert_eq!(a.len(), n * n);
     assert_eq!(b.len(), n * n);
-    pool.enter(|ctx| mm_rows(ctx, c, a, b, n));
+    if n > 0 {
+        mm_rows(ctx, c, a, b, n);
+    }
 }
 
 fn mm_rows(ctx: &Ctx<'_>, c: &mut [f64], a: &[f64], b: &[f64], n: usize) {
@@ -227,17 +235,15 @@ fn mm_kernel(
     }
 }
 
-/// Parallel Floyd–Warshall: for each `k`, row `k` is snapshotted and all
-/// rows update in parallel CGC bands (the classic row-parallel FW).
-pub fn par_floyd_warshall(pool: &SbPool, x: &mut [f64], n: usize) {
+/// Floyd–Warshall: for each `k`, row `k` is snapshotted and all rows
+/// update in parallel CGC bands (the classic row-parallel FW). The `n`
+/// band sweeps run one after the other in the caller's context.
+pub fn floyd_warshall(ctx: &Ctx<'_>, x: &mut [f64], n: usize) {
     assert_eq!(x.len(), n * n);
     let mut rowk = vec![0.0f64; n];
     for k in 0..n {
         rowk.copy_from_slice(&x[k * n..(k + 1) * n]);
-        let rk = &rowk;
-        pool.enter(|ctx| {
-            fw_bands(ctx, x, rk, n, k);
-        });
+        fw_bands(ctx, x, &rowk, n, k);
     }
 }
 
@@ -268,19 +274,12 @@ fn fw_bands(ctx: &Ctx<'_>, x: &mut [f64], rowk: &[f64], n: usize, k: usize) {
     }
 }
 
-/// Parallel exclusive prefix sum (wrapping u64): [`scan_in_ctx`] under
-/// one pool entry.
-pub fn par_prefix_sum(pool: &SbPool, a: &mut [u64]) {
-    pool.enter(|ctx| scan_in_ctx(ctx, a));
-}
-
-/// `Ctx`-native exclusive prefix sum (block-scan): per-block totals, a
-/// tiny serial combine, then per-block scans seeded by the block
+/// Exclusive prefix sum (wrapping u64) by block-scan: per-block totals,
+/// a tiny serial combine, then per-block scans seeded by the block
 /// offsets. The 16-way split is fixed — like every kernel here it reads
 /// no machine parameter, and the pool decides from the declared
-/// `2·block` words how many of the blocks run in parallel. Never
-/// re-enters the pool, so a server batch can run many under one `enter`.
-fn scan_in_ctx(ctx: &Ctx<'_>, a: &mut [u64]) {
+/// `2·block` words how many of the blocks run in parallel.
+pub fn prefix_sum(ctx: &Ctx<'_>, a: &mut [u64]) {
     let block = a.len().div_ceil(16).max(1024);
     if a.len() <= block {
         serial_exclusive(a, 0);
@@ -302,14 +301,14 @@ fn scan_in_ctx(ctx: &Ctx<'_>, a: &mut [u64]) {
     ctx.join_all(2 * block, jobs);
 }
 
-/// Parallel SpM-DV (`y = A·x`) over a CSR matrix: SB fork–join over row
-/// bands, with the space bound computed exactly from the row offsets —
-/// the real-machine counterpart of [`crate::spmdv::mo_spmdv`]'s
+/// SpM-DV (`y = A·x`) over a CSR matrix: SB fork–join over row bands,
+/// with the space bound computed exactly from the row offsets — the
+/// real-machine counterpart of [`crate::spmdv::mo_spmdv`]'s
 /// `2m + 1 + 3·nnz` accounting (2 words per stored nonzero: column
 /// index + value, plus at most one `x` word per nonzero, plus the `y`
 /// segment and offset slice).
-pub fn par_spmdv(
-    pool: &SbPool,
+pub fn spmdv(
+    ctx: &Ctx<'_>,
     row_ptr: &[usize],
     cols: &[usize],
     vals: &[f64],
@@ -323,7 +322,7 @@ pub fn par_spmdv(
     if m == 0 {
         return;
     }
-    pool.enter(|ctx| spmdv_rows(ctx, row_ptr, cols, vals, x, y, 0));
+    spmdv_rows(ctx, row_ptr, cols, vals, x, y, 0);
 }
 
 fn spmdv_rows(
@@ -372,7 +371,7 @@ fn serial_exclusive(a: &mut [u64], base: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mo_core::rt::HwHierarchy;
+    use mo_core::rt::{HwHierarchy, SbPool};
 
     fn pool() -> SbPool {
         SbPool::new(HwHierarchy::flat(4, 1 << 12, 1 << 22))
@@ -397,7 +396,7 @@ mod tests {
         for n in [1usize, 7, 37, 96, 100, 256] {
             let a = rand_vec(n * n, 1);
             let mut out = vec![0.0; n * n];
-            par_transpose(&p, &a, &mut out, n);
+            p.enter(|ctx| transpose(ctx, &a, &mut out, n));
             for i in 0..n {
                 for j in 0..n {
                     assert_eq!(out[j * n + i], a[i * n + j], "n={n} ({i}, {j})");
@@ -423,7 +422,7 @@ mod tests {
         let b = rand_vec(n * n, 3);
         let mut c = vec![0.0; n * n];
         let p = pool();
-        par_matmul(&p, &mut c, &a, &b, n);
+        p.enter(|ctx| matmul(ctx, &mut c, &a, &b, n));
         let want = crate::gep::matmul_reference(&a, &b, n);
         for t in 0..n * n {
             assert!((c[t] - want[t]).abs() < 1e-9, "at {t}");
@@ -449,7 +448,7 @@ mod tests {
         let want = crate::gep::floyd_warshall_reference(&d, n);
         let p = pool();
         let mut got = d.clone();
-        par_floyd_warshall(&p, &mut got, n);
+        p.enter(|ctx| floyd_warshall(ctx, &mut got, n));
         assert_eq!(got, want);
     }
 
@@ -459,7 +458,7 @@ mod tests {
             let src: Vec<u64> = (0..n as u64).map(|x| x % 97 + 1).collect();
             let mut par = src.clone();
             let p = pool();
-            par_prefix_sum(&p, &mut par);
+            p.enter(|ctx| prefix_sum(ctx, &mut par));
             let mut ser = src.clone();
             serial_exclusive(&mut ser, 0);
             assert_eq!(par, ser, "n = {n}");
@@ -479,7 +478,7 @@ mod tests {
             let mut want = data.clone();
             want.sort_unstable();
             let p = pool();
-            par_sort(&p, &mut data);
+            p.enter(|ctx| sort(ctx, &mut data, &mut Vec::new()));
             assert_eq!(data, want, "n = {n}");
         }
     }
@@ -510,7 +509,7 @@ mod tests {
             }
             let p = pool();
             let mut got = vec![0.0f64; m];
-            par_spmdv(&p, &row_ptr, &cols, &vals, &vin, &mut got);
+            p.enter(|ctx| spmdv(ctx, &row_ptr, &cols, &vals, &vin, &mut got));
             for r in 0..m {
                 assert!((got[r] - want[r]).abs() < 1e-9, "m={m} r={r}");
             }
@@ -523,8 +522,25 @@ mod tests {
         let mut want = data.clone();
         want.sort_unstable();
         let p = pool();
-        par_sort(&p, &mut data);
+        p.enter(|ctx| sort(ctx, &mut data, &mut Vec::new()));
         assert_eq!(data, want);
+    }
+
+    /// An empty input is a no-op at every entry (the transpose and
+    /// matmul band recursions divide by the side `n`).
+    #[test]
+    fn every_entry_is_a_no_op_at_size_zero() {
+        let p = pool();
+        p.enter(|ctx| {
+            transpose(ctx, &[], &mut [], 0);
+            matmul(ctx, &mut [], &[], &[], 0);
+            floyd_warshall(ctx, &mut [], 0);
+            prefix_sum(ctx, &mut []);
+            spmdv(ctx, &[0], &[], &[], &[], &mut []);
+            sort(ctx, &mut [], &mut Vec::new());
+            fft(Some(ctx), &mut [], &mut Vec::new());
+        });
+        fft(None, &mut [], &mut Vec::new());
     }
 }
 
@@ -582,36 +598,19 @@ const FFT_BLOCK: usize = 64;
 static FFT_LO: [OnceLock<[C64; FFT_BLOCK]>; usize::BITS as usize] =
     [const { OnceLock::new() }; usize::BITS as usize];
 
-/// Parallel recursive FFT (`Y[i] = Σ_j X[j]·ω_n^{ij}`, `ω_n = e^(−2πi/n)`,
-/// in place, `n` a power of two): even/odd split into a scratch buffer,
-/// the two halves recurse in parallel under SB space bounds, butterflies
-/// combine.
-pub fn par_fft(pool: &SbPool, x: &mut [C64]) {
-    par_fft_with_scratch(pool, x, &mut Vec::new());
-}
-
-/// [`par_fft`] with a caller-owned scratch buffer, so repeated
-/// transforms of the same size (a server loop, a bench harness) reuse
-/// one allocation instead of paying a fresh `n`-element vector per
-/// call. A buffer shorter than `n` is replaced by a zeroed one of `n`
-/// samples (never for `n ≤ FFT_LEAF`); its contents on return are
-/// unspecified.
+/// Recursive FFT (`Y[i] = Σ_j X[j]·ω_n^{ij}`, `ω_n = e^(−2πi/n)`, in
+/// place, `n` a power of two): even/odd split into a scratch buffer, the
+/// two halves recurse in parallel under SB space bounds, butterflies
+/// combine. `ctx` is where the halves' forks go; with `None` they run one
+/// after the other on the calling thread. The pool decides where the
+/// halves run and nothing else: the result is the same bits on every
+/// pool and with `None`.
 ///
-/// The pool decides where the halves run and nothing else: the result
-/// is the same bits on every pool, and [`serial_fft`]'s.
-pub fn par_fft_with_scratch(pool: &SbPool, x: &mut [C64], scratch: &mut Vec<C64>) {
-    pool.enter(|ctx| fft_in(Some(ctx), x, scratch));
-}
-
-/// The same transform with no pool: the recursion's two halves run one
-/// after the other on the calling thread.
-pub fn serial_fft(x: &mut [C64]) {
-    fft_in(None, x, &mut Vec::new());
-}
-
-/// The one door into the transform — the public entries above and the
-/// registry row are this call. `ctx` is where forks go (`None`: nowhere).
-pub(crate) fn fft_in(ctx: Option<&Ctx<'_>>, x: &mut [C64], scratch: &mut Vec<C64>) {
+/// `scratch` is caller-owned, so repeated transforms can reuse one
+/// allocation. A buffer shorter than `n` is replaced by a zeroed one of
+/// `n` samples (never for `n ≤ FFT_LEAF`); its contents on return are
+/// unspecified.
+pub fn fft(ctx: Option<&Ctx<'_>>, x: &mut [C64], scratch: &mut Vec<C64>) {
     let n = x.len();
     if n <= 1 {
         return;
@@ -711,10 +710,15 @@ fn fft_leaf(x: &mut [C64]) {
 mod fft_tests {
     use super::registry::{Gen, Kernel};
     use super::*;
-    use mo_core::rt::HwHierarchy;
+    use mo_core::rt::{HwHierarchy, SbPool};
 
-    fn pool() -> SbPool {
-        SbPool::new(HwHierarchy::flat(4, 1 << 10, 1 << 22))
+    fn pool(cores: usize) -> SbPool {
+        SbPool::new(HwHierarchy::flat(cores, 1 << 10, 1 << 22))
+    }
+
+    /// The entry inside one `enter` of `pool`, with a fresh scratch.
+    fn fft_on(pool: &SbPool, x: &mut [C64]) {
+        pool.enter(|ctx| fft(Some(ctx), x, &mut Vec::new()));
     }
 
     /// The input of served job `(fft, n, seed)`, as the registry row draws it.
@@ -779,22 +783,22 @@ mod fft_tests {
     }
 
     /// Worst `|X_k − Σ_j x_j·ω_n^(kj)| / max|X|` over every `k` up to
-    /// `n = 64` and 64 seeded ones above — of `serial_fft`, which
-    /// `par_fft` on four cores and the registry row's call must equal
-    /// bit for bit.
+    /// `n = 64` and 64 seeded ones above — of the entry with no pool,
+    /// which the entry on a 1-core and on a 4-core pool must equal bit
+    /// for bit.
     fn worst_error(n: usize) -> f64 {
         let input = served_input(n, n as u64);
-        let pl = pool();
         let mut x = input.clone();
-        serial_fft(&mut x);
-        let (mut par, mut row) = (input.clone(), input.clone());
-        par_fft(&pl, &mut par);
-        pl.enter(|ctx| fft_in(Some(ctx), &mut row, &mut Vec::new()));
+        fft(None, &mut x, &mut Vec::new());
         let bits = |x: &[C64]| -> Vec<(u64, u64)> {
             x.iter().map(|c| (c.0.to_bits(), c.1.to_bits())).collect()
         };
         let serial = bits(&x);
-        assert!(bits(&par) == serial && bits(&row) == serial, "n = {n}");
+        for cores in [1, 4] {
+            let mut on_pool = input.clone();
+            fft_on(&pool(cores), &mut on_pool);
+            assert!(bits(&on_pool) == serial, "n = {n} on {cores} cores");
+        }
         let roots = roots(n);
         let mut pick = Gen::for_job(Kernel::Fft, !(n as u64));
         let mut worst = 0.0f64;
@@ -823,19 +827,19 @@ mod fft_tests {
     }
 
     #[test]
-    fn every_door_matches_the_direct_sum_on_both_sides_of_the_leaf() {
+    fn every_pool_matches_the_direct_sum_on_both_sides_of_the_leaf() {
         assert_matches_direct_sum(0..=15);
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "64 direct sums over 2^17 terms")]
-    fn every_door_matches_the_direct_sum_at_the_l2_anchored_sizes() {
+    fn every_pool_matches_the_direct_sum_at_the_l2_anchored_sizes() {
         assert_matches_direct_sum(16..=17);
     }
 
     #[test]
     fn impulse_parseval_and_double_transform_hold_around_the_leaf() {
-        let pl = pool();
+        let pl = pool(4);
         for n in [FFT_LEAF, 2 * FFT_LEAF, 8 * FFT_LEAF] {
             // A unit impulse at `p` transforms to the twiddle column
             // `ω_n^(p·k)`. Position 1 is odd at the top level only, so
@@ -845,7 +849,7 @@ mod fft_tests {
             for (p, tolerance) in [(1, 1e-15), (n / 2 + 3, 1e-15), (n - 1, 2e-15)] {
                 let mut x = vec![(0.0, 0.0); n];
                 x[p] = (1.0, 0.0);
-                par_fft(&pl, &mut x);
+                fft_on(&pl, &mut x);
                 for (k, got) in x.iter().enumerate() {
                     let want = omega(n, p * k);
                     let err = (got.0 - want.0).hypot(got.1 - want.1);
@@ -855,7 +859,7 @@ mod fft_tests {
             let input = served_input(n, 7);
             let energy = |x: &[C64]| x.iter().map(|c| c.0 * c.0 + c.1 * c.1).sum::<f64>();
             let mut x = input.clone();
-            par_fft(&pl, &mut x);
+            fft_on(&pl, &mut x);
             // Parseval: Σ|X_k|² = n·Σ|x_j|².
             let (time, freq) = (n as f64 * energy(&input), energy(&x));
             assert!(((freq - time) / time).abs() <= 1e-12, "n={n}: Parseval");
@@ -863,7 +867,7 @@ mod fft_tests {
             for c in &mut x {
                 c.1 = -c.1;
             }
-            par_fft(&pl, &mut x);
+            fft_on(&pl, &mut x);
             let scale = n as f64 * max_abs(&input);
             for (j, (got, x)) in x.iter().zip(&input).enumerate() {
                 let err = (got.0 - n as f64 * x.0).hypot(-got.1 - n as f64 * x.1);
@@ -897,12 +901,12 @@ mod fft_tests {
 
     #[test]
     fn agrees_with_the_recurrence_transform_it_replaced() {
-        let pl = pool();
+        let pl = pool(4);
         for n in (1..=13).map(|log| 1usize << log) {
             let mut old = served_input(n, 3);
             let mut new = old.clone();
             recurrence_fft(&mut old);
-            par_fft(&pl, &mut new);
+            fft_on(&pl, &mut new);
             let dist: f64 = old
                 .iter()
                 .zip(&new)
@@ -920,8 +924,7 @@ mod fft_tests {
         let input: Vec<C64> = (0..n).map(|t| ((t as f64).sin(), 0.0)).collect();
         let mo = crate::fft::fft_program(&input).output();
         let mut real = input.clone();
-        let pl = pool();
-        par_fft(&pl, &mut real);
+        fft_on(&pool(4), &mut real);
         for k in 0..n {
             assert!((mo[k].0 - real[k].0).abs() < 1e-6, "k={k}");
             assert!((mo[k].1 - real[k].1).abs() < 1e-6, "k={k}");

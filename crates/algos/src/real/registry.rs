@@ -99,7 +99,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         run: |ctx, n, g| {
             let a = g.f64s(n * n);
             let mut out = vec![0.0f64; n * n];
-            super::band_transpose(ctx, &a, &mut out, n, 0);
+            super::transpose(ctx, &a, &mut out, n);
             checksum_f64(&out)
         },
         record: |n, g| crate::transpose::transpose_program(&g.words(n * n), n).program,
@@ -126,7 +126,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         },
         run: |ctx, n, g| {
             let mut x = g.complex(n.next_power_of_two());
-            super::fft_in(Some(ctx), &mut x, &mut Vec::new());
+            super::fft(Some(ctx), &mut x, &mut Vec::new());
             x.iter().fold(0u64, |acc, c| {
                 acc.wrapping_mul(31)
                     .wrapping_add(c.0.to_bits() ^ c.1.to_bits())
@@ -149,7 +149,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         run: |ctx, n, g| {
             let (a, b) = (g.f64s(n * n), g.f64s(n * n));
             let mut c = vec![0.0f64; n * n];
-            super::mm_rows(ctx, &mut c, &a, &b, n);
+            super::matmul(ctx, &mut c, &a, &b, n);
             checksum_f64(&c)
         },
         record: |n, g| {
@@ -174,7 +174,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         q_work: |n, c, b| (n / b) * passes(n, c),
         run: |ctx, n, g| {
             let mut data = g.words(n);
-            sort_in_ctx_with_pooled_scratch(ctx, &mut data);
+            super::sort(ctx, &mut data, &mut Vec::new());
             checksum_u64(&data)
         },
         record: |n, g| crate::sort::sort_program(&g.words(n)).program,
@@ -212,7 +212,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         q_work: |n, _, b| (n as usize).next_power_of_two() as f64 / b,
         run: |ctx, n, g| {
             let mut data = g.words(n);
-            super::scan_in_ctx(ctx, &mut data);
+            super::prefix_sum(ctx, &mut data);
             checksum_u64(&data)
         },
         record: |n, g| {
@@ -462,35 +462,6 @@ fn checksum_u64(xs: &[u64]) -> u64 {
         .fold(0u64, |acc, v| acc.wrapping_mul(31).wrapping_add(*v))
 }
 
-thread_local! {
-    /// Per-worker sort scratch, reused across the jobs of a batch so
-    /// repeated sorted jobs stop paying a fresh `n`-word allocation
-    /// each. Taken out (not borrowed) for the duration of a sort: the
-    /// pool's help-first joins may run *another* sort job on this
-    /// thread while one is blocked on a stolen fork, and that inner job
-    /// must find the slot free, not a held borrow.
-    static SORT_SCRATCH: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Sort `data` via the SPMS path ([`super::spms_sort_in_ctx`], the same
-/// code `par_sort_with_scratch` runs) with the worker's reused scratch
-/// buffer. Never re-enters the pool, so a server batch can run many of
-/// these under one `enter`.
-fn sort_in_ctx_with_pooled_scratch(ctx: &Ctx<'_>, data: &mut [u64]) {
-    let n = data.len();
-    let mut scratch = SORT_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    if scratch.len() < n {
-        scratch.resize(n, 0);
-    }
-    super::spms_sort_in_ctx(ctx, data, &mut scratch[..n]);
-    SORT_SCRATCH.with(|s| {
-        let mut slot = s.borrow_mut();
-        if slot.capacity() < scratch.capacity() {
-            *slot = scratch;
-        }
-    });
-}
-
 /// Served SpM-DV: a seeded CSR instance of `n` rows with 1 to
 /// `2·SPMDV_DEG − 1` nonzeros each.
 fn run_spmdv(ctx: &Ctx<'_>, n: usize, g: &mut Gen) -> u64 {
@@ -508,7 +479,7 @@ fn run_spmdv(ctx: &Ctx<'_>, n: usize, g: &mut Gen) -> u64 {
     }
     let x = g.f64s(n);
     let mut y = vec![0.0f64; n];
-    super::spmdv_rows(ctx, &row_ptr, &cols, &vals, &x, &mut y, 0);
+    super::spmdv(ctx, &row_ptr, &cols, &vals, &x, &mut y);
     checksum_f64(&y)
 }
 
@@ -602,20 +573,9 @@ mod tests {
     }
 
     #[test]
-    fn sort_in_ctx_sorts_large_inputs() {
-        let p = pool();
-        let mut data = Gen(7).words(50_000);
-        let mut want = data.clone();
-        want.sort_unstable();
-        p.enter(|ctx| sort_in_ctx_with_pooled_scratch(ctx, &mut data));
-        assert_eq!(data, want);
-    }
-
-    #[test]
-    fn batched_sorts_reuse_worker_scratch() {
-        // A whole batch of sort jobs through the server path: results
-        // must match the singleton runs (the reused scratch can never
-        // leak state between jobs).
+    fn a_batch_of_sorts_checksums_as_its_singleton_runs() {
+        // A whole batch of sort jobs through the server path: each job's
+        // checksum must equal its singleton run's.
         let p = pool();
         let seeds: Vec<u64> = (0..16).collect();
         let batched = p.enter(|ctx| run_batch_in(ctx, Kernel::Sort, 5000, &seeds));

@@ -41,7 +41,7 @@
 //! sort stays inside the `2n + o(n)` footprint the registry charges
 //! (checked by a debug assertion here and audited by `mo-certify`).
 
-use mo_core::rt::{Ctx, Jobs, SbPool};
+use mo_core::rt::{Ctx, Jobs};
 
 use super::registry;
 
@@ -161,51 +161,19 @@ fn spms_aux_words(n: usize, p: &SpmsParams) -> usize {
 /// sampling / split / histogram auxiliaries. This is what the registry
 /// footprint for [`registry::Kernel::Sort`] charges, so declared SB
 /// space ≥ the sort's real working set by construction — the debug
-/// assertions in [`spms_sort_in_ctx`] keep the two from drifting.
+/// assertions in [`sort`] keep the two from drifting.
 pub fn spms_working_set_words(n: usize) -> usize {
     n.saturating_mul(2)
         .saturating_add(spms_aux_words(n, &SpmsParams::default()))
 }
 
-/// Parallel SPMS sort (allocates its own scratch).
-pub fn par_sort(pool: &SbPool, data: &mut [u64]) {
-    let mut scratch = Vec::new();
-    par_sort_with_scratch(pool, data, &mut scratch);
-}
-
-/// [`par_sort`] with a caller-owned scratch buffer, so repeated sorts
-/// of the same size (a server batch loop, a bench harness) reuse one
-/// allocation. The buffer is grown as needed; its contents on return
-/// are unspecified.
-///
-/// Plan choice is the scheduler's job, not the algorithm's: on a
-/// width-1 pool the bucket-merge stage has no parallelism to sell, and
-/// its ⌈log₂ q⌉ compare-selects per key are pure tax over a serial
-/// introsort, so above the leaf scale a 1-core pool takes the serial
-/// plan outright (`bench_rt --sweep`, full-width keys, structured path
-/// vs `sort_unstable` on one CPU: 1.04–1.12× at 256 Ki keys where
-/// q = 2, 0.97–1.03× at 1 Mi, 0.65–0.76× at 4 Mi). At or below
-/// [`SPMS_LEAF`] the structured path *is* the L2-resident radix leaf,
-/// which beats introsort serially (1.4–1.8×), so it stays. Pools with
-/// p ≥ 2 always run the SPMS recursion — the algorithm itself remains
-/// oblivious to p.
-pub fn par_sort_with_scratch(pool: &SbPool, data: &mut [u64], scratch: &mut Vec<u64>) {
-    let n = data.len();
-    if n <= SPMS_SERIAL_CUTOFF || (pool.hierarchy().cores() == 1 && n > SPMS_LEAF) {
-        data.sort_unstable();
-        return;
-    }
-    if scratch.len() < n {
-        scratch.resize(n, 0);
-    }
-    let scratch = &mut scratch[..n];
-    pool.enter(|ctx| spms_sort_in_ctx(ctx, data, scratch));
-}
-
-/// Ctx-native SPMS entry: runs inside an existing pool context (a
-/// server batch enters the pool once and sorts many jobs under it).
-/// `scratch` must be at least `data.len()` words.
-pub fn spms_sort_in_ctx(ctx: &Ctx<'_>, data: &mut [u64], scratch: &mut [u64]) {
+/// SPMS sort of `data` under the shipped parameters. `scratch` is
+/// caller-owned, so repeated sorts can reuse one allocation: a buffer
+/// shorter than `n` is replaced by a zeroed one of `n` keys (never for
+/// `n ≤ SPMS_SERIAL_CUTOFF`); its contents on return are unspecified.
+/// The plan does not depend on the pool: a width-1 pool runs the same
+/// recursion, with every fork on the calling thread.
+pub fn sort(ctx: &Ctx<'_>, data: &mut [u64], scratch: &mut Vec<u64>) {
     let n = data.len();
     // The SB footprint this kernel declares to admission control must
     // cover the working set the real path is about to use.
@@ -213,11 +181,14 @@ pub fn spms_sort_in_ctx(ctx: &Ctx<'_>, data: &mut [u64], scratch: &mut [u64]) {
         registry::footprint_words(registry::Kernel::Sort, n) >= spms_working_set_words(n),
         "sort footprint understates the SPMS working set at n={n}"
     );
+    if n > SPMS_SERIAL_CUTOFF && scratch.len() < n {
+        *scratch = vec![0; n];
+    }
     spms_with_params(ctx, data, scratch, &SpmsParams::default());
 }
 
-/// [`spms_sort_in_ctx`] with explicit tuning parameters (tests exercise
-/// deep recursions and every fan-in without million-key inputs).
+/// [`sort`] with explicit tuning parameters (tests exercise deep
+/// recursions and every fan-in without million-key inputs).
 pub fn spms_with_params(ctx: &Ctx<'_>, data: &mut [u64], scratch: &mut [u64], p: &SpmsParams) {
     let n = data.len();
     if n <= p.serial_cutoff {
@@ -750,7 +721,7 @@ impl<'a> TreeState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mo_core::rt::HwHierarchy;
+    use mo_core::rt::{HwHierarchy, SbPool};
 
     fn pool() -> SbPool {
         SbPool::new(HwHierarchy::flat(4, 1 << 12, 1 << 22))
@@ -767,11 +738,10 @@ mod tests {
     fn check_sorts(data: &[u64], label: &str) {
         let mut want = data.to_vec();
         want.sort_unstable();
-        // Default params through the pool entry.
+        // Default params through the entry.
         let p = pool();
         let mut got = data.to_vec();
-        let mut scratch = Vec::new();
-        par_sort_with_scratch(&p, &mut got, &mut scratch);
+        p.enter(|ctx| sort(ctx, &mut got, &mut Vec::new()));
         assert_eq!(got, want, "{label}: default params");
         // Tiny leaves force multi-level recursion + every merge fan-in.
         for (cutoff, leaf, ways) in [(64, 512, 4), (256, 1024, 16), (16, 96, 3)] {
@@ -859,7 +829,7 @@ mod tests {
             want.sort_unstable();
             for p in [&p1, &p4] {
                 let mut got = data.clone();
-                par_sort(p, &mut got);
+                p.enter(|ctx| sort(ctx, &mut got, &mut Vec::new()));
                 assert_eq!(got, want, "trial {trial} n={n} modulus={modulus}");
             }
         }
@@ -874,7 +844,7 @@ mod tests {
             let mut want = data.clone();
             want.sort_unstable();
             let mut got = data;
-            par_sort(&p, &mut got);
+            p.enter(|ctx| sort(ctx, &mut got, &mut Vec::new()));
             assert_eq!(got, want, "n={n}");
         }
     }

@@ -74,7 +74,8 @@ pub fn tiled_matmul_program(a: &[f64], b: &[f64], n: usize, tile: usize) -> (Pro
     (program, h.unwrap())
 }
 
-/// Real (wall-clock) naive multiplication for Criterion.
+/// Real (wall-clock) naive multiplication: `bench_rt`'s serial side of
+/// the `matmul` row.
 pub fn naive_matmul(c: &mut [f64], a: &[f64], b: &[f64], n: usize) {
     for i in 0..n {
         for j in 0..n {

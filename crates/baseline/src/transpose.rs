@@ -78,7 +78,8 @@ pub fn recursive_transpose_program(data: &[u64], n: usize) -> (Program, Arr) {
     (program, hh.unwrap())
 }
 
-/// Real (wall-clock) naive transpose for Criterion.
+/// Real (wall-clock) naive transpose: `bench_rt`'s serial side of the
+/// `transpose` row.
 pub fn naive_transpose(a: &[f64], out: &mut [f64], n: usize) {
     for i in 0..n {
         for j in 0..n {

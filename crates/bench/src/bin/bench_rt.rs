@@ -22,10 +22,9 @@ use std::time::Instant;
 
 use mo_algorithms::gep::floyd_warshall_reference;
 use mo_algorithms::real::registry::{run_kernel, Kernel};
-use mo_algorithms::real::spms::spms_with_params;
 use mo_algorithms::real::{
-    par_fft_with_scratch, par_floyd_warshall, par_matmul, par_sort_with_scratch, par_spmdv,
-    par_transpose, serial_fft, SpmsParams, C64, SPMS_LEAF, SPMS_SERIAL_CUTOFF,
+    fft, floyd_warshall, matmul, sort, spmdv, spms_with_params, transpose, SpmsParams, C64,
+    SPMS_LEAF, SPMS_SERIAL_CUTOFF,
 };
 use mo_baselines::matmul::naive_matmul;
 use mo_baselines::transpose::naive_transpose;
@@ -126,10 +125,11 @@ struct Row {
 }
 
 /// The six timed rows keep their own inputs and serial comparators
-/// rather than iterating the registry table: they time `par_*` against
-/// a serial baseline on data built *outside* the timed region, which the
-/// registry's seeded `run` (generate, execute, checksum in one call)
-/// does not separate.
+/// rather than iterating the registry table: they time the served
+/// entries (`real::*` under one `pool.enter`) against a serial baseline
+/// on data built *outside* the timed region, which the registry's
+/// seeded `run` (generate, execute, checksum in one call) does not
+/// separate.
 fn run_suite(pool: &SbPool, reps: usize, smoke: bool) -> Vec<Row> {
     let mut rows = Vec::new();
 
@@ -139,7 +139,7 @@ fn run_suite(pool: &SbPool, reps: usize, smoke: bool) -> Vec<Row> {
     let mut out = vec![0.0; n * n];
     let (serial_ns, pool_ns, speedup) = paired_ns(reps, |par| {
         if par {
-            par_transpose(pool, &a, &mut out, n);
+            pool.enter(|ctx| transpose(ctx, &a, &mut out, n));
         } else {
             naive_transpose(&a, &mut out, n);
         }
@@ -160,7 +160,7 @@ fn run_suite(pool: &SbPool, reps: usize, smoke: bool) -> Vec<Row> {
     let (serial_ns, pool_ns, speedup) = paired_ns(reps, |par| {
         c.iter_mut().for_each(|v| *v = 0.0);
         if par {
-            par_matmul(pool, &mut c, &a, &b, n);
+            pool.enter(|ctx| matmul(ctx, &mut c, &a, &b, n));
         } else {
             naive_matmul(&mut c, &a, &b, n);
         }
@@ -183,9 +183,9 @@ fn run_suite(pool: &SbPool, reps: usize, smoke: bool) -> Vec<Row> {
     let (serial_ns, pool_ns, speedup) = paired_ns(reps, |par| {
         buf.copy_from_slice(&input);
         if par {
-            par_fft_with_scratch(pool, &mut buf, &mut scratch);
+            pool.enter(|ctx| fft(Some(ctx), &mut buf, &mut scratch));
         } else {
-            serial_fft(&mut buf);
+            fft(None, &mut buf, &mut scratch);
         }
     });
     rows.push(Row {
@@ -204,7 +204,7 @@ fn run_suite(pool: &SbPool, reps: usize, smoke: bool) -> Vec<Row> {
     let (serial_ns, pool_ns, speedup) = paired_ns(reps, |par| {
         buf.copy_from_slice(&data);
         if par {
-            par_sort_with_scratch(pool, &mut buf, &mut scratch);
+            pool.enter(|ctx| sort(ctx, &mut buf, &mut scratch));
         } else {
             buf.sort_unstable();
         }
@@ -227,7 +227,7 @@ fn run_suite(pool: &SbPool, reps: usize, smoke: bool) -> Vec<Row> {
     let mut y = vec![0.0f64; m];
     let (serial_ns, pool_ns, speedup) = paired_ns(reps, |par| {
         if par {
-            par_spmdv(pool, &row_ptr, &cols, &vals, &x, &mut y);
+            pool.enter(|ctx| spmdv(ctx, &row_ptr, &cols, &vals, &x, &mut y));
         } else {
             for (r, yr) in y.iter_mut().enumerate() {
                 let mut acc = 0.0;
@@ -252,7 +252,7 @@ fn run_suite(pool: &SbPool, reps: usize, smoke: bool) -> Vec<Row> {
     let (serial_ns, pool_ns, speedup) = paired_ns(reps, |par| {
         if par {
             let mut d = d0.clone();
-            par_floyd_warshall(pool, &mut d, n);
+            pool.enter(|ctx| floyd_warshall(ctx, &mut d, n));
             black_box(d);
         } else {
             black_box(floyd_warshall_reference(&d0, n));

@@ -456,7 +456,6 @@ fn main() {
         ServeConfig {
             queue_cap: args.queue_cap,
             default_deadline: args.deadline,
-            secure: args.secure,
             certificates,
             ..ServeConfig::default()
         },

@@ -19,9 +19,9 @@
 //! * a **chrome-trace / Perfetto JSON exporter** ([`chrome`]) so a
 //!   whole pool run can be inspected per worker in `ui.perfetto.dev` —
 //!   the one event writer, which the fleet merger renders through too;
-//! * the **one log₂ histogram** ([`hist`]): bucket rule, plain value
-//!   type and atomic recording front behind every latency, wait and
-//!   length histogram in the tree;
+//! * the **one log₂ histogram** ([`hist`]): the bucket rule and the
+//!   plain value type behind every latency, wait and length histogram
+//!   in the tree;
 //! * a **Prometheus text-exposition writer and a tiny parser**
 //!   ([`prom`]) — a family handle that spells each metric name once —
 //!   and the **one `/metrics` HTTP server** ([`expose`]) that `mo-serve`

@@ -67,7 +67,7 @@ pub enum Rejected {
     },
     /// The server is draining and accepts no new work.
     ShuttingDown,
-    /// The server is in secure mode ([`crate::ServeConfig::secure`])
+    /// The server is in secure mode ([`crate::ServeConfig::certificates`])
     /// and the kernel lacks an `oblivious` value-obliviousness
     /// certificate, so its address trace is not provably
     /// value-independent and it must not run next to secrets.

@@ -435,7 +435,6 @@ mod tests {
                 default_deadline: Duration::from_secs(10),
                 batch_max: 1,
                 batch_words_max: Some(4096),
-                secure: true,
                 certificates: Some(set),
                 ..ServeConfig::default()
             },
@@ -468,7 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn secure_mode_without_certificates_refuses_everything() {
+    fn secure_mode_with_an_empty_certificate_set_refuses_everything() {
         let server = Server::start(
             HwHierarchy::flat(4, 2048, 1 << 16),
             ServeConfig {
@@ -477,8 +476,7 @@ mod tests {
                 default_deadline: Duration::from_secs(10),
                 batch_max: 1,
                 batch_words_max: Some(4096),
-                secure: true,
-                certificates: None,
+                certificates: Some(mo_core::CertificateSet::default()),
                 ..ServeConfig::default()
             },
         );
@@ -513,7 +511,7 @@ mod tests {
             HwHierarchy::flat(4, 2048, 1 << 16),
             ServeConfig {
                 workers: 1,
-                secure: true,
+                certificates: Some(mo_core::CertificateSet::default()),
                 ..ServeConfig::default()
             },
         );

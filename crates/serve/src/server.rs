@@ -86,14 +86,12 @@ pub struct ServeConfig {
     /// batched; `None` uses the L1 capacity (the paper's "small task"
     /// regime where CGC⇒SB expansion pays off).
     pub batch_words_max: Option<usize>,
-    /// Secure serving mode (`--secure`): refuse every kernel that does
-    /// not hold an `oblivious` certificate in [`Self::certificates`]
-    /// with the typed [`Rejected::NotCertified`] reason. Off by
-    /// default.
-    pub secure: bool,
-    /// Value-obliviousness certificates (the `mo_certify` artifact,
-    /// loaded via [`mo_core::CertificateSet::from_json_str`]) consulted
-    /// by secure mode. `None` with `secure` refuses everything.
+    /// Secure serving mode (`--secure`): with `Some(set)`, refuse every
+    /// kernel that does not hold an `oblivious` certificate in `set`
+    /// (the `mo_certify` artifact, loaded via
+    /// [`mo_core::CertificateSet::from_json_str`]) with the typed
+    /// [`Rejected::NotCertified`] reason; an empty set refuses
+    /// everything. `None` (the default) serves every kernel.
     pub certificates: Option<mo_core::CertificateSet>,
     /// Shard id folded into server-minted request ids
     /// (`(shard << 48) | seq`) so spans stay unique across a fleet;
@@ -113,7 +111,6 @@ impl Default for ServeConfig {
             default_deadline: Duration::from_secs(5),
             batch_max: 16,
             batch_words_max: None,
-            secure: false,
             certificates: None,
             shard: 0,
             slo_dump: None,

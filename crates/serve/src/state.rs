@@ -161,13 +161,8 @@ impl Core {
         let row = spec.kernel.index();
         // The secure gate is checked first: certification is a static
         // property of the kernel, independent of load or size.
-        if self.cfg.secure {
-            let cert = self
-                .cfg
-                .certificates
-                .as_ref()
-                .and_then(|set| set.get(spec.kernel.name()));
-            let gap = match cert {
+        if let Some(set) = &self.cfg.certificates {
+            let gap = match set.get(spec.kernel.name()) {
                 None => Some(CertifyGap::NoCertificate),
                 Some(c) if c.classification != Classification::Oblivious => {
                     Some(CertifyGap::DataDependent)

@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use oblivious::algs::gep::{fw_update, gep_reference, igep_program, UpdateSet};
-use oblivious::algs::real::par_floyd_warshall;
+use oblivious::algs::real::floyd_warshall;
 use oblivious::hm::MachineSpec;
 use oblivious::mo::rt::SbPool;
 use oblivious::mo::sched::{simulate, Policy};
@@ -76,7 +76,7 @@ pub fn main() {
     let pool = SbPool::detected();
     let mut real = d.clone();
     let t0 = Instant::now();
-    par_floyd_warshall(&pool, &mut real, n);
+    pool.enter(|ctx| floyd_warshall(ctx, &mut real, n));
     println!(
         "real SB-pool Floyd–Warshall: {:?} ({} cores)",
         t0.elapsed(),

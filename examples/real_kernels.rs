@@ -11,9 +11,7 @@
 
 use std::time::Instant;
 
-use oblivious::algs::real::{
-    par_fft, par_matmul, par_prefix_sum, par_sort, par_transpose, serial_fft,
-};
+use oblivious::algs::real::{fft, matmul, prefix_sum, sort, transpose};
 use oblivious::mo::rt::{HwHierarchy, SbPool};
 
 pub fn main() {
@@ -30,7 +28,7 @@ pub fn main() {
     let mut out = vec![0.0; n * n];
     let before = pool.stats();
     let t0 = Instant::now();
-    par_transpose(&pool, &a, &mut out, n);
+    pool.enter(|ctx| transpose(ctx, &a, &mut out, n));
     println!(
         "transpose {n}x{n}: {:?}  (stats {:?})",
         t0.elapsed(),
@@ -45,24 +43,24 @@ pub fn main() {
     let mut c = vec![0.0; n * n];
     let before = pool.stats();
     let t0 = Instant::now();
-    par_matmul(&pool, &mut c, &a, &b, n);
+    pool.enter(|ctx| matmul(ctx, &mut c, &a, &b, n));
     println!(
         "matmul {n}x{n}:    {:?}  (stats {:?})",
         t0.elapsed(),
         pool.stats().since(&before)
     );
 
-    // FFT vs its serial baseline.
+    // FFT with no pool vs on the pool: the same transform.
     let n = 1 << 16;
     let sig: Vec<(f64, f64)> = (0..n).map(|t| ((t as f64 * 0.01).sin(), 0.0)).collect();
     let mut d1 = sig.clone();
     let t0 = Instant::now();
-    serial_fft(&mut d1);
+    fft(None, &mut d1, &mut Vec::new());
     let ts = t0.elapsed();
     let mut d2 = sig.clone();
     let before = pool.stats();
     let t0 = Instant::now();
-    par_fft(&pool, &mut d2);
+    pool.enter(|ctx| fft(Some(ctx), &mut d2, &mut Vec::new()));
     let tp = t0.elapsed();
     for k in (0..n).step_by(997) {
         assert!((d1[k].0 - d2[k].0).abs() < 1e-6);
@@ -76,12 +74,12 @@ pub fn main() {
     let n = 1 << 18;
     let mut data: Vec<u64> = (0..n as u64).rev().collect();
     let t0 = Instant::now();
-    par_sort(&pool, &mut data);
+    pool.enter(|ctx| sort(ctx, &mut data, &mut Vec::new()));
     println!("sort n={n}:      {:?}", t0.elapsed());
     assert!(data.windows(2).all(|w| w[0] <= w[1]));
     let mut ps: Vec<u64> = vec![1; n];
     let t0 = Instant::now();
-    par_prefix_sum(&pool, &mut ps);
+    pool.enter(|ctx| prefix_sum(ctx, &mut ps));
     println!("prefix n={n}:    {:?}", t0.elapsed());
     assert_eq!(ps[n - 1], (n - 1) as u64);
 
@@ -89,7 +87,7 @@ pub fn main() {
     // the kernel code changes, only the pool's cutoffs.
     let tiny = SbPool::new(HwHierarchy::flat(2, 256, 1 << 16));
     let mut data: Vec<u64> = (0..10_000u64).rev().collect();
-    par_sort(&tiny, &mut data);
+    tiny.enter(|ctx| sort(ctx, &mut data, &mut Vec::new()));
     assert!(data.windows(2).all(|w| w[0] <= w[1]));
     println!("\nsame kernels, 2-core/256-word hierarchy: still correct (obliviousness).");
 }

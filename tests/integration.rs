@@ -208,7 +208,7 @@ fn euler_tour_full_pipeline() {
 #[test]
 fn simulated_and_real_matmul_agree() {
     use algs::gep::matmul_program;
-    use algs::real::par_matmul;
+    use algs::real::matmul;
     use oblivious::mo::rt::{HwHierarchy, SbPool};
     let n = 32;
     let a: Vec<f64> = (0..n * n).map(|t| ((t * 7) % 13) as f64).collect();
@@ -216,7 +216,7 @@ fn simulated_and_real_matmul_agree() {
     let sim = matmul_program(&a, &b, n).output();
     let pool = SbPool::new(HwHierarchy::flat(2, 1 << 12, 1 << 20));
     let mut real = vec![0.0; n * n];
-    par_matmul(&pool, &mut real, &a, &b, n);
+    pool.enter(|ctx| matmul(ctx, &mut real, &a, &b, n));
     for t in 0..n * n {
         assert!((sim[t] - real[t]).abs() < 1e-9, "t = {t}");
     }

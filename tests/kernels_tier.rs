@@ -16,7 +16,7 @@ use oblivious::algs::certify::record_kernel;
 use oblivious::algs::real::registry::{
     footprint_words, parse_scenario_line, run_batch_in, run_kernel, Kernel,
 };
-use oblivious::algs::real::{par_fft, serial_fft, C64};
+use oblivious::algs::real::{fft, C64};
 use oblivious::mo::rt::{HwHierarchy, HwLevel, SbPool};
 
 const MIXED: &str = include_str!("../benchmark/scenarios/serve_mixed.scn");
@@ -80,12 +80,12 @@ fn served_classes_agree_across_pools_batches_and_std_sort() {
     }
 }
 
-/// One FFT behind every door: a pool decides where the halves of the
-/// recursion run, never what they compute. (Until PR 20 a width-1 pool
-/// was handed to a different, iterative transform: 1 920 of 2 048 and
-/// 65 408 of 65 536 outputs differed in their bits.)
+/// One FFT on every pool and with none: a pool decides where the halves
+/// of the recursion run, never what they compute. (A width-1 pool once
+/// got a different, iterative transform: 1 920 of 2 048 and 65 408 of
+/// 65 536 outputs differed in their bits.)
 #[test]
-fn par_fft_is_bit_identical_on_every_pool_and_serially() {
+fn fft_is_bit_identical_on_every_pool_and_serially() {
     let width1 = SbPool::new(HwHierarchy::flat(1, 1 << 12, 1 << 22));
     let four = SbPool::new(HwHierarchy::flat(4, 1 << 12, 1 << 22));
     for n in [2048usize, 65_536] {
@@ -96,10 +96,10 @@ fn par_fft_is_bit_identical_on_every_pool_and_serially() {
             x.iter().map(|c| (c.0.to_bits(), c.1.to_bits())).collect()
         };
         let mut serial = input.clone();
-        serial_fft(&mut serial);
+        fft(None, &mut serial, &mut Vec::new());
         for pool in [&width1, &four, &h2()] {
             let mut x = input.clone();
-            par_fft(pool, &mut x);
+            pool.enter(|ctx| fft(Some(ctx), &mut x, &mut Vec::new()));
             assert!(bits(&x) == bits(&serial), "n={n} on {pool:?}");
         }
     }

@@ -239,22 +239,22 @@ fn cache_counters_are_consistent() {
 
 /// Pool-vs-serial equivalence for the runtime SPMS sort: for arbitrary
 /// inputs, pool widths, and tuning parameters, the structured parallel
-/// path produces exactly `sort_unstable`'s output. Widths ≥ 2 always
-/// take the full sample–partition–merge recursion; width 1 additionally
-/// covers the scheduler's serial-plan delegation, and shrunk parameters
-/// force multiple partition levels on small inputs so every merge shape
-/// (pair bottoming, loser trees, odd tails) is exercised.
+/// path produces exactly `sort_unstable`'s output. Every width runs the
+/// same sample–partition–merge recursion through the one entry, and
+/// shrunk parameters force multiple partition levels on small inputs so
+/// every merge shape (pair bottoming, loser trees, odd tails) is
+/// exercised.
 #[test]
-fn par_sort_matches_serial_for_any_pool() {
-    use oblivious::algs::real::spms::spms_with_params;
-    use oblivious::algs::real::{par_sort, SpmsParams};
+fn sort_matches_serial_for_any_pool() {
+    use oblivious::algs::real::{sort, spms_with_params, SpmsParams};
     use oblivious::mo::rt::{HwHierarchy, SbPool};
 
     let mut rng = Rng::new(12);
     for &cores in &[1usize, 2, 4] {
         let pool = SbPool::new(HwHierarchy::flat(cores, 1 << 10, 1 << 20));
 
-        // Public facade: plan choice included (width-1 pools delegate).
+        // The entry, with one scratch buffer grown across the cases.
+        let mut scratch = Vec::new();
         for case in 0..10 {
             let n = if case < 3 {
                 case
@@ -264,8 +264,8 @@ fn par_sort_matches_serial_for_any_pool() {
             let mut data = rng.vec(n, 1 << 20);
             let mut want = data.clone();
             want.sort_unstable();
-            par_sort(&pool, &mut data);
-            assert_eq!(data, want, "par_sort cores={cores} n={n}");
+            pool.enter(|ctx| sort(ctx, &mut data, &mut scratch));
+            assert_eq!(data, want, "sort cores={cores} n={n}");
         }
 
         // Structured path pinned open: tiny cutoffs force several
