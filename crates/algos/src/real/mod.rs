@@ -24,8 +24,7 @@ pub mod registry;
 pub mod spms;
 
 pub use spms::{
-    sort, spms_with_params, spms_working_set_words, SpmsParams, SPMS_LEAF, SPMS_MAX_WAYS,
-    SPMS_SERIAL_CUTOFF,
+    sort, spms_with_params, spms_working_set_words, SpmsParams, SPMS_LEAF, SPMS_SERIAL_CUTOFF,
 };
 
 /// Out-of-place matrix transposition (`n × n`, row-major): CGC-style

@@ -161,13 +161,13 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
     },
     KernelDef {
         name: "sort",
-        // SPMS leaves sort sample-bounded buckets.
+        // SPMS leaves sort the buckets of a top-digit distribution.
         grain_words: 8192,
         // The sample sort's buckets follow the key values: it records
         // with measured space bounds (`Recorder::record_measured`).
         data_dependent: true,
-        // keys + merge scratch + the SPMS per-level sampling/split/
-        // histogram auxiliaries (2n + o(n)).
+        // keys + ping-pong scratch + one block's distribution tables or
+        // one leaf's radix histograms per slot (2n + 528 words a slot).
         footprint: super::spms::spms_working_set_words,
         // Same recurrence shape as FFT; sample sort's constant is larger.
         q_scale: 48.0,

@@ -1,47 +1,54 @@
-//! SPMS parallel sort — the real-machine Sample-Partition-Merge Sort of
-//! Cole–Ramachandran (*Resource Oblivious Sorting on Multicores*,
-//! PAPERS.md), on the space-bound pool.
+//! SPMS parallel sort — the real-machine sort of the space-bound pool,
+//! after Cole–Ramachandran's Sample-Partition-Merge Sort (*Resource
+//! Oblivious Sorting on Multicores*, PAPERS.md), partition first.
 //!
-//! Structure (one level of the SPMS recurrence):
+//! Structure (one level of the recursion, for `n > leaf`):
 //!
-//! 1. **Sort runs.** The input splits into `q` contiguous runs
-//!    (`q = ⌈n / leaf⌉`, capped at [`SPMS_MAX_WAYS`]); each run is
-//!    SPMS-sorted in parallel, bottoming out in a windowed LSD radix
-//!    leaf ([`SPMS_LEAF`] keys, chosen ≥ L1 so a leaf amortizes the steal
-//!    it rode in on) whose pass count follows the run length, not the
-//!    key width.
-//! 2. **Sample.** `q` regular samples per sorted run; the sorted sample
-//!    array yields `q − 1` pivots. Regular sampling off *sorted* runs
-//!    bounds every bucket at `≈ 2n/q` — the balance the SPMS analysis
-//!    needs for its recurrence to telescope.
-//! 3. **Partition.** Each run is split at the pivots by binary search —
-//!    the per-run split points are computed in parallel and define, per
-//!    bucket, one already-sorted segment of every run.
-//! 4. **Merge.** Each bucket is a `q`-way merge of its segments, done by
-//!    a cached-key loser tree straight into the bucket's final slice of
-//!    the output buffer; buckets merge in parallel under exact space
-//!    bounds (2·bucket words each).
+//! 1. **Reduce.** One OR/AND reduction over the keys marks the bits
+//!    where they differ, as the radix leaf's does; identical keys are
+//!    already sorted and end the level.
+//! 2. **Distribute.** The top `d` bits of that varying window are the
+//!    bucket digit: `k = 2^d ≈ 4⌈n / leaf⌉` buckets, at most
+//!    `PARTITION_MAX_BUCKETS` (64). The keys split into `s = ⌈n / leaf⌉`
+//!    blocks (the level's *slots*, at least two); each block histograms
+//!    its digits, the target buffer is cut into one slice per (bucket,
+//!    block), and each block scatters its keys into its slices — one read
+//!    and one write of every key, in parallel. Bucket `i` then holds
+//!    exactly the keys whose digit is `i`, so the buckets are ordered and
+//!    tile the buffer.
+//! 3. **Sort the buckets.** Each bucket is sorted through this same
+//!    function, with the matching slice of the other buffer as scratch:
+//!    at or below the leaf by the windowed LSD radix leaf ([`SPMS_LEAF`]
+//!    keys, chosen ≥ L1 so a leaf amortizes the steal it rode in on),
+//!    above it by another distribution on a strictly narrower window —
+//!    the bucket's keys agree on every bit from its digit up. The buckets
+//!    run as SB tasks at most `s` at a time: the range forks at bucket
+//!    boundaries, sharing out the slots, and a range down to one slot
+//!    sorts its buckets in turn.
 //!
-//! Every level is told which of its two buffers the sorted result must
-//! land in (`into_b`), and sorts its runs into the *other* one, so the
-//! bucket merge is the level's only full pass over the data — there is
-//! no copy-back sweep at any level, and the radix leaf pays at most one
-//! cache-resident copy to honor the parity it was asked for.
+//! There is no merge: the buckets are in order once distributed, so the
+//! scatter is the only pass that moves the level's keys (the reduction
+//! and the histograms only read them). Every level is told which of its
+//! two buffers the sorted result must land in (`into_b`); it distributes
+//! into the other one, so the buckets sort back into the target and the
+//! radix leaf pays at most one cache-resident copy to honor the parity
+//! it was asked for.
 //!
-//! This interleaves the sample-sort partition with multiway merging
-//! (no per-bucket comparison re-sort: every bucket reuses the order the
-//! runs already established), matching the paper's
-//! `T(n) = T(√n·…) + O(n/q · merge)`-style recurrence with a constant
-//! number of passes over the data per level. The `n`-word scratch is
-//! caller-owned and threaded through every level — no level allocates
-//! buffers proportional to its input.
-//!
-//! All space declarations are exact: run sorting, partitioning and
-//! bucket merging each declare ≤ 2·(words they touch), so the whole
-//! sort stays inside the `2n + o(n)` footprint the registry charges
-//! (checked by a debug assertion here and audited by `mo-certify`).
+//! Each distribution consumes at least three bits of a key's 64 (`k ≥ 8`
+//! above the leaf), so a key is distributed at most
+//! `PARTITION_MAX_DEPTH` = ⌈64/3⌉ times however the input clusters; on keys
+//! that spread over their window, every bucket of the first level is at
+//! most a leaf and the sort is one distribution plus one leaf per bucket.
+//! `k`, the slots and the block size follow `n` and the leaf only — the
+//! sort reads no machine parameter. The `n`-word scratch is caller-owned
+//! and threaded through every level; a level allocates only its
+//! histogram and slice tables, and drops them before its buckets start.
+//! Because every level holds at most its slots' worth of tables or leaf
+//! histograms, the whole sort stays inside the `2n + s · 528`-word
+//! footprint the registry charges ([`spms_working_set_words`], checked by
+//! debug assertions here and audited by `mo-certify`).
 
-use mo_core::rt::{Ctx, Jobs};
+use mo_core::rt::Ctx;
 
 use super::registry;
 
@@ -53,24 +60,29 @@ use super::registry;
 /// 1 024 and 2 048.
 pub const SPMS_SERIAL_CUTOFF: usize = 256;
 
-/// Serial leaf size of the SPMS recursion: runs at or below this length
-/// are sorted by the radix leaf. Tunable; the default (128 Ki keys,
-/// 1 MiB) is far above every L1 this project targets (6144 words on the
-/// reference host), so one leaf amortizes many steals, and its ping-pong
-/// working set (2 MiB) still fits the reference L2. The leaf's pass count
-/// stays at three up to 2²⁵ keys, so *serially* a bigger leaf is never
-/// worse (width-1 pool, full-width keys, structured path vs
-/// `sort_unstable` at 256 Ki / 1 Mi keys: 64 Ki leaf 1.08× / 0.99×,
-/// 128 Ki 1.04× / 0.97×, 256 Ki 1.17× / 0.98×, 1 Mi 1.16× / 1.23×) —
-/// but the leaf is also the grain of parallelism, and 128 Ki is the
-/// largest size that still gives a 256 Ki-key sort two parallel runs and
-/// keeps the merge fan-in at the million-key scale moderate (q = 8 at
-/// n = 1 Mi, three compare-selects per emitted key).
+/// Serial leaf size of the SPMS recursion: inputs and buckets at or below
+/// this length are sorted by the radix leaf. Tunable; the default
+/// (128 Ki keys, 1 MiB) is far above every L1 this project targets (6144
+/// words on the reference host), so one leaf amortizes many steals, and
+/// its ping-pong working set (2 MiB) still fits the reference L2. The
+/// leaf's pass count stays at three up to 2²⁵ keys, so *serially* a
+/// bigger leaf is never worse (width-1 pool, full-width keys, structured
+/// path vs `sort_unstable` at 256 Ki / 1 Mi keys: 64 Ki leaf 1.08× /
+/// 0.99×, 128 Ki 1.04× / 0.97×, 256 Ki 1.17× / 0.98×, 1 Mi 1.16× /
+/// 1.23×). Above it, the distribution aims at four buckets per leaf's
+/// worth of keys, so uniform buckets land near 32 Ki keys — two radix
+/// passes each — and skewed ones still fit a leaf.
 pub const SPMS_LEAF: usize = 1 << 17;
 
-/// Maximum merge fan-in `q` of one partition level (and the loser-tree
-/// capacity). 16 keeps the tree at 4 comparisons per emitted key.
-pub const SPMS_MAX_WAYS: usize = 16;
+/// Most buckets of one distribution step, and most slots (blocks in the
+/// distribution, buckets in flight after it): 64 live destination lines
+/// per block stay inside every L1 this project targets.
+const PARTITION_MAX_BUCKETS: usize = 64;
+
+/// Most distribution steps a key can pass through: above the leaf
+/// `k ≥ 8`, so each step consumes at least three of the key's 64 bits.
+#[cfg(test)]
+const PARTITION_MAX_DEPTH: usize = u64::BITS.div_ceil(3) as usize;
 
 /// Radix digit width of the serial leaf. The scatter's store stream
 /// keeps one live cache line per bucket, so 512 buckets pin ~32 KiB of
@@ -104,8 +116,12 @@ const RADIX_SHORT_RUN: usize = 32;
 pub(crate) const RADIX_AUX_WORDS: usize = 2 * RADIX_BUCKETS / 2 + 16;
 
 // The radix leaf's actual stack arrays must fit the aux budget the
-// footprint charges for them.
+// footprint charges for them, and so must one distribution block's
+// tables: histogram, scatter cursors and its row of `k ≤ 64` two-word
+// slices, plus the step's two `Vec` headers.
 const _: () = assert!((2 * RADIX_BUCKETS).div_ceil(2) + RADIX_MAX_DIGITS <= RADIX_AUX_WORDS);
+const _: () =
+    assert!(2 * PARTITION_MAX_BUCKETS + 3 + 2 * PARTITION_MAX_BUCKETS + 6 <= RADIX_AUX_WORDS);
 
 /// Tuning knobs of the SPMS recursion (AMTHA-style: the algorithm is
 /// oblivious to them — any setting sorts — they only move constants).
@@ -115,8 +131,6 @@ pub struct SpmsParams {
     pub serial_cutoff: usize,
     /// ≤ this length: LSD radix leaf (needs `n` words of scratch).
     pub leaf: usize,
-    /// Merge fan-in cap per level, `2 ..= SPMS_MAX_WAYS`.
-    pub max_ways: usize,
 }
 
 impl Default for SpmsParams {
@@ -124,44 +138,54 @@ impl Default for SpmsParams {
         SpmsParams {
             serial_cutoff: SPMS_SERIAL_CUTOFF,
             leaf: SPMS_LEAF,
-            max_ways: SPMS_MAX_WAYS,
         }
     }
 }
 
-/// Merge fan-in at size `n`: one run per leaf until the cap.
-fn spms_ways(n: usize, p: &SpmsParams) -> usize {
-    n.div_ceil(p.leaf).clamp(2, p.max_ways)
+/// Buckets of one distribution step over `n > leaf` keys: about four per
+/// leaf's worth of keys, rounded up to a power of two (the digit is a bit
+/// field), at most [`PARTITION_MAX_BUCKETS`].
+fn partition_buckets(n: usize, p: &SpmsParams) -> usize {
+    n.div_ceil(p.leaf)
+        .saturating_mul(4)
+        .min(PARTITION_MAX_BUCKETS)
+        .next_power_of_two()
 }
 
-/// Aux-word budget of one partition level at fan-in `q`: samples (q²),
-/// pivots (q), per-run split points (q·(q+2)), run/bucket bounds and
-/// merge-task bookkeeping — with slack, 3q² + 16q.
-fn spms_level_aux_words(q: usize) -> usize {
-    3 * q * q + 16 * q
+/// Slots of one distribution step over `n > leaf` keys: one per leaf's
+/// worth of keys, at least two, at most [`PARTITION_MAX_BUCKETS`]. The
+/// step's keys split into that many blocks, and at most that many of its
+/// buckets are in flight at once (see [`sort_buckets`]).
+fn partition_slots(n: usize, p: &SpmsParams) -> usize {
+    n.div_ceil(p.leaf).clamp(2, PARTITION_MAX_BUCKETS)
 }
 
-/// Peak live auxiliary words of an SPMS sort of `n` keys, counting
-/// every concurrently-live recursion level (all `q` runs of a level may
-/// be mid-leaf at once, each holding its radix histograms).
+/// Peak live auxiliary words of an SPMS sort of `n` keys, on any input,
+/// counting every task it forks as live at once. Above the leaf, a step
+/// given `s` slots keeps at most `s` things live: during its
+/// distribution, `s` blocks' tables (an OR/AND pair, a histogram, scatter
+/// cursors and a row of (bucket, block) slices — under
+/// [`RADIX_AUX_WORDS`] each, checked by a debug assertion); after it, `s`
+/// slots each sorting one bucket at a time — a radix leaf holding its
+/// histograms, or a nested step that splits its slot's share again. So
+/// the whole sort holds at most `slots · RADIX_AUX_WORDS`, whatever the
+/// depth the key values force.
 fn spms_aux_words(n: usize, p: &SpmsParams) -> usize {
     if n <= p.serial_cutoff {
         0
     } else if n <= p.leaf {
         RADIX_AUX_WORDS
     } else {
-        let q = spms_ways(n, p);
-        let run_len = n.div_ceil(q);
-        spms_level_aux_words(q) + q * spms_aux_words(run_len, p)
+        partition_slots(n, p) * RADIX_AUX_WORDS
     }
 }
 
 /// Peak live words of one size-`n` SPMS sort under default parameters:
-/// the keys, the caller-owned merge scratch, and the per-level
-/// sampling / split / histogram auxiliaries. This is what the registry
-/// footprint for [`registry::Kernel::Sort`] charges, so declared SB
-/// space ≥ the sort's real working set by construction — the debug
-/// assertions in [`sort`] keep the two from drifting.
+/// the keys, the caller-owned scratch, and the distribution tables and
+/// leaf histograms above. This is what the registry footprint for
+/// [`registry::Kernel::Sort`] charges, so declared SB space ≥ the sort's
+/// real working set by construction — the debug assertions in [`sort`]
+/// and in each distribution step keep the two from drifting.
 pub fn spms_working_set_words(n: usize) -> usize {
     n.saturating_mul(2)
         .saturating_add(spms_aux_words(n, &SpmsParams::default()))
@@ -188,7 +212,7 @@ pub fn sort(ctx: &Ctx<'_>, data: &mut [u64], scratch: &mut Vec<u64>) {
 }
 
 /// [`sort`] with explicit tuning parameters (tests exercise deep
-/// recursions and every fan-in without million-key inputs).
+/// recursions and every bucket count without million-key inputs).
 pub fn spms_with_params(ctx: &Ctx<'_>, data: &mut [u64], scratch: &mut [u64], p: &SpmsParams) {
     let n = data.len();
     if n <= p.serial_cutoff {
@@ -196,19 +220,23 @@ pub fn spms_with_params(ctx: &Ctx<'_>, data: &mut [u64], scratch: &mut [u64], p:
         return;
     }
     assert!(scratch.len() >= n, "spms scratch shorter than input");
-    assert!(
-        (2..=SPMS_MAX_WAYS).contains(&p.max_ways),
-        "max_ways out of range"
-    );
-    spms_rec(ctx, data, &mut scratch[..n], false, p);
+    spms_rec(ctx, data, &mut scratch[..n], false, usize::MAX, p);
 }
 
-/// One level of the SPMS recurrence. `a` holds the input;
-/// `a.len() == b.len()`; the sorted result lands in `b` when `into_b`,
-/// else in `a`. Each level sorts its runs into the buffer the result is
-/// *not* headed to, then bucket-merges straight into the target — so no
-/// level ever pays a copy-back pass.
-fn spms_rec(ctx: &Ctx<'_>, a: &mut [u64], b: &mut [u64], into_b: bool, p: &SpmsParams) {
+/// One level of the recursion. `a` holds the input; `a.len() == b.len()`;
+/// the sorted result lands in `b` when `into_b`, else in `a`; at most
+/// `slots` forked tasks hold tables or histograms at once. Above the leaf
+/// the level distributes `a` into buckets of `b`, then sorts every bucket
+/// back toward the target with the matching slice of `a` as scratch — so
+/// no level ever pays a copy-back pass.
+fn spms_rec(
+    ctx: &Ctx<'_>,
+    a: &mut [u64],
+    b: &mut [u64],
+    into_b: bool,
+    slots: usize,
+    p: &SpmsParams,
+) {
     let n = a.len();
     debug_assert_eq!(b.len(), n);
     if n <= p.serial_cutoff {
@@ -223,123 +251,168 @@ fn spms_rec(ctx: &Ctx<'_>, a: &mut [u64], b: &mut [u64], into_b: bool, p: &SpmsP
         return;
     }
 
-    let q = spms_ways(n, p);
-    let run_len = n.div_ceil(q);
-
-    // (1) Sort the q runs in parallel, recursing through this very
-    // function; each fork declares exactly the words it owns. The runs
-    // land in the buffer opposite the requested target.
-    sort_runs(ctx, a, b, run_len, !into_b, p);
-    let (src, dst): (&[u64], &mut [u64]) = if into_b { (a, b) } else { (b, a) };
-
-    let run_bounds: Vec<(usize, usize)> = (0..n.div_ceil(run_len))
-        .map(|r| (r * run_len, ((r + 1) * run_len).min(n)))
-        .collect();
-
-    // (2) Regular samples off the sorted runs: q per run, away from the
-    // run edges, so every bucket is bounded near 2n/q.
-    let mut samples: Vec<u64> = Vec::with_capacity(q * run_bounds.len());
-    for &(lo, hi) in &run_bounds {
-        let run = &src[lo..hi];
-        for i in 0..q {
-            samples.push(run[((i + 1) * run.len() / (q + 1)).min(run.len() - 1)]);
-        }
-    }
-    samples.sort_unstable();
-    let mut pivots: Vec<u64> = (1..q)
-        .map(|t| samples[(t * samples.len() / q).min(samples.len() - 1)])
-        .collect();
-    pivots.dedup();
-    let nb = pivots.len() + 1;
-
-    // (3) Split every run at the pivots, in parallel; segment
-    // `[pts[b], pts[b+1])` of run r is r's contribution to bucket b.
-    let splits: Vec<Vec<usize>> = {
-        let pv: &[u64] = &pivots;
-        let jobs: Jobs<'_, Vec<usize>> = run_bounds
-            .iter()
-            .map(|&(lo, hi)| {
-                Box::new(move |_: &Ctx<'_>| {
-                    let run = &src[lo..hi];
-                    let mut pts = Vec::with_capacity(pv.len() + 2);
-                    pts.push(0usize);
-                    for &pivot in pv {
-                        pts.push(run.partition_point(|&v| v <= pivot));
-                    }
-                    pts.push(run.len());
-                    pts
-                }) as _
-            })
-            .collect();
-        ctx.join_all(run_len, jobs)
-    };
-
-    // The level's small-array live set must stay inside the analytic
-    // aux budget the footprint charges for it.
-    debug_assert!(
-        {
-            let small = samples.len()
-                + pivots.len()
-                + splits.iter().map(Vec::len).sum::<usize>()
-                + 2 * run_bounds.len()
-                + nb * (run_bounds.len() + 2);
-            small <= spms_level_aux_words(q)
-        },
-        "SPMS level aux exceeds its declared budget at n={n} q={q}"
-    );
-
-    // (4) Merge each bucket's segments into its slice of the target
-    // buffer; the buckets tile dst[..n] exactly, in order. The source
-    // side of dst is dead (its sorted content moved during step 1), so
-    // this merge is the level's only full pass.
-    {
-        let mut tasks: Vec<BucketTask<'_>> = Vec::with_capacity(nb);
-        let mut rest: &mut [u64] = dst;
-        for b in 0..nb {
-            let segs: Vec<&[u64]> = run_bounds
+    let k = partition_buckets(n, p);
+    let slots = slots.min(partition_slots(n, p));
+    let block = n.div_ceil(slots);
+    let blocks = n.div_ceil(block);
+    let (all_or, all_and) = {
+        let mut ors = vec![(0u64, u64::MAX); blocks];
+        each_block(ctx, a, block, &mut ors, 1, &|keys, or_and| {
+            *or_and = keys
                 .iter()
-                .zip(&splits)
-                .map(|(&(lo, _), pts)| &src[lo + pts[b]..lo + pts[b + 1]])
-                .collect();
-            let blen: usize = segs.iter().map(|s| s.len()).sum();
-            let (out, tail) = rest.split_at_mut(blen);
-            rest = tail;
-            tasks.push(BucketTask { segs, out });
+                .fold((0u64, u64::MAX), |(o, x), &v| (o | v, x & v));
+        });
+        ors.iter()
+            .fold((0u64, u64::MAX), |(o, x), &(bo, bx)| (o | bo, x & bx))
+    };
+    let varying = all_or ^ all_and;
+    if varying == 0 {
+        // All keys are identical — already sorted wherever they sit.
+        if into_b {
+            b.copy_from_slice(a);
+        }
+        return;
+    }
+    // The digit is the top log₂ k bits of the window (fewer when the
+    // window is narrower); the bits above it are the same in every key.
+    let top = u64::BITS - varying.leading_zeros();
+    let shift = top.saturating_sub(k.ilog2());
+    let mask = (k - 1) as u64;
+
+    {
+        let mut hists = vec![[0usize; PARTITION_MAX_BUCKETS]; blocks];
+        each_block(ctx, a, block, &mut hists, 1, &|keys, h| {
+            for &v in keys {
+                h[((v >> shift) & mask) as usize] += 1;
+            }
+        });
+        // Cut `b` bucket-major into one slice per (bucket, block), so
+        // every bucket is contiguous and holds its blocks in order.
+        let mut outs: Vec<Vec<&mut [u64]>> = hists.iter().map(|_| Vec::with_capacity(k)).collect();
+        let mut rest: &mut [u64] = &mut *b;
+        for bucket in 0..k {
+            for (out, h) in outs.iter_mut().zip(&hists) {
+                let (slice, tail) = std::mem::take(&mut rest).split_at_mut(h[bucket]);
+                out.push(slice);
+                rest = tail;
+            }
         }
         debug_assert!(rest.is_empty(), "buckets must tile the target exactly");
-        merge_buckets(ctx, tasks);
+        // The step's tables — histograms, slice rows and each block's
+        // scatter cursors — stay inside the slots' share of the aux
+        // budget the footprint charges.
+        debug_assert!(
+            3 + blocks * 2 * PARTITION_MAX_BUCKETS
+                + outs.iter().map(|o| 3 + 2 * o.capacity()).sum::<usize>()
+                + 3
+                <= slots * RADIX_AUX_WORDS,
+            "distribution tables exceed their declared budget at n={n} k={k}"
+        );
+        // Each key goes to the next free word of its bucket's slice,
+        // which its block's histogram sized exactly.
+        each_block(ctx, a, block, &mut outs, 2, &|keys, out| {
+            let mut cursor = [0usize; PARTITION_MAX_BUCKETS];
+            for &v in keys {
+                let d = ((v >> shift) & mask) as usize;
+                out[d][cursor[d]] = v;
+                cursor[d] += 1;
+            }
+        });
     }
+    #[cfg(test)]
+    PARTITION_WORK.with(|w| {
+        let (moved, bits) = w.get();
+        w.set((moved + n, bits + n * (top - shift) as usize));
+    });
+    sort_buckets(ctx, a, b, (shift, mask), slots, into_b, p);
 }
 
-/// Recursive binary fork over whole runs: each side declares 2× the
-/// words it owns (its keys plus the matching scratch).
-fn sort_runs(
+/// Binary SB fork over the `block`-key blocks of `keys`: `f` runs once
+/// per block with that block's slot of `per`, each side declaring
+/// `words_per_key` words per key it covers. The slots are the caller's,
+/// so the forks allocate nothing.
+fn each_block<T: Send>(
+    ctx: &Ctx<'_>,
+    keys: &[u64],
+    block: usize,
+    per: &mut [T],
+    words_per_key: usize,
+    f: &(impl Fn(&[u64], &mut T) + Sync),
+) {
+    if let [slot] = per {
+        f(keys, slot);
+        return;
+    }
+    let half = per.len() / 2;
+    let (kl, kr) = keys.split_at(half * block);
+    let (pl, pr) = per.split_at_mut(half);
+    ctx.join(
+        words_per_key * kl.len(),
+        |c| each_block(c, kl, block, pl, words_per_key, f),
+        words_per_key * kr.len(),
+        |c| each_block(c, kr, block, pr, words_per_key, f),
+    );
+}
+
+/// Sort the buckets of one distribution step, which sit in `b` in order
+/// of their digit `(v >> shift) & mask`, at most `slots` at a time. A
+/// range of buckets forks at the bucket boundary nearest its middle, each
+/// side declaring 2× the words it owns and taking its share of the slots;
+/// a range down to one slot sorts its buckets in turn; a bucket alone in
+/// its range keeps the range's slots for its own step. Boundaries come
+/// from binary search on the digit, so no table outlives the
+/// distribution. Each bucket's slice of `a` is its scratch.
+fn sort_buckets(
     ctx: &Ctx<'_>,
     a: &mut [u64],
     b: &mut [u64],
-    run_len: usize,
+    (shift, mask): (u32, u64),
+    slots: usize,
     into_b: bool,
     p: &SpmsParams,
 ) {
-    let n = a.len();
-    if n <= run_len {
-        spms_rec(ctx, a, b, into_b, p);
+    let n = b.len();
+    let digit = |v: u64| (v >> shift) & mask;
+    let first = digit(b[0]);
+    if first == digit(b[n - 1]) {
+        spms_rec(ctx, b, a, !into_b, slots, p);
         return;
     }
-    let runs = n.div_ceil(run_len);
-    let mid = (runs / 2) * run_len;
-    let (al, ar) = a.split_at_mut(mid);
-    let (bl, br) = b.split_at_mut(mid);
+    if slots == 1 {
+        let cut = b.partition_point(|&v| digit(v) == first);
+        let (a0, a1) = a.split_at_mut(cut);
+        let (b0, b1) = b.split_at_mut(cut);
+        spms_rec(ctx, b0, a0, !into_b, 1, p);
+        sort_buckets(ctx, a1, b1, (shift, mask), 1, into_b, p);
+        return;
+    }
+    // The bucket holding the middle key spans [lo, hi); cut at whichever
+    // end is nearer the middle and lies strictly inside the range.
+    let mid = n / 2;
+    let d = digit(b[mid]);
+    let lo = b.partition_point(|&v| digit(v) < d);
+    let hi = b.partition_point(|&v| digit(v) <= d);
+    let cut = if lo == 0 || (hi < n && hi - mid < mid - lo) {
+        hi
+    } else {
+        lo
+    };
+    let left = ((slots * cut + mid) / n).clamp(1, slots - 1);
+    let (al, ar) = a.split_at_mut(cut);
+    let (bl, br) = b.split_at_mut(cut);
     ctx.join(
-        2 * mid,
-        |c| sort_runs(c, al, bl, run_len, into_b, p),
-        2 * (n - mid),
-        |c| sort_runs(c, ar, br, run_len, into_b, p),
+        2 * cut,
+        |c| sort_buckets(c, al, bl, (shift, mask), left, into_b, p),
+        2 * (n - cut),
+        |c| sort_buckets(c, ar, br, (shift, mask), slots - left, into_b, p),
     );
 }
 
 #[cfg(test)]
 thread_local! {
+    /// Work the distribution steps did on this thread: (keys moved,
+    /// keys moved × window bits their digit consumed).
+    static PARTITION_WORK: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
     /// Work the leaf did on this thread: (keys moved by scatter passes,
     /// longest run handed to `insertion_sort`).
     static LEAF_WORK: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
@@ -502,222 +575,6 @@ fn scatter_hist(
     }
 }
 
-/// One bucket's merge work: its per-run sorted segments and the slice
-/// of the target buffer it owns.
-struct BucketTask<'a> {
-    segs: Vec<&'a [u64]>,
-    out: &'a mut [u64],
-}
-
-/// Parallel merge of the buckets: binary fork over the task list with
-/// exact per-side space (2× the output words on that side). The fork
-/// bottoms out at *pairs* of buckets merged in one interleaved loop —
-/// two independent loser trees per iteration give the core twice the
-/// instruction-level parallelism of one serial replay chain.
-fn merge_buckets(ctx: &Ctx<'_>, mut tasks: Vec<BucketTask<'_>>) {
-    match tasks.len() {
-        0 => return,
-        1 => {
-            let t = tasks.pop().expect("one task");
-            merge_segments(&t.segs, t.out);
-            return;
-        }
-        2 => {
-            let tb = tasks.pop().expect("two tasks");
-            let ta = tasks.pop().expect("two tasks");
-            merge_segment_pair(ta, tb);
-            return;
-        }
-        _ => {}
-    }
-    let mid = tasks.len() / 2;
-    let right = tasks.split_off(mid);
-    let left = tasks;
-    let wl = 2 * left.iter().map(|t| t.out.len()).sum::<usize>();
-    let wr = 2 * right.iter().map(|t| t.out.len()).sum::<usize>();
-    ctx.join(
-        wl.max(1),
-        move |c| merge_buckets(c, left),
-        wr.max(1),
-        move |c| merge_buckets(c, right),
-    );
-}
-
-/// The non-empty segments of a bucket, compacted into a fixed array.
-fn live_segments<'a>(segs: &[&'a [u64]]) -> ([&'a [u64]; SPMS_MAX_WAYS], usize) {
-    let mut live = [&[] as &[u64]; SPMS_MAX_WAYS];
-    let mut k = 0usize;
-    for s in segs {
-        if !s.is_empty() {
-            live[k] = s;
-            k += 1;
-        }
-    }
-    (live, k)
-}
-
-/// k-way merge of sorted segments into `out` (whose length must equal
-/// the segments' total). Specializes the easy shapes; ≥3 live segments
-/// go through the loser tree.
-fn merge_segments(segs: &[&[u64]], out: &mut [u64]) {
-    debug_assert_eq!(segs.iter().map(|s| s.len()).sum::<usize>(), out.len());
-    let (live, k) = live_segments(segs);
-    match k {
-        0 => {}
-        1 => out.copy_from_slice(live[0]),
-        2 => merge2(live[0], live[1], out),
-        _ => {
-            let mut tree = TreeState::new(&live, k);
-            for slot in out.iter_mut() {
-                *slot = tree.emit();
-            }
-        }
-    }
-}
-
-/// Merge two buckets in one interleaved loop: each iteration advances
-/// both loser trees, whose replay chains are independent, so the core
-/// overlaps them instead of waiting out one chain's latency at a time.
-/// Buckets that don't need a tree fall back to the serial specials.
-fn merge_segment_pair(ta: BucketTask<'_>, tb: BucketTask<'_>) {
-    let (la, ka) = live_segments(&ta.segs);
-    let (lb, kb) = live_segments(&tb.segs);
-    if ka < 3 || kb < 3 {
-        merge_segments(&ta.segs, ta.out);
-        merge_segments(&tb.segs, tb.out);
-        return;
-    }
-    let mut tra = TreeState::new(&la, ka);
-    let mut trb = TreeState::new(&lb, kb);
-    let (outa, outb) = (ta.out, tb.out);
-    let common = outa.len().min(outb.len());
-    let (heada, taila) = outa.split_at_mut(common);
-    let (headb, tailb) = outb.split_at_mut(common);
-    for (sa, sb) in heada.iter_mut().zip(headb.iter_mut()) {
-        *sa = tra.emit();
-        *sb = trb.emit();
-    }
-    for slot in taila.iter_mut() {
-        *slot = tra.emit();
-    }
-    for slot in tailb.iter_mut() {
-        *slot = trb.emit();
-    }
-}
-
-/// Branchless two-way merge: the hot loop advances by conditional
-/// increments only, so the compare compiles to cmov instead of an
-/// unpredictable branch.
-fn merge2(a: &[u64], b: &[u64], out: &mut [u64]) {
-    let (mut i, mut j, mut o) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let av = a[i];
-        let bv = b[j];
-        let take_a = av <= bv;
-        out[o] = if take_a { av } else { bv };
-        i += take_a as usize;
-        j += usize::from(!take_a);
-        o += 1;
-    }
-    if i < a.len() {
-        out[o..].copy_from_slice(&a[i..]);
-    } else {
-        out[o..].copy_from_slice(&b[j..]);
-    }
-}
-
-/// The head key of segment `j` at positions `pos`; exhausted (or
-/// padding) segments read as `u64::MAX`, which only ties with — never
-/// beats — a real `u64::MAX` key. See the correctness note on
-/// [`merge_tree`] for why that tie is harmless.
-#[inline]
-fn head_key(segs: &[&[u64]; SPMS_MAX_WAYS], pos: &[usize; SPMS_MAX_WAYS], j: usize) -> u64 {
-    segs[j].get(pos[j]).copied().unwrap_or(u64::MAX)
-}
-
-/// Loser-tree k-way merge state with cached keys: every node stores
-/// both its loser *and* that loser's head key, so the per-element
-/// replay path is ⌈log₂ k⌉ compare-and-selects (≤ 4 at the
-/// [`SPMS_MAX_WAYS`] cap) over stack state plus exactly one segment
-/// read to refill the winner. The replay writes its node state back
-/// unconditionally and picks both sides by select, so the hot loop
-/// carries no unpredictable branch.
-///
-/// Exhausted lanes carry the key `u64::MAX` rather than an out-of-band
-/// sentinel. If such a lane ever wins the tournament while output slots
-/// remain, the tournament minimum is `u64::MAX` — so every remaining
-/// real key equals `u64::MAX` too, and emitting the lane's cached key
-/// still writes the right value; only per-lane positions drift, and
-/// those die with the merge.
-struct TreeState<'a> {
-    segs: &'a [&'a [u64]; SPMS_MAX_WAYS],
-    pos: [usize; SPMS_MAX_WAYS],
-    /// Loser index / cached loser key of the match played at each node.
-    tree: [usize; SPMS_MAX_WAYS],
-    tkey: [u64; SPMS_MAX_WAYS],
-    winner: usize,
-    wkey: u64,
-    /// Tree width: `live_count.next_power_of_two()`.
-    k: usize,
-}
-
-impl<'a> TreeState<'a> {
-    fn new(segs: &'a [&'a [u64]; SPMS_MAX_WAYS], kk: usize) -> Self {
-        debug_assert!((3..=SPMS_MAX_WAYS).contains(&kk));
-        let k = kk.next_power_of_two();
-        let pos = [0usize; SPMS_MAX_WAYS];
-        let mut tree = [0usize; SPMS_MAX_WAYS];
-        let mut tkey = [u64::MAX; SPMS_MAX_WAYS];
-        // Build bottom-up via a winner tree.
-        let mut win = [0usize; 2 * SPMS_MAX_WAYS];
-        for (j, w) in win[k..2 * k].iter_mut().enumerate() {
-            *w = j;
-        }
-        for node in (1..k).rev() {
-            let (x, y) = (win[2 * node], win[2 * node + 1]);
-            let (kx, ky) = (head_key(segs, &pos, x), head_key(segs, &pos, y));
-            let (w, l, lk) = if kx <= ky { (x, y, ky) } else { (y, x, kx) };
-            win[node] = w;
-            tree[node] = l;
-            tkey[node] = lk;
-        }
-        let winner = win[1];
-        let wkey = head_key(segs, &pos, winner);
-        TreeState {
-            segs,
-            pos,
-            tree,
-            tkey,
-            winner,
-            wkey,
-            k,
-        }
-    }
-
-    /// Pop the minimum, refill its lane, replay its path.
-    #[inline(always)]
-    fn emit(&mut self) -> u64 {
-        let out = self.wkey;
-        let mut winner = self.winner;
-        self.pos[winner] += 1;
-        let mut wkey = head_key(self.segs, &self.pos, winner);
-        let mut node = (self.k + winner) >> 1;
-        while node != 0 {
-            let ti = self.tree[node];
-            let tk = self.tkey[node];
-            let beats = tk < wkey;
-            self.tree[node] = if beats { winner } else { ti };
-            self.tkey[node] = if beats { wkey } else { tk };
-            winner = if beats { ti } else { winner };
-            wkey = if beats { tk } else { wkey };
-            node >>= 1;
-        }
-        self.winner = winner;
-        self.wkey = wkey;
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,17 +600,16 @@ mod tests {
         let mut got = data.to_vec();
         p.enter(|ctx| sort(ctx, &mut got, &mut Vec::new()));
         assert_eq!(got, want, "{label}: default params");
-        // Tiny leaves force multi-level recursion + every merge fan-in.
-        for (cutoff, leaf, ways) in [(64, 512, 4), (256, 1024, 16), (16, 96, 3)] {
+        // Tiny leaves force nested distributions + every bucket count.
+        for (cutoff, leaf) in [(64, 512), (256, 1024), (16, 96)] {
             let mut got = data.to_vec();
             let mut scratch = vec![0u64; got.len()];
             let params = SpmsParams {
                 serial_cutoff: cutoff,
                 leaf,
-                max_ways: ways,
             };
             p.enter(|ctx| spms_with_params(ctx, &mut got, &mut scratch, &params));
-            assert_eq!(got, want, "{label}: cutoff={cutoff} leaf={leaf} q={ways}");
+            assert_eq!(got, want, "{label}: cutoff={cutoff} leaf={leaf}");
         }
     }
 
@@ -779,8 +635,8 @@ mod tests {
 
     #[test]
     fn partition_path_at_default_params() {
-        // Large enough to clear SPMS_LEAF so sample/partition/merge run
-        // with the shipped constants (q = 4 here).
+        // Large enough to clear SPMS_LEAF so the distribution runs with
+        // the shipped constants (k = 8 here).
         let n = 230_000usize;
         let mut x = 11u64;
         let data: Vec<u64> = (0..n).map(|_| splitmix(&mut x)).collect();
@@ -804,7 +660,6 @@ mod tests {
         let params = SpmsParams {
             serial_cutoff: 128,
             leaf: 2048,
-            max_ways: 8,
         };
         p.enter(|ctx| spms_with_params(ctx, &mut got, &mut scratch, &params));
         assert_eq!(got, want);
@@ -941,6 +796,64 @@ mod tests {
         check_leaf(SPMS_LEAF);
     }
 
+    /// Differential check of the distribution step against
+    /// `sort_unstable` over the same families, through a tiny leaf at
+    /// both parities, with its work bound: every step consumes fresh
+    /// window bits of each key it moves, so over all levels a key is
+    /// moved × bits at most 64 times and distributed at most
+    /// [`PARTITION_MAX_DEPTH`] times. A width-1 pool runs every fork on
+    /// this thread, so the thread-local counter sees the whole sort; the
+    /// debug assertions check that each step's buckets tile its target.
+    fn check_partition(n: usize) {
+        let pool = SbPool::new(HwHierarchy::flat(1, 1 << 12, 1 << 22));
+        let params = SpmsParams {
+            serial_cutoff: 16,
+            leaf: 64,
+        };
+        let mut x = n as u64;
+        for (family, data) in leaf_families(n, &mut x) {
+            let mut want = data.clone();
+            want.sort_unstable();
+            for (into_b, slots) in [
+                (false, usize::MAX),
+                (true, usize::MAX),
+                (false, 1),
+                (true, 3),
+            ] {
+                let what = format!("{family}, n={n}, into_b={into_b}, slots={slots}");
+                let mut a = data.clone();
+                let mut b = vec![0u64; n];
+                PARTITION_WORK.with(|w| w.set((0, 0)));
+                pool.enter(|ctx| spms_rec(ctx, &mut a, &mut b, into_b, slots, &params));
+                let got = if into_b { &b } else { &a };
+                assert_eq!(got, &want, "{what}");
+                let (moved, bits) = PARTITION_WORK.with(|w| w.get());
+                assert!(bits <= 64 * n, "{what}: {bits} key-bits distributed");
+                assert!(
+                    moved <= PARTITION_MAX_DEPTH * n,
+                    "{what}: {moved} keys distributed"
+                );
+                if family == "constant" {
+                    assert_eq!(moved, 0, "{what}: identical keys distributed");
+                } else {
+                    assert!(moved >= n, "{what}: no distribution step ran");
+                }
+                if family == "packed records" {
+                    let mut payloads: Vec<u64> = got.iter().map(|v| v & 0xffff_ffff).collect();
+                    payloads.sort_unstable();
+                    assert!(payloads.iter().enumerate().all(|(i, &p)| p == i as u64));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn distribution_matches_std_on_adversarial_families() {
+        for n in [65usize, 2049, 5000] {
+            check_partition(n);
+        }
+    }
+
     #[test]
     fn window_follows_n_not_the_key_width() {
         // Uniform keys: the scatter pass count is ⌈(⌈log₂ n⌉ + slack) / 9⌉
@@ -975,7 +888,7 @@ mod tests {
             SPMS_LEAF,
             SPMS_LEAF + 1,
             1 << 20,
-            (SPMS_LEAF * SPMS_MAX_WAYS) + 1,
+            SPMS_LEAF * PARTITION_MAX_BUCKETS + 1,
             1 << 22,
         ] {
             let declared = footprint_words(Kernel::Sort, n);
@@ -984,6 +897,29 @@ mod tests {
                 "footprint {declared} < working set at n={n}"
             );
             assert!(declared >= 2 * n, "footprint must cover keys + scratch");
+        }
+        // …and never refuses a size the merge-stage sort this one
+        // replaced admitted: its `q = ⌈n / leaf⌉ ≤ 16` runs each held a
+        // radix leaf, plus `3q² + 16q` words of samples and splits, so on
+        // the benchmark's H2 machine (a 4 Mi-word top level) it took sorts
+        // of up to 2 092 416 keys. Footprints are monotone, so checking
+        // the largest covers every smaller size against H2.
+        let merge_stage = |n: usize| {
+            let q = n.div_ceil(SPMS_LEAF).clamp(2, 16);
+            2 * n + 3 * q * q + 16 * q + q * RADIX_AUX_WORDS
+        };
+        let largest = 2_092_416;
+        assert!(merge_stage(largest) <= 4 << 20 && merge_stage(largest + 1) > 4 << 20);
+        assert!(footprint_words(Kernel::Sort, largest) <= 4 << 20);
+        for n in (SPMS_LEAF + 1..=largest)
+            .step_by(4099)
+            .chain([1 << 20, largest])
+        {
+            let declared = footprint_words(Kernel::Sort, n);
+            assert!(
+                declared <= merge_stage(n),
+                "footprint {declared} above the merge stage's at n={n}"
+            );
         }
         // …while the *recorded* MO sort program legitimately holds more
         // live (its per-level sample/count/distribution arrays): that

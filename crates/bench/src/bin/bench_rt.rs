@@ -308,10 +308,10 @@ const REGRESSION_FLOOR: f64 = 0.8;
 /// Always drives the structured SPMS path, with the serial cutoff set to
 /// zero so the radix leaf is what runs below [`SPMS_SERIAL_CUTOFF`] too —
 /// the point is to see where the leaf starts to win and how the
-/// structure's constants move as `n` crosses the leaf and fan-in
-/// boundaries. One extra line repeats a leaf size on 44-bit keys: the
-/// windowed leaf's pass count follows `n`, so it should cost what the
-/// 64-bit line of that size costs.
+/// structure's constants move as `n` crosses the leaf and the
+/// distribution's bucket-count steps. One extra line repeats a leaf
+/// size on 44-bit keys: the windowed leaf's pass count follows `n`, so
+/// it should cost what the 64-bit line of that size costs.
 fn sweep_sort(pool: &SbPool, reps: usize) {
     println!(
         "sort sweep (structured SPMS path; shipped cutoff = {SPMS_SERIAL_CUTOFF} keys, \
@@ -405,6 +405,9 @@ fn main() {
 
     let pool = SbPool::new(HwHierarchy::detect());
     let cores = pool.hierarchy().cores();
+    // The detected width, capped at the CPUs this process may use:
+    // `taskset -c 0 bench_rt` runs (and says it runs) a width-1 pool.
+    println!("cores: {cores}");
     if smoke {
         smoke_checksums(&pool);
     }

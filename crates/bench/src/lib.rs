@@ -16,7 +16,9 @@
 //! specific). Every row's output is deterministic and pinned byte for
 //! byte by `tests/tables.rs` against `tests/fixtures/tables/`.
 //! Wall-clock timings of the real kernels are the `bench_rt` binary's;
-//! `benches/simulated.rs` times the simulator's access streams.
+//! the simulator's own speed is the repository benchmark's `hm.*`
+//! probes, and its access streams' counts are pinned by `hm-model`'s
+//! unit tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,30 +92,6 @@ fn row_with(label: &str, measured: f64, predicted: f64, decimals: usize) {
 /// A plain annotated value.
 pub fn val(label: &str, v: f64) {
     println!("  {label:<44} {v:>12.2}");
-}
-
-/// A dependency-free micro-benchmark timer for `benches/simulated.rs`
-/// (no criterion dependency): adaptive iteration count, median of
-/// several timed batches, `ns/iter` output.
-pub fn bench<R>(label: &str, mut f: impl FnMut() -> R) {
-    use std::hint::black_box;
-    use std::time::Instant;
-    // Warm up and size the batch to ~25 ms.
-    let t0 = Instant::now();
-    black_box(f());
-    let once = t0.elapsed().as_nanos().max(1);
-    let iters = ((25_000_000 / once) as usize).clamp(1, 1 << 20);
-    let mut samples = Vec::with_capacity(5);
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        samples.push(t.elapsed().as_nanos() / iters as u128);
-    }
-    samples.sort_unstable();
-    let med = samples[samples.len() / 2];
-    println!("  {label:<44} {med:>12} ns/iter   ({iters} iters x 5)");
 }
 
 /// Deterministic pseudo-random u64s.

@@ -107,16 +107,36 @@ impl HwHierarchy {
     /// level with its real capacity and sharing fanout) is probed from
     /// `/sys/devices/system/cpu/cpu*/cache/index*` — see [`sysfs::probe`].
     /// When sysfs is absent or unreadable (non-Linux, sandboxes), falls
-    /// back to `available_parallelism` cores with a 32 KiB L1 under an
-    /// 8 MiB shared last-level cache (the common desktop shape).
+    /// back to a 32 KiB L1 under an 8 MiB shared last-level cache (the
+    /// common desktop shape). Either way the pool is no wider than
+    /// `available_parallelism`, which honours the affinity mask and the
+    /// cgroup CPU quota: sysfs describes every CPU of the host, not the
+    /// ones this process may run on.
     pub fn detect() -> Self {
-        if let Some(h) = sysfs::probe(std::path::Path::new("/sys/devices/system/cpu")) {
-            return h;
-        }
-        let cores = std::thread::available_parallelism()
+        let usable = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        Self::flat(cores, 32 * 1024 / 8, 8 * 1024 * 1024 / 8)
+        Self::detect_in(std::path::Path::new("/sys/devices/system/cpu"), usable)
+    }
+
+    /// [`detect`](Self::detect) over the sysfs tree at `root`, for a
+    /// process that may use `usable` CPUs.
+    fn detect_in(root: &std::path::Path, usable: usize) -> Self {
+        match sysfs::probe(root) {
+            Some(h) => h.capped(usable),
+            None => Self::flat(usable, 32 * 1024 / 8, 8 * 1024 * 1024 / 8),
+        }
+    }
+
+    /// This hierarchy with its fanouts trimmed, innermost level first,
+    /// so that [`cores`](Self::cores) is at most `usable`.
+    fn capped(mut self, usable: usize) -> Self {
+        let mut units = 1;
+        for level in &mut self.levels {
+            level.fanout = level.fanout.min((usable / units).max(1));
+            units *= level.fanout;
+        }
+        self
     }
 
     /// Total number of cores.

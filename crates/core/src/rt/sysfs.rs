@@ -243,6 +243,31 @@ mod tests {
     }
 
     #[test]
+    fn detection_is_no_wider_than_the_usable_cpus() {
+        // The three-level tree above (4 cpus, pairwise L2s, one L3) seen
+        // by a process that may use fewer cpus: an affinity mask or a
+        // cgroup quota trims the fanouts, innermost first.
+        let fx = Fixture::new("capped");
+        for cpu in 0..4 {
+            fx.cache(cpu, 0, "Data", 1, "32K", &cpu.to_string());
+            let pair = if cpu < 2 { "0-1" } else { "2-3" };
+            fx.cache(cpu, 2, "Unified", 2, "512K", pair);
+            fx.cache(cpu, 3, "Unified", 3, "8M", "0-3");
+        }
+        let one = HwHierarchy::detect_in(&fx.root, 1);
+        assert_eq!(one.cores(), 1);
+        assert_eq!(one.levels().len(), 3, "capacities are kept");
+        assert_eq!(one.levels()[2].capacity, 8 * 1024 * 1024 / 8);
+        let fanouts = |h: &HwHierarchy| h.levels().iter().map(|l| l.fanout).collect::<Vec<_>>();
+        assert_eq!(fanouts(&HwHierarchy::detect_in(&fx.root, 2)), [1, 2, 1]);
+        assert_eq!(fanouts(&HwHierarchy::detect_in(&fx.root, 3)), [1, 2, 1]);
+        assert_eq!(HwHierarchy::detect_in(&fx.root, 4).cores(), 4);
+        assert_eq!(HwHierarchy::detect_in(&fx.root, 64).cores(), 4);
+        // No sysfs tree: the fallback is exactly as wide as allowed.
+        assert_eq!(HwHierarchy::detect_in(&fx.root.join("none"), 3).cores(), 3);
+    }
+
+    #[test]
     fn absent_or_empty_tree_probes_none() {
         let fx = Fixture::new("empty");
         assert!(probe(&fx.root).is_none());

@@ -763,4 +763,136 @@ mod tests {
             }
         }
     }
+
+    /// A stride of `B_4` on the Fig. 1 machine, one million reads from
+    /// core 0: every access misses the recency window and every level
+    /// (the miss path: evict, unindex, reindex), and no other cache is
+    /// touched. Counts pinned from the simulator as of the commit that
+    /// retired the stream's wall-clock bench.
+    #[test]
+    #[cfg_attr(miri, ignore = "pins the counts of a million accesses")]
+    fn stride_of_the_top_block_misses_every_level() {
+        let spec = MachineSpec::example_h5();
+        let b4 = spec.level(spec.cache_levels()).block as u64;
+        let mut sys = CacheSystem::new(&spec);
+        for k in 0..1_000_000u64 {
+            sys.read(0, k * b4);
+        }
+        let all_miss = crate::CacheCounters {
+            hits: 0,
+            misses: 1_000_000,
+            writebacks: 0,
+        };
+        for level in 1..=spec.cache_levels() {
+            let caches = sys.metrics().level_caches(level);
+            assert_eq!(caches[0], all_miss, "L{level}");
+            assert_eq!(caches[0].transfers(), 1_000_000, "L{level}");
+            assert!(caches[1..].iter().all(|c| c.accesses() == 0), "L{level}");
+        }
+    }
+
+    /// Two cores writing alternate words of the same blocks, one million
+    /// writes on the Fig. 1 machine: seven of every eight writes follow
+    /// the other core's write to the same `B_1` block (the ping-pong
+    /// path). Pinned with the stride stream above.
+    #[test]
+    #[cfg_attr(miri, ignore = "pins the counts of a million accesses")]
+    fn two_core_interleaved_writes_ping_pong() {
+        let spec = MachineSpec::example_h5();
+        let mut sys = CacheSystem::new(&spec);
+        for w in 0..1_000_000u64 {
+            sys.write(w as usize % 2, w);
+        }
+        assert_eq!(sys.pingpongs(), 875_000);
+        let per_level: Vec<(u64, u64)> = (1..=spec.cache_levels())
+            .map(|i| {
+                let l = sys.metrics().level(i);
+                (l.max_misses, l.max_transfers)
+            })
+            .collect();
+        assert_eq!(
+            per_level,
+            [
+                (125_000, 249_872),
+                (62_500, 124_488),
+                (31_250, 60_452),
+                (15_625, 23_058)
+            ]
+        );
+    }
+
+    /// The multi-stream shapes the MO kernels record, on the Fig. 1
+    /// machine from core 0, streams 2^24 words apart (no two share a
+    /// block at any level): `A[k]` read and `B[k]` written (500 000
+    /// pairs), three reads and one write of a matrix-product step
+    /// (250 000 steps), and MO-MT's first pass, `A[β⁻¹(k)]` read from a
+    /// 1024-wide row-major array and `I[k]` written (500 000 pairs). Each
+    /// row is the per-level max (misses, transfers). Pinned with the
+    /// stride stream above.
+    #[test]
+    #[cfg_attr(miri, ignore = "pins the counts of a million accesses")]
+    fn interleaved_streams_of_the_recorded_kernels() {
+        let spec = MachineSpec::example_h5();
+        let stream = |s: u64, k: u64| (s << 24) + k;
+        // Every other bit of a Morton index, from bit 0 up.
+        let compact = |z: u64| (0..32).fold(0u64, |c, b| c | ((z >> (2 * b)) & 1) << b);
+        let run = |f: &dyn Fn(&mut CacheSystem)| {
+            let mut sys = CacheSystem::new(&spec);
+            f(&mut sys);
+            (1..=spec.cache_levels())
+                .map(|i| {
+                    let l = sys.metrics().level(i);
+                    (l.max_misses, l.max_transfers)
+                })
+                .collect::<Vec<_>>()
+        };
+        let copy = run(&|sys| {
+            for k in 0..500_000 {
+                sys.read(0, stream(0, k));
+                sys.write(0, stream(1, k));
+            }
+        });
+        let cycle = run(&|sys| {
+            for k in 0..250_000 {
+                for s in 0..3 {
+                    sys.read(0, stream(s, k));
+                }
+                sys.write(0, stream(3, k));
+            }
+        });
+        let gather = run(&|sys| {
+            for k in 0..500_000 {
+                let (i, j) = (compact(k >> 1), compact(k));
+                sys.read(0, stream(0, (i << 10) + j));
+                sys.write(0, stream(1, k));
+            }
+        });
+        assert_eq!(
+            copy,
+            [
+                (125_000, 187_436),
+                (62_500, 93_494),
+                (31_250, 45_851),
+                (15_626, 19_343)
+            ]
+        );
+        assert_eq!(
+            cycle,
+            [
+                (125_000, 156_218),
+                (62_500, 77_997),
+                (31_252, 38_553),
+                (15_628, 17_487)
+            ]
+        );
+        assert_eq!(
+            gather,
+            [
+                (125_000, 187_436),
+                (62_502, 93_499),
+                (31_257, 45_863),
+                (15_637, 19_370)
+            ]
+        );
+    }
 }

@@ -240,9 +240,9 @@ fn cache_counters_are_consistent() {
 /// Pool-vs-serial equivalence for the runtime SPMS sort: for arbitrary
 /// inputs, pool widths, and tuning parameters, the structured parallel
 /// path produces exactly `sort_unstable`'s output. Every width runs the
-/// same sample–partition–merge recursion through the one entry, and
-/// shrunk parameters force multiple partition levels on small inputs so
-/// every merge shape (pair bottoming, loser trees, odd tails) is
+/// same distribute-then-sort-buckets recursion through the one entry,
+/// and shrunk parameters force nested distribution steps on small inputs
+/// so every bucket shape (empty, all-equal, above the leaf, ragged) is
 /// exercised.
 #[test]
 fn sort_matches_serial_for_any_pool() {
@@ -268,17 +268,16 @@ fn sort_matches_serial_for_any_pool() {
             assert_eq!(data, want, "sort cores={cores} n={n}");
         }
 
-        // Structured path pinned open: tiny cutoffs force several
-        // partition levels and ragged fan-ins at test-sized inputs.
-        for &(cutoff, leaf, ways) in &[(4usize, 16usize, 2usize), (8, 32, 3), (1, 8, 4)] {
+        // Structured path pinned open: tiny cutoffs force nested
+        // distribution steps and ragged buckets at test-sized inputs.
+        for &(cutoff, leaf) in &[(4usize, 16usize), (8, 32), (1, 8)] {
             let params = SpmsParams {
                 serial_cutoff: cutoff,
                 leaf,
-                max_ways: ways,
             };
             for case in 0..8 {
                 let n = 1 + if case < 4 {
-                    leaf * ways + case
+                    leaf * 4 + case
                 } else {
                     rng.below(2000) as usize
                 };
@@ -287,10 +286,7 @@ fn sort_matches_serial_for_any_pool() {
                 let mut want = data.clone();
                 want.sort_unstable();
                 pool.enter(|ctx| spms_with_params(ctx, &mut data, &mut scratch, &params));
-                assert_eq!(
-                    data, want,
-                    "spms cores={cores} n={n} leaf={leaf} ways={ways}"
-                );
+                assert_eq!(data, want, "spms cores={cores} n={n} leaf={leaf}");
             }
         }
     }
