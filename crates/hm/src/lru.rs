@@ -1,22 +1,38 @@
 //! A fully-associative LRU cache over block ids (the ideal-cache model).
 //!
 //! Resident blocks live in a slab-backed intrusive doubly-linked list
-//! (MRU at the head) and are found through a [`BlockMap`]: an
+//! (MRU at the head) of 16-byte nodes, the dirty bit kept in the top bit
+//! of the block word, and are found through a [`BlockMap`]: an
 //! open-addressed table from block id to slab position, hashed
-//! multiplicatively, probed linearly, kept at most half full and grown
-//! lazily, so a cold cache costs a few words whatever its capacity. Blocks
-//! leave only by eviction from a full cache, and the evicted node is reused
-//! in place for the incoming block, so the slab is dense and needs no free
-//! list. Probe, promote, insert and evict are O(1); a hit on the MRU block
-//! touches nothing but its dirty bit.
+//! multiplicatively, probed linearly, kept at most a quarter full and
+//! grown lazily, so a cold cache costs a few words whatever its capacity.
+//! Blocks leave only by eviction from a full cache, and the evicted node is
+//! reused in place for the incoming block, so the slab is dense and needs
+//! no free list. A miss walks the incoming block's probe run once: the
+//! empty slot that ends its failed lookup takes the block, and the
+//! victim's entry then leaves by backward shift, so a full cache's table
+//! never grows. Probe, promote, insert and evict are O(1); a hit on the
+//! MRU block touches nothing but its dirty bit.
 
 const NIL: u32 = u32::MAX;
+
+/// The bit of a node's block word that marks the block dirty; block ids
+/// must leave it clear.
+const DIRTY: u64 = 1 << 63;
+
+/// [`LruCache::access`]'s refusal of a block id that sets [`DIRTY`],
+/// kept out of its miss path.
+#[cold]
+#[inline(never)]
+fn top_bit_set(block: u64) -> ! {
+    panic!("block id {block:#x} has its top bit set")
+}
 
 /// Open-addressed map from block ids to `u32` values other than `NIL`.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockMap {
     /// `(block, value)`, the value `NIL` where empty; the length is a
-    /// power of two, at least twice `len`.
+    /// power of two, at least four times `len`.
     slots: Vec<(u64, u32)>,
     len: usize,
     /// `64 - log2(slots.len())`: the hash keeps the product's top bits.
@@ -36,8 +52,10 @@ impl BlockMap {
         (block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
     }
 
-    /// The slot holding `block`, or else the empty slot ending its probe run.
-    fn slot_of(&self, block: u64) -> Result<usize, usize> {
+    /// The slot holding `block`, or else the empty slot ending its probe
+    /// run, where [`insert_at`](Self::insert_at) and
+    /// [`replace`](Self::replace) put it.
+    pub(crate) fn slot_of(&self, block: u64) -> Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let mut slot = self.home(block);
         loop {
@@ -49,38 +67,50 @@ impl BlockMap {
         }
     }
 
-    /// The value stored for `block`, if any.
-    pub(crate) fn get_mut(&mut self, block: u64) -> Option<&mut u32> {
-        let slot = self.slot_of(block).ok()?;
-        Some(&mut self.slots[slot].1)
+    /// The value in the occupied `slot`.
+    pub(crate) fn value_mut(&mut self, slot: usize) -> &mut u32 {
+        &mut self.slots[slot].1
     }
 
-    /// Store `value` for `block`, which must be absent.
-    pub(crate) fn insert(&mut self, block: u64, value: u32) {
+    /// Store `value` for the absent `block`, whose lookup ended at the
+    /// empty slot `empty`; the table doubles first if it would be more
+    /// than a quarter full.
+    pub(crate) fn insert_at(&mut self, empty: usize, block: u64, value: u32) {
         debug_assert_ne!(value, NIL);
         self.len += 1;
-        if self.len * 2 > self.slots.len() {
-            let doubled = vec![(0, NIL); self.slots.len() * 2];
-            self.shift -= 1;
-            for (b, v) in std::mem::replace(&mut self.slots, doubled) {
-                if v != NIL {
-                    self.place(b, v);
-                }
+        if self.len * 4 <= self.slots.len() {
+            self.slots[empty] = (block, value);
+            return;
+        }
+        self.grow(block, value);
+    }
+
+    /// Double the table and place every entry again, `(block, value)`
+    /// with them. Rare, so kept out of the miss path.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, block: u64, value: u32) {
+        let doubled = vec![(0, NIL); self.slots.len() * 2];
+        self.shift -= 1;
+        let old = std::mem::replace(&mut self.slots, doubled);
+        for (b, v) in old.into_iter().chain([(block, value)]) {
+            if v != NIL {
+                let slot = self.slot_of(b).expect_err("entries are distinct");
+                self.slots[slot] = (b, v);
             }
         }
-        self.place(block, value);
     }
 
-    fn place(&mut self, block: u64, value: u32) {
-        let slot = self.slot_of(block).expect_err("inserted block is absent");
-        self.slots[slot] = (block, value);
-    }
-
-    /// Forget `block`, which must be present, by backward-shift deletion:
-    /// later entries of its probe run move up, so no tombstone is left.
-    pub(crate) fn remove(&mut self, block: u64) {
+    /// Store `value` for the absent `block`, whose lookup ended at the
+    /// empty slot `empty`, and forget the present `old`: the count stays,
+    /// so the table never grows here.
+    pub(crate) fn replace(&mut self, empty: usize, block: u64, value: u32, old: u64) {
+        debug_assert_ne!(value, NIL);
+        // Written before `old` leaves: its backward shift may then move
+        // the new entry up, but never strands it behind a hole.
+        self.slots[empty] = (block, value);
         let mask = self.slots.len() - 1;
-        let mut hole = self.slot_of(block).expect("removed block is present");
+        let mut hole = self.slot_of(old).expect("replaced block is present");
         let mut slot = hole;
         loop {
             slot = (slot + 1) & mask;
@@ -96,7 +126,6 @@ impl BlockMap {
             }
         }
         self.slots[hole].1 = NIL;
-        self.len -= 1;
     }
 
     /// Empty the map, keeping its table.
@@ -106,12 +135,21 @@ impl BlockMap {
     }
 }
 
+/// A list node: 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    block: u64,
+    /// The block id, with [`DIRTY`] set once the block has been written.
+    word: u64,
     prev: u32,
     next: u32,
-    dirty: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 16);
+
+impl Node {
+    fn block(&self) -> u64 {
+        self.word & !DIRTY
+    }
 }
 
 /// Outcome of an [`LruCache::access`].
@@ -176,46 +214,85 @@ impl LruCache {
 
     /// Access `block`; `write` marks it dirty. Returns hit/miss and whether
     /// a dirty eviction (write-back) occurred.
+    ///
+    /// # Panics
+    ///
+    /// If `block` has its top bit set: the nodes keep the dirty bit there.
     pub fn access(&mut self, block: u64, write: bool) -> Probe {
+        let dirty = (write as u64) << 63;
         if let Some(mru) = self.nodes.get_mut(self.head as usize) {
-            if mru.block == block {
-                mru.dirty |= write;
+            if mru.block() == block {
+                mru.word |= dirty;
                 return Probe::Hit;
             }
         }
-        if let Some(&mut idx) = self.index.get_mut(block) {
-            self.unlink(idx);
-            self.push_front(idx);
-            self.nodes[idx as usize].dirty |= write;
-            return Probe::Hit;
+        let empty = match self.index.slot_of(block) {
+            Ok(slot) => {
+                let idx = *self.index.value_mut(slot);
+                self.unlink(idx);
+                self.push_front(idx);
+                self.nodes[idx as usize].word |= dirty;
+                return Probe::Hit;
+            }
+            Err(empty) => empty,
+        };
+        // A block with the top bit set is never resident, so it always
+        // gets here and is refused before it can alias a dirty node.
+        if block & DIRTY != 0 {
+            top_bit_set(block);
         }
         let fresh = Node {
-            block,
+            word: block | dirty,
             prev: NIL,
             next: NIL,
-            dirty: write,
         };
-        let mut writeback = false;
-        let idx = if self.nodes.len() == self.capacity {
+        let (idx, writeback) = if self.nodes.len() == self.capacity {
             let victim = self.tail;
             self.unlink(victim);
             let evicted = std::mem::replace(&mut self.nodes[victim as usize], fresh);
-            writeback = evicted.dirty;
-            self.index.remove(evicted.block);
-            victim
+            self.index.replace(empty, block, victim, evicted.block());
+            (victim, evicted.word & DIRTY != 0)
         } else {
             self.nodes.push(fresh);
-            (self.nodes.len() - 1) as u32
+            let idx = (self.nodes.len() - 1) as u32;
+            self.index.insert_at(empty, block, idx);
+            (idx, false)
         };
-        self.index.insert(block, idx);
         self.push_front(idx);
         Probe::Miss { writeback }
+    }
+
+    /// Access `block`, which must be among the `depth` most recently used
+    /// blocks, by following the list from its head instead of hashing.
+    /// The recency window settles its blocks this way (`system.rs`).
+    pub(crate) fn access_recent(&mut self, block: u64, depth: usize, write: bool) {
+        let mut cur = self.head;
+        for _ in 0..depth {
+            if cur == NIL {
+                break;
+            }
+            let node = self.nodes[cur as usize];
+            if node.block() == block {
+                if cur != self.head {
+                    self.unlink(cur);
+                    self.push_front(cur);
+                }
+                self.nodes[cur as usize].word |= (write as u64) << 63;
+                return;
+            }
+            cur = node.next;
+        }
+        debug_assert!(
+            false,
+            "block {block:#x} is not among the {depth} most recent"
+        );
+        self.access(block, write);
     }
 
     /// Drop all resident blocks, returning the number that were dirty
     /// (write-backs the model would charge when flushing).
     pub fn flush(&mut self) -> u64 {
-        let dirty = self.nodes.iter().filter(|n| n.dirty).count() as u64;
+        let dirty = self.nodes.iter().filter(|n| n.word & DIRTY != 0).count() as u64;
         self.nodes.clear();
         self.index.clear();
         self.head = NIL;
@@ -230,7 +307,7 @@ impl LruCache {
         let mut cur = self.head;
         while cur != NIL {
             let n = &self.nodes[cur as usize];
-            out.push(n.block);
+            out.push(n.block());
             cur = n.next;
         }
         out
@@ -258,6 +335,14 @@ impl LruCache {
             NIL => self.tail = idx,
             h => self.nodes[h as usize].prev = idx,
         }
+    }
+}
+
+#[cfg(test)]
+impl LruCache {
+    /// Slots in the block index's table.
+    pub(crate) fn index_slots(&self) -> usize {
+        self.index.slots.len()
     }
 }
 
@@ -411,5 +496,124 @@ mod tests {
                 assert_eq!(lru.flush(), reference.flush());
             }
         }
+    }
+
+    /// `count` block ids whose home in `cache`'s current table is `slot`.
+    fn homed_at(cache: &LruCache, slot: usize, count: usize) -> Vec<u64> {
+        (1..)
+            .filter(|&b| cache.index.home(b) == slot)
+            .take(count)
+            .collect()
+    }
+
+    /// Drive `lru` and the reference with the same accesses, comparing
+    /// every probe, the order and membership after each.
+    fn lockstep(
+        lru: &mut LruCache,
+        reference: &mut crate::reference::RefLru,
+        trace: &[(u64, bool)],
+    ) {
+        for &(block, write) in trace {
+            assert_eq!(
+                lru.access(block, write),
+                reference.access(block, write),
+                "block {block}"
+            );
+            assert_eq!(lru.blocks_mru_order(), reference.blocks_mru_order());
+            for &(b, _) in trace {
+                assert_eq!(lru.contains(b), reference.contains(b), "block {b}");
+            }
+        }
+    }
+
+    /// Blocks whose probe runs start at the table's last slot continue
+    /// at its first: inserts, hits, evictions and lookups across the end.
+    #[test]
+    fn probe_runs_wrap_the_tables_end() {
+        use crate::reference::RefLru;
+        let (mut lru, mut reference) = (LruCache::new(2), RefLru::new(2));
+        let last = lru.index_slots() - 1;
+        let b = homed_at(&lru, last, 4);
+        let trace = [(b[0], true), (b[1], false), (b[1], true), (b[0], false)];
+        lockstep(&mut lru, &mut reference, &trace);
+        assert_eq!(lru.index.slots[0].0, b[1], "the second block wrapped");
+        // Each miss now evicts the block in the last slot, and the one
+        // that wrapped moves back across the end.
+        lockstep(
+            &mut lru,
+            &mut reference,
+            &[(b[2], false), (b[3], true), (b[1], false), (b[3], false)],
+        );
+        assert_eq!(lru.index_slots(), last + 1);
+        assert_eq!(lru.flush(), reference.flush());
+    }
+
+    /// A miss writes the new block at the end of its probe run before the
+    /// victim leaves, so the victim's backward shift walks over it.
+    #[test]
+    fn an_evictions_backward_shift_passes_the_new_block() {
+        use crate::reference::RefLru;
+        let (mut lru, mut reference) = (LruCache::new(2), RefLru::new(2));
+        let b = homed_at(&lru, 2, 3);
+        lockstep(&mut lru, &mut reference, &[(b[0], true), (b[1], false)]);
+        // `b[0]`, the LRU, sits in slot 2 and `b[1]` in slot 3: `b[2]` is
+        // written to slot 4, then both shift up over the hole at 2.
+        lockstep(&mut lru, &mut reference, &[(b[2], false)]);
+        let slots: Vec<u64> = lru.index.slots[2..5].iter().map(|&(b, _)| b).collect();
+        assert_eq!(&slots[..2], &b[1..], "both shifted");
+        assert_eq!(
+            lru.index.slots[4].1, NIL,
+            "the last slot of the run emptied"
+        );
+        assert_eq!(lru.access(b[0], false), Probe::Miss { writeback: false });
+        assert_eq!(
+            reference.access(b[0], false),
+            Probe::Miss { writeback: false }
+        );
+        lockstep(
+            &mut lru,
+            &mut reference,
+            &[(b[1], true), (b[2], false), (b[0], true)],
+        );
+        assert_eq!(lru.flush(), reference.flush());
+    }
+
+    /// An eviction replaces the victim's entry, so a full cache's table
+    /// keeps the size it had when it filled, whatever the traffic.
+    #[test]
+    fn a_full_cache_never_grows_its_table() {
+        use crate::reference::{stream, RefLru};
+        for capacity in [1usize, 3, 64, 100] {
+            let (mut lru, mut reference) = (LruCache::new(capacity), RefLru::new(capacity));
+            for b in 0..capacity as u64 {
+                lru.access(b << 20, false);
+                reference.access(b << 20, false);
+            }
+            let at_capacity = lru.index_slots();
+            assert!(at_capacity >= 4 * capacity, "at most a quarter full");
+            let mut rng = capacity as u64;
+            for i in 0..10_000 {
+                let block = stream(3, 3 * capacity as u64, i, &mut rng);
+                let write = rng >> 62 == 0;
+                assert_eq!(lru.access(block, write), reference.access(block, write));
+                assert_eq!(
+                    lru.index_slots(),
+                    at_capacity,
+                    "capacity {capacity} access {i}"
+                );
+            }
+            assert_eq!(lru.blocks_mru_order(), reference.blocks_mru_order());
+            assert_eq!(lru.flush(), reference.flush());
+        }
+    }
+
+    /// The top bit of a node's block word is its dirty bit: a block id
+    /// that sets it is refused, never taken for the clean block below it.
+    #[test]
+    #[should_panic(expected = "top bit set")]
+    fn a_block_id_with_the_dirty_bit_set_panics() {
+        let mut c = LruCache::new(4);
+        c.access(5, true);
+        c.access(5 | 1 << 63, false);
     }
 }

@@ -24,7 +24,10 @@
 //! 4. The order of an LRU list depends only on when each block was last
 //!    touched, and nothing reads it between two probes. Touching the
 //!    lagging blocks oldest first along the path therefore restores the
-//!    exact order.
+//!    exact order. By facts 2 and 3 the images of the window's `len`
+//!    blocks are the first (at most `len`) nodes of every list on the
+//!    path, and touching them only permutes those nodes, so each touch
+//!    finds its node by following the list from its head: no hashing.
 //!
 //! This *settling* happens where the order starts to matter: before an
 //! access that misses the window (its probes may evict), before another
@@ -138,7 +141,9 @@ impl Window {
     /// Bring the LRU lists along `path` into the window's order, and with
     /// `dirty_front` mark the front block dirty in them. The oldest blocks
     /// that still stand in the order they were settled in stand so in the
-    /// lists too; the blocks before them are touched, oldest first.
+    /// lists too; the blocks before them are touched, oldest first, each
+    /// found within the first `len` nodes of the list (module docs, fact
+    /// 4) — hashing is only the fallback a debug build asserts unused.
     #[inline(always)]
     fn settle(
         &mut self,
@@ -159,8 +164,7 @@ impl Window {
         }
         for (&c, &shift) in path.iter().zip(shifts) {
             for (i, block) in self.blocks[..touched].iter().enumerate().rev() {
-                let probe = caches[c].access(block >> shift, dirty_front && i == 0);
-                debug_assert_eq!(probe, Probe::Hit, "window blocks are resident");
+                caches[c].access_recent(block >> shift, self.len, dirty_front && i == 0);
             }
         }
         self.settled_at = std::array::from_fn(|i| i as u8);
@@ -306,12 +310,13 @@ impl CacheSystem {
             }
             // The first write of `core` to `b1` since it entered the window.
             win.written[0] = true;
-            match self.writers.get_mut(b1) {
-                Some(writer) => {
+            match self.writers.slot_of(b1) {
+                Ok(slot) => {
+                    let writer = self.writers.value_mut(slot);
                     self.pingpongs += (*writer != core as u32) as u64;
                     *writer = core as u32;
                 }
-                None => self.writers.insert(b1, core as u32),
+                Err(empty) => self.writers.insert_at(empty, b1, core as u32),
             }
         }
         if run_hits > 0 {
@@ -742,6 +747,30 @@ mod tests {
         both.each(0, &interleaved(1, 4 * 9, false)[20..]);
         both.churn(3);
         both.flush();
+    }
+
+    /// On the Fig. 1 machine four consecutive `B_1` blocks share one
+    /// `B_3` and one `B_4` block (and pairwise a `B_2` block), so the
+    /// window's images above L1 repeat: settling walks from each list's
+    /// head past the same node several times. The write to the front
+    /// block settles a lag and dirties that one node at every level.
+    #[test]
+    fn settle_meets_one_node_for_the_whole_window_above_l1() {
+        let spec = MachineSpec::example_h5();
+        for written in 0..4u64 {
+            let mut both = Both::new(&spec);
+            both.run(5, &[(0, false), (8, false), (16, false), (24, false)]);
+            // The oldest two again, then a first write to one of the four,
+            // which moves to the front: the lists lag by up to three.
+            both.run(5, &[(1, false), (9, false), (8 * written + 2, true)]);
+            assert_eq!(both.sys.window.len, 4);
+            // Core 4, under the same L2, reads the window's `B_2` blocks
+            // and fills its L1; core 5 then evicts the four and more.
+            both.each(4, &[(17, false), (3, false)]);
+            both.each(5, &interleaved(1, 2048, false)[32..]);
+            both.churn(written);
+            both.flush();
+        }
     }
 
     /// The window never outgrows the smallest cache, which need not be the

@@ -108,3 +108,39 @@ fn every_counter_of_every_cache_is_pinned_under_all_three_policies() {
         );
     }
 }
+
+/// A fork-heavy, compute-light program: a binary `ForkHint::Sb` tree over
+/// 16 Ki words whose 8-word leaves each write their words once, so the
+/// replay is mostly scheduling (anchoring and unit boundaries) and the
+/// accesses of every unit are few. One digest per policy, captured
+/// before the LRU index was rebuilt to be walked once per miss.
+#[test]
+fn a_fork_heavy_tree_is_pinned_under_all_three_policies() {
+    use oblivious::mo::{Arr, ForkHint, Recorder};
+    fn tree(rec: &mut Recorder, a: Arr, lo: usize, hi: usize) {
+        if hi - lo <= 8 {
+            for k in lo..hi {
+                rec.write(a, k, 1);
+            }
+            return;
+        }
+        let mid = (lo + hi) / 2;
+        rec.fork2(
+            ForkHint::Sb,
+            hi - lo,
+            move |r| tree(r, a, lo, mid),
+            hi - lo,
+            move |r| tree(r, a, mid, hi),
+        );
+    }
+    let prog = Recorder::record(1 << 20, |rec| {
+        let a = rec.alloc(1 << 14);
+        tree(rec, a, 0, 1 << 14);
+    });
+    let spec = MachineSpec::example_h5();
+    let got = [Policy::Mo, Policy::Flat, Policy::Serial]
+        .map(|policy| digest(&simulate(&prog, &spec, policy)));
+    // `Mo` and `Flat` replay this program to the same counters.
+    let want = [0x21b5b665637e84bb, 0x21b5b665637e84bb, 0x5985155ae8fb74e8];
+    assert!(got == want, "got {got:#018x?}, pinned {want:#018x?}");
+}
