@@ -72,16 +72,34 @@ impl DistAlg {
     /// backend with [`shape`](Self::shape)`.0` PEs. Every backend loads
     /// only the PEs it owns.
     pub fn run<C: Comm>(self, comm: &mut C, n: usize, kappa: usize, seed: u64) {
+        self.run_with(comm, n, kappa, seed, &mut Vec::new());
+    }
+
+    /// [`run`](Self::run), regenerating N-GEP's `n × n` input into
+    /// `input`, a buffer the caller keeps across jobs. At the fleet's
+    /// 128 × 128 it is 128 KiB, glibc's mmap threshold: a fresh one
+    /// would be mapped, faulted in and unmapped on every job.
+    pub fn run_with<C: Comm>(
+        self,
+        comm: &mut C,
+        n: usize,
+        kappa: usize,
+        seed: u64,
+        input: &mut Vec<f64>,
+    ) {
         match self {
-            DistAlg::Ngep => ngep::ngep_program_on(
-                comm,
-                &data::ngep_input(n, seed),
-                n,
-                kappa,
-                data::fw_update,
-                ngep::UpdateSet::All,
-                ngep::DOrder::DStar,
-            ),
+            DistAlg::Ngep => {
+                data::ngep_input_into(n, seed, input);
+                ngep::ngep_program_on(
+                    comm,
+                    input,
+                    n,
+                    kappa,
+                    data::fw_update,
+                    ngep::UpdateSet::All,
+                    ngep::DOrder::DStar,
+                );
+            }
             DistAlg::Sort => sort::sort_program(comm, &data::sort_input(n, seed)),
         }
     }

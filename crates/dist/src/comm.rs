@@ -108,6 +108,14 @@ impl<'a> SocketComm<'a> {
         self
     }
 
+    /// Build this run's PE memories and signature log in the
+    /// allocations of `done`, this worker's result of an earlier run
+    /// ([`Engine::reuse`]).
+    pub fn reuse(mut self, done: DistDone) -> Self {
+        self.engine.reuse(done.mems, done.traffic);
+        self
+    }
+
     /// Supersteps executed so far.
     pub fn supersteps(&self) -> u32 {
         self.engine.supersteps() as u32
@@ -121,9 +129,8 @@ impl<'a> SocketComm<'a> {
             return Err(e);
         }
         let owned = self.engine.owned();
-        let traffic = self.engine.traffic_signature();
         let ops = self.engine.total_ops();
-        let mut mems = self.engine.into_mems();
+        let (mut mems, traffic) = self.engine.into_mems_and_traffic();
         for mem in &mut mems {
             mem.truncate(keep);
         }

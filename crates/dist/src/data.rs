@@ -21,7 +21,16 @@ pub fn sort_input(n: usize, seed: u64) -> Vec<u64> {
 /// min-plus GEP instance: sparse random arcs over an `n × n` matrix,
 /// zero diagonal, `∞` elsewhere).
 pub fn ngep_input(n: usize, seed: u64) -> Vec<f64> {
-    let mut d = vec![f64::INFINITY; n * n];
+    let mut d = Vec::new();
+    ngep_input_into(n, seed, &mut d);
+    d
+}
+
+/// [`ngep_input`] written into `d` (its contents replaced, its
+/// allocation reused).
+pub fn ngep_input_into(n: usize, seed: u64, d: &mut Vec<f64>) {
+    d.clear();
+    d.resize(n * n, f64::INFINITY);
     let mut x = seed | 1;
     for i in 0..n {
         d[i * n + i] = 0.0;
@@ -34,7 +43,6 @@ pub fn ngep_input(n: usize, seed: u64) -> Vec<f64> {
             }
         }
     }
-    d
 }
 
 /// The Floyd–Warshall GEP update: `x ← min(x, u + v)`.

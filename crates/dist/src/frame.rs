@@ -18,7 +18,20 @@
 //!   but has no words for each other. [`send_data`] / [`recv_data`]
 //!   speak the same format in tagged `(src, dst, word)` form.
 //! * **Control messages** (router ↔ worker): a one-byte tag followed by
-//!   tag-specific fields, see [`Ctl`].
+//!   tag-specific fields, see [`Ctl`]. A [`Ctl::DistDone`] carries a
+//!   fleet job's result home and is by far the largest: `[u32
+//!   supersteps][u32 lo][u32 hi][u64 ops][u64 exchange_rounds]`, the
+//!   sent and then the delivered words per level (each a `u32` count and
+//!   its `u64`s), a `u32` PE count and per PE a `u32` word count and its
+//!   `u64` words, then a `u32` superstep count and per superstep the
+//!   signature rows: a LEB128 varint row count and per row three
+//!   varints — the zigzag delta of `src` from the row before it (from
+//!   `lo` for the first), the zigzag `dst − src`, and `words`. A row of
+//!   the NO sort takes about 3 bytes instead of 16; any row list
+//!   round-trips, and a varint longer than 10 bytes or a `src`/`dst`
+//!   that leaves `u32` is `InvalidData`. The router decodes each
+//!   shard's rows straight onto the machine-wide signature
+//!   ([`recv_reply`], [`decode_done`]).
 //!
 //! Everything is hand-rolled over `std::io` — no serialization
 //! dependency enters the tree. A frame leaves in one `write_all` of a
@@ -87,6 +100,54 @@ impl Enc {
         self
     }
 
+    /// Append a LEB128 varint: seven bits a byte, low bits first, the
+    /// top bit set on every byte but the last.
+    fn varint(&mut self, mut v: u64) -> &mut Self {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+        self
+    }
+
+    /// Append a `u32` word count, then the words as one little-endian
+    /// slice.
+    fn words(&mut self, words: &[u64]) -> &mut Self {
+        self.u32(words.len() as u32).put_words(words);
+        self
+    }
+
+    fn put_words(&mut self, words: &[u64]) {
+        let at = self.buf.len();
+        self.buf.resize(at + words.len() * 8, 0);
+        for (bytes, w) in self.buf[at..].chunks_exact_mut(8).zip(words) {
+            bytes.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+
+    /// Append one superstep's signature rows as varints: the row count,
+    /// then per row the zigzag delta of `src` from the previous row's
+    /// (from `lo` for the first), the zigzag `dst − src`, and `words`.
+    fn rows(&mut self, lo: u32, rows: &[Msg]) -> &mut Self {
+        self.varint(rows.len() as u64);
+        let mut prev = i64::from(lo);
+        for &(src, dst, words) in rows {
+            let src = i64::from(src);
+            self.varint(zigzag(src - prev))
+                .varint(zigzag(i64::from(dst) - src))
+                .varint(words);
+            prev = src;
+        }
+        self
+    }
+
+    /// Append one control message.
+    pub fn ctl(&mut self, msg: &Ctl) -> &mut Self {
+        encode_ctl(self, msg);
+        self
+    }
+
     /// Append one data-frame body: stamp, counts, run heads, words.
     pub fn runs(&mut self, superstep: u32, level: u8, runs: &Runs) -> &mut Self {
         let (heads, words) = (&runs.heads, &runs.words);
@@ -95,17 +156,13 @@ impl Enc {
             .u32(heads.len() as u32)
             .u32(words.len() as u32);
         let at = self.buf.len();
-        self.buf
-            .resize(at + heads.len() * HEAD_BYTES + words.len() * 8, 0);
-        let (head_bytes, word_bytes) = self.buf[at..].split_at_mut(heads.len() * HEAD_BYTES);
-        for (bytes, &(src, dst, len)) in head_bytes.chunks_exact_mut(HEAD_BYTES).zip(heads) {
+        self.buf.resize(at + heads.len() * HEAD_BYTES, 0);
+        for (bytes, &(src, dst, len)) in self.buf[at..].chunks_exact_mut(HEAD_BYTES).zip(heads) {
             bytes[..4].copy_from_slice(&src.to_le_bytes());
             bytes[4..8].copy_from_slice(&dst.to_le_bytes());
             bytes[8..].copy_from_slice(&(len as u32).to_le_bytes());
         }
-        for (bytes, w) in word_bytes.chunks_exact_mut(8).zip(words) {
-            bytes.copy_from_slice(&w.to_le_bytes());
-        }
+        self.put_words(words);
         self
     }
 
@@ -132,10 +189,10 @@ impl Enc {
     }
 }
 
-/// Cursor over one received frame payload.
+/// Cursor over one received frame payload ([`read_frame`]).
 #[derive(Debug)]
-pub struct Dec {
-    buf: Vec<u8>,
+pub struct Dec<'a> {
+    buf: &'a [u8],
     pos: usize,
 }
 
@@ -186,19 +243,35 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<()> {
     Ok(())
 }
 
-impl Dec {
-    /// Read one length-prefixed frame from `r`.
-    pub fn recv(r: &mut impl Read) -> io::Result<Self> {
-        let mut buf = Vec::new();
-        read_frame(r, &mut buf)?;
-        Ok(Self { buf, pos: 0 })
+impl<'a> Dec<'a> {
+    /// A cursor over `payload`, one frame's payload already read.
+    pub fn new(payload: &'a [u8]) -> Self {
+        Self {
+            buf: payload,
+            pos: 0,
+        }
+    }
+
+    /// Bytes not yet consumed.
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Consume the next `len` bytes.
+    fn take(&mut self, len: usize, what: &str) -> io::Result<&'a [u8]> {
+        if len > self.left() {
+            return Err(eof(what));
+        }
+        let at = self.pos;
+        self.pos += len;
+        Ok(&self.buf[at..self.pos])
     }
 
     /// Consume a `u32` element count, checked against the bytes left:
     /// `count` elements of at least `min_bytes` each must still fit.
     pub fn count(&mut self, min_bytes: usize) -> io::Result<usize> {
         let count = self.u32()? as usize;
-        if count.saturating_mul(min_bytes) > self.buf.len() - self.pos {
+        if count.saturating_mul(min_bytes) > self.left() {
             return Err(eof("element list"));
         }
         Ok(count)
@@ -206,36 +279,113 @@ impl Dec {
 
     /// Consume one byte.
     pub fn u8(&mut self) -> io::Result<u8> {
-        let v = *self.buf.get(self.pos).ok_or_else(|| eof("u8"))?;
-        self.pos += 1;
-        Ok(v)
+        Ok(self.take(1, "u8")?[0])
     }
 
     /// Consume a little-endian `u32`.
     pub fn u32(&mut self) -> io::Result<u32> {
-        let end = self.pos + 4;
-        let b = self.buf.get(self.pos..end).ok_or_else(|| eof("u32"))?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()))
+        let b = self.take(4, "u32")?;
+        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
     /// Consume a little-endian `u64`.
     pub fn u64(&mut self) -> io::Result<u64> {
-        let end = self.pos + 8;
-        let b = self.buf.get(self.pos..end).ok_or_else(|| eof("u64"))?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
+        let b = self.take(8, "u64")?;
+        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
     /// Consume a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> io::Result<String> {
         let len = self.u32()? as usize;
-        let end = self.pos + len;
-        let b = self.buf.get(self.pos..end).ok_or_else(|| eof("string"))?;
-        let s = std::str::from_utf8(b).map_err(invalid)?.to_string();
-        self.pos = end;
-        Ok(s)
+        let b = self.take(len, "string")?;
+        Ok(std::str::from_utf8(b).map_err(invalid)?.to_string())
     }
+
+    /// Consume a LEB128 varint ([`Enc::varint`]). One longer than the
+    /// 10 bytes a `u64` needs, or whose tenth byte carries more than
+    /// the top bit, is `InvalidData`.
+    fn varint(&mut self) -> io::Result<u64> {
+        let mut v = 0u64;
+        for i in 0..10 {
+            let b = self.take(1, "varint")?[0];
+            v |= u64::from(b & 0x7f) << (7 * i);
+            if b < 0x80 {
+                if i == 9 && b > 1 {
+                    return Err(invalid("varint overflows u64"));
+                }
+                return Ok(v);
+            }
+        }
+        Err(invalid("varint longer than 10 bytes"))
+    }
+
+    /// Consume a `u32` word count and the words ([`Enc::words`]),
+    /// appending them to `out`.
+    fn words_into(&mut self, out: &mut Vec<u64>) -> io::Result<()> {
+        let len = self.count(8)?;
+        let bytes = self.take(len * 8, "words")?;
+        out.extend(
+            bytes
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))),
+        );
+        Ok(())
+    }
+
+    /// Consume one superstep's signature rows ([`Enc::rows`], with the
+    /// same `lo`), appending them to `out`. A row whose `src` or `dst`
+    /// leaves `u32` is `InvalidData`.
+    fn rows_into(&mut self, lo: u32, out: &mut Vec<Msg>) -> io::Result<()> {
+        let rows = self.varint()?;
+        // Every row takes at least three bytes.
+        if rows > (self.left() / 3) as u64 {
+            return Err(eof("signature rows"));
+        }
+        out.reserve(rows as usize);
+        let mut prev = lo;
+        for _ in 0..rows {
+            let (from_prev, from_src) = (self.varint()?, self.varint()?);
+            let src = offset(prev, from_prev).ok_or_else(|| {
+                invalid(format!(
+                    "signature row source {prev} + {} leaves u32",
+                    unzigzag(from_prev)
+                ))
+            })?;
+            let dst = offset(src, from_src).ok_or_else(|| {
+                invalid(format!(
+                    "signature row destination {src} + {} leaves u32",
+                    unzigzag(from_src)
+                ))
+            })?;
+            out.push((src, dst, self.varint()?));
+            prev = src;
+        }
+        Ok(())
+    }
+
+    /// The payload is used up: trailing bytes are `InvalidData`.
+    fn end(&self) -> io::Result<()> {
+        match self.left() {
+            0 => Ok(()),
+            left => Err(invalid(format!("{left} bytes after the message"))),
+        }
+    }
+}
+
+/// Signed `v` as an unsigned varint value: small magnitudes of either
+/// sign stay small.
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> i64 {
+    (z >> 1) as i64 ^ -((z & 1) as i64)
+}
+
+/// `base` moved by the zigzag-coded delta `z`, if it stays in `u32`.
+fn offset(base: u32, z: u64) -> Option<u32> {
+    let v = i64::from(base).checked_add(unzigzag(z))?;
+    u32::try_from(v).ok()
 }
 
 pub use no_framework::{Msg, Runs};
@@ -246,9 +396,6 @@ const DATA_HEADER_BYTES: usize = 13;
 
 /// Wire bytes of one run head: `[u32 src][u32 dst][u32 len]`.
 const HEAD_BYTES: usize = 12;
-
-/// Wire bytes of one signature row: `[u32 src][u32 dst][u64 words]`.
-const ROW_BYTES: usize = 16;
 
 /// Send one superstep data frame (possibly empty) of tagged messages.
 pub fn send_data(w: &mut impl Write, superstep: u32, level: u8, msgs: &[Msg]) -> io::Result<()> {
@@ -490,9 +637,7 @@ const T_DIST_FAILED: u8 = 14;
 
 /// Send one control message.
 pub fn send_ctl(w: &mut impl Write, msg: &Ctl) -> io::Result<()> {
-    let mut e = Enc::new();
-    encode_ctl(&mut e, msg);
-    e.send(w)
+    Enc::new().ctl(msg).send(w)
 }
 
 fn encode_ctl(e: &mut Enc, msg: &Ctl) {
@@ -544,30 +689,18 @@ fn encode_ctl(e: &mut Enc, msg: &Ctl) {
                 .u32(d.supersteps)
                 .u32(d.lo)
                 .u32(d.hi)
-                .u64(d.ops);
-            e.u32(d.mems.len() as u32);
+                .u64(d.ops)
+                .u64(d.exchange_rounds)
+                .words(&d.socket_words_per_level)
+                .words(&d.recv_words_per_level)
+                .u32(d.mems.len() as u32);
             for mem in &d.mems {
-                e.u32(mem.len() as u32);
-                for &w in mem {
-                    e.u64(w);
-                }
+                e.words(mem);
             }
             e.u32(d.traffic.len() as u32);
             for step in &d.traffic {
-                e.u32(step.len() as u32);
-                for &(s, t, words) in step {
-                    e.u32(s).u32(t).u64(words);
-                }
+                e.rows(d.lo, step);
             }
-            e.u32(d.socket_words_per_level.len() as u32);
-            for &w in &d.socket_words_per_level {
-                e.u64(w);
-            }
-            e.u32(d.recv_words_per_level.len() as u32);
-            for &w in &d.recv_words_per_level {
-                e.u64(w);
-            }
-            e.u64(d.exchange_rounds);
         }
         Ctl::DistFailed { reason } => {
             e.u8(T_DIST_FAILED).str(reason);
@@ -605,8 +738,86 @@ fn encode_ctl(e: &mut Enc, msg: &Ctl) {
 
 /// Receive one control message.
 pub fn recv_ctl(r: &mut impl Read) -> io::Result<Ctl> {
-    let mut d = Dec::recv(r)?;
+    let mut buf = Vec::new();
+    read_frame(r, &mut buf)?;
+    let mut d = Dec::new(&buf);
+    let msg = decode_ctl(d.u8()?, &mut d)?;
+    d.end()?;
+    Ok(msg)
+}
+
+/// A control reply read into a buffer the caller keeps.
+#[derive(Debug)]
+pub enum Reply<'a> {
+    /// A [`Ctl::DistDone`], left undecoded behind its tag: read it with
+    /// [`decode_done`].
+    Done(Dec<'a>),
+    /// Any other message, decoded.
+    Other(Ctl),
+}
+
+/// Receive one control message into `buf` (its allocation reused), as
+/// the router reads fleet results: a [`Ctl::DistDone`] is handed over
+/// undecoded, so its rows can go straight where they belong.
+pub fn recv_reply<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Result<Reply<'a>> {
+    read_frame(r, buf)?;
+    let mut d = Dec::new(buf);
     match d.u8()? {
+        T_DIST_DONE => Ok(Reply::Done(d)),
+        tag => {
+            let msg = decode_ctl(tag, &mut d)?;
+            d.end()?;
+            Ok(Reply::Other(msg))
+        }
+    }
+}
+
+/// Decode the body of a [`Ctl::DistDone`] (after its tag) into buffers
+/// the caller may keep across jobs: each PE memory's words are appended
+/// to `mem_words` and its length to `mem_lens`, and superstep `s`'s rows
+/// to `steps[s]` (`steps` grows to the frame's superstep count). Returns
+/// the other fields, with `mems` and `traffic` empty, and the frame's
+/// superstep count. Trailing bytes are `InvalidData`.
+pub fn decode_done(
+    d: &mut Dec<'_>,
+    mem_words: &mut Vec<u64>,
+    mem_lens: &mut Vec<usize>,
+    steps: &mut Vec<Vec<Msg>>,
+) -> io::Result<(DistDone, usize)> {
+    let mut done = DistDone {
+        supersteps: d.u32()?,
+        lo: d.u32()?,
+        hi: d.u32()?,
+        ops: d.u64()?,
+        exchange_rounds: d.u64()?,
+        mems: Vec::new(),
+        traffic: Vec::new(),
+        socket_words_per_level: Vec::new(),
+        recv_words_per_level: Vec::new(),
+    };
+    d.words_into(&mut done.socket_words_per_level)?;
+    d.words_into(&mut done.recv_words_per_level)?;
+    let pes = d.count(4)?;
+    mem_lens.reserve(pes);
+    for _ in 0..pes {
+        let at = mem_words.len();
+        d.words_into(mem_words)?;
+        mem_lens.push(mem_words.len() - at);
+    }
+    let nsteps = d.count(1)?;
+    if steps.len() < nsteps {
+        steps.resize_with(nsteps, Vec::new);
+    }
+    for rows in &mut steps[..nsteps] {
+        d.rows_into(done.lo, rows)?;
+    }
+    d.end()?;
+    Ok((done, nsteps))
+}
+
+/// Decode the fields of the control message tagged `tag`.
+fn decode_ctl(tag: u8, d: &mut Dec<'_>) -> io::Result<Ctl> {
+    match tag {
         T_HELLO => Ok(Ctl::Hello {
             index: d.u32()?,
             data_addr: d.str()?,
@@ -639,51 +850,20 @@ pub fn recv_ctl(r: &mut impl Read) -> io::Result<Ctl> {
             job: d.u64()?,
         }),
         T_DIST_DONE => {
-            let supersteps = d.u32()?;
-            let lo = d.u32()?;
-            let hi = d.u32()?;
-            let ops = d.u64()?;
-            let nmems = d.count(4)?;
-            let mut mems = Vec::with_capacity(nmems);
-            for _ in 0..nmems {
-                let len = d.count(8)?;
-                let mut mem = Vec::with_capacity(len);
-                for _ in 0..len {
-                    mem.push(d.u64()?);
-                }
-                mems.push(mem);
-            }
-            let nsteps = d.count(4)?;
-            let mut traffic = Vec::with_capacity(nsteps);
-            for _ in 0..nsteps {
-                let rows = d.count(ROW_BYTES)?;
-                let mut step = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    step.push((d.u32()?, d.u32()?, d.u64()?));
-                }
-                traffic.push(step);
-            }
-            let nlevels = d.count(8)?;
-            let mut socket_words_per_level = Vec::with_capacity(nlevels);
-            for _ in 0..nlevels {
-                socket_words_per_level.push(d.u64()?);
-            }
-            let nlevels = d.count(8)?;
-            let mut recv_words_per_level = Vec::with_capacity(nlevels);
-            for _ in 0..nlevels {
-                recv_words_per_level.push(d.u64()?);
-            }
-            Ok(Ctl::DistDone(DistDone {
-                supersteps,
-                lo,
-                hi,
-                mems,
-                traffic,
-                socket_words_per_level,
-                recv_words_per_level,
-                ops,
-                exchange_rounds: d.u64()?,
-            }))
+            let (mut words, mut lens) = (Vec::new(), Vec::new());
+            let mut traffic = Vec::new();
+            let (mut done, _) = decode_done(d, &mut words, &mut lens, &mut traffic)?;
+            done.traffic = traffic;
+            let mut rest = &words[..];
+            done.mems = lens
+                .into_iter()
+                .map(|len| {
+                    let (mem, tail) = rest.split_at(len);
+                    rest = tail;
+                    mem.to_vec()
+                })
+                .collect();
+            Ok(Ctl::DistDone(done))
         }
         T_DIST_FAILED => Ok(Ctl::DistFailed { reason: d.str()? }),
         T_METRICS_REQ => Ok(Ctl::MetricsReq),
@@ -845,7 +1025,7 @@ mod tests {
     fn oversized_length_prefix_is_rejected() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(u32::MAX).to_le_bytes());
-        assert!(Dec::recv(&mut buf.as_slice()).is_err());
+        assert!(read_frame(&mut buf.as_slice(), &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -857,7 +1037,7 @@ mod tests {
         let mut short = buf.clone();
         short[0] = 2; // claim 2 payload bytes, deliver 0
         short.truncate(4);
-        assert!(Dec::recv(&mut short.as_slice()).is_err());
+        assert!(read_frame(&mut short.as_slice(), &mut Vec::new()).is_err());
     }
 
     /// SplitMix64, the property tests' seeded source.
@@ -895,6 +1075,29 @@ mod tests {
                 .map(|_| {
                     src += (self.below(4) == 0) as u32;
                     (src, self.below(3) as u32, self.next())
+                })
+                .collect()
+        }
+        /// A PE index, often one at an end of `u32`.
+        fn pe(&mut self) -> u32 {
+            const EDGES: [u32; 5] = [0, 1, u32::MAX / 2, u32::MAX - 1, u32::MAX];
+            match self.below(3) {
+                0 => EDGES[self.below(EDGES.len())],
+                _ => self.next() as u32,
+            }
+        }
+        /// Signature rows as no engine logs them: in no order, at the
+        /// ends of `u32`, with word counts up to `u64::MAX`.
+        fn wild_rows(&mut self, max: usize) -> Vec<Msg> {
+            (0..self.below(max + 1))
+                .map(|_| {
+                    let words = match self.below(4) {
+                        0 => 0,
+                        1 => u64::MAX,
+                        2 => self.below(4) as u64,
+                        _ => self.next(),
+                    };
+                    (self.pe(), self.pe(), words)
                 })
                 .collect()
         }
@@ -1131,6 +1334,121 @@ mod tests {
             ("lengths under the count", frame(&[(1, 2, 1), (4, 2, 2)], 4)),
         ] {
             let err = recv_data(&mut bad.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+    }
+
+    /// A `DistDone` with random traffic: empty and wild supersteps, no
+    /// PEs or empty PE memories, `lo` anywhere in `u32`.
+    fn arbitrary_done(rng: &mut Rng) -> DistDone {
+        DistDone {
+            supersteps: rng.next() as u32,
+            lo: rng.pe(),
+            hi: rng.pe(),
+            mems: (0..rng.below(4)).map(|_| rng.words(5)).collect(),
+            traffic: (0..rng.below(6)).map(|_| rng.wild_rows(8)).collect(),
+            socket_words_per_level: rng.words(3),
+            recv_words_per_level: rng.words(3),
+            ops: rng.next(),
+            exchange_rounds: rng.next(),
+        }
+    }
+
+    /// The varint row codec holds any row list: every frame round-trips,
+    /// every strict prefix — cut off by the stream or re-framed behind a
+    /// length that matches it — is an error, a byte after the message is
+    /// `InvalidData`, and seeded damage never panics.
+    #[test]
+    fn dist_done_frames_roundtrip_and_survive_damage() {
+        let mut rng = Rng(0xd15d);
+        for round in 0..300 {
+            let msg = Ctl::DistDone(arbitrary_done(&mut rng));
+            let mut frame = Vec::new();
+            send_ctl(&mut frame, &msg).unwrap();
+            assert_eq!(
+                recv_ctl(&mut frame.as_slice()).unwrap(),
+                msg,
+                "round {round}"
+            );
+            assert_damage_is_typed(&mut rng, &frame, |r| recv_ctl(r));
+            let payload = &frame[4..];
+            for cut in 0..payload.len() {
+                let got = recv_ctl(&mut framed(&payload[..cut]).as_slice());
+                assert!(got.is_err(), "payload prefix {cut} decoded: {got:?}");
+            }
+            let mut long = payload.to_vec();
+            long.push(rng.next() as u8);
+            let err = recv_ctl(&mut framed(&long).as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+    }
+
+    /// A sort-shaped step (sources ascending by at most one, short hops,
+    /// one word each) costs about three bytes a row, not sixteen.
+    #[test]
+    fn sorted_rows_take_about_three_bytes() {
+        let rows: Vec<Msg> = (0..256u32)
+            .map(|s| (s + 256, 256 + (s * 7) % 256, 1))
+            .collect();
+        let mut e = Enc::new();
+        e.rows(256, &rows);
+        let bytes = e.buf.len() - 4;
+        assert!(bytes <= 2 + 4 * rows.len(), "{bytes} bytes");
+        let mut back = Vec::new();
+        Dec::new(&e.buf[4..]).rows_into(256, &mut back).unwrap();
+        assert_eq!(back, rows);
+    }
+
+    /// One superstep of hand-made row bytes behind a `DistDone` from `lo`
+    /// with no PEs: an overlong varint, a varint past `u64`, and a row
+    /// whose `src` or `dst` leaves `u32` are `InvalidData`.
+    #[test]
+    fn bad_varints_and_rows_outside_u32_are_invalid_data() {
+        let step = |lo: u32, rows: &[u8]| {
+            let done = DistDone {
+                supersteps: 1,
+                lo,
+                hi: lo,
+                mems: vec![],
+                traffic: vec![],
+                socket_words_per_level: vec![],
+                recv_words_per_level: vec![],
+                ops: 0,
+                exchange_rounds: 0,
+            };
+            let mut e = Enc::new();
+            e.ctl(&Ctl::DistDone(done));
+            // The message ends in its superstep count: make it one step.
+            let at = e.buf.len() - 4;
+            e.buf[at..].copy_from_slice(&1u32.to_le_bytes());
+            e.buf.extend_from_slice(rows);
+            let mut frame = Vec::new();
+            e.send(&mut frame).unwrap();
+            recv_ctl(&mut frame.as_slice())
+        };
+        let zz = |v: i64| zigzag(v) as u8;
+        match step(5, &[1, zz(0), zz(1), 7]).unwrap() {
+            Ctl::DistDone(d) => assert_eq!(d.traffic, [[(5, 6, 7)]]),
+            other => panic!("{other:?}"),
+        }
+        let mut overlong = vec![0x80; 10];
+        overlong.push(0);
+        let mut past_u64 = vec![1, zz(0), zz(0)];
+        past_u64.extend([0xff; 9]);
+        past_u64.push(2);
+        let mut huge_delta = vec![1];
+        huge_delta.extend([0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
+        huge_delta.extend([0, 0]);
+        for (what, lo, rows) in [
+            ("an 11-byte varint", 0, overlong),
+            ("a varint past u64", 0, past_u64),
+            ("src below 0", 0, vec![1, zz(-1), zz(0), 1]),
+            ("src past u32", u32::MAX, vec![1, zz(1), zz(0), 1]),
+            ("dst below 0", 0, vec![1, zz(0), zz(-1), 1]),
+            ("dst past u32", u32::MAX, vec![1, zz(0), zz(1), 1]),
+            ("a delta past i64", u32::MAX, huge_delta),
+        ] {
+            let err = step(lo, &rows).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         }
     }

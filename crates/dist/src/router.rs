@@ -5,9 +5,9 @@
 //! consistent-hashed ([`HashRing`]) to a shard whose embedded
 //! `mo-serve` server makes the admission decision; fleet jobs broadcast
 //! to every shard, which then run the D-BSP supersteps among themselves
-//! over the data mesh while the router waits for the per-shard results
-//! and assembles output, traffic signature, and per-level socket
-//! traffic.
+//! over the data mesh while the router reads the per-shard results,
+//! one after another into one kept buffer, and assembles output,
+//! traffic signature, and per-level socket traffic as it decodes them.
 
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -18,7 +18,10 @@ use mo_obs::fleet::WorkerStream;
 
 use crate::alg::DistAlg;
 use crate::data;
-use crate::frame::{in_context, invalid, recv_ctl, send_ctl, unexpected, Ctl, DistDone, Msg};
+use crate::frame::{
+    decode_done, in_context, invalid, recv_ctl, recv_reply, send_ctl, unexpected, Ctl, Dec, Msg,
+    Reply,
+};
 use crate::topology::{job_key, num_levels, HashRing, Partition};
 use crate::worker::MESH_IO_TIMEOUT;
 
@@ -70,6 +73,11 @@ struct Inner {
     /// Lateness aggregates of the last collected fleet trace, exported
     /// as barrier-wait histogram families in the merged fleet view.
     last_trace: Option<mo_obs::fleet::FleetSummary>,
+    /// Kept across fleet jobs: the buffer every shard's result frame is
+    /// read into, one shard after another, and the PE memories of the
+    /// job being assembled (`keep` words a PE, in PE order).
+    reply: Vec<u8>,
+    mem_words: Vec<u64>,
 }
 
 /// The assembled result of one fleet-wide kernel run.
@@ -79,8 +87,9 @@ pub struct DistOutcome {
     pub checksum: u64,
     /// Supersteps executed (identical on every shard by construction).
     pub supersteps: usize,
-    /// The machine-wide per-superstep traffic signature, merged from
-    /// every shard's src-side rows and sorted — directly comparable to
+    /// The machine-wide per-superstep traffic signature: every shard's
+    /// sorted src-side rows, checked and concatenated in worker order —
+    /// directly comparable to
     /// [`no_framework::NoMachine::traffic_signature`].
     pub signature: Vec<Vec<Msg>>,
     /// Assembled output words in problem order (sort keys, or the
@@ -90,7 +99,7 @@ pub struct DistOutcome {
     /// level, summed over senders.
     pub socket_words_per_level: Vec<u64>,
     /// Payload words actually delivered, by D-BSP cluster level, summed
-    /// over receivers. [`assemble`] enforces per-level equality with
+    /// over receivers. [`Router::run`] enforces per-level equality with
     /// `socket_words_per_level` (the fleet conservation invariant).
     pub recv_words_per_level: Vec<u64>,
     /// Total PE operations charged across the fleet.
@@ -182,6 +191,8 @@ impl Router {
                 epoch: Instant::now(),
                 calibration: Vec::new(),
                 last_trace: None,
+                reply: Vec::new(),
+                mem_words: Vec::new(),
                 shards,
             })),
             workers,
@@ -238,9 +249,12 @@ impl Router {
     /// runs [`DistAlg::run`] over its PE range of
     /// [`DistAlg::shape`]`(n, kappa).0` PEs, and the router assembles
     /// the outcome. A failed run on any shard is one `io::Error` naming
-    /// each failed worker.
+    /// each failed worker; a result that breaks the protocol (a foreign
+    /// PE range, a diverging superstep count, rows the signature cannot
+    /// take as they are) is `InvalidData` naming its worker.
     pub fn run(&self, alg: DistAlg, n: usize, kappa: usize, seed: u64) -> io::Result<DistOutcome> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
         inner.dist_jobs += 1;
         let job = inner.dist_jobs;
         let msg = Ctl::RunDist {
@@ -254,24 +268,31 @@ impl Router {
             send_ctl(&mut shard.ctrl, &msg)?;
         }
         // Every shard answers exactly once, done or failed; read them
-        // all so the control channels stay in step after a failed run.
-        let mut dones: Vec<DistDone> = Vec::with_capacity(self.workers);
+        // all so the control channels stay in step after a failed run
+        // or a refused result.
+        let mut job_out = Assembly::new(alg, n, kappa, self.workers, &mut inner.mem_words);
         let mut failures = Vec::new();
+        let mut refused = None;
         for (w, shard) in inner.shards.iter_mut().enumerate() {
-            match recv_ctl(&mut shard.ctrl)? {
-                Ctl::DistDone(d) => dones.push(d),
-                Ctl::DistFailed { reason } => failures.push(format!("worker {w}: {reason}")),
-                other => return Err(unexpected("DistDone", &other)),
+            match recv_reply(&mut shard.ctrl, &mut inner.reply)? {
+                Reply::Done(mut d) if refused.is_none() => refused = job_out.add(w, &mut d).err(),
+                Reply::Done(_) => {}
+                Reply::Other(Ctl::DistFailed { reason }) => {
+                    failures.push(format!("worker {w}: {reason}"));
+                }
+                Reply::Other(other) => return Err(unexpected("DistDone", &other)),
             }
         }
-        drop(inner);
         if !failures.is_empty() {
             return Err(io::Error::other(format!(
                 "distributed run failed: {}",
                 failures.join("; ")
             )));
         }
-        assemble(alg, n, kappa, self.workers, dones, job)
+        match refused {
+            Some(e) => Err(e),
+            None => job_out.finish(job),
+        }
     }
 
     /// Estimate every worker's sink-clock offset against the router's
@@ -431,91 +452,257 @@ impl Router {
     }
 }
 
-/// Merge per-shard results into the machine-wide outcome.
-fn assemble(
+/// One fleet job's outcome, built from the shards' results in worker
+/// order as each arrives.
+struct Assembly<'a> {
     alg: DistAlg,
     n: usize,
     kappa: usize,
-    workers: usize,
-    dones: Vec<DistDone>,
-    job: u64,
-) -> io::Result<DistOutcome> {
-    let supersteps = dones[0].supersteps;
-    if dones.iter().any(|d| d.supersteps != supersteps) {
-        return Err(invalid(format!(
-            "superstep counts diverged: {:?}",
-            dones.iter().map(|d| d.supersteps).collect::<Vec<_>>()
-        )));
+    part: Partition,
+    /// Output words per PE.
+    keep: usize,
+    /// Every PE's `keep` words, in PE order (kept by the router).
+    mem_words: &'a mut Vec<u64>,
+    /// The PE memory lengths of the shard being decoded.
+    mem_lens: Vec<usize>,
+    /// Worker 0's count, which every later shard must match.
+    supersteps: Option<u32>,
+    signature: Vec<Vec<Msg>>,
+    socket_words_per_level: Vec<u64>,
+    recv_words_per_level: Vec<u64>,
+    ops: u64,
+    exchange_rounds: Vec<u64>,
+}
+
+impl<'a> Assembly<'a> {
+    fn new(
+        alg: DistAlg,
+        n: usize,
+        kappa: usize,
+        workers: usize,
+        mem_words: &'a mut Vec<u64>,
+    ) -> Self {
+        let (n_pes, keep) = alg.shape(n, kappa);
+        mem_words.clear();
+        let levels = num_levels(workers).max(1);
+        Self {
+            alg,
+            n,
+            kappa,
+            part: Partition::new(n_pes, workers),
+            keep,
+            mem_words,
+            mem_lens: Vec::new(),
+            supersteps: None,
+            signature: Vec::new(),
+            socket_words_per_level: vec![0; levels],
+            recv_words_per_level: vec![0; levels],
+            ops: 0,
+            exchange_rounds: Vec::with_capacity(workers),
+        }
     }
-    let (n_pes, keep) = alg.shape(n, kappa);
-    let part = Partition::new(n_pes, workers);
-    // Per-PE output words, assembled from owned ranges.
-    let mut pe_mem: Vec<&[u64]> = vec![&[]; n_pes];
-    for (w, d) in dones.iter().enumerate() {
-        let range = part.range(w);
-        if (d.lo as usize, d.hi as usize) != (range.start, range.end) || d.mems.len() != range.len()
+
+    /// Decode worker `w`'s [`DistDone`](crate::DistDone) from `d`
+    /// (behind its tag) onto the outcome. Shards arrive in worker order
+    /// and own ascending PE ranges, and each shard's engine sorted its
+    /// rows, so appending a shard's rows to each superstep keeps the
+    /// machine-wide rows sorted — checked, not re-sorted: a superstep
+    /// whose rows are not strictly ascending by `(src, dst)`, whose
+    /// `src` leaves the shard's range or whose `dst` is not a PE is
+    /// `InvalidData` naming the worker and the superstep.
+    fn add(&mut self, w: usize, d: &mut Dec<'_>) -> io::Result<()> {
+        let from: Vec<usize> = self.signature.iter().map(Vec::len).collect();
+        self.mem_lens.clear();
+        let (done, steps) =
+            decode_done(d, self.mem_words, &mut self.mem_lens, &mut self.signature)?;
+        let range = self.part.range(w);
+        let (lo, hi) = (done.lo, done.hi);
+        if (lo as usize, hi as usize) != (range.start, range.end)
+            || self.mem_lens.len() != range.len()
         {
             return Err(invalid(format!("worker {w} returned a foreign PE range")));
         }
-        if d.mems.iter().any(|m| m.len() != keep) {
+        if self.mem_lens.iter().any(|&len| len != self.keep) {
             return Err(invalid(format!(
-                "worker {w} returned PE memories that are not {keep} words"
+                "worker {w} returned PE memories that are not {} words",
+                self.keep
             )));
         }
-        for (i, mem) in d.mems.iter().enumerate() {
-            pe_mem[range.start + i] = mem;
+        let supersteps = *self.supersteps.get_or_insert(done.supersteps);
+        if done.supersteps != supersteps {
+            return Err(invalid(format!(
+                "superstep counts diverged: worker {w} ran {}, worker 0 ran {supersteps}",
+                done.supersteps
+            )));
         }
-    }
-    let output = alg.gather(n, kappa, |pe| pe_mem[pe]);
-    // Merge traffic rows: shards hold disjoint src ranges, so the
-    // machine-wide sorted row list is the sorted concatenation.
-    let mut signature: Vec<Vec<Msg>> = vec![Vec::new(); supersteps as usize];
-    for d in &dones {
-        for (s, rows) in d.traffic.iter().enumerate() {
-            signature[s].extend_from_slice(rows);
+        if steps != supersteps as usize {
+            return Err(invalid(format!(
+                "worker {w} logged traffic for {steps} supersteps, not {supersteps}"
+            )));
         }
-    }
-    for rows in &mut signature {
-        rows.sort_unstable();
-    }
-    let mut socket_words_per_level = vec![0u64; num_levels(workers).max(1)];
-    let mut recv_words_per_level = vec![0u64; num_levels(workers).max(1)];
-    for d in &dones {
-        for (l, &w) in d.socket_words_per_level.iter().enumerate() {
-            socket_words_per_level[l] += w;
+        let levels = self.socket_words_per_level.len();
+        if done.socket_words_per_level.len() != levels || done.recv_words_per_level.len() != levels
+        {
+            return Err(invalid(format!(
+                "worker {w} counted words on other than {levels} levels"
+            )));
         }
-        for (l, &w) in d.recv_words_per_level.iter().enumerate() {
-            recv_words_per_level[l] += w;
+        let n_pes = self.part.n_pes as u32;
+        for (s, rows) in self.signature.iter().enumerate() {
+            let mut last = None;
+            for &(src, dst, _) in &rows[from.get(s).copied().unwrap_or(0)..] {
+                if !(lo..hi).contains(&src) || dst >= n_pes || last >= Some((src, dst)) {
+                    return Err(invalid(format!(
+                        "worker {w} superstep {s}: signature row {src} → {dst} is out of \
+                         order or outside PEs {lo}..{hi} → 0..{n_pes}"
+                    )));
+                }
+                last = Some((src, dst));
+            }
         }
+        for (sum, &words) in self
+            .socket_words_per_level
+            .iter_mut()
+            .zip(&done.socket_words_per_level)
+        {
+            *sum += words;
+        }
+        for (sum, &words) in self
+            .recv_words_per_level
+            .iter_mut()
+            .zip(&done.recv_words_per_level)
+        {
+            *sum += words;
+        }
+        self.ops += done.ops;
+        self.exchange_rounds.push(done.exchange_rounds);
+        Ok(())
     }
-    // Conservation: every word framed to a level must have been
-    // delivered from that level somewhere in the fleet (frames carry
-    // their level stamp and receivers validate it, so a mismatch means
-    // a lost or double-counted frame).
-    if socket_words_per_level != recv_words_per_level {
-        return Err(invalid(format!(
-            "send/recv word conservation violated: sent {socket_words_per_level:?}, \
-             delivered {recv_words_per_level:?}"
-        )));
+
+    /// The machine-wide outcome, once every shard has been added.
+    fn finish(self, job: u64) -> io::Result<DistOutcome> {
+        // Conservation: every word framed to a level must have been
+        // delivered from that level somewhere in the fleet (frames carry
+        // their level stamp and receivers validate it, so a mismatch means
+        // a lost or double-counted frame).
+        if self.socket_words_per_level != self.recv_words_per_level {
+            return Err(invalid(format!(
+                "send/recv word conservation violated: sent {:?}, delivered {:?}",
+                self.socket_words_per_level, self.recv_words_per_level
+            )));
+        }
+        let (words, keep) = (&self.mem_words[..], self.keep);
+        let output = self
+            .alg
+            .gather(self.n, self.kappa, |pe| &words[pe * keep..(pe + 1) * keep]);
+        Ok(DistOutcome {
+            checksum: data::checksum_words(output.iter().copied()),
+            supersteps: self.supersteps.unwrap_or(0) as usize,
+            signature: self.signature,
+            output,
+            socket_words_per_level: self.socket_words_per_level,
+            recv_words_per_level: self.recv_words_per_level,
+            ops: self.ops,
+            exchange_rounds: self.exchange_rounds,
+            job,
+        })
     }
-    Ok(DistOutcome {
-        checksum: data::checksum_words(output.iter().copied()),
-        supersteps: supersteps as usize,
-        signature,
-        output,
-        socket_words_per_level,
-        recv_words_per_level,
-        ops: dones.iter().map(|d| d.ops).sum(),
-        exchange_rounds: dones.iter().map(|d| d.exchange_rounds).collect(),
-        job,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Enc;
     use std::sync::mpsc;
     use std::thread;
+
+    /// Worker `w`'s result for the NO sort of 16 keys on two workers,
+    /// with `rows` as its signature rows, as it comes off the wire
+    /// behind its tag.
+    fn sort16_done(w: usize, rows: &[Vec<Msg>]) -> Vec<u8> {
+        let lo = 8 * w as u32;
+        let mut e = Enc::new();
+        e.ctl(&Ctl::DistDone(crate::DistDone {
+            supersteps: rows.len() as u32,
+            lo,
+            hi: lo + 8,
+            mems: (lo..lo + 8).map(|pe| vec![pe as u64]).collect(),
+            traffic: rows.to_vec(),
+            socket_words_per_level: vec![0],
+            recv_words_per_level: vec![0],
+            ops: 0,
+            exchange_rounds: 0,
+        }));
+        let mut frame = Vec::new();
+        e.send(&mut frame).expect("into memory");
+        frame.split_off(5)
+    }
+
+    /// Shards' rows are checked and appended, never sorted: honest
+    /// shards assemble to the simulator's signature; rows out of order,
+    /// from a PE the shard does not own, or to a PE that does not exist
+    /// are `InvalidData` naming the worker and the superstep; and seeded
+    /// damage to an honest result is an error or a result, never a
+    /// panic.
+    #[test]
+    fn assembly_checks_each_shards_rows_instead_of_sorting() {
+        let (sim, _) = DistAlg::Sort.reference(16, 0, 3);
+        let signature = sim.traffic_signature();
+        let honest: Vec<Vec<Vec<Msg>>> = (0..2u32)
+            .map(|w| {
+                let mine = |r: &&Msg| r.0 / 8 == w;
+                signature
+                    .iter()
+                    .map(|rows| rows.iter().filter(mine).copied().collect())
+                    .collect()
+            })
+            .collect();
+        let assemble = |second: &[Vec<Msg>]| {
+            let mut words = Vec::new();
+            let mut job = Assembly::new(DistAlg::Sort, 16, 0, 2, &mut words);
+            job.add(0, &mut Dec::new(&sort16_done(0, &honest[0])))?;
+            job.add(1, &mut Dec::new(&sort16_done(1, second)))?;
+            job.finish(1).map(|o| o.signature)
+        };
+        assert_eq!(assemble(&honest[1]).expect("honest shards"), signature);
+
+        let step = honest[1]
+            .iter()
+            .position(|r| r.len() >= 2)
+            .expect("a busy step");
+        let forge = |f: fn(&mut Vec<Msg>)| {
+            let mut rows = honest[1].clone();
+            f(&mut rows[step]);
+            rows
+        };
+        for (what, rows) in [
+            ("descending", forge(|r| r.swap(0, 1))),
+            ("a repeated pair", forge(|r| r[1] = r[0])),
+            ("a foreign src", forge(|r| r.insert(0, (3, 9, 1)))),
+            ("a dst past the PEs", forge(|r| r.push((15, 16, 1)))),
+        ] {
+            let err = assemble(&rows).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            let named = format!("worker 1 superstep {step}:");
+            assert!(err.to_string().starts_with(&named), "{what}: {err}");
+        }
+
+        let good = sort16_done(0, &honest[0]);
+        let mut x = 0x5eedu64;
+        for _ in 0..500 {
+            let mut bad = good.clone();
+            for _ in 0..3 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let at = (x >> 33) as usize % bad.len();
+                bad[at] ^= 1 << ((x >> 20) % 8);
+            }
+            let mut words = Vec::new();
+            let mut job = Assembly::new(DistAlg::Sort, 16, 0, 2, &mut words);
+            let _ = job.add(0, &mut Dec::new(&bad));
+        }
+    }
 
     /// A peer that connects to the router and says nothing fails the
     /// bootstrap within the bound, as `TimedOut` naming the peer.

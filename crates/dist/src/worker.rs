@@ -30,7 +30,7 @@ use mo_serve::{HwHierarchy, JobSpec, Kernel, Outcome, Rejected, ServeConfig, Ser
 
 use crate::alg::DistAlg;
 use crate::comm::{Link, SocketComm};
-use crate::frame::{invalid, recv_ctl, send_ctl, unexpected, Ctl, DistDone};
+use crate::frame::{invalid, read_frame, recv_ctl, send_ctl, unexpected, Ctl, Dec, DistDone, Enc};
 use crate::topology::{num_levels, Partition};
 
 /// The fault bound on the data mesh: no single read or write on a peer
@@ -162,20 +162,35 @@ pub fn establish_mesh(
     for (j, addr) in addrs.iter().enumerate().take(index) {
         let mut s = TcpStream::connect(addr)?;
         prepare(&s)?;
-        crate::frame::Enc::new().u32(index as u32).send(&mut s)?;
+        Enc::new().u32(index as u32).send(&mut s)?;
         peers[j] = Some(BufReader::new(s));
     }
     for _ in index + 1..workers {
         let (s, _) = listener.accept()?;
         prepare(&s)?;
         let mut s = BufReader::new(s);
-        let who = crate::frame::Dec::recv(&mut s)?.u32()? as usize;
+        let mut hello = Vec::new();
+        read_frame(&mut s, &mut hello)?;
+        let who = Dec::new(&hello).u32()? as usize;
         if who <= index || who >= workers || peers[who].is_some() {
             return Err(invalid(format!("unexpected mesh hello from worker {who}")));
         }
         peers[who] = Some(s);
     }
     Ok(peers)
+}
+
+/// What a worker keeps from one fleet job to the next, for the life of
+/// its mesh, so that it does not free and fault in its largest buffers
+/// on every job: the frame its result is encoded into, the buffer
+/// N-GEP's input is regenerated into, and its last result, whose PE
+/// memories and signature rows the next run is built in. Its other
+/// replies are rare, and a large one (a trace) is not pinned.
+#[derive(Default)]
+struct JobBuffers {
+    reply: Enc,
+    input: Vec<f64>,
+    last: Option<DistDone>,
 }
 
 fn reject_name(r: &Rejected) -> String {
@@ -199,6 +214,7 @@ fn run_dist_job(
     index: usize,
     peers: &mut [Option<Link>],
     sink: Option<&Arc<TraceSink>>,
+    bufs: &mut JobBuffers,
 ) -> io::Result<DistDone> {
     if (0..peers.len()).any(|j| j != index && peers[j].is_none()) {
         return Err(io::Error::new(
@@ -218,10 +234,13 @@ fn run_dist_job(
         );
     }
     let mut comm = SocketComm::new(part, index, peers);
+    if let Some(last) = bufs.last.take() {
+        comm = comm.reuse(last);
+    }
     if let Some(sink) = sink {
         comm = comm.with_trace(Arc::clone(sink), job);
     }
-    alg.run(&mut comm, n, kappa, seed);
+    alg.run_with(&mut comm, n, kappa, seed, &mut bufs.input);
     let supersteps = comm.supersteps();
     if let Some(sink) = sink {
         sink.emit(None, EventKind::DistJobEnd, job, supersteps as u64, 0);
@@ -263,6 +282,7 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
         )));
     }
     let mut peers = establish_mesh(cfg.index, &addrs, &data_listener, MESH_IO_TIMEOUT)?;
+    let mut bufs = JobBuffers::default();
     // The dist trace sink: everything on this worker lands in the
     // external ring (the control loop is the only dist-event producer),
     // and its monotonic epoch clock is what clock probes read — no wall
@@ -325,6 +345,7 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
                     cfg.index,
                     &mut peers,
                     sink.as_ref(),
+                    &mut bufs,
                 );
                 stats.jobs += 1;
                 if let Some(sink) = &sink {
@@ -353,7 +374,11 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
                         }
                     }
                 };
-                send_ctl(&mut ctrl, &reply)?;
+                bufs.reply.clear();
+                bufs.reply.ctl(&reply).send(&mut ctrl)?;
+                if let Ctl::DistDone(done) = reply {
+                    bufs.last = Some(done);
+                }
             }
             Ctl::ClockProbe { seq } => {
                 // Reply with the sink clock — the clock every shipped

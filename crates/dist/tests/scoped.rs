@@ -318,3 +318,93 @@ fn dead_peer_reaches_the_router_as_a_typed_error() {
         impostor.join().expect("impostor thread").expect("impostor");
     });
 }
+
+/// A shard's result is checked before its rows join the signature: an
+/// impostor worker 0 runs its half of the sort honestly with the real
+/// worker 1, then answers with a `DistDone` that also claims a row from
+/// PE 40, which worker 1 owns. The router must refuse the run as
+/// `InvalidData` naming worker 0 and the superstep, not sort the row
+/// into the signature; and, having read both replies, stay in step for
+/// an honest run after it.
+#[test]
+fn forged_result_rows_are_refused_by_the_router() {
+    use mo_dist::frame::{recv_ctl, send_ctl};
+    use mo_dist::{run_worker, Ctl, DistAlg, Router, WorkerConfig};
+    use std::net::TcpStream;
+
+    let (sim, want) = DistAlg::Sort.reference(64, 0, 1);
+    let forged_step = sim
+        .traffic_signature()
+        .iter()
+        .position(|rows| rows.iter().any(|r| r.0 < 32))
+        .expect("worker 0 sends");
+    let router_listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
+    let coord = router_listener.local_addr().expect("addr").to_string();
+    thread::scope(|s| {
+        let impostor = s.spawn(|| -> io::Result<()> {
+            let mut ctrl = TcpStream::connect(&coord)?;
+            let data = TcpListener::bind("127.0.0.1:0")?;
+            send_ctl(
+                &mut ctrl,
+                &Ctl::Hello {
+                    index: 0,
+                    data_addr: data.local_addr()?.to_string(),
+                    metrics_addr: "127.0.0.1:0".into(),
+                },
+            )?;
+            let Ctl::PeerTable { addrs } = recv_ctl(&mut ctrl)? else {
+                return Err(io::Error::other("expected PeerTable"));
+            };
+            let mut mesh = establish_mesh(0, &addrs, &data, Duration::from_secs(20))?;
+            let mut forge = true;
+            loop {
+                match recv_ctl(&mut ctrl)? {
+                    Ctl::RunDist { alg, n, seed, .. } => {
+                        let n = n as usize;
+                        let mut comm = SocketComm::new(Partition::new(n, 2), 0, &mut mesh);
+                        alg.run(&mut comm, n, 0, seed);
+                        let mut done = comm.finish(1)?;
+                        if forge {
+                            let step = done.traffic.iter().position(|r| !r.is_empty());
+                            done.traffic[step.expect("a step with rows")].push((40, 41, 1));
+                            forge = false;
+                        }
+                        send_ctl(&mut ctrl, &Ctl::DistDone(done))?;
+                    }
+                    Ctl::Shutdown => return Ok(()),
+                    other => return Err(io::Error::other(format!("unexpected {other:?}"))),
+                }
+            }
+        });
+        let real = s.spawn(|| {
+            let mut cfg = WorkerConfig::new(1, 2, coord.clone());
+            cfg.hierarchy = Some(mo_serve::HwHierarchy::flat(2, 1 << 14, 1 << 22));
+            run_worker(cfg)
+        });
+        let router = Router::accept_fleet(&router_listener, 2).expect("fleet bootstrap");
+
+        let err = match router.run_sort(64, 1) {
+            Ok(got) => panic!(
+                "a forged row was accepted; mismatches: {:?}",
+                got.mismatches(&sim, &want)
+            ),
+            Err(e) => e,
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let text = err.to_string();
+        assert!(
+            text.contains(&format!("worker 0 superstep {forged_step}:"))
+                && text.contains("40 → 41"),
+            "{text}"
+        );
+
+        let again = router.run_sort(64, 1).expect("an honest run after it");
+        assert_eq!(again.mismatches(&sim, &want), Vec::<String>::new());
+
+        router.shutdown();
+        real.join()
+            .expect("worker thread")
+            .expect("clean worker exit");
+        impostor.join().expect("impostor thread").expect("impostor");
+    });
+}

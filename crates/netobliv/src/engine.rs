@@ -183,6 +183,9 @@ pub struct Engine {
     /// One run buffer per worker; empty between supersteps.
     bufs: Vec<Runs>,
     pub(crate) log: Vec<StepLog>,
+    /// An earlier run's logged rows, last step first: step `s` is logged
+    /// into the allocation that held step `s` then.
+    spare_rows: Vec<Vec<Msg>>,
 }
 
 impl Engine {
@@ -205,6 +208,7 @@ impl Engine {
             rows: Vec::new(),
             bufs: vec![Runs::default(); workers],
             log: Vec::new(),
+            spare_rows: Vec::new(),
         }
     }
 
@@ -230,9 +234,29 @@ impl Engine {
         self.mem.get_mut(i)
     }
 
-    /// Consume the engine, returning the owned PE memories.
-    pub fn into_mems(self) -> Vec<Vec<u64>> {
-        self.mem
+    /// Build this run's PE memories and signature log in the
+    /// allocations of an earlier run's
+    /// ([`into_mems_and_traffic`](Self::into_mems_and_traffic)), each
+    /// emptied first. A worker that runs job after job then does not
+    /// free and fault in its largest buffers every time; a program's
+    /// step `s` logs as many rows on every run, so the reused rows carry
+    /// no slack.
+    pub fn reuse(&mut self, mut mems: Vec<Vec<u64>>, mut traffic: Vec<Vec<Msg>>) {
+        mems.resize_with(self.share, Vec::new);
+        for mem in &mut mems {
+            mem.clear();
+        }
+        self.mem = mems;
+        traffic.reverse();
+        self.spare_rows = traffic;
+    }
+
+    /// Consume the engine: the owned PE memories and, per superstep,
+    /// the rows [`traffic_signature`](Self::traffic_signature) would
+    /// copy, moved out of the log instead.
+    pub fn into_mems_and_traffic(self) -> (Vec<Vec<u64>>, Vec<Vec<Msg>>) {
+        let traffic = self.log.into_iter().map(|step| step.traffic).collect();
+        (self.mem, traffic)
     }
 
     /// Supersteps computed so far.
@@ -344,8 +368,11 @@ impl Engine {
         });
         self.outbox.runs.shrink_to(KEEP_MSGS);
         self.outbox.words.shrink_to(KEEP_MSGS);
+        let mut traffic = self.spare_rows.pop().unwrap_or_default();
+        traffic.clear();
+        traffic.extend_from_slice(&self.rows);
         self.log.push(StepLog {
-            traffic: self.rows.clone(),
+            traffic,
             ops: ops_log,
         });
         Ok(())
@@ -480,6 +507,38 @@ mod tests {
             }
         })
         .unwrap();
+    }
+
+    /// A run built in an earlier run's allocations — a longer one, with
+    /// more PEs and supersteps than it needs — ends exactly as a fresh
+    /// run does, in the same allocations.
+    #[test]
+    fn a_reused_run_equals_a_fresh_one_in_the_old_allocations() {
+        let run = |e: &mut Engine, steps: u64| {
+            let n = e.n_pes();
+            for step in 0..steps {
+                e.compute(Scope::All, &mut |pe, ctx| {
+                    ctx.mem.push(pe as u64 + step);
+                    ctx.send((pe + 1) % n, step);
+                    ctx.send_words(n - 1 - pe, &[step; 3]);
+                })
+                .unwrap();
+                e.deliver();
+            }
+        };
+        let mut fresh = Engine::new(4, 1, 0);
+        run(&mut fresh, 2);
+        let want = (fresh.mem.clone(), fresh.traffic_signature());
+        let mut old = Engine::new(8, 1, 0);
+        run(&mut old, 5);
+        let (mems, traffic) = old.into_mems_and_traffic();
+        let (mem0, step0) = (mems[0].as_ptr(), traffic[0].as_ptr());
+        let mut reused = Engine::new(4, 1, 0);
+        reused.reuse(mems, traffic);
+        run(&mut reused, 2);
+        assert_eq!((reused.mem.clone(), reused.traffic_signature()), want);
+        let (mems, traffic) = reused.into_mems_and_traffic();
+        assert_eq!((mems[0].as_ptr(), traffic[0].as_ptr()), (mem0, step0));
     }
 
     #[test]

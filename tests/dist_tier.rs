@@ -5,7 +5,8 @@
 //! frame codec and the worker/router loops — not only CI's
 //! `-p mo-dist`.
 
-use oblivious::dist::{data, DistAlg, LocalFleet};
+use oblivious::dist::frame::{recv_ctl, send_ctl};
+use oblivious::dist::{data, Ctl, DistAlg, DistDone, LocalFleet, Partition};
 use oblivious::no::algs::ngep;
 use oblivious::no::NoMachine;
 use oblivious::serve::HwHierarchy;
@@ -42,8 +43,59 @@ fn local_fleet_sort_and_ngep_match_nomachine() {
     sorted.sort_unstable();
     assert_eq!(want, sorted, "the simulator really sorts");
     assert_same(&fleet, DistAlg::Ngep, 32, 4, 42);
+    // Each worker builds a run in its last result's allocations: a sort
+    // after an N-GEP run starts from four PE memories, not sixty-four.
+    assert_same(&fleet, DistAlg::Sort, 256, 0, 43);
 
     fleet.shutdown().expect("clean shutdown");
+}
+
+/// The result frames of one `dist_sort` job (`no_sort 1024` on four
+/// workers), built from the simulator's signature split at the shard
+/// boundaries: an exact count of the bytes a job's results put on the
+/// control channels. The NO sort's traffic is oblivious of its keys and
+/// every PE keeps one 8-byte word, so the count is the same for every
+/// seed. Rows of 16 bytes each made it 1 658 676; a return to them fails
+/// here.
+#[test]
+fn a_sort_jobs_result_frames_are_compact() {
+    const PINNED: usize = 325_926;
+    for seed in [7, 8] {
+        let (sim, _) = DistAlg::Sort.reference(1024, 0, seed);
+        let signature = sim.traffic_signature();
+        let part = Partition::new(1024, WORKERS);
+        let mut bytes = 0;
+        for w in 0..WORKERS {
+            let pes = part.range(w);
+            let done = DistDone {
+                supersteps: signature.len() as u32,
+                lo: pes.start as u32,
+                hi: pes.end as u32,
+                mems: pes.clone().map(|pe| sim.mem(pe)[..1].to_vec()).collect(),
+                traffic: signature
+                    .iter()
+                    .map(|rows| {
+                        let from = rows.partition_point(|r| (r.0 as usize) < pes.start);
+                        let to = rows.partition_point(|r| (r.0 as usize) < pes.end);
+                        rows[from..to].to_vec()
+                    })
+                    .collect(),
+                socket_words_per_level: vec![0; 2],
+                recv_words_per_level: vec![0; 2],
+                ops: 0,
+                exchange_rounds: 0,
+            };
+            let mut frame = Vec::new();
+            send_ctl(&mut frame, &Ctl::DistDone(done.clone())).expect("encode");
+            assert_eq!(
+                recv_ctl(&mut frame.as_slice()).expect("decode"),
+                Ctl::DistDone(done)
+            );
+            bytes += frame.len();
+        }
+        assert_eq!(bytes, PINNED, "seed {seed}");
+        assert!(bytes < 400_000, "{bytes} bytes");
+    }
 }
 
 /// `n` values in `[0, 1)` from a seeded LCG.
