@@ -44,7 +44,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command};
 
-use mo_dist::{DistAlg, DistOutcome, Partition, Router, WorkerConfig};
+use mo_dist::{DistAlg, DistOutcome, Partition, Router, Signature, WorkerConfig};
 use no_framework::NoMachine;
 
 struct Args {
@@ -231,13 +231,12 @@ fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
 
 /// Per-superstep cross-worker word totals (machine-wide), for the
 /// words-per-superstep report.
-fn words_per_superstep(sig: &[Vec<(u32, u32, u64)>], n_pes: usize, workers: usize) -> Vec<u64> {
+fn words_per_superstep(sig: &Signature, n_pes: usize, workers: usize) -> Vec<u64> {
     let part = Partition::new(n_pes, workers);
-    sig.iter()
+    sig.steps()
         .map(|rows| {
-            rows.iter()
-                .filter(|&&(s, d, _)| part.owner(s as usize) != part.owner(d as usize))
-                .map(|&(_, _, w)| w)
+            rows.filter(|&(s, d, _)| part.owner(s as usize) != part.owner(d as usize))
+                .map(|(_, _, w)| w)
                 .sum()
         })
         .collect()

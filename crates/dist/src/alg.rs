@@ -159,9 +159,9 @@ impl DistOutcome {
         if self.signature != sig {
             let at = self
                 .signature
-                .iter()
+                .steps()
                 .zip(&sig)
-                .position(|(a, b)| a != b)
+                .position(|(a, b)| !a.eq(b.iter().copied()))
                 .map_or_else(|| "length".to_string(), |s| s.to_string());
             problems.push(format!("traffic signature diverges at superstep {at}"));
         }
@@ -188,6 +188,7 @@ impl DistOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Signature;
 
     #[test]
     fn every_alg_round_trips_its_name_and_code() {
@@ -215,8 +216,9 @@ mod tests {
             (|o| o.supersteps += 1, "supersteps"),
             (
                 |o| {
-                    let rows = o.signature.iter_mut().find(|r| !r.is_empty()).unwrap();
-                    rows.pop();
+                    let mut steps = o.signature.to_vecs();
+                    steps.iter_mut().find(|r| !r.is_empty()).unwrap().pop();
+                    o.signature = Signature::from_rows(&steps);
                 },
                 "traffic signature diverges",
             ),
@@ -235,7 +237,7 @@ mod tests {
             let mut clean = DistOutcome {
                 checksum: data::checksum_words(want.iter().copied()),
                 supersteps: sim.supersteps(),
-                signature: sim.traffic_signature(),
+                signature: Signature::from_rows(&sim.traffic_signature()),
                 output: want.clone(),
                 socket_words_per_level: Vec::new(),
                 recv_words_per_level: Vec::new(),

@@ -29,9 +29,9 @@
 //!   `lo` for the first), the zigzag `dst − src`, and `words`. A row of
 //!   the NO sort takes about 3 bytes instead of 16; any row list
 //!   round-trips, and a varint longer than 10 bytes or a `src`/`dst`
-//!   that leaves `u32` is `InvalidData`. The router decodes each
-//!   shard's rows straight onto the machine-wide signature
-//!   ([`recv_reply`], [`decode_done`]).
+//!   that leaves `u32` is `InvalidData`. The router checks each
+//!   shard's rows in one pass and keeps their bytes as they came
+//!   ([`Signature`](crate::Signature)).
 //!
 //! Everything is hand-rolled over `std::io` — no serialization
 //! dependency enters the tree. A frame leaves in one `write_all` of a
@@ -129,7 +129,7 @@ impl Enc {
     /// Append one superstep's signature rows as varints: the row count,
     /// then per row the zigzag delta of `src` from the previous row's
     /// (from `lo` for the first), the zigzag `dst − src`, and `words`.
-    fn rows(&mut self, lo: u32, rows: &[Msg]) -> &mut Self {
+    pub(crate) fn rows(&mut self, lo: u32, rows: &[Msg]) -> &mut Self {
         self.varint(rows.len() as u64);
         let mut prev = i64::from(lo);
         for &(src, dst, words) in rows {
@@ -301,24 +301,6 @@ impl<'a> Dec<'a> {
         Ok(std::str::from_utf8(b).map_err(invalid)?.to_string())
     }
 
-    /// Consume a LEB128 varint ([`Enc::varint`]). One longer than the
-    /// 10 bytes a `u64` needs, or whose tenth byte carries more than
-    /// the top bit, is `InvalidData`.
-    fn varint(&mut self) -> io::Result<u64> {
-        let mut v = 0u64;
-        for i in 0..10 {
-            let b = self.take(1, "varint")?[0];
-            v |= u64::from(b & 0x7f) << (7 * i);
-            if b < 0x80 {
-                if i == 9 && b > 1 {
-                    return Err(invalid("varint overflows u64"));
-                }
-                return Ok(v);
-            }
-        }
-        Err(invalid("varint longer than 10 bytes"))
-    }
-
     /// Consume a `u32` word count and the words ([`Enc::words`]),
     /// appending them to `out`.
     fn words_into(&mut self, out: &mut Vec<u64>) -> io::Result<()> {
@@ -333,43 +315,131 @@ impl<'a> Dec<'a> {
     }
 
     /// Consume one superstep's signature rows ([`Enc::rows`], with the
-    /// same `lo`), appending them to `out`. A row whose `src` or `dst`
-    /// leaves `u32` is `InvalidData`.
+    /// same `lo`), appending them to `out`.
     fn rows_into(&mut self, lo: u32, out: &mut Vec<Msg>) -> io::Result<()> {
-        let rows = self.varint()?;
-        // Every row takes at least three bytes.
-        if rows > (self.left() / 3) as u64 {
-            return Err(eof("signature rows"));
-        }
-        out.reserve(rows as usize);
+        let (buf, mut pos) = (self.buf, self.pos);
+        let rows = row_count_at(buf, &mut pos)?;
+        out.reserve(rows);
         let mut prev = lo;
         for _ in 0..rows {
-            let (from_prev, from_src) = (self.varint()?, self.varint()?);
-            let src = offset(prev, from_prev).ok_or_else(|| {
-                invalid(format!(
-                    "signature row source {prev} + {} leaves u32",
-                    unzigzag(from_prev)
-                ))
-            })?;
-            let dst = offset(src, from_src).ok_or_else(|| {
-                invalid(format!(
-                    "signature row destination {src} + {} leaves u32",
-                    unzigzag(from_src)
-                ))
-            })?;
-            out.push((src, dst, self.varint()?));
-            prev = src;
+            let row = row_at(buf, &mut pos, prev)?;
+            out.push(row);
+            prev = row.0;
         }
+        self.pos = pos;
         Ok(())
     }
 
+    /// The bytes not yet consumed; [`skip`](Self::skip) what is read.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
+    }
+
+    /// Consume the next `len` bytes of [`rest`](Self::rest).
+    pub(crate) fn skip(&mut self, len: usize) {
+        assert!(
+            len <= self.left(),
+            "skipping {len} of {} bytes",
+            self.left()
+        );
+        self.pos += len;
+    }
+
     /// The payload is used up: trailing bytes are `InvalidData`.
-    fn end(&self) -> io::Result<()> {
+    pub(crate) fn end(&self) -> io::Result<()> {
         match self.left() {
             0 => Ok(()),
             left => Err(invalid(format!("{left} bytes after the message"))),
         }
     }
+}
+
+/// The LEB128 varint ([`Enc::varint`]) at `*pos` in `buf`, moving
+/// `*pos` past it. A one-byte varint, most of a signature's, costs one
+/// branch; one longer than the 10 bytes a `u64` needs, or whose tenth
+/// byte carries more than the top bit, is `InvalidData`.
+#[inline]
+pub(crate) fn varint_at(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
+    match buf.get(*pos) {
+        Some(&b) if b < 0x80 => {
+            *pos += 1;
+            Ok(u64::from(b))
+        }
+        _ => long_varint_at(buf, pos),
+    }
+}
+
+fn long_varint_at(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
+    let mut v = 0u64;
+    for i in 0..10 {
+        let &b = buf.get(*pos).ok_or_else(|| eof("varint"))?;
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << (7 * i);
+        if b < 0x80 {
+            if i == 9 && b > 1 {
+                return Err(invalid("varint overflows u64"));
+            }
+            return Ok(v);
+        }
+    }
+    Err(invalid("varint longer than 10 bytes"))
+}
+
+/// A superstep's signature row count at `*pos` in `buf` ([`Enc::rows`]),
+/// checked against the bytes left: every row takes at least three.
+pub(crate) fn row_count_at(buf: &[u8], pos: &mut usize) -> io::Result<usize> {
+    let rows = varint_at(buf, pos)?;
+    if rows > ((buf.len() - *pos) / 3) as u64 {
+        return Err(eof("signature rows"));
+    }
+    Ok(rows as usize)
+}
+
+/// The three varints of the signature row at `*pos` in `buf`, if each
+/// is one byte — the row moved `src` by less than 64, its `dst` is
+/// within 64 of its `src` and it carries fewer than 128 words, as
+/// almost every row of the NO sort does — moving `*pos` past them. Three
+/// loads with no chain between them, where [`varint_at`] would make
+/// each wait on the one before.
+#[inline]
+pub(crate) fn short_row_at(buf: &[u8], pos: &mut usize) -> Option<[u64; 3]> {
+    match buf.get(*pos..*pos + 3) {
+        Some(&[a, b, c]) if (a | b | c) < 0x80 => {
+            *pos += 3;
+            Some([a, b, c].map(u64::from))
+        }
+        _ => None,
+    }
+}
+
+/// The signature row at `*pos` in `buf` ([`Enc::rows`]) that follows a
+/// row from `prev` (the shard's `lo` for a superstep's first), moving
+/// `*pos` past it. A row whose `src` or `dst` leaves `u32` is
+/// `InvalidData`.
+#[inline]
+pub(crate) fn row_at(buf: &[u8], pos: &mut usize, prev: u32) -> io::Result<Msg> {
+    let short = short_row_at(buf, pos);
+    let (from_prev, from_src) = match short {
+        Some([from_prev, from_src, _]) => (from_prev, from_src),
+        None => (varint_at(buf, pos)?, varint_at(buf, pos)?),
+    };
+    let src = offset(prev, from_prev).ok_or_else(|| {
+        invalid(format!(
+            "signature row source {prev} + {} leaves u32",
+            unzigzag(from_prev)
+        ))
+    })?;
+    let dst = offset(src, from_src).ok_or_else(|| {
+        invalid(format!(
+            "signature row destination {src} + {} leaves u32",
+            unzigzag(from_src)
+        ))
+    })?;
+    let words = match short {
+        Some([_, _, words]) => words,
+        None => varint_at(buf, pos)?,
+    };
+    Ok((src, dst, words))
 }
 
 /// Signed `v` as an unsigned varint value: small magnitudes of either
@@ -378,7 +448,7 @@ fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
-fn unzigzag(z: u64) -> i64 {
+pub(crate) fn unzigzag(z: u64) -> i64 {
     (z >> 1) as i64 ^ -((z & 1) as i64)
 }
 
@@ -748,9 +818,9 @@ pub fn recv_ctl(r: &mut impl Read) -> io::Result<Ctl> {
 
 /// A control reply read into a buffer the caller keeps.
 #[derive(Debug)]
-pub enum Reply<'a> {
+pub(crate) enum Reply<'a> {
     /// A [`Ctl::DistDone`], left undecoded behind its tag: read it with
-    /// [`decode_done`].
+    /// [`decode_done_head`], then its rows.
     Done(Dec<'a>),
     /// Any other message, decoded.
     Other(Ctl),
@@ -758,8 +828,8 @@ pub enum Reply<'a> {
 
 /// Receive one control message into `buf` (its allocation reused), as
 /// the router reads fleet results: a [`Ctl::DistDone`] is handed over
-/// undecoded, so its rows can go straight where they belong.
-pub fn recv_reply<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Result<Reply<'a>> {
+/// undecoded, so its rows can be checked and kept as they are.
+pub(crate) fn recv_reply<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Result<Reply<'a>> {
     read_frame(r, buf)?;
     let mut d = Dec::new(buf);
     match d.u8()? {
@@ -772,18 +842,17 @@ pub fn recv_reply<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Result<Rep
     }
 }
 
-/// Decode the body of a [`Ctl::DistDone`] (after its tag) into buffers
-/// the caller may keep across jobs: each PE memory's words are appended
-/// to `mem_words` and its length to `mem_lens`, and superstep `s`'s rows
-/// to `steps[s]` (`steps` grows to the frame's superstep count). Returns
-/// the other fields, with `mems` and `traffic` empty, and the frame's
-/// superstep count. Trailing bytes are `InvalidData`.
-pub fn decode_done(
+/// Decode the body of a [`Ctl::DistDone`] (after its tag) up to its
+/// signature rows, into buffers the caller may keep across jobs: each PE
+/// memory's words are appended to `mem_words` and its length to
+/// `mem_lens`. Returns the other fields, with `mems` and `traffic`
+/// empty. What follows is a `u32` superstep count ([`Dec::count`] of at
+/// least one byte each) and per superstep [`Enc::rows`] from `lo`.
+pub(crate) fn decode_done_head(
     d: &mut Dec<'_>,
     mem_words: &mut Vec<u64>,
     mem_lens: &mut Vec<usize>,
-    steps: &mut Vec<Vec<Msg>>,
-) -> io::Result<(DistDone, usize)> {
+) -> io::Result<DistDone> {
     let mut done = DistDone {
         supersteps: d.u32()?,
         lo: d.u32()?,
@@ -804,15 +873,30 @@ pub fn decode_done(
         d.words_into(mem_words)?;
         mem_lens.push(mem_words.len() - at);
     }
-    let nsteps = d.count(1)?;
-    if steps.len() < nsteps {
-        steps.resize_with(nsteps, Vec::new);
+    Ok(done)
+}
+
+/// Decode the body of a [`Ctl::DistDone`] into an owned one.
+fn decode_done(d: &mut Dec<'_>) -> io::Result<DistDone> {
+    let (mut words, mut lens) = (Vec::new(), Vec::new());
+    let mut done = decode_done_head(d, &mut words, &mut lens)?;
+    let steps = d.count(1)?;
+    done.traffic = Vec::with_capacity(steps);
+    for _ in 0..steps {
+        let mut rows = Vec::new();
+        d.rows_into(done.lo, &mut rows)?;
+        done.traffic.push(rows);
     }
-    for rows in &mut steps[..nsteps] {
-        d.rows_into(done.lo, rows)?;
-    }
-    d.end()?;
-    Ok((done, nsteps))
+    let mut rest = &words[..];
+    done.mems = lens
+        .into_iter()
+        .map(|len| {
+            let (mem, tail) = rest.split_at(len);
+            rest = tail;
+            mem.to_vec()
+        })
+        .collect();
+    Ok(done)
 }
 
 /// Decode the fields of the control message tagged `tag`.
@@ -849,22 +933,7 @@ fn decode_ctl(tag: u8, d: &mut Dec<'_>) -> io::Result<Ctl> {
             seed: d.u64()?,
             job: d.u64()?,
         }),
-        T_DIST_DONE => {
-            let (mut words, mut lens) = (Vec::new(), Vec::new());
-            let mut traffic = Vec::new();
-            let (mut done, _) = decode_done(d, &mut words, &mut lens, &mut traffic)?;
-            done.traffic = traffic;
-            let mut rest = &words[..];
-            done.mems = lens
-                .into_iter()
-                .map(|len| {
-                    let (mem, tail) = rest.split_at(len);
-                    rest = tail;
-                    mem.to_vec()
-                })
-                .collect();
-            Ok(Ctl::DistDone(done))
-        }
+        T_DIST_DONE => Ok(Ctl::DistDone(decode_done(d)?)),
         T_DIST_FAILED => Ok(Ctl::DistFailed { reason: d.str()? }),
         T_METRICS_REQ => Ok(Ctl::MetricsReq),
         T_METRICS_TEXT => Ok(Ctl::MetricsText { text: d.str()? }),

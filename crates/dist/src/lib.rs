@@ -17,7 +17,8 @@
 //! carry only payload words, framed per superstep with an explicit
 //! barrier (see [`comm`]). The outputs are bit-identical to the
 //! simulator's and the per-superstep traffic signature — logged
-//! src-side by each worker and merged by the router — equals
+//! src-side by each worker and kept compact by the router
+//! ([`Signature`]) — equals
 //! [`NoMachine::traffic_signature`](no_framework::NoMachine::traffic_signature)
 //! exactly.
 //!
@@ -42,6 +43,7 @@ pub mod comm;
 pub mod data;
 pub mod frame;
 pub mod router;
+pub mod signature;
 pub mod topology;
 pub mod trace;
 pub mod worker;
@@ -50,6 +52,7 @@ pub use alg::DistAlg;
 pub use comm::{Link, SocketComm};
 pub use frame::{Ctl, DistDone, Msg};
 pub use router::{ClockCal, DistOutcome, FleetExposition, Router};
+pub use signature::Signature;
 pub use topology::{job_key, pair_level, HashRing, Partition};
 pub use trace::{format_level_table, level_table, straggler_report, LevelRow};
 pub use worker::{establish_mesh, run_worker, WorkerConfig, MESH_IO_TIMEOUT};

@@ -7,7 +7,9 @@
 //! to every shard, which then run the D-BSP supersteps among themselves
 //! over the data mesh while the router reads the per-shard results,
 //! one after another into one kept buffer, and assembles output,
-//! traffic signature, and per-level socket traffic as it decodes them.
+//! traffic signature, and per-level socket traffic as it decodes them:
+//! each shard's signature rows are checked in one pass and kept as the
+//! varint bytes they arrived as ([`Signature`]).
 
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -19,9 +21,10 @@ use mo_obs::fleet::WorkerStream;
 use crate::alg::DistAlg;
 use crate::data;
 use crate::frame::{
-    decode_done, in_context, invalid, recv_ctl, recv_reply, send_ctl, unexpected, Ctl, Dec, Msg,
+    decode_done_head, in_context, invalid, recv_ctl, recv_reply, send_ctl, unexpected, Ctl, Dec,
     Reply,
 };
+use crate::signature::Signature;
 use crate::topology::{job_key, num_levels, HashRing, Partition};
 use crate::worker::MESH_IO_TIMEOUT;
 
@@ -88,10 +91,10 @@ pub struct DistOutcome {
     /// Supersteps executed (identical on every shard by construction).
     pub supersteps: usize,
     /// The machine-wide per-superstep traffic signature: every shard's
-    /// sorted src-side rows, checked and concatenated in worker order —
-    /// directly comparable to
-    /// [`no_framework::NoMachine::traffic_signature`].
-    pub signature: Vec<Vec<Msg>>,
+    /// sorted src-side rows, checked and kept in worker order as the
+    /// shards sent them — equal row for row to
+    /// [`no_framework::NoMachine::traffic_signature`] on a clean run.
+    pub signature: Signature,
     /// Assembled output words in problem order (sort keys, or the
     /// row-major `f64` bit patterns of the N-GEP matrix).
     pub output: Vec<u64>,
@@ -467,7 +470,7 @@ struct Assembly<'a> {
     mem_lens: Vec<usize>,
     /// Worker 0's count, which every later shard must match.
     supersteps: Option<u32>,
-    signature: Vec<Vec<Msg>>,
+    signature: Signature,
     socket_words_per_level: Vec<u64>,
     recv_words_per_level: Vec<u64>,
     ops: u64,
@@ -494,7 +497,7 @@ impl<'a> Assembly<'a> {
             mem_words,
             mem_lens: Vec::new(),
             supersteps: None,
-            signature: Vec::new(),
+            signature: Signature::default(),
             socket_words_per_level: vec![0; levels],
             recv_words_per_level: vec![0; levels],
             ops: 0,
@@ -506,15 +509,14 @@ impl<'a> Assembly<'a> {
     /// (behind its tag) onto the outcome. Shards arrive in worker order
     /// and own ascending PE ranges, and each shard's engine sorted its
     /// rows, so appending a shard's rows to each superstep keeps the
-    /// machine-wide rows sorted — checked, not re-sorted: a superstep
-    /// whose rows are not strictly ascending by `(src, dst)`, whose
-    /// `src` leaves the shard's range or whose `dst` is not a PE is
-    /// `InvalidData` naming the worker and the superstep.
+    /// machine-wide rows sorted — checked, not re-sorted
+    /// ([`Signature::push_shard`]): a superstep whose rows are not
+    /// strictly ascending by `(src, dst)`, whose `src` leaves the
+    /// shard's range or whose `dst` is not a PE is `InvalidData` naming
+    /// the worker and the superstep.
     fn add(&mut self, w: usize, d: &mut Dec<'_>) -> io::Result<()> {
-        let from: Vec<usize> = self.signature.iter().map(Vec::len).collect();
         self.mem_lens.clear();
-        let (done, steps) =
-            decode_done(d, self.mem_words, &mut self.mem_lens, &mut self.signature)?;
+        let done = decode_done_head(d, self.mem_words, &mut self.mem_lens)?;
         let range = self.part.range(w);
         let (lo, hi) = (done.lo, done.hi);
         if (lo as usize, hi as usize) != (range.start, range.end)
@@ -535,6 +537,7 @@ impl<'a> Assembly<'a> {
                 done.supersteps
             )));
         }
+        let steps = d.count(1)?;
         if steps != supersteps as usize {
             return Err(invalid(format!(
                 "worker {w} logged traffic for {steps} supersteps, not {supersteps}"
@@ -548,18 +551,8 @@ impl<'a> Assembly<'a> {
             )));
         }
         let n_pes = self.part.n_pes as u32;
-        for (s, rows) in self.signature.iter().enumerate() {
-            let mut last = None;
-            for &(src, dst, _) in &rows[from.get(s).copied().unwrap_or(0)..] {
-                if !(lo..hi).contains(&src) || dst >= n_pes || last >= Some((src, dst)) {
-                    return Err(invalid(format!(
-                        "worker {w} superstep {s}: signature row {src} → {dst} is out of \
-                         order or outside PEs {lo}..{hi} → 0..{n_pes}"
-                    )));
-                }
-                last = Some((src, dst));
-            }
-        }
+        self.signature.push_shard(d, w, lo..hi, n_pes, steps)?;
+        d.end()?;
         for (sum, &words) in self
             .socket_words_per_level
             .iter_mut()
@@ -612,7 +605,7 @@ impl<'a> Assembly<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Enc;
+    use crate::frame::{Enc, Msg};
     use std::sync::mpsc;
     use std::thread;
 

@@ -1,0 +1,490 @@
+//! A fleet job's machine-wide traffic signature, kept as the shards
+//! sent it.
+//!
+//! Each shard's [`DistDone`](crate::DistDone) carries its src-side rows
+//! as varints (the layout is in [`frame`](crate::frame)'s module doc),
+//! about three bytes a row. The router checks them in one pass and keeps the bytes:
+//! a [`Signature`] is one buffer of row bytes plus one segment per
+//! (shard, superstep), and builds no `(src, dst, words)` row until it is
+//! read. Shards own ascending PE ranges and each one's rows ascend, so
+//! superstep `s`'s segments read in shard order are the machine-wide
+//! rows of `s` in ascending `(src, dst)` order — what
+//! [`NoMachine::traffic_signature`](no_framework::NoMachine::traffic_signature)
+//! returns, and equal to it row for row.
+
+use std::fmt;
+use std::io;
+use std::iter::StepBy;
+use std::ops::Range;
+use std::slice;
+
+use crate::frame::{invalid, row_at, row_count_at, short_row_at, unzigzag, varint_at, Dec, Msg};
+
+/// One shard's rows of one superstep: `bytes[start..end]`, `rows` rows,
+/// the first `src` coded from `lo`.
+#[derive(Debug, Clone, Copy)]
+struct Seg {
+    start: usize,
+    end: usize,
+    lo: u32,
+    rows: u32,
+}
+
+/// The per-superstep `(src, dst, words)` traffic rows of a fleet job,
+/// same-PE messages excluded, stored compactly ([module docs](self)).
+/// Read a superstep with [`step`](Self::step) or every one with
+/// [`steps`](Self::steps); compare with another `Signature` or with the
+/// `Vec<Vec<Msg>>` the simulator logs, row by row.
+#[derive(Clone, Default)]
+pub struct Signature {
+    /// Every shard's checked row bytes, shard after shard.
+    bytes: Vec<u8>,
+    /// Shard-major: shard `k`'s superstep `s` is `segs[k * steps + s]`.
+    segs: Vec<Seg>,
+    steps: usize,
+}
+
+impl Signature {
+    /// Supersteps.
+    pub fn len(&self) -> usize {
+        self.steps
+    }
+
+    /// `true` with no supersteps.
+    pub fn is_empty(&self) -> bool {
+        self.steps == 0
+    }
+
+    /// Superstep `s`'s rows, ascending by `(src, dst)`.
+    ///
+    /// # Panics
+    ///
+    /// If `s >= self.len()`.
+    pub fn step(&self, s: usize) -> Rows<'_> {
+        assert!(s < self.steps, "superstep {s} of {}", self.steps);
+        let segs = self.segs[s..].iter().step_by(self.steps);
+        Rows {
+            bytes: &self.bytes,
+            left: segs.clone().map(|seg| seg.rows as usize).sum(),
+            segs,
+            pos: 0,
+            end: 0,
+            prev: 0,
+        }
+    }
+
+    /// Every superstep's rows, in superstep order.
+    pub fn steps(&self) -> impl ExactSizeIterator<Item = Rows<'_>> {
+        (0..self.steps).map(|s| self.step(s))
+    }
+
+    /// The rows as vectors, one a superstep — for tests and diagnostics;
+    /// they take 16 bytes a row where the signature takes about three.
+    pub fn to_vecs(&self) -> Vec<Vec<Msg>> {
+        self.steps().map(Iterator::collect).collect()
+    }
+
+    /// Heap bytes held: row bytes and segments, at capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.bytes.capacity() + self.segs.capacity() * std::mem::size_of::<Seg>()
+    }
+
+    /// Check `steps` supersteps of worker `w`'s rows from `d` — each
+    /// [`Enc::rows`](crate::frame::Enc) from `pes.start` — and
+    /// keep their bytes with one copy. Every row must have its `src` in
+    /// `pes` and its `dst` below `n_pes`, and follow the row before it
+    /// in strictly ascending `(src, dst)` order; one that does not is
+    /// `InvalidData` naming the worker and the superstep. On any error
+    /// the signature is left as it was.
+    ///
+    /// # Panics
+    ///
+    /// If an earlier shard had another superstep count.
+    pub(crate) fn push_shard(
+        &mut self,
+        d: &mut Dec<'_>,
+        w: usize,
+        pes: Range<u32>,
+        n_pes: u32,
+        steps: usize,
+    ) -> io::Result<()> {
+        assert!(
+            self.segs.is_empty() || steps == self.steps,
+            "a shard of {steps} supersteps joins shards of {}",
+            self.steps
+        );
+        let kept = self.segs.len();
+        let buf = d.rest();
+        match self.check_shard(buf, w, pes, n_pes, steps) {
+            Ok(len) => {
+                self.bytes.extend_from_slice(&buf[..len]);
+                self.steps = steps;
+                d.skip(len);
+                Ok(())
+            }
+            Err(e) => {
+                self.segs.truncate(kept);
+                Err(e)
+            }
+        }
+    }
+
+    /// [`push_shard`](Self::push_shard)'s one pass over the rows at the
+    /// front of `buf`: pushes a segment per superstep, placed as if
+    /// `buf` were already appended to the bytes, and returns the length
+    /// the rows took.
+    fn check_shard(
+        &mut self,
+        buf: &[u8],
+        w: usize,
+        pes: Range<u32>,
+        n_pes: u32,
+        steps: usize,
+    ) -> io::Result<usize> {
+        let base = self.bytes.len();
+        let (lo, span, n) = (i64::from(pes.start), pes.len() as u64, u64::from(n_pes));
+        let mut pos = 0;
+        for s in 0..steps {
+            let rows = row_count_at(buf, &mut pos)?;
+            let start = pos;
+            // `src` and `dst` in `i64`: a delta past `i64` wraps to far
+            // below 0, so only a row inside `u32` passes the range test
+            // (and `prev`, `lo` or a passed `src`, is a `u32`).
+            let (mut prev, mut next) = (lo, 0u64);
+            for _ in 0..rows {
+                let at = pos;
+                let short = short_row_at(buf, &mut pos);
+                let (from_prev, from_src) = match short {
+                    Some([from_prev, from_src, _]) => (from_prev, from_src),
+                    None => (varint_at(buf, &mut pos)?, varint_at(buf, &mut pos)?),
+                };
+                let src = prev.wrapping_add(unzigzag(from_prev));
+                let dst = src.wrapping_add(unzigzag(from_src));
+                if src.wrapping_sub(lo) as u64 >= span || dst as u64 >= n {
+                    return Err(refused(buf, at, prev as u32, w, s, &pes, n_pes));
+                }
+                if short.is_none() {
+                    varint_at(buf, &mut pos)?;
+                }
+                let key = (src as u64) << 32 | dst as u64;
+                if key < next {
+                    return Err(refused(buf, at, prev as u32, w, s, &pes, n_pes));
+                }
+                // `src < u32::MAX`, so the key leaves room for one more.
+                (prev, next) = (src, key + 1);
+            }
+            self.segs.push(Seg {
+                start: base + start,
+                end: base + pos,
+                lo: pes.start,
+                // A frame of at most `MAX_FRAME` bytes holds fewer than
+                // `u32::MAX` rows of three bytes or more.
+                rows: rows as u32,
+            });
+        }
+        Ok(pos)
+    }
+
+    /// A signature of one shard from PE 0 holding `rows`, which must
+    /// ascend by `(src, dst)` in each superstep.
+    #[cfg(test)]
+    pub(crate) fn from_rows(rows: &[Vec<Msg>]) -> Self {
+        let mut e = crate::frame::Enc::new();
+        for step in rows {
+            e.rows(0, step);
+        }
+        let mut frame = Vec::new();
+        e.send(&mut frame).expect("into memory");
+        let mut sig = Signature::default();
+        sig.push_shard(
+            &mut Dec::new(&frame[4..]),
+            0,
+            0..u32::MAX,
+            u32::MAX,
+            rows.len(),
+        )
+        .expect("ascending rows");
+        sig
+    }
+}
+
+/// The error for the refused row at `buf[at..]`, coded from `prev`: the
+/// decoder's own where the row leaves `u32` or a varint breaks, else the
+/// row out of order or outside the shard's PEs, named by worker and
+/// superstep.
+#[cold]
+fn refused(
+    buf: &[u8],
+    mut at: usize,
+    prev: u32,
+    w: usize,
+    s: usize,
+    pes: &Range<u32>,
+    n_pes: u32,
+) -> io::Error {
+    match row_at(buf, &mut at, prev) {
+        Err(e) => e,
+        Ok((src, dst, _)) => invalid(format!(
+            "worker {w} superstep {s}: signature row {src} → {dst} is out of \
+             order or outside PEs {}..{} → 0..{n_pes}",
+            pes.start, pes.end
+        )),
+    }
+}
+
+/// The row at `*pos` in `bytes` that follows a row from `prev`, moving
+/// `*pos` past it. [`Signature::push_shard`] checked it when it kept it:
+/// it decodes, and its `src` and `dst` are PEs.
+#[inline(always)]
+fn kept_row_at(bytes: &[u8], pos: &mut usize, prev: u32) -> Msg {
+    let varint = |pos: &mut usize| varint_at(bytes, pos).expect("a checked varint");
+    let [from_prev, from_src, words] = match short_row_at(bytes, pos) {
+        Some(row) => row,
+        None => [varint(pos), varint(pos), varint(pos)],
+    };
+    let src = (i64::from(prev) + unzigzag(from_prev)) as u32;
+    let dst = (i64::from(src) + unzigzag(from_src)) as u32;
+    (src, dst, words)
+}
+
+/// One superstep's rows of a [`Signature`] ([`Signature::step`]),
+/// decoded as they are read.
+#[derive(Clone)]
+pub struct Rows<'a> {
+    bytes: &'a [u8],
+    /// The superstep's segments not yet started, in shard order.
+    segs: StepBy<slice::Iter<'a, Seg>>,
+    /// The next row of the segment being read, and where it ends.
+    pos: usize,
+    end: usize,
+    /// The `src` the next row is coded from.
+    prev: u32,
+    /// Rows not yet read.
+    left: usize,
+}
+
+impl Iterator for Rows<'_> {
+    type Item = Msg;
+
+    fn next(&mut self) -> Option<Msg> {
+        if self.left == 0 {
+            return None;
+        }
+        while self.pos == self.end {
+            let seg = self.segs.next().expect("rows left in a later segment");
+            (self.pos, self.end, self.prev) = (seg.start, seg.end, seg.lo);
+        }
+        let mut pos = self.pos;
+        let row = kept_row_at(self.bytes, &mut pos, self.prev);
+        (self.pos, self.prev, self.left) = (pos, row.0, self.left - 1);
+        Some(row)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Rows<'_> {}
+
+impl fmt::Debug for Rows<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
+}
+
+impl fmt::Debug for Signature {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.steps()).finish()
+    }
+}
+
+impl PartialEq for Signature {
+    fn eq(&self, other: &Signature) -> bool {
+        self.len() == other.len()
+            && self
+                .steps()
+                .zip(other.steps())
+                .all(|(a, b)| a.len() == b.len() && a.eq(b))
+    }
+}
+
+impl Eq for Signature {}
+
+/// Segment by segment, each against the rows of `other` it must hold —
+/// the benchmark's and `mismatches`' comparison with the simulator.
+impl PartialEq<Vec<Vec<Msg>>> for Signature {
+    fn eq(&self, other: &Vec<Vec<Msg>>) -> bool {
+        self.len() == other.len()
+            && other.iter().enumerate().all(|(s, rows)| {
+                let mut rest = &rows[..];
+                self.segs[s..].iter().step_by(self.steps).all(|seg| {
+                    let Some((mine, tail)) = rest.split_at_checked(seg.rows as usize) else {
+                        return false;
+                    };
+                    rest = tail;
+                    let (mut pos, mut prev) = (seg.start, seg.lo);
+                    mine.iter().all(|&want| {
+                        let got = kept_row_at(&self.bytes, &mut pos, prev);
+                        prev = got.0;
+                        got == want
+                    })
+                }) && rest.is_empty()
+            })
+    }
+}
+
+impl PartialEq<Signature> for Vec<Vec<Msg>> {
+    fn eq(&self, other: &Signature) -> bool {
+        other == self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::Enc;
+
+    /// SplitMix64.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut x = self.0;
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+            x ^ (x >> 31)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The rows of `steps` from PEs `lo..hi`.
+    fn shard_rows(steps: &[Vec<Msg>], lo: u32, hi: u32) -> Vec<Vec<Msg>> {
+        steps
+            .iter()
+            .map(|rows| {
+                let from = rows.partition_point(|r| r.0 < lo);
+                let to = rows.partition_point(|r| r.0 < hi);
+                rows[from..to].to_vec()
+            })
+            .collect()
+    }
+
+    /// `steps` as a shard from PE `lo` codes them in its `DistDone`.
+    fn shard_bytes(steps: &[Vec<Msg>], lo: u32) -> Vec<u8> {
+        let mut e = Enc::new();
+        for rows in steps {
+            e.rows(lo, rows);
+        }
+        let mut frame = Vec::new();
+        e.send(&mut frame).expect("into memory");
+        frame.split_off(4)
+    }
+
+    /// For random splits of random machine-wide rows into shards, the
+    /// signature the shards' bytes build equals those rows, in both
+    /// directions and against a differently segmented copy — with empty
+    /// supersteps, shards with no rows, multi-byte varints and `dst`
+    /// below `src` — and a shard with a foreign row leaves it unchanged.
+    #[test]
+    fn a_signature_equals_the_rows_it_was_built_from() {
+        let mut rng = Rng(0x516e);
+        for round in 0..400 {
+            let n_pes = match rng.below(3) {
+                0 => 1 + rng.below(64),
+                1 => 1 + rng.below(1 << 20),
+                _ => u64::from(u32::MAX),
+            } as u32;
+            let steps: Vec<Vec<Msg>> = (0..rng.below(5))
+                .map(|_| {
+                    let mut rows: Vec<Msg> = (0..rng.below(3) * rng.below(12))
+                        .map(|_| {
+                            let words = match rng.below(4) {
+                                0 => 1,
+                                1 => u64::MAX,
+                                _ => {
+                                    let bits = 1 + rng.below(40);
+                                    rng.below(1 << bits)
+                                }
+                            };
+                            let src = rng.below(n_pes.into()) as u32;
+                            (src, rng.below(n_pes.into()) as u32, words)
+                        })
+                        .collect();
+                    rows.sort_unstable_by_key(|r| (r.0, r.1));
+                    rows.dedup_by_key(|r| (r.0, r.1));
+                    rows
+                })
+                .collect();
+            let mut cuts: Vec<u32> = (0..rng.below(5))
+                .map(|_| rng.below(n_pes.into()) as u32)
+                .chain([0, n_pes])
+                .collect();
+            cuts.sort_unstable();
+            let mut sig = Signature::default();
+            for (w, pes) in cuts.windows(2).enumerate() {
+                let (lo, hi) = (pes[0], pes[1]);
+                let mine = shard_rows(&steps, lo, hi);
+                if let Some(outside) = [lo.checked_sub(1), (hi < n_pes).then_some(hi)]
+                    .into_iter()
+                    .flatten()
+                    .next()
+                {
+                    let mut forged = mine.clone();
+                    // In the last superstep, so the ones before it are
+                    // checked and must be taken back.
+                    let last = steps.len().saturating_sub(1);
+                    if let Some(rows) = forged.last_mut() {
+                        rows.push((outside, 0, 1));
+                        rows.sort_unstable_by_key(|r| (r.0, r.1));
+                        let bytes = shard_bytes(&forged, lo);
+                        let before = sig.clone();
+                        let err = sig
+                            .push_shard(&mut Dec::new(&bytes), w, lo..hi, n_pes, steps.len())
+                            .expect_err("a row from a PE the shard does not own");
+                        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+                        assert!(err
+                            .to_string()
+                            .starts_with(&format!("worker {w} superstep {last}:")));
+                        assert_eq!(sig, before);
+                    }
+                }
+                let bytes = shard_bytes(&mine, lo);
+                let mut d = Dec::new(&bytes);
+                sig.push_shard(&mut d, w, lo..hi, n_pes, steps.len())
+                    .expect("honest shard");
+                assert!(d.rest().is_empty(), "round {round}: the shard is used up");
+            }
+            assert_eq!(sig, steps, "round {round}");
+            assert_eq!(steps, sig, "round {round}");
+            assert_eq!(sig.to_vecs(), steps);
+            assert_eq!(sig, Signature::from_rows(&steps));
+            assert_eq!(format!("{sig:?}"), format!("{steps:?}"));
+            for (s, rows) in steps.iter().enumerate() {
+                assert_eq!(sig.step(s).len(), rows.len());
+            }
+            if let Some(s) = steps.iter().position(|rows| !rows.is_empty()) {
+                let mut other = steps.clone();
+                other[s][0].2 ^= 1;
+                assert_ne!(sig, other);
+                assert_ne!(other, sig);
+                assert_ne!(sig, Signature::from_rows(&other));
+                other[s].remove(0);
+                assert_ne!(sig, other);
+            }
+            if !steps.is_empty() {
+                let mut more = steps.clone();
+                more[0].push((u32::MAX - 1, u32::MAX - 1, 1));
+                assert_ne!(sig, more);
+                assert_ne!(sig, Signature::from_rows(&more));
+            }
+            let mut longer = steps.clone();
+            longer.push(Vec::new());
+            assert_ne!(sig, longer);
+            assert_ne!(longer, sig);
+        }
+    }
+}

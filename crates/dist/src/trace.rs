@@ -47,11 +47,11 @@ pub fn level_table(outcome: &DistOutcome, n_pes: usize, workers: usize) -> Vec<L
     let part = Partition::new(n_pes, workers);
     let mut signature_words = vec![0u64; levels];
     let mut h_relation = vec![0u64; levels];
-    for rows in &outcome.signature {
+    for rows in outcome.signature.steps() {
         // Per-superstep, per-level, per-worker send/recv words.
         let mut sent = vec![vec![0u64; workers]; levels];
         let mut recv = vec![vec![0u64; workers]; levels];
-        for &(src, dst, words) in rows {
+        for (src, dst, words) in rows {
             let (ws, wd) = (part.owner(src as usize), part.owner(dst as usize));
             if ws == wd {
                 continue;
@@ -163,7 +163,7 @@ mod tests {
         DistOutcome {
             checksum: 0,
             supersteps: signature.len(),
-            signature,
+            signature: crate::Signature::from_rows(&signature),
             output: Vec::new(),
             socket_words_per_level: send,
             recv_words_per_level: recv,

@@ -15,10 +15,11 @@
 //!    worker's [`Runs`] buffer (scanning sources in increasing order
 //!    keeps every buffer sorted by source);
 //! 3. **signature log** — every cross-PE run is one `(src, dst, len)`
-//!    row, so a block of words costs one entry, not one per word; the
-//!    step's rows are then sorted (linear when drivers send in ascending
-//!    destination order, as they mostly do) and rows of one pair merged,
-//!    without any map;
+//!    row, so a block of words costs one entry, not one per word. A row
+//!    of the pair just logged is merged into it as it is pushed; drivers
+//!    mostly send in ascending destination order, so the step's rows
+//!    usually come out sorted, and only a step whose rows did not is
+//!    sorted and merged per pair afterwards, without any map;
 //! 4. **deliver** — the per-worker buffers, taken in worker order, are
 //!    copied run by run into the owned inboxes. Worker ranges ascend
 //!    with the worker index, so every inbox ends up ordered by source PE
@@ -316,6 +317,7 @@ impl Engine {
         let lo = self.owned().start;
         let mut ops_log = Vec::new();
         self.rows.clear();
+        let mut ascending = true;
         for i in 0..self.share {
             let pe = lo + i;
             let mut ops = 0u64;
@@ -347,7 +349,13 @@ impl Engine {
                     });
                 }
                 if dst as usize != pe {
-                    self.rows.push((pe as u32, dst, len as u64));
+                    match self.rows.last_mut() {
+                        Some(row) if (row.0, row.1) == (pe as u32, dst) => row.2 += len as u64,
+                        last => {
+                            ascending &= last.is_none_or(|row| (row.0, row.1) < (pe as u32, dst));
+                            self.rows.push((pe as u32, dst, len as u64));
+                        }
+                    }
                 }
                 let words = &self.outbox.words[at..at + len as usize];
                 at += len as usize;
@@ -355,17 +363,18 @@ impl Engine {
             }
             self.outbox.clear();
         }
-        // One row per run so far, sources ascending. Drivers mostly send
-        // in ascending destination order too, and the sort is linear on
-        // sorted input; what it leaves adjacent is merged per pair.
-        self.rows.sort_unstable_by_key(|r| (r.0, r.1));
-        self.rows.dedup_by(|next, row| {
-            let same_pair = (next.0, next.1) == (row.0, row.1);
-            if same_pair {
-                row.2 += next.2;
-            }
-            same_pair
-        });
+        // Sources ascend, so only a destination that went back within
+        // one source leaves rows to sort and pairs to merge.
+        if !ascending {
+            self.rows.sort_unstable_by_key(|r| (r.0, r.1));
+            self.rows.dedup_by(|next, row| {
+                let same_pair = (next.0, next.1) == (row.0, row.1);
+                if same_pair {
+                    row.2 += next.2;
+                }
+                same_pair
+            });
+        }
         self.outbox.runs.shrink_to(KEEP_MSGS);
         self.outbox.words.shrink_to(KEEP_MSGS);
         let mut traffic = self.spare_rows.pop().unwrap_or_default();

@@ -6,7 +6,7 @@
 //! `-p mo-dist`.
 
 use oblivious::dist::frame::{recv_ctl, send_ctl};
-use oblivious::dist::{data, Ctl, DistAlg, DistDone, LocalFleet, Partition};
+use oblivious::dist::{data, Ctl, DistAlg, DistDone, LocalFleet, Msg, Partition};
 use oblivious::no::algs::ngep;
 use oblivious::no::NoMachine;
 use oblivious::serve::HwHierarchy;
@@ -96,6 +96,29 @@ fn a_sort_jobs_result_frames_are_compact() {
         assert_eq!(bytes, PINNED, "seed {seed}");
         assert!(bytes < 400_000, "{bytes} bytes");
     }
+}
+
+/// A `dist_sort` job's signature (`no_sort 1024` on four workers) stays
+/// in the varint bytes its result frames carried: 102 700 rows, which as
+/// 16-byte `(src, dst, words)` rows would hold 1 643 200 bytes. The
+/// rows are oblivious of the keys, so the count holds for every seed.
+#[test]
+fn a_sort_jobs_signature_stays_compact() {
+    let fleet = LocalFleet::spawn_with(WORKERS, |cfg| {
+        cfg.hierarchy = Some(HwHierarchy::flat(2, 1 << 14, 1 << 22));
+    })
+    .expect("spawn local fleet");
+    let (sim, want) = DistAlg::Sort.reference(1024, 0, 7);
+    let got = fleet
+        .router()
+        .run(DistAlg::Sort, 1024, 0, 7)
+        .expect("fleet run");
+    assert_eq!(got.mismatches(&sim, &want), Vec::<String>::new());
+    let rows: usize = got.signature.steps().map(|rows| rows.len()).sum();
+    assert_eq!(rows * std::mem::size_of::<Msg>(), 1_643_200);
+    let held = got.signature.heap_bytes();
+    assert!(held < 400_000, "{held} bytes");
+    fleet.shutdown().expect("clean shutdown");
 }
 
 /// `n` values in `[0, 1)` from a seeded LCG.
