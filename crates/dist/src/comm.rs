@@ -35,6 +35,7 @@
 //! run: later supersteps are skipped and [`SocketComm::finish`] returns
 //! the first error for the worker loop to report on the control channel.
 
+use std::borrow::BorrowMut;
 use std::io::{self, BufReader};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -42,7 +43,9 @@ use std::sync::Arc;
 use mo_obs::{pack_step_level, EventKind, TraceSink};
 use no_framework::{Comm, Engine, Pe, Scope};
 
-use crate::frame::{decode_runs, in_context, invalid, read_frame, DistDone, Enc};
+use crate::frame::{
+    decode_runs, in_context, invalid, read_frame, recv_ctl, unexpected, Ctl, DistDone, Enc,
+};
 use crate::topology::{num_levels, pair_level, Partition};
 
 /// One duplex mesh stream: reads go through a buffer that lives as long
@@ -50,13 +53,23 @@ use crate::topology::{num_levels, pair_level, Partition};
 /// writes go straight to the socket.
 pub type Link = BufReader<TcpStream>;
 
-/// The socket-backed superstep machine of one worker process.
-pub struct SocketComm<'a> {
+/// What a worker keeps for the life of its mesh: the engine and the
+/// outgoing and incoming frame buffers.
+#[derive(Default)]
+pub struct MeshBuffers {
+    engine: Engine,
+    wire: Enc,
+    rbuf: Vec<u8>,
+}
+
+/// The socket-backed superstep machine of one worker process, in
+/// buffers of its own or kept across jobs.
+pub struct SocketComm<'a, B: BorrowMut<MeshBuffers> = MeshBuffers> {
     part: Partition,
     me: usize,
     /// One stream per peer worker (`None` at `me`).
     peers: &'a mut [Option<Link>],
-    engine: Engine,
+    bufs: B,
     /// Frame exchanges performed (one per in-scope peer per superstep).
     exchange_rounds: u64,
     /// Payload words framed to each cluster level (sender-side).
@@ -68,32 +81,41 @@ pub struct SocketComm<'a> {
     /// When tracing: the dist sink plus the fleet job id stamped into
     /// every event. `None` costs nothing on the superstep path.
     trace: Option<(Arc<TraceSink>, u64)>,
-    /// Reused frame buffers: the outgoing frame, the incoming payload.
-    wire: Enc,
-    rbuf: Vec<u8>,
     /// The first error of the run; once set, supersteps are skipped.
     failed: Option<io::Error>,
 }
 
 impl<'a> SocketComm<'a> {
-    /// A fresh machine for one kernel run. `peers[j]` must hold the
-    /// established stream to worker `j` for every `j != me`; streams
-    /// are borrowed so the mesh outlives the job.
+    /// A fresh machine for one kernel run, in fresh buffers. `peers[j]`
+    /// must hold the established stream to worker `j` for every
+    /// `j != me`; streams are borrowed so the mesh outlives the job.
     pub fn new(part: Partition, me: usize, peers: &'a mut [Option<Link>]) -> Self {
+        Self::in_buffers(part, me, peers, MeshBuffers::default())
+    }
+}
+
+impl<'a, B: BorrowMut<MeshBuffers>> SocketComm<'a, B> {
+    /// [`new`](SocketComm::new), in `bufs` ([`Engine::reset`]): a worker
+    /// passing the same buffers to every job runs each in the last's.
+    pub(crate) fn in_buffers(
+        part: Partition,
+        me: usize,
+        peers: &'a mut [Option<Link>],
+        mut bufs: B,
+    ) -> Self {
         assert_eq!(peers.len(), part.workers);
         assert!(me < part.workers && peers[me].is_none());
+        bufs.borrow_mut().engine.reset(part.n_pes, part.workers, me);
         let levels = num_levels(part.workers).max(1);
         Self {
             part,
             me,
             peers,
-            engine: Engine::new(part.n_pes, part.workers, me),
+            bufs,
             exchange_rounds: 0,
             socket_words_per_level: vec![0; levels],
             recv_words_per_level: vec![0; levels],
             trace: None,
-            wire: Enc::new(),
-            rbuf: Vec::new(),
             failed: None,
         }
     }
@@ -108,43 +130,47 @@ impl<'a> SocketComm<'a> {
         self
     }
 
-    /// Build this run's PE memories and signature log in the
-    /// allocations of `done`, this worker's result of an earlier run
-    /// ([`Engine::reuse`]).
-    pub fn reuse(mut self, done: DistDone) -> Self {
-        self.engine.reuse(done.mems, done.traffic);
-        self
-    }
-
     /// Supersteps executed so far.
     pub fn supersteps(&self) -> u32 {
-        self.engine.supersteps() as u32
+        self.bufs.borrow().engine.supersteps() as u32
     }
 
     /// Consume the machine: the run's first error, or this worker's
     /// result with every PE memory trimmed to `keep` words (the
-    /// kernel's per-PE output size).
+    /// kernel's per-PE output size), as the router decodes it.
     pub fn finish(self, keep: usize) -> io::Result<DistDone> {
+        let mut reply = Enc::new();
+        self.finish_into(keep, &mut reply)?;
+        let mut frame = Vec::new();
+        reply.send(&mut frame)?;
+        match recv_ctl(&mut frame.as_slice())? {
+            Ctl::DistDone(done) => Ok(done),
+            other => Err(unexpected("DistDone", &other)),
+        }
+    }
+
+    /// [`finish`](Self::finish), encoded onto `reply` straight from the
+    /// engine, the row bytes copied once. Returns the result without
+    /// its memories and rows.
+    pub(crate) fn finish_into(self, keep: usize, reply: &mut Enc) -> io::Result<DistDone> {
         if let Some(e) = self.failed {
             return Err(e);
         }
-        let owned = self.engine.owned();
-        let ops = self.engine.total_ops();
-        let (mut mems, traffic) = self.engine.into_mems_and_traffic();
-        for mem in &mut mems {
-            mem.truncate(keep);
-        }
-        Ok(DistDone {
-            supersteps: traffic.len() as u32,
+        let engine = &self.bufs.borrow().engine;
+        let owned = engine.owned();
+        let head = DistDone {
+            supersteps: engine.supersteps() as u32,
             lo: owned.start as u32,
             hi: owned.end as u32,
-            mems,
-            traffic,
+            mems: Vec::new(),
+            traffic: Vec::new(),
             socket_words_per_level: self.socket_words_per_level,
             recv_words_per_level: self.recv_words_per_level,
-            ops,
+            ops: engine.total_ops(),
             exchange_rounds: self.exchange_rounds,
-        })
+        };
+        reply.dist_done(&head, engine.mems(), keep, engine.traffic_bytes());
+        Ok(head)
     }
 
     fn emit(&self, kind: EventKind, a: u64, b: u64, c: u64) {
@@ -155,12 +181,13 @@ impl<'a> SocketComm<'a> {
 
     /// Frame `peer_buf(peer)` to `peer` in one write.
     fn send_frame(&mut self, peer: usize, superstep: u32, level: u8) -> io::Result<()> {
-        let out = self.engine.peer_buf(peer);
+        let MeshBuffers { engine, wire, .. } = self.bufs.borrow_mut();
+        let out = engine.peer_buf(peer);
         let words = out.words.len() as u64;
-        self.wire.clear();
-        self.wire.runs(superstep, level, out);
+        wire.clear();
+        wire.runs(superstep, level, out);
         let stream = self.peers[peer].as_mut().expect("mesh stream missing");
-        self.wire.send(stream.get_mut())?;
+        wire.send(stream.get_mut())?;
         self.socket_words_per_level[level as usize] += words;
         self.emit(
             EventKind::ExchangeSend,
@@ -177,7 +204,7 @@ impl<'a> SocketComm<'a> {
     fn recv_frame(&mut self, peer: usize, superstep: u32, level: u8) -> io::Result<()> {
         let wait_from = self.trace.as_ref().map(|(sink, _)| sink.now_ns());
         let stream = self.peers[peer].as_mut().expect("mesh stream missing");
-        read_frame(stream, &mut self.rbuf)?;
+        read_frame(stream, &mut self.bufs.borrow_mut().rbuf)?;
         if let (Some((sink, _)), Some(from)) = (&self.trace, wait_from) {
             let stamp = pack_step_level(superstep, level);
             let waited = sink.now_ns().saturating_sub(from);
@@ -203,8 +230,9 @@ impl<'a> SocketComm<'a> {
         // The decoder replaces what was sent with what arrived, and
         // holds the frame to its own shape: exact length, sources
         // ascending, no empty run, lengths summing to the word count.
-        let incoming = self.engine.peer_buf(peer);
-        let (step, got_level) = decode_runs(&self.rbuf, incoming)?;
+        let MeshBuffers { engine, rbuf, .. } = self.bufs.borrow_mut();
+        let incoming = engine.peer_buf(peer);
+        let (step, got_level) = decode_runs(rbuf, incoming)?;
         if (step, got_level) != (superstep, level) {
             return Err(invalid(format!(
                 "frame stamped superstep {step} level {got_level}, \
@@ -249,10 +277,13 @@ impl<'a> SocketComm<'a> {
         let superstep = self.supersteps();
         let job = self.trace.as_ref().map_or(0, |t| t.1);
         self.emit(EventKind::SuperstepBegin, job, superstep as u64, 0);
-        self.engine
+        let me = self.me;
+        self.bufs
+            .borrow_mut()
+            .engine
             .compute(scope, f)
-            .map_err(|v| invalid(format!("worker {}: {v}", self.me)))?;
-        let span = self.engine.peer_span(scope);
+            .map_err(|v| invalid(format!("worker {me}: {v}")))?;
+        let span = self.bufs.borrow().engine.peer_span(scope);
         for round in 1..self.part.workers {
             let peer = self.me ^ round;
             if !span.contains(&peer) {
@@ -266,27 +297,27 @@ impl<'a> SocketComm<'a> {
                 )
             })?;
         }
-        self.engine.deliver();
+        self.bufs.borrow_mut().engine.deliver();
         self.emit(EventKind::SuperstepEnd, job, superstep as u64, 0);
         Ok(())
     }
 }
 
-impl Comm for SocketComm<'_> {
+impl<B: BorrowMut<MeshBuffers>> Comm for SocketComm<'_, B> {
     fn n_pes(&self) -> usize {
         self.part.n_pes
     }
 
     fn owns(&self, pe: usize) -> bool {
-        self.engine.owned().contains(&pe)
+        self.bufs.borrow().engine.owned().contains(&pe)
     }
 
     fn pe_mem_mut(&mut self, pe: usize) -> Option<&mut Vec<u64>> {
-        self.engine.mem_mut(pe)
+        self.bufs.borrow_mut().engine.mem_mut(pe)
     }
 
     fn pe_mem(&self, pe: usize) -> Option<&[u64]> {
-        self.engine.mem(pe)
+        self.bufs.borrow().engine.mem(pe)
     }
 
     fn step_dyn(&mut self, scope: Scope<'_>, f: &mut dyn FnMut(usize, &mut Pe<'_>)) {

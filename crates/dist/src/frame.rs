@@ -23,15 +23,13 @@
 //!   supersteps][u32 lo][u32 hi][u64 ops][u64 exchange_rounds]`, the
 //!   sent and then the delivered words per level (each a `u32` count and
 //!   its `u64`s), a `u32` PE count and per PE a `u32` word count and its
-//!   `u64` words, then a `u32` superstep count and per superstep the
-//!   signature rows: a LEB128 varint row count and per row three
-//!   varints — the zigzag delta of `src` from the row before it (from
-//!   `lo` for the first), the zigzag `dst − src`, and `words`. A row of
-//!   the NO sort takes about 3 bytes instead of 16; any row list
-//!   round-trips, and a varint longer than 10 bytes or a `src`/`dst`
-//!   that leaves `u32` is `InvalidData`. The router checks each
-//!   shard's rows in one pass and keeps their bytes as they came
-//!   ([`Signature`](crate::Signature)).
+//!   `u64` words, then `supersteps` supersteps of signature rows in
+//!   [`no_framework::codec`]'s varint form, from `lo`: the worker's
+//!   engine log as it is, about 3 bytes a row of the NO sort instead
+//!   of 16. Any row list round-trips, and a varint longer than 10
+//!   bytes or a `src`/`dst` that leaves `u32` is `InvalidData`. The
+//!   router checks each shard's rows in one pass and keeps their bytes
+//!   as they came ([`Signature`](crate::Signature)).
 //!
 //! Everything is hand-rolled over `std::io` — no serialization
 //! dependency enters the tree. A frame leaves in one `write_all` of a
@@ -43,6 +41,7 @@
 use std::io::{self, Read, Write};
 
 use mo_obs::{Event, EventKind, WORKER_EXTERNAL};
+use no_framework::codec::{row_at, row_count_at};
 
 use crate::alg::DistAlg;
 
@@ -100,17 +99,6 @@ impl Enc {
         self
     }
 
-    /// Append a LEB128 varint: seven bits a byte, low bits first, the
-    /// top bit set on every byte but the last.
-    fn varint(&mut self, mut v: u64) -> &mut Self {
-        while v >= 0x80 {
-            self.buf.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.buf.push(v as u8);
-        self
-    }
-
     /// Append a `u32` word count, then the words as one little-endian
     /// slice.
     fn words(&mut self, words: &[u64]) -> &mut Self {
@@ -126,25 +114,34 @@ impl Enc {
         }
     }
 
-    /// Append one superstep's signature rows as varints: the row count,
-    /// then per row the zigzag delta of `src` from the previous row's
-    /// (from `lo` for the first), the zigzag `dst − src`, and `words`.
-    pub(crate) fn rows(&mut self, lo: u32, rows: &[Msg]) -> &mut Self {
-        self.varint(rows.len() as u64);
-        let mut prev = i64::from(lo);
-        for &(src, dst, words) in rows {
-            let src = i64::from(src);
-            self.varint(zigzag(src - prev))
-                .varint(zigzag(i64::from(dst) - src))
-                .varint(words);
-            prev = src;
-        }
-        self
-    }
-
     /// Append one control message.
     pub fn ctl(&mut self, msg: &Ctl) -> &mut Self {
         encode_ctl(self, msg);
+        self
+    }
+
+    /// Append a [`Ctl::DistDone`] of `d`'s other fields, `mems` each cut
+    /// to `keep` words, and the row bytes `traffic`.
+    pub(crate) fn dist_done(
+        &mut self,
+        d: &DistDone,
+        mems: &[Vec<u64>],
+        keep: usize,
+        traffic: &[u8],
+    ) -> &mut Self {
+        self.u8(T_DIST_DONE)
+            .u32(d.supersteps)
+            .u32(d.lo)
+            .u32(d.hi)
+            .u64(d.ops)
+            .u64(d.exchange_rounds)
+            .words(&d.socket_words_per_level)
+            .words(&d.recv_words_per_level)
+            .u32(mems.len() as u32);
+        for mem in mems {
+            self.words(&mem[..keep.min(mem.len())]);
+        }
+        self.buf.extend_from_slice(traffic);
         self
     }
 
@@ -314,22 +311,6 @@ impl<'a> Dec<'a> {
         Ok(())
     }
 
-    /// Consume one superstep's signature rows ([`Enc::rows`], with the
-    /// same `lo`), appending them to `out`.
-    fn rows_into(&mut self, lo: u32, out: &mut Vec<Msg>) -> io::Result<()> {
-        let (buf, mut pos) = (self.buf, self.pos);
-        let rows = row_count_at(buf, &mut pos)?;
-        out.reserve(rows);
-        let mut prev = lo;
-        for _ in 0..rows {
-            let row = row_at(buf, &mut pos, prev)?;
-            out.push(row);
-            prev = row.0;
-        }
-        self.pos = pos;
-        Ok(())
-    }
-
     /// The bytes not yet consumed; [`skip`](Self::skip) what is read.
     pub(crate) fn rest(&self) -> &'a [u8] {
         &self.buf[self.pos..]
@@ -352,110 +333,6 @@ impl<'a> Dec<'a> {
             left => Err(invalid(format!("{left} bytes after the message"))),
         }
     }
-}
-
-/// The LEB128 varint ([`Enc::varint`]) at `*pos` in `buf`, moving
-/// `*pos` past it. A one-byte varint, most of a signature's, costs one
-/// branch; one longer than the 10 bytes a `u64` needs, or whose tenth
-/// byte carries more than the top bit, is `InvalidData`.
-#[inline]
-pub(crate) fn varint_at(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
-    match buf.get(*pos) {
-        Some(&b) if b < 0x80 => {
-            *pos += 1;
-            Ok(u64::from(b))
-        }
-        _ => long_varint_at(buf, pos),
-    }
-}
-
-fn long_varint_at(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
-    let mut v = 0u64;
-    for i in 0..10 {
-        let &b = buf.get(*pos).ok_or_else(|| eof("varint"))?;
-        *pos += 1;
-        v |= u64::from(b & 0x7f) << (7 * i);
-        if b < 0x80 {
-            if i == 9 && b > 1 {
-                return Err(invalid("varint overflows u64"));
-            }
-            return Ok(v);
-        }
-    }
-    Err(invalid("varint longer than 10 bytes"))
-}
-
-/// A superstep's signature row count at `*pos` in `buf` ([`Enc::rows`]),
-/// checked against the bytes left: every row takes at least three.
-pub(crate) fn row_count_at(buf: &[u8], pos: &mut usize) -> io::Result<usize> {
-    let rows = varint_at(buf, pos)?;
-    if rows > ((buf.len() - *pos) / 3) as u64 {
-        return Err(eof("signature rows"));
-    }
-    Ok(rows as usize)
-}
-
-/// The three varints of the signature row at `*pos` in `buf`, if each
-/// is one byte — the row moved `src` by less than 64, its `dst` is
-/// within 64 of its `src` and it carries fewer than 128 words, as
-/// almost every row of the NO sort does — moving `*pos` past them. Three
-/// loads with no chain between them, where [`varint_at`] would make
-/// each wait on the one before.
-#[inline]
-pub(crate) fn short_row_at(buf: &[u8], pos: &mut usize) -> Option<[u64; 3]> {
-    match buf.get(*pos..*pos + 3) {
-        Some(&[a, b, c]) if (a | b | c) < 0x80 => {
-            *pos += 3;
-            Some([a, b, c].map(u64::from))
-        }
-        _ => None,
-    }
-}
-
-/// The signature row at `*pos` in `buf` ([`Enc::rows`]) that follows a
-/// row from `prev` (the shard's `lo` for a superstep's first), moving
-/// `*pos` past it. A row whose `src` or `dst` leaves `u32` is
-/// `InvalidData`.
-#[inline]
-pub(crate) fn row_at(buf: &[u8], pos: &mut usize, prev: u32) -> io::Result<Msg> {
-    let short = short_row_at(buf, pos);
-    let (from_prev, from_src) = match short {
-        Some([from_prev, from_src, _]) => (from_prev, from_src),
-        None => (varint_at(buf, pos)?, varint_at(buf, pos)?),
-    };
-    let src = offset(prev, from_prev).ok_or_else(|| {
-        invalid(format!(
-            "signature row source {prev} + {} leaves u32",
-            unzigzag(from_prev)
-        ))
-    })?;
-    let dst = offset(src, from_src).ok_or_else(|| {
-        invalid(format!(
-            "signature row destination {src} + {} leaves u32",
-            unzigzag(from_src)
-        ))
-    })?;
-    let words = match short {
-        Some([_, _, words]) => words,
-        None => varint_at(buf, pos)?,
-    };
-    Ok((src, dst, words))
-}
-
-/// Signed `v` as an unsigned varint value: small magnitudes of either
-/// sign stay small.
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-pub(crate) fn unzigzag(z: u64) -> i64 {
-    (z >> 1) as i64 ^ -((z & 1) as i64)
-}
-
-/// `base` moved by the zigzag-coded delta `z`, if it stays in `u32`.
-fn offset(base: u32, z: u64) -> Option<u32> {
-    let v = i64::from(base).checked_add(unzigzag(z))?;
-    u32::try_from(v).ok()
 }
 
 pub use no_framework::{Msg, Runs};
@@ -571,10 +448,10 @@ pub struct DistDone {
     /// Output words per owned PE (`hi - lo` entries, trimmed to the
     /// kernel's per-PE output size).
     pub mems: Vec<Vec<u64>>,
-    /// This worker's src-side traffic rows per superstep, sorted
-    /// `(src, dst, words)` with same-PE messages excluded — the local
-    /// slice of the machine-wide traffic signature.
-    pub traffic: Vec<Vec<Msg>>,
+    /// This worker's src-side traffic rows — the local slice of the
+    /// machine-wide traffic signature — as its engine logged them
+    /// ([`no_framework::Engine::traffic_bytes`]).
+    pub traffic: Vec<u8>,
     /// Payload words actually framed to each D-BSP cluster level
     /// (sender side).
     pub socket_words_per_level: Vec<u64>,
@@ -755,22 +632,7 @@ fn encode_ctl(e: &mut Enc, msg: &Ctl) {
                 .u64(*job);
         }
         Ctl::DistDone(d) => {
-            e.u8(T_DIST_DONE)
-                .u32(d.supersteps)
-                .u32(d.lo)
-                .u32(d.hi)
-                .u64(d.ops)
-                .u64(d.exchange_rounds)
-                .words(&d.socket_words_per_level)
-                .words(&d.recv_words_per_level)
-                .u32(d.mems.len() as u32);
-            for mem in &d.mems {
-                e.words(mem);
-            }
-            e.u32(d.traffic.len() as u32);
-            for step in &d.traffic {
-                e.rows(d.lo, step);
-            }
+            e.dist_done(d, &d.mems, usize::MAX, &d.traffic);
         }
         Ctl::DistFailed { reason } => {
             e.u8(T_DIST_FAILED).str(reason);
@@ -846,8 +708,8 @@ pub(crate) fn recv_reply<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Res
 /// signature rows, into buffers the caller may keep across jobs: each PE
 /// memory's words are appended to `mem_words` and its length to
 /// `mem_lens`. Returns the other fields, with `mems` and `traffic`
-/// empty. What follows is a `u32` superstep count ([`Dec::count`] of at
-/// least one byte each) and per superstep [`Enc::rows`] from `lo`.
+/// empty. What follows is `supersteps` supersteps of rows from `lo`
+/// ([`no_framework::codec`]).
 pub(crate) fn decode_done_head(
     d: &mut Dec<'_>,
     mem_words: &mut Vec<u64>,
@@ -876,17 +738,20 @@ pub(crate) fn decode_done_head(
     Ok(done)
 }
 
-/// Decode the body of a [`Ctl::DistDone`] into an owned one.
+/// Decode the body of a [`Ctl::DistDone`] into an owned one, its
+/// signature rows checked to decode and kept as the bytes they came as.
 fn decode_done(d: &mut Dec<'_>) -> io::Result<DistDone> {
     let (mut words, mut lens) = (Vec::new(), Vec::new());
     let mut done = decode_done_head(d, &mut words, &mut lens)?;
-    let steps = d.count(1)?;
-    done.traffic = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let mut rows = Vec::new();
-        d.rows_into(done.lo, &mut rows)?;
-        done.traffic.push(rows);
+    let (rows, mut pos) = (d.rest(), 0);
+    for _ in 0..done.supersteps {
+        let mut prev = done.lo;
+        for _ in 0..row_count_at(rows, &mut pos)? {
+            prev = row_at(rows, &mut pos, prev)?.0;
+        }
     }
+    done.traffic = rows[..pos].to_vec();
+    d.skip(pos);
     let mut rest = &words[..];
     done.mems = lens
         .into_iter()
@@ -971,6 +836,16 @@ fn decode_ctl(tag: u8, d: &mut Dec<'_>) -> io::Result<Ctl> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use no_framework::codec::{put_rows, rows_at, zigzag};
+
+    /// `steps` of rows as a worker's engine logs them from `lo`.
+    fn coded(lo: u32, steps: &[Vec<Msg>]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for rows in steps {
+            put_rows(&mut bytes, lo, rows);
+        }
+        bytes
+    }
 
     fn roundtrip(msg: Ctl) {
         let mut buf = Vec::new();
@@ -1011,7 +886,7 @@ mod tests {
             lo: 4,
             hi: 8,
             mems: vec![vec![1, 2], vec![], vec![3], vec![4]],
-            traffic: vec![vec![(0, 1, 5)], vec![]],
+            traffic: coded(4, &[vec![(0, 1, 5)], vec![]]),
             socket_words_per_level: vec![10, 20],
             recv_words_per_level: vec![20, 10],
             ops: 99,
@@ -1236,17 +1111,21 @@ mod tests {
                 seed: rng.next(),
                 job: rng.next(),
             },
-            5 => Ctl::DistDone(DistDone {
-                supersteps: rng.next() as u32,
-                lo: rng.next() as u32,
-                hi: rng.next() as u32,
-                mems: (0..rng.below(5)).map(|_| rng.words(6)).collect(),
-                traffic: (0..rng.below(5)).map(|_| rng.msgs(4)).collect(),
-                socket_words_per_level: rng.words(3),
-                recv_words_per_level: rng.words(3),
-                ops: rng.next(),
-                exchange_rounds: rng.next(),
-            }),
+            5 => {
+                let steps: Vec<Vec<Msg>> = (0..rng.below(5)).map(|_| rng.msgs(4)).collect();
+                let lo = rng.next() as u32;
+                Ctl::DistDone(DistDone {
+                    supersteps: steps.len() as u32,
+                    lo,
+                    hi: rng.next() as u32,
+                    mems: (0..rng.below(5)).map(|_| rng.words(6)).collect(),
+                    traffic: coded(lo, &steps),
+                    socket_words_per_level: rng.words(3),
+                    recv_words_per_level: rng.words(3),
+                    ops: rng.next(),
+                    exchange_rounds: rng.next(),
+                })
+            }
             6 => Ctl::DistFailed {
                 reason: rng.string(),
             },
@@ -1410,12 +1289,14 @@ mod tests {
     /// A `DistDone` with random traffic: empty and wild supersteps, no
     /// PEs or empty PE memories, `lo` anywhere in `u32`.
     fn arbitrary_done(rng: &mut Rng) -> DistDone {
+        let lo = rng.pe();
+        let steps: Vec<Vec<Msg>> = (0..rng.below(6)).map(|_| rng.wild_rows(8)).collect();
         DistDone {
-            supersteps: rng.next() as u32,
-            lo: rng.pe(),
+            supersteps: steps.len() as u32,
+            lo,
             hi: rng.pe(),
             mems: (0..rng.below(4)).map(|_| rng.words(5)).collect(),
-            traffic: (0..rng.below(6)).map(|_| rng.wild_rows(8)).collect(),
+            traffic: coded(lo, &steps),
             socket_words_per_level: rng.words(3),
             recv_words_per_level: rng.words(3),
             ops: rng.next(),
@@ -1452,22 +1333,6 @@ mod tests {
         }
     }
 
-    /// A sort-shaped step (sources ascending by at most one, short hops,
-    /// one word each) costs about three bytes a row, not sixteen.
-    #[test]
-    fn sorted_rows_take_about_three_bytes() {
-        let rows: Vec<Msg> = (0..256u32)
-            .map(|s| (s + 256, 256 + (s * 7) % 256, 1))
-            .collect();
-        let mut e = Enc::new();
-        e.rows(256, &rows);
-        let bytes = e.buf.len() - 4;
-        assert!(bytes <= 2 + 4 * rows.len(), "{bytes} bytes");
-        let mut back = Vec::new();
-        Dec::new(&e.buf[4..]).rows_into(256, &mut back).unwrap();
-        assert_eq!(back, rows);
-    }
-
     /// One superstep of hand-made row bytes behind a `DistDone` from `lo`
     /// with no PEs: an overlong varint, a varint past `u64`, and a row
     /// whose `src` or `dst` leaves `u32` are `InvalidData`.
@@ -1479,25 +1344,21 @@ mod tests {
                 lo,
                 hi: lo,
                 mems: vec![],
-                traffic: vec![],
+                traffic: rows.to_vec(),
                 socket_words_per_level: vec![],
                 recv_words_per_level: vec![],
                 ops: 0,
                 exchange_rounds: 0,
             };
-            let mut e = Enc::new();
-            e.ctl(&Ctl::DistDone(done));
-            // The message ends in its superstep count: make it one step.
-            let at = e.buf.len() - 4;
-            e.buf[at..].copy_from_slice(&1u32.to_le_bytes());
-            e.buf.extend_from_slice(rows);
             let mut frame = Vec::new();
-            e.send(&mut frame).unwrap();
+            send_ctl(&mut frame, &Ctl::DistDone(done)).unwrap();
             recv_ctl(&mut frame.as_slice())
         };
         let zz = |v: i64| zigzag(v) as u8;
         match step(5, &[1, zz(0), zz(1), 7]).unwrap() {
-            Ctl::DistDone(d) => assert_eq!(d.traffic, [[(5, 6, 7)]]),
+            Ctl::DistDone(d) => {
+                assert_eq!(rows_at(&d.traffic, 5).collect::<Vec<_>>(), [(5, 6, 7)]);
+            }
             other => panic!("{other:?}"),
         }
         let mut overlong = vec![0x80; 10];

@@ -2,7 +2,7 @@
 //! sent it.
 //!
 //! Each shard's [`DistDone`](crate::DistDone) carries its src-side rows
-//! as varints (the layout is in [`frame`](crate::frame)'s module doc),
+//! as its engine logged them, varints in [`no_framework::codec`]'s form,
 //! about three bytes a row. The router checks them in one pass and keeps the bytes:
 //! a [`Signature`] is one buffer of row bytes plus one segment per
 //! (shard, superstep), and builds no `(src, dst, words)` row until it is
@@ -18,7 +18,9 @@ use std::iter::StepBy;
 use std::ops::Range;
 use std::slice;
 
-use crate::frame::{invalid, row_at, row_count_at, short_row_at, unzigzag, varint_at, Dec, Msg};
+use no_framework::codec::{known_row_at, row_at, row_count_at};
+
+use crate::frame::{invalid, Dec, Msg};
 
 /// One shard's rows of one superstep: `bytes[start..end]`, `rows` rows,
 /// the first `src` coded from `lo`.
@@ -90,8 +92,8 @@ impl Signature {
     }
 
     /// Check `steps` supersteps of worker `w`'s rows from `d` — each
-    /// [`Enc::rows`](crate::frame::Enc) from `pes.start` — and
-    /// keep their bytes with one copy. Every row must have its `src` in
+    /// [`no_framework::codec::put_rows`] from `pes.start` — in one pass
+    /// and keep their bytes with one copy. Every row must have its `src` in
     /// `pes` and its `dst` below `n_pes`, and follow the row before it
     /// in strictly ascending `(src, dst)` order; one that does not is
     /// `InvalidData` naming the worker and the superstep. On any error
@@ -113,64 +115,23 @@ impl Signature {
             "a shard of {steps} supersteps joins shards of {}",
             self.steps
         );
-        let kept = self.segs.len();
-        let buf = d.rest();
-        match self.check_shard(buf, w, pes, n_pes, steps) {
-            Ok(len) => {
-                self.bytes.extend_from_slice(&buf[..len]);
-                self.steps = steps;
-                d.skip(len);
-                Ok(())
-            }
-            Err(e) => {
-                self.segs.truncate(kept);
-                Err(e)
-            }
-        }
-    }
-
-    /// [`push_shard`](Self::push_shard)'s one pass over the rows at the
-    /// front of `buf`: pushes a segment per superstep, placed as if
-    /// `buf` were already appended to the bytes, and returns the length
-    /// the rows took.
-    fn check_shard(
-        &mut self,
-        buf: &[u8],
-        w: usize,
-        pes: Range<u32>,
-        n_pes: u32,
-        steps: usize,
-    ) -> io::Result<usize> {
-        let base = self.bytes.len();
-        let (lo, span, n) = (i64::from(pes.start), pes.len() as u64, u64::from(n_pes));
+        let (kept, base, buf) = (self.segs.len(), self.bytes.len(), d.rest());
         let mut pos = 0;
-        for s in 0..steps {
+        let checked = (0..steps).try_for_each(|s| {
             let rows = row_count_at(buf, &mut pos)?;
             let start = pos;
-            // `src` and `dst` in `i64`: a delta past `i64` wraps to far
-            // below 0, so only a row inside `u32` passes the range test
-            // (and `prev`, `lo` or a passed `src`, is a `u32`).
-            let (mut prev, mut next) = (lo, 0u64);
+            let (mut prev, mut next) = (pes.start, 0u64);
             for _ in 0..rows {
-                let at = pos;
-                let short = short_row_at(buf, &mut pos);
-                let (from_prev, from_src) = match short {
-                    Some([from_prev, from_src, _]) => (from_prev, from_src),
-                    None => (varint_at(buf, &mut pos)?, varint_at(buf, &mut pos)?),
-                };
-                let src = prev.wrapping_add(unzigzag(from_prev));
-                let dst = src.wrapping_add(unzigzag(from_src));
-                if src.wrapping_sub(lo) as u64 >= span || dst as u64 >= n {
-                    return Err(refused(buf, at, prev as u32, w, s, &pes, n_pes));
+                let (src, dst, _) = row_at(buf, &mut pos, prev)?;
+                let key = u64::from(src) << 32 | u64::from(dst);
+                if !pes.contains(&src) || dst >= n_pes || key < next {
+                    return Err(invalid(format!(
+                        "worker {w} superstep {s}: signature row {src} → {dst} is out of \
+                         order or outside PEs {}..{} → 0..{n_pes}",
+                        pes.start, pes.end
+                    )));
                 }
-                if short.is_none() {
-                    varint_at(buf, &mut pos)?;
-                }
-                let key = (src as u64) << 32 | dst as u64;
-                if key < next {
-                    return Err(refused(buf, at, prev as u32, w, s, &pes, n_pes));
-                }
-                // `src < u32::MAX`, so the key leaves room for one more.
+                // `src < pes.end`, so the key leaves room for one more.
                 (prev, next) = (src, key + 1);
             }
             self.segs.push(Seg {
@@ -181,70 +142,31 @@ impl Signature {
                 // `u32::MAX` rows of three bytes or more.
                 rows: rows as u32,
             });
+            Ok(())
+        });
+        if let Err(e) = checked {
+            self.segs.truncate(kept);
+            return Err(e);
         }
-        Ok(pos)
+        self.bytes.extend_from_slice(&buf[..pos]);
+        self.steps = steps;
+        d.skip(pos);
+        Ok(())
     }
 
     /// A signature of one shard from PE 0 holding `rows`, which must
     /// ascend by `(src, dst)` in each superstep.
     #[cfg(test)]
     pub(crate) fn from_rows(rows: &[Vec<Msg>]) -> Self {
-        let mut e = crate::frame::Enc::new();
+        let mut bytes = Vec::new();
         for step in rows {
-            e.rows(0, step);
+            no_framework::codec::put_rows(&mut bytes, 0, step);
         }
-        let mut frame = Vec::new();
-        e.send(&mut frame).expect("into memory");
         let mut sig = Signature::default();
-        sig.push_shard(
-            &mut Dec::new(&frame[4..]),
-            0,
-            0..u32::MAX,
-            u32::MAX,
-            rows.len(),
-        )
-        .expect("ascending rows");
+        sig.push_shard(&mut Dec::new(&bytes), 0, 0..u32::MAX, u32::MAX, rows.len())
+            .expect("ascending rows");
         sig
     }
-}
-
-/// The error for the refused row at `buf[at..]`, coded from `prev`: the
-/// decoder's own where the row leaves `u32` or a varint breaks, else the
-/// row out of order or outside the shard's PEs, named by worker and
-/// superstep.
-#[cold]
-fn refused(
-    buf: &[u8],
-    mut at: usize,
-    prev: u32,
-    w: usize,
-    s: usize,
-    pes: &Range<u32>,
-    n_pes: u32,
-) -> io::Error {
-    match row_at(buf, &mut at, prev) {
-        Err(e) => e,
-        Ok((src, dst, _)) => invalid(format!(
-            "worker {w} superstep {s}: signature row {src} → {dst} is out of \
-             order or outside PEs {}..{} → 0..{n_pes}",
-            pes.start, pes.end
-        )),
-    }
-}
-
-/// The row at `*pos` in `bytes` that follows a row from `prev`, moving
-/// `*pos` past it. [`Signature::push_shard`] checked it when it kept it:
-/// it decodes, and its `src` and `dst` are PEs.
-#[inline(always)]
-fn kept_row_at(bytes: &[u8], pos: &mut usize, prev: u32) -> Msg {
-    let varint = |pos: &mut usize| varint_at(bytes, pos).expect("a checked varint");
-    let [from_prev, from_src, words] = match short_row_at(bytes, pos) {
-        Some(row) => row,
-        None => [varint(pos), varint(pos), varint(pos)],
-    };
-    let src = (i64::from(prev) + unzigzag(from_prev)) as u32;
-    let dst = (i64::from(src) + unzigzag(from_src)) as u32;
-    (src, dst, words)
 }
 
 /// One superstep's rows of a [`Signature`] ([`Signature::step`]),
@@ -275,7 +197,7 @@ impl Iterator for Rows<'_> {
             (self.pos, self.end, self.prev) = (seg.start, seg.end, seg.lo);
         }
         let mut pos = self.pos;
-        let row = kept_row_at(self.bytes, &mut pos, self.prev);
+        let row = known_row_at(self.bytes, &mut pos, self.prev);
         (self.pos, self.prev, self.left) = (pos, row.0, self.left - 1);
         Some(row)
     }
@@ -325,7 +247,7 @@ impl PartialEq<Vec<Vec<Msg>>> for Signature {
                     rest = tail;
                     let (mut pos, mut prev) = (seg.start, seg.lo);
                     mine.iter().all(|&want| {
-                        let got = kept_row_at(&self.bytes, &mut pos, prev);
+                        let got = known_row_at(&self.bytes, &mut pos, prev);
                         prev = got.0;
                         got == want
                     })
@@ -343,7 +265,7 @@ impl PartialEq<Signature> for Vec<Vec<Msg>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Enc;
+    use no_framework::codec::put_rows;
 
     /// SplitMix64.
     struct Rng(u64);
@@ -375,13 +297,11 @@ mod tests {
 
     /// `steps` as a shard from PE `lo` codes them in its `DistDone`.
     fn shard_bytes(steps: &[Vec<Msg>], lo: u32) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut bytes = Vec::new();
         for rows in steps {
-            e.rows(lo, rows);
+            put_rows(&mut bytes, lo, rows);
         }
-        let mut frame = Vec::new();
-        e.send(&mut frame).expect("into memory");
-        frame.split_off(4)
+        bytes
     }
 
     /// For random splits of random machine-wide rows into shards, the

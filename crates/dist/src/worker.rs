@@ -16,8 +16,9 @@
 //!
 //! Single-shard jobs reuse `mo_serve::Server::submit` verbatim — the
 //! shard's admission decisions, queueing, and shedding are exactly the
-//! single-process service's. Fleet jobs build a fresh [`SocketComm`]
-//! over the long-lived mesh and run the *same* `no-framework` driver
+//! single-process service's. Fleet jobs build a [`SocketComm`] over the
+//! long-lived mesh, in the engine and frame buffers the worker keeps
+//! with it ([`MeshBuffers`]), and run the *same* `no-framework` driver
 //! the simulator runs ([`DistAlg::run`]).
 
 use std::io::{self, BufReader};
@@ -29,7 +30,7 @@ use mo_obs::{EventKind, TraceSink};
 use mo_serve::{HwHierarchy, JobSpec, Kernel, Outcome, Rejected, ServeConfig, Server};
 
 use crate::alg::DistAlg;
-use crate::comm::{Link, SocketComm};
+use crate::comm::{Link, MeshBuffers, SocketComm};
 use crate::frame::{invalid, read_frame, recv_ctl, send_ctl, unexpected, Ctl, Dec, DistDone, Enc};
 use crate::topology::{num_levels, Partition};
 
@@ -183,14 +184,14 @@ pub fn establish_mesh(
 /// What a worker keeps from one fleet job to the next, for the life of
 /// its mesh, so that it does not free and fault in its largest buffers
 /// on every job: the frame its result is encoded into, the buffer
-/// N-GEP's input is regenerated into, and its last result, whose PE
-/// memories and signature rows the next run is built in. Its other
-/// replies are rare, and a large one (a trace) is not pinned.
+/// N-GEP's input is regenerated into, and the engine and frame buffers
+/// every run is built in. Its other replies are rare, and a large one
+/// (a trace) is not pinned.
 #[derive(Default)]
 struct JobBuffers {
     reply: Enc,
     input: Vec<f64>,
-    last: Option<DistDone>,
+    mesh: MeshBuffers,
 }
 
 fn reject_name(r: &Rejected) -> String {
@@ -233,10 +234,7 @@ fn run_dist_job(
             n as u64,
         );
     }
-    let mut comm = SocketComm::new(part, index, peers);
-    if let Some(last) = bufs.last.take() {
-        comm = comm.reuse(last);
-    }
+    let mut comm = SocketComm::in_buffers(part, index, peers, &mut bufs.mesh);
     if let Some(sink) = sink {
         comm = comm.with_trace(Arc::clone(sink), job);
     }
@@ -245,7 +243,7 @@ fn run_dist_job(
     if let Some(sink) = sink {
         sink.emit(None, EventKind::DistJobEnd, job, supersteps as u64, 0);
     }
-    comm.finish(keep)
+    comm.finish_into(keep, &mut bufs.reply)
 }
 
 /// Run one worker to completion (returns after [`Ctl::Shutdown`] or
@@ -336,6 +334,7 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
                 seed,
                 job,
             } => {
+                bufs.reply.clear();
                 let done = run_dist_job(
                     alg,
                     n as usize,
@@ -351,7 +350,7 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
                 if let Some(sink) = &sink {
                     stats.trace_dropped = sink.dropped();
                 }
-                let reply = match done {
+                match done {
                     Ok(done) => {
                         stats.supersteps += done.supersteps as u64;
                         stats.exchange_rounds += done.exchange_rounds;
@@ -361,7 +360,6 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
                         for (l, &w) in done.recv_words_per_level.iter().enumerate() {
                             stats.recv_words_per_level[l] += w;
                         }
-                        Ctl::DistDone(done)
                     }
                     Err(e) => {
                         // Mid-frame streams cannot be resynchronised.
@@ -369,16 +367,12 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
                         // pending read into an immediate EOF, so the
                         // whole fleet reports within one timeout.
                         peers.iter_mut().for_each(|p| *p = None);
-                        Ctl::DistFailed {
+                        bufs.reply.ctl(&Ctl::DistFailed {
                             reason: format!("{:?}: {e}", e.kind()),
-                        }
+                        });
                     }
-                };
-                bufs.reply.clear();
-                bufs.reply.ctl(&reply).send(&mut ctrl)?;
-                if let Ctl::DistDone(done) = reply {
-                    bufs.last = Some(done);
                 }
+                bufs.reply.send(&mut ctrl)?;
             }
             Ctl::ClockProbe { seq } => {
                 // Reply with the sink clock — the clock every shipped

@@ -333,11 +333,22 @@ fn forged_result_rows_are_refused_by_the_router() {
     use std::net::TcpStream;
 
     let (sim, want) = DistAlg::Sort.reference(64, 0, 1);
-    let forged_step = sim
+    // Worker 0's honest rows, with one from PE 40 added to its first
+    // superstep that has any, coded as its engine logs them.
+    let mut forged_rows: Vec<Vec<_>> = sim
         .traffic_signature()
         .iter()
-        .position(|rows| rows.iter().any(|r| r.0 < 32))
+        .map(|rows| rows.iter().copied().filter(|r| r.0 < 32).collect())
+        .collect();
+    let forged_step = forged_rows
+        .iter()
+        .position(|rows| !rows.is_empty())
         .expect("worker 0 sends");
+    forged_rows[forged_step].push((40, 41, 1));
+    let mut forged = Vec::new();
+    for rows in &forged_rows {
+        no_framework::codec::put_rows(&mut forged, 0, rows);
+    }
     let router_listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
     let coord = router_listener.local_addr().expect("addr").to_string();
     thread::scope(|s| {
@@ -365,8 +376,7 @@ fn forged_result_rows_are_refused_by_the_router() {
                         alg.run(&mut comm, n, 0, seed);
                         let mut done = comm.finish(1)?;
                         if forge {
-                            let step = done.traffic.iter().position(|r| !r.is_empty());
-                            done.traffic[step.expect("a step with rows")].push((40, 41, 1));
+                            done.traffic.clone_from(&forged);
                             forge = false;
                         }
                         send_ctl(&mut ctrl, &Ctl::DistDone(done))?;

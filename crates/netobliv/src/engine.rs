@@ -15,11 +15,12 @@
 //!    worker's [`Runs`] buffer (scanning sources in increasing order
 //!    keeps every buffer sorted by source);
 //! 3. **signature log** — every cross-PE run is one `(src, dst, len)`
-//!    row, so a block of words costs one entry, not one per word. A row
-//!    of the pair just logged is merged into it as it is pushed; drivers
-//!    mostly send in ascending destination order, so the step's rows
-//!    usually come out sorted, and only a step whose rows did not is
-//!    sorted and merged per pair afterwards, without any map;
+//!    row, so a block of words costs one entry, not one per word; a run
+//!    of the pair just seen merges into its row. Rows are coded as
+//!    varints ([`codec`](crate::codec)) into the log as the step goes,
+//!    as a fleet worker ships them. Drivers mostly send in ascending
+//!    destination order; only a step whose rows did not come out sorted
+//!    is read back, sorted and merged per pair, without any map;
 //! 4. **deliver** — the per-worker buffers, taken in worker order, are
 //!    copied run by run into the owned inboxes. Worker ranges ascend
 //!    with the worker index, so every inbox ends up ordered by source PE
@@ -28,23 +29,18 @@
 //!
 //! A socket backend adds only the exchange between 3 and 4: it ships
 //! [`Engine::peer_buf`]`(w)` to worker `w` and refills it with what `w`
-//! sent back. All buffers are reused across supersteps.
+//! sent back. Every buffer keeps its capacity for the engine's life,
+//! across supersteps and, through [`Engine::reset`], across jobs.
 
 use std::ops::Range;
 
+use crate::codec;
 use crate::comm::Scope;
 use crate::machine::Pe;
 
 /// One signature row `(src_pe, dst_pe, words)`, or one run header
 /// `(src_pe, dst_pe, len)` of a [`Runs`] buffer.
 pub type Msg = (u32, u32, u64);
-
-/// Capacity (in words, and in run headers) a reused buffer keeps
-/// between supersteps. Reuse pays in the many-small-supersteps regime,
-/// where allocation rivals the work; a bulk superstep's buffers are
-/// released instead, so `W` workers do not each pin their largest step
-/// for the whole run.
-const KEEP_MSGS: usize = 512;
 
 /// Append `words` to a word buffer. A one-word run — every message of
 /// the sort's supersteps — is a `push`: the `memcpy` call of a slice
@@ -156,18 +152,9 @@ impl std::fmt::Display for ScopeViolation {
 
 impl std::error::Error for ScopeViolation {}
 
-/// Per-superstep log: pair-aggregated traffic and per-PE op counts
-/// (sparse), both for owned source PEs only.
-#[derive(Debug, Clone)]
-pub(crate) struct StepLog {
-    /// Sorted `(src_pe, dst_pe, words)` rows of cross-PE messages.
-    pub(crate) traffic: Vec<Msg>,
-    /// `(pe, ops)` for PEs that charged work.
-    pub(crate) ops: Vec<(u32, u64)>,
-}
-
-/// The superstep pipeline over one worker's PEs.
-#[derive(Debug)]
+/// The superstep pipeline over one worker's PEs. The default engine
+/// owns no PEs: [`reset`](Engine::reset) gives it a shape.
+#[derive(Debug, Default)]
 pub struct Engine {
     n: usize,
     share: usize,
@@ -177,40 +164,51 @@ pub struct Engine {
     /// The running PE's outbox (partitioned as soon as its closure
     /// returns, so one suffices).
     outbox: Mailbox,
-    /// Scratch: the rows of the step being logged (copied out at their
-    /// exact size — a log grown by pushing would carry up to 2× slack
-    /// for the whole run).
+    /// Scratch: the rows of a step that did not come out ascending,
+    /// read back from the log to be sorted and merged per pair.
     rows: Vec<Msg>,
     /// One run buffer per worker; empty between supersteps.
     bufs: Vec<Runs>,
-    pub(crate) log: Vec<StepLog>,
-    /// An earlier run's logged rows, last step first: step `s` is logged
-    /// into the allocation that held step `s` then.
-    spare_rows: Vec<Vec<Msg>>,
+    /// The signature log: per superstep its row count, then its rows
+    /// coded from the first owned PE ([`codec`]).
+    log: Vec<u8>,
+    /// `(pe, ops)` for owned PEs that charged work, step after step.
+    ops: Vec<(u32, u64)>,
+    /// Per superstep, where its bytes in `log` and its pairs in `ops` end.
+    ends: Vec<(usize, usize)>,
 }
 
 impl Engine {
     /// The engine of worker `me` of `workers`, on a machine of `n_pes`
     /// PEs split into contiguous equal shares.
     pub fn new(n_pes: usize, workers: usize, me: usize) -> Self {
+        let mut engine = Self::default();
+        engine.reset(n_pes, workers, me);
+        engine
+    }
+
+    /// Make this [`new`](Self::new)`(n_pes, workers, me)` in its own
+    /// allocations: every memory, mailbox, run buffer and the log
+    /// emptied, whatever a failed step left half-built included.
+    pub fn reset(&mut self, n_pes: usize, workers: usize, me: usize) {
         assert!(workers >= 1 && me < workers);
         assert!(
             n_pes >= workers && n_pes.is_multiple_of(workers),
             "{workers} workers must divide {n_pes} PEs"
         );
         let share = n_pes / workers;
-        Self {
-            n: n_pes,
-            share,
-            me,
-            mem: vec![Vec::new(); share],
-            inbox: vec![Mailbox::default(); share],
-            outbox: Mailbox::default(),
-            rows: Vec::new(),
-            bufs: vec![Runs::default(); workers],
-            log: Vec::new(),
-            spare_rows: Vec::new(),
-        }
+        (self.n, self.share, self.me) = (n_pes, share, me);
+        self.mem.resize_with(share, Vec::new);
+        self.mem.iter_mut().for_each(Vec::clear);
+        self.inbox.resize_with(share, Mailbox::default);
+        self.inbox.iter_mut().for_each(Mailbox::clear);
+        self.bufs.resize_with(workers, Runs::default);
+        self.bufs.iter_mut().for_each(Runs::clear);
+        self.outbox.clear();
+        self.rows.clear();
+        self.log.clear();
+        self.ops.clear();
+        self.ends.clear();
     }
 
     /// Machine-wide PE count `N`.
@@ -235,45 +233,51 @@ impl Engine {
         self.mem.get_mut(i)
     }
 
-    /// Build this run's PE memories and signature log in the
-    /// allocations of an earlier run's
-    /// ([`into_mems_and_traffic`](Self::into_mems_and_traffic)), each
-    /// emptied first. A worker that runs job after job then does not
-    /// free and fault in its largest buffers every time; a program's
-    /// step `s` logs as many rows on every run, so the reused rows carry
-    /// no slack.
-    pub fn reuse(&mut self, mut mems: Vec<Vec<u64>>, mut traffic: Vec<Vec<Msg>>) {
-        mems.resize_with(self.share, Vec::new);
-        for mem in &mut mems {
-            mem.clear();
-        }
-        self.mem = mems;
-        traffic.reverse();
-        self.spare_rows = traffic;
+    /// Every owned PE's memory, in PE order.
+    pub fn mems(&self) -> &[Vec<u64>] {
+        &self.mem
     }
 
-    /// Consume the engine: the owned PE memories and, per superstep,
-    /// the rows [`traffic_signature`](Self::traffic_signature) would
-    /// copy, moved out of the log instead.
-    pub fn into_mems_and_traffic(self) -> (Vec<Vec<u64>>, Vec<Vec<Msg>>) {
-        let traffic = self.log.into_iter().map(|step| step.traffic).collect();
-        (self.mem, traffic)
+    /// Where superstep `s`'s bytes in `log` and pairs in `ops` start.
+    fn start(&self, s: usize) -> (usize, usize) {
+        s.checked_sub(1).map_or((0, 0), |prev| self.ends[prev])
     }
 
     /// Supersteps computed so far.
     pub fn supersteps(&self) -> usize {
-        self.log.len()
+        self.ends.len()
+    }
+
+    /// Every logged superstep's row count and rows, coded from
+    /// [`owned`](Self::owned)`().start` ([`codec`]).
+    pub fn traffic_bytes(&self) -> &[u8] {
+        &self.log[..self.start(self.supersteps()).0]
+    }
+
+    /// Superstep `s`'s sorted `(src_pe, dst_pe, words)` rows of cross-PE
+    /// traffic sent by owned PEs.
+    pub fn step_traffic(&self, s: usize) -> impl Iterator<Item = Msg> + '_ {
+        let at = self.start(s).0;
+        codec::rows_at(&self.log[at..], self.owned().start as u32)
+    }
+
+    /// Superstep `s`'s `(pe, ops)` pairs of owned PEs that charged work.
+    pub fn step_ops(&self, s: usize) -> &[(u32, u64)] {
+        &self.ops[self.start(s).1..self.ends[s].1]
     }
 
     /// Per superstep, the sorted `(src_pe, dst_pe, words)` rows of
     /// cross-PE traffic sent by owned PEs.
     pub fn traffic_signature(&self) -> Vec<Vec<Msg>> {
-        self.log.iter().map(|s| s.traffic.clone()).collect()
+        (0..self.supersteps())
+            .map(|s| self.step_traffic(s).collect())
+            .collect()
     }
 
     /// Total operations charged by owned PEs.
     pub fn total_ops(&self) -> u64 {
-        self.log.iter().flat_map(|s| &s.ops).map(|o| o.1).sum()
+        let end = self.start(self.supersteps()).1;
+        self.ops[..end].iter().map(|o| o.1).sum()
     }
 
     /// The workers whose PE range shares a group of `scope` with this
@@ -302,7 +306,7 @@ impl Engine {
     /// `scope`, log the step, and fill the per-worker buffers.
     ///
     /// After an `Err` the engine holds a half-built step and must not
-    /// be stepped again.
+    /// be stepped again before a [`reset`](Self::reset).
     pub fn compute(
         &mut self,
         scope: Scope<'_>,
@@ -315,9 +319,11 @@ impl Engine {
             );
         }
         let lo = self.owned().start;
-        let mut ops_log = Vec::new();
-        self.rows.clear();
-        let mut ascending = true;
+        let start = self.log.len();
+        // The row the pair just seen adds to; it is coded once another
+        // pair follows it, from the `src` of the row coded before it.
+        let mut last: Option<Msg> = None;
+        let (mut prev, mut count, mut ascending) = (lo as u32, 0, true);
         for i in 0..self.share {
             let pe = lo + i;
             let mut ops = 0u64;
@@ -333,7 +339,7 @@ impl Engine {
                 ),
             );
             if ops > 0 {
-                ops_log.push((pe as u32, ops));
+                self.ops.push((pe as u32, ops));
             }
             if self.outbox.runs.is_empty() {
                 continue;
@@ -343,17 +349,21 @@ impl Engine {
             for &(dst, len) in &self.outbox.runs {
                 if !group.contains(&(dst as usize)) {
                     return Err(ScopeViolation {
-                        superstep: self.log.len(),
+                        superstep: self.supersteps(),
                         src: pe,
                         dst: dst as usize,
                     });
                 }
                 if dst as usize != pe {
-                    match self.rows.last_mut() {
-                        Some(row) if (row.0, row.1) == (pe as u32, dst) => row.2 += len as u64,
-                        last => {
-                            ascending &= last.is_none_or(|row| (row.0, row.1) < (pe as u32, dst));
-                            self.rows.push((pe as u32, dst, len as u64));
+                    let pair = (pe as u32, dst);
+                    match &mut last {
+                        Some(row) if (row.0, row.1) == pair => row.2 += len as u64,
+                        _ => {
+                            if let Some(row) = last.replace((pair.0, pair.1, len as u64)) {
+                                ascending &= (row.0, row.1) < pair;
+                                codec::put_row(&mut self.log, prev, row);
+                                (prev, count) = (row.0, count + 1);
+                            }
                         }
                     }
                 }
@@ -363,9 +373,21 @@ impl Engine {
             }
             self.outbox.clear();
         }
-        // Sources ascend, so only a destination that went back within
-        // one source leaves rows to sort and pairs to merge.
+        if let Some(row) = last {
+            codec::put_row(&mut self.log, prev, row);
+            count += 1;
+        }
+        // The step's row count goes in front of its rows.
+        let end = self.log.len();
+        codec::put_varint(&mut self.log, count);
+        let head = self.log.len() - end;
+        self.log[start..].rotate_right(head);
         if !ascending {
+            // Sources ascend, so only a destination that went back
+            // within one source leaves rows to sort and pairs to merge.
+            self.rows.clear();
+            self.rows
+                .extend(codec::rows_at(&self.log[start..], lo as u32));
             self.rows.sort_unstable_by_key(|r| (r.0, r.1));
             self.rows.dedup_by(|next, row| {
                 let same_pair = (next.0, next.1) == (row.0, row.1);
@@ -374,16 +396,10 @@ impl Engine {
                 }
                 same_pair
             });
+            self.log.truncate(start);
+            codec::put_rows(&mut self.log, lo as u32, &self.rows);
         }
-        self.outbox.runs.shrink_to(KEEP_MSGS);
-        self.outbox.words.shrink_to(KEEP_MSGS);
-        let mut traffic = self.spare_rows.pop().unwrap_or_default();
-        traffic.clear();
-        traffic.extend_from_slice(&self.rows);
-        self.log.push(StepLog {
-            traffic,
-            ops: ops_log,
-        });
+        self.ends.push((self.log.len(), self.ops.len()));
         Ok(())
     }
 
@@ -409,8 +425,6 @@ impl Engine {
                 self.inbox[dst as usize - lo].extend(src, words);
             }
             buf.clear();
-            buf.heads.shrink_to(KEEP_MSGS);
-            buf.words.shrink_to(KEEP_MSGS);
         }
     }
 }
@@ -519,15 +533,20 @@ mod tests {
     }
 
     /// A run built in an earlier run's allocations — a longer one, with
-    /// more PEs and supersteps than it needs — ends exactly as a fresh
-    /// run does, in the same allocations.
+    /// more PEs and supersteps than it needs, or one that ended in a
+    /// scope violation mid-step, leaving runs in the outbox and a run
+    /// buffer and rows half logged — ends exactly as a fresh run does,
+    /// in the same allocations.
     #[test]
     fn a_reused_run_equals_a_fresh_one_in_the_old_allocations() {
         let run = |e: &mut Engine, steps: u64| {
             let n = e.n_pes();
             for step in 0..steps {
                 e.compute(Scope::All, &mut |pe, ctx| {
+                    // What arrived shows in memory, stale words included.
+                    ctx.mem.extend_from_slice(ctx.inbox);
                     ctx.mem.push(pe as u64 + step);
+                    ctx.work(pe as u64 + 1);
                     ctx.send((pe + 1) % n, step);
                     ctx.send_words(n - 1 - pe, &[step; 3]);
                 })
@@ -535,19 +554,45 @@ mod tests {
                 e.deliver();
             }
         };
+        let state = |e: &Engine| {
+            let rows = e.traffic_signature();
+            let ops: Vec<_> = (0..e.supersteps())
+                .map(|s| e.step_ops(s).to_vec())
+                .collect();
+            (e.mem.clone(), rows, e.traffic_bytes().to_vec(), ops)
+        };
         let mut fresh = Engine::new(4, 1, 0);
         run(&mut fresh, 2);
-        let want = (fresh.mem.clone(), fresh.traffic_signature());
+        let want = state(&fresh);
+
         let mut old = Engine::new(8, 1, 0);
         run(&mut old, 5);
-        let (mems, traffic) = old.into_mems_and_traffic();
-        let (mem0, step0) = (mems[0].as_ptr(), traffic[0].as_ptr());
-        let mut reused = Engine::new(4, 1, 0);
-        reused.reuse(mems, traffic);
-        run(&mut reused, 2);
-        assert_eq!((reused.mem.clone(), reused.traffic_signature()), want);
-        let (mems, traffic) = reused.into_mems_and_traffic();
-        assert_eq!((mems[0].as_ptr(), traffic[0].as_ptr()), (mem0, step0));
+        let (mem0, log) = (old.mem[0].as_ptr(), old.log.as_ptr());
+        old.reset(4, 1, 0);
+        run(&mut old, 2);
+        assert_eq!(state(&old), want);
+        assert_eq!((old.mem[0].as_ptr(), old.log.as_ptr()), (mem0, log));
+
+        let pairs = Scope::Groups {
+            starts: &[0, 4],
+            size: 4,
+        };
+        let mut failed = Engine::new(8, 1, 0);
+        run(&mut failed, 3);
+        let err = failed
+            .compute(pairs, &mut |pe, ctx| {
+                ctx.work(1);
+                ctx.send_words(pe ^ 1, &[9, 9]);
+                if pe == 5 {
+                    ctx.send(6, 1);
+                    ctx.send(0, 1);
+                }
+            })
+            .unwrap_err();
+        assert_eq!((err.superstep, err.src, err.dst), (3, 5, 0));
+        failed.reset(4, 1, 0);
+        run(&mut failed, 2);
+        assert_eq!(state(&failed), want);
     }
 
     #[test]

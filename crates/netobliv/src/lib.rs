@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod algs;
+pub mod codec;
 mod comm;
 mod engine;
 mod machine;

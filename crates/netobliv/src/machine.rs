@@ -3,7 +3,7 @@
 use std::ops::Range;
 
 use crate::comm::Scope;
-use crate::engine::{Engine, Mailbox, Msg, StepLog};
+use crate::engine::{Engine, Mailbox, Msg};
 
 /// One processing element's view during a superstep.
 pub struct Pe<'a> {
@@ -224,10 +224,8 @@ impl NoMachine {
     /// Total words sent across all supersteps (PE-level, excluding
     /// same-PE messages).
     pub fn total_words(&self) -> u64 {
-        self.engine
-            .log
-            .iter()
-            .flat_map(|s| &s.traffic)
+        (0..self.supersteps())
+            .flat_map(|s| self.engine.step_traffic(s))
             .map(|t| t.2)
             .sum()
     }
@@ -238,15 +236,15 @@ impl NoMachine {
         pe as usize / per
     }
 
-    /// The h-relation of one superstep on `p` processors with blocks of
+    /// The h-relation of superstep `s` on `p` processors with blocks of
     /// `block` words: max over processors of max(blocks sent, blocks
     /// received), the words of each (src, dst) processor pair packed
     /// into `⌈words/block⌉` blocks.
-    fn h_relation(&self, step: &StepLog, p: usize, block: usize) -> u64 {
-        let mut pairs: Vec<(usize, usize, u64)> = step
-            .traffic
-            .iter()
-            .map(|&(s, d, w)| (self.proc_of(s, p), self.proc_of(d, p), w))
+    fn h_relation(&self, s: usize, p: usize, block: usize) -> u64 {
+        let mut pairs: Vec<(usize, usize, u64)> = self
+            .engine
+            .step_traffic(s)
+            .map(|(s, d, w)| (self.proc_of(s, p), self.proc_of(d, p), w))
             .filter(|&(sp, dp, _)| sp != dp)
             .collect();
         pairs.sort_unstable();
@@ -287,17 +285,17 @@ impl NoMachine {
         if b == 0 {
             return Err(CostModelError::ZeroBlockSize { level: 0 });
         }
-        let steps = self.engine.log.iter();
-        Ok(steps.map(|step| self.h_relation(step, p, b)).sum())
+        let steps = 0..self.supersteps();
+        Ok(steps.map(|s| self.h_relation(s, p, b)).sum())
     }
 
     /// Computation complexity on M(p, ·): Σ_steps max_proc Σ ops of its
     /// PEs.
     pub fn computation_complexity(&self, p: usize) -> u64 {
         let mut total = 0u64;
-        for step in &self.engine.log {
+        for s in 0..self.supersteps() {
             let mut per = vec![0u64; p];
-            for &(pe, ops) in &step.ops {
+            for &(pe, ops) in self.engine.step_ops(s) {
                 per[self.proc_of(pe, p)] += ops;
             }
             total += per.iter().max().copied().unwrap_or(0);
@@ -344,11 +342,11 @@ impl NoMachine {
             return Ok(0.0);
         }
         let mut time = 0.0;
-        for step in &self.engine.log {
+        for step in 0..self.supersteps() {
             // Finest level whose clusters contain all (src,dst) pairs.
             let mut level = logp - 1; // smallest clusters (size 2)
             let mut any = false;
-            for &(s, d, _) in &step.traffic {
+            for (s, d, _) in self.engine.step_traffic(step) {
                 let (sp, dp) = (self.proc_of(s, p), self.proc_of(d, p));
                 if sp == dp {
                     continue;
