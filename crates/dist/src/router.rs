@@ -546,7 +546,7 @@ impl<'a> Assembly<'a> {
         }
         let n_pes = self.part.n_pes as u32;
         self.signature
-            .push_shard(d, w, lo..hi, n_pes, supersteps as usize)?;
+            .push_shard(d, w, lo..hi, n_pes, supersteps as usize, self.part.workers)?;
         d.end()?;
         for (sum, &words) in self
             .socket_words_per_level

@@ -50,34 +50,49 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// After five warm-up jobs, forty `N-GEP 128/32` jobs make at most two
-/// allocations of 16 KiB or more a job across router and workers. The
-/// one the router must make is the job's 128 KiB output; an engine
-/// built afresh per job, or run buffers shrunk after each superstep,
-/// make about two hundred.
-#[test]
-fn a_fleet_job_allocates_no_large_buffer_on_the_workers() {
+/// Allocations of 16 KiB or more a job over forty `job(seed)` calls
+/// after five warm-up ones, which must return differing checksums.
+fn large_allocs_per_job(mut job: impl FnMut(u64) -> u64) -> f64 {
     const WARM_UP: u64 = 5;
     const JOBS: u64 = 40;
-    let fleet = LocalFleet::spawn_with(4, |cfg| {
-        cfg.hierarchy = Some(mo_serve::HwHierarchy::flat(2, 1 << 14, 1 << 22));
-    })
-    .expect("spawn local fleet");
     let mut checksums = Vec::new();
     for seed in 0..WARM_UP + JOBS {
         if seed == WARM_UP {
             LARGE_ALLOCS.store(0, Ordering::Relaxed);
         }
-        let got = fleet.router().run_ngep(128, 32, seed).expect("fleet run");
-        checksums.push(got.checksum);
+        checksums.push(job(seed));
     }
     let large = LARGE_ALLOCS.load(Ordering::Relaxed);
-    fleet.shutdown().expect("clean shutdown");
-    let per_job = large as f64 / JOBS as f64;
-    assert!(
-        per_job <= 2.0,
-        "{large} allocations of 16 KiB or more in {JOBS} jobs ({per_job} a job)"
-    );
     checksums.dedup();
     assert!(checksums.len() > 1, "the seeds make different inputs");
+    large as f64 / JOBS as f64
+}
+
+/// After warm-up, a job makes at most two allocations of 16 KiB or
+/// more across router and workers. The ones the router must make are
+/// an `N-GEP 128/32` job's 128 KiB output, and a `sort 1024` job's
+/// signature: its row bytes and its segments, each reserved once on
+/// the first shard. An engine built afresh per job, or run buffers
+/// shrunk after each superstep, make about two hundred; a signature
+/// grown shard by shard makes four.
+#[test]
+fn a_fleet_job_allocates_no_large_buffer_on_the_workers() {
+    let fleet = LocalFleet::spawn_with(4, |cfg| {
+        cfg.hierarchy = Some(mo_serve::HwHierarchy::flat(2, 1 << 14, 1 << 22));
+    })
+    .expect("spawn local fleet");
+    let router = fleet.router();
+    let ngep =
+        large_allocs_per_job(|seed| router.run_ngep(128, 32, seed).expect("fleet run").checksum);
+    let sort =
+        large_allocs_per_job(|seed| router.run_sort(1024, seed).expect("fleet run").checksum);
+    fleet.shutdown().expect("clean shutdown");
+    assert!(
+        ngep <= 2.0,
+        "N-GEP 128/32: {ngep} allocations of 16 KiB or more a job"
+    );
+    assert!(
+        sort <= 2.0,
+        "sort 1024: {sort} allocations of 16 KiB or more a job"
+    );
 }

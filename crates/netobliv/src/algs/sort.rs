@@ -21,10 +21,9 @@ const BASE: usize = 32;
 /// One permutation superstep applied within every group in `starts`
 /// (all of size `g`): local index `t` moves to `perm(t)`.
 fn permute<C: Comm>(m: &mut C, starts: &[usize], g: usize, perm: impl Fn(usize) -> usize) {
-    let n = m.n_pes();
     let groups = Scope::Groups { starts, size: g };
     m.step_in(groups, |pe, ctx| {
-        let Some(group) = groups.group_of(pe, n) else {
+        let Some(group) = ctx.group() else {
             return;
         };
         let v = ctx.mem[0];
@@ -64,10 +63,9 @@ fn sort_groups<C: Comm>(m: &mut C, starts: &[usize], g: usize) {
     }
     if g <= BASE || pick_s(g).is_none() {
         // Gather to the group leader, sort, scatter.
-        let n = m.n_pes();
         let groups = Scope::Groups { starts, size: g };
-        m.step_in(groups, |pe, ctx| {
-            if let Some(group) = groups.group_of(pe, n) {
+        m.step_in(groups, |_, ctx| {
+            if let Some(group) = ctx.group() {
                 let v = ctx.mem[0];
                 ctx.send(group.start, v);
             }

@@ -2,35 +2,37 @@
 //!
 //! One worker of a `W`-worker machine owns a contiguous run of `N/W`
 //! PEs ([`NoMachine`](crate::NoMachine) is the `W = 1` case). Messages
-//! travel as *runs* from outbox to inbox: the words one source sent one
-//! destination back to back, under one header, never one tag per word.
-//! A superstep is the same pipeline on every backend:
+//! travel as *runs*: the words one source sent one destination back to
+//! back, under one header, never one tag per word. A superstep is the
+//! same pipeline on every backend:
 //!
-//! 1. **compute** — the driver closure runs for every owned PE in
-//!    increasing index order; its sends land in a [`Mailbox`] of
-//!    `(dst, len)` runs (consecutive sends to one destination extend
-//!    one run);
-//! 2. **partition** — each run is checked against the declared
-//!    [`Scope`] once and copied as one slice into its destination
-//!    worker's [`Runs`] buffer (scanning sources in increasing order
-//!    keeps every buffer sorted by source);
-//! 3. **signature log** — every cross-PE run is one `(src, dst, len)`
-//!    row, so a block of words costs one entry, not one per word; a run
-//!    of the pair just seen merges into its row. Rows are coded as
-//!    varints ([`codec`](crate::codec)) into the log as the step goes,
-//!    as a fleet worker ships them. Drivers mostly send in ascending
-//!    destination order; only a step whose rows did not come out sorted
-//!    is read back, sorted and merged per pair, without any map;
-//! 4. **deliver** — the per-worker buffers, taken in worker order, are
+//! 1. **compute and send** — the driver closure runs for every owned
+//!    PE in increasing index order, handed its group of the declared
+//!    [`Scope`] by one cursor walk over the groups ([`Pe::group`]).
+//!    Each send is checked against that group and written where it is
+//!    made, once: as a run into its destination worker's [`Runs`]
+//!    buffer (a send to the same pair as the last one extends its run;
+//!    sources ascend, so every buffer is sorted by source), and, unless
+//!    it stays on its PE, into the signature log as one `(src, dst,
+//!    len)` row — a block of words costs one entry, not one per word,
+//!    and a send of the pair just seen merges into its row. Rows are
+//!    coded as varints ([`codec`](crate::codec)) as a fleet worker
+//!    ships them. Drivers mostly send in ascending destination order;
+//!    only a step whose rows did not come out sorted is read back,
+//!    sorted and merged per pair, without any map. A send outside its
+//!    group is never written: the step ends in a [`ScopeViolation`]
+//!    once its PE's closure returns;
+//! 2. **exchange** — a socket backend ships [`Engine::peer_buf`]`(w)`
+//!    to worker `w` and refills it with what `w` sent back (nothing to
+//!    do with one worker);
+//! 3. **deliver** — the per-worker buffers, taken in worker order, are
 //!    copied run by run into the owned inboxes. Worker ranges ascend
 //!    with the worker index, so every inbox ends up ordered by source PE
 //!    and, within a source, in send order — no sort — with one
 //!    `(src, len)` run per source beside its words.
 //!
-//! A socket backend adds only the exchange between 3 and 4: it ships
-//! [`Engine::peer_buf`]`(w)` to worker `w` and refills it with what `w`
-//! sent back. Every buffer keeps its capacity for the engine's life,
-//! across supersteps and, through [`Engine::reset`], across jobs.
+//! Every buffer keeps its capacity for the engine's life, across
+//! supersteps and, through [`Engine::reset`], across jobs.
 
 use std::ops::Range;
 
@@ -90,36 +92,23 @@ impl Runs {
     }
 }
 
-/// One PE's outbox or inbox: `(pe, len)` runs, keyed by the destination
-/// in an outbox and by the source in an inbox, and their words back to
-/// back. Appending to the key of the last run extends it.
+/// One PE's inbox: `(src, len)` runs, sources ascending, and their
+/// words back to back.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Mailbox {
+pub(crate) struct Inbox {
     pub(crate) runs: Vec<(u32, u32)>,
     pub(crate) words: Vec<u64>,
 }
 
-impl Mailbox {
-    fn open(&mut self, pe: u32, len: usize) {
-        match self.runs.last_mut() {
-            Some(run) if run.0 == pe => run.1 += len as u32,
-            _ => self.runs.push((pe, len as u32)),
-        }
-    }
-
-    /// Append one word keyed by `pe`.
-    pub(crate) fn push(&mut self, pe: u32, word: u64) {
-        self.open(pe, 1);
-        self.words.push(word);
-    }
-
-    /// Append `words` keyed by `pe`; nothing at all when it is empty.
+impl Inbox {
+    /// Append `words` (non-empty) from `src`, extending the last run
+    /// when it is from `src`.
     #[inline]
-    pub(crate) fn extend(&mut self, pe: u32, words: &[u64]) {
-        if words.is_empty() {
-            return;
+    fn extend(&mut self, src: u32, words: &[u64]) {
+        match self.runs.last_mut() {
+            Some(run) if run.0 == src => run.1 += words.len() as u32,
+            _ => self.runs.push((src, words.len() as u32)),
         }
-        self.open(pe, words.len());
         append(&mut self.words, words);
     }
 
@@ -152,29 +141,147 @@ impl std::fmt::Display for ScopeViolation {
 
 impl std::error::Error for ScopeViolation {}
 
-/// The superstep pipeline over one worker's PEs. The default engine
-/// owns no PEs: [`reset`](Engine::reset) gives it a shape.
-#[derive(Debug, Default)]
-pub struct Engine {
+/// Each PE's group of a [`Scope`], for PEs asked about in ascending
+/// order — as [`Engine::compute`] runs them — by walking the groups
+/// with a cursor instead of searching them once per PE.
+struct GroupCursor<'s> {
+    scope: Scope<'s>,
     n: usize,
-    share: usize,
+    /// The first group that does not end at or before the PE asked
+    /// about last.
+    next: usize,
+}
+
+impl<'s> GroupCursor<'s> {
+    /// A cursor for PEs from `lo` on, on an `n`-PE machine.
+    fn new(scope: Scope<'s>, n: usize, lo: usize) -> Self {
+        let next = match scope {
+            Scope::Groups { starts, size } => starts.partition_point(|&s| s + size <= lo),
+            _ => 0,
+        };
+        Self { scope, n, next }
+    }
+
+    /// [`Scope::group_of`]`(pe, n)`, `pe..pe` (empty) for `None`.
+    #[inline]
+    fn group(&mut self, pe: usize) -> Range<usize> {
+        match self.scope {
+            Scope::All => 0..self.n,
+            Scope::None => pe..pe,
+            Scope::Groups { starts, size } => {
+                while starts.get(self.next).is_some_and(|&s| s + size <= pe) {
+                    self.next += 1;
+                }
+                match starts.get(self.next) {
+                    Some(&s) if s <= pe => s..(s + size).min(self.n),
+                    _ => pe..pe,
+                }
+            }
+        }
+    }
+}
+
+/// Where a superstep's sends are written as they are made: the run
+/// buffers and the signature log, with the row still open.
+#[derive(Debug, Default)]
+pub(crate) struct Post {
+    /// The owned PEs.
+    own: Range<usize>,
+    /// This worker's index, and the PEs each worker owns.
     me: usize,
-    mem: Vec<Vec<u64>>,
-    inbox: Vec<Mailbox>,
-    /// The running PE's outbox (partitioned as soon as its closure
-    /// returns, so one suffices).
-    outbox: Mailbox,
-    /// Scratch: the rows of a step that did not come out ascending,
-    /// read back from the log to be sorted and merged per pair.
-    rows: Vec<Msg>,
+    share: usize,
     /// One run buffer per worker; empty between supersteps.
     bufs: Vec<Runs>,
     /// The signature log: per superstep its row count, then its rows
     /// coded from the first owned PE ([`codec`]).
     log: Vec<u8>,
+    /// The row the pair just seen adds to; it is coded once another
+    /// pair follows it, from `prev`, the `src` of the row coded before
+    /// it. `count` rows of the step are coded, `ascending` while each
+    /// followed the one before it in `(src, dst)` order.
+    last: Option<Msg>,
+    prev: u32,
+    count: u64,
+    ascending: bool,
+    /// The step's first send outside its PE's group, `(src, dst)`.
+    violation: Option<(usize, usize)>,
+}
+
+impl Post {
+    /// Write the send of `words` from `src` to `dst`, if `dst` is in
+    /// `group` (`src`'s group of the step's scope); nothing at all when
+    /// `words` is empty. A send outside `group` is never written: the
+    /// first is kept for [`Engine::compute`] to report.
+    #[inline]
+    pub(crate) fn send(&mut self, src: usize, group: &Range<usize>, dst: usize, words: &[u64]) {
+        if words.is_empty() {
+            return;
+        }
+        if !group.contains(&dst) {
+            self.violation.get_or_insert((src, dst));
+            return;
+        }
+        let (src32, dst32) = (src as u32, dst as u32);
+        if dst != src {
+            self.add_row(src32, dst32, words.len() as u64);
+        }
+        // Most words stay on their worker: no division for those.
+        let w = if self.own.contains(&dst) {
+            self.me
+        } else {
+            dst / self.share
+        };
+        self.bufs[w].push(src32, dst32, words);
+    }
+
+    /// Add `len` words `src → dst` to the step's signature rows.
+    #[inline]
+    fn add_row(&mut self, src: u32, dst: u32, len: u64) {
+        match &mut self.last {
+            Some(row) if (row.0, row.1) == (src, dst) => row.2 += len,
+            _ => {
+                if let Some(row) = self.last.replace((src, dst, len)) {
+                    self.ascending &= (row.0, row.1) < (src, dst);
+                    codec::put_row(&mut self.log, self.prev, row);
+                    (self.prev, self.count) = (row.0, self.count + 1);
+                }
+            }
+        }
+    }
+
+    /// Start a step: no row open or coded, no violation.
+    fn open(&mut self) {
+        (self.last, self.prev) = (None, self.own.start as u32);
+        (self.count, self.ascending, self.violation) = (0, true, None);
+    }
+
+    /// Code the open row; the step's row count and whether its rows
+    /// came out ascending.
+    fn close(&mut self) -> (u64, bool) {
+        if let Some(row) = self.last.take() {
+            codec::put_row(&mut self.log, self.prev, row);
+            self.count += 1;
+        }
+        (self.count, self.ascending)
+    }
+}
+
+/// The superstep pipeline over one worker's PEs. The default engine
+/// owns no PEs: [`reset`](Engine::reset) gives it a shape.
+#[derive(Debug, Default)]
+pub struct Engine {
+    n: usize,
+    mem: Vec<Vec<u64>>,
+    inbox: Vec<Inbox>,
+    /// The run buffers and the signature log every send is written to.
+    post: Post,
+    /// Scratch: the rows of a step that did not come out ascending,
+    /// read back from the log to be sorted and merged per pair.
+    rows: Vec<Msg>,
     /// `(pe, ops)` for owned PEs that charged work, step after step.
     ops: Vec<(u32, u64)>,
-    /// Per superstep, where its bytes in `log` and its pairs in `ops` end.
+    /// Per superstep, where its bytes in the log and its pairs in `ops`
+    /// end.
     ends: Vec<(usize, usize)>,
 }
 
@@ -188,7 +295,7 @@ impl Engine {
     }
 
     /// Make this [`new`](Self::new)`(n_pes, workers, me)` in its own
-    /// allocations: every memory, mailbox, run buffer and the log
+    /// allocations: every memory, inbox, run buffer and the log
     /// emptied, whatever a failed step left half-built included.
     pub fn reset(&mut self, n_pes: usize, workers: usize, me: usize) {
         assert!(workers >= 1 && me < workers);
@@ -197,16 +304,17 @@ impl Engine {
             "{workers} workers must divide {n_pes} PEs"
         );
         let share = n_pes / workers;
-        (self.n, self.share, self.me) = (n_pes, share, me);
+        self.n = n_pes;
         self.mem.resize_with(share, Vec::new);
         self.mem.iter_mut().for_each(Vec::clear);
-        self.inbox.resize_with(share, Mailbox::default);
-        self.inbox.iter_mut().for_each(Mailbox::clear);
-        self.bufs.resize_with(workers, Runs::default);
-        self.bufs.iter_mut().for_each(Runs::clear);
-        self.outbox.clear();
+        self.inbox.resize_with(share, Inbox::default);
+        self.inbox.iter_mut().for_each(Inbox::clear);
+        let post = &mut self.post;
+        (post.own, post.me, post.share) = (me * share..(me + 1) * share, me, share);
+        post.bufs.resize_with(workers, Runs::default);
+        post.bufs.iter_mut().for_each(Runs::clear);
+        post.log.clear();
         self.rows.clear();
-        self.log.clear();
         self.ops.clear();
         self.ends.clear();
     }
@@ -218,18 +326,18 @@ impl Engine {
 
     /// The PEs this engine owns.
     pub fn owned(&self) -> Range<usize> {
-        self.me * self.share..(self.me + 1) * self.share
+        self.post.own.clone()
     }
 
     /// An owned PE's memory.
     pub fn mem(&self, pe: usize) -> Option<&[u64]> {
-        let i = pe.checked_sub(self.owned().start)?;
+        let i = pe.checked_sub(self.post.own.start)?;
         self.mem.get(i).map(Vec::as_slice)
     }
 
     /// An owned PE's memory, mutably.
     pub fn mem_mut(&mut self, pe: usize) -> Option<&mut Vec<u64>> {
-        let i = pe.checked_sub(self.owned().start)?;
+        let i = pe.checked_sub(self.post.own.start)?;
         self.mem.get_mut(i)
     }
 
@@ -238,7 +346,7 @@ impl Engine {
         &self.mem
     }
 
-    /// Where superstep `s`'s bytes in `log` and pairs in `ops` start.
+    /// Where superstep `s`'s bytes in the log and pairs in `ops` start.
     fn start(&self, s: usize) -> (usize, usize) {
         s.checked_sub(1).map_or((0, 0), |prev| self.ends[prev])
     }
@@ -251,14 +359,14 @@ impl Engine {
     /// Every logged superstep's row count and rows, coded from
     /// [`owned`](Self::owned)`().start` ([`codec`]).
     pub fn traffic_bytes(&self) -> &[u8] {
-        &self.log[..self.start(self.supersteps()).0]
+        &self.post.log[..self.start(self.supersteps()).0]
     }
 
     /// Superstep `s`'s sorted `(src_pe, dst_pe, words)` rows of cross-PE
     /// traffic sent by owned PEs.
     pub fn step_traffic(&self, s: usize) -> impl Iterator<Item = Msg> + '_ {
         let at = self.start(s).0;
-        codec::rows_at(&self.log[at..], self.owned().start as u32)
+        codec::rows_at(&self.post.log[at..], self.post.own.start as u32)
     }
 
     /// Superstep `s`'s `(pe, ops)` pairs of owned PEs that charged work.
@@ -286,27 +394,32 @@ impl Engine {
     /// the owned range can reach past it. Both ends of a worker pair
     /// compute the same answer, so the pair agrees on whether to talk.
     pub fn peer_span(&self, scope: Scope<'_>) -> Range<usize> {
-        let own = self.owned();
+        let Post {
+            ref own, me, share, ..
+        } = self.post;
         match scope {
-            Scope::All => 0..self.bufs.len(),
-            Scope::None => self.me..self.me,
+            Scope::All => 0..self.post.bufs.len(),
+            Scope::None => me..me,
             Scope::Groups { starts, size } => {
                 let first = starts.partition_point(|&s| s + size <= own.start);
                 let end = starts.partition_point(|&s| s < own.end);
                 if first >= end {
-                    return self.me..self.me;
+                    return me..me;
                 }
                 let last_pe = (starts[end - 1] + size - 1).min(self.n - 1);
-                starts[first] / self.share..last_pe / self.share + 1
+                starts[first] / share..last_pe / share + 1
             }
         }
     }
 
-    /// Phases 1–3: run `f` on every owned PE, check each send against
-    /// `scope`, log the step, and fill the per-worker buffers.
+    /// Phase 1: run `f` on every owned PE, checking each send against
+    /// `scope` and writing it into the per-worker buffers and the
+    /// signature log as it is made.
     ///
-    /// After an `Err` the engine holds a half-built step and must not
-    /// be stepped again before a [`reset`](Self::reset).
+    /// A send outside its PE's group is never written, and the first
+    /// one is returned once its PE's closure returns; the engine then
+    /// holds a half-built step and must not be stepped again before a
+    /// [`reset`](Self::reset).
     pub fn compute(
         &mut self,
         scope: Scope<'_>,
@@ -318,76 +431,41 @@ impl Engine {
                 "scope groups must be ascending and disjoint"
             );
         }
-        let lo = self.owned().start;
-        let start = self.log.len();
-        // The row the pair just seen adds to; it is coded once another
-        // pair follows it, from the `src` of the row coded before it.
-        let mut last: Option<Msg> = None;
-        let (mut prev, mut count, mut ascending) = (lo as u32, 0, true);
-        for i in 0..self.share {
+        let lo = self.post.own.start;
+        let start = self.post.log.len();
+        let mut groups = GroupCursor::new(scope, self.n, lo);
+        self.post.open();
+        for (i, (mem, inbox)) in self.mem.iter_mut().zip(&self.inbox).enumerate() {
             let pe = lo + i;
             let mut ops = 0u64;
+            let group = groups.group(pe);
             f(
                 pe,
-                &mut Pe::new(
-                    &mut self.mem[i],
-                    &self.inbox[i],
-                    &mut self.outbox,
-                    &mut ops,
-                    pe,
-                    self.n,
-                ),
+                &mut Pe::new(mem, inbox, &mut self.post, &mut ops, pe, group, self.n),
             );
             if ops > 0 {
                 self.ops.push((pe as u32, ops));
             }
-            if self.outbox.runs.is_empty() {
-                continue;
+            if let Some((src, dst)) = self.post.violation {
+                return Err(ScopeViolation {
+                    superstep: self.ends.len(),
+                    src,
+                    dst,
+                });
             }
-            let group = scope.group_of(pe, self.n).unwrap_or(pe..pe);
-            let mut at = 0;
-            for &(dst, len) in &self.outbox.runs {
-                if !group.contains(&(dst as usize)) {
-                    return Err(ScopeViolation {
-                        superstep: self.supersteps(),
-                        src: pe,
-                        dst: dst as usize,
-                    });
-                }
-                if dst as usize != pe {
-                    let pair = (pe as u32, dst);
-                    match &mut last {
-                        Some(row) if (row.0, row.1) == pair => row.2 += len as u64,
-                        _ => {
-                            if let Some(row) = last.replace((pair.0, pair.1, len as u64)) {
-                                ascending &= (row.0, row.1) < pair;
-                                codec::put_row(&mut self.log, prev, row);
-                                (prev, count) = (row.0, count + 1);
-                            }
-                        }
-                    }
-                }
-                let words = &self.outbox.words[at..at + len as usize];
-                at += len as usize;
-                self.bufs[dst as usize / self.share].push(pe as u32, dst, words);
-            }
-            self.outbox.clear();
         }
-        if let Some(row) = last {
-            codec::put_row(&mut self.log, prev, row);
-            count += 1;
-        }
+        let (count, ascending) = self.post.close();
         // The step's row count goes in front of its rows.
-        let end = self.log.len();
-        codec::put_varint(&mut self.log, count);
-        let head = self.log.len() - end;
-        self.log[start..].rotate_right(head);
+        let log = &mut self.post.log;
+        let end = log.len();
+        codec::put_varint(log, count);
+        let head = log.len() - end;
+        log[start..].rotate_right(head);
         if !ascending {
             // Sources ascend, so only a destination that went back
             // within one source leaves rows to sort and pairs to merge.
             self.rows.clear();
-            self.rows
-                .extend(codec::rows_at(&self.log[start..], lo as u32));
+            self.rows.extend(codec::rows_at(&log[start..], lo as u32));
             self.rows.sort_unstable_by_key(|r| (r.0, r.1));
             self.rows.dedup_by(|next, row| {
                 let same_pair = (next.0, next.1) == (row.0, row.1);
@@ -396,10 +474,10 @@ impl Engine {
                 }
                 same_pair
             });
-            self.log.truncate(start);
-            codec::put_rows(&mut self.log, lo as u32, &self.rows);
+            log.truncate(start);
+            codec::put_rows(log, lo as u32, &self.rows);
         }
-        self.ends.push((self.log.len(), self.ops.len()));
+        self.ends.push((log.len(), self.ops.len()));
         Ok(())
     }
 
@@ -407,17 +485,17 @@ impl Engine {
     /// [`compute`](Self::compute)); an exchanging backend replaces its
     /// contents with the runs `w` sent here, sorted by source.
     pub fn peer_buf(&mut self, w: usize) -> &mut Runs {
-        &mut self.bufs[w]
+        &mut self.post.bufs[w]
     }
 
-    /// Phase 4: copy every buffered run into its inbox, visible to the
+    /// Phase 3: copy every buffered run into its inbox, visible to the
     /// next superstep. Every destination must be an owned PE.
     pub fn deliver(&mut self) {
         for ib in &mut self.inbox {
             ib.clear();
         }
-        let lo = self.owned().start;
-        for buf in &mut self.bufs {
+        let lo = self.post.own.start;
+        for buf in &mut self.post.bufs {
             let mut at = 0;
             for &(src, dst, len) in &buf.heads {
                 let words = &buf.words[at..at + len as usize];
@@ -534,8 +612,8 @@ mod tests {
 
     /// A run built in an earlier run's allocations — a longer one, with
     /// more PEs and supersteps than it needs, or one that ended in a
-    /// scope violation mid-step, leaving runs in the outbox and a run
-    /// buffer and rows half logged — ends exactly as a fresh run does,
+    /// scope violation mid-step, leaving runs in a run buffer, a row
+    /// open and rows half logged — ends exactly as a fresh run does,
     /// in the same allocations.
     #[test]
     fn a_reused_run_equals_a_fresh_one_in_the_old_allocations() {
@@ -567,11 +645,11 @@ mod tests {
 
         let mut old = Engine::new(8, 1, 0);
         run(&mut old, 5);
-        let (mem0, log) = (old.mem[0].as_ptr(), old.log.as_ptr());
+        let (mem0, log) = (old.mem[0].as_ptr(), old.post.log.as_ptr());
         old.reset(4, 1, 0);
         run(&mut old, 2);
         assert_eq!(state(&old), want);
-        assert_eq!((old.mem[0].as_ptr(), old.log.as_ptr()), (mem0, log));
+        assert_eq!((old.mem[0].as_ptr(), old.post.log.as_ptr()), (mem0, log));
 
         let pairs = Scope::Groups {
             starts: &[0, 4],
@@ -609,8 +687,8 @@ mod tests {
         assert!(e.inbox.iter().all(|ib| ib.words.is_empty()));
     }
 
-    /// The scope is checked once per destination run; a violation in a
-    /// later run of an outbox is still caught and names its pair.
+    /// Every send is checked against the scope; a violation after an
+    /// in-scope send of the same PE is still caught and names its pair.
     #[test]
     fn scope_violation_in_a_later_run_names_the_pair_and_superstep() {
         let pairs = Scope::Groups {
@@ -637,6 +715,109 @@ mod tests {
                 dst: 1
             }
         );
+    }
+
+    /// A send outside its group is never written. A PE that sends in
+    /// scope, out of scope twice, then in scope again ends the step
+    /// naming its first out-of-scope pair once its closure returns; no
+    /// later PE runs, and neither violating run reaches a run buffer or
+    /// a signature row.
+    #[test]
+    fn an_out_of_scope_send_is_never_written() {
+        // 8 PEs on 4 workers, groups 0..4 and 4..8: worker 0 owns PEs
+        // 0 and 1, PEs 2 and 3 (worker 1) share their group.
+        let halves = Scope::Groups {
+            starts: &[0, 4],
+            size: 4,
+        };
+        let mut e = Engine::new(8, 4, 0);
+        e.compute(halves, &mut |pe, ctx| ctx.send(pe ^ 1, 7))
+            .unwrap();
+        e.deliver();
+        let start = e.post.log.len();
+        let mut ran = Vec::new();
+        let err = e
+            .compute(halves, &mut |pe, ctx| {
+                ran.push(pe);
+                ctx.send(2, 10);
+                ctx.send(1, 11);
+                ctx.send(5, 12);
+                ctx.send_words(6, &[13, 13]);
+                ctx.send(3, 14);
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ScopeViolation {
+                superstep: 1,
+                src: 0,
+                dst: 5
+            }
+        );
+        assert_eq!(ran, [0]);
+        assert_eq!(e.peer_buf(0).heads, [(0, 1, 1)]);
+        assert_eq!(e.peer_buf(0).words, [11]);
+        assert_eq!(e.peer_buf(1).heads, [(0, 2, 1), (0, 3, 1)]);
+        assert_eq!(e.peer_buf(1).words, [10, 14]);
+        assert_eq!(*e.peer_buf(2), Runs::default());
+        assert_eq!(*e.peer_buf(3), Runs::default());
+        // The step's rows coded so far; the row still open, `0 → 3`,
+        // is never coded.
+        let (log, mut pos, mut prev, mut rows) = (&e.post.log, start, 0, Vec::new());
+        while pos < log.len() {
+            let row = codec::known_row_at(log, &mut pos, prev);
+            prev = row.0;
+            rows.push(row);
+        }
+        assert_eq!(rows, [(0, 2, 1), (0, 1, 1)]);
+    }
+
+    /// Every owned PE's [`Pe::group`] is [`Scope::group_of`], over
+    /// seeded random scopes on 1, 2, 4 and 8 workers, with groups that
+    /// straddle worker boundaries, begin before the owned range, are
+    /// clipped at `n` or leave PEs between them, and `All` and `None`.
+    #[test]
+    fn pe_group_is_group_of_for_every_owned_pe() {
+        const N: usize = 32;
+        let mut rng = Rng(0x5eed_0043);
+        // Straddling, begun before the owned range, clipped, between.
+        let mut seen = [0usize; 4];
+        for w in [1, 2, 4, 8] {
+            let share = N / w;
+            for case in 0..200 {
+                let (starts, size) = arbitrary_scope(&mut rng, N);
+                let scope = match rng.below(8) {
+                    0 => Scope::All,
+                    1 => Scope::None,
+                    _ => Scope::Groups {
+                        starts: &starts,
+                        size,
+                    },
+                };
+                for me in 0..w {
+                    let mut e = Engine::new(N, w, me);
+                    let own = e.owned();
+                    let mut ran = Vec::new();
+                    e.compute(scope, &mut |pe, ctx| {
+                        let want = scope.group_of(pe, N);
+                        assert_eq!(ctx.group(), want, "w {w} case {case} PE {pe} {scope:?}");
+                        ran.push(pe);
+                    })
+                    .unwrap();
+                    assert!(ran.iter().copied().eq(own.clone()), "w {w} case {case}");
+                    if let Scope::Groups { .. } = scope {
+                        let groups = own.clone().map(|pe| scope.group_of(pe, N));
+                        seen[1] += groups.clone().flatten().any(|g| g.start < own.start) as usize;
+                        seen[3] += groups.clone().any(|g| g.is_none()) as usize;
+                        for g in groups.flatten() {
+                            seen[0] += (g.start / share != (g.end - 1) / share) as usize;
+                            seen[2] += (g.end < g.start + size) as usize;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&k| k > 10), "cases seen: {seen:?}");
     }
 
     /// SplitMix64, the property test's seeded source.

@@ -3,7 +3,7 @@
 use std::ops::Range;
 
 use crate::comm::Scope;
-use crate::engine::{Engine, Mailbox, Msg};
+use crate::engine::{Engine, Inbox, Msg, Post};
 
 /// One processing element's view during a superstep.
 pub struct Pe<'a> {
@@ -15,31 +15,36 @@ pub struct Pe<'a> {
     /// The `(src, len)` runs of [`inbox`](Self::inbox): one per source
     /// that sent, sources ascending.
     pub inbox_runs: &'a [(u32, u32)],
-    outbox: &'a mut Mailbox,
+    post: &'a mut Post,
     ops: &'a mut u64,
     pe: usize,
+    /// The PEs this one may send to, empty when none.
+    group: Range<usize>,
     n: usize,
 }
 
 impl<'a> Pe<'a> {
     /// The view the [`Engine`] hands a PE's closure: its memory, last
-    /// superstep's inbox, the shared outbox, and `ops`, which
+    /// superstep's inbox, where its sends are written, its `group` of
+    /// the step's scope (`pe..pe` for none), and `ops`, which
     /// accumulates the computation charged through [`Pe::work`].
     pub(crate) fn new(
         mem: &'a mut Vec<u64>,
-        inbox: &'a Mailbox,
-        outbox: &'a mut Mailbox,
+        inbox: &'a Inbox,
+        post: &'a mut Post,
         ops: &'a mut u64,
         pe: usize,
+        group: Range<usize>,
         n: usize,
     ) -> Pe<'a> {
         Pe {
             mem,
             inbox: &inbox.words,
             inbox_runs: &inbox.runs,
-            outbox,
+            post,
             ops,
             pe,
+            group,
             n,
         }
     }
@@ -56,24 +61,33 @@ impl Pe<'_> {
         self.n
     }
 
+    /// The group of this superstep's [`Scope`] that this PE may send
+    /// within: [`Scope::group_of`]`(pe, n)`, found without a search.
+    pub fn group(&self) -> Option<Range<usize>> {
+        (!self.group.is_empty()).then(|| self.group.clone())
+    }
+
     /// Send one word to `dst` (delivered at the start of the next
     /// superstep).
+    #[inline]
     pub fn send(&mut self, dst: usize, word: u64) {
         debug_assert!(dst < self.n, "send to PE {dst} out of range");
-        self.outbox.push(dst as u32, word);
+        self.post.send(self.pe, &self.group, dst, &[word]);
     }
 
     /// Send several words to `dst` (arrive contiguously, in order).
+    #[inline]
     pub fn send_words(&mut self, dst: usize, words: &[u64]) {
         debug_assert!(dst < self.n, "send to PE {dst} out of range");
-        self.outbox.extend(dst as u32, words);
+        self.post.send(self.pe, &self.group, dst, words);
     }
 
     /// Send the words `range` of this PE's own memory to `dst`: the
     /// same as `send_words(dst, &mem[range])`, without staging a copy.
+    #[inline]
     pub fn send_mem(&mut self, dst: usize, range: Range<usize>) {
         debug_assert!(dst < self.n, "send to PE {dst} out of range");
-        self.outbox.extend(dst as u32, &self.mem[range]);
+        self.post.send(self.pe, &self.group, dst, &self.mem[range]);
     }
 
     /// Charge local computation.

@@ -54,7 +54,7 @@ fn local_fleet_sort_and_ngep_match_nomachine() {
 
 /// Every worker runs all its jobs in one engine, reset per job. A
 /// smaller shape after a larger one and a switch of kernel are where a
-/// reset that left an inbox, an outbox, a run buffer or the tail of the
+/// reset that left an inbox, a run buffer, an open row or the tail of the
 /// signature log behind would show: each job's output and signature
 /// must still equal the simulator's.
 #[test]
