@@ -489,11 +489,6 @@ impl Recorder {
         self.fork(hint, vec![spawn(space1, f1), spawn(space2, f2)]);
     }
 
-    /// Number of trace entries recorded so far.
-    pub fn trace_len(&self) -> usize {
-        self.trace.len()
-    }
-
     fn close_pending(&mut self) {
         let end = self.trace.len();
         if end > self.pending_start {

@@ -34,19 +34,20 @@
 //! A transport error, a corrupt frame or a scope violation poisons the
 //! run: later supersteps are skipped and [`SocketComm::finish`] returns
 //! the first error for the worker loop to report on the control channel.
+//!
+//! The machine has one form, in the [`MeshBuffers`] a worker keeps for
+//! the life of its mesh; [`SocketComm::finish`] encodes the result
+//! straight from the engine as the frame the router reads, so a caller
+//! reads PE memories through [`Comm::pe_mem`] before it finishes.
 
-use std::borrow::BorrowMut;
 use std::io::{self, BufReader};
 use std::net::TcpStream;
 use std::sync::Arc;
 
 use mo_obs::{pack_step_level, EventKind, TraceSink};
-use no_framework::{Comm, Engine, Pe, Scope};
+use no_framework::{level_counters, pair_level, Comm, Engine, Partition, Pe, Scope};
 
-use crate::frame::{
-    decode_runs, in_context, invalid, read_frame, recv_ctl, unexpected, Ctl, DistDone, Enc,
-};
-use crate::topology::{num_levels, pair_level, Partition};
+use crate::frame::{decode_runs, in_context, invalid, read_frame, DistDone, Enc};
 
 /// One duplex mesh stream: reads go through a buffer that lives as long
 /// as the mesh (a frame's prefix and payload arrive in one `read`),
@@ -55,21 +56,19 @@ pub type Link = BufReader<TcpStream>;
 
 /// What a worker keeps for the life of its mesh: the engine and the
 /// outgoing and incoming frame buffers.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct MeshBuffers {
     engine: Engine,
     wire: Enc,
     rbuf: Vec<u8>,
 }
 
-/// The socket-backed superstep machine of one worker process, in
-/// buffers of its own or kept across jobs.
-pub struct SocketComm<'a, B: BorrowMut<MeshBuffers> = MeshBuffers> {
-    part: Partition,
-    me: usize,
-    /// One stream per peer worker (`None` at `me`).
+/// The socket-backed superstep machine of one worker process, in the
+/// buffers it keeps across jobs.
+pub struct SocketComm<'a> {
+    /// One stream per peer worker (`None` at this worker's index).
     peers: &'a mut [Option<Link>],
-    bufs: B,
+    bufs: &'a mut MeshBuffers,
     /// Frame exchanges performed (one per in-scope peer per superstep).
     exchange_rounds: u64,
     /// Payload words framed to each cluster level (sender-side).
@@ -86,30 +85,22 @@ pub struct SocketComm<'a, B: BorrowMut<MeshBuffers> = MeshBuffers> {
 }
 
 impl<'a> SocketComm<'a> {
-    /// A fresh machine for one kernel run, in fresh buffers. `peers[j]`
-    /// must hold the established stream to worker `j` for every
-    /// `j != me`; streams are borrowed so the mesh outlives the job.
-    pub fn new(part: Partition, me: usize, peers: &'a mut [Option<Link>]) -> Self {
-        Self::in_buffers(part, me, peers, MeshBuffers::default())
-    }
-}
-
-impl<'a, B: BorrowMut<MeshBuffers>> SocketComm<'a, B> {
-    /// [`new`](SocketComm::new), in `bufs` ([`Engine::reset`]): a worker
-    /// passing the same buffers to every job runs each in the last's.
-    pub(crate) fn in_buffers(
+    /// A fresh machine for one kernel run of worker `me` of `part`, in
+    /// `bufs` ([`Engine::reset`]): a worker passing the same buffers to
+    /// every job runs each in the last's. `peers[j]` must hold the
+    /// established stream to worker `j` for every `j != me`; streams
+    /// are borrowed so the mesh outlives the job.
+    pub fn new(
         part: Partition,
         me: usize,
         peers: &'a mut [Option<Link>],
-        mut bufs: B,
+        bufs: &'a mut MeshBuffers,
     ) -> Self {
         assert_eq!(peers.len(), part.workers);
         assert!(me < part.workers && peers[me].is_none());
-        bufs.borrow_mut().engine.reset(part.n_pes, part.workers, me);
-        let levels = num_levels(part.workers).max(1);
+        bufs.engine.reset(part.n_pes, part.workers, me);
+        let levels = level_counters(part.workers);
         Self {
-            part,
-            me,
             peers,
             bufs,
             exchange_rounds: 0,
@@ -132,38 +123,23 @@ impl<'a, B: BorrowMut<MeshBuffers>> SocketComm<'a, B> {
 
     /// Supersteps executed so far.
     pub fn supersteps(&self) -> u32 {
-        self.bufs.borrow().engine.supersteps() as u32
+        self.bufs.engine.supersteps() as u32
     }
 
     /// Consume the machine: the run's first error, or this worker's
-    /// result with every PE memory trimmed to `keep` words (the
-    /// kernel's per-PE output size), as the router decodes it.
-    pub fn finish(self, keep: usize) -> io::Result<DistDone> {
-        let mut reply = Enc::new();
-        self.finish_into(keep, &mut reply)?;
-        let mut frame = Vec::new();
-        reply.send(&mut frame)?;
-        match recv_ctl(&mut frame.as_slice())? {
-            Ctl::DistDone(done) => Ok(done),
-            other => Err(unexpected("DistDone", &other)),
-        }
-    }
-
-    /// [`finish`](Self::finish), encoded onto `reply` straight from the
-    /// engine, the row bytes copied once. Returns the result without
-    /// its memories and rows.
-    pub(crate) fn finish_into(self, keep: usize, reply: &mut Enc) -> io::Result<DistDone> {
+    /// result, encoded onto `reply` straight from the engine with every
+    /// PE memory trimmed to `keep` words (the kernel's per-PE output
+    /// size) and the row bytes copied once. Returns the result's head.
+    pub fn finish(self, keep: usize, reply: &mut Enc) -> io::Result<DistDone> {
         if let Some(e) = self.failed {
             return Err(e);
         }
-        let engine = &self.bufs.borrow().engine;
+        let engine = &self.bufs.engine;
         let owned = engine.owned();
         let head = DistDone {
             supersteps: engine.supersteps() as u32,
             lo: owned.start as u32,
             hi: owned.end as u32,
-            mems: Vec::new(),
-            traffic: Vec::new(),
             socket_words_per_level: self.socket_words_per_level,
             recv_words_per_level: self.recv_words_per_level,
             ops: engine.total_ops(),
@@ -181,7 +157,7 @@ impl<'a, B: BorrowMut<MeshBuffers>> SocketComm<'a, B> {
 
     /// Frame `peer_buf(peer)` to `peer` in one write.
     fn send_frame(&mut self, peer: usize, superstep: u32, level: u8) -> io::Result<()> {
-        let MeshBuffers { engine, wire, .. } = self.bufs.borrow_mut();
+        let MeshBuffers { engine, wire, .. } = &mut *self.bufs;
         let out = engine.peer_buf(peer);
         let words = out.words.len() as u64;
         wire.clear();
@@ -204,7 +180,7 @@ impl<'a, B: BorrowMut<MeshBuffers>> SocketComm<'a, B> {
     fn recv_frame(&mut self, peer: usize, superstep: u32, level: u8) -> io::Result<()> {
         let wait_from = self.trace.as_ref().map(|(sink, _)| sink.now_ns());
         let stream = self.peers[peer].as_mut().expect("mesh stream missing");
-        read_frame(stream, &mut self.bufs.borrow_mut().rbuf)?;
+        read_frame(stream, &mut self.bufs.rbuf)?;
         if let (Some((sink, _)), Some(from)) = (&self.trace, wait_from) {
             let stamp = pack_step_level(superstep, level);
             let waited = sink.now_ns().saturating_sub(from);
@@ -216,11 +192,12 @@ impl<'a, B: BorrowMut<MeshBuffers>> SocketComm<'a, B> {
     /// Exchange one frame with `peer` and leave what it sent in
     /// `peer_buf(peer)`, validated.
     fn exchange_with(&mut self, peer: usize, superstep: u32) -> io::Result<()> {
-        let level = pair_level(self.me, peer, self.part.workers) as u8;
+        let (part, me) = (self.bufs.engine.partition(), self.bufs.engine.me());
+        let level = pair_level(me, peer, part.workers) as u8;
         // The lower index of a pair talks first, the higher listens
         // first, so neither end ever blocks in a send the other is not
         // reading.
-        if self.me < peer {
+        if me < peer {
             self.send_frame(peer, superstep, level)?;
             self.recv_frame(peer, superstep, level)?;
         } else {
@@ -230,7 +207,7 @@ impl<'a, B: BorrowMut<MeshBuffers>> SocketComm<'a, B> {
         // The decoder replaces what was sent with what arrived, and
         // holds the frame to its own shape: exact length, sources
         // ascending, no empty run, lengths summing to the word count.
-        let MeshBuffers { engine, rbuf, .. } = self.bufs.borrow_mut();
+        let MeshBuffers { engine, rbuf, .. } = &mut *self.bufs;
         let incoming = engine.peer_buf(peer);
         let (step, got_level) = decode_runs(rbuf, incoming)?;
         if (step, got_level) != (superstep, level) {
@@ -241,7 +218,7 @@ impl<'a, B: BorrowMut<MeshBuffers>> SocketComm<'a, B> {
         }
         // A frame may only carry the peer's PEs to ours; anything else
         // would index out of the inboxes or break the delivery order.
-        let (theirs, ours) = (self.part.range(peer), self.part.range(self.me));
+        let (theirs, ours) = (part.range(peer), part.range(me));
         if let Some(&(src, dst, _)) = incoming
             .heads
             .iter()
@@ -277,19 +254,17 @@ impl<'a, B: BorrowMut<MeshBuffers>> SocketComm<'a, B> {
         let superstep = self.supersteps();
         let job = self.trace.as_ref().map_or(0, |t| t.1);
         self.emit(EventKind::SuperstepBegin, job, superstep as u64, 0);
-        let me = self.me;
-        self.bufs
-            .borrow_mut()
-            .engine
+        let engine = &mut self.bufs.engine;
+        let me = engine.me();
+        engine
             .compute(scope, f)
             .map_err(|v| invalid(format!("worker {me}: {v}")))?;
-        let span = self.bufs.borrow().engine.peer_span(scope);
-        for round in 1..self.part.workers {
-            let peer = self.me ^ round;
+        let span = engine.peer_span(scope);
+        for round in 1..self.peers.len() {
+            let peer = me ^ round;
             if !span.contains(&peer) {
                 continue;
             }
-            let me = self.me;
             self.exchange_with(peer, superstep).map_err(|e| {
                 in_context(
                     e,
@@ -297,27 +272,27 @@ impl<'a, B: BorrowMut<MeshBuffers>> SocketComm<'a, B> {
                 )
             })?;
         }
-        self.bufs.borrow_mut().engine.deliver();
+        self.bufs.engine.deliver();
         self.emit(EventKind::SuperstepEnd, job, superstep as u64, 0);
         Ok(())
     }
 }
 
-impl<B: BorrowMut<MeshBuffers>> Comm for SocketComm<'_, B> {
+impl Comm for SocketComm<'_> {
     fn n_pes(&self) -> usize {
-        self.part.n_pes
+        self.bufs.engine.n_pes()
     }
 
     fn owns(&self, pe: usize) -> bool {
-        self.bufs.borrow().engine.owned().contains(&pe)
+        self.bufs.engine.owned().contains(&pe)
     }
 
     fn pe_mem_mut(&mut self, pe: usize) -> Option<&mut Vec<u64>> {
-        self.bufs.borrow_mut().engine.mem_mut(pe)
+        self.bufs.engine.mem_mut(pe)
     }
 
     fn pe_mem(&self, pe: usize) -> Option<&[u64]> {
-        self.bufs.borrow().engine.mem(pe)
+        self.bufs.engine.mem(pe)
     }
 
     fn step_dyn(&mut self, scope: Scope<'_>, f: &mut dyn FnMut(usize, &mut Pe<'_>)) {

@@ -10,26 +10,31 @@
 //!   engine's [`Runs`] buffer as it is, so a routed word costs 8 bytes
 //!   and a block one 12-byte head. Heads are sorted by source and no
 //!   run is empty. The `level` byte is the D-BSP cluster level of the
-//!   worker pair (`log₂ W − ⌈log₂ (a⊕b)⌉`-ish; see
-//!   [`crate::topology::pair_level`]): the recursive-subnetwork
+//!   worker pair ([`no_framework::pair_level`]): the recursive-subnetwork
 //!   structure is stamped on every frame and validated by the
 //!   receiver. An empty frame (`runs == 0`) carries only the
 //!   synchronisation: the pair shares a group of the superstep's scope
 //!   but has no words for each other. [`send_data`] / [`recv_data`]
 //!   speak the same format in tagged `(src, dst, word)` form.
 //! * **Control messages** (router ↔ worker): a one-byte tag followed by
-//!   tag-specific fields, see [`Ctl`]. A [`Ctl::DistDone`] carries a
-//!   fleet job's result home and is by far the largest: `[u32
-//!   supersteps][u32 lo][u32 hi][u64 ops][u64 exchange_rounds]`, the
-//!   sent and then the delivered words per level (each a `u32` count and
-//!   its `u64`s), a `u32` PE count and per PE a `u32` word count and its
-//!   `u64` words, then `supersteps` supersteps of signature rows in
+//!   tag-specific fields, see [`Ctl`].
+//! * **Result frames** (worker → router, one per shard per fleet job):
+//!   what [`Enc::dist_done`] writes — the worker encodes it straight
+//!   from its engine — and the router reads, the only two ends it has.
+//!   It answers a [`Ctl::RunDist`] on the control stream under a tag of
+//!   its own and is by far the largest frame: `[u32 supersteps][u32
+//!   lo][u32 hi][u64 ops][u64 exchange_rounds]`, the sent and then the
+//!   delivered words per level (each a `u32` count and its `u64`s), a
+//!   `u32` PE count and per PE a `u32` word count and its `u64` words,
+//!   then `supersteps` supersteps of signature rows in
 //!   [`no_framework::codec`]'s varint form, from `lo`: the worker's
-//!   engine log as it is, about 3 bytes a row of the NO sort instead
-//!   of 16. Any row list round-trips, and a varint longer than 10
-//!   bytes or a `src`/`dst` that leaves `u32` is `InvalidData`. The
-//!   router checks each shard's rows in one pass and keeps their bytes
-//!   as they came ([`Signature`](crate::Signature)).
+//!   engine log as it is, about 3 bytes a row of the NO sort instead of
+//!   16. The router decodes the head ([`DistDone`]) and checks the rows
+//!   in one pass, keeping their bytes as they came
+//!   ([`Signature`](crate::Signature)): a varint longer than 10 bytes,
+//!   a `src`/`dst` that leaves `u32`, or rows out of order or outside
+//!   the shard's PEs are `InvalidData`. A result frame read where a
+//!   control message is expected is `InvalidData` too.
 //!
 //! Everything is hand-rolled over `std::io` — no serialization
 //! dependency enters the tree. A frame leaves in one `write_all` of a
@@ -41,7 +46,6 @@
 use std::io::{self, Read, Write};
 
 use mo_obs::{Event, EventKind, WORKER_EXTERNAL};
-use no_framework::codec::{row_at, row_count_at};
 
 use crate::alg::DistAlg;
 
@@ -120,9 +124,10 @@ impl Enc {
         self
     }
 
-    /// Append a [`Ctl::DistDone`] of `d`'s other fields, `mems` each cut
-    /// to `keep` words, and the row bytes `traffic`.
-    pub(crate) fn dist_done(
+    /// Append a result frame: the head `d`, `mems` each cut to `keep`
+    /// words, and the row bytes `traffic`
+    /// ([`Engine::traffic_bytes`](no_framework::Engine::traffic_bytes)).
+    pub fn dist_done(
         &mut self,
         d: &DistDone,
         mems: &[Vec<u64>],
@@ -436,7 +441,8 @@ pub fn recv_data(r: &mut impl Read) -> io::Result<(u32, u8, Vec<Msg>)> {
     Ok((superstep, level, msgs))
 }
 
-/// Per-worker result of a distributed kernel run.
+/// The head of one worker's result frame ([`Enc::dist_done`]): every
+/// field but the PE memories and the signature rows that follow it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistDone {
     /// Supersteps executed (must agree across the fleet).
@@ -445,13 +451,6 @@ pub struct DistDone {
     pub lo: u32,
     /// One past the last owned PE.
     pub hi: u32,
-    /// Output words per owned PE (`hi - lo` entries, trimmed to the
-    /// kernel's per-PE output size).
-    pub mems: Vec<Vec<u64>>,
-    /// This worker's src-side traffic rows — the local slice of the
-    /// machine-wide traffic signature — as its engine logged them
-    /// ([`no_framework::Engine::traffic_bytes`]).
-    pub traffic: Vec<u8>,
     /// Payload words actually framed to each D-BSP cluster level
     /// (sender side).
     pub socket_words_per_level: Vec<u64>,
@@ -476,8 +475,6 @@ pub enum Ctl {
         index: u32,
         /// Address of the worker's data-mesh listener.
         data_addr: String,
-        /// Address of the worker's Prometheus exposition.
-        metrics_addr: String,
     },
     /// Router broadcasts every worker's data address (index order).
     PeerTable {
@@ -504,6 +501,8 @@ pub enum Ctl {
         result: Result<u64, String>,
     },
     /// Run a fleet-wide distributed kernel (broadcast to all workers).
+    /// A worker answers with its result frame ([`Enc::dist_done`]) or
+    /// a [`Ctl::DistFailed`].
     RunDist {
         /// Which kernel.
         alg: DistAlg,
@@ -517,8 +516,6 @@ pub enum Ctl {
         /// worker into every dist trace event the job emits.
         job: u64,
     },
-    /// Reply to [`Ctl::RunDist`].
-    DistDone(DistDone),
     /// Reply to [`Ctl::RunDist`] when this worker's run failed: a mesh
     /// transport error (dead or wedged peer, corrupt frame) or a driver
     /// that sent outside its declared scope. The worker has dropped its
@@ -589,12 +586,8 @@ pub fn send_ctl(w: &mut impl Write, msg: &Ctl) -> io::Result<()> {
 
 fn encode_ctl(e: &mut Enc, msg: &Ctl) {
     match msg {
-        Ctl::Hello {
-            index,
-            data_addr,
-            metrics_addr,
-        } => {
-            e.u8(T_HELLO).u32(*index).str(data_addr).str(metrics_addr);
+        Ctl::Hello { index, data_addr } => {
+            e.u8(T_HELLO).u32(*index).str(data_addr);
         }
         Ctl::PeerTable { addrs } => {
             e.u8(T_PEERS).u32(addrs.len() as u32);
@@ -630,9 +623,6 @@ fn encode_ctl(e: &mut Enc, msg: &Ctl) {
                 .u32(*kappa)
                 .u64(*seed)
                 .u64(*job);
-        }
-        Ctl::DistDone(d) => {
-            e.dist_done(d, &d.mems, usize::MAX, &d.traffic);
         }
         Ctl::DistFailed { reason } => {
             e.u8(T_DIST_FAILED).str(reason);
@@ -681,16 +671,17 @@ pub fn recv_ctl(r: &mut impl Read) -> io::Result<Ctl> {
 /// A control reply read into a buffer the caller keeps.
 #[derive(Debug)]
 pub(crate) enum Reply<'a> {
-    /// A [`Ctl::DistDone`], left undecoded behind its tag: read it with
-    /// [`decode_done_head`], then its rows.
+    /// A result frame ([`Enc::dist_done`]), left undecoded behind its
+    /// tag: read it with [`decode_done_head`], then its rows.
     Done(Dec<'a>),
     /// Any other message, decoded.
     Other(Ctl),
 }
 
-/// Receive one control message into `buf` (its allocation reused), as
-/// the router reads fleet results: a [`Ctl::DistDone`] is handed over
-/// undecoded, so its rows can be checked and kept as they are.
+/// Receive one control message or result frame into `buf` (its
+/// allocation reused), as the router reads fleet results: a result is
+/// handed over undecoded, so its rows can be checked and kept as they
+/// are.
 pub(crate) fn recv_reply<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Result<Reply<'a>> {
     read_frame(r, buf)?;
     let mut d = Dec::new(buf);
@@ -704,12 +695,11 @@ pub(crate) fn recv_reply<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Res
     }
 }
 
-/// Decode the body of a [`Ctl::DistDone`] (after its tag) up to its
+/// Decode the body of a result frame (after its tag) up to its
 /// signature rows, into buffers the caller may keep across jobs: each PE
 /// memory's words are appended to `mem_words` and its length to
-/// `mem_lens`. Returns the other fields, with `mems` and `traffic`
-/// empty. What follows is `supersteps` supersteps of rows from `lo`
-/// ([`no_framework::codec`]).
+/// `mem_lens`. Returns the head. What follows is `supersteps`
+/// supersteps of rows from `lo` ([`no_framework::codec`]).
 pub(crate) fn decode_done_head(
     d: &mut Dec<'_>,
     mem_words: &mut Vec<u64>,
@@ -721,8 +711,6 @@ pub(crate) fn decode_done_head(
         hi: d.u32()?,
         ops: d.u64()?,
         exchange_rounds: d.u64()?,
-        mems: Vec::new(),
-        traffic: Vec::new(),
         socket_words_per_level: Vec::new(),
         recv_words_per_level: Vec::new(),
     };
@@ -738,39 +726,12 @@ pub(crate) fn decode_done_head(
     Ok(done)
 }
 
-/// Decode the body of a [`Ctl::DistDone`] into an owned one, its
-/// signature rows checked to decode and kept as the bytes they came as.
-fn decode_done(d: &mut Dec<'_>) -> io::Result<DistDone> {
-    let (mut words, mut lens) = (Vec::new(), Vec::new());
-    let mut done = decode_done_head(d, &mut words, &mut lens)?;
-    let (rows, mut pos) = (d.rest(), 0);
-    for _ in 0..done.supersteps {
-        let mut prev = done.lo;
-        for _ in 0..row_count_at(rows, &mut pos)? {
-            prev = row_at(rows, &mut pos, prev)?.0;
-        }
-    }
-    done.traffic = rows[..pos].to_vec();
-    d.skip(pos);
-    let mut rest = &words[..];
-    done.mems = lens
-        .into_iter()
-        .map(|len| {
-            let (mem, tail) = rest.split_at(len);
-            rest = tail;
-            mem.to_vec()
-        })
-        .collect();
-    Ok(done)
-}
-
 /// Decode the fields of the control message tagged `tag`.
 fn decode_ctl(tag: u8, d: &mut Dec<'_>) -> io::Result<Ctl> {
     match tag {
         T_HELLO => Ok(Ctl::Hello {
             index: d.u32()?,
             data_addr: d.str()?,
-            metrics_addr: d.str()?,
         }),
         T_PEERS => {
             let count = d.count(4)?;
@@ -798,7 +759,9 @@ fn decode_ctl(tag: u8, d: &mut Dec<'_>) -> io::Result<Ctl> {
             seed: d.u64()?,
             job: d.u64()?,
         }),
-        T_DIST_DONE => Ok(Ctl::DistDone(decode_done(d)?)),
+        T_DIST_DONE => Err(invalid(
+            "a result frame where a control message is expected",
+        )),
         T_DIST_FAILED => Ok(Ctl::DistFailed { reason: d.str()? }),
         T_METRICS_REQ => Ok(Ctl::MetricsReq),
         T_METRICS_TEXT => Ok(Ctl::MetricsText { text: d.str()? }),
@@ -836,7 +799,8 @@ fn decode_ctl(tag: u8, d: &mut Dec<'_>) -> io::Result<Ctl> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use no_framework::codec::{put_rows, rows_at, zigzag};
+    use crate::signature::Signature;
+    use no_framework::codec::{put_rows, zigzag};
 
     /// `steps` of rows as a worker's engine logs them from `lo`.
     fn coded(lo: u32, steps: &[Vec<Msg>]) -> Vec<u8> {
@@ -845,6 +809,58 @@ mod tests {
             put_rows(&mut bytes, lo, rows);
         }
         bytes
+    }
+
+    /// A worker's result frame, as [`Enc::dist_done`] writes it, of the
+    /// head `done`, the PE memories `mems` and the row bytes `traffic`.
+    fn result_frame(done: &DistDone, mems: &[Vec<u64>], traffic: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        Enc::new()
+            .dist_done(done, mems, usize::MAX, traffic)
+            .send(&mut frame)
+            .unwrap();
+        frame
+    }
+
+    /// A result frame's head, PE memories and signature rows.
+    type Fields = (DistDone, Vec<Vec<u64>>, Vec<Vec<Msg>>);
+
+    /// A result as the router reads one off `r` ([`recv_reply`],
+    /// [`decode_done_head`], [`Signature::push_shard`]) for a machine
+    /// of `n_pes` PEs: its head, its PE memories and its rows, checked
+    /// against the PEs `lo..hi` the head names.
+    fn read_result(r: &mut &[u8], n_pes: u32) -> io::Result<Fields> {
+        let mut buf = Vec::new();
+        let mut d = match recv_reply(r, &mut buf)? {
+            Reply::Done(d) => d,
+            Reply::Other(other) => return Err(unexpected("a result frame", &other)),
+        };
+        let (mut words, mut lens) = (Vec::new(), Vec::new());
+        let done = decode_done_head(&mut d, &mut words, &mut lens)?;
+        let mut signature = Signature::default();
+        let steps = done.supersteps as usize;
+        signature.push_shard(&mut d, 0, done.lo..done.hi, n_pes, steps, 1)?;
+        d.end()?;
+        let mut rest = &words[..];
+        let mems = lens
+            .iter()
+            .map(|&len| {
+                let (mem, tail) = rest.split_at(len);
+                rest = tail;
+                mem.to_vec()
+            })
+            .collect();
+        Ok((done, mems, signature.to_vecs()))
+    }
+
+    /// Whether the router keeps `steps` of rows from the shard owning
+    /// PEs `lo..hi` of `n_pes`: each superstep's rows strictly ascending
+    /// by `(src, dst)`, every `src` in `lo..hi`, every `dst` a PE.
+    fn keepable(steps: &[Vec<Msg>], lo: u32, hi: u32, n_pes: u32) -> bool {
+        steps.iter().all(|rows| {
+            rows.iter().all(|r| (lo..hi).contains(&r.0) && r.1 < n_pes)
+                && rows.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))
+        })
     }
 
     fn roundtrip(msg: Ctl) {
@@ -859,7 +875,6 @@ mod tests {
         roundtrip(Ctl::Hello {
             index: 3,
             data_addr: "127.0.0.1:4567".into(),
-            metrics_addr: "127.0.0.1:8901".into(),
         });
         roundtrip(Ctl::PeerTable {
             addrs: vec!["a:1".into(), "b:2".into()],
@@ -881,17 +896,27 @@ mod tests {
             seed: 1,
             job: 77,
         });
-        roundtrip(Ctl::DistDone(DistDone {
+        // A result frame of the shard owning PEs 4..8 of 16 comes back
+        // as it went; a row from PE 0, which it does not own, is refused.
+        let done = DistDone {
             supersteps: 2,
             lo: 4,
             hi: 8,
-            mems: vec![vec![1, 2], vec![], vec![3], vec![4]],
-            traffic: coded(4, &[vec![(0, 1, 5)], vec![]]),
             socket_words_per_level: vec![10, 20],
             recv_words_per_level: vec![20, 10],
             ops: 99,
             exchange_rounds: 6,
-        }));
+        };
+        let mems = vec![vec![1, 2], vec![], vec![3], vec![4]];
+        let rows = vec![vec![(5, 1, 5)], vec![]];
+        let frame = result_frame(&done, &mems, &coded(4, &rows));
+        assert_eq!(
+            read_result(&mut frame.as_slice(), 16).unwrap(),
+            (done.clone(), mems.clone(), rows)
+        );
+        let foreign = result_frame(&done, &mems, &coded(4, &[vec![(0, 1, 5)], vec![]]));
+        let err = read_result(&mut foreign.as_slice(), 16).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         roundtrip(Ctl::DistFailed {
             reason: "worker 1 superstep 4: peer 0: timed out".into(),
         });
@@ -1045,6 +1070,39 @@ mod tests {
                 })
                 .collect()
         }
+        /// A shard's PEs `lo..hi` of a machine of `n_pes`, often at the
+        /// ends of `u32`.
+        fn shard(&mut self) -> (u32, u32, u32) {
+            let lo = self.pe();
+            let hi = lo.saturating_add(self.below(9) as u32);
+            let n_pes = match self.below(2) {
+                0 => u32::MAX,
+                _ => hi.saturating_add(self.below(9) as u32),
+            };
+            (lo, hi, n_pes)
+        }
+        /// `steps` supersteps of rows as an engine logs them for the
+        /// shard owning PEs `lo..hi` of `n_pes`: strictly ascending by
+        /// `(src, dst)`, word counts anywhere in `u64`.
+        fn honest_rows(&mut self, (lo, hi, n_pes): (u32, u32, u32), steps: usize) -> Vec<Vec<Msg>> {
+            (0..steps)
+                .map(|_| {
+                    if lo == hi || n_pes == 0 {
+                        return Vec::new();
+                    }
+                    let mut rows: Vec<Msg> = (0..self.below(9))
+                        .map(|_| {
+                            let src = lo + (self.next() % u64::from(hi - lo)) as u32;
+                            let dst = (self.next() % u64::from(n_pes)) as u32;
+                            (src, dst, self.next() >> self.below(64))
+                        })
+                        .collect();
+                    rows.sort_unstable_by_key(|r| (r.0, r.1));
+                    rows.dedup_by_key(|r| (r.0, r.1));
+                    rows
+                })
+                .collect()
+        }
         fn event(&mut self) -> Event {
             Event {
                 ts_ns: self.next(),
@@ -1057,7 +1115,7 @@ mod tests {
         }
     }
 
-    const VARIANTS: usize = 14;
+    const VARIANTS: usize = 13;
 
     /// Which generator index produces this variant. The match has no
     /// wildcard, so a new `Ctl` variant fails to compile until the
@@ -1069,15 +1127,14 @@ mod tests {
             Ctl::RunKernel { .. } => 2,
             Ctl::KernelDone { .. } => 3,
             Ctl::RunDist { .. } => 4,
-            Ctl::DistDone(_) => 5,
-            Ctl::DistFailed { .. } => 6,
-            Ctl::MetricsReq => 7,
-            Ctl::MetricsText { .. } => 8,
-            Ctl::ClockProbe { .. } => 9,
-            Ctl::ClockReply { .. } => 10,
-            Ctl::CollectTrace => 11,
-            Ctl::TraceData { .. } => 12,
-            Ctl::Shutdown => 13,
+            Ctl::DistFailed { .. } => 5,
+            Ctl::MetricsReq => 6,
+            Ctl::MetricsText { .. } => 7,
+            Ctl::ClockProbe { .. } => 8,
+            Ctl::ClockReply { .. } => 9,
+            Ctl::CollectTrace => 10,
+            Ctl::TraceData { .. } => 11,
+            Ctl::Shutdown => 12,
         }
     }
 
@@ -1086,7 +1143,6 @@ mod tests {
             0 => Ctl::Hello {
                 index: rng.next() as u32,
                 data_addr: rng.string(),
-                metrics_addr: rng.string(),
             },
             1 => Ctl::PeerTable {
                 addrs: (0..rng.below(9)).map(|_| rng.string()).collect(),
@@ -1111,35 +1167,20 @@ mod tests {
                 seed: rng.next(),
                 job: rng.next(),
             },
-            5 => {
-                let steps: Vec<Vec<Msg>> = (0..rng.below(5)).map(|_| rng.msgs(4)).collect();
-                let lo = rng.next() as u32;
-                Ctl::DistDone(DistDone {
-                    supersteps: steps.len() as u32,
-                    lo,
-                    hi: rng.next() as u32,
-                    mems: (0..rng.below(5)).map(|_| rng.words(6)).collect(),
-                    traffic: coded(lo, &steps),
-                    socket_words_per_level: rng.words(3),
-                    recv_words_per_level: rng.words(3),
-                    ops: rng.next(),
-                    exchange_rounds: rng.next(),
-                })
-            }
-            6 => Ctl::DistFailed {
+            5 => Ctl::DistFailed {
                 reason: rng.string(),
             },
-            7 => Ctl::MetricsReq,
-            8 => Ctl::MetricsText { text: rng.string() },
-            9 => Ctl::ClockProbe {
+            6 => Ctl::MetricsReq,
+            7 => Ctl::MetricsText { text: rng.string() },
+            8 => Ctl::ClockProbe {
                 seq: rng.next() as u32,
             },
-            10 => Ctl::ClockReply {
+            9 => Ctl::ClockReply {
                 seq: rng.next() as u32,
                 t_ns: rng.next(),
             },
-            11 => Ctl::CollectTrace,
-            12 => Ctl::TraceData {
+            10 => Ctl::CollectTrace,
+            11 => Ctl::TraceData {
                 dropped: rng.next(),
                 events: (0..rng.below(5)).map(|_| rng.event()).collect(),
             },
@@ -1202,6 +1243,14 @@ mod tests {
                     assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
                 }
             }
+            // The answer to a `RunDist` is a result frame, not a `Ctl`:
+            // honest rows round-trip, rows in no order are refused.
+            let shard = rng.shard();
+            let steps = rng.below(5);
+            let honest = rng.honest_rows(shard, steps);
+            assert!(check_result(&mut rng, shard, &honest), "round {round}");
+            let wild: Vec<Vec<Msg>> = (0..steps).map(|_| rng.msgs(4)).collect();
+            check_result(&mut rng, shard, &wild);
         }
     }
 
@@ -1286,81 +1335,91 @@ mod tests {
         }
     }
 
-    /// A `DistDone` with random traffic: empty and wild supersteps, no
-    /// PEs or empty PE memories, `lo` anywhere in `u32`.
-    fn arbitrary_done(rng: &mut Rng) -> DistDone {
-        let lo = rng.pe();
-        let steps: Vec<Vec<Msg>> = (0..rng.below(6)).map(|_| rng.wild_rows(8)).collect();
-        DistDone {
-            supersteps: steps.len() as u32,
+    /// A result frame of `rows` from the shard owning PEs `lo..hi` of
+    /// `n_pes`, its other fields random, read back as the router reads
+    /// it. Rows the router keeps ([`keepable`]) round-trip with the rest
+    /// of the frame, every strict prefix — cut off by the stream or
+    /// re-framed behind a length that matches it — is an error, a byte
+    /// after the frame is `InvalidData`, seeded damage never panics, and
+    /// a control-message read of the frame is `InvalidData`. Any other
+    /// rows are `InvalidData`. Returns whether the rows were kept.
+    fn check_result(rng: &mut Rng, (lo, hi, n_pes): (u32, u32, u32), rows: &[Vec<Msg>]) -> bool {
+        let done = DistDone {
+            supersteps: rows.len() as u32,
             lo,
-            hi: rng.pe(),
-            mems: (0..rng.below(4)).map(|_| rng.words(5)).collect(),
-            traffic: coded(lo, &steps),
+            hi,
             socket_words_per_level: rng.words(3),
             recv_words_per_level: rng.words(3),
             ops: rng.next(),
             exchange_rounds: rng.next(),
+        };
+        let mems: Vec<Vec<u64>> = (0..rng.below(5)).map(|_| rng.words(6)).collect();
+        let frame = result_frame(&done, &mems, &coded(lo, rows));
+        let read = |r: &mut &[u8]| read_result(r, n_pes);
+        if !keepable(rows, lo, hi, n_pes) {
+            let err = read(&mut frame.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            return false;
         }
+        assert_eq!(
+            read(&mut frame.as_slice()).unwrap(),
+            (done, mems, rows.to_vec())
+        );
+        assert_damage_is_typed(rng, &frame, read);
+        let payload = &frame[4..];
+        for cut in 0..payload.len() {
+            let got = read(&mut framed(&payload[..cut]).as_slice());
+            assert!(got.is_err(), "payload prefix {cut} decoded: {got:?}");
+        }
+        let mut long = payload.to_vec();
+        long.push(rng.next() as u8);
+        let err = read(&mut framed(&long).as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let err = recv_ctl(&mut frame.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        true
     }
 
-    /// The varint row codec holds any row list: every frame round-trips,
-    /// every strict prefix — cut off by the stream or re-framed behind a
-    /// length that matches it — is an error, a byte after the message is
-    /// `InvalidData`, and seeded damage never panics.
+    /// Result frames through the router's reader: honest rows, empty
+    /// supersteps, no PEs or empty PE memories and `lo` anywhere in
+    /// `u32` round-trip and survive damage; rows in no order, at the
+    /// ends of `u32` and with word counts up to `u64::MAX` are
+    /// `InvalidData` unless they happen to be rows the router keeps.
     #[test]
     fn dist_done_frames_roundtrip_and_survive_damage() {
         let mut rng = Rng(0xd15d);
+        let mut refused = 0;
         for round in 0..300 {
-            let msg = Ctl::DistDone(arbitrary_done(&mut rng));
-            let mut frame = Vec::new();
-            send_ctl(&mut frame, &msg).unwrap();
-            assert_eq!(
-                recv_ctl(&mut frame.as_slice()).unwrap(),
-                msg,
-                "round {round}"
-            );
-            assert_damage_is_typed(&mut rng, &frame, |r| recv_ctl(r));
-            let payload = &frame[4..];
-            for cut in 0..payload.len() {
-                let got = recv_ctl(&mut framed(&payload[..cut]).as_slice());
-                assert!(got.is_err(), "payload prefix {cut} decoded: {got:?}");
-            }
-            let mut long = payload.to_vec();
-            long.push(rng.next() as u8);
-            let err = recv_ctl(&mut framed(&long).as_slice()).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let shard = rng.shard();
+            let steps = rng.below(6);
+            let honest = rng.honest_rows(shard, steps);
+            assert!(check_result(&mut rng, shard, &honest), "round {round}");
+            let wild: Vec<Vec<Msg>> = (0..steps).map(|_| rng.wild_rows(8)).collect();
+            refused += !check_result(&mut rng, shard, &wild) as usize;
         }
+        assert!(refused > 100, "only {refused} of 300 wild results refused");
     }
 
-    /// One superstep of hand-made row bytes behind a `DistDone` from `lo`
-    /// with no PEs: an overlong varint, a varint past `u64`, and a row
-    /// whose `src` or `dst` leaves `u32` are `InvalidData`.
+    /// One superstep of hand-made row bytes behind a result head of the
+    /// shard owning PE `lo` alone, with no PEs in the frame: an overlong
+    /// varint, a varint past `u64`, and a row whose `src` or `dst`
+    /// leaves `u32` are `InvalidData`.
     #[test]
     fn bad_varints_and_rows_outside_u32_are_invalid_data() {
         let step = |lo: u32, rows: &[u8]| {
             let done = DistDone {
                 supersteps: 1,
                 lo,
-                hi: lo,
-                mems: vec![],
-                traffic: rows.to_vec(),
+                hi: lo.saturating_add(1),
                 socket_words_per_level: vec![],
                 recv_words_per_level: vec![],
                 ops: 0,
                 exchange_rounds: 0,
             };
-            let mut frame = Vec::new();
-            send_ctl(&mut frame, &Ctl::DistDone(done)).unwrap();
-            recv_ctl(&mut frame.as_slice())
+            read_result(&mut result_frame(&done, &[], rows).as_slice(), u32::MAX)
         };
         let zz = |v: i64| zigzag(v) as u8;
-        match step(5, &[1, zz(0), zz(1), 7]).unwrap() {
-            Ctl::DistDone(d) => {
-                assert_eq!(rows_at(&d.traffic, 5).collect::<Vec<_>>(), [(5, 6, 7)]);
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(step(5, &[1, zz(0), zz(1), 7]).unwrap().2, [vec![(5, 6, 7)]]);
         let mut overlong = vec![0x80; 10];
         overlong.push(0);
         let mut past_u64 = vec![1, zz(0), zz(0)];

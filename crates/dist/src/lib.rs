@@ -23,9 +23,10 @@
 //! exactly.
 //!
 //! On top of the kernel tier sits a serving tier: each worker embeds a
-//! full `mo-serve` server (SB admission, batching, typed shedding) and
-//! a Prometheus endpoint; the [`Router`] consistent-hashes single-shard
-//! jobs over a [`HashRing`] and serves a merged fleet `/metrics` view.
+//! full `mo-serve` server (SB admission, batching, typed shedding); the
+//! [`Router`] consistent-hashes single-shard jobs over a [`HashRing`]
+//! and serves the one fleet `/metrics` view, every shard's exposition
+//! merged under a `shard` label.
 //!
 //! With tracing on ([`WorkerConfig::trace`]) every worker stamps its
 //! supersteps, XOR-round exchanges, and barrier waits into a local
@@ -49,11 +50,12 @@ pub mod trace;
 pub mod worker;
 
 pub use alg::DistAlg;
-pub use comm::{Link, SocketComm};
+pub use comm::{Link, MeshBuffers, SocketComm};
 pub use frame::{Ctl, DistDone, Msg};
+pub use no_framework::{pair_level, Partition};
 pub use router::{ClockCal, DistOutcome, FleetExposition, Router};
 pub use signature::Signature;
-pub use topology::{job_key, pair_level, HashRing, Partition};
+pub use topology::{job_key, HashRing};
 pub use trace::{format_level_table, level_table, straggler_report, LevelRow};
 pub use worker::{establish_mesh, run_worker, WorkerConfig, MESH_IO_TIMEOUT};
 

@@ -17,6 +17,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mo_obs::fleet::WorkerStream;
+use no_framework::{level_counters, Partition};
 
 use crate::alg::DistAlg;
 use crate::data;
@@ -25,7 +26,7 @@ use crate::frame::{
     Reply,
 };
 use crate::signature::Signature;
-use crate::topology::{job_key, num_levels, HashRing, Partition};
+use crate::topology::{job_key, HashRing};
 use crate::worker::MESH_IO_TIMEOUT;
 
 /// A running fleet `/metrics` endpoint ([`Router::serve_fleet_metrics`]):
@@ -37,7 +38,6 @@ pub use mo_obs::expose::Exposition as FleetExposition;
 struct Shard {
     ctrl: TcpStream,
     data_addr: String,
-    metrics_addr: String,
 }
 
 /// One worker's clock calibration, estimated NTP-style over the
@@ -154,20 +154,12 @@ impl Router {
                 .map_err(|e| in_context(e, format_args!("fleet bootstrap: peer {peer}")))?;
             ctrl.set_read_timeout(None)?;
             match hello {
-                Ctl::Hello {
-                    index,
-                    data_addr,
-                    metrics_addr,
-                } => {
+                Ctl::Hello { index, data_addr } => {
                     let i = index as usize;
                     if i >= workers || slots[i].is_some() {
                         return Err(invalid(format!("bad or duplicate worker index {i}")));
                     }
-                    slots[i] = Some(Shard {
-                        ctrl,
-                        data_addr,
-                        metrics_addr,
-                    });
+                    slots[i] = Some(Shard { ctrl, data_addr });
                 }
                 other => return Err(unexpected("Hello", &other)),
             }
@@ -205,16 +197,6 @@ impl Router {
     /// Fleet size.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Each shard's Prometheus endpoint address (index order).
-    pub fn metrics_addrs(&self) -> Vec<String> {
-        let inner = self.inner.lock().unwrap();
-        inner
-            .shards
-            .iter()
-            .map(|s| s.metrics_addr.clone())
-            .collect()
     }
 
     /// Route one single-shard kernel job by consistent hash; the shard's
@@ -283,7 +265,7 @@ impl Router {
                 Reply::Other(Ctl::DistFailed { reason }) => {
                     failures.push(format!("worker {w}: {reason}"));
                 }
-                Reply::Other(other) => return Err(unexpected("DistDone", &other)),
+                Reply::Other(other) => return Err(unexpected("a result frame", &other)),
             }
         }
         if !failures.is_empty() {
@@ -487,7 +469,7 @@ impl<'a> Assembly<'a> {
     ) -> Self {
         let (n_pes, keep) = alg.shape(n, kappa);
         mem_words.clear();
-        let levels = num_levels(workers).max(1);
+        let levels = level_counters(workers);
         Self {
             alg,
             n,
@@ -505,11 +487,11 @@ impl<'a> Assembly<'a> {
         }
     }
 
-    /// Decode worker `w`'s [`DistDone`](crate::DistDone) from `d`
-    /// (behind its tag) onto the outcome. Shards arrive in worker order
-    /// and own ascending PE ranges, and each shard's engine sorted its
-    /// rows, so appending a shard's rows to each superstep keeps the
-    /// machine-wide rows sorted — checked, not re-sorted
+    /// Decode worker `w`'s result frame from `d` (behind its tag) onto
+    /// the outcome. Shards arrive in worker order and own ascending PE
+    /// ranges, and each shard's engine sorted its rows, so appending a
+    /// shard's rows to each superstep keeps the machine-wide rows
+    /// sorted — checked, not re-sorted
     /// ([`Signature::push_shard`]): a superstep whose rows are not
     /// strictly ascending by `(src, dst)`, whose `src` leaves the
     /// shard's range or whose `dst` is not a PE is `InvalidData` naming
@@ -614,20 +596,21 @@ mod tests {
         for step in rows {
             put_rows(&mut traffic, lo, step);
         }
-        let mut e = Enc::new();
-        e.ctl(&Ctl::DistDone(crate::DistDone {
+        let done = crate::DistDone {
             supersteps: rows.len() as u32,
             lo,
             hi: lo + 8,
-            mems: (lo..lo + 8).map(|pe| vec![pe as u64]).collect(),
-            traffic,
             socket_words_per_level: vec![0],
             recv_words_per_level: vec![0],
             ops: 0,
             exchange_rounds: 0,
-        }));
+        };
+        let mems: Vec<Vec<u64>> = (lo..lo + 8).map(|pe| vec![pe as u64]).collect();
         let mut frame = Vec::new();
-        e.send(&mut frame).expect("into memory");
+        Enc::new()
+            .dist_done(&done, &mems, 1, &traffic)
+            .send(&mut frame)
+            .expect("into memory");
         frame.split_off(5)
     }
 

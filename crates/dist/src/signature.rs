@@ -1,9 +1,9 @@
 //! A fleet job's machine-wide traffic signature, kept as the shards
 //! sent it.
 //!
-//! Each shard's [`DistDone`](crate::DistDone) carries its src-side rows
-//! as its engine logged them, varints in [`no_framework::codec`]'s form,
-//! about three bytes a row. The router checks them in one pass and keeps the bytes:
+//! Each shard's result frame carries its src-side rows as its engine
+//! logged them, varints in [`no_framework::codec`]'s form, about three
+//! bytes a row. The router checks them in one pass and keeps the bytes:
 //! a [`Signature`] is one buffer of row bytes plus one segment per
 //! (shard, superstep), and builds no `(src, dst, words)` row until it is
 //! read. Shards own ascending PE ranges and each one's rows ascend, so
@@ -315,7 +315,7 @@ mod tests {
             .collect()
     }
 
-    /// `steps` as a shard from PE `lo` codes them in its `DistDone`.
+    /// `steps` as a shard from PE `lo` codes them in its result frame.
     fn shard_bytes(steps: &[Vec<Msg>], lo: u32) -> Vec<u8> {
         let mut bytes = Vec::new();
         for rows in steps {

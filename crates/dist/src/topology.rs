@@ -1,74 +1,6 @@
-//! Fleet topology: the recursive-subnetwork worker hierarchy and the
-//! router's consistent-hash ring.
-//!
-//! The D-BSP(P, g, B) model views the machine as `log₂ P` nested
-//! cluster levels, each halving the processor set. The fleet mirrors
-//! that structure exactly: `W` workers (a power of two), each owning a
-//! contiguous run of `N/W` PEs — the same contiguous grouping
-//! `NoMachine::proc_of` uses — and every worker pair `(a, b)` belongs
-//! to a finest common cluster [`pair_level`], stamped on each data
-//! frame and driving the per-level traffic accounting.
-
-use std::ops::Range;
-
-/// The static PE → worker partition of one distributed kernel run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Partition {
-    /// Total PEs `N`.
-    pub n_pes: usize,
-    /// Worker (shard) count `W`, a power of two dividing `N`.
-    pub workers: usize,
-}
-
-impl Partition {
-    /// A partition of `n_pes` PEs over `workers` processes.
-    ///
-    /// `workers` must be a power of two (the D-BSP halving structure)
-    /// that divides `n_pes` (contiguous equal shares).
-    pub fn new(n_pes: usize, workers: usize) -> Self {
-        assert!(workers >= 1 && workers.is_power_of_two(), "W must be 2^k");
-        assert!(
-            n_pes >= workers && n_pes.is_multiple_of(workers),
-            "W = {workers} must divide N = {n_pes}"
-        );
-        Self { n_pes, workers }
-    }
-
-    /// PEs per worker.
-    pub fn share(&self) -> usize {
-        self.n_pes / self.workers
-    }
-
-    /// The worker owning `pe`.
-    pub fn owner(&self, pe: usize) -> usize {
-        debug_assert!(pe < self.n_pes);
-        pe / self.share()
-    }
-
-    /// The contiguous PE range worker `w` owns.
-    pub fn range(&self, w: usize) -> Range<usize> {
-        debug_assert!(w < self.workers);
-        w * self.share()..(w + 1) * self.share()
-    }
-}
-
-/// Number of cluster levels for a fleet of `workers`: `log₂ W`.
-/// Level `0` is the whole fleet; level `log₂ W − 1` is worker pairs.
-pub fn num_levels(workers: usize) -> usize {
-    debug_assert!(workers.is_power_of_two());
-    workers.trailing_zeros() as usize
-}
-
-/// The finest D-BSP cluster level containing both workers `a` and `b`
-/// (`a != b`): clusters of size `W / 2^level`. Matches the level
-/// computation of `NoMachine::dbsp_time`, so socket-tier accounting and
-/// simulator accounting agree by construction.
-pub fn pair_level(a: usize, b: usize, workers: usize) -> usize {
-    debug_assert!(a != b && a < workers && b < workers);
-    let logw = num_levels(workers);
-    let top = usize::BITS as usize - (a ^ b).leading_zeros() as usize;
-    logw - top
-}
+//! The router's consistent-hash ring. A fleet job's D-BSP shape is
+//! `no_framework`'s [`Partition`](no_framework::Partition), beside the
+//! engine that splits the PEs by it.
 
 /// SplitMix64: the ring's point hash (and the job-key mixer).
 fn mix(mut x: u64) -> u64 {
@@ -154,33 +86,6 @@ impl HashRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_owns_contiguous_equal_shares() {
-        let p = Partition::new(64, 4);
-        assert_eq!(p.share(), 16);
-        assert_eq!(p.range(0), 0..16);
-        assert_eq!(p.range(3), 48..64);
-        for pe in 0..64 {
-            let w = p.owner(pe);
-            assert!(p.range(w).contains(&pe));
-        }
-    }
-
-    #[test]
-    fn pair_levels_halve_like_dbsp_clusters() {
-        // W = 8: level 2 = pairs, level 1 = quads, level 0 = whole fleet.
-        assert_eq!(num_levels(8), 3);
-        assert_eq!(pair_level(0, 1, 8), 2);
-        assert_eq!(pair_level(2, 3, 8), 2);
-        assert_eq!(pair_level(0, 2, 8), 1);
-        assert_eq!(pair_level(1, 3, 8), 1);
-        assert_eq!(pair_level(0, 4, 8), 0);
-        assert_eq!(pair_level(3, 7, 8), 0);
-        // W = 2: a single level.
-        assert_eq!(num_levels(2), 1);
-        assert_eq!(pair_level(0, 1, 2), 0);
-    }
 
     /// Satellite: key distribution across shards is balanced within 2x
     /// of the ideal share.

@@ -13,9 +13,9 @@
 //! spent blocked on barriers.
 
 use mo_obs::fleet::FleetSummary;
+use no_framework::{level_counters, pair_level, Partition};
 
 use crate::router::DistOutcome;
-use crate::topology::{num_levels, pair_level, Partition};
 
 /// One row of the measured-vs-analytic per-level table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,7 +43,7 @@ pub struct LevelRow {
 /// `n_pes` is the run's PE count, [`DistAlg::shape`](crate::DistAlg::shape)`.0`
 /// (`DistOutcome` does not carry it).
 pub fn level_table(outcome: &DistOutcome, n_pes: usize, workers: usize) -> Vec<LevelRow> {
-    let levels = num_levels(workers).max(1);
+    let levels = level_counters(workers);
     let part = Partition::new(n_pes, workers);
     let mut signature_words = vec![0u64; levels];
     let mut h_relation = vec![0u64; levels];

@@ -2,12 +2,12 @@
 //!
 //! Each worker runs a full `mo-serve` server — SB admission against its
 //! own detected (or injected) hierarchy, CGC⇒SB batching, typed
-//! shedding, Prometheus exposition — plus the D-BSP engine for
-//! fleet-wide kernels. Lifecycle:
+//! shedding, Prometheus text for the router's merged fleet view — plus
+//! the D-BSP engine for fleet-wide kernels. Lifecycle:
 //!
 //! 1. connect the control channel to the router, bind the data-mesh
-//!    listener and the metrics endpoint on ephemeral ports;
-//! 2. send [`Ctl::Hello`] (index + both addresses), wait for the
+//!    listener on an ephemeral port;
+//! 2. send [`Ctl::Hello`] (index + data address), wait for the
 //!    router's [`Ctl::PeerTable`];
 //! 3. establish the mesh: connect to every lower-indexed peer, accept
 //!    from every higher-indexed one (one duplex TCP stream per pair,
@@ -18,8 +18,9 @@
 //! shard's admission decisions, queueing, and shedding are exactly the
 //! single-process service's. Fleet jobs build a [`SocketComm`] over the
 //! long-lived mesh, in the engine and frame buffers the worker keeps
-//! with it ([`MeshBuffers`]), and run the *same* `no-framework` driver
-//! the simulator runs ([`DistAlg::run`]).
+//! with it ([`MeshBuffers`]), run the *same* `no-framework` driver
+//! the simulator runs ([`DistAlg::run`]), and answer with the result
+//! frame [`SocketComm::finish`] encodes.
 
 use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
@@ -28,11 +29,11 @@ use std::time::Duration;
 
 use mo_obs::{EventKind, TraceSink};
 use mo_serve::{HwHierarchy, JobSpec, Kernel, Outcome, Rejected, ServeConfig, Server};
+use no_framework::{level_counters, Partition};
 
 use crate::alg::DistAlg;
 use crate::comm::{Link, MeshBuffers, SocketComm};
 use crate::frame::{invalid, read_frame, recv_ctl, send_ctl, unexpected, Ctl, Dec, DistDone, Enc};
-use crate::topology::{num_levels, Partition};
 
 /// The fault bound on the data mesh: no single read or write on a peer
 /// stream blocks longer than this. A worker waits on a partner only
@@ -234,7 +235,7 @@ fn run_dist_job(
             n as u64,
         );
     }
-    let mut comm = SocketComm::in_buffers(part, index, peers, &mut bufs.mesh);
+    let mut comm = SocketComm::new(part, index, peers, &mut bufs.mesh);
     if let Some(sink) = sink {
         comm = comm.with_trace(Arc::clone(sink), job);
     }
@@ -243,7 +244,7 @@ fn run_dist_job(
     if let Some(sink) = sink {
         sink.emit(None, EventKind::DistJobEnd, job, supersteps as u64, 0);
     }
-    comm.finish_into(keep, &mut bufs.reply)
+    comm.finish(keep, &mut bufs.reply)
 }
 
 /// Run one worker to completion (returns after [`Ctl::Shutdown`] or
@@ -259,13 +260,11 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
     let mut serve_cfg = cfg.serve.clone();
     serve_cfg.shard = cfg.index as u16;
     let server = Server::start(hier, serve_cfg);
-    let metrics = server.serve_metrics("127.0.0.1:0")?;
     send_ctl(
         &mut ctrl,
         &Ctl::Hello {
             index: cfg.index as u32,
             data_addr: data_listener.local_addr()?.to_string(),
-            metrics_addr: metrics.addr().to_string(),
         },
     )?;
     let addrs = match recv_ctl(&mut ctrl)? {
@@ -291,8 +290,8 @@ pub fn run_worker(cfg: WorkerConfig) -> io::Result<()> {
         jobs: 0,
         supersteps: 0,
         exchange_rounds: 0,
-        socket_words_per_level: vec![0; num_levels(cfg.workers).max(1)],
-        recv_words_per_level: vec![0; num_levels(cfg.workers).max(1)],
+        socket_words_per_level: vec![0; level_counters(cfg.workers)],
+        recv_words_per_level: vec![0; level_counters(cfg.workers)],
         trace_dropped: 0,
     };
     loop {

@@ -11,7 +11,8 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mo_dist::{establish_mesh, Link, Partition, SocketComm};
+use mo_dist::frame::Enc;
+use mo_dist::{establish_mesh, Link, MeshBuffers, Partition, SocketComm};
 use no_framework::{Comm, Scope};
 
 /// Listeners and addresses for a `workers`-wide mesh.
@@ -68,7 +69,8 @@ fn out_of_scope_send_is_a_typed_error_on_the_sender() {
         size: 4,
     };
     let results = on_mesh(2, |w, mesh| {
-        let mut comm = SocketComm::new(Partition::new(8, 2), w, mesh);
+        let mut bufs = MeshBuffers::default();
+        let mut comm = SocketComm::new(Partition::new(8, 2), w, mesh, &mut bufs);
         let mut later_steps_ran = false;
         comm.step_in(scope, |pe, ctx| {
             if pe == 0 {
@@ -82,7 +84,7 @@ fn out_of_scope_send_is_a_typed_error_on_the_sender() {
             !later_steps_ran,
             "worker {w} kept computing after the error"
         );
-        comm.finish(1)
+        comm.finish(1, &mut Enc::new())
     });
     let sender = results[0].as_ref().expect_err("worker 0 must fail");
     assert_eq!(sender.kind(), io::ErrorKind::InvalidData, "{sender}");
@@ -106,7 +108,8 @@ fn in_scope_sends_exchange_only_with_scope_partners() {
         size: 4,
     };
     let results = on_mesh(4, |w, mesh| {
-        let mut comm = SocketComm::new(Partition::new(16, 4), w, mesh);
+        let mut bufs = MeshBuffers::default();
+        let mut comm = SocketComm::new(Partition::new(16, 4), w, mesh, &mut bufs);
         for pe in 0..16 {
             if let Some(mem) = comm.pe_mem_mut(pe) {
                 mem.push(pe as u64);
@@ -125,14 +128,14 @@ fn in_scope_sends_exchange_only_with_scope_partners() {
                 ctx.mem[0] = v;
             }
         });
-        comm.finish(1).expect("clean run")
+        let out: Vec<u64> = (0..16)
+            .filter_map(|pe| comm.pe_mem(pe).map(|m| m[0]))
+            .collect();
+        (comm.finish(1, &mut Enc::new()).expect("clean run"), out)
     });
-    let rounds: Vec<u64> = results.iter().map(|d| d.exchange_rounds).collect();
+    let rounds: Vec<u64> = results.iter().map(|(d, _)| d.exchange_rounds).collect();
     assert_eq!(rounds, [0, 1, 1, 0], "only workers 1 and 2 share the group");
-    let out: Vec<u64> = results
-        .iter()
-        .flat_map(|d| d.mems.iter().map(|m| m[0]))
-        .collect();
+    let out: Vec<u64> = results.iter().flat_map(|(_, out)| out).copied().collect();
     let mut want: Vec<u64> = (0..16).collect();
     want[6..10].reverse();
     assert_eq!(out, want);
@@ -154,7 +157,8 @@ fn frame_with_descending_sources_is_refused() {
             recv_data(link).expect("worker 1's frame");
             return None;
         }
-        let mut comm = SocketComm::new(Partition::new(8, 2), w, mesh);
+        let mut bufs = MeshBuffers::default();
+        let mut comm = SocketComm::new(Partition::new(8, 2), w, mesh, &mut bufs);
         let got = comm.try_step(Scope::All, &mut |_, _| {});
         Some(got.map(|()| {
             let mut inbox = Vec::new();
@@ -198,7 +202,8 @@ fn wedged_peer_times_out_within_the_bound() {
             drop(mesh);
         });
         let mut mesh = establish_mesh(1, addrs, &ls[1], bound).expect("mesh");
-        let mut comm = SocketComm::new(Partition::new(4, 2), 1, &mut mesh);
+        let mut bufs = MeshBuffers::default();
+        let mut comm = SocketComm::new(Partition::new(4, 2), 1, &mut mesh, &mut bufs);
         let started = Instant::now();
         // Worker 1 is the higher index of the pair: it listens first.
         let err = comm
@@ -261,7 +266,6 @@ fn dead_peer_reaches_the_router_as_a_typed_error() {
                 &Ctl::Hello {
                     index: 0,
                     data_addr: data.local_addr()?.to_string(),
-                    metrics_addr: "127.0.0.1:0".into(),
                 },
             )?;
             let Ctl::PeerTable { addrs } = recv_ctl(&mut ctrl)? else {
@@ -321,11 +325,11 @@ fn dead_peer_reaches_the_router_as_a_typed_error() {
 
 /// A shard's result is checked before its rows join the signature: an
 /// impostor worker 0 runs its half of the sort honestly with the real
-/// worker 1, then answers with a `DistDone` that also claims a row from
-/// PE 40, which worker 1 owns. The router must refuse the run as
-/// `InvalidData` naming worker 0 and the superstep, not sort the row
-/// into the signature; and, having read both replies, stay in step for
-/// an honest run after it.
+/// worker 1, then answers with a result frame, written as a worker
+/// writes one, that also claims a row from PE 40, which worker 1 owns.
+/// The router must refuse the run as `InvalidData` naming worker 0 and
+/// the superstep, not sort the row into the signature; and, having read
+/// both replies, stay in step for an honest run after it.
 #[test]
 fn forged_result_rows_are_refused_by_the_router() {
     use mo_dist::frame::{recv_ctl, send_ctl};
@@ -360,26 +364,32 @@ fn forged_result_rows_are_refused_by_the_router() {
                 &Ctl::Hello {
                     index: 0,
                     data_addr: data.local_addr()?.to_string(),
-                    metrics_addr: "127.0.0.1:0".into(),
                 },
             )?;
             let Ctl::PeerTable { addrs } = recv_ctl(&mut ctrl)? else {
                 return Err(io::Error::other("expected PeerTable"));
             };
             let mut mesh = establish_mesh(0, &addrs, &data, Duration::from_secs(20))?;
+            let (mut bufs, mut reply) = (MeshBuffers::default(), Enc::new());
             let mut forge = true;
             loop {
                 match recv_ctl(&mut ctrl)? {
                     Ctl::RunDist { alg, n, seed, .. } => {
                         let n = n as usize;
-                        let mut comm = SocketComm::new(Partition::new(n, 2), 0, &mut mesh);
+                        let mut comm =
+                            SocketComm::new(Partition::new(n, 2), 0, &mut mesh, &mut bufs);
                         alg.run(&mut comm, n, 0, seed);
-                        let mut done = comm.finish(1)?;
+                        let mems: Vec<Vec<u64>> = (0..n / 2)
+                            .map(|pe| comm.pe_mem(pe).expect("owned").to_vec())
+                            .collect();
+                        reply.clear();
+                        let done = comm.finish(1, &mut reply)?;
                         if forge {
-                            done.traffic.clone_from(&forged);
+                            reply.clear();
+                            reply.dist_done(&done, &mems, 1, &forged);
                             forge = false;
                         }
-                        send_ctl(&mut ctrl, &Ctl::DistDone(done))?;
+                        reply.send(&mut ctrl)?;
                     }
                     Ctl::Shutdown => return Ok(()),
                     other => return Err(io::Error::other(format!("unexpected {other:?}"))),

@@ -1,7 +1,8 @@
 //! The superstep engine every [`Comm`](crate::Comm) backend runs.
 //!
 //! One worker of a `W`-worker machine owns a contiguous run of `N/W`
-//! PEs ([`NoMachine`](crate::NoMachine) is the `W = 1` case). Messages
+//! PEs, its share of a [`Partition`](crate::Partition)
+//! ([`NoMachine`](crate::NoMachine) is the `W = 1` case). Messages
 //! travel as *runs*: the words one source sent one destination back to
 //! back, under one header, never one tag per word. A superstep is the
 //! same pipeline on every backend:
@@ -39,6 +40,7 @@ use std::ops::Range;
 use crate::codec;
 use crate::comm::Scope;
 use crate::machine::Pe;
+use crate::partition::Partition;
 
 /// One signature row `(src_pe, dst_pe, words)`, or one run header
 /// `(src_pe, dst_pe, len)` of a [`Runs`] buffer.
@@ -287,7 +289,7 @@ pub struct Engine {
 
 impl Engine {
     /// The engine of worker `me` of `workers`, on a machine of `n_pes`
-    /// PEs split into contiguous equal shares.
+    /// PEs split into contiguous equal shares ([`Partition::new`]).
     pub fn new(n_pes: usize, workers: usize, me: usize) -> Self {
         let mut engine = Self::default();
         engine.reset(n_pes, workers, me);
@@ -298,19 +300,16 @@ impl Engine {
     /// allocations: every memory, inbox, run buffer and the log
     /// emptied, whatever a failed step left half-built included.
     pub fn reset(&mut self, n_pes: usize, workers: usize, me: usize) {
-        assert!(workers >= 1 && me < workers);
-        assert!(
-            n_pes >= workers && n_pes.is_multiple_of(workers),
-            "{workers} workers must divide {n_pes} PEs"
-        );
-        let share = n_pes / workers;
+        let part = Partition::new(n_pes, workers);
+        assert!(me < workers, "worker {me} of {workers}");
+        let share = part.share();
         self.n = n_pes;
         self.mem.resize_with(share, Vec::new);
         self.mem.iter_mut().for_each(Vec::clear);
         self.inbox.resize_with(share, Inbox::default);
         self.inbox.iter_mut().for_each(Inbox::clear);
         let post = &mut self.post;
-        (post.own, post.me, post.share) = (me * share..(me + 1) * share, me, share);
+        (post.own, post.me, post.share) = (part.range(me), me, share);
         post.bufs.resize_with(workers, Runs::default);
         post.bufs.iter_mut().for_each(Runs::clear);
         post.log.clear();
@@ -322,6 +321,19 @@ impl Engine {
     /// Machine-wide PE count `N`.
     pub fn n_pes(&self) -> usize {
         self.n
+    }
+
+    /// The partition this engine owns one share of.
+    pub fn partition(&self) -> Partition {
+        Partition {
+            n_pes: self.n,
+            workers: self.post.bufs.len(),
+        }
+    }
+
+    /// This engine's worker index in its [`partition`](Self::partition).
+    pub fn me(&self) -> usize {
+        self.post.me
     }
 
     /// The PEs this engine owns.

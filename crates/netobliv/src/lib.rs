@@ -34,7 +34,9 @@ pub mod codec;
 mod comm;
 mod engine;
 mod machine;
+mod partition;
 
 pub use comm::{Comm, Scope};
 pub use engine::{Engine, Msg, Runs, ScopeViolation};
 pub use machine::{CostModelError, NoMachine, Pe};
+pub use partition::{level_counters, num_levels, pair_level, Partition};

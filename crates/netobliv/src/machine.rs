@@ -4,6 +4,7 @@ use std::ops::Range;
 
 use crate::comm::Scope;
 use crate::engine::{Engine, Inbox, Msg, Post};
+use crate::partition::{num_levels, pair_level};
 
 /// One processing element's view during a superstep.
 pub struct Pe<'a> {
@@ -245,7 +246,8 @@ impl NoMachine {
     }
 
     fn proc_of(&self, pe: u32, p: usize) -> usize {
-        // p contiguous groups of ⌈N/p⌉ PEs.
+        // p contiguous groups of ⌈N/p⌉ PEs: M(p, B) allows p ∤ N, which
+        // a fleet's `Partition` refuses.
         let per = self.n_pes().div_ceil(p);
         pe as usize / per
     }
@@ -341,7 +343,7 @@ impl NoMachine {
         if !p.is_power_of_two() {
             return Err(CostModelError::NotPowerOfTwo { p });
         }
-        let logp = p.trailing_zeros() as usize;
+        let logp = num_levels(p);
         if g.len() != logp || b.len() != logp {
             return Err(CostModelError::LengthMismatch {
                 expected: logp,
@@ -366,12 +368,7 @@ impl NoMachine {
                     continue;
                 }
                 any = true;
-                // Largest i with sp,dp in one cluster of size p/2^i:
-                // common high bits of sp,dp.
-                let diff = sp ^ dp;
-                let top = usize::BITS as usize - diff.leading_zeros() as usize; // bits needed
-                let i = logp - top; // cluster level containing both
-                level = level.min(i);
+                level = level.min(pair_level(sp, dp, p));
             }
             if !any {
                 continue;

@@ -5,8 +5,12 @@
 //! frame codec and the worker/router loops — not only CI's
 //! `-p mo-dist`.
 
-use oblivious::dist::frame::{recv_ctl, send_ctl};
-use oblivious::dist::{data, Ctl, DistAlg, DistDone, LocalFleet, Msg, Partition};
+use std::io::{self, Write};
+use std::net::{TcpListener, TcpStream};
+use std::thread;
+
+use oblivious::dist::frame::{recv_ctl, send_ctl, Enc};
+use oblivious::dist::{data, Ctl, DistAlg, DistDone, LocalFleet, Msg, Partition, Router};
 use oblivious::no::algs::ngep;
 use oblivious::no::codec::put_rows;
 use oblivious::no::NoMachine;
@@ -84,6 +88,44 @@ fn a_kept_engine_resets_between_shapes_and_kernels() {
     fleet.shutdown().expect("clean shutdown");
 }
 
+/// Run `job` on a router whose shard `w` answers every `RunDist` with
+/// the bytes `frames[w]`, as a worker writes its result frame.
+fn answered_by<T>(frames: &[Vec<u8>], job: impl FnOnce(&Router) -> T) -> T {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind router");
+    let coord = listener.local_addr().expect("router address");
+    thread::scope(|s| {
+        let shards: Vec<_> = frames
+            .iter()
+            .enumerate()
+            .map(|(w, frame)| {
+                s.spawn(move || -> io::Result<()> {
+                    let mut ctrl = TcpStream::connect(coord)?;
+                    let hello = Ctl::Hello {
+                        index: w as u32,
+                        data_addr: String::new(),
+                    };
+                    send_ctl(&mut ctrl, &hello)?;
+                    loop {
+                        match recv_ctl(&mut ctrl)? {
+                            Ctl::PeerTable { .. } => {}
+                            Ctl::RunDist { .. } => ctrl.write_all(frame)?,
+                            Ctl::Shutdown => return Ok(()),
+                            other => return Err(io::Error::other(format!("{other:?}"))),
+                        }
+                    }
+                })
+            })
+            .collect();
+        let router = Router::accept_fleet(&listener, frames.len()).expect("fleet bootstrap");
+        let got = job(&router);
+        router.shutdown();
+        for shard in shards {
+            shard.join().expect("shard thread").expect("shard");
+        }
+        got
+    })
+}
+
 /// The result frames of one `dist_sort` job (`no_sort 1024` on four
 /// workers), built from the simulator's signature split at the shard
 /// boundaries: an exact count of the bytes a job's results put on the
@@ -91,44 +133,50 @@ fn a_kept_engine_resets_between_shapes_and_kernels() {
 /// every PE keeps one 8-byte word, so the count is the same for every
 /// seed. Rows of 16 bytes each made it 1 658 676, and a second
 /// superstep count in front of the rows 325 926; a return to either
-/// fails here.
+/// fails here. A router that reads the frames assembles the
+/// simulator's job from them.
 #[test]
 fn a_sort_jobs_result_frames_are_compact() {
     const PINNED: usize = 325_910;
     for seed in [7, 8] {
-        let (sim, _) = DistAlg::Sort.reference(1024, 0, seed);
+        let (sim, want) = DistAlg::Sort.reference(1024, 0, seed);
         let signature = sim.traffic_signature();
         let part = Partition::new(1024, WORKERS);
-        let mut bytes = 0;
-        for w in 0..WORKERS {
-            let pes = part.range(w);
-            let mut traffic = Vec::new();
-            for rows in &signature {
-                let from = rows.partition_point(|r| (r.0 as usize) < pes.start);
-                let to = rows.partition_point(|r| (r.0 as usize) < pes.end);
-                put_rows(&mut traffic, pes.start as u32, &rows[from..to]);
-            }
-            let done = DistDone {
-                supersteps: signature.len() as u32,
-                lo: pes.start as u32,
-                hi: pes.end as u32,
-                mems: pes.clone().map(|pe| sim.mem(pe)[..1].to_vec()).collect(),
-                traffic,
-                socket_words_per_level: vec![0; 2],
-                recv_words_per_level: vec![0; 2],
-                ops: 0,
-                exchange_rounds: 0,
-            };
-            let mut frame = Vec::new();
-            send_ctl(&mut frame, &Ctl::DistDone(done.clone())).expect("encode");
-            assert_eq!(
-                recv_ctl(&mut frame.as_slice()).expect("decode"),
-                Ctl::DistDone(done)
-            );
-            bytes += frame.len();
-        }
+        let frames: Vec<Vec<u8>> = (0..WORKERS)
+            .map(|w| {
+                let pes = part.range(w);
+                let mut traffic = Vec::new();
+                for rows in &signature {
+                    let from = rows.partition_point(|r| (r.0 as usize) < pes.start);
+                    let to = rows.partition_point(|r| (r.0 as usize) < pes.end);
+                    put_rows(&mut traffic, pes.start as u32, &rows[from..to]);
+                }
+                let done = DistDone {
+                    supersteps: signature.len() as u32,
+                    lo: pes.start as u32,
+                    hi: pes.end as u32,
+                    socket_words_per_level: vec![0; 2],
+                    recv_words_per_level: vec![0; 2],
+                    ops: 0,
+                    exchange_rounds: 0,
+                };
+                let mems: Vec<Vec<u64>> = pes.map(|pe| sim.mem(pe).to_vec()).collect();
+                let mut frame = Vec::new();
+                Enc::new()
+                    .dist_done(&done, &mems, 1, &traffic)
+                    .send(&mut frame)
+                    .expect("encode");
+                frame
+            })
+            .collect();
+        let bytes: usize = frames.iter().map(Vec::len).sum();
         assert_eq!(bytes, PINNED, "seed {seed}");
         assert!(bytes < 400_000, "{bytes} bytes");
+        let got = answered_by(&frames, |router| router.run(DistAlg::Sort, 1024, 0, seed))
+            .expect("the router takes the frames");
+        assert_eq!(got.output, want, "seed {seed}");
+        assert_eq!(got.supersteps, sim.supersteps(), "seed {seed}");
+        assert_eq!(got.signature, signature, "seed {seed}");
     }
 }
 
