@@ -1,0 +1,151 @@
+//! The crate's one `unsafe` home: the real kernels' hot leaves at the
+//! host's vector width, chosen at run time — Floyd–Warshall's band rows,
+//! the FFT's leaf transform and its combine.
+//!
+//! The build targets baseline x86-64, so the autovectoriser may use SSE2
+//! only. Each copy below is a `#[target_feature]` wrapper that calls an
+//! `#[inline(always)]` leaf of [`real`] by name, so the same source is
+//! compiled once per instruction set. A leaf has a copy at a width only
+//! where that copy won at least 4 of 5 alternating `bench_rt` runs
+//! against what the arm runs without it; an arm with no copy of its own
+//! runs the baseline (EXPERIMENTS, "Host vector width"). [`Arm::widest`]
+//! picks the widest arm the CPU has (`std` caches the detection), and
+//! every other host and target runs the baseline arm. No leaf fuses
+//! `a * b + c`, so every arm computes the same IEEE value in every lane:
+//! Floyd–Warshall's rows (an add and a compare) give the same bits on
+//! every input, the FFT on every finite input.
+
+use crate::real::{self, C64, FFT_BLOCK, FFT_LEAF};
+
+/// One compiled copy of a dispatched leaf, by the widest vector
+/// instruction set it may use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arm {
+    /// AVX-512F with the 128/256-bit VL forms.
+    Avx512,
+    /// AVX2.
+    Avx2,
+    /// The build's own target (SSE2 on baseline x86-64).
+    Baseline,
+}
+
+impl Arm {
+    /// Every arm, widest first.
+    pub const ALL: [Arm; 3] = [Arm::Avx512, Arm::Avx2, Arm::Baseline];
+
+    /// Whether this CPU can run the arm.
+    pub fn available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512 => {
+                std::is_x86_feature_detected!("avx512f")
+                    && std::is_x86_feature_detected!("avx512vl")
+            }
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2 => std::is_x86_feature_detected!("avx2"),
+            #[cfg(not(target_arch = "x86_64"))]
+            Arm::Avx512 | Arm::Avx2 => false,
+            Arm::Baseline => true,
+        }
+    }
+
+    /// The widest arm this CPU can run.
+    pub fn widest() -> Arm {
+        Arm::ALL
+            .into_iter()
+            .find(|arm| arm.available())
+            .unwrap_or(Arm::Baseline)
+    }
+}
+
+/// One Floyd–Warshall step `k` over the rows of `x` (each `rowk.len()`
+/// wide), compiled for `arm`: `x[i,j] ← min(x[i,j], x[i,k] + rowk[j])`
+/// wherever the sum is smaller, rows whose `x[i,k]` is not finite
+/// skipped. Every arm gives the same bits.
+///
+/// # Panics
+/// If this CPU cannot run `arm`, `rowk` is empty, or `k ≥ rowk.len()`
+/// while `x` has a row.
+pub fn fw_rows(arm: Arm, x: &mut [f64], rowk: &[f64], k: usize) {
+    assert!(arm.available(), "this CPU cannot run the {arm:?} arm");
+    match arm {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `arm.available()` has just detected AVX-512F and
+        // AVX-512VL on this CPU, the only features the copy enables.
+        Arm::Avx512 => unsafe { x86::fw_rows_avx512(x, rowk, k) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `arm.available()` has just detected AVX2 on this CPU,
+        // the only feature the copy enables.
+        Arm::Avx2 => unsafe { x86::fw_rows_avx2(x, rowk, k) },
+        _ => real::fw_rows(x, rowk, k),
+    }
+}
+
+/// The FFT of `x` in place, compiled for `arm`, for `2 ≤ n ≤ FFT_LEAF`
+/// samples (`n` a power of two): bit reversal, then `log₂ n` butterfly
+/// passes. Every arm gives the same bits on finite samples. There is no
+/// AVX2 copy: it won just 4 of 5 alternating `bench_rt` runs, by 2–4 %
+/// on a quiet host, too little for a second copy, so the AVX2 arm runs
+/// the baseline.
+///
+/// # Panics
+/// If this CPU cannot run `arm`, or `n` is out of range.
+pub fn fft_leaf(arm: Arm, x: &mut [C64]) {
+    assert!(arm.available(), "this CPU cannot run the {arm:?} arm");
+    let n = x.len();
+    assert!(n.is_power_of_two() && (2..=FFT_LEAF).contains(&n));
+    match arm {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `arm.available()` has just detected AVX-512F and
+        // AVX-512VL on this CPU, the only features the copy enables.
+        Arm::Avx512 => unsafe { x86::fft_leaf_avx512(x) },
+        _ => real::fft_leaf(x),
+    }
+}
+
+/// One combine step of the FFT, compiled for `arm`: the transforms of
+/// the even and the odd samples, `halves = evens ‖ odds`, into the
+/// transform `x` of all `n = x.len()` samples (`n` a power of two,
+/// `n / 2 ≥ FFT_BLOCK`). Every arm gives the same bits on finite
+/// samples. There is no AVX2 copy: it did not beat the baseline, so the
+/// AVX2 arm runs the baseline.
+///
+/// # Panics
+/// If this CPU cannot run `arm`, or the lengths are out of range.
+pub fn fft_combine(arm: Arm, halves: &[C64], x: &mut [C64]) {
+    assert!(arm.available(), "this CPU cannot run the {arm:?} arm");
+    let n = x.len();
+    assert!(n.is_power_of_two() && n / 2 >= FFT_BLOCK && halves.len() == n);
+    match arm {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `arm.available()` has just detected AVX-512F and
+        // AVX-512VL on this CPU, the only features the copy enables.
+        Arm::Avx512 => unsafe { x86::fft_combine_avx512(halves, x) },
+        _ => real::fft_combine(halves, x),
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use crate::real::{self, C64};
+
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub(super) fn fw_rows_avx512(x: &mut [f64], rowk: &[f64], k: usize) {
+        real::fw_rows(x, rowk, k)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn fw_rows_avx2(x: &mut [f64], rowk: &[f64], k: usize) {
+        real::fw_rows(x, rowk, k)
+    }
+
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub(super) fn fft_leaf_avx512(x: &mut [C64]) {
+        real::fft_leaf(x)
+    }
+
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub(super) fn fft_combine_avx512(halves: &[C64], x: &mut [C64]) {
+        real::fft_combine(halves, x)
+    }
+}

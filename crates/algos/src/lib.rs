@@ -22,12 +22,16 @@
 //! clock) counterparts running on [`mo_core::rt::SbPool`] live in
 //! [`real`].
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied everywhere but `dispatch`, whose only `unsafe` is
+// the call of a `#[target_feature]` arm after its features are detected.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitinterleave;
 pub mod bp;
 pub mod certify;
+#[allow(unsafe_code)]
+pub mod dispatch;
 pub mod fft;
 pub mod gep;
 pub mod graph;

@@ -17,6 +17,7 @@
 //! re-enters the pool or keeps anything between calls; [`fft`] alone
 //! also runs with no pool (`None`: both halves on the calling thread).
 
+use crate::dispatch;
 use mo_core::rt::{Ctx, Jobs};
 use std::sync::OnceLock;
 
@@ -260,7 +261,17 @@ fn fw_bands(ctx: &Ctx<'_>, x: &mut [f64], rowk: &[f64], n: usize, k: usize) {
         );
         return;
     }
-    for row in x.chunks_exact_mut(n) {
+    dispatch::fw_rows(dispatch::Arm::widest(), x, rowk, k);
+}
+
+/// One band's rows of a Floyd–Warshall step `k`: `x[i,j] ←
+/// min(x[i,j], x[i,k] + rowk[j])`, rows whose `x[i,k]` is not finite
+/// skipped. Always inlined, so that each arm of [`dispatch::fw_rows`]
+/// compiles it for its instruction set; the select is exact on every
+/// input.
+#[inline(always)]
+pub(crate) fn fw_rows(x: &mut [f64], rowk: &[f64], k: usize) {
+    for row in x.chunks_exact_mut(rowk.len()) {
         let dik = row[k];
         if dik.is_finite() {
             for (dv, &dkj) in row.iter_mut().zip(rowk) {
@@ -546,7 +557,7 @@ mod tests {
 /// A complex sample for the real FFT kernels.
 pub type C64 = (f64, f64);
 
-#[inline]
+#[inline(always)]
 fn cmul(a: C64, b: C64) -> C64 {
     (a.0 * b.0 - a.1 * b.1, a.0 * b.1 + a.1 * b.0)
 }
@@ -588,7 +599,7 @@ static FFT_PASSES: OnceLock<Vec<C64>> = OnceLock::new();
 /// Twiddles of one combine step are `ω_n^(B·b + j) = ω_n^(B·b) · ω_n^j`
 /// for blocks of `B = FFT_BLOCK` butterflies: the first factor is one
 /// `sin_cos` per block, the second a table per level.
-const FFT_BLOCK: usize = 64;
+pub(crate) const FFT_BLOCK: usize = 64;
 
 /// `FFT_LO[log₂ n][j] = ω_n^j`, `j < FFT_BLOCK`: 1 KiB per level of the
 /// recursion, built when a transform first reaches that level (levels
@@ -625,7 +636,7 @@ pub fn fft(ctx: Option<&Ctx<'_>>, x: &mut [C64], scratch: &mut Vec<C64>) {
 fn fft_rec(ctx: Option<&Ctx<'_>>, x: &mut [C64], scratch: &mut [C64]) {
     let n = x.len();
     if n <= FFT_LEAF {
-        return fft_leaf(x);
+        return dispatch::fft_leaf(dispatch::Arm::widest(), x);
     }
     let half = n / 2;
     let (se, so) = scratch[..n].split_at_mut(half);
@@ -649,8 +660,20 @@ fn fft_rec(ctx: Option<&Ctx<'_>>, x: &mut [C64], scratch: &mut [C64]) {
             fft_rec(None, so, xh);
         }
     }
-    // Combine back into x, a block of FFT_BLOCK butterflies at a time:
-    // no twiddle is computed from another butterfly's.
+    dispatch::fft_combine(dispatch::Arm::widest(), &scratch[..n], x);
+}
+
+/// The butterflies that combine the transforms of the even and the odd
+/// samples, `halves = evens ‖ odds`, into the transform `x` of them all
+/// (`n = x.len()`, a power of two with `n / 2 ≥ FFT_BLOCK`), a block of
+/// [`FFT_BLOCK`] butterflies at a time: no twiddle is computed from
+/// another butterfly's. Always inlined, so that each arm of
+/// [`dispatch::fft_combine`] compiles it for its instruction set.
+#[inline(always)]
+pub(crate) fn fft_combine(halves: &[C64], x: &mut [C64]) {
+    let n = x.len();
+    let (se, so) = halves.split_at(n / 2);
+    let (xl, xh) = x.split_at_mut(n / 2);
     let lo = FFT_LO[n.trailing_zeros() as usize]
         .get_or_init(|| std::array::from_fn(|j| root_of_unity(n, j)));
     let blocks = se
@@ -669,6 +692,7 @@ fn fft_rec(ctx: Option<&Ctx<'_>>, x: &mut [C64], scratch: &mut [C64]) {
 }
 
 /// Bit-reversal permutation of `n ≥ 2` samples, `n` a power of two.
+#[inline(always)]
 fn bit_reverse(x: &mut [C64]) {
     let n = x.len();
     let bits = n.trailing_zeros();
@@ -682,7 +706,10 @@ fn bit_reverse(x: &mut [C64]) {
 
 /// Iterative radix-2 transform of `2 ≤ n ≤ FFT_LEAF` samples in place:
 /// bit reversal, then `log₂ n` butterfly passes over [`FFT_PASSES`].
-fn fft_leaf(x: &mut [C64]) {
+/// Always inlined, so that each arm of [`dispatch::fft_leaf`] compiles
+/// it for its instruction set.
+#[inline(always)]
+pub(crate) fn fft_leaf(x: &mut [C64]) {
     let n = x.len();
     bit_reverse(x);
     let passes = FFT_PASSES.get_or_init(|| {

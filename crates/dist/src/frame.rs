@@ -676,23 +676,26 @@ pub(crate) enum Reply<'a> {
     Done(Dec<'a>),
     /// Any other message, decoded.
     Other(Ctl),
+    /// A whole frame that is no message (an `InvalidData` error): the
+    /// channel is still in step.
+    Malformed(io::Error),
 }
 
 /// Receive one control message or result frame into `buf` (its
 /// allocation reused), as the router reads fleet results: a result is
 /// handed over undecoded, so its rows can be checked and kept as they
-/// are.
+/// are. `Err` is a frame that could not be read whole, after which the
+/// channel is out of step; a whole frame that does not decode is
+/// [`Reply::Malformed`].
 pub(crate) fn recv_reply<'a>(r: &mut impl Read, buf: &'a mut Vec<u8>) -> io::Result<Reply<'a>> {
     read_frame(r, buf)?;
     let mut d = Dec::new(buf);
-    match d.u8()? {
-        T_DIST_DONE => Ok(Reply::Done(d)),
-        tag => {
-            let msg = decode_ctl(tag, &mut d)?;
-            d.end()?;
-            Ok(Reply::Other(msg))
-        }
-    }
+    let reply = match d.u8() {
+        Ok(T_DIST_DONE) => return Ok(Reply::Done(d)),
+        Ok(tag) => decode_ctl(tag, &mut d).and_then(|msg| d.end().map(|()| msg)),
+        Err(e) => Err(e),
+    };
+    Ok(reply.map_or_else(|e| Reply::Malformed(invalid(e.to_string())), Reply::Other))
 }
 
 /// Decode the body of a result frame (after its tag) up to its
@@ -834,6 +837,7 @@ mod tests {
         let mut d = match recv_reply(r, &mut buf)? {
             Reply::Done(d) => d,
             Reply::Other(other) => return Err(unexpected("a result frame", &other)),
+            Reply::Malformed(e) => return Err(e),
         };
         let (mut words, mut lens) = (Vec::new(), Vec::new());
         let done = decode_done_head(&mut d, &mut words, &mut lens)?;

@@ -53,7 +53,7 @@ pub use alg::DistAlg;
 pub use comm::{Link, MeshBuffers, SocketComm};
 pub use frame::{Ctl, DistDone, Msg};
 pub use no_framework::{pair_level, Partition};
-pub use router::{ClockCal, DistOutcome, FleetExposition, Router};
+pub use router::{ClockCal, DistOutcome, FleetExposition, FleetPoisoned, Router};
 pub use signature::Signature;
 pub use topology::{job_key, HashRing};
 pub use trace::{format_level_table, level_table, straggler_report, LevelRow};

@@ -53,6 +53,30 @@ pub struct ClockCal {
     pub rtt_ns: u64,
 }
 
+/// The error every [`Router`] call returns once a control channel has
+/// fallen out of step: a call could not send its request to every shard
+/// it meant to reach, or could not read a whole reply from one of them,
+/// so a later call could read a reply meant for an earlier one. Such a
+/// fleet is not used again; build a new one. It travels as the payload
+/// of an [`io::Error`] of kind `Other` (`err.get_ref()` downcasts to it).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FleetPoisoned {
+    /// The error that put the channels out of step.
+    pub cause: String,
+}
+
+impl std::fmt::Display for FleetPoisoned {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "fleet control channels out of step since: {}",
+            self.cause
+        )
+    }
+}
+
+impl std::error::Error for FleetPoisoned {}
+
 /// Pseudo-shard id in the top 16 bits of router-minted request trace
 /// ids. Worker-local servers use their real shard index (`< 0xFFFF`),
 /// so the namespaces never collide.
@@ -81,6 +105,41 @@ struct Inner {
     /// job being assembled (`keep` words a PE, in PE order).
     reply: Vec<u8>,
     mem_words: Vec<u64>,
+    /// Set when a control exchange failed part way ([`FleetPoisoned`]).
+    poisoned: Option<String>,
+}
+
+impl Inner {
+    /// `Err(`[`FleetPoisoned`]`)` once a control channel fell out of step.
+    fn in_step(&self) -> io::Result<()> {
+        match &self.poisoned {
+            Some(cause) => Err(io::Error::other(FleetPoisoned {
+                cause: cause.clone(),
+            })),
+            None => Ok(()),
+        }
+    }
+}
+
+/// `e`, after marking the fleet poisoned with it: it broke a control
+/// exchange part way.
+fn poison(poisoned: &mut Option<String>, e: io::Error) -> io::Error {
+    poisoned.get_or_insert_with(|| e.to_string());
+    e
+}
+
+/// Send `msg` on `ctrl` and read its reply, under the same rule as a
+/// fleet job: a request that cannot be sent or a reply that cannot be
+/// read whole poisons the fleet; a whole reply that is no control
+/// message is `InvalidData`, and the channel stays in step.
+fn exchange(ctrl: &mut TcpStream, poisoned: &mut Option<String>, msg: &Ctl) -> io::Result<Ctl> {
+    let mut buf = Vec::new();
+    let reply = send_ctl(ctrl, msg).and_then(|()| recv_reply(ctrl, &mut buf));
+    match reply.map_err(|e| poison(poisoned, e))? {
+        Reply::Other(msg) => Ok(msg),
+        Reply::Malformed(e) => Err(e),
+        Reply::Done(_) => Err(invalid("expected a control message, got a result frame")),
+    }
 }
 
 /// The assembled result of one fleet-wide kernel run.
@@ -188,6 +247,7 @@ impl Router {
                 last_trace: None,
                 reply: Vec::new(),
                 mem_words: Vec::new(),
+                poisoned: None,
                 shards,
             })),
             workers,
@@ -208,22 +268,20 @@ impl Router {
         n: u64,
         seed: u64,
     ) -> io::Result<(usize, Result<u64, String>)> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        inner.in_step()?;
         let shard = inner.ring.route(job_key(kernel, n, seed)) as usize;
         inner.jobs_routed[shard] += 1;
         inner.next_req += 1;
         let req = (ROUTER_SHARD << 48) | inner.next_req;
-        let ctrl = &mut inner.shards[shard].ctrl;
-        send_ctl(
-            ctrl,
-            &Ctl::RunKernel {
-                kernel: kernel.to_string(),
-                n,
-                seed,
-                req,
-            },
-        )?;
-        match recv_ctl(ctrl)? {
+        let run = Ctl::RunKernel {
+            kernel: kernel.to_string(),
+            n,
+            seed,
+            req,
+        };
+        match exchange(&mut inner.shards[shard].ctrl, &mut inner.poisoned, &run)? {
             Ctl::KernelDone { result } => Ok((shard, result)),
             other => Err(unexpected("KernelDone", &other)),
         }
@@ -236,10 +294,14 @@ impl Router {
     /// the outcome. A failed run on any shard is one `io::Error` naming
     /// each failed worker; a result that breaks the protocol (a foreign
     /// PE range, a diverging superstep count, rows the signature cannot
-    /// take as they are) is `InvalidData` naming its worker.
+    /// take as they are, a reply that is no result) is `InvalidData`
+    /// naming its worker. Either way the router has read one whole reply
+    /// from every shard. A request it could not send, or a reply it
+    /// could not read whole, poisons the fleet instead ([`FleetPoisoned`]).
     pub fn run(&self, alg: DistAlg, n: usize, kappa: usize, seed: u64) -> io::Result<DistOutcome> {
         let mut guard = self.inner.lock().unwrap();
         let inner = &mut *guard;
+        inner.in_step()?;
         inner.dist_jobs += 1;
         let job = inner.dist_jobs;
         let msg = Ctl::RunDist {
@@ -249,9 +311,14 @@ impl Router {
             seed,
             job,
         };
-        for shard in &mut inner.shards {
-            send_ctl(&mut shard.ctrl, &msg)?;
-        }
+        // A shard the request reached would run the job with peers it
+        // never reached and answer only after a mesh timeout, if at all:
+        // a failed send poisons the fleet instead of waiting on them.
+        let sent = inner
+            .shards
+            .iter_mut()
+            .try_for_each(|s| send_ctl(&mut s.ctrl, &msg));
+        sent.map_err(|e| poison(&mut inner.poisoned, e))?;
         // Every shard answers exactly once, done or failed; read them
         // all so the control channels stay in step after a failed run
         // or a refused result.
@@ -259,13 +326,21 @@ impl Router {
         let mut failures = Vec::new();
         let mut refused = None;
         for (w, shard) in inner.shards.iter_mut().enumerate() {
-            match recv_reply(&mut shard.ctrl, &mut inner.reply)? {
+            let reply = recv_reply(&mut shard.ctrl, &mut inner.reply);
+            let reply = reply.map_err(|e| poison(&mut inner.poisoned, e))?;
+            let named = |e| in_context(e, format_args!("worker {w}"));
+            match reply {
                 Reply::Done(mut d) if refused.is_none() => refused = job_out.add(w, &mut d).err(),
                 Reply::Done(_) => {}
                 Reply::Other(Ctl::DistFailed { reason }) => {
                     failures.push(format!("worker {w}: {reason}"));
                 }
-                Reply::Other(other) => return Err(unexpected("a result frame", &other)),
+                Reply::Other(other) => {
+                    refused.get_or_insert(named(unexpected("a result frame", &other)));
+                }
+                Reply::Malformed(e) => {
+                    refused.get_or_insert(named(e));
+                }
             }
         }
         if !failures.is_empty() {
@@ -288,7 +363,9 @@ impl Router {
     /// nor perturbs the data mesh. The result is also retained for
     /// [`collect_trace`](Self::collect_trace).
     pub fn calibrate_clocks(&self, probes: u32) -> io::Result<Vec<ClockCal>> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        inner.in_step()?;
         let epoch = inner.epoch;
         let mut cals = Vec::with_capacity(inner.shards.len());
         for shard in &mut inner.shards {
@@ -298,8 +375,8 @@ impl Router {
             };
             for seq in 0..probes.max(1) {
                 let t0 = epoch.elapsed().as_nanos() as u64;
-                send_ctl(&mut shard.ctrl, &Ctl::ClockProbe { seq })?;
-                let t_ns = match recv_ctl(&mut shard.ctrl)? {
+                let probe = Ctl::ClockProbe { seq };
+                let t_ns = match exchange(&mut shard.ctrl, &mut inner.poisoned, &probe)? {
                     Ctl::ClockReply { seq: got, t_ns } if got == seq => t_ns,
                     other => return Err(unexpected(&format!("ClockReply({seq})"), &other)),
                 };
@@ -325,12 +402,14 @@ impl Router {
     /// that reports ring drops — a merged timeline with silent holes is
     /// worse than a noisy one.
     pub fn collect_trace(&self) -> io::Result<Vec<WorkerStream>> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        inner.in_step()?;
         let cals = inner.calibration.clone();
         let mut streams = Vec::with_capacity(inner.shards.len());
         for (w, shard) in inner.shards.iter_mut().enumerate() {
-            send_ctl(&mut shard.ctrl, &Ctl::CollectTrace)?;
-            let (dropped, events) = match recv_ctl(&mut shard.ctrl)? {
+            let reply = exchange(&mut shard.ctrl, &mut inner.poisoned, &Ctl::CollectTrace)?;
+            let (dropped, events) = match reply {
                 Ctl::TraceData { dropped, events } => (dropped, events),
                 other => return Err(unexpected("TraceData", &other)),
             };
@@ -370,11 +449,12 @@ impl Router {
     /// `shard` label prepended to each sample, plus the router's own
     /// routing counters.
     pub fn fleet_metrics(&self) -> io::Result<String> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        inner.in_step()?;
         let mut texts = Vec::with_capacity(inner.shards.len());
         for shard in &mut inner.shards {
-            send_ctl(&mut shard.ctrl, &Ctl::MetricsReq)?;
-            match recv_ctl(&mut shard.ctrl)? {
+            match exchange(&mut shard.ctrl, &mut inner.poisoned, &Ctl::MetricsReq)? {
                 Ctl::MetricsText { text } => texts.push(text),
                 other => return Err(unexpected("MetricsText", &other)),
             }

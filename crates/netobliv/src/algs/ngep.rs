@@ -30,7 +30,7 @@
 
 use std::ops::Range;
 
-use crate::{Comm, NoMachine, Scope};
+use crate::{dispatch, Comm, NoMachine, Scope};
 
 /// The update set `Σ_f` with box pruning (mirrors `mo_algorithms`; kept
 /// local so the NO framework stands alone).
@@ -356,8 +356,9 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
     }
 
     /// Base case: every call is a single block on a single PE; one local
-    /// superstep runs [`leaf_update`] on each.
+    /// superstep runs [`leaf_update`] on each, at the host's widest arm.
     fn leaf_step(&mut self, calls: &[Call]) {
+        let arm = dispatch::Arm::widest();
         let kappa = self.kappa;
         let bsz = self.bsz;
         let f = self.f;
@@ -382,7 +383,7 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
                 }
             });
             let origin = (call.x.row0, call.x.col0, call.u.col0);
-            let ops = leaf_update(ctx.mem, kappa, offsets, origin, f, sigma);
+            let ops = dispatch::leaf_update(arm, ctx.mem, kappa, offsets, origin, f, sigma);
             ctx.work(ops);
         });
     }
@@ -421,7 +422,44 @@ thread_local! {
 /// of another block, another row of `x` (both disjoint from the row
 /// being written), or — `v` aliased and `i = k` — the element being
 /// updated itself, read before it is written.
-fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
+///
+/// The AVX-512 arm of [`dispatch::leaf_update`] runs
+/// [`leaf_update_lanes`] instead. Always inlined, with the functions it
+/// calls, so that each arm compiles the whole leaf for its instruction
+/// set.
+#[inline(always)]
+pub(crate) fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
+    mem: &mut [u64],
+    kappa: usize,
+    offsets: [usize; 3],
+    origin: (usize, usize, usize),
+    f: F,
+    sigma: UpdateSet,
+) -> u64 {
+    leaf::<F, false>(mem, kappa, offsets, origin, f, sigma)
+}
+
+/// [`leaf_update`], except that a row cut at `k` is cut lane by lane:
+/// the value `x[i,k]` takes at `j = k` is computed first, then one loop
+/// over the row has each lane take `u`, `w` from before or after that
+/// write by its column. With AVX-512's mask registers, full vectors and
+/// a masked blend per vector beat two ragged loops; with AVX2 or SSE2
+/// the two loops are as fast or faster.
+#[inline(always)]
+pub(crate) fn leaf_update_lanes<F: Fn(f64, f64, f64, f64) -> f64>(
+    mem: &mut [u64],
+    kappa: usize,
+    offsets: [usize; 3],
+    origin: (usize, usize, usize),
+    f: F,
+    sigma: UpdateSet,
+) -> u64 {
+    leaf::<F, true>(mem, kappa, offsets, origin, f, sigma)
+}
+
+/// [`leaf_update`] (`LANES` false) and [`leaf_update_lanes`].
+#[inline(always)]
+fn leaf<F: Fn(f64, f64, f64, f64) -> f64, const LANES: bool>(
     mem: &mut [u64],
     kappa: usize,
     offsets: [usize; 3],
@@ -442,6 +480,21 @@ fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
     for k in 0..kappa {
         for i in 0..kappa {
             let cols = sigma.cols(row0 + i, k0 + k, col0, kappa);
+            ops += cols.len() as u64;
+            let (xi, vk) = (i * kappa, vo + k * kappa);
+            if LANES && cut_at_k && cols.contains(&k) {
+                let u = f64::from_bits(mem[uo + i * kappa + k]);
+                let w = f64::from_bits(mem[wo + k * kappa + k]);
+                let xk = f64::from_bits(mem[xi + k]);
+                let xk = f(xk, u, f64::from_bits(mem[vk + k]), w);
+                let u_after = if uo == 0 { xk } else { u };
+                let w_after = if wo == 0 && i == k { xk } else { w };
+                // Columns compared as `u32`: faster than as `usize`.
+                let k = k as u32;
+                let uw = |j: u32| if j <= k { (u, w) } else { (u_after, w_after) };
+                leaf_row(mem, kappa, (xi, vk), cols, &f, uw);
+                continue;
+            }
             let cut = if cut_at_k {
                 (k + 1).clamp(cols.start, cols.end)
             } else {
@@ -453,29 +506,43 @@ fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
                 }
                 let u = f64::from_bits(mem[uo + i * kappa + k]);
                 let w = f64::from_bits(mem[wo + k * kappa + k]);
-                let (xi, vk) = (i * kappa, vo + k * kappa);
-                ops += seg.len() as u64;
-                if xi == vk {
-                    for x in &mut mem[xi + seg.start..xi + seg.end] {
-                        let xv = f64::from_bits(*x);
-                        *x = f(xv, u, xv, w).to_bits();
-                    }
-                    continue;
-                }
-                // Rows `x[i, ·]` and `v[k, ·]` are disjoint: split between them.
-                let (lo, hi) = mem.split_at_mut(xi.max(vk));
-                let (x, v) = if xi < vk {
-                    (&mut lo[xi..xi + kappa], &hi[..kappa])
-                } else {
-                    (&mut hi[..kappa], &lo[vk..vk + kappa])
-                };
-                for (x, &v) in x[seg.clone()].iter_mut().zip(&v[seg]) {
-                    *x = f(f64::from_bits(*x), u, f64::from_bits(v), w).to_bits();
-                }
+                leaf_row(mem, kappa, (xi, vk), seg, &f, |_| (u, w));
             }
         }
     }
     ops
+}
+
+/// `x[i,j] ← f(x[i,j], u, v[k,j], w)` for the columns `j` in `cols` of
+/// the row of `x` at `xi`, with `v`'s row at `vk` and `(u, w) = uw(j)`.
+#[inline(always)]
+fn leaf_row<F: Fn(f64, f64, f64, f64) -> f64>(
+    mem: &mut [u64],
+    kappa: usize,
+    (xi, vk): (usize, usize),
+    cols: Range<usize>,
+    f: &F,
+    uw: impl Fn(u32) -> (f64, f64),
+) {
+    let j0 = cols.start as u32;
+    if xi == vk {
+        for (j, x) in (j0..).zip(&mut mem[xi + cols.start..xi + cols.end]) {
+            let ((u, w), xv) = (uw(j), f64::from_bits(*x));
+            *x = f(xv, u, xv, w).to_bits();
+        }
+        return;
+    }
+    // Rows `x[i, ·]` and `v[k, ·]` are disjoint: split between them.
+    let (lo, hi) = mem.split_at_mut(xi.max(vk));
+    let (x, v) = if xi < vk {
+        (&mut lo[xi..xi + kappa], &hi[..kappa])
+    } else {
+        (&mut hi[..kappa], &lo[vk..vk + kappa])
+    };
+    for (j, (x, &v)) in (j0..).zip(x[cols.clone()].iter_mut().zip(&v[cols])) {
+        let (u, w) = uw(j);
+        *x = f(f64::from_bits(*x), u, f64::from_bits(v), w).to_bits();
+    }
 }
 
 /// [`leaf_update`] on a block whose `u`, `v`, `w` are all disjoint from
@@ -484,6 +551,7 @@ fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
 /// step a pass. This is the k-major loop bit for bit, for any `f`: the
 /// leaf never writes an operand, so every `x[i,j]` still sees `k` in
 /// increasing order with the same `u`, `v`, `w` values.
+#[inline(always)]
 fn leaf_disjoint<F: Fn(f64, f64, f64, f64) -> f64>(
     mem: &mut [u64],
     kappa: usize,
@@ -504,6 +572,7 @@ fn leaf_disjoint<F: Fn(f64, f64, f64, f64) -> f64>(
 
 /// Steps `k .. k + G` of [`leaf_disjoint`], in one pass over the rows
 /// of `x`.
+#[inline(always)]
 fn k_steps<const G: usize, F: Fn(f64, f64, f64, f64) -> f64>(
     x: &mut [u64],
     [u, v, w]: [&[u64]; 3],
@@ -894,6 +963,69 @@ mod tests {
         // Per κ: `All` at every origin and `KBelowMin` far below the
         // block; at κ = 1 also `KBelowMin` at `(κ, κ, κ − 1)`.
         assert_eq!(grouped_cases, 6 * 9 + 6 + 1);
+    }
+
+    /// [`leaf_update_lanes`] against the plain triple loop, bit for bit,
+    /// at the build's own width: the same `κ`s, alias patterns, update
+    /// sets and origins as the test above, with an order-sensitive `f`
+    /// and with Floyd–Warshall's. The AVX-512 arm runs this form, so it
+    /// is checked on every host, whatever vector width the host has.
+    #[test]
+    fn leaf_update_lanes_matches_the_triple_loop_on_every_alias_pattern() {
+        fn mix(x: f64, u: f64, v: f64, w: f64) -> f64 {
+            x * 0.75 + u * v * 0.125 - w * 0.0625
+        }
+        let mut state = 29u64;
+        let mut cases = 0;
+        for kappa in [1usize, 2, 4, 8, 16, 32] {
+            let bsz = kappa * kappa;
+            let origins = [
+                (4 * kappa, 4 * kappa, 0),
+                (kappa, kappa, kappa - 1),
+                (kappa, kappa, kappa),
+                (kappa, kappa, kappa + kappa / 2),
+                (kappa + kappa / 2, kappa, kappa),
+                (kappa, kappa + kappa / 2, kappa),
+                (kappa, kappa, 2 * kappa - 1),
+                (kappa, kappa, 2 * kappa),
+                (0, 0, 4 * kappa),
+            ];
+            for aliases in 0..8usize {
+                let offsets: [usize; 3] = std::array::from_fn(|slot| {
+                    if aliases >> slot & 1 == 1 {
+                        0
+                    } else {
+                        (slot + 1) * bsz
+                    }
+                });
+                for (name, f) in [("mix", mix as GepF), ("fw", fw)] {
+                    for sigma in [UpdateSet::All, UpdateSet::KBelowMin] {
+                        for origin in origins {
+                            let mut want: Vec<u64> = (0..4 * bsz)
+                                .map(|_| {
+                                    state = state
+                                        .wrapping_mul(6364136223846793005)
+                                        .wrapping_add(1442695040888963407);
+                                    (0.5 + (state >> 11) as f64 / (1u64 << 53) as f64).to_bits()
+                                })
+                                .collect();
+                            let mut got = want.clone();
+                            let want_ops =
+                                leaf_reference(&mut want, kappa, offsets, origin, f, sigma);
+                            let got_ops =
+                                leaf_update_lanes(&mut got, kappa, offsets, origin, f, sigma);
+                            let case = format!(
+                                "{name} κ={kappa} offsets={offsets:?} {sigma:?} {origin:?}"
+                            );
+                            assert_eq!(got_ops, want_ops, "ops: {case}");
+                            assert_eq!(got, want, "memory: {case}");
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 6 * 8 * 2 * 2 * 9);
     }
 
     #[test]

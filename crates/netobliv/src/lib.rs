@@ -26,12 +26,16 @@
 //! communication-avoiding `𝒟*` of Table I), column-sort-based sorting,
 //! list ranking, and connected components.
 
-#![forbid(unsafe_code)]
+// `unsafe` is denied everywhere but `dispatch`, whose only `unsafe` is
+// the call of a `#[target_feature]` arm after its features are detected.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algs;
 pub mod codec;
 mod comm;
+#[allow(unsafe_code)]
+pub mod dispatch;
 mod engine;
 mod machine;
 mod partition;
