@@ -1,21 +1,18 @@
 //! Runtime perf trajectory: every real kernel against its serial
-//! baseline, written to `BENCH_rt.json` at the repo root.
+//! baseline, appended as one row to `BENCH_rt.json` at the repo root.
 //!
-//! The binary produces a small machine-readable record — median-of-k
-//! nanoseconds per kernel, serial vs pool, plus the core count — so
-//! successive PRs can track the runtime's wall-clock trajectory in
-//! version control.
+//! A full run appends one row through [`mo_bench::traj::append`] —
+//! median-of-k nanoseconds per kernel, serial vs pool, stamped with the
+//! harness, the commit it measured and the host (CPU model, cores and
+//! every cache level) — so successive PRs grow the runtime's wall-clock
+//! trajectory in version control. `--out FILE` names another file to
+//! append to. A file that is not a row list is refused and left as it
+//! was.
 //!
-//! `--smoke` runs tiny sizes and asserts that every kernel's checksum
-//! (via the registry's deterministic seed-generated jobs) is identical
-//! on a 1-core pool and on the detected pool: a cheap CI guard that the
-//! work-stealing runtime never changes results.
-//!
-//! The record is stamped with a schema version and the host topology
-//! (cores plus every cache level) so numbers from different machines or
-//! record layouts are never silently compared: when the output file
-//! already exists with a different schema, the run refuses to overwrite
-//! it unless `--force` is given.
+//! `--smoke` runs tiny sizes, writes nothing, and asserts that every
+//! kernel's checksum (via the registry's deterministic seed-generated
+//! jobs) is identical on a 1-core pool and on the detected pool: a
+//! cheap CI guard that the work-stealing runtime never changes results.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -28,6 +25,7 @@ use mo_algorithms::real::{
 };
 use mo_baselines::matmul::naive_matmul;
 use mo_baselines::transpose::naive_transpose;
+use mo_core::certify::json::Json;
 use mo_core::rt::{HwHierarchy, SbPool};
 
 /// Interleaved paired measurement: `f(false)` is the serial side,
@@ -288,15 +286,8 @@ fn smoke_checksums(pool: &SbPool) {
     println!("smoke checksums: all kernels match the 1-core registry runs");
 }
 
-/// Record layout version. Bump when the JSON shape changes; `bench_rt`
-/// refuses to overwrite a file with a different schema without
-/// `--force`, so a layout change can never masquerade as a perf change.
-/// Schema 3 added the `"regressions"` array: kernels whose pool run
-/// loses to their serial baseline beyond the noise floor.
-const SCHEMA: u64 = 3;
-
 /// A kernel below this speedup is a regression — the run exits nonzero
-/// (the hard CI gate) and the kernel lands in the record's
+/// (the hard CI gate) and the kernel lands in the row's
 /// `"regressions"` array. The floor sits below exact parity because
 /// interleaved medians on a shared runner jitter by ~10–15%; a
 /// *structural* regression — the class this gate exists for, like the
@@ -363,20 +354,21 @@ fn sweep_sort(pool: &SbPool, reps: usize) {
     }
 }
 
-/// The top-level `"schema"` value of an existing record, if the text
-/// is a JSON object that has one (the pre-versioning layout, and
-/// anything that does not parse, report `None`).
-fn schema_of(record: &str) -> Option<u64> {
-    mo_core::certify::json::parse(record)
-        .ok()?
-        .get("schema")?
-        .as_u64()
+/// The commit the run measured, as `git describe --always --dirty`
+/// names it, or `"unknown"` outside a git checkout.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let force = args.iter().any(|a| a == "--force");
     if args.iter().any(|a| a == "--sweep") {
         let pool = SbPool::new(HwHierarchy::detect());
         sweep_sort(&pool, 5);
@@ -389,20 +381,6 @@ fn main() {
         .unwrap_or_else(|| "BENCH_rt.json".to_string());
     let reps = if smoke { 3 } else { 7 };
 
-    if std::path::Path::new(&out_path).exists() && !force {
-        let found = std::fs::read_to_string(&out_path)
-            .ok()
-            .and_then(|text| schema_of(&text));
-        if found != Some(SCHEMA) {
-            eprintln!(
-                "refusing to overwrite {out_path}: its schema is {} but this binary writes schema {SCHEMA}; \
-                 rerun with --force to replace it",
-                found.map_or("absent".to_string(), |v| v.to_string()),
-            );
-            std::process::exit(2);
-        }
-    }
-
     let pool = SbPool::new(HwHierarchy::detect());
     let cores = pool.hierarchy().cores();
     // The detected width, capped at the CPUs this process may use:
@@ -413,89 +391,59 @@ fn main() {
     }
     let rows = run_suite(&pool, reps, smoke);
 
-    let levels: Vec<String> = pool
-        .hierarchy()
-        .levels()
-        .iter()
-        .map(|l| {
-            format!(
-                "{{\"capacity_words\": {}, \"fanout\": {}}}",
-                l.capacity, l.fanout
-            )
-        })
-        .collect();
-    let mut json = String::new();
-    json.push_str(&format!(
-        "{{\n  \"schema\": {SCHEMA},\n  \"host\": {{\"cores\": {cores}, \"levels\": [{}]}},\n  \"cores\": {cores},\n  \"smoke\": {smoke},\n  \"median_of\": {reps},\n  \"kernels\": [\n",
-        levels.join(", ")
-    ));
+    let mut kernels = Vec::new();
     let mut regressions = Vec::new();
-    for (i, r) in rows.iter().enumerate() {
-        let speedup = r.speedup;
-        json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"n\": {}, \"serial_ns\": {}, \"pool_ns\": {}, \"speedup\": {:.3}}}{}\n",
-            r.kernel,
-            r.n,
-            r.serial_ns,
-            r.pool_ns,
-            speedup,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-        let marker = if speedup < REGRESSION_FLOOR {
+    for r in &rows {
+        let marker = if r.speedup < REGRESSION_FLOOR {
             "  REGRESSION"
-        } else if speedup < 1.0 {
+        } else if r.speedup < 1.0 {
             "  (below parity)"
         } else {
             ""
         };
         println!(
             "{:>16} n={:<8} serial {:>12} ns   pool {:>12} ns   speedup {:.3}x{marker}",
-            r.kernel, r.n, r.serial_ns, r.pool_ns, speedup
+            r.kernel, r.n, r.serial_ns, r.pool_ns, r.speedup
         );
-        if speedup < REGRESSION_FLOOR {
+        if r.speedup < REGRESSION_FLOOR {
             regressions.push(r.kernel);
         }
+        kernels.push(Json::obj([
+            ("kernel", Json::Str(r.kernel.into())),
+            ("n", Json::Num(r.n as f64)),
+            ("serial_ns", Json::Num(r.serial_ns as f64)),
+            ("pool_ns", Json::Num(r.pool_ns as f64)),
+            ("speedup", Json::Num((r.speedup * 1e3).round() / 1e3)),
+        ]));
     }
-    let regs: Vec<String> = regressions.iter().map(|k| format!("\"{k}\"")).collect();
-    json.push_str(&format!(
-        "  ],\n  \"regressions\": [{}]\n}}\n",
-        regs.join(", ")
-    ));
-    std::fs::write(&out_path, &json).expect("write bench json");
-    if regressions.is_empty() {
-        println!("wrote {out_path}");
+    if smoke {
+        println!("smoke run: nothing written");
     } else {
-        // The hard gate: a non-empty regressions array fails the run
-        // (and with it the CI bench step) — no advisory-marker path.
+        let regs = regressions.iter().map(|k| Json::Str(k.to_string()));
+        let row = Json::obj([
+            ("harness", Json::Str("bench_rt".into())),
+            ("commit", Json::Str(commit())),
+            ("host", mo_bench::traj::host(pool.hierarchy())),
+            ("cores", Json::Num(cores as f64)),
+            ("median_of", Json::Num(reps as f64)),
+            ("kernels", Json::Arr(kernels)),
+            ("regressions", Json::Arr(regs.collect())),
+        ]);
+        let path = std::path::Path::new(&out_path);
+        if let Err(e) = mo_bench::traj::append(path, row) {
+            eprintln!("cannot append to {out_path}: {e}");
+            std::process::exit(2);
+        }
+        println!("appended a row to {out_path}");
+    }
+    if !regressions.is_empty() {
+        // The hard gate: a kernel below the floor fails the run (and
+        // with it the CI bench step) — no advisory-marker path.
         eprintln!(
-            "wrote {out_path} — {} kernel(s) below the {REGRESSION_FLOOR} regression floor: {}",
+            "{} kernel(s) below the {REGRESSION_FLOOR} regression floor: {}",
             regressions.len(),
             regressions.join(", ")
         );
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::schema_of;
-
-    #[test]
-    fn schema_is_read_from_the_top_level_key_only() {
-        assert_eq!(schema_of("{\"schema\": 3, \"cores\": 2}"), Some(3));
-        assert_eq!(
-            schema_of(include_str!("../../../../BENCH_rt.json")),
-            Some(super::SCHEMA)
-        );
-        // The pre-versioning layout has no such key.
-        assert_eq!(schema_of("{\"cores\": 2}"), None);
-        // The key inside a string, or below the top level, is not the
-        // record's schema.
-        assert_eq!(schema_of("{\"note\": \"\\\"schema\\\": 3\"}"), None);
-        assert_eq!(schema_of("{\"host\": {\"schema\": 3}}"), None);
-        // Not JSON at all, or not a version number.
-        assert_eq!(schema_of("\"schema\": 3"), None);
-        assert_eq!(schema_of("{\"schema\": \"3\"}"), None);
-        assert_eq!(schema_of("{\"schema\": 3"), None);
     }
 }

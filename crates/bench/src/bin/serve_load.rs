@@ -46,6 +46,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use mo_algorithms::real::registry::parse_scenario_line;
+use mo_core::certify::json::{self, Json};
 use mo_serve::{HwHierarchy, JobSpec, Kernel, Outcome, Rejected, ServeConfig, Server, Ticket};
 
 /// One weighted line of the workload mix.
@@ -264,14 +265,13 @@ fn open_loop(server: &Server, draw: &mut Draw, tally: &Tally, rate: f64, until: 
     });
 }
 
-fn phase_json(h: &mo_obs::hist::Log2Hist) -> String {
-    format!(
-        "{{\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-        h.count,
-        h.quantile(0.50),
-        h.quantile(0.95),
-        h.quantile(0.99)
-    )
+fn phase_json(h: &mo_obs::hist::Log2Hist) -> Json {
+    Json::obj([
+        ("count", Json::Num(h.count as f64)),
+        ("p50_ns", Json::Num(h.quantile(0.50) as f64)),
+        ("p95_ns", Json::Num(h.quantile(0.95) as f64)),
+        ("p99_ns", Json::Num(h.quantile(0.99) as f64)),
+    ])
 }
 
 /// `--phases` epilogue: reassemble the drained request spans, print the
@@ -306,41 +306,54 @@ fn phase_report(args: &Args, sink: &mo_obs::TraceSink, tally: &Tally, duration: 
         println!("wrote {path}: {} events", events.len());
     }
     if let Some(path) = &args.report {
+        let num = |v: u64| Json::Num(v as f64);
+        let kernels = stats.iter().map(|(code, k)| {
+            let phases = Phase::ALL.iter().map(|p| {
+                let h = &k.phases[*p as usize];
+                (p.name().to_string(), phase_json(h))
+            });
+            let dominant = k.dominant_phase(0.99).0.name();
+            Json::obj([
+                ("kernel", Json::Str(kernel_name_of(*code))),
+                ("complete_spans", num(k.count)),
+                ("shed", num(k.shed)),
+                ("dominant_p99", Json::Str(dominant.into())),
+                ("phases", Json::Obj(phases.collect())),
+                ("total", phase_json(&k.total)),
+            ])
+        });
         let done = tally.done.load(Ordering::Relaxed);
-        let kernels: Vec<String> = stats
-            .iter()
-            .map(|(code, k)| {
-                let phases: Vec<String> = Phase::ALL
-                    .iter()
-                    .map(|p| format!("\"{}\":{}", p.name(), phase_json(&k.phases[*p as usize])))
-                    .collect();
-                format!(
-                    "{{\"kernel\":\"{}\",\"complete_spans\":{},\"shed\":{},\"dominant_p99\":\"{}\",\"phases\":{{{}}},\"total\":{}}}",
-                    kernel_name_of(*code),
-                    k.count,
-                    k.shed,
-                    k.dominant_phase(0.99).0.name(),
-                    phases.join(","),
-                    phase_json(&k.total),
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\"mode\":\"{}\",\"duration_secs\":{},\"served\":{},\"refused_at_submit\":{},\"shed_by_deadline\":{},\"jobs_per_sec\":{:.1},\"spans\":{{\"opened\":{},\"closed\":{},\"orphan_closes\":{},\"ring_dropped\":{},\"conserved\":{}}},\"kernels\":[{}]}}",
-            if args.open_loop { "open" } else { "closed" },
-            duration.as_secs_f64(),
-            done,
-            tally.shed_submit.load(Ordering::Relaxed),
-            tally.shed_deadline.load(Ordering::Relaxed),
-            done as f64 / duration.as_secs_f64(),
-            set.opened,
-            set.closed,
-            set.orphan_closes,
-            dropped,
-            set.conserved(),
-            kernels.join(","),
-        );
-        std::fs::write(path, &json).expect("write phase report");
+        let secs = duration.as_secs_f64();
+        let mode = if args.open_loop { "open" } else { "closed" };
+        let spans = Json::obj([
+            ("opened", num(set.opened)),
+            ("closed", num(set.closed)),
+            ("orphan_closes", num(set.orphan_closes)),
+            ("ring_dropped", num(dropped)),
+            ("conserved", Json::Bool(set.conserved())),
+        ]);
+        let report = Json::obj([
+            ("mode", Json::Str(mode.into())),
+            ("duration_secs", Json::Num(secs)),
+            ("served", num(done)),
+            (
+                "refused_at_submit",
+                num(tally.shed_submit.load(Ordering::Relaxed)),
+            ),
+            (
+                "shed_by_deadline",
+                num(tally.shed_deadline.load(Ordering::Relaxed)),
+            ),
+            (
+                "jobs_per_sec",
+                Json::Num((done as f64 / secs * 10.0).round() / 10.0),
+            ),
+            ("spans", spans),
+            ("kernels", Json::Arr(kernels.collect())),
+        ]);
+        let mut text = String::new();
+        json::write(&report, &mut text, 0);
+        std::fs::write(path, text).expect("write phase report");
         println!("wrote {path}");
     }
     // Dropped ring events legitimately orphan spans; only a drop-free

@@ -15,15 +15,17 @@
 //! the reproduction criterion (absolute constants are implementation-
 //! specific). Every row's output is deterministic and pinned byte for
 //! byte by `tests/tables.rs` against `tests/fixtures/tables/`.
-//! Wall-clock timings of the real kernels are the `bench_rt` binary's;
-//! the simulator's own speed is the repository benchmark's `hm.*`
-//! probes, and its access streams' counts are pinned by `hm-model`'s
-//! unit tests.
+//! Wall-clock timings of the real kernels are the `bench_rt` binary's,
+//! kept as rows of `BENCH_rt.json` through [`traj`], the one reader and
+//! writer of the repository's `BENCH_*.json` trajectory files; the
+//! simulator's own speed is the repository benchmark's `hm.*` probes,
+//! and its access streams' counts are pinned by `hm-model`'s unit tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod traj;
 
 use hm_model::MachineSpec;
 use mo_core::sched::{simulate, Policy, RunReport};

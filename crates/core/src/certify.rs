@@ -430,9 +430,9 @@ impl CertificateSet {
     /// Serialize to the JSON artifact format.
     pub fn to_json_string(&self) -> String {
         let certs: Vec<json::Json> = self.certs.iter().map(cert_to_json).collect();
-        let root = json::Json::Obj(vec![
-            ("version".into(), json::Json::Num(1.0)),
-            ("certificates".into(), json::Json::Arr(certs)),
+        let root = json::Json::obj([
+            ("version", json::Json::Num(1.0)),
+            ("certificates", json::Json::Arr(certs)),
         ]);
         let mut out = String::new();
         json::write(&root, &mut out, 0);
@@ -460,17 +460,15 @@ impl CertificateSet {
 }
 
 fn canon_to_json(e: &CanonEntry) -> json::Json {
-    json::Json::Obj(vec![
-        (
-            "alloc".into(),
-            if e.alloc == usize::MAX {
-                json::Json::Null
-            } else {
-                json::Json::Num(e.alloc as f64)
-            },
-        ),
-        ("offset".into(), json::Json::Num(e.offset as f64)),
-        ("write".into(), json::Json::Bool(e.write)),
+    let alloc = if e.alloc == usize::MAX {
+        json::Json::Null
+    } else {
+        json::Json::Num(e.alloc as f64)
+    };
+    json::Json::obj([
+        ("alloc", alloc),
+        ("offset", json::Json::Num(e.offset as f64)),
+        ("write", json::Json::Bool(e.write)),
     ])
 }
 
@@ -492,28 +490,6 @@ fn canon_from_json(j: &json::Json) -> Result<CanonEntry, String> {
 }
 
 fn cert_to_json(c: &Certificate) -> json::Json {
-    let mut fields = vec![
-        ("kernel".into(), json::Json::Str(c.kernel.clone())),
-        ("n".into(), json::Json::Num(c.n as f64)),
-        ("runs".into(), json::Json::Num(c.runs as f64)),
-        (
-            "classification".into(),
-            json::Json::Str(c.classification.name().into()),
-        ),
-        (
-            "declared_words".into(),
-            json::Json::Num(c.declared_words as f64),
-        ),
-        (
-            "recorded_words".into(),
-            json::Json::Num(c.recorded_words as f64),
-        ),
-        (
-            "footprint_sound".into(),
-            json::Json::Bool(c.footprint_sound),
-        ),
-        ("schedule_clean".into(), json::Json::Bool(c.schedule_clean)),
-    ];
     let witness = match &c.witness {
         None => json::Json::Null,
         Some(w) => {
@@ -535,8 +511,20 @@ fn cert_to_json(c: &Certificate) -> json::Json {
             json::Json::Obj(wf)
         }
     };
-    fields.push(("witness".into(), witness));
-    json::Json::Obj(fields)
+    json::Json::obj([
+        ("kernel", json::Json::Str(c.kernel.clone())),
+        ("n", json::Json::Num(c.n as f64)),
+        ("runs", json::Json::Num(c.runs as f64)),
+        (
+            "classification",
+            json::Json::Str(c.classification.name().into()),
+        ),
+        ("declared_words", json::Json::Num(c.declared_words as f64)),
+        ("recorded_words", json::Json::Num(c.recorded_words as f64)),
+        ("footprint_sound", json::Json::Bool(c.footprint_sound)),
+        ("schedule_clean", json::Json::Bool(c.schedule_clean)),
+        ("witness", witness),
+    ])
 }
 
 fn cert_from_json(j: &json::Json) -> Result<Certificate, String> {
@@ -635,6 +623,11 @@ pub mod json {
     }
 
     impl Json {
+        /// An object of `fields`, in the order given.
+        pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+            Json::Obj(fields.map(|(k, v)| (k.to_string(), v)).into())
+        }
+
         /// Member `key` of an object.
         pub fn get(&self, key: &str) -> Option<&Json> {
             match self {

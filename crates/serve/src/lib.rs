@@ -547,41 +547,44 @@ mod tests {
             server.submit(JobSpec::new(Kernel::Matmul, 512, 0)),
             Err(Rejected::TooLarge { .. })
         ));
-        // One job that completes, so one span closes via respond.
-        let blocker = server.submit(JobSpec::new(Kernel::Matmul, 96, 0)).unwrap();
+        // One job that completes, so one span closes via respond. It
+        // holds the one worker until `hold` is dropped, so once it has
+        // left the queue the 1-slot queue fills and stays full.
+        let hold = crate::server::tests::HOLD
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let blocker = server
+            .submit(JobSpec::new(
+                Kernel::Matmul,
+                96,
+                crate::server::tests::HOLD_SEED,
+            ))
+            .unwrap();
+        while server.metrics().queue_depth > 0 {
+            std::thread::yield_now();
+        }
         // Zero-deadline jobs always shed (the worker runs shed_expired
-        // before admission, and their deadline is already past), and
-        // with a 1-slot queue some submissions catch the slot occupied:
-        // keep submitting until both legs have fired.
-        let mut doomed = Vec::new();
-        let mut queue_full = 0u64;
-        // Cap keeps the external ring (64Ki events) from overflowing
-        // even in the degenerate never-full case.
-        for i in 0..10_000u64 {
-            match server.submit(JobSpec {
-                kernel: Kernel::Sort,
-                n: 1000,
-                seed: i,
-                deadline: Some(Duration::ZERO),
-                trace_id: None,
-            }) {
-                Ok(t) => doomed.push(t),
-                Err(Rejected::QueueFull { .. }) => queue_full += 1,
-                Err(other) => panic!("unexpected rejection {other:?}"),
-            }
-            if !doomed.is_empty() && queue_full > 0 {
-                break;
-            }
-        }
-        assert!(!doomed.is_empty() && queue_full > 0);
+        // before admission, and their deadline is already past). With
+        // the worker held, the first is queued and the second finds the
+        // queue full.
+        let zero_deadline = |seed| JobSpec {
+            kernel: Kernel::Sort,
+            n: 1000,
+            seed,
+            deadline: Some(Duration::ZERO),
+            trace_id: None,
+        };
+        let doomed = server.submit(zero_deadline(1)).unwrap();
+        assert!(matches!(
+            server.submit(zero_deadline(2)),
+            Err(Rejected::QueueFull { depth: 1 })
+        ));
+        drop(hold);
         assert!(blocker.wait().is_done());
-        let accepted = doomed.len() as u64;
-        for t in doomed {
-            assert!(matches!(
-                t.wait(),
-                Outcome::Rejected(Rejected::DeadlineExpired { .. })
-            ));
-        }
+        assert!(matches!(
+            doomed.wait(),
+            Outcome::Rejected(Rejected::DeadlineExpired { .. })
+        ));
         // shutting_down: refused after shutdown.
         server.shutdown();
         assert!(matches!(
@@ -590,7 +593,9 @@ mod tests {
         ));
         drop(server);
         let set = span::assemble(&sink.drain());
-        assert_eq!(set.opened, 2 + accepted + queue_full + 1);
+        // too_large, the blocker, the doomed job, queue_full and
+        // shutting_down.
+        assert_eq!(set.opened, 5);
         assert!(set.conserved());
         let count = |reason: u64| {
             set.spans
@@ -599,8 +604,8 @@ mod tests {
                 .count() as u64
         };
         assert_eq!(count(span::SHED_TOO_LARGE), 1);
-        assert_eq!(count(span::SHED_DEADLINE), accepted);
-        assert_eq!(count(span::SHED_QUEUE_FULL), queue_full);
+        assert_eq!(count(span::SHED_DEADLINE), 1);
+        assert_eq!(count(span::SHED_QUEUE_FULL), 1);
         assert_eq!(count(span::SHED_SHUTTING_DOWN), 1);
         // The completed span is fully attributable to phases.
         let done: Vec<_> = set.spans.iter().filter(|s| s.shed.is_none()).collect();

@@ -383,31 +383,44 @@ fn execute(sh: &Shared, batch: &Batch) -> (Instant, Instant, Ran) {
 }
 
 // The batch body. A test build swaps in one whose kernel can be made
-// to panic, `tests::run_batch`.
+// to panic or to hold its worker, `tests::run_batch`.
 #[cfg(not(test))]
 use mo_algorithms::real::registry::run_batch_in as run_batch;
 #[cfg(test)]
 use tests::run_batch;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{Kernel, Outcome};
     use mo_algorithms::real::registry::{footprint_words, run_in};
     use mo_core::rt::{Ctx, Jobs};
+    use std::sync::Mutex;
 
     /// The seed whose job panics in a test build's kernel.
     const PANIC_SEED: u64 = 0xdead_beef;
 
+    /// The seed whose job, in a test build, waits for [`HOLD`] before
+    /// it runs: a test that holds the lock keeps that job's worker busy
+    /// until it lets go.
+    pub(crate) const HOLD_SEED: u64 = 0x401d;
+
+    /// See [`HOLD_SEED`].
+    pub(crate) static HOLD: Mutex<()> = Mutex::new(());
+
     /// [`run_batch_in`](mo_algorithms::real::registry::run_batch_in)
-    /// with one fault added: a job seeded [`PANIC_SEED`] panics inside
-    /// its own branch of the batch's fork tree.
+    /// with two faults added: a job seeded [`PANIC_SEED`] panics inside
+    /// its own branch of the batch's fork tree, and one seeded
+    /// [`HOLD_SEED`] first waits for [`HOLD`].
     pub(super) fn run_batch(ctx: &Ctx<'_>, kernel: Kernel, n: usize, seeds: &[u64]) -> Vec<u64> {
         let jobs: Jobs<'_, u64> = seeds
             .iter()
             .map(|&seed| {
                 Box::new(move |c: &Ctx<'_>| {
                     assert_ne!(seed, PANIC_SEED, "injected kernel panic");
+                    if seed == HOLD_SEED {
+                        drop(HOLD.lock());
+                    }
                     run_in(c, kernel, n, seed)
                 }) as _
             })
