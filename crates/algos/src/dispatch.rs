@@ -1,27 +1,33 @@
 //! The crate's one `unsafe` home: the real kernels' hot leaves at the
 //! host's vector width, chosen at run time — Floyd–Warshall's band rows,
-//! the FFT's leaf transform and its combine.
+//! the FFT's leaf transform and its combine, and the fill of a served
+//! job's input stream.
 //!
 //! The build targets baseline x86-64, so the autovectoriser may use SSE2
 //! only. Each copy below is a `#[target_feature]` wrapper that calls an
 //! `#[inline(always)]` leaf of [`real`] by name, so the same source is
 //! compiled once per instruction set. A leaf has a copy at a width only
 //! where that copy won at least 4 of 5 alternating `bench_rt` runs
-//! against what the arm runs without it; an arm with no copy of its own
-//! runs the baseline (EXPERIMENTS, "Host vector width"). [`Arm::widest`]
+//! against what the arm runs without it (the fill, which `bench_rt` does
+//! not time, in process and in 10 of 10 `serve_mixed` pairs); an arm
+//! with no copy of its own runs the baseline (EXPERIMENTS, "Host vector
+//! width"). [`Arm::widest`]
 //! picks the widest arm the CPU has (`std` caches the detection), and
 //! every other host and target runs the baseline arm. No leaf fuses
 //! `a * b + c`, so every arm computes the same IEEE value in every lane:
 //! Floyd–Warshall's rows (an add and a compare) give the same bits on
-//! every input, the FFT on every finite input.
+//! every input, the FFT on every finite input; the fill is integer
+//! arithmetic and one exact conversion.
 
+use crate::real::registry::{self, Draw};
 use crate::real::{self, C64, FFT_BLOCK, FFT_LEAF};
 
 /// One compiled copy of a dispatched leaf, by the widest vector
 /// instruction set it may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arm {
-    /// AVX-512F with the 128/256-bit VL forms.
+    /// AVX-512F with the 128/256-bit VL forms and the DQ
+    /// instructions (64-bit multiplies, `u64 → f64` conversions).
     Avx512,
     /// AVX2.
     Avx2,
@@ -39,6 +45,7 @@ impl Arm {
             #[cfg(target_arch = "x86_64")]
             Arm::Avx512 => {
                 std::is_x86_feature_detected!("avx512f")
+                    && std::is_x86_feature_detected!("avx512dq")
                     && std::is_x86_feature_detected!("avx512vl")
             }
             #[cfg(target_arch = "x86_64")]
@@ -125,9 +132,40 @@ pub fn fft_combine(arm: Arm, halves: &[C64], x: &mut [C64]) {
     }
 }
 
+/// Fill `out` with the next values of the SplitMix64 stream at
+/// `state`, compiled for `arm`; returns the state after them,
+/// `state + len·WORDS·γ`. The AVX-512 arm computes eight words at a time
+/// in counter form (`registry::fill_lanes`: 64-bit multiplies in
+/// `vpmullq`, `z >> 11` to `f64` in `vcvtuqq2pd`, both exact); every
+/// other arm runs the stream one word after another: at SSE2 width the
+/// counter form is no faster, and an AVX2 copy has yet to be judged on a
+/// host whose widest arm is AVX2 (EXPERIMENTS, "Served inputs and
+/// checksums at vector width"). Every arm gives the same values and the
+/// same state.
+///
+/// # Panics
+/// If this CPU cannot run `arm`.
+pub fn fill<T: Draw>(arm: Arm, state: u64, out: &mut [T]) -> u64 {
+    assert!(arm.available(), "this CPU cannot run the {arm:?} arm");
+    match arm {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `arm.available()` has just detected AVX-512F,
+        // AVX-512DQ and AVX-512VL on this CPU, the only features the
+        // copy enables.
+        Arm::Avx512 => unsafe { x86::fill_avx512(state, out) },
+        _ => registry::fill_stream(state, out),
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use crate::real::registry::{self, Draw};
     use crate::real::{self, C64};
+
+    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+    pub(super) fn fill_avx512<T: Draw>(state: u64, out: &mut [T]) -> u64 {
+        registry::fill_lanes(state, out)
+    }
 
     #[target_feature(enable = "avx512f,avx512vl")]
     pub(super) fn fw_rows_avx512(x: &mut [f64], rowk: &[f64], k: usize) {

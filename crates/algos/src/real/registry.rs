@@ -27,6 +27,7 @@
 //! enters the shared pool once and runs a whole batch under it, keeping
 //! the pool's fork statistics cumulative.
 
+use crate::dispatch::{self, Arm};
 use mo_core::rt::{Ctx, Jobs, SbPool};
 use mo_core::{Program, Recorder};
 
@@ -100,7 +101,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
             let a = g.f64s(n * n);
             let mut out = vec![0.0f64; n * n];
             super::transpose(ctx, &a, &mut out, n);
-            checksum_f64(&out)
+            checksum(&out, f64::to_bits)
         },
         record: |n, g| crate::transpose::transpose_program(&g.words(n * n), n).program,
         effective_n: |n| n,
@@ -127,10 +128,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         run: |ctx, n, g| {
             let mut x = g.complex(n.next_power_of_two());
             super::fft(Some(ctx), &mut x, &mut Vec::new());
-            x.iter().fold(0u64, |acc, c| {
-                acc.wrapping_mul(31)
-                    .wrapping_add(c.0.to_bits() ^ c.1.to_bits())
-            })
+            checksum(&x, |c| c.0.to_bits() ^ c.1.to_bits())
         },
         record: |n, g| crate::fft::fft_program(&g.complex(n.next_power_of_two())).program,
         effective_n: |n| n,
@@ -150,7 +148,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
             let (a, b) = (g.f64s(n * n), g.f64s(n * n));
             let mut c = vec![0.0f64; n * n];
             super::matmul(ctx, &mut c, &a, &b, n);
-            checksum_f64(&c)
+            checksum(&c, f64::to_bits)
         },
         record: |n, g| {
             let (a, b) = (g.f64s(n * n), g.f64s(n * n));
@@ -175,7 +173,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         run: |ctx, n, g| {
             let mut data = g.words(n);
             super::sort(ctx, &mut data, &mut Vec::new());
-            checksum_u64(&data)
+            checksum(&data, |w| w)
         },
         record: |n, g| crate::sort::sort_program(&g.words(n)).program,
         effective_n: |n| n,
@@ -213,7 +211,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
         run: |ctx, n, g| {
             let mut data = g.words(n);
             super::prefix_sum(ctx, &mut data);
-            checksum_u64(&data)
+            checksum(&data, |w| w)
         },
         record: |n, g| {
             let data = g.words(n.next_power_of_two());
@@ -414,7 +412,97 @@ fn mesh_side(n: usize) -> usize {
     (n as f64).sqrt().round().max(2.0) as usize
 }
 
-/// Splitmix-style generator so inputs are cheap and deterministic.
+/// SplitMix64's increment: its state only ever adds it, so output `i`
+/// of a stream from state `s` is `mix(s + (i + 1)·γ)`.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64's output function of a state.
+#[inline(always)]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The unit `f64` in `[0, 1)` of a stream word: its top 53 bits, an
+/// integer every instruction set converts exactly, over 2⁵³.
+#[inline(always)]
+fn unit(z: u64) -> f64 {
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// A value a job's input stream is drawn as: a word, a unit `f64`, or a
+/// complex sample of two unit `f64`s (real part first).
+pub trait Draw: Copy + Default {
+    /// The stream words one value takes: 1 or 2.
+    const WORDS: usize;
+    /// The value of the stream words `z` (`WORDS` of them, in order).
+    fn draw(z: &[u64]) -> Self;
+}
+
+impl Draw for u64 {
+    const WORDS: usize = 1;
+    #[inline(always)]
+    fn draw(z: &[u64]) -> u64 {
+        z[0]
+    }
+}
+
+impl Draw for f64 {
+    const WORDS: usize = 1;
+    #[inline(always)]
+    fn draw(z: &[u64]) -> f64 {
+        unit(z[0])
+    }
+}
+
+impl Draw for super::C64 {
+    const WORDS: usize = 2;
+    #[inline(always)]
+    fn draw(z: &[u64]) -> super::C64 {
+        (unit(z[0]), unit(z[1]))
+    }
+}
+
+/// Fill `out` from the stream at `state`, one [`Gen::next`] after
+/// another; returns the state after the last word. Always inlined, so
+/// that [`dispatch::fill`](crate::dispatch::fill)'s baseline arm is this
+/// loop.
+#[inline(always)]
+pub(crate) fn fill_stream<T: Draw>(state: u64, out: &mut [T]) -> u64 {
+    let mut g = Gen(state);
+    let mut z = [0u64; 2];
+    for o in out {
+        z[..T::WORDS].fill_with(|| g.next());
+        *o = T::draw(&z[..T::WORDS]);
+    }
+    g.0
+}
+
+/// [`fill_stream`] in counter form: eight words at a time, word `i` of a
+/// chunk from state `s` being `mix(s + (i + 1)·γ)`, with no chain from
+/// one word to the next; the tail runs the stream. The same values and
+/// the same returned state, `state + len·WORDS·γ`. Always inlined, so
+/// that each vector arm of [`dispatch::fill`](crate::dispatch::fill)
+/// compiles it for its instruction set.
+#[inline(always)]
+pub(crate) fn fill_lanes<T: Draw>(state: u64, out: &mut [T]) -> u64 {
+    const LANES: usize = 8;
+    let steps: [u64; LANES] = std::array::from_fn(|i| GAMMA.wrapping_mul(i as u64 + 1));
+    let mut chunks = out.chunks_exact_mut(LANES / T::WORDS);
+    let mut s = state;
+    for chunk in &mut chunks {
+        let z: [u64; LANES] = std::array::from_fn(|i| mix(s.wrapping_add(steps[i])));
+        for (o, z) in chunk.iter_mut().zip(z.chunks_exact(T::WORDS)) {
+            *o = T::draw(z);
+        }
+        s = s.wrapping_add(steps[LANES - 1]);
+    }
+    fill_stream(s, chunks.into_remainder())
+}
+
+/// A job's input stream: SplitMix64, so inputs are cheap and
+/// deterministic.
 pub(super) struct Gen(u64);
 
 impl Gen {
@@ -425,41 +513,58 @@ impl Gen {
     }
 
     pub(super) fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(GAMMA);
+        mix(self.0)
     }
 
     fn f64_unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        unit(self.next())
+    }
+
+    /// The next `len` values of the stream, filled at the widest arm of
+    /// [`dispatch::fill`](crate::dispatch::fill).
+    fn fill<T: Draw>(&mut self, len: usize) -> Vec<T> {
+        let mut out = vec![T::default(); len];
+        self.0 = dispatch::fill(Arm::widest(), self.0, &mut out);
+        out
     }
 
     fn words(&mut self, len: usize) -> Vec<u64> {
-        (0..len).map(|_| self.next()).collect()
+        self.fill(len)
     }
 
     fn f64s(&mut self, len: usize) -> Vec<f64> {
-        (0..len).map(|_| self.f64_unit()).collect()
+        self.fill(len)
     }
 
     pub(super) fn complex(&mut self, len: usize) -> Vec<super::C64> {
-        (0..len)
-            .map(|_| (self.f64_unit(), self.f64_unit()))
-            .collect()
+        self.fill(len)
     }
 }
 
-fn checksum_f64(xs: &[f64]) -> u64 {
-    xs.iter().fold(0u64, |acc, v| {
-        acc.wrapping_mul(31).wrapping_add(v.to_bits())
-    })
-}
-
-fn checksum_u64(xs: &[u64]) -> u64 {
-    xs.iter()
-        .fold(0u64, |acc, v| acc.wrapping_mul(31).wrapping_add(*v))
+/// The output checksum of a job: the words `word(x)` of `xs` folded as
+/// `acc·31 + w`, wrapping — `Σ wᵢ·31^(n−1−i) mod 2⁶⁴`. Eight lanes fold
+/// every eighth word each at step 31⁸ and join by powers of 31, exact in
+/// wrapping arithmetic, so the eight chains give the one fold's value;
+/// the tail folds on from the join. The crate's only fold by 31: CI
+/// fails on the literal form of one anywhere under its src.
+fn checksum<T: Copy>(xs: &[T], word: impl Fn(T) -> u64) -> u64 {
+    const LANES: usize = 8;
+    const BASE: u64 = 31;
+    let step = BASE.wrapping_pow(LANES as u32);
+    let mut lanes = [0u64; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane = lane.wrapping_mul(step).wrapping_add(word(x));
+        }
+    }
+    let fold = |acc: u64, w: u64| acc.wrapping_mul(BASE).wrapping_add(w);
+    let joined = lanes.into_iter().fold(0, fold);
+    chunks
+        .remainder()
+        .iter()
+        .fold(joined, |acc, &x| fold(acc, word(x)))
 }
 
 /// Served SpM-DV: a seeded CSR instance of `n` rows with 1 to
@@ -480,7 +585,7 @@ fn run_spmdv(ctx: &Ctx<'_>, n: usize, g: &mut Gen) -> u64 {
     let x = g.f64s(n);
     let mut y = vec![0.0f64; n];
     super::spmdv(ctx, &row_ptr, &cols, &vals, &x, &mut y);
-    checksum_f64(&y)
+    checksum(&y, f64::to_bits)
 }
 
 /// Recorded SpM-DV: a fixed mesh sparsity pattern with seeded nonzero
@@ -538,6 +643,7 @@ pub fn record_kernel(kernel: Kernel, n: usize, seed: u64) -> Program {
 mod tests {
     use super::*;
     use mo_core::rt::HwHierarchy;
+    use std::num::Wrapping;
 
     fn pool() -> SbPool {
         SbPool::new(HwHierarchy::flat(4, 1 << 12, 1 << 22))
@@ -569,6 +675,49 @@ mod tests {
                 assert!(words >= footprint_words(k, n / 2), "{k} at n = {n}");
             }
             assert_eq!(footprint_words(k, usize::MAX), usize::MAX, "{k}");
+        }
+    }
+
+    /// The inputs and the checksum in their fast forms against their
+    /// sequential ones, on whatever arm this host fills with: two fills
+    /// back to back are one fill (matmul's second matrix and SpM-DV's
+    /// tail start where a fill left the state), and every fill is the
+    /// stream `next()` draws; the lane checksum is the one-chain fold.
+    #[test]
+    fn fills_chain_as_the_stream_and_lanes_fold_as_one_chain() {
+        for seed in [0, 7, u64::MAX - GAMMA, u64::MAX] {
+            for (a, b) in [(0, 5), (3, 8), (9, 17), (1023, 1025)] {
+                let mut stream = Gen(seed);
+                let words: Vec<u64> = (0..a + b).map(|_| stream.next()).collect();
+                let mut g = Gen(seed);
+                let (head, tail) = (g.words(a), g.words(b));
+                assert_eq!([head, tail].concat(), words, "words {a} + {b} from {seed}");
+                assert_eq!(g.0, stream.0, "state after words {a} + {b}");
+
+                let mut g = Gen(seed);
+                let units = [g.f64s(a), g.f64s(b)].concat();
+                let want: Vec<f64> = words.iter().map(|&z| unit(z)).collect();
+                assert_eq!(units, want, "f64s {a} + {b} from {seed}");
+                assert_eq!(g.0, stream.0);
+
+                let (mut g, mut stream) = (Gen(seed), Gen(seed));
+                let samples = [g.complex(a), g.complex(b)].concat();
+                let want: Vec<crate::real::C64> = (0..a + b)
+                    .map(|_| (stream.f64_unit(), stream.f64_unit()))
+                    .collect();
+                assert_eq!(samples, want, "complex {a} + {b} from {seed}");
+                assert_eq!(g.0, stream.0);
+            }
+        }
+        let fold = |xs: &[u64]| {
+            let fold = xs
+                .iter()
+                .fold(Wrapping(0u64), |acc, &w| acc * Wrapping(31) + Wrapping(w));
+            fold.0
+        };
+        let words = Gen(3).words(2051);
+        for n in (0..=40).chain([2051]) {
+            assert_eq!(checksum(&words[..n], |w| w), fold(&words[..n]), "{n} words");
         }
     }
 

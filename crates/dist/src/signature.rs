@@ -324,6 +324,26 @@ mod tests {
         bytes
     }
 
+    /// A three-byte row whose `src` or `dst` leaves `u32` is refused with
+    /// `row_at`'s own words, and the signature is left as it was.
+    #[test]
+    fn a_short_row_out_of_u32_is_refused_as_row_at_refuses_it() {
+        // One superstep of one row: `src` one below `lo`, then `dst` one
+        // above `u32::MAX`.
+        for (lo, row) in [(0, [1, 0, 1]), (u32::MAX, [0, 2, 1])] {
+            let bytes = [1, row[0], row[1], row[2]];
+            let want = row_at(&bytes, &mut 1, lo).expect_err("out of u32");
+            let mut sig = Signature::default();
+            let err = sig
+                .push_shard(&mut Dec::new(&bytes), 0, lo..u32::MAX, u32::MAX, 1, 1)
+                .expect_err("out of u32");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), want.to_string());
+            assert!(err.to_string().ends_with("leaves u32"), "{err}");
+            assert_eq!(sig, Signature::default());
+        }
+    }
+
     /// For random splits of random machine-wide rows into shards, the
     /// signature the shards' bytes build equals those rows, in both
     /// directions and against a differently segmented copy — with empty

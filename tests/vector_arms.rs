@@ -1,11 +1,12 @@
 //! Tier-1 coverage of the runtime-dispatched leaves: every vector arm
 //! this CPU can run — AVX-512, AVX2 — of N-GEP's base case
 //! (`no::dispatch::leaf_update`), Floyd–Warshall's band rows
-//! (`algs::dispatch::fw_rows`) and the FFT's leaf and combine
-//! (`algs::dispatch::{fft_leaf, fft_combine}`) must return the same op
-//! count and the same output bits as the baseline arm on the same seeded
-//! inputs. An arm the CPU lacks is printed as skipped and is not counted
-//! among the arms that ran.
+//! (`algs::dispatch::fw_rows`), the FFT's leaf and combine
+//! (`algs::dispatch::{fft_leaf, fft_combine}`) and the served inputs'
+//! fill (`algs::dispatch::fill`) must return the same op count (or
+//! stream state) and the same output bits as the baseline arm on the
+//! same seeded inputs. An arm the CPU lacks is printed as skipped and is
+//! not counted among the arms that ran.
 //!
 //! The FFT's samples are finite, ±0 among them. The other leaves' inputs
 //! include ±0, ±∞ and NaN operands. Every lane is compared
@@ -22,6 +23,7 @@ use std::fmt::Debug;
 use std::ops::{Add, Mul, Sub};
 
 use oblivious::algs::dispatch as kernels;
+use oblivious::algs::real::registry::Draw;
 use oblivious::algs::real::C64;
 use oblivious::dist::data::fw_update;
 use oblivious::no::algs::ngep::UpdateSet;
@@ -379,4 +381,43 @@ fn every_arm_of_the_fft_leaf_and_combine_gives_the_baseline_bits() {
         }
     }
     println!("fft: {arms:?} run against the baseline; {lanes} samples compared bit for bit");
+}
+
+/// Every arm's fill of `len` values of type `T` from `seed` against the
+/// baseline stream: the same bits, by `bits`, and the same state after.
+fn fill_agrees<T: Draw>(
+    arms: &[kernels::Arm],
+    seed: u64,
+    len: usize,
+    bits: fn(&T) -> (u64, u64),
+) -> usize {
+    let mut base = vec![T::default(); len];
+    let state = kernels::fill(kernels::Arm::Baseline, seed, &mut base);
+    let want: Vec<_> = base.iter().map(bits).collect();
+    for &arm in arms {
+        let mut got = vec![T::default(); len];
+        let case = format!(
+            "{arm:?}: {} × {len} from {seed:#x}",
+            std::any::type_name::<T>()
+        );
+        assert_eq!(kernels::fill(arm, seed, &mut got), state, "state, {case}");
+        assert_eq!(got.iter().map(bits).collect::<Vec<_>>(), want, "{case}");
+    }
+    len * arms.len()
+}
+
+#[test]
+fn every_arm_of_the_input_fill_gives_the_baseline_stream() {
+    let arms = runnable("fill", kernels::Arm::ALL, kernels::Arm::available);
+    const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+    let lens = [0, 1, 7, 8, 9, 15, 16, 17, 1023, 2048];
+    let mut values = 0;
+    for seed in [0, 1, 0x1234_5678_9abc_def0, u64::MAX - GAMMA, u64::MAX] {
+        for len in lens {
+            values += fill_agrees::<u64>(&arms, seed, len, |&w| (w, 0));
+            values += fill_agrees::<f64>(&arms, seed, len, |&v| (v.to_bits(), 0));
+            values += fill_agrees::<C64>(&arms, seed, len, |c| (c.0.to_bits(), c.1.to_bits()));
+        }
+    }
+    println!("fill: {arms:?} run against the baseline; {values} values compared bit for bit");
 }
