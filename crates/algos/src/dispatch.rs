@@ -18,52 +18,14 @@
 //! Floyd–Warshall's rows (an add and a compare) give the same bits on
 //! every input, the FFT on every finite input; the fill is integer
 //! arithmetic and one exact conversion.
+//!
+//! The arms are no-framework's [`Arm`], the one arm N-GEP's base case is
+//! compiled for too: one CPU check decides every dispatched leaf of
+//! both crates.
 
 use crate::real::registry::{self, Draw};
 use crate::real::{self, C64, FFT_BLOCK, FFT_LEAF};
-
-/// One compiled copy of a dispatched leaf, by the widest vector
-/// instruction set it may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Arm {
-    /// AVX-512F with the 128/256-bit VL forms and the DQ
-    /// instructions (64-bit multiplies, `u64 → f64` conversions).
-    Avx512,
-    /// AVX2.
-    Avx2,
-    /// The build's own target (SSE2 on baseline x86-64).
-    Baseline,
-}
-
-impl Arm {
-    /// Every arm, widest first.
-    pub const ALL: [Arm; 3] = [Arm::Avx512, Arm::Avx2, Arm::Baseline];
-
-    /// Whether this CPU can run the arm.
-    pub fn available(self) -> bool {
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            Arm::Avx512 => {
-                std::is_x86_feature_detected!("avx512f")
-                    && std::is_x86_feature_detected!("avx512dq")
-                    && std::is_x86_feature_detected!("avx512vl")
-            }
-            #[cfg(target_arch = "x86_64")]
-            Arm::Avx2 => std::is_x86_feature_detected!("avx2"),
-            #[cfg(not(target_arch = "x86_64"))]
-            Arm::Avx512 | Arm::Avx2 => false,
-            Arm::Baseline => true,
-        }
-    }
-
-    /// The widest arm this CPU can run.
-    pub fn widest() -> Arm {
-        Arm::ALL
-            .into_iter()
-            .find(|arm| arm.available())
-            .unwrap_or(Arm::Baseline)
-    }
-}
+use no_framework::dispatch::Arm;
 
 /// One Floyd–Warshall step `k` over the rows of `x` (each `rowk.len()`
 /// wide), compiled for `arm`: `x[i,j] ← min(x[i,j], x[i,k] + rowk[j])`

@@ -17,8 +17,7 @@
 #![allow(clippy::too_many_arguments)]
 
 use mo_core::{spawn, ForkHint, Mat, Recorder};
-
-use super::{GepF, UpdateSet};
+use no_framework::gep::{GepF, UpdateSet};
 
 /// Recursion grain: boxes of side ≤ `GRAIN` run the direct triple loop
 /// ("if X is 1×1" in the paper, coarsened to keep the task DAG finite).
@@ -321,6 +320,7 @@ mod tests {
     use super::super::*;
     use hm_model::MachineSpec;
     use mo_core::sched::{simulate, Policy};
+    use no_framework::gep::{fw_instance, fw_update, ge_update, gep_reference};
 
     fn random_matrix(n: usize, seed: u64) -> Vec<f64> {
         let mut x = seed | 1;
@@ -338,19 +338,7 @@ mod tests {
     fn igep_floyd_warshall_matches_reference_exactly() {
         // Integer edge weights make min/plus exact in f64.
         for n in [8usize, 16, 32] {
-            let mut d = vec![f64::INFINITY; n * n];
-            let mut x = 12345u64;
-            for i in 0..n {
-                d[i * n + i] = 0.0;
-                for _ in 0..3 {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let j = (x >> 33) as usize % n;
-                    let w = 1.0 + ((x >> 20) % 9) as f64;
-                    if j != i {
-                        d[i * n + j] = d[i * n + j].min(w);
-                    }
-                }
-            }
+            let d = fw_instance(n, 12345);
             let gp = igep_program(&d, n, fw_update, UpdateSet::All);
             assert_eq!(gp.output(), floyd_warshall_reference(&d, n), "n = {n}");
         }

@@ -4,7 +4,9 @@
 //! `⟨i,j,k⟩ ∈ Σ_f` (in `k`-major order), apply
 //! `x[i,j] ← f(x[i,j], x[i,k], x[k,j], x[k,k])`.
 //!
-//! Instances implemented here (all commutative in the §V-B sense):
+//! The instances (all commutative in the §V-B sense), whose update
+//! functions live with the rest of GEP's vocabulary in
+//! [`no_framework::gep`], shared with N-GEP:
 //!
 //! * **Matrix multiplication** — `f(x,u,v,_) = x + u·v`, disjoint `X`,
 //!   `U`, `V` (a pure call to I-GEP's `𝒟`).
@@ -19,71 +21,11 @@
 pub mod igep;
 
 use mo_core::{Mat, Program, Recorder};
+use no_framework::gep::{gep_reference, mm_update};
 
-/// The update function `f : S⁴ → S` (plain function pointer so it is
-/// `Copy` and freely shareable across recorded tasks).
-pub type GepF = fn(f64, f64, f64, f64) -> f64;
-
-/// The update set `Σ_f`, with box-intersection pruning for I-GEP's
-/// "if `T ∩ Σ_f = ∅` return" early exit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateSet {
-    /// Every triplet `[0,n)³` (Floyd–Warshall, matrix multiplication).
-    All,
-    /// `{⟨i,j,k⟩ : k < i ∧ k < j}` (Gaussian elimination / LU).
-    KBelowMin,
-}
-
-impl UpdateSet {
-    /// Membership test.
-    #[inline]
-    pub fn contains(self, i: usize, j: usize, k: usize) -> bool {
-        match self {
-            UpdateSet::All => true,
-            UpdateSet::KBelowMin => k < i && k < j,
-        }
-    }
-
-    /// Whether the box `[i0,i0+m) × [j0,j0+m) × [k0,k0+m)` intersects the
-    /// set.
-    #[inline]
-    pub fn intersects(self, i0: usize, j0: usize, k0: usize, m: usize) -> bool {
-        match self {
-            UpdateSet::All => true,
-            UpdateSet::KBelowMin => k0 < i0 + m - 1 && k0 < j0 + m - 1,
-        }
-    }
-}
-
-/// `f` for matrix multiplication: `x + u·v` (ignores `w`).
-pub fn mm_update(x: f64, u: f64, v: f64, _w: f64) -> f64 {
-    x + u * v
-}
-
-/// `f` for Floyd–Warshall: `min(x, u + v)`.
-pub fn fw_update(x: f64, u: f64, v: f64, _w: f64) -> f64 {
-    x.min(u + v)
-}
-
-/// `f` for Gaussian elimination without pivoting: `x − (u/w)·v`.
-pub fn ge_update(x: f64, u: f64, v: f64, w: f64) -> f64 {
-    x - (u / w) * v
-}
-
-/// The reference GEP engine of Fig. 5: the ground truth every oblivious
-/// implementation is checked against.
-pub fn gep_reference(x: &mut [f64], n: usize, f: GepF, sigma: UpdateSet) {
-    assert_eq!(x.len(), n * n);
-    for k in 0..n {
-        for i in 0..n {
-            for j in 0..n {
-                if sigma.contains(i, j, k) {
-                    x[i * n + j] = f(x[i * n + j], x[i * n + k], x[k * n + j], x[k * n + k]);
-                }
-            }
-        }
-    }
-}
+/// The types in this module's signatures, from [`no_framework::gep`],
+/// where GEP's vocabulary is defined once for I-GEP and N-GEP.
+pub use no_framework::gep::{GepF, UpdateSet};
 
 /// A recorded I-GEP run.
 pub struct GepProgram {
@@ -220,6 +162,7 @@ pub fn floyd_warshall_reference(d: &[f64], n: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use no_framework::gep::fw_update;
 
     #[test]
     fn reference_gep_fw_equals_reference_fw() {
@@ -233,29 +176,6 @@ mod tests {
         let mut g = d.clone();
         gep_reference(&mut g, n, fw_update, UpdateSet::All);
         assert_eq!(g, floyd_warshall_reference(&d, n));
-    }
-
-    #[test]
-    fn update_set_membership_and_boxes_agree() {
-        let n = 8usize;
-        for set in [UpdateSet::All, UpdateSet::KBelowMin] {
-            for m in [1usize, 2, 4] {
-                for i0 in (0..n).step_by(m) {
-                    for j0 in (0..n).step_by(m) {
-                        for k0 in (0..n).step_by(m) {
-                            let any = (i0..i0 + m).any(|i| {
-                                (j0..j0 + m).any(|j| (k0..k0 + m).any(|k| set.contains(i, j, k)))
-                            });
-                            assert_eq!(
-                                set.intersects(i0, j0, k0, m),
-                                any,
-                                "{set:?} box ({i0},{j0},{k0}) m={m}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -302,41 +222,5 @@ mod tests {
             !igep_matches_reference(affine, UpdateSet::All, 16, 3, 1e-9),
             "expected the unrestricted affine instance to diverge"
         );
-    }
-
-    #[test]
-    fn reference_ge_produces_upper_triangular_u() {
-        // GEP with KBelowMin leaves U in the upper triangle: check against
-        // textbook elimination.
-        let n = 4;
-        #[rustfmt::skip]
-        let a = vec![
-            4.0, 3.0, 2.0, 1.0,
-            2.0, 4.0, 1.0, 2.0,
-            1.0, 2.0, 4.0, 1.0,
-            1.0, 1.0, 2.0, 4.0,
-        ];
-        let mut g = a.clone();
-        gep_reference(&mut g, n, ge_update, UpdateSet::KBelowMin);
-        // Textbook GE.
-        let mut t = a.clone();
-        for k in 0..n {
-            for i in k + 1..n {
-                let m = t[i * n + k] / t[k * n + k];
-                for j in k + 1..n {
-                    t[i * n + j] -= m * t[k * n + j];
-                }
-            }
-        }
-        for i in 0..n {
-            for j in i..n {
-                assert!(
-                    (g[i * n + j] - t[i * n + j]).abs() < 1e-9,
-                    "U mismatch at ({i},{j}): {} vs {}",
-                    g[i * n + j],
-                    t[i * n + j]
-                );
-            }
-        }
     }
 }

@@ -19,6 +19,7 @@
 
 use crate::dispatch;
 use mo_core::rt::{Ctx, Jobs};
+use no_framework::dispatch::Arm;
 use std::sync::OnceLock;
 
 pub mod registry;
@@ -261,7 +262,7 @@ fn fw_bands(ctx: &Ctx<'_>, x: &mut [f64], rowk: &[f64], n: usize, k: usize) {
         );
         return;
     }
-    dispatch::fw_rows(dispatch::Arm::widest(), x, rowk, k);
+    dispatch::fw_rows(Arm::widest(), x, rowk, k);
 }
 
 /// One band's rows of a Floyd–Warshall step `k`: `x[i,j] ←
@@ -442,19 +443,7 @@ mod tests {
     #[test]
     fn floyd_warshall_matches_reference() {
         let n = 48;
-        let mut d = vec![f64::INFINITY; n * n];
-        let mut x = 7u64;
-        for i in 0..n {
-            d[i * n + i] = 0.0;
-            for _ in 0..3 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let j = ((x >> 33) as usize) % n;
-                let w = 1.0 + ((x >> 20) % 9) as f64;
-                if i != j && w < d[i * n + j] {
-                    d[i * n + j] = w;
-                }
-            }
-        }
+        let d = no_framework::gep::fw_instance(n, 7);
         let want = crate::gep::floyd_warshall_reference(&d, n);
         let p = pool();
         let mut got = d.clone();
@@ -636,7 +625,7 @@ pub fn fft(ctx: Option<&Ctx<'_>>, x: &mut [C64], scratch: &mut Vec<C64>) {
 fn fft_rec(ctx: Option<&Ctx<'_>>, x: &mut [C64], scratch: &mut [C64]) {
     let n = x.len();
     if n <= FFT_LEAF {
-        return dispatch::fft_leaf(dispatch::Arm::widest(), x);
+        return dispatch::fft_leaf(Arm::widest(), x);
     }
     let half = n / 2;
     let (se, so) = scratch[..n].split_at_mut(half);
@@ -660,7 +649,7 @@ fn fft_rec(ctx: Option<&Ctx<'_>>, x: &mut [C64], scratch: &mut [C64]) {
             fft_rec(None, so, xh);
         }
     }
-    dispatch::fft_combine(dispatch::Arm::widest(), &scratch[..n], x);
+    dispatch::fft_combine(Arm::widest(), &scratch[..n], x);
 }
 
 /// The butterflies that combine the transforms of the even and the odd

@@ -27,9 +27,10 @@
 //! enters the shared pool once and runs a whole batch under it, keeping
 //! the pool's fork statistics cumulative.
 
-use crate::dispatch::{self, Arm};
+use crate::dispatch;
 use mo_core::rt::{Ctx, Jobs, SbPool};
 use mo_core::{Program, Recorder};
+use no_framework::dispatch::Arm;
 
 /// Average nonzeros per row of the generated SpM-DV instances.
 const SPMDV_DEG: usize = 8;

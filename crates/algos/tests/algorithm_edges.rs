@@ -101,7 +101,8 @@ fn fft_parseval_energy_is_preserved() {
 
 #[test]
 fn gep_work_pruning_saves_trace_ops() {
-    use algs::gep::{ge_update, igep_program, UpdateSet};
+    use algs::gep::igep_program;
+    use no_framework::gep::{ge_update, UpdateSet};
     let n = 32;
     let mut a: Vec<f64> = (0..n * n).map(|t| ((t % 7) + 1) as f64).collect();
     for i in 0..n {
@@ -121,7 +122,8 @@ fn gep_work_pruning_saves_trace_ops() {
 
 #[test]
 fn floyd_warshall_on_disconnected_graph_keeps_infinity() {
-    use algs::gep::{fw_update, igep_program, UpdateSet};
+    use algs::gep::igep_program;
+    use no_framework::gep::{fw_update, UpdateSet};
     let n = 8;
     let mut d = vec![f64::INFINITY; n * n];
     for i in 0..n {

@@ -75,7 +75,8 @@ fn spmdv_verifies_clean() {
 
 #[test]
 fn igep_and_matmul_verify_clean() {
-    use algs::gep::{fw_update, igep_program, matmul_program, UpdateSet};
+    use algs::gep::{igep_program, matmul_program};
+    use no_framework::gep::{fw_update, UpdateSet};
     let n = 32;
     let mut d = vec![f64::INFINITY; n * n];
     for i in 0..n {

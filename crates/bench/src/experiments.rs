@@ -11,17 +11,18 @@
 //! [`gep_misses`]).
 
 use crate::{
-    default_machine, fw_instance, header, machines, rand_f64, rand_u64, row, run_flat, run_mo,
-    run_serial, speedup_row, val,
+    default_machine, header, machines, rand_f64, rand_u64, row, run_flat, run_mo, run_serial,
+    speedup_row, val,
 };
 use hm_model::{CacheId, MachineSpec, Topology};
 use mo_algorithms as algs;
-use mo_algorithms::gep::{fw_update, ge_update, igep_program, matmul_program};
+use mo_algorithms::gep::{igep_program, matmul_program};
 use mo_algorithms::listrank::{listrank_program, random_list, reference_ranks};
 use mo_baselines as base;
 use mo_core::sched::RunReport;
 use mo_core::{verify, Program, Recorder, VerifyReport};
-use no_framework::algs::ngep::{ngep_matmul, ngep_program, DOrder, UpdateSet};
+use no_framework::algs::ngep::{ngep_matmul, ngep_program, DOrder};
+use no_framework::gep::{fw_instance, fw_update, ge_update, UpdateSet};
 use no_framework::{algs as no, NoMachine};
 
 mod summary;
@@ -383,7 +384,7 @@ fn gep() {
         // Other GEP instances at one size.
         let n = 64;
         let d = fw_instance(n, 5);
-        let fw = igep_program(&d, n, fw_update, algs::gep::UpdateSet::All);
+        let fw = igep_program(&d, n, fw_update, UpdateSet::All);
         let rfw = run_mo(&fw.program, &spec);
         println!("Floyd–Warshall APSP, n = {n}:");
         let l1 = spec.level(1);
@@ -401,7 +402,7 @@ fn gep() {
         for i in 0..n {
             ge_in[i * n + i] += 2.0 * n as f64;
         }
-        let ge = igep_program(&ge_in, n, ge_update, algs::gep::UpdateSet::KBelowMin);
+        let ge = igep_program(&ge_in, n, ge_update, UpdateSet::KBelowMin);
         let rge = run_mo(&ge.program, &spec);
         println!("Gaussian elimination (no pivoting), n = {n}:");
         val("work (≈ n^3/3 updates x 5 ops)", rge.work as f64);
@@ -903,12 +904,7 @@ fn verify_all() {
     dirty += !report_row("spmdv", &sv.program).is_clean() as u32;
 
     let gn = 64;
-    let gp = igep_program(
-        &fw_instance(gn, 5),
-        gn,
-        fw_update,
-        algs::gep::UpdateSet::All,
-    );
+    let gp = igep_program(&fw_instance(gn, 5), gn, fw_update, UpdateSet::All);
     dirty += !report_row("igep-fw", &gp.program).is_clean() as u32;
 
     let a = rand_f64(6, gn * gn);

@@ -122,24 +122,6 @@ pub fn rand_f64(seed: u64, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// A random Floyd–Warshall instance with integer weights (exact in f64).
-pub fn fw_instance(n: usize, seed: u64) -> Vec<f64> {
-    let mut d = vec![f64::INFINITY; n * n];
-    let mut x = seed | 1;
-    for i in 0..n {
-        d[i * n + i] = 0.0;
-        for _ in 0..3 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let j = ((x >> 33) as usize) % n;
-            let w = 1.0 + ((x >> 20) % 9) as f64;
-            if i != j {
-                d[i * n + j] = d[i * n + j].min(w);
-            }
-        }
-    }
-    d
-}
-
 /// Name of the registry kernel whose [`Kernel::index`] a serve span
 /// event carries (`kernel<code>` for a code no row has) — the mapping
 /// behind the phase tables of `serve_load --phases` and

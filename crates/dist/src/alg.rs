@@ -14,7 +14,7 @@
 use std::io;
 
 use no_framework::algs::{ngep, sort};
-use no_framework::{Comm, NoMachine};
+use no_framework::{gep, Comm, NoMachine};
 
 use crate::data;
 use crate::frame::invalid;
@@ -27,7 +27,7 @@ use crate::trace::level_table;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistAlg {
     /// N-GEP `𝒜(x,x,x,x)` with the Floyd–Warshall update, `𝒟*` order,
-    /// on the `n × n` matrix of [`data::ngep_input`] in `κ × κ` blocks.
+    /// on the `n × n` matrix of [`gep::fw_instance`] in `κ × κ` blocks.
     Ngep = 0,
     /// The column-sort-based NO sort of [`data::sort_input`], one key
     /// per PE.
@@ -89,14 +89,14 @@ impl DistAlg {
     ) {
         match self {
             DistAlg::Ngep => {
-                data::ngep_input_into(n, seed, input);
+                gep::fw_instance_into(n, seed, input);
                 ngep::ngep_program_on(
                     comm,
                     input,
                     n,
                     kappa,
-                    data::fw_update,
-                    ngep::UpdateSet::All,
+                    gep::fw_update,
+                    gep::UpdateSet::All,
                     ngep::DOrder::DStar,
                 );
             }

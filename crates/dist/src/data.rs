@@ -17,38 +17,9 @@ pub fn sort_input(n: usize, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// A Floyd–Warshall distance matrix for the distributed N-GEP (the
-/// min-plus GEP instance: sparse random arcs over an `n × n` matrix,
-/// zero diagonal, `∞` elsewhere).
-pub fn ngep_input(n: usize, seed: u64) -> Vec<f64> {
-    let mut d = Vec::new();
-    ngep_input_into(n, seed, &mut d);
-    d
-}
-
-/// [`ngep_input`] written into `d` (its contents replaced, its
-/// allocation reused).
-pub fn ngep_input_into(n: usize, seed: u64, d: &mut Vec<f64>) {
-    d.clear();
-    d.resize(n * n, f64::INFINITY);
-    let mut x = seed | 1;
-    for i in 0..n {
-        d[i * n + i] = 0.0;
-        for _ in 0..3 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let j = ((x >> 33) as usize) % n;
-            let w = 1.0 + ((x >> 20) % 9) as f64;
-            if i != j {
-                d[i * n + j] = d[i * n + j].min(w);
-            }
-        }
-    }
-}
-
-/// The Floyd–Warshall GEP update: `x ← min(x, u + v)`.
-pub fn fw_update(x: f64, u: f64, v: f64, _w: f64) -> f64 {
-    x.min(u + v)
-}
+/// The N-GEP job's input, a Floyd–Warshall distance matrix, and its
+/// update, named here too; [`no_framework::gep`] defines both.
+pub use no_framework::gep::{fw_instance as ngep_input, fw_update};
 
 /// FNV-1a over a word stream: the fleet's output checksum (computed
 /// identically over simulator output and assembled socket output, so
@@ -69,11 +40,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn inputs_are_deterministic_and_seed_sensitive() {
+    fn sort_inputs_are_deterministic_and_seed_sensitive() {
         assert_eq!(sort_input(64, 7), sort_input(64, 7));
         assert_ne!(sort_input(64, 7), sort_input(64, 8));
-        assert_eq!(ngep_input(16, 3), ngep_input(16, 3));
-        assert_ne!(ngep_input(16, 3), ngep_input(16, 4));
     }
 
     #[test]

@@ -30,45 +30,11 @@
 
 use std::ops::Range;
 
+use crate::gep::mm_update;
 use crate::{dispatch, Comm, NoMachine, Scope};
 
-/// The update set `Σ_f` with box pruning (mirrors `mo_algorithms`; kept
-/// local so the NO framework stands alone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UpdateSet {
-    /// All triplets.
-    All,
-    /// `k < min(i, j)` (Gaussian elimination / LU).
-    KBelowMin,
-}
-
-impl UpdateSet {
-    /// The columns `j` of a `κ`-wide block starting at global column
-    /// `col0` that row `i`, step `k` (both global) updates: `Σ_f` is an
-    /// interval in `j` for both sets.
-    fn cols(self, i: usize, k: usize, col0: usize, kappa: usize) -> Range<usize> {
-        match self {
-            UpdateSet::All => 0..kappa,
-            UpdateSet::KBelowMin if k < i => (k + 1).saturating_sub(col0).min(kappa)..kappa,
-            UpdateSet::KBelowMin => 0..0,
-        }
-    }
-    /// Whether every triplet of the `κ × κ × κ` leaf whose first element
-    /// is at global `(row0, col0, k0)` is in `Σ_f`: then no row needs
-    /// [`cols`](Self::cols).
-    fn admits_block(self, row0: usize, col0: usize, k0: usize, kappa: usize) -> bool {
-        match self {
-            UpdateSet::All => true,
-            UpdateSet::KBelowMin => k0 + kappa - 1 < row0.min(col0),
-        }
-    }
-    fn intersects(self, i0: usize, j0: usize, k0: usize, m: usize) -> bool {
-        match self {
-            UpdateSet::All => true,
-            UpdateSet::KBelowMin => k0 < i0 + m - 1 && k0 < j0 + m - 1,
-        }
-    }
-}
+/// `Σ_f`, named at this path too: the one definition is [`crate::gep`]'s.
+pub use crate::gep::UpdateSet;
 
 /// Which order `𝒟` executes its eight recursive calls in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,7 +180,7 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
         if calls.is_empty() {
             return;
         }
-        let s = calls[0].s();
+        let s = calls[0].x.s;
         if s == 1 {
             self.leaf_step(&calls);
             return;
@@ -248,7 +214,7 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
         let u = parent.u.quadrant(q[1]);
         let v = parent.v.quadrant(q[2]);
         let w = parent.w.quadrant(q[3]);
-        let s4 = parent.s() / 4;
+        let s4 = parent.x.s / 4;
         let alias = [u == x, v == x, w == x];
         // Parent-side source of each operand quadrant: a slice of the
         // parent's X blocks (if that operand aliased X) or of the
@@ -323,7 +289,7 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
                 let (src_group, src_off) = call.src[slot];
                 let soff = if src_off == usize::MAX { 0 } else { src_off };
                 let dst_off = call.frame + slot * bsz;
-                for t in 0..call.s() {
+                for t in 0..call.x.s {
                     let (src_pe, dst_pe) = (src_group + t, call.group + t);
                     if self.m.owns(src_pe) {
                         sends.push((src_pe, (dst_pe, dst_off, soff)));
@@ -601,15 +567,6 @@ fn run_of<T>(table: &[(usize, T)], pe: usize) -> &[(usize, T)] {
     &table[from..from + len]
 }
 
-trait CallExt {
-    fn s(&self) -> usize;
-}
-impl CallExt for Call {
-    fn s(&self) -> usize {
-        self.x.s
-    }
-}
-
 /// Morton (bit-interleaved) index of block `(bi, bj)` — the PE owning
 /// that `κ × κ` block.
 pub fn morton(bi: usize, bj: usize) -> usize {
@@ -794,14 +751,11 @@ pub fn ngep_matmul(
         alias: [false, false, false],
         src: [(0, usize::MAX); 3],
     };
-    fn mm(x: f64, u: f64, v: f64, _w: f64) -> f64 {
-        x + u * v
-    }
     let mut eng = Engine {
         m: &mut m,
         kappa,
         bsz,
-        f: mm,
+        f: mm_update,
         sigma: UpdateSet::All,
         order,
     };
@@ -813,54 +767,7 @@ pub fn ngep_matmul(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fw(x: f64, u: f64, v: f64, _w: f64) -> f64 {
-        x.min(u + v)
-    }
-    fn ge(x: f64, u: f64, v: f64, w: f64) -> f64 {
-        x - (u / w) * v
-    }
-
-    type GepF = fn(f64, f64, f64, f64) -> f64;
-
-    impl UpdateSet {
-        /// `Σ_f` membership, one triplet at a time.
-        fn contains(self, i: usize, j: usize, k: usize) -> bool {
-            match self {
-                UpdateSet::All => true,
-                UpdateSet::KBelowMin => k < i && k < j,
-            }
-        }
-    }
-
-    fn gep_reference(x: &mut [f64], n: usize, f: GepF, sigma: UpdateSet) {
-        for k in 0..n {
-            for i in 0..n {
-                for j in 0..n {
-                    if sigma.contains(i, j, k) {
-                        x[i * n + j] = f(x[i * n + j], x[i * n + k], x[k * n + j], x[k * n + k]);
-                    }
-                }
-            }
-        }
-    }
-
-    fn fw_instance(n: usize, seed: u64) -> Vec<f64> {
-        let mut d = vec![f64::INFINITY; n * n];
-        let mut x = seed | 1;
-        for i in 0..n {
-            d[i * n + i] = 0.0;
-            for _ in 0..3 {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let j = ((x >> 33) as usize) % n;
-                let w = 1.0 + ((x >> 20) % 9) as f64;
-                if i != j {
-                    d[i * n + j] = d[i * n + j].min(w);
-                }
-            }
-        }
-        d
-    }
+    use crate::gep::{fw_instance, fw_update, ge_update, gep_reference, GepF};
 
     /// The base case as it was before [`leaf_update`]: every operand
     /// re-read from memory for every `(k, i, j)`.
@@ -998,7 +905,7 @@ mod tests {
                         (slot + 1) * bsz
                     }
                 });
-                for (name, f) in [("mix", mix as GepF), ("fw", fw)] {
+                for (name, f) in [("mix", mix as GepF), ("fw", fw_update)] {
                     for sigma in [UpdateSet::All, UpdateSet::KBelowMin] {
                         for origin in origins {
                             let mut want: Vec<u64> = (0..4 * bsz)
@@ -1034,9 +941,9 @@ mod tests {
             for kappa in [2usize, 4] {
                 let d = fw_instance(n, 5);
                 let mut want = d.clone();
-                gep_reference(&mut want, n, fw, UpdateSet::All);
+                gep_reference(&mut want, n, fw_update, UpdateSet::All);
                 for order in [DOrder::IGep, DOrder::DStar] {
-                    let (_, got) = ngep_program(&d, n, kappa, fw, UpdateSet::All, order);
+                    let (_, got) = ngep_program(&d, n, kappa, fw_update, UpdateSet::All, order);
                     assert_eq!(got, want, "n={n} kappa={kappa} {order:?}");
                 }
             }
@@ -1057,8 +964,8 @@ mod tests {
             a[i * n + i] += 2.0 * n as f64;
         }
         let mut want = a.clone();
-        gep_reference(&mut want, n, ge, UpdateSet::KBelowMin);
-        let (_, got) = ngep_program(&a, n, 4, ge, UpdateSet::KBelowMin, DOrder::DStar);
+        gep_reference(&mut want, n, ge_update, UpdateSet::KBelowMin);
+        let (_, got) = ngep_program(&a, n, 4, ge_update, UpdateSet::KBelowMin, DOrder::DStar);
         for t in 0..n * n {
             assert!(
                 (got[t] - want[t]).abs() < 1e-9 * (1.0 + want[t].abs()),
@@ -1128,7 +1035,7 @@ mod tests {
     fn theorem6_communication_shape() {
         let n = 32;
         let d = fw_instance(n, 9);
-        let (m, _) = ngep_program(&d, n, 4, fw, UpdateSet::All, DOrder::DStar);
+        let (m, _) = ngep_program(&d, n, 4, fw_update, UpdateSet::All, DOrder::DStar);
         for (p, b) in [(4usize, 4usize), (16, 4), (16, 16)] {
             let comm = m.communication_complexity(p, b) as f64;
             let predicted = (n * n) as f64 / ((p as f64).sqrt() * b as f64);

@@ -1,5 +1,5 @@
-//! The crate's one `unsafe` home: N-GEP's base case at the host's
-//! vector width, chosen at run time.
+//! The host's vector arm, and no-framework's one `unsafe` home: N-GEP's
+//! base case at the host's vector width, chosen at run time.
 //!
 //! The build targets baseline x86-64, so the autovectoriser may use SSE2
 //! only. Each arm below is a `#[target_feature]` wrapper that calls the
@@ -11,14 +11,20 @@
 //! host and target runs the baseline arm. No arm fuses `a * b + c`, so
 //! every arm computes the same IEEE value in every lane; the one place
 //! they may differ is which of two NaN operands `f64::min` returns.
+//!
+//! [`Arm`] is the workspace's one arm: `mo_algorithms::dispatch`
+//! compiles its real kernels' leaves for the same arms, so one CPU
+//! check decides every dispatched leaf of both crates.
 
-use crate::algs::ngep::{self, UpdateSet};
+use crate::algs::ngep;
+use crate::gep::UpdateSet;
 
 /// One compiled copy of a dispatched leaf, by the widest vector
 /// instruction set it may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arm {
-    /// AVX-512F with the 128/256-bit VL forms.
+    /// AVX-512F with the 128/256-bit VL forms and the DQ
+    /// instructions (64-bit multiplies, `u64 → f64` conversions).
     Avx512,
     /// AVX2.
     Avx2,
@@ -31,11 +37,13 @@ impl Arm {
     pub const ALL: [Arm; 3] = [Arm::Avx512, Arm::Avx2, Arm::Baseline];
 
     /// Whether this CPU can run the arm.
+    #[inline]
     pub fn available(self) -> bool {
         match self {
             #[cfg(target_arch = "x86_64")]
             Arm::Avx512 => {
                 std::is_x86_feature_detected!("avx512f")
+                    && std::is_x86_feature_detected!("avx512dq")
                     && std::is_x86_feature_detected!("avx512vl")
             }
             #[cfg(target_arch = "x86_64")]
@@ -47,6 +55,7 @@ impl Arm {
     }
 
     /// The widest arm this CPU can run.
+    #[inline]
     pub fn widest() -> Arm {
         Arm::ALL
             .into_iter()
@@ -74,8 +83,8 @@ pub fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
     assert!(arm.available(), "this CPU cannot run the {arm:?} arm");
     match arm {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `arm.available()` has just detected AVX-512F and
-        // AVX-512VL on this CPU, the only features the arm enables.
+        // SAFETY: `arm.available()` has just detected AVX-512F,
+        // AVX-512DQ and AVX-512VL on this CPU; the arm enables F and VL.
         Arm::Avx512 => unsafe { x86::leaf_update_avx512(mem, kappa, offsets, origin, f, sigma) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `arm.available()` has just detected AVX2 on this CPU,

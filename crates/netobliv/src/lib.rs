@@ -25,6 +25,13 @@
 //! matrix transposition, FFT, N-GEP (with both I-GEP's `𝒟` and the
 //! communication-avoiding `𝒟*` of Table I), column-sort-based sorting,
 //! list ranking, and connected components.
+//!
+//! The crate depends on nothing, so `mo-algorithms` depends on it for
+//! what both tiers share: [`gep`] states the Gaussian Elimination
+//! Paradigm's update sets, update functions, reference loop and
+//! Floyd–Warshall instance once, for I-GEP and N-GEP alike, and
+//! [`dispatch::Arm`] is the one vector arm every dispatched leaf of
+//! either crate is compiled for.
 
 // `unsafe` is denied everywhere but `dispatch`, whose only `unsafe` is
 // the call of a `#[target_feature]` arm after its features are detected.
@@ -37,6 +44,7 @@ mod comm;
 #[allow(unsafe_code)]
 pub mod dispatch;
 mod engine;
+pub mod gep;
 mod machine;
 mod partition;
 

@@ -120,17 +120,15 @@ fn no_cc_isolated_vertices_only() {
 
 #[test]
 fn ngep_kappa_equals_n_runs_on_one_pe() {
-    use algs::ngep::{ngep_program, DOrder, UpdateSet};
-    fn fw(x: f64, u: f64, v: f64, _w: f64) -> f64 {
-        x.min(u + v)
-    }
+    use algs::ngep::{ngep_program, DOrder};
+    use no_framework::gep::{fw_update, UpdateSet};
     let n = 8;
     let mut d = vec![f64::INFINITY; n * n];
     for i in 0..n {
         d[i * n + i] = 0.0;
         d[i * n + (i + 1) % n] = 1.0;
     }
-    let (m, out) = ngep_program(&d, n, n, fw, UpdateSet::All, DOrder::DStar);
+    let (m, out) = ngep_program(&d, n, n, fw_update, UpdateSet::All, DOrder::DStar);
     // Single PE: zero communication; ring distances correct.
     assert_eq!(m.total_words(), 0);
     assert_eq!(out[4], 4.0);
@@ -164,17 +162,15 @@ fn supersteps_and_volume_are_deterministic() {
 
 #[test]
 fn ngep_sigma_pruning_cuts_work_and_supersteps() {
-    use algs::ngep::{ngep_program, DOrder, UpdateSet};
-    fn ge(x: f64, u: f64, v: f64, w: f64) -> f64 {
-        x - (u / w) * v
-    }
+    use algs::ngep::{ngep_program, DOrder};
+    use no_framework::gep::{ge_update, UpdateSet};
     let n = 32;
     let mut a: Vec<f64> = (0..n * n).map(|t| ((t % 5) + 1) as f64).collect();
     for i in 0..n {
         a[i * n + i] += 100.0;
     }
-    let (m_all, _) = ngep_program(&a, n, 4, ge, UpdateSet::All, DOrder::DStar);
-    let (m_tri, _) = ngep_program(&a, n, 4, ge, UpdateSet::KBelowMin, DOrder::DStar);
+    let (m_all, _) = ngep_program(&a, n, 4, ge_update, UpdateSet::All, DOrder::DStar);
+    let (m_tri, _) = ngep_program(&a, n, 4, ge_update, UpdateSet::KBelowMin, DOrder::DStar);
     assert!(
         m_tri.computation_complexity(1) * 2 < m_all.computation_complexity(1),
         "Σ pruning must cut the serial work: {} vs {}",

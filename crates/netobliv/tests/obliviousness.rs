@@ -81,16 +81,14 @@ fn column_sort_pattern_is_value_oblivious() {
 
 #[test]
 fn ngep_pattern_is_value_oblivious() {
-    use algs::ngep::{ngep_program, DOrder, UpdateSet};
-    fn fw(x: f64, u: f64, v: f64, _w: f64) -> f64 {
-        x.min(u + v)
-    }
+    use algs::ngep::{ngep_program, DOrder};
+    use no_framework::gep::{fw_update, UpdateSet};
     let n = 16;
     let d1: Vec<f64> = (0..n * n).map(|t| ((t * 13) % 17) as f64).collect();
     let d2: Vec<f64> = (0..n * n).map(|t| ((t * 7) % 29) as f64 - 5.0).collect();
     for order in [DOrder::IGep, DOrder::DStar] {
-        let (m1, _) = ngep_program(&d1, n, 4, fw, UpdateSet::All, order);
-        let (m2, _) = ngep_program(&d2, n, 4, fw, UpdateSet::All, order);
+        let (m1, _) = ngep_program(&d1, n, 4, fw_update, UpdateSet::All, order);
+        let (m2, _) = ngep_program(&d2, n, 4, fw_update, UpdateSet::All, order);
         assert_same_signature(&m1, &m2, "ngep");
     }
 }

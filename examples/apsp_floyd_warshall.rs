@@ -11,11 +11,12 @@
 
 use std::time::Instant;
 
-use oblivious::algs::gep::{fw_update, gep_reference, igep_program, UpdateSet};
+use oblivious::algs::gep::igep_program;
 use oblivious::algs::real::floyd_warshall;
 use oblivious::hm::MachineSpec;
 use oblivious::mo::rt::SbPool;
 use oblivious::mo::sched::{simulate, Policy};
+use oblivious::no::gep::{fw_update, gep_reference, UpdateSet};
 
 /// A ring of `n` towns with sparse random highways.
 fn road_network(n: usize, seed: u64) -> Vec<f64> {

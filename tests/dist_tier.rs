@@ -226,10 +226,8 @@ fn unit_stream(n: usize, seed: u64) -> Vec<f64> {
 /// symmetric in its operands under both `𝒟` orders.
 #[test]
 fn ngep_outputs_and_costs_equal_the_values_pinned_before_the_kernel_leaf() {
-    use ngep::{DOrder, UpdateSet};
-    fn ge(x: f64, u: f64, v: f64, w: f64) -> f64 {
-        x - (u / w) * v
-    }
+    use ngep::DOrder;
+    use oblivious::no::gep::{ge_update, UpdateSet};
     // `tables dstar`'s non-commutative update.
     fn nc(x: f64, u: f64, v: f64, _w: f64) -> f64 {
         2.0 * x + u - v
@@ -248,7 +246,7 @@ fn ngep_outputs_and_costs_equal_the_values_pinned_before_the_kernel_leaf() {
         assert_eq!(got, pinned, "{label}: (checksum, PE ops, words)");
     }
 
-    // The benchmark's `dist_ngep` shape. `ngep_input` seeds its stream
+    // The benchmark's `dist_ngep` shape. `fw_instance` seeds its stream
     // with `seed | 1`, so seeds 2 and 3 are one input.
     for (seed, checksum) in [
         (1, 0x50378f877f0e4f46),
@@ -270,7 +268,7 @@ fn ngep_outputs_and_costs_equal_the_values_pinned_before_the_kernel_leaf() {
     for i in 0..n {
         a[i * n + i] += 2.0 * n as f64;
     }
-    let (sim, out) = ngep::ngep_program(&a, n, 4, ge, UpdateSet::KBelowMin, DOrder::DStar);
+    let (sim, out) = ngep::ngep_program(&a, n, 4, ge_update, UpdateSet::KBelowMin, DOrder::DStar);
     check(
         "ge 32/4",
         &sim,
@@ -305,7 +303,7 @@ fn ngep_outputs_and_costs_equal_the_values_pinned_before_the_kernel_leaf() {
         (DOrder::IGep, 0xaa60d851d61fe417),
         (DOrder::DStar, 0xbd51d03bfbc71c28),
     ] {
-        let (sim, out) = ngep::ngep_program(&a, n, 32, ge, UpdateSet::KBelowMin, order);
+        let (sim, out) = ngep::ngep_program(&a, n, 32, ge_update, UpdateSet::KBelowMin, order);
         check(
             &format!("ge 128/32 {order:?}"),
             &sim,

@@ -15,8 +15,9 @@ fn machine() -> MachineSpec {
 /// triple loop, MO I-GEP, NO N-GEP with 𝒟, NO N-GEP with 𝒟*.
 #[test]
 fn gep_agrees_across_all_four_implementations() {
-    use algs::gep::{fw_update, gep_reference, igep_program, UpdateSet};
-    use no::algs::ngep::{ngep_program, DOrder, UpdateSet as NoSet};
+    use algs::gep::igep_program;
+    use no::algs::ngep::{ngep_program, DOrder};
+    use no::gep::{fw_update, gep_reference, UpdateSet};
     let n = 32;
     let mut d = vec![f64::INFINITY; n * n];
     let mut x = 7u64;
@@ -34,11 +35,8 @@ fn gep_agrees_across_all_four_implementations() {
     gep_reference(&mut want, n, fw_update, UpdateSet::All);
     let mo = igep_program(&d, n, fw_update, UpdateSet::All);
     assert_eq!(mo.output(), want);
-    fn fw(x: f64, u: f64, v: f64, _w: f64) -> f64 {
-        x.min(u + v)
-    }
     for order in [DOrder::IGep, DOrder::DStar] {
-        let (_, got) = ngep_program(&d, n, 4, fw, NoSet::All, order);
+        let (_, got) = ngep_program(&d, n, 4, fw_update, UpdateSet::All, order);
         assert_eq!(got, want, "{order:?}");
     }
 }

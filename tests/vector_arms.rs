@@ -19,27 +19,25 @@
 //! The arms are vectorised only in optimised builds, so CI also runs
 //! this file with `--release`.
 
-use std::fmt::Debug;
 use std::ops::{Add, Mul, Sub};
 
 use oblivious::algs::dispatch as kernels;
 use oblivious::algs::real::registry::Draw;
 use oblivious::algs::real::C64;
-use oblivious::dist::data::fw_update;
-use oblivious::no::algs::ngep::UpdateSet;
-use oblivious::no::dispatch as ngep;
+use oblivious::no::dispatch::{self as ngep, Arm};
+use oblivious::no::gep::{fw_update, UpdateSet};
 
-/// The vector arms of `all` (every arm but the last, the baseline) this
-/// CPU runs, after printing the ones it skips.
-fn runnable<A: Copy + Debug>(leaf: &str, all: [A; 3], available: fn(A) -> bool) -> Vec<A> {
-    let vector = &all[..2];
-    for &arm in vector.iter().filter(|&&arm| !available(arm)) {
+/// The vector arms (every arm but the last, the baseline) this CPU
+/// runs, after printing the ones it skips.
+fn runnable(leaf: &str) -> Vec<Arm> {
+    let vector = &Arm::ALL[..2];
+    for &arm in vector.iter().filter(|&&arm| !arm.available()) {
         println!("{leaf}: {arm:?} arm skipped, this CPU lacks it");
     }
     vector
         .iter()
         .copied()
-        .filter(|&arm| available(arm))
+        .filter(|&arm| arm.available())
         .collect()
 }
 
@@ -142,11 +140,7 @@ fn leaf_reference(
     for k in 0..kappa {
         for i in 0..kappa {
             for j in 0..kappa {
-                let admitted = match sigma {
-                    UpdateSet::All => true,
-                    UpdateSet::KBelowMin => k0 + k < row0 + i && k0 + k < col0 + j,
-                };
-                if admitted {
+                if sigma.contains(row0 + i, col0 + j, k0 + k) {
                     mem[i * kappa + j] = f(
                         mem[i * kappa + j],
                         mem[uo + i * kappa + k],
@@ -195,7 +189,7 @@ fn same_bits(got: &[u64], want: &[u64], lanes: &[Lane], seen: &mut Seen, case: &
 /// [`Lane`] twin `g`) on every alias pattern, both update sets and the
 /// origins of the crate's own differential test, with plain and with
 /// special inputs.
-fn ngep_arms_agree<F, G>(name: &str, f: F, g: G, arms: &[ngep::Arm], seen: &mut Seen)
+fn ngep_arms_agree<F, G>(name: &str, f: F, g: G, arms: &[Arm], seen: &mut Seen)
 where
     F: Fn(f64, f64, f64, f64) -> f64 + Copy,
     G: Fn(Lane, Lane, Lane, Lane) -> Lane + Copy,
@@ -236,7 +230,7 @@ where
                         let want: Vec<u64> = lanes.iter().map(|l| l.v.to_bits()).collect();
                         let mut base = input.clone();
                         let base_ops = ngep::leaf_update(
-                            ngep::Arm::Baseline,
+                            Arm::Baseline,
                             &mut base,
                             kappa,
                             offsets,
@@ -269,7 +263,7 @@ where
 
 #[test]
 fn every_arm_of_the_ngep_leaf_gives_the_baseline_bits() {
-    let arms = runnable("ngep leaf", ngep::Arm::ALL, ngep::Arm::available);
+    let arms = runnable("ngep leaf");
     let mut seen = Seen::default();
     ngep_arms_agree("mix", mix, mix_lane, &arms, &mut seen);
     ngep_arms_agree("fw_update", fw_update, fw_lane, &arms, &mut seen);
@@ -284,7 +278,7 @@ fn every_arm_of_the_ngep_leaf_gives_the_baseline_bits() {
 
 #[test]
 fn every_arm_of_the_floyd_warshall_rows_gives_the_baseline_bits() {
-    let arms = runnable("fw rows", kernels::Arm::ALL, kernels::Arm::available);
+    let arms = runnable("fw rows");
     let mut state = 31u64;
     let mut lanes = 0;
     for n in [1usize, 2, 3, 7, 8, 9, 16, 33, 64, 100] {
@@ -307,7 +301,7 @@ fn every_arm_of_the_floyd_warshall_rows_gives_the_baseline_bits() {
                 for k in [0, n / 2, n - 1] {
                     let case = format!("n={n} rows={rows} k={k} specials={specials}");
                     let mut base = input.clone();
-                    kernels::fw_rows(kernels::Arm::Baseline, &mut base, &rowk, k);
+                    kernels::fw_rows(Arm::Baseline, &mut base, &rowk, k);
                     let want: Vec<u64> = base.iter().map(|d| d.to_bits()).collect();
                     for &arm in &arms {
                         let mut got = input.clone();
@@ -347,13 +341,13 @@ fn sample_bits(x: &[C64]) -> Vec<(u64, u64)> {
 
 #[test]
 fn every_arm_of_the_fft_leaf_and_combine_gives_the_baseline_bits() {
-    let arms = runnable("fft", kernels::Arm::ALL, kernels::Arm::available);
+    let arms = runnable("fft");
     let mut state = 37u64;
     let mut lanes = 0;
     for log in 1..=10 {
         let input = samples(&mut state, 1 << log);
         let mut base = input.clone();
-        kernels::fft_leaf(kernels::Arm::Baseline, &mut base);
+        kernels::fft_leaf(Arm::Baseline, &mut base);
         for &arm in &arms {
             let mut got = input.clone();
             kernels::fft_leaf(arm, &mut got);
@@ -368,7 +362,7 @@ fn every_arm_of_the_fft_leaf_and_combine_gives_the_baseline_bits() {
     for log in 7..=14 {
         let halves = samples(&mut state, 1 << log);
         let mut base = vec![(0.0, 0.0); 1 << log];
-        kernels::fft_combine(kernels::Arm::Baseline, &halves, &mut base);
+        kernels::fft_combine(Arm::Baseline, &halves, &mut base);
         for &arm in &arms {
             let mut got = vec![(0.0, 0.0); 1 << log];
             kernels::fft_combine(arm, &halves, &mut got);
@@ -385,14 +379,9 @@ fn every_arm_of_the_fft_leaf_and_combine_gives_the_baseline_bits() {
 
 /// Every arm's fill of `len` values of type `T` from `seed` against the
 /// baseline stream: the same bits, by `bits`, and the same state after.
-fn fill_agrees<T: Draw>(
-    arms: &[kernels::Arm],
-    seed: u64,
-    len: usize,
-    bits: fn(&T) -> (u64, u64),
-) -> usize {
+fn fill_agrees<T: Draw>(arms: &[Arm], seed: u64, len: usize, bits: fn(&T) -> (u64, u64)) -> usize {
     let mut base = vec![T::default(); len];
-    let state = kernels::fill(kernels::Arm::Baseline, seed, &mut base);
+    let state = kernels::fill(Arm::Baseline, seed, &mut base);
     let want: Vec<_> = base.iter().map(bits).collect();
     for &arm in arms {
         let mut got = vec![T::default(); len];
@@ -408,7 +397,7 @@ fn fill_agrees<T: Draw>(
 
 #[test]
 fn every_arm_of_the_input_fill_gives_the_baseline_stream() {
-    let arms = runnable("fill", kernels::Arm::ALL, kernels::Arm::available);
+    let arms = runnable("fill");
     const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
     let lens = [0, 1, 7, 8, 9, 15, 16, 17, 1023, 2048];
     let mut values = 0;
