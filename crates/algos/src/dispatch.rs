@@ -1,7 +1,8 @@
 //! The crate's one `unsafe` home: the real kernels' hot leaves at the
 //! host's vector width, chosen at run time — Floyd–Warshall's band rows,
 //! the FFT's leaf transform and its combine, and the fill of a served
-//! job's input stream.
+//! job's input stream. The matmul's base case, [`mm_block`], is GEP's
+//! register-tiled leaf, whose arms `no_framework::dispatch` compiles.
 //!
 //! The build targets baseline x86-64, so the autovectoriser may use SSE2
 //! only. Each copy below is a `#[target_feature]` wrapper that calls an
@@ -25,7 +26,8 @@
 
 use crate::real::registry::{self, Draw};
 use crate::real::{self, C64, FFT_BLOCK, FFT_LEAF};
-use no_framework::dispatch::Arm;
+use no_framework::dispatch::{self as no, Arm};
+use no_framework::gep::mm_update;
 
 /// One Floyd–Warshall step `k` over the rows of `x` (each `rowk.len()`
 /// wide), compiled for `arm`: `x[i,j] ← min(x[i,j], x[i,k] + rowk[j])`
@@ -48,6 +50,29 @@ pub fn fw_rows(arm: Arm, x: &mut [f64], rowk: &[f64], k: usize) {
         Arm::Avx2 => unsafe { x86::fw_rows_avx2(x, rowk, k) },
         _ => real::fw_rows(x, rowk, k),
     }
+}
+
+/// `C[..rows][j0..j0+jw] += A[..rows][k0..k0+kw] · B[k0..k0+kw][j0..j0+jw]`
+/// on row-major `n × n` matrices, compiled for `arm`: GEP's
+/// register-tiled leaf ([`no_framework::dispatch::gep_tiles`]) with
+/// `mm_update`, on the three matrices' rows in place. Every element
+/// adds its `kw` products in ascending `k`, unfused, so every arm gives
+/// the naive i-k-j loop's bits.
+///
+/// # Panics
+/// If this CPU cannot run `arm`, or the block is not inside the
+/// matrices.
+pub fn mm_block(
+    arm: Arm,
+    c: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    n: usize,
+    (rows, j0, jw, k0, kw): (usize, usize, usize, usize, usize),
+) {
+    // `mm_update` ignores `w`: any `kw` words at step 1 serve.
+    let uvw = [(&a[k0..], n), (&b[k0 * n + j0..], n), (&a[k0..], 1)];
+    no::gep_tiles(arm, (&mut c[j0..], n), uvw, (rows, jw, kw), mm_update);
 }
 
 /// The FFT of `x` in place, compiled for `arm`, for `2 ≤ n ≤ FFT_LEAF`

@@ -21,7 +21,7 @@ const BASE: usize = 8;
 
 /// Space bound of a size-`n` call, in words: the input `X` (2n complex
 /// words) plus every allocation of the call and its recursive
-/// sub-FFTs ([`fft_allocs`]). The paper states `S(n) = 3n` complex
+/// sub-FFTs (`fft_allocs`). The paper states `S(n) = 3n` complex
 /// elements assuming temporaries are reclaimed level by level; our
 /// recorded traces keep them live for the whole run, so the honest
 /// bound charges each level's `n1 × n1` working matrix and Morton

@@ -123,7 +123,11 @@ fn mm_rows(ctx: &Ctx<'_>, c: &mut [f64], a: &[f64], b: &[f64], n: usize) {
 }
 
 /// Serial recursive kernel over the `(j, k)` plane (cache-oblivious
-/// splitting of the larger dimension) with a register-blocked base case.
+/// splitting of the larger dimension) down to blocks of at most 64 × 64,
+/// each run by [`dispatch::mm_block`]: register tiles of `C` that
+/// accumulate their whole `k` range in ascending order, so results stay
+/// bit-identical to the naive i-k-j loop and independent of the
+/// recursion shape above.
 #[allow(clippy::too_many_arguments)] // plane coordinates, not config
 fn mm_serial(
     c: &mut [f64],
@@ -138,7 +142,7 @@ fn mm_serial(
 ) {
     const BLK: usize = 64;
     if jw <= BLK && kw <= BLK {
-        mm_kernel(c, a, b, n, rows, j0, jw, k0, kw);
+        dispatch::mm_block(Arm::widest(), c, a, b, n, (rows, j0, jw, k0, kw));
         return;
     }
     if jw >= kw {
@@ -149,90 +153,6 @@ fn mm_serial(
         let h = kw / 2;
         mm_serial(c, a, b, n, rows, j0, jw, k0, h);
         mm_serial(c, a, b, n, rows, j0, jw, k0 + h, kw - h);
-    }
-}
-
-/// Register-blocked `C[0..rows][j0..j0+jw] += A[0..rows][k0..k0+kw] ·
-/// B[k0..k0+kw][j0..j0+jw]`: 2-row × 4-column tiles whose accumulators
-/// live in registers across the entire `k` sweep, so each `c` element
-/// is loaded and stored once per block instead of once per `k`, and
-/// each `a[i][k]` load feeds four multiplies (eight per row pair).
-///
-/// Every element still accumulates its `k` terms in ascending order —
-/// the same floating-point association as the naive i-k-j loop — so
-/// results stay bit-identical to the reference and independent of the
-/// recursion/blocking shape above.
-#[allow(clippy::too_many_arguments)] // plane coordinates, not config
-fn mm_kernel(
-    c: &mut [f64],
-    a: &[f64],
-    b: &[f64],
-    n: usize,
-    rows: usize,
-    j0: usize,
-    jw: usize,
-    k0: usize,
-    kw: usize,
-) {
-    let mut i = 0;
-    while i + 2 <= rows {
-        let arow0 = &a[i * n + k0..i * n + k0 + kw];
-        let arow1 = &a[(i + 1) * n + k0..(i + 1) * n + k0 + kw];
-        let (chead, ctail) = c.split_at_mut((i + 1) * n);
-        let crow0 = &mut chead[i * n + j0..i * n + j0 + jw];
-        let crow1 = &mut ctail[j0..j0 + jw];
-        let mut j = 0;
-        while j + 4 <= jw {
-            let mut acc0 = [crow0[j], crow0[j + 1], crow0[j + 2], crow0[j + 3]];
-            let mut acc1 = [crow1[j], crow1[j + 1], crow1[j + 2], crow1[j + 3]];
-            for (dk, (&a0k, &a1k)) in arow0.iter().zip(arow1).enumerate() {
-                let bq = &b[(k0 + dk) * n + j0 + j..(k0 + dk) * n + j0 + j + 4];
-                for t in 0..4 {
-                    acc0[t] += a0k * bq[t];
-                    acc1[t] += a1k * bq[t];
-                }
-            }
-            crow0[j..j + 4].copy_from_slice(&acc0);
-            crow1[j..j + 4].copy_from_slice(&acc1);
-            j += 4;
-        }
-        while j < jw {
-            let mut s0 = crow0[j];
-            let mut s1 = crow1[j];
-            for (dk, (&a0k, &a1k)) in arow0.iter().zip(arow1).enumerate() {
-                let bkj = b[(k0 + dk) * n + j0 + j];
-                s0 += a0k * bkj;
-                s1 += a1k * bkj;
-            }
-            crow0[j] = s0;
-            crow1[j] = s1;
-            j += 1;
-        }
-        i += 2;
-    }
-    if i < rows {
-        let arow = &a[i * n + k0..i * n + k0 + kw];
-        let crow = &mut c[i * n + j0..i * n + j0 + jw];
-        let mut j = 0;
-        while j + 4 <= jw {
-            let mut acc = [crow[j], crow[j + 1], crow[j + 2], crow[j + 3]];
-            for (dk, &aik) in arow.iter().enumerate() {
-                let bq = &b[(k0 + dk) * n + j0 + j..(k0 + dk) * n + j0 + j + 4];
-                for t in 0..4 {
-                    acc[t] += aik * bq[t];
-                }
-            }
-            crow[j..j + 4].copy_from_slice(&acc);
-            j += 4;
-        }
-        while j < jw {
-            let mut s = crow[j];
-            for (dk, &aik) in arow.iter().enumerate() {
-                s += aik * b[(k0 + dk) * n + j0 + j];
-            }
-            crow[j] = s;
-            j += 1;
-        }
     }
 }
 
@@ -382,7 +302,9 @@ fn serial_exclusive(a: &mut [u64], base: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gep::matmul_reference;
     use mo_core::rt::{HwHierarchy, SbPool};
+    use no_framework::gep::{fw_update, gep_reference, UpdateSet};
 
     fn pool() -> SbPool {
         SbPool::new(HwHierarchy::flat(4, 1 << 12, 1 << 22))
@@ -426,17 +348,26 @@ mod tests {
         }
     }
 
+    /// The served matmul runs GEP's register-tiled leaf on 64 × 64
+    /// blocks at the host's widest arm: at sizes no tile, block or band
+    /// divides, on a width-1 and a width-2 pool, it gives the naive i-k-j
+    /// loop's bits.
     #[test]
-    fn matmul_matches_naive() {
-        let n = 64;
-        let a = rand_vec(n * n, 2);
-        let b = rand_vec(n * n, 3);
-        let mut c = vec![0.0; n * n];
-        let p = pool();
-        p.enter(|ctx| matmul(ctx, &mut c, &a, &b, n));
-        let want = crate::gep::matmul_reference(&a, &b, n);
-        for t in 0..n * n {
-            assert!((c[t] - want[t]).abs() < 1e-9, "at {t}");
+    fn matmul_matches_the_reference_bit_for_bit_at_ragged_sizes() {
+        let pools = [1, 2].map(|width| SbPool::new(HwHierarchy::flat(width, 1 << 12, 1 << 22)));
+        for n in [1usize, 2, 3, 5, 17, 33, 65, 96, 97, 160, 256] {
+            let a = rand_vec(n * n, 2);
+            let b = rand_vec(n * n, 3);
+            let want: Vec<u64> = matmul_reference(&a, &b, n)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            for (width, p) in pools.iter().enumerate() {
+                let mut c = vec![0.0; n * n];
+                p.enter(|ctx| matmul(ctx, &mut c, &a, &b, n));
+                let got: Vec<u64> = c.iter().map(|v| v.to_bits()).collect();
+                assert!(got == want, "n = {n}, width {}", width + 1);
+            }
         }
     }
 
@@ -444,7 +375,8 @@ mod tests {
     fn floyd_warshall_matches_reference() {
         let n = 48;
         let d = no_framework::gep::fw_instance(n, 7);
-        let want = crate::gep::floyd_warshall_reference(&d, n);
+        let mut want = d.clone();
+        gep_reference(&mut want, n, fw_update, UpdateSet::All);
         let p = pool();
         let mut got = d.clone();
         p.enter(|ctx| floyd_warshall(ctx, &mut got, n));

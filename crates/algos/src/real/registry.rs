@@ -1,6 +1,6 @@
 //! Kernel registry for the serving layer: every real-machine kernel the
 //! service can run, keyed by a [`Kernel`] tag and **defined once** as a
-//! row of the descriptor table [`KERNELS`] — the shape of one figure of
+//! row of the descriptor table `KERNELS` — the shape of one figure of
 //! the paper: the algorithm (a seeded real run and a recorded MO
 //! program), its `Space Bound:` annotation (the analytic footprint
 //! `s(τ)` in words that a size-`n` job declares to the scheduler and the
@@ -37,7 +37,7 @@ const SPMDV_DEG: usize = 8;
 
 /// The kernels the serving layer knows how to run. The tag is wire
 /// format (scenario files, metric labels, event codes, certificates);
-/// what a kernel *is* lives in its [`KERNELS`] row.
+/// what a kernel *is* lives in its `KERNELS` row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Out-of-place `n × n` matrix transposition.
@@ -48,7 +48,7 @@ pub enum Kernel {
     Matmul,
     /// Sort of `n` 64-bit keys.
     Sort,
-    /// Sparse matrix × dense vector, `n` rows of ~[`SPMDV_DEG`] nonzeros.
+    /// Sparse matrix × dense vector, `n` rows of ~8 nonzeros (`SPMDV_DEG`).
     SpmDv,
     /// Exclusive prefix sum of `n` 64-bit words.
     Scan,
@@ -227,7 +227,7 @@ static KERNELS: [KernelDef; Kernel::ALL.len()] = [
 ];
 
 impl Kernel {
-    /// Every registered kernel, in [`KERNELS`] order.
+    /// Every registered kernel, in `KERNELS` order.
     pub const ALL: [Kernel; 6] = [
         Kernel::Transpose,
         Kernel::Fft,

@@ -17,7 +17,6 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use mo_algorithms::gep::floyd_warshall_reference;
 use mo_algorithms::real::registry::{run_kernel, Kernel};
 use mo_algorithms::real::{
     fft, floyd_warshall, matmul, sort, spmdv, spms_with_params, transpose, SpmsParams, C64,
@@ -27,6 +26,7 @@ use mo_baselines::matmul::naive_matmul;
 use mo_baselines::transpose::naive_transpose;
 use mo_core::certify::json::Json;
 use mo_core::rt::{HwHierarchy, SbPool};
+use no_framework::gep::{fw_update, gep_reference, UpdateSet};
 
 /// Interleaved paired measurement: `f(false)` is the serial side,
 /// `f(true)` the pool side. The two are sampled alternately —
@@ -253,7 +253,9 @@ fn run_suite(pool: &SbPool, reps: usize, smoke: bool) -> Vec<Row> {
             pool.enter(|ctx| floyd_warshall(ctx, &mut d, n));
             black_box(d);
         } else {
-            black_box(floyd_warshall_reference(&d0, n));
+            let mut d = d0.clone();
+            gep_reference(&mut d, n, fw_update, UpdateSet::All);
+            black_box(d);
         }
     });
     rows.push(Row {

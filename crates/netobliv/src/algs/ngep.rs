@@ -30,7 +30,7 @@
 
 use std::ops::Range;
 
-use crate::gep::mm_update;
+use crate::gep::{mm_update, Block};
 use crate::{dispatch, Comm, NoMachine, Scope};
 
 /// `Σ_f`, named at this path too: the one definition is [`crate::gep`]'s.
@@ -322,7 +322,8 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
     }
 
     /// Base case: every call is a single block on a single PE; one local
-    /// superstep runs [`leaf_update`] on each, at the host's widest arm.
+    /// superstep runs [`dispatch::leaf_update`] on each, at the host's
+    /// widest arm.
     fn leaf_step(&mut self, calls: &[Call]) {
         let arm = dispatch::Arm::widest();
         let kappa = self.kappa;
@@ -355,77 +356,68 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
     }
 }
 
-/// How many `k` steps [`leaf_update`] applies to a disjoint, fully
-/// admitted block per pass over an `x` row.
-const LEAF_K_GROUP: usize = 4;
-
 #[cfg(test)]
 thread_local! {
-    /// Calls of [`leaf_update`] on this thread that took the grouped shape.
-    static GROUPED_LEAVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Blocks [`tiled_operands`] has split on this thread.
+    static TILED_LEAVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// The `κ × κ` GEP base case on one PE's memory: the k-major
-/// `(k, i, j)` triple loop `x[i,j] ← f(x[i,j], u[i,k], v[k,j], w[k,k])`
-/// over `Σ_f`, with everything loop-invariant hoisted out of the `j`
-/// loop. Returns the number of updates applied.
+/// The operands of the `κ × κ` base case on one PE's memory as
+/// [`gep_tiles`](crate::gep::gep_tiles) takes them, when that leaf applies: when `u`, `v` and
+/// `w` are all disjoint from `x` and every triplet of the block is in
+/// `Σ_f`. Otherwise `None`, and the block runs [`leaf_rows`].
 ///
 /// `x` is the block at `mem[..κ²]`; `offsets` are the word offsets of the
 /// `u`, `v`, `w` blocks, `0` for an operand aliased to `x` and a
 /// disjoint frame slot at or past `κ²` otherwise. `origin` is the global
 /// `(row, column, k)` of the block's first element, which is all `Σ_f`
 /// needs.
-///
-/// A block whose operands are all disjoint from `x` and whose every
-/// triplet is in `Σ_f` goes to [`leaf_disjoint`]. Every other block runs
-/// the loop here, where hoisting is exact for every alias pattern
-/// because within one `(k, i)` row the loop can change only two of the
-/// values it reads, and both only at `j = k`: `u[i,k]` when `u` aliases
-/// `x`, and `w[k,k]` when `w` aliases `x` and `i = k`. So when either
-/// does, the row's admitted `j`-range is cut at `k + 1` and `u`, `w` are
-/// re-read once per segment: `j ≤ k` sees the values from before the
-/// write at `j = k`, `j > k` the ones after it. `v[k,j]` is either a row
-/// of another block, another row of `x` (both disjoint from the row
-/// being written), or — `v` aliased and `i = k` — the element being
-/// updated itself, read before it is written.
-///
-/// The AVX-512 arm of [`dispatch::leaf_update`] runs
-/// [`leaf_update_lanes`] instead. Always inlined, with the functions it
-/// calls, so that each arm compiles the whole leaf for its instruction
-/// set.
-#[inline(always)]
-pub(crate) fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
+pub(crate) fn tiled_operands(
     mem: &mut [u64],
     kappa: usize,
     offsets: [usize; 3],
-    origin: (usize, usize, usize),
-    f: F,
+    (row0, col0, k0): (usize, usize, usize),
     sigma: UpdateSet,
-) -> u64 {
-    leaf::<F, false>(mem, kappa, offsets, origin, f, sigma)
+) -> Option<(&mut [u64], [Block<'_, u64>; 3])> {
+    if offsets.contains(&0) || !sigma.admits_block(row0, col0, k0, kappa) {
+        return None;
+    }
+    #[cfg(test)]
+    TILED_LEAVES.with(|c| c.set(c.get() + 1));
+    let bsz = kappa * kappa;
+    let (x, rest) = mem.split_at_mut(bsz);
+    let [u, v, w] = offsets.map(|off| &rest[off - bsz..][..bsz]);
+    Some((x, [(u, kappa), (v, kappa), (w, kappa + 1)]))
 }
 
-/// [`leaf_update`], except that a row cut at `k` is cut lane by lane:
-/// the value `x[i,k]` takes at `j = k` is computed first, then one loop
-/// over the row has each lane take `u`, `w` from before or after that
-/// write by its column. With AVX-512's mask registers, full vectors and
-/// a masked blend per vector beat two ragged loops; with AVX2 or SSE2
-/// the two loops are as fast or faster.
+/// The `κ × κ` GEP base case on one PE's memory, laid out as for
+/// [`tiled_operands`], for a block that leaf does not take: the k-major
+/// `(k, i, j)` triple loop `x[i,j] ← f(x[i,j], u[i,k], v[k,j], w[k,k])`
+/// over `Σ_f`, with everything loop-invariant hoisted out of the `j`
+/// loop. Returns the number of updates applied.
+///
+/// Hoisting is exact for every alias pattern because within one
+/// `(k, i)` row the loop can change only two of the values it reads, and
+/// both only at `j = k`: `u[i,k]` when `u` aliases `x`, and `w[k,k]`
+/// when `w` aliases `x` and `i = k`. So when either does, the row's
+/// admitted `j`-range is cut at `k + 1` and `u`, `w` are re-read once per
+/// segment: `j ≤ k` sees the values from before the write at `j = k`,
+/// `j > k` the ones after it. `v[k,j]` is either a row of another block,
+/// another row of `x` (both disjoint from the row being written), or —
+/// `v` aliased and `i = k` — the element being updated itself, read
+/// before it is written.
+///
+/// With `LANES`, a row cut at `k` is cut lane by lane instead: the value
+/// `x[i,k]` takes at `j = k` is computed first, then one loop over the
+/// row has each lane take `u`, `w` from before or after that write by
+/// its column. With AVX-512's mask registers, full vectors and a masked
+/// blend per vector beat two ragged loops; with AVX2 or SSE2 the two
+/// loops are as fast or faster, so only the AVX-512 arm of
+/// [`dispatch::leaf_update`] sets it. Always inlined, with the functions
+/// it calls, so that each arm compiles the whole loop for its
+/// instruction set.
 #[inline(always)]
-pub(crate) fn leaf_update_lanes<F: Fn(f64, f64, f64, f64) -> f64>(
-    mem: &mut [u64],
-    kappa: usize,
-    offsets: [usize; 3],
-    origin: (usize, usize, usize),
-    f: F,
-    sigma: UpdateSet,
-) -> u64 {
-    leaf::<F, true>(mem, kappa, offsets, origin, f, sigma)
-}
-
-/// [`leaf_update`] (`LANES` false) and [`leaf_update_lanes`].
-#[inline(always)]
-fn leaf<F: Fn(f64, f64, f64, f64) -> f64, const LANES: bool>(
+pub(crate) fn leaf_rows<F: Fn(f64, f64, f64, f64) -> f64, const LANES: bool>(
     mem: &mut [u64],
     kappa: usize,
     offsets: [usize; 3],
@@ -435,12 +427,6 @@ fn leaf<F: Fn(f64, f64, f64, f64) -> f64, const LANES: bool>(
 ) -> u64 {
     let [uo, vo, wo] = offsets;
     let (row0, col0, k0) = origin;
-    if uo != 0 && vo != 0 && wo != 0 && sigma.admits_block(row0, col0, k0, kappa) {
-        #[cfg(test)]
-        GROUPED_LEAVES.with(|c| c.set(c.get() + 1));
-        leaf_disjoint(mem, kappa, offsets, f);
-        return (kappa * kappa * kappa) as u64;
-    }
     let cut_at_k = uo == 0 || wo == 0;
     let mut ops = 0u64;
     for k in 0..kappa {
@@ -508,55 +494,6 @@ fn leaf_row<F: Fn(f64, f64, f64, f64) -> f64>(
     for (j, (x, &v)) in (j0..).zip(x[cols.clone()].iter_mut().zip(&v[cols])) {
         let (u, w) = uw(j);
         *x = f(f64::from_bits(*x), u, f64::from_bits(v), w).to_bits();
-    }
-}
-
-/// [`leaf_update`] on a block whose `u`, `v`, `w` are all disjoint from
-/// `x` and whose every triplet is in `Σ_f`: each `x` row is loaded and
-/// stored once per [`LEAF_K_GROUP`] steps of `k`, the rest of `k` one
-/// step a pass. This is the k-major loop bit for bit, for any `f`: the
-/// leaf never writes an operand, so every `x[i,j]` still sees `k` in
-/// increasing order with the same `u`, `v`, `w` values.
-#[inline(always)]
-fn leaf_disjoint<F: Fn(f64, f64, f64, f64) -> f64>(
-    mem: &mut [u64],
-    kappa: usize,
-    offsets: [usize; 3],
-    f: F,
-) {
-    let bsz = kappa * kappa;
-    let (x, rest) = mem.split_at_mut(bsz);
-    let uvw = offsets.map(|off| &rest[off - bsz..][..bsz]);
-    let grouped = kappa - kappa % LEAF_K_GROUP;
-    for k in (0..grouped).step_by(LEAF_K_GROUP) {
-        k_steps::<LEAF_K_GROUP, F>(x, uvw, kappa, k, &f);
-    }
-    for k in grouped..kappa {
-        k_steps::<1, F>(x, uvw, kappa, k, &f);
-    }
-}
-
-/// Steps `k .. k + G` of [`leaf_disjoint`], in one pass over the rows
-/// of `x`.
-#[inline(always)]
-fn k_steps<const G: usize, F: Fn(f64, f64, f64, f64) -> f64>(
-    x: &mut [u64],
-    [u, v, w]: [&[u64]; 3],
-    kappa: usize,
-    k: usize,
-    f: &F,
-) {
-    let vk: [&[u64]; G] = std::array::from_fn(|g| &v[(k + g) * kappa..][..kappa]);
-    let wk: [f64; G] = std::array::from_fn(|g| f64::from_bits(w[(k + g) * (kappa + 1)]));
-    for (x, u) in x.chunks_exact_mut(kappa).zip(u.chunks_exact(kappa)) {
-        let uk: [f64; G] = std::array::from_fn(|g| f64::from_bits(u[k + g]));
-        for (j, x) in x.iter_mut().enumerate() {
-            let mut xv = f64::from_bits(*x);
-            for g in 0..G {
-                xv = f(xv, uk[g], f64::from_bits(vk[g][j]), wk[g]);
-            }
-            *x = xv.to_bits();
-        }
     }
 }
 
@@ -767,9 +704,9 @@ pub fn ngep_matmul(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gep::{fw_instance, fw_update, ge_update, gep_reference, GepF};
+    use crate::gep::{fw_instance, fw_update, ge_update, gep_reference, gep_tiles, GepF};
 
-    /// The base case as it was before [`leaf_update`]: every operand
+    /// The base case as it was before [`dispatch::leaf_update`]: every operand
     /// re-read from memory for every `(k, i, j)`.
     fn leaf_reference(
         mem: &mut [u64],
@@ -797,142 +734,121 @@ mod tests {
         ops
     }
 
-    /// [`leaf_update`] against the plain triple loop, bit for bit, on
-    /// every alias pattern, both update sets and origins that put the
-    /// `KBelowMin` cut inside, at the edges of and outside the block.
-    /// The grouped shape must be taken by exactly the blocks whose
-    /// operands are all disjoint from `x` and whose every triplet is in
-    /// `Σ_f`, for every `κ` below, at and above [`LEAF_K_GROUP`].
+    /// What [`dispatch::leaf_update`] runs, at the build's own width:
+    /// [`tiled_operands`] split into an `R × C` [`gep_tiles`], else
+    /// [`leaf_rows`] with or without `LANES`.
+    fn leaf<const LANES: bool, const R: usize, const C: usize>(
+        mem: &mut [u64],
+        kappa: usize,
+        offsets: [usize; 3],
+        origin: (usize, usize, usize),
+        f: GepF,
+        sigma: UpdateSet,
+    ) -> u64 {
+        if let Some((x, uvw)) = tiled_operands(mem, kappa, offsets, origin, sigma) {
+            gep_tiles::<u64, GepF, R, C>((x, kappa), uvw, (kappa, kappa, kappa), f);
+            return (kappa * kappa * kappa) as u64;
+        }
+        leaf_rows::<GepF, LANES>(mem, kappa, offsets, origin, f, sigma)
+    }
+
+    type Leaf = fn(&mut [u64], usize, [usize; 3], (usize, usize, usize), GepF, UpdateSet) -> u64;
+    const BASELINE: (usize, usize) = dispatch::Arm::Baseline.tile();
+    const AVX2: (usize, usize) = dispatch::Arm::Avx2.tile();
+    const AVX512: (usize, usize) = dispatch::Arm::Avx512.tile();
+    /// Each arm's form of the leaf.
+    const LEAVES: [(&str, Leaf); 3] = [
+        ("baseline", leaf::<false, { BASELINE.0 }, { BASELINE.1 }>),
+        ("avx2", leaf::<false, { AVX2.0 }, { AVX2.1 }>),
+        ("avx512", leaf::<true, { AVX512.0 }, { AVX512.1 }>),
+    ];
+
+    /// Every arm's form of [`dispatch::leaf_update`] against the plain
+    /// triple loop, bit for bit, at the build's own width, on every alias
+    /// pattern, both update sets and origins that put the `KBelowMin`
+    /// cut inside, at the edges of and outside the block, with an
+    /// order-sensitive `f` and with Floyd–Warshall's: each form is
+    /// checked on every host, whatever vector width the host has.
+    /// [`gep_tiles`] must run for exactly the blocks whose operands are
+    /// all disjoint from `x` and whose every triplet is in `Σ_f`, at `κ`
+    /// below, at and above each tile's sides and at `κ` no side divides.
     #[test]
     fn leaf_update_matches_the_triple_loop_on_every_alias_pattern() {
         // Order-sensitive in all four operands.
         fn mix(x: f64, u: f64, v: f64, w: f64) -> f64 {
             x * 0.75 + u * v * 0.125 - w * 0.0625
         }
+        const KAPPAS: [usize; 9] = [1, 2, 3, 4, 5, 8, 16, 19, 32];
         let mut state = 17u64;
         let mut cases = 0;
-        let mut grouped_cases = 0;
-        for kappa in [1usize, 2, 4, 8, 16, 32] {
-            let bsz = kappa * kappa;
-            // `k0` relative to the block's rows and columns: far below
-            // (everything admitted), overlapping with the cut at the
-            // first column, inside, at the last column, and past the
-            // block (nothing admitted).
-            let origins = [
-                (4 * kappa, 4 * kappa, 0),
-                (kappa, kappa, kappa - 1),
-                (kappa, kappa, kappa),
-                (kappa, kappa, kappa + kappa / 2),
-                (kappa + kappa / 2, kappa, kappa),
-                (kappa, kappa + kappa / 2, kappa),
-                (kappa, kappa, 2 * kappa - 1),
-                (kappa, kappa, 2 * kappa),
-                (0, 0, 4 * kappa),
-            ];
-            for aliases in 0..8usize {
-                let offsets: [usize; 3] = std::array::from_fn(|slot| {
-                    if aliases >> slot & 1 == 1 {
-                        0
-                    } else {
-                        (slot + 1) * bsz
-                    }
-                });
-                for sigma in [UpdateSet::All, UpdateSet::KBelowMin] {
-                    for origin in origins {
-                        let mut want: Vec<u64> = (0..4 * bsz)
-                            .map(|_| {
-                                state = state
-                                    .wrapping_mul(6364136223846793005)
-                                    .wrapping_add(1442695040888963407);
-                                (0.5 + (state >> 11) as f64 / (1u64 << 53) as f64).to_bits()
-                            })
-                            .collect();
-                        let mut got = want.clone();
-                        let want_ops =
-                            leaf_reference(&mut want, kappa, offsets, origin, mix, sigma);
-                        GROUPED_LEAVES.with(|c| c.set(0));
-                        let got_ops = leaf_update(&mut got, kappa, offsets, origin, mix, sigma);
-                        let case = format!("κ={kappa} offsets={offsets:?} {sigma:?} {origin:?}");
-                        assert_eq!(got_ops, want_ops, "ops: {case}");
-                        assert_eq!(got, want, "memory: {case}");
-                        // The reference applies every triplet exactly when
-                        // all of them are in `Σ_f`.
-                        let exact = aliases == 0 && want_ops == (kappa * kappa * kappa) as u64;
-                        let grouped = GROUPED_LEAVES.with(|c| c.get());
-                        assert_eq!(grouped, u64::from(exact), "grouped shape: {case}");
-                        grouped_cases += grouped;
-                        cases += 1;
-                    }
-                }
-            }
-        }
-        assert_eq!(cases, 6 * 8 * 2 * 9);
-        // Per κ: `All` at every origin and `KBelowMin` far below the
-        // block; at κ = 1 also `KBelowMin` at `(κ, κ, κ − 1)`.
-        assert_eq!(grouped_cases, 6 * 9 + 6 + 1);
-    }
-
-    /// [`leaf_update_lanes`] against the plain triple loop, bit for bit,
-    /// at the build's own width: the same `κ`s, alias patterns, update
-    /// sets and origins as the test above, with an order-sensitive `f`
-    /// and with Floyd–Warshall's. The AVX-512 arm runs this form, so it
-    /// is checked on every host, whatever vector width the host has.
-    #[test]
-    fn leaf_update_lanes_matches_the_triple_loop_on_every_alias_pattern() {
-        fn mix(x: f64, u: f64, v: f64, w: f64) -> f64 {
-            x * 0.75 + u * v * 0.125 - w * 0.0625
-        }
-        let mut state = 29u64;
-        let mut cases = 0;
-        for kappa in [1usize, 2, 4, 8, 16, 32] {
-            let bsz = kappa * kappa;
-            let origins = [
-                (4 * kappa, 4 * kappa, 0),
-                (kappa, kappa, kappa - 1),
-                (kappa, kappa, kappa),
-                (kappa, kappa, kappa + kappa / 2),
-                (kappa + kappa / 2, kappa, kappa),
-                (kappa, kappa + kappa / 2, kappa),
-                (kappa, kappa, 2 * kappa - 1),
-                (kappa, kappa, 2 * kappa),
-                (0, 0, 4 * kappa),
-            ];
-            for aliases in 0..8usize {
-                let offsets: [usize; 3] = std::array::from_fn(|slot| {
-                    if aliases >> slot & 1 == 1 {
-                        0
-                    } else {
-                        (slot + 1) * bsz
-                    }
-                });
-                for (name, f) in [("mix", mix as GepF), ("fw", fw_update)] {
-                    for sigma in [UpdateSet::All, UpdateSet::KBelowMin] {
-                        for origin in origins {
-                            let mut want: Vec<u64> = (0..4 * bsz)
-                                .map(|_| {
-                                    state = state
-                                        .wrapping_mul(6364136223846793005)
-                                        .wrapping_add(1442695040888963407);
-                                    (0.5 + (state >> 11) as f64 / (1u64 << 53) as f64).to_bits()
-                                })
-                                .collect();
-                            let mut got = want.clone();
-                            let want_ops =
-                                leaf_reference(&mut want, kappa, offsets, origin, f, sigma);
-                            let got_ops =
-                                leaf_update_lanes(&mut got, kappa, offsets, origin, f, sigma);
-                            let case = format!(
-                                "{name} κ={kappa} offsets={offsets:?} {sigma:?} {origin:?}"
-                            );
-                            assert_eq!(got_ops, want_ops, "ops: {case}");
-                            assert_eq!(got, want, "memory: {case}");
-                            cases += 1;
+        let mut tiled_cases = 0;
+        for (shape, leaf) in LEAVES {
+            for kappa in KAPPAS {
+                let bsz = kappa * kappa;
+                // `k0` relative to the block's rows and columns: far below
+                // (everything admitted), overlapping with the cut at the
+                // first column, inside, at the last column, and past the
+                // block (nothing admitted).
+                let origins = [
+                    (4 * kappa, 4 * kappa, 0),
+                    (kappa, kappa, kappa - 1),
+                    (kappa, kappa, kappa),
+                    (kappa, kappa, kappa + kappa / 2),
+                    (kappa + kappa / 2, kappa, kappa),
+                    (kappa, kappa + kappa / 2, kappa),
+                    (kappa, kappa, 2 * kappa - 1),
+                    (kappa, kappa, 2 * kappa),
+                    (0, 0, 4 * kappa),
+                ];
+                for aliases in 0..8usize {
+                    let offsets: [usize; 3] = std::array::from_fn(|slot| {
+                        if aliases >> slot & 1 == 1 {
+                            0
+                        } else {
+                            (slot + 1) * bsz
+                        }
+                    });
+                    for (name, f) in [("mix", mix as GepF), ("fw", fw_update)] {
+                        for sigma in [UpdateSet::All, UpdateSet::KBelowMin] {
+                            for origin in origins {
+                                let mut want: Vec<u64> = (0..4 * bsz)
+                                    .map(|_| {
+                                        state = state
+                                            .wrapping_mul(6364136223846793005)
+                                            .wrapping_add(1442695040888963407);
+                                        (0.5 + (state >> 11) as f64 / (1u64 << 53) as f64).to_bits()
+                                    })
+                                    .collect();
+                                let mut got = want.clone();
+                                let want_ops =
+                                    leaf_reference(&mut want, kappa, offsets, origin, f, sigma);
+                                TILED_LEAVES.with(|c| c.set(0));
+                                let got_ops = leaf(&mut got, kappa, offsets, origin, f, sigma);
+                                let case = format!(
+                                    "{shape}, {name} κ={kappa} offsets={offsets:?} {sigma:?} \
+                                     {origin:?}"
+                                );
+                                assert_eq!(got_ops, want_ops, "ops: {case}");
+                                assert_eq!(got, want, "memory: {case}");
+                                // The reference applies every triplet exactly
+                                // when all of them are in `Σ_f`.
+                                let exact =
+                                    aliases == 0 && want_ops == (kappa * kappa * kappa) as u64;
+                                let tiled = TILED_LEAVES.with(|c| c.get());
+                                assert_eq!(tiled, u64::from(exact), "tiled: {case}");
+                                tiled_cases += tiled;
+                                cases += 1;
+                            }
                         }
                     }
                 }
             }
         }
-        assert_eq!(cases, 6 * 8 * 2 * 2 * 9);
+        assert_eq!(cases, 3 * 9 * 8 * 2 * 2 * 9);
+        // Per form, update and κ: `All` at every origin and `KBelowMin`
+        // far below the block; at κ = 1 also `KBelowMin` at
+        // `(κ, κ, κ − 1)`.
+        assert_eq!(tiled_cases, 3 * 2 * (9 * 10 + 1));
     }
 
     #[test]

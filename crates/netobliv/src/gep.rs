@@ -88,6 +88,167 @@ pub fn ge_update(x: f64, u: f64, v: f64, w: f64) -> f64 {
     x - (u / w) * v
 }
 
+/// A matrix word the GEP leaf [`gep_tiles`] updates: an `f64`, or its
+/// bits (N-GEP's PE memories are `u64` words). Both moves are free.
+pub trait Word: Copy {
+    /// The word's value.
+    fn get(self) -> f64;
+    /// The word holding `v`.
+    fn put(v: f64) -> Self;
+}
+
+impl Word for f64 {
+    #[inline(always)]
+    fn get(self) -> f64 {
+        self
+    }
+    #[inline(always)]
+    fn put(v: f64) -> f64 {
+        v
+    }
+}
+
+impl Word for u64 {
+    #[inline(always)]
+    fn get(self) -> f64 {
+        f64::from_bits(self)
+    }
+    #[inline(always)]
+    fn put(v: f64) -> u64 {
+        v.to_bits()
+    }
+}
+
+/// An operand of [`gep_tiles`]: its words, and the distance between the
+/// starts of two consecutive rows (for `w`, of two diagonal entries).
+pub type Block<'a, E> = (&'a [E], usize);
+
+/// The GEP base case on operands disjoint from `x` whose every triplet
+/// is in `Σ_f`: `x[i,j] ← f(x[i,j], u[i,k], v[k,j], w[k,k])` for
+/// `(i, j, k) < (rows, cols, depth)`. `x`, `u` and `v` are row-major
+/// with their row strides; `w[k,k]` is `w.0[k · w.1]` (a `κ × κ` block's
+/// diagonal has step `κ + 1`; an `f` that ignores `w` may pass any
+/// `depth` words at step 1).
+///
+/// `x` is cut into `R × C` tiles. A tile stays in registers for the
+/// whole `k` sweep, and each step loads `v`'s `C`-wide strip once for
+/// all `R` rows. Columns past the last whole tile take 8-wide, then
+/// 4-wide tiles (those narrower than `C`), then single columns; rows
+/// past the last whole band run one at a time. No operand is written, so
+/// each `x[i,j]` still takes its `depth` terms in ascending `k` with the
+/// values the k-major loop gives it: every tile shape gives that loop's
+/// bits, for any `f`. Always inlined, so that each arm of
+/// [`dispatch::gep_tiles`](crate::dispatch::gep_tiles) compiles it, at
+/// its own tile shape, for its instruction set.
+///
+/// # Panics
+/// If a row stride is below its row's length, or an operand is too
+/// short for its rows.
+#[inline(always)]
+pub fn gep_tiles<E, F, const R: usize, const C: usize>(
+    (x, xs): (&mut [E], usize),
+    [(u, us), (v, vs), w]: [Block<'_, E>; 3],
+    (rows, cols, depth): (usize, usize, usize),
+    f: F,
+) where
+    E: Word,
+    F: Fn(f64, f64, f64, f64) -> f64,
+{
+    if rows == 0 || cols == 0 || depth == 0 {
+        return;
+    }
+    assert!(cols <= xs && cols <= vs && depth <= us, "rows overlap");
+    let mut i = 0;
+    while i + R <= rows {
+        tile_band::<E, F, R, C>(
+            (&mut x[i * xs..], xs),
+            (&u[i * us..], us),
+            (v, vs),
+            w,
+            cols,
+            depth,
+            &f,
+        );
+        i += R;
+    }
+    for i in i..rows {
+        tile_band::<E, F, 1, C>(
+            (&mut x[i * xs..], xs),
+            (&u[i * us..], us),
+            (v, vs),
+            w,
+            cols,
+            depth,
+            &f,
+        );
+    }
+}
+
+/// `R` rows of [`gep_tiles`]: `C`-wide tiles, then the narrower edge.
+#[inline(always)]
+fn tile_band<E: Word, F: Fn(f64, f64, f64, f64) -> f64, const R: usize, const C: usize>(
+    (x, xs): (&mut [E], usize),
+    u: Block<'_, E>,
+    (v, vs): Block<'_, E>,
+    w: Block<'_, E>,
+    cols: usize,
+    depth: usize,
+    f: &F,
+) {
+    let mut j = 0;
+    while j + C <= cols {
+        tile::<E, F, R, C>((&mut x[j..], xs), u, (&v[j..], vs), w, depth, f);
+        j += C;
+    }
+    while C > 8 && j + 8 <= cols {
+        tile::<E, F, R, 8>((&mut x[j..], xs), u, (&v[j..], vs), w, depth, f);
+        j += 8;
+    }
+    while C > 4 && j + 4 <= cols {
+        tile::<E, F, R, 4>((&mut x[j..], xs), u, (&v[j..], vs), w, depth, f);
+        j += 4;
+    }
+    for j in j..cols {
+        tile::<E, F, R, 1>((&mut x[j..], xs), u, (&v[j..], vs), w, depth, f);
+    }
+}
+
+/// One `R × C` tile of [`gep_tiles`] at the first word of `x`, `u`
+/// and `v`: loaded into registers, swept over every `k`, stored.
+#[inline(always)]
+fn tile<E: Word, F: Fn(f64, f64, f64, f64) -> f64, const R: usize, const C: usize>(
+    (x, xs): (&mut [E], usize),
+    (u, us): Block<'_, E>,
+    (v, vs): Block<'_, E>,
+    (w, ws): Block<'_, E>,
+    depth: usize,
+    f: &F,
+) {
+    let mut acc = [[0.0; C]; R];
+    for r in 0..R {
+        for c in 0..C {
+            acc[r][c] = x[r * xs + c].get();
+        }
+    }
+    let u: [&[E]; R] = std::array::from_fn(|r| &u[r * us..][..depth]);
+    let (v, w) = (&v[..(depth - 1) * vs + C], &w[..(depth - 1) * ws + 1]);
+    for k in 0..depth {
+        let vk: &[E; C] = v[k * vs..][..C].try_into().unwrap();
+        let wk = w[k * ws].get();
+        for r in 0..R {
+            let uk = u[r][k].get();
+            for c in 0..C {
+                acc[r][c] = f(acc[r][c], uk, vk[c].get(), wk);
+            }
+        }
+    }
+    for r in 0..R {
+        for c in 0..C {
+            x[r * xs + c] = E::put(acc[r][c]);
+        }
+    }
+}
+
 /// The reference GEP engine of Fig. 5: the ground truth every oblivious
 /// implementation is checked against.
 pub fn gep_reference(x: &mut [f64], n: usize, f: GepF, sigma: UpdateSet) {

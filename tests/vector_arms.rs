@@ -1,6 +1,8 @@
 //! Tier-1 coverage of the runtime-dispatched leaves: every vector arm
 //! this CPU can run — AVX-512, AVX2 — of N-GEP's base case
-//! (`no::dispatch::leaf_update`), Floyd–Warshall's band rows
+//! (`no::dispatch::leaf_update`), GEP's register-tiled leaf at each
+//! arm's tile shape (`no::dispatch::gep_tiles`, which the former and the
+//! served matmul run), Floyd–Warshall's band rows
 //! (`algs::dispatch::fw_rows`), the FFT's leaf and combine
 //! (`algs::dispatch::{fft_leaf, fft_combine}`) and the served inputs'
 //! fill (`algs::dispatch::fill`) must return the same op count (or
@@ -25,7 +27,7 @@ use oblivious::algs::dispatch as kernels;
 use oblivious::algs::real::registry::Draw;
 use oblivious::algs::real::C64;
 use oblivious::no::dispatch::{self as ngep, Arm};
-use oblivious::no::gep::{fw_update, UpdateSet};
+use oblivious::no::gep::{fw_update, mm_update, UpdateSet};
 
 /// The vector arms (every arm but the last, the baseline) this CPU
 /// runs, after printing the ones it skips.
@@ -94,6 +96,9 @@ fn mix_lane(x: Lane, u: Lane, v: Lane, w: Lane) -> Lane {
 }
 fn fw_lane(x: Lane, u: Lane, v: Lane, _w: Lane) -> Lane {
     x.min(u + v)
+}
+fn mm_lane(x: Lane, u: Lane, v: Lane, _w: Lane) -> Lane {
+    x + u * v
 }
 
 /// The specials every input draws from: ±0, ±∞ and quiet NaNs of both
@@ -273,6 +278,118 @@ fn every_arm_of_the_ngep_leaf_gives_the_baseline_bits() {
         seen.exact_nans, seen.loose, seen.loose_apart
     );
     // The specials reach both kinds of NaN lane.
+    assert!(seen.exact_nans > 0 && seen.loose > 0);
+}
+
+/// Every runnable arm of GEP's register-tiled leaf with update `f` (and
+/// its [`Lane`] twin `g`), at its own tile shape, against the baseline
+/// arm: through N-GEP's leaf on disjoint, fully admitted `κ × κ` blocks
+/// at every `κ` from 1 to 64 under both update sets, and through
+/// `gep_tiles` itself on strided `f64` blocks whose rows, columns and
+/// depth no tile side divides, each with plain and with special inputs.
+fn tiled_arms_agree<F, G>(name: &str, f: F, g: G, arms: &[Arm], seen: &mut Seen)
+where
+    F: Fn(f64, f64, f64, f64) -> f64 + Copy,
+    G: Fn(Lane, Lane, Lane, Lane) -> Lane + Copy,
+{
+    let mut state = 41u64;
+    for kappa in 1..=64usize {
+        let bsz = kappa * kappa;
+        let offsets = [bsz, 2 * bsz, 3 * bsz];
+        // Every triplet admitted: `KBelowMin` with the block far past
+        // its cut.
+        for (sigma, origin) in [
+            (UpdateSet::All, (0, 0, 0)),
+            (UpdateSet::KBelowMin, (4 * kappa, 4 * kappa, 0)),
+        ] {
+            for specials in [false, true] {
+                let input = words(&mut state, 4 * bsz, specials);
+                let case = format!("{name} κ={kappa} {sigma:?} specials={specials}");
+                let mut lanes: Vec<Lane> =
+                    input.iter().map(|&w| Lane::of(f64::from_bits(w))).collect();
+                leaf_reference(&mut lanes, kappa, offsets, origin, g, sigma);
+                let mut base = input.clone();
+                let ops =
+                    ngep::leaf_update(Arm::Baseline, &mut base, kappa, offsets, origin, f, sigma);
+                assert_eq!(ops, (bsz * kappa) as u64, "ops, baseline: {case}");
+                let want: Vec<u64> = lanes.iter().map(|l| l.v.to_bits()).collect();
+                let vs_reference = &mut Seen::default();
+                same_bits(
+                    &base,
+                    &want,
+                    &lanes,
+                    vs_reference,
+                    &format!("baseline, {case}"),
+                );
+                for &arm in arms {
+                    let mut got = input.clone();
+                    let ops = ngep::leaf_update(arm, &mut got, kappa, offsets, origin, f, sigma);
+                    assert_eq!(ops, (bsz * kappa) as u64, "ops, {arm:?}: {case}");
+                    same_bits(&got, &base, &lanes, seen, &format!("{arm:?}, {case}"));
+                }
+            }
+        }
+    }
+    // `(rows, cols, depth)` and the row strides of `x`, `u` and `v`.
+    for (rows, cols, depth) in [(1, 1, 1), (3, 5, 7), (7, 33, 17), (17, 31, 64), (33, 40, 9)] {
+        let strides = [cols + 3, depth + 1, cols + 5];
+        let lens = [rows * strides[0], rows * strides[1], depth * strides[2]];
+        for specials in [false, true] {
+            let case = format!("{name} {rows} × {cols} × {depth} specials={specials}");
+            let [x, u, v] = lens.map(|len| words(&mut state, len, specials));
+            let w = words(&mut state, depth, specials);
+            let mut lanes: Vec<Lane> = x.iter().map(|&w| Lane::of(f64::from_bits(w))).collect();
+            let lane = |words: &[u64], at: usize| Lane::of(f64::from_bits(words[at]));
+            for k in 0..depth {
+                for i in 0..rows {
+                    for j in 0..cols {
+                        let at = i * strides[0] + j;
+                        let (ui, vk) = (lane(&u, i * strides[1] + k), lane(&v, k * strides[2] + j));
+                        lanes[at] = g(lanes[at], ui, vk, lane(&w, k));
+                    }
+                }
+            }
+            let run = |arm: Arm| {
+                let [mut x, u, v, w] = [&x, &u, &v, &w].map(|words| {
+                    words
+                        .iter()
+                        .map(|&b| f64::from_bits(b))
+                        .collect::<Vec<f64>>()
+                });
+                let uvw = [(&u[..], strides[1]), (&v[..], strides[2]), (&w[..], 1)];
+                ngep::gep_tiles(arm, (&mut x, strides[0]), uvw, (rows, cols, depth), f);
+                x.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+            };
+            let base = run(Arm::Baseline);
+            let want: Vec<u64> = lanes.iter().map(|l| l.v.to_bits()).collect();
+            let vs_reference = &mut Seen::default();
+            same_bits(
+                &base,
+                &want,
+                &lanes,
+                vs_reference,
+                &format!("baseline, {case}"),
+            );
+            for &arm in arms {
+                same_bits(&run(arm), &base, &lanes, seen, &format!("{arm:?}, {case}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn every_arm_of_the_tiled_gep_leaf_gives_the_baseline_bits() {
+    let arms = runnable("tiled gep leaf");
+    let mut seen = Seen::default();
+    tiled_arms_agree("mix", mix, mix_lane, &arms, &mut seen);
+    tiled_arms_agree("fw_update", fw_update, fw_lane, &arms, &mut seen);
+    tiled_arms_agree("mm_update", mm_update, mm_lane, &arms, &mut seen);
+    let shapes: Vec<_> = Arm::ALL.iter().map(|arm| (arm, arm.tile())).collect();
+    println!(
+        "tiled gep leaf: {arms:?} run against the baseline, tiles {shapes:?}; {} NaN lanes compared \
+         bit for bit, {} lanes where two NaNs met ({} of them with other bits)",
+        seen.exact_nans, seen.loose, seen.loose_apart
+    );
     assert!(seen.exact_nans > 0 && seen.loose > 0);
 }
 
