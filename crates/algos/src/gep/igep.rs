@@ -3,21 +3,16 @@
 //!
 //! Four mutually recursive functions `𝒜`, `ℬ`, `𝒞`, `𝒟` differing in how
 //! much the views `X ≡ x[I,J]`, `U ≡ x[I,K]`, `V ≡ x[K,J]`, `W ≡ x[K,K]`
-//! overlap. Every recursive call — serial steps included — is forked as an
-//! SB task with the appendix's space bounds (`m²`, `2m²`, `2m²`, `4m²`),
-//! so the scheduler re-anchors each sub-computation at the smallest cache
-//! level that fits it; that is precisely what yields the
-//! `Θ(n³/(q_i·B_i·√C_i))` per-level miss bound.
-//!
-//! `𝒟`'s round-2 call list follows Table I's I-GEP column (the appendix
-//! misprints `U_{21}` for `U_{22}` in the third call).
-
-// The recursive functions take the paper's exact operand lists
-// (X, U, V, W, origins, size, f, Σ): more readable than bundling.
-#![allow(clippy::too_many_arguments)]
+//! overlap. Their sub-calls are Table I, walked from
+//! [`no_framework::gep::stages`] (the table N-GEP walks too) in I-GEP's
+//! order of `𝒟`. Every recursive call — serial steps included — is forked
+//! as an SB task with the appendix's space bound ([`Fun::space`]: `m²`,
+//! `2m²`, `2m²`, `4m²`), so the scheduler re-anchors each sub-computation
+//! at the smallest cache level that fits it; that is precisely what
+//! yields the `Θ(n³/(q_i·B_i·√C_i))` per-level miss bound.
 
 use mo_core::{spawn, ForkHint, Mat, Recorder};
-use no_framework::gep::{GepF, UpdateSet};
+use no_framework::gep::{stages, DOrder, Fun, GepF, UpdateSet};
 
 /// Recursion grain: boxes of side ≤ `GRAIN` run the direct triple loop
 /// ("if X is 1×1" in the paper, coarsened to keep the task DAG finite).
@@ -26,17 +21,7 @@ pub const GRAIN: usize = 8;
 type Org = (usize, usize, usize);
 
 /// Direct k-major triple loop over the box — the recursion base.
-fn base(
-    rec: &mut Recorder,
-    x: Mat,
-    u: Mat,
-    v: Mat,
-    w: Mat,
-    o: Org,
-    m: usize,
-    f: GepF,
-    s: UpdateSet,
-) {
+fn base(rec: &mut Recorder, [x, u, v, w]: [Mat; 4], o: Org, m: usize, f: GepF, s: UpdateSet) {
     let (i0, j0, k0) = o;
     for k in 0..m {
         for i in 0..m {
@@ -58,261 +43,47 @@ pub fn igep_a(rec: &mut Recorder, x: Mat, n: usize, f: GepF, s: UpdateSet) {
     assert!(n.is_power_of_two());
     assert_eq!(x.rows, n);
     assert_eq!(x.cols, n);
-    a_rec(rec, x, x, x, x, (0, 0, 0), n, f, s);
+    call(rec, Fun::A, [x; 4], (0, 0, 0), n, f, s);
 }
 
-/// Public 𝒟 entry (used for matrix multiplication on disjoint matrices).
-pub fn igep_d(
-    rec: &mut Recorder,
-    x: Mat,
-    u: Mat,
-    v: Mat,
-    w: Mat,
-    o: Org,
-    m: usize,
-    f: GepF,
-    s: UpdateSet,
-) {
-    d_rec(rec, x, u, v, w, o, m, f, s);
+/// Public 𝒟 entry on operands `[X, U, V, W]` (used for matrix
+/// multiplication on disjoint matrices).
+pub fn igep_d(rec: &mut Recorder, ops: [Mat; 4], o: Org, m: usize, f: GepF, s: UpdateSet) {
+    call(rec, Fun::D, ops, o, m, f, s);
 }
 
-fn a_rec(
-    rec: &mut Recorder,
-    x: Mat,
-    u: Mat,
-    v: Mat,
-    w: Mat,
-    o: Org,
-    m: usize,
-    f: GepF,
-    s: UpdateSet,
-) {
+/// One call of `fun` on the `m × m` operands `ops = [X, U, V, W]`, whose
+/// update box starts at `o`: nothing when the box misses `Σ_f` (the
+/// pruned call still records its empty task), the direct loop at
+/// `GRAIN`, else one SB fork per stage of Table I, with a task per
+/// sub-call on its quadrants of the operands.
+fn call(rec: &mut Recorder, fun: Fun, ops: [Mat; 4], o: Org, m: usize, f: GepF, s: UpdateSet) {
     let (i0, j0, k0) = o;
     if !s.intersects(i0, j0, k0, m) {
         return;
     }
     if m <= GRAIN {
-        base(rec, x, u, v, w, o, m, f, s);
+        base(rec, ops, o, m, f, s);
         return;
     }
     let h = m / 2;
-    let (x11, x12, x21, x22) = x.quadrants();
-    let (u11, u12, u21, u22) = u.quadrants();
-    let (v11, v12, v21, v22) = v.quadrants();
-    let (w11, _w12, _w21, w22) = w.quadrants();
-    // 3: A(X11, U11, V11, W11)
-    rec.fork(
-        ForkHint::Sb,
-        vec![spawn(h * h, move |r: &mut Recorder| {
-            a_rec(r, x11, u11, v11, w11, (i0, j0, k0), h, f, s)
-        })],
-    );
-    // 4: parallel B(X12, U11, V12, W11), C(X21, U21, V11, W11)
-    rec.fork2(
-        ForkHint::Sb,
-        2 * h * h,
-        move |r| b_rec(r, x12, u11, v12, w11, (i0, j0 + h, k0), h, f, s),
-        2 * h * h,
-        move |r| c_rec(r, x21, u21, v11, w11, (i0 + h, j0, k0), h, f, s),
-    );
-    // 5: D(X22, U21, V12, W11)
-    rec.fork(
-        ForkHint::Sb,
-        vec![spawn(4 * h * h, move |r: &mut Recorder| {
-            d_rec(r, x22, u21, v12, w11, (i0 + h, j0 + h, k0), h, f, s)
-        })],
-    );
-    // 6: A(X22, U22, V22, W22)
-    rec.fork(
-        ForkHint::Sb,
-        vec![spawn(h * h, move |r: &mut Recorder| {
-            a_rec(r, x22, u22, v22, w22, (i0 + h, j0 + h, k0 + h), h, f, s)
-        })],
-    );
-    // 7: parallel B(X21, U22, V21, W22), C(X12, U12, V22, W22)
-    rec.fork2(
-        ForkHint::Sb,
-        2 * h * h,
-        move |r| b_rec(r, x21, u22, v21, w22, (i0 + h, j0, k0 + h), h, f, s),
-        2 * h * h,
-        move |r| c_rec(r, x12, u12, v22, w22, (i0, j0 + h, k0 + h), h, f, s),
-    );
-    // 8: D(X11, U12, V21, W22)
-    rec.fork(
-        ForkHint::Sb,
-        vec![spawn(4 * h * h, move |r: &mut Recorder| {
-            d_rec(r, x11, u12, v21, w22, (i0, j0, k0 + h), h, f, s)
-        })],
-    );
-}
-
-fn b_rec(
-    rec: &mut Recorder,
-    x: Mat,
-    u: Mat,
-    v: Mat,
-    w: Mat,
-    o: Org,
-    m: usize,
-    f: GepF,
-    s: UpdateSet,
-) {
-    let (i0, j0, k0) = o;
-    if !s.intersects(i0, j0, k0, m) {
-        return;
+    let quads = ops.map(|a| {
+        let (q11, q12, q21, q22) = a.quadrants();
+        [q11, q12, q21, q22]
+    });
+    for stage in stages(fun, DOrder::IGep) {
+        let children = stage
+            .iter()
+            .map(|&(g, xq, uq, vq, wq)| {
+                let ops = [quads[0][xq], quads[1][uq], quads[2][vq], quads[3][wq]];
+                let o = (i0 + xq / 2 * h, j0 + xq % 2 * h, k0 + uq % 2 * h);
+                spawn(g.space(h), move |r: &mut Recorder| {
+                    call(r, g, ops, o, h, f, s)
+                })
+            })
+            .collect();
+        rec.fork(ForkHint::Sb, children);
     }
-    if m <= GRAIN {
-        base(rec, x, u, v, w, o, m, f, s);
-        return;
-    }
-    let h = m / 2;
-    let (x11, x12, x21, x22) = x.quadrants();
-    let (u11, u12, u21, u22) = u.quadrants();
-    let (v11, v12, v21, v22) = v.quadrants();
-    let (w11, _w12, _w21, w22) = w.quadrants();
-    rec.fork2(
-        ForkHint::Sb,
-        2 * h * h,
-        move |r| b_rec(r, x11, u11, v11, w11, (i0, j0, k0), h, f, s),
-        2 * h * h,
-        move |r| b_rec(r, x12, u11, v12, w11, (i0, j0 + h, k0), h, f, s),
-    );
-    rec.fork2(
-        ForkHint::Sb,
-        4 * h * h,
-        move |r| d_rec(r, x21, u21, v11, w11, (i0 + h, j0, k0), h, f, s),
-        4 * h * h,
-        move |r| d_rec(r, x22, u21, v12, w11, (i0 + h, j0 + h, k0), h, f, s),
-    );
-    rec.fork2(
-        ForkHint::Sb,
-        2 * h * h,
-        move |r| b_rec(r, x21, u22, v21, w22, (i0 + h, j0, k0 + h), h, f, s),
-        2 * h * h,
-        move |r| b_rec(r, x22, u22, v22, w22, (i0 + h, j0 + h, k0 + h), h, f, s),
-    );
-    rec.fork2(
-        ForkHint::Sb,
-        4 * h * h,
-        move |r| d_rec(r, x11, u12, v21, w22, (i0, j0, k0 + h), h, f, s),
-        4 * h * h,
-        move |r| d_rec(r, x12, u12, v22, w22, (i0, j0 + h, k0 + h), h, f, s),
-    );
-}
-
-fn c_rec(
-    rec: &mut Recorder,
-    x: Mat,
-    u: Mat,
-    v: Mat,
-    w: Mat,
-    o: Org,
-    m: usize,
-    f: GepF,
-    s: UpdateSet,
-) {
-    let (i0, j0, k0) = o;
-    if !s.intersects(i0, j0, k0, m) {
-        return;
-    }
-    if m <= GRAIN {
-        base(rec, x, u, v, w, o, m, f, s);
-        return;
-    }
-    let h = m / 2;
-    let (x11, x12, x21, x22) = x.quadrants();
-    let (u11, u12, u21, u22) = u.quadrants();
-    let (v11, v12, v21, v22) = v.quadrants();
-    let (w11, _w12, _w21, w22) = w.quadrants();
-    rec.fork2(
-        ForkHint::Sb,
-        2 * h * h,
-        move |r| c_rec(r, x11, u11, v11, w11, (i0, j0, k0), h, f, s),
-        2 * h * h,
-        move |r| c_rec(r, x21, u21, v11, w11, (i0 + h, j0, k0), h, f, s),
-    );
-    rec.fork2(
-        ForkHint::Sb,
-        4 * h * h,
-        move |r| d_rec(r, x12, u11, v12, w11, (i0, j0 + h, k0), h, f, s),
-        4 * h * h,
-        move |r| d_rec(r, x22, u21, v12, w11, (i0 + h, j0 + h, k0), h, f, s),
-    );
-    rec.fork2(
-        ForkHint::Sb,
-        2 * h * h,
-        move |r| c_rec(r, x12, u12, v22, w22, (i0, j0 + h, k0 + h), h, f, s),
-        2 * h * h,
-        move |r| c_rec(r, x22, u22, v22, w22, (i0 + h, j0 + h, k0 + h), h, f, s),
-    );
-    rec.fork2(
-        ForkHint::Sb,
-        4 * h * h,
-        move |r| d_rec(r, x11, u12, v21, w22, (i0, j0, k0 + h), h, f, s),
-        4 * h * h,
-        move |r| d_rec(r, x21, u22, v21, w22, (i0 + h, j0, k0 + h), h, f, s),
-    );
-}
-
-fn d_rec(
-    rec: &mut Recorder,
-    x: Mat,
-    u: Mat,
-    v: Mat,
-    w: Mat,
-    o: Org,
-    m: usize,
-    f: GepF,
-    s: UpdateSet,
-) {
-    let (i0, j0, k0) = o;
-    if !s.intersects(i0, j0, k0, m) {
-        return;
-    }
-    if m <= GRAIN {
-        base(rec, x, u, v, w, o, m, f, s);
-        return;
-    }
-    let h = m / 2;
-    let (x11, x12, x21, x22) = x.quadrants();
-    let (u11, u12, u21, u22) = u.quadrants();
-    let (v11, v12, v21, v22) = v.quadrants();
-    let (w11, _w12, _w21, w22) = w.quadrants();
-    let sp = 4 * h * h;
-    rec.fork(
-        ForkHint::Sb,
-        vec![
-            spawn(sp, move |r: &mut Recorder| {
-                d_rec(r, x11, u11, v11, w11, (i0, j0, k0), h, f, s)
-            }),
-            spawn(sp, move |r: &mut Recorder| {
-                d_rec(r, x12, u11, v12, w11, (i0, j0 + h, k0), h, f, s)
-            }),
-            spawn(sp, move |r: &mut Recorder| {
-                d_rec(r, x21, u21, v11, w11, (i0 + h, j0, k0), h, f, s)
-            }),
-            spawn(sp, move |r: &mut Recorder| {
-                d_rec(r, x22, u21, v12, w11, (i0 + h, j0 + h, k0), h, f, s)
-            }),
-        ],
-    );
-    rec.fork(
-        ForkHint::Sb,
-        vec![
-            spawn(sp, move |r: &mut Recorder| {
-                d_rec(r, x11, u12, v21, w22, (i0, j0, k0 + h), h, f, s)
-            }),
-            spawn(sp, move |r: &mut Recorder| {
-                d_rec(r, x12, u12, v22, w22, (i0, j0 + h, k0 + h), h, f, s)
-            }),
-            spawn(sp, move |r: &mut Recorder| {
-                d_rec(r, x21, u22, v21, w22, (i0 + h, j0, k0 + h), h, f, s)
-            }),
-            spawn(sp, move |r: &mut Recorder| {
-                d_rec(r, x22, u22, v22, w22, (i0 + h, j0 + h, k0 + h), h, f, s)
-            }),
-        ],
-    );
 }
 
 #[cfg(test)]

@@ -78,7 +78,8 @@ pub fn matmul_program(a: &[f64], b: &[f64], n: usize) -> GepProgram {
         let mb = rec.alloc_init_f64(b);
         let (xc, xa, xb) = (Mat::new(c, n, n), Mat::new(ma, n, n), Mat::new(mb, n, n));
         // W is irrelevant for mm_update; pass A.
-        igep::igep_d(rec, xc, xa, xb, xa, (0, 0, 0), n, mm_update, UpdateSet::All);
+        let ops = [xc, xa, xb, xa];
+        igep::igep_d(rec, ops, (0, 0, 0), n, mm_update, UpdateSet::All);
         h = Some(xc);
     });
     GepProgram {

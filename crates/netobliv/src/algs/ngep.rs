@@ -4,8 +4,10 @@
 //! The matrix is distributed block-wise: PE `t` owns the `κ × κ` block
 //! with Morton (bit-interleaved) index `t`, so every aligned quadrant of
 //! every region is a *contiguous* PE subrange and the recursion maps
-//! directly onto PE groups. Functions `𝒜`, `ℬ`, `𝒞` follow I-GEP; the
-//! eighth-order recursion of `𝒟` can run in either of Table I's orders:
+//! directly onto PE groups. The recursion walks Table I as
+//! [`crate::gep::stages`] states it, the table I-GEP's recorder walks
+//! too. Functions `𝒜`, `ℬ`, `𝒞` follow I-GEP; the eight sub-calls of
+//! `𝒟` can run in either of Table I's orders:
 //!
 //! * [`DOrder::IGep`] — I-GEP's `𝒟`: quadrants `U11`, `U21` (round 1)
 //!   and `U12`, `U22` (round 2) are each consumed by **two** parallel
@@ -30,28 +32,15 @@
 
 use std::ops::Range;
 
-use crate::gep::{mm_update, Block};
+use crate::gep::{mm_update, stages, Block, Fun};
 use crate::{dispatch, Comm, NoMachine, Scope};
 
 /// `Σ_f`, named at this path too: the one definition is [`crate::gep`]'s.
 pub use crate::gep::UpdateSet;
 
-/// Which order `𝒟` executes its eight recursive calls in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DOrder {
-    /// I-GEP's order (Table I left column).
-    IGep,
-    /// N-GEP's `𝒟*` (Table I right column).
-    DStar,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fun {
-    A,
-    B,
-    C,
-    D,
-}
+/// `𝒟`'s order, named at this path too: the one definition is
+/// [`crate::gep`]'s, beside Table I.
+pub use crate::gep::DOrder;
 
 /// An aligned square region: `base`/`s` in Morton block space,
 /// `(row0, col0, m)` in element space.
@@ -100,65 +89,6 @@ struct Call {
     /// where `frame_or_x == usize::MAX` means the parent's live `X`
     /// blocks.
     src: [(usize, usize); 3],
-}
-
-/// One sub-call spec: `(fun, x_q, u_q, v_q, w_q)`.
-type Spec = (Fun, usize, usize, usize, usize);
-
-fn stages(fun: Fun, order: DOrder) -> &'static [&'static [Spec]] {
-    use Fun::*;
-    match fun {
-        A => &[
-            &[(A, 0, 0, 0, 0)],
-            &[(B, 1, 0, 1, 0), (C, 2, 2, 0, 0)],
-            &[(D, 3, 2, 1, 0)],
-            &[(A, 3, 3, 3, 3)],
-            &[(B, 2, 3, 2, 3), (C, 1, 1, 3, 3)],
-            &[(D, 0, 1, 2, 3)],
-        ],
-        B => &[
-            &[(B, 0, 0, 0, 0), (B, 1, 0, 1, 0)],
-            &[(D, 2, 2, 0, 0), (D, 3, 2, 1, 0)],
-            &[(B, 2, 3, 2, 3), (B, 3, 3, 3, 3)],
-            &[(D, 0, 1, 2, 3), (D, 1, 1, 3, 3)],
-        ],
-        C => &[
-            &[(C, 0, 0, 0, 0), (C, 2, 2, 0, 0)],
-            &[(D, 1, 0, 1, 0), (D, 3, 2, 1, 0)],
-            &[(C, 1, 1, 3, 3), (C, 3, 3, 3, 3)],
-            &[(D, 0, 1, 2, 3), (D, 2, 3, 2, 3)],
-        ],
-        D => match order {
-            DOrder::IGep => &[
-                &[
-                    (D, 0, 0, 0, 0),
-                    (D, 1, 0, 1, 0),
-                    (D, 2, 2, 0, 0),
-                    (D, 3, 2, 1, 0),
-                ],
-                &[
-                    (D, 0, 1, 2, 3),
-                    (D, 1, 1, 3, 3),
-                    (D, 2, 3, 2, 3),
-                    (D, 3, 3, 3, 3),
-                ],
-            ],
-            DOrder::DStar => &[
-                &[
-                    (D, 0, 0, 0, 0),
-                    (D, 1, 1, 3, 3),
-                    (D, 2, 3, 2, 3),
-                    (D, 3, 2, 1, 0),
-                ],
-                &[
-                    (D, 0, 1, 2, 3),
-                    (D, 1, 0, 1, 0),
-                    (D, 2, 2, 0, 0),
-                    (D, 3, 3, 3, 3),
-                ],
-            ],
-        },
-    }
 }
 
 struct Engine<'m, C: Comm, F> {

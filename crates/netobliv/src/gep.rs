@@ -6,9 +6,11 @@
 //! `⟨i,j,k⟩ ∈ Σ_f` (in `k`-major order), apply
 //! `x[i,j] ← f(x[i,j], x[i,k], x[k,j], x[k,k])`. This module holds the
 //! update functions `f` of the three notable instances, the update sets
-//! `Σ_f` with the box tests both recursions prune by, the reference
-//! loop every implementation is checked against, and the Floyd–Warshall
-//! instance the tables, the fleet and the tests draw.
+//! `Σ_f` with the box tests both recursions prune by, Table I (the
+//! recursion's four functions and the sub-calls each makes, which both
+//! recursions walk), the reference loop every implementation is checked
+//! against, and the Floyd–Warshall instance the tables, the fleet and the
+//! tests draw.
 
 use std::ops::Range;
 
@@ -86,6 +88,111 @@ pub fn fw_update(x: f64, u: f64, v: f64, _w: f64) -> f64 {
 #[inline]
 pub fn ge_update(x: f64, u: f64, v: f64, w: f64) -> f64 {
     x - (u / w) * v
+}
+
+/// The four functions of GEP's recursion (the appendix's `𝒜`, `ℬ`, `𝒞`,
+/// `𝒟`), named by which of a call's operands `U ≡ x[I,K]`, `V ≡ x[K,J]`
+/// and `W ≡ x[K,K]` are its own `X ≡ x[I,J]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fun {
+    /// `X ≡ U ≡ V ≡ W`.
+    A,
+    /// `X ≡ V` and `U ≡ W`.
+    B,
+    /// `X ≡ U` and `V ≡ W`.
+    C,
+    /// `X`, `U` and `V` disjoint.
+    D,
+}
+
+impl Fun {
+    /// The appendix's space bound of a call on `m × m` operands, the
+    /// words of its distinct operands: `m²`, `2m²`, `2m²` and `4m²`.
+    pub fn space(self, m: usize) -> usize {
+        let operands = match self {
+            Fun::A => 1,
+            Fun::B | Fun::C => 2,
+            Fun::D => 4,
+        };
+        operands * m * m
+    }
+}
+
+/// Which order `𝒟` runs its eight sub-calls in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DOrder {
+    /// I-GEP's order (Table I left column).
+    IGep,
+    /// N-GEP's `𝒟*` (Table I right column).
+    DStar,
+}
+
+/// One sub-call of Table I, `(fun, x_q, u_q, v_q, w_q)`: its function
+/// and the quadrant of each of the caller's operands it takes (0 = 11,
+/// 1 = 12, 2 = 21, 3 = 22).
+pub type Spec = (Fun, usize, usize, usize, usize);
+
+/// Table I: the stages of a call of `fun`, in order, each a list of
+/// sub-calls that run in parallel. A sub-call's `k` range is the
+/// caller's lower half when `u_q` is in `U`'s left column, the upper
+/// half otherwise. Only `𝒟` depends on `order`.
+///
+/// The appendix misprints `U21` for `U22` in the third call of `𝒟`'s
+/// second round; Table I's I-GEP column has `U22`, as here.
+pub fn stages(fun: Fun, order: DOrder) -> &'static [&'static [Spec]] {
+    use Fun::*;
+    match fun {
+        A => &[
+            &[(A, 0, 0, 0, 0)],
+            &[(B, 1, 0, 1, 0), (C, 2, 2, 0, 0)],
+            &[(D, 3, 2, 1, 0)],
+            &[(A, 3, 3, 3, 3)],
+            &[(B, 2, 3, 2, 3), (C, 1, 1, 3, 3)],
+            &[(D, 0, 1, 2, 3)],
+        ],
+        B => &[
+            &[(B, 0, 0, 0, 0), (B, 1, 0, 1, 0)],
+            &[(D, 2, 2, 0, 0), (D, 3, 2, 1, 0)],
+            &[(B, 2, 3, 2, 3), (B, 3, 3, 3, 3)],
+            &[(D, 0, 1, 2, 3), (D, 1, 1, 3, 3)],
+        ],
+        C => &[
+            &[(C, 0, 0, 0, 0), (C, 2, 2, 0, 0)],
+            &[(D, 1, 0, 1, 0), (D, 3, 2, 1, 0)],
+            &[(C, 1, 1, 3, 3), (C, 3, 3, 3, 3)],
+            &[(D, 0, 1, 2, 3), (D, 2, 3, 2, 3)],
+        ],
+        D => match order {
+            DOrder::IGep => &[
+                &[
+                    (D, 0, 0, 0, 0),
+                    (D, 1, 0, 1, 0),
+                    (D, 2, 2, 0, 0),
+                    (D, 3, 2, 1, 0),
+                ],
+                &[
+                    (D, 0, 1, 2, 3),
+                    (D, 1, 1, 3, 3),
+                    (D, 2, 3, 2, 3),
+                    (D, 3, 3, 3, 3),
+                ],
+            ],
+            DOrder::DStar => &[
+                &[
+                    (D, 0, 0, 0, 0),
+                    (D, 1, 1, 3, 3),
+                    (D, 2, 3, 2, 3),
+                    (D, 3, 2, 1, 0),
+                ],
+                &[
+                    (D, 0, 1, 2, 3),
+                    (D, 1, 0, 1, 0),
+                    (D, 2, 2, 0, 0),
+                    (D, 3, 3, 3, 3),
+                ],
+            ],
+        },
+    }
 }
 
 /// A matrix word the GEP leaf [`gep_tiles`] updates: an `f64`, or its
@@ -251,7 +358,12 @@ fn tile<E: Word, F: Fn(f64, f64, f64, f64) -> f64, const R: usize, const C: usiz
 
 /// The reference GEP engine of Fig. 5: the ground truth every oblivious
 /// implementation is checked against.
-pub fn gep_reference(x: &mut [f64], n: usize, f: GepF, sigma: UpdateSet) {
+pub fn gep_reference(
+    x: &mut [f64],
+    n: usize,
+    f: impl Fn(f64, f64, f64, f64) -> f64,
+    sigma: UpdateSet,
+) {
     assert_eq!(x.len(), n * n);
     for k in 0..n {
         for i in 0..n {
@@ -346,6 +458,65 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+    }
+
+    /// Table I's invariants, for every function and both orders of `𝒟`:
+    /// eight sub-calls, one per `X` quadrant and `k` half, whose `U`, `V`
+    /// and `W` quadrants follow from those two; no stage writes an `X`
+    /// quadrant twice; each sub-call's function is the one its operands'
+    /// aliasing of `X` names, given the caller's; and the two orders of
+    /// `𝒟` are the same eight calls, `𝒟*` using no `U` or `V` quadrant
+    /// twice in a round where I-GEP's `𝒟` uses each one twice.
+    #[test]
+    fn table_one_is_consistent() {
+        // Which of `U`, `V`, `W` a call of each function has as its `X`.
+        let aliased = |fun| match fun {
+            Fun::A => [true; 3],
+            Fun::B => [false, true, false],
+            Fun::C => [true, false, false],
+            Fun::D => [false; 3],
+        };
+        let specs = |fun, order| -> Vec<Spec> {
+            let mut all: Vec<Spec> = stages(fun, order).concat();
+            all.sort_by_key(|&(_, x, u, v, w)| (x, u, v, w));
+            all
+        };
+        for fun in [Fun::A, Fun::B, Fun::C, Fun::D] {
+            for order in [DOrder::IGep, DOrder::DStar] {
+                let table = stages(fun, order);
+                let mut cells = [[0u32; 2]; 4];
+                for stage in table {
+                    let mut written = [false; 4];
+                    for &(sub, xq, uq, vq, wq) in *stage {
+                        let case = format!("{fun:?} {order:?}: {:?}", (sub, xq, uq, vq, wq));
+                        let (row, col, k) = (xq / 2, xq % 2, uq % 2);
+                        cells[xq][k] += 1;
+                        assert_eq!((uq, vq, wq), (2 * row + k, 2 * k + col, 3 * k), "{case}");
+                        assert!(!std::mem::replace(&mut written[xq], true), "{case}");
+                        let parent = aliased(fun);
+                        let own = [uq, vq, wq].map(|q| q == xq);
+                        let alias: Vec<bool> = (0..3).map(|t| parent[t] && own[t]).collect();
+                        assert_eq!(alias[..], aliased(sub)[..], "{case}");
+                    }
+                }
+                assert_eq!(cells, [[1; 2]; 4], "{fun:?} {order:?}");
+            }
+        }
+        assert_eq!(specs(Fun::D, DOrder::IGep), specs(Fun::D, DOrder::DStar));
+        for (order, uses) in [(DOrder::IGep, 2), (DOrder::DStar, 1)] {
+            for round in stages(Fun::D, order) {
+                // Uses of each `U` quadrant, then of each `V` quadrant.
+                let mut count = [[0; 4]; 2];
+                for &(_, _, uq, vq, _) in *round {
+                    count[0][uq] += 1;
+                    count[1][vq] += 1;
+                }
+                assert!(
+                    count.as_flattened().iter().all(|&c| c == 0 || c == uses),
+                    "{order:?} {round:?}"
+                );
+            }
+        }
     }
 
     #[test]
