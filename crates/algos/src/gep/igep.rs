@@ -18,7 +18,8 @@ use no_framework::gep::{stages, DOrder, Fun, GepF, UpdateSet};
 /// ("if X is 1×1" in the paper, coarsened to keep the task DAG finite).
 pub const GRAIN: usize = 8;
 
-type Org = (usize, usize, usize);
+/// Where a call's update box starts: `(i0, j0, k0)` in the whole matrix.
+pub type Org = (usize, usize, usize);
 
 /// Direct k-major triple loop over the box — the recursion base.
 fn base(rec: &mut Recorder, [x, u, v, w]: [Mat; 4], o: Org, m: usize, f: GepF, s: UpdateSet) {
@@ -46,18 +47,13 @@ pub fn igep_a(rec: &mut Recorder, x: Mat, n: usize, f: GepF, s: UpdateSet) {
     call(rec, Fun::A, [x; 4], (0, 0, 0), n, f, s);
 }
 
-/// Public 𝒟 entry on operands `[X, U, V, W]` (used for matrix
-/// multiplication on disjoint matrices).
-pub fn igep_d(rec: &mut Recorder, ops: [Mat; 4], o: Org, m: usize, f: GepF, s: UpdateSet) {
-    call(rec, Fun::D, ops, o, m, f, s);
-}
-
 /// One call of `fun` on the `m × m` operands `ops = [X, U, V, W]`, whose
-/// update box starts at `o`: nothing when the box misses `Σ_f` (the
-/// pruned call still records its empty task), the direct loop at
+/// update box starts at `o`: nothing when the box misses `Σ_f` (a
+/// pruned sub-call's task stays in the DAG, empty), the direct loop at
 /// `GRAIN`, else one SB fork per stage of Table I, with a task per
-/// sub-call on its quadrants of the operands.
-fn call(rec: &mut Recorder, fun: Fun, ops: [Mat; 4], o: Org, m: usize, f: GepF, s: UpdateSet) {
+/// sub-call on its quadrants of the operands. Matrix multiplication
+/// enters here as `𝒟` on disjoint matrices.
+pub fn call(rec: &mut Recorder, fun: Fun, ops: [Mat; 4], o: Org, m: usize, f: GepF, s: UpdateSet) {
     let (i0, j0, k0) = o;
     if !s.intersects(i0, j0, k0, m) {
         return;

@@ -21,7 +21,7 @@
 pub mod igep;
 
 use mo_core::{Mat, Program, Recorder};
-use no_framework::gep::{gep_reference, mm_update};
+use no_framework::gep::{gep_reference, mm_update, Fun};
 
 /// The types in this module's signatures, from [`no_framework::gep`],
 /// where GEP's vocabulary is defined once for I-GEP and N-GEP.
@@ -79,7 +79,7 @@ pub fn matmul_program(a: &[f64], b: &[f64], n: usize) -> GepProgram {
         let (xc, xa, xb) = (Mat::new(c, n, n), Mat::new(ma, n, n), Mat::new(mb, n, n));
         // W is irrelevant for mm_update; pass A.
         let ops = [xc, xa, xb, xa];
-        igep::igep_d(rec, ops, (0, 0, 0), n, mm_update, UpdateSet::All);
+        igep::call(rec, Fun::D, ops, (0, 0, 0), n, mm_update, UpdateSet::All);
         h = Some(xc);
     });
     GepProgram {

@@ -495,8 +495,8 @@ mod tests {
                         assert!(!std::mem::replace(&mut written[xq], true), "{case}");
                         let parent = aliased(fun);
                         let own = [uq, vq, wq].map(|q| q == xq);
-                        let alias: Vec<bool> = (0..3).map(|t| parent[t] && own[t]).collect();
-                        assert_eq!(alias[..], aliased(sub)[..], "{case}");
+                        let alias = [0, 1, 2].map(|t| parent[t] && own[t]);
+                        assert_eq!(alias, aliased(sub), "{case}");
                     }
                 }
                 assert_eq!(cells, [[1; 2]; 4], "{fun:?} {order:?}");
