@@ -4,10 +4,11 @@
 //! A full run appends one row through [`mo_bench::traj::append`] —
 //! median-of-k nanoseconds per kernel, serial vs pool, stamped with the
 //! harness, the commit it measured and the host (CPU model, cores and
-//! every cache level) — so successive PRs grow the runtime's wall-clock
-//! trajectory in version control. `--out FILE` names another file to
-//! append to. A file that is not a row list is refused and left as it
-//! was.
+//! every cache level), and N-GEP's `κ × κ` leaf in µs a call for each
+//! of its alias patterns — so successive commits grow the runtime's
+//! wall-clock trajectory in version control. `--out FILE` names another
+//! file to append to. A file that is not a row list is refused and left
+//! as it was.
 //!
 //! `--smoke` runs tiny sizes, writes nothing, and asserts that every
 //! kernel's checksum (via the registry's deterministic seed-generated
@@ -26,6 +27,7 @@ use mo_baselines::matmul::naive_matmul;
 use mo_baselines::transpose::naive_transpose;
 use mo_core::certify::json::Json;
 use mo_core::rt::{HwHierarchy, SbPool};
+use no_framework::dispatch::{leaf_update, Arm};
 use no_framework::gep::{fw_update, gep_reference, UpdateSet};
 
 /// Interleaved paired measurement: `f(false)` is the serial side,
@@ -269,6 +271,58 @@ fn run_suite(pool: &SbPool, reps: usize, smoke: bool) -> Vec<Row> {
     rows
 }
 
+/// N-GEP's `κ × κ` leaf ([`leaf_update`]) at κ = 32 with `fw_update`
+/// under `All`, on the widest arm, in µs a call, for each alias pattern
+/// of the recursion's functions (`𝒜`: `u = v = w = x`; ℬ: `v = x`; `𝒞`:
+/// `u = x`; `𝒟`: all disjoint): the median of `rounds` rounds, each
+/// timing one batch of 200 calls of every pattern in turn after an
+/// untimed round, each call after restoring `x` (a 32 × 32 copy,
+/// ≈ 0.1 µs, counted in).
+fn leaf_us(rounds: usize) -> (Arm, [(&'static str, f64); 4]) {
+    const KAPPA: usize = 32;
+    const CALLS: usize = 200;
+    let (arm, bsz) = (Arm::widest(), KAPPA * KAPPA);
+    let input: Vec<u64> = rand_f64(11, 4 * bsz).iter().map(|v| v.to_bits()).collect();
+    let patterns = [
+        ("A", [0, 0, 0]),
+        ("B", [bsz, 0, 3 * bsz]),
+        ("C", [0, 2 * bsz, 3 * bsz]),
+        ("D", [bsz, 2 * bsz, 3 * bsz]),
+    ];
+    let mut mem = input.clone();
+    let mut batch = |offsets| {
+        let t = Instant::now();
+        for _ in 0..CALLS {
+            mem[..bsz].copy_from_slice(&input[..bsz]);
+            let (origin, sigma) = ((0, 0, 0), UpdateSet::All);
+            leaf_update(
+                arm,
+                black_box(&mut mem),
+                KAPPA,
+                offsets,
+                origin,
+                fw_update,
+                sigma,
+            );
+        }
+        t.elapsed().as_nanos() as f64 / CALLS as f64 / 1e3
+    };
+    let mut times = [(); 4].map(|_| Vec::with_capacity(rounds));
+    for round in 0..=rounds {
+        for ((_, offsets), times) in patterns.iter().zip(&mut times) {
+            let us = batch(*offsets);
+            if round > 0 {
+                times.push(us);
+            }
+        }
+    }
+    let us = std::array::from_fn(|p| {
+        times[p].sort_by(f64::total_cmp);
+        (patterns[p].0, times[p][rounds / 2])
+    });
+    (arm, us)
+}
+
 /// The smoke correctness gate: registry checksums on a 1-core pool must
 /// equal the detected pool's, for every kernel at an L1-sized and an
 /// L2-sized working set.
@@ -383,6 +437,18 @@ fn main() {
         .unwrap_or_else(|| "BENCH_rt.json".to_string());
     let reps = if smoke { 3 } else { 7 };
 
+    // Before the pool starts: its workers' spinning and parking share
+    // the core with a single-threaded leaf.
+    let (arm, leaf) = leaf_us(if smoke { 3 } else { 15 });
+    let shown: Vec<String> = leaf
+        .iter()
+        .map(|(name, us)| format!("{name} {us:.2}"))
+        .collect();
+    println!(
+        "ngep leaf, κ = 32, fw_update, {arm:?} arm, µs a call: {}",
+        shown.join("  ")
+    );
+    let leaf = leaf.map(|(name, us)| (name, Json::Num((us * 1e3).round() / 1e3)));
     let pool = SbPool::new(HwHierarchy::detect());
     let cores = pool.hierarchy().cores();
     // The detected width, capped at the CPUs this process may use:
@@ -429,6 +495,8 @@ fn main() {
             ("cores", Json::Num(cores as f64)),
             ("median_of", Json::Num(reps as f64)),
             ("kernels", Json::Arr(kernels)),
+            ("ngep_leaf_us", Json::obj(leaf)),
+            ("ngep_leaf_arm", Json::Str(format!("{arm:?}"))),
             ("regressions", Json::Arr(regs.collect())),
         ]);
         let path = std::path::Path::new(&out_path);

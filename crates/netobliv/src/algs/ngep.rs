@@ -288,14 +288,32 @@ impl<C: Comm, F: Fn(f64, f64, f64, f64) -> f64 + Copy> Engine<'_, C, F> {
 
 #[cfg(test)]
 thread_local! {
-    /// Blocks [`tiled_operands`] has split on this thread.
+    /// Blocks [`tiled_operands`] has handed to one
+    /// [`gep_tiles`](crate::gep::gep_tiles) on this thread.
     static TILED_LEAVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Blocks [`tiled_operands`] has handed to the pivot split on this
+    /// thread.
+    static SPLIT_LEAVES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// The operands of the `κ × κ` base case on one PE's memory as
-/// [`gep_tiles`](crate::gep::gep_tiles) takes them, when that leaf applies: when `u`, `v` and
-/// `w` are all disjoint from `x` and every triplet of the block is in
-/// `Σ_f`. Otherwise `None`, and the block runs [`leaf_rows`].
+/// A `κ × κ` base case on the register tile, its operands as the leaf
+/// that runs it takes them (DESIGN §2 S8).
+pub(crate) enum Tiled<'a> {
+    /// `u`, `v`, `w` all disjoint from `x`: one
+    /// [`gep_tiles`](crate::gep::gep_tiles).
+    Disjoint(&'a mut [u64], [Block<'a, u64>; 3]),
+    /// `v` is `x` (ℬ): [`gep_split_rows`](crate::gep::gep_split_rows),
+    /// given `[u, w]`.
+    PivotRows(&'a mut [u64], [Block<'a, u64>; 2]),
+    /// `u` is `x` (𝒞): [`gep_split_cols`](crate::gep::gep_split_cols),
+    /// given `[v, w]`.
+    PivotCols(&'a mut [u64], [Block<'a, u64>; 2]),
+}
+
+/// The operands of the `κ × κ` base case on one PE's memory as the
+/// register tile takes them, when it applies: when every triplet of the
+/// block is in `Σ_f`, `w` is disjoint from `x`, and of `u` and `v` at
+/// most one is `x`. Otherwise `None`, and the block runs [`leaf_rows`].
 ///
 /// `x` is the block at `mem[..κ²]`; `offsets` are the word offsets of the
 /// `u`, `v`, `w` blocks, `0` for an operand aliased to `x` and a
@@ -308,16 +326,32 @@ pub(crate) fn tiled_operands(
     offsets: [usize; 3],
     (row0, col0, k0): (usize, usize, usize),
     sigma: UpdateSet,
-) -> Option<(&mut [u64], [Block<'_, u64>; 3])> {
-    if offsets.contains(&0) || !sigma.admits_block(row0, col0, k0, kappa) {
+) -> Option<Tiled<'_>> {
+    let [uo, vo, wo] = offsets;
+    if wo == 0 || (uo == 0 && vo == 0) || !sigma.admits_block(row0, col0, k0, kappa) {
         return None;
     }
-    #[cfg(test)]
-    TILED_LEAVES.with(|c| c.set(c.get() + 1));
     let bsz = kappa * kappa;
     let (x, rest) = mem.split_at_mut(bsz);
-    let [u, v, w] = offsets.map(|off| &rest[off - bsz..][..bsz]);
-    Some((x, [(u, kappa), (v, kappa), (w, kappa + 1)]))
+    let block = |off: usize, stride| (&rest[off - bsz..][..bsz], stride);
+    #[cfg(test)]
+    let leaves = if uo == 0 || vo == 0 {
+        &SPLIT_LEAVES
+    } else {
+        &TILED_LEAVES
+    };
+    #[cfg(test)]
+    leaves.with(|c| c.set(c.get() + 1));
+    Some(if vo == 0 {
+        Tiled::PivotRows(x, [block(uo, kappa), block(wo, kappa + 1)])
+    } else if uo == 0 {
+        Tiled::PivotCols(x, [block(vo, kappa), block(wo, kappa + 1)])
+    } else {
+        Tiled::Disjoint(
+            x,
+            [block(uo, kappa), block(vo, kappa), block(wo, kappa + 1)],
+        )
+    })
 }
 
 /// The `κ × κ` GEP base case on one PE's memory, laid out as for
@@ -634,7 +668,11 @@ pub fn ngep_matmul(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gep::{fw_instance, fw_update, ge_update, gep_reference, gep_tiles, GepF};
+    use crate::gep::tests::Shape;
+    use crate::gep::{
+        fw_instance, fw_update, ge_update, gep_reference, gep_split_cols, gep_split_rows,
+        gep_tiles, GepF,
+    };
 
     /// The base case as it was before [`dispatch::leaf_update`]: every operand
     /// re-read from memory for every `(k, i, j)`.
@@ -665,8 +703,8 @@ mod tests {
     }
 
     /// What [`dispatch::leaf_update`] runs, at the build's own width:
-    /// [`tiled_operands`] split into an `R × C` [`gep_tiles`], else
-    /// [`leaf_rows`] with or without `LANES`.
+    /// [`tiled_operands`] split into an `R × C` [`gep_tiles`] or the
+    /// pivot split around it, else [`leaf_rows`] with or without `LANES`.
     fn leaf<const LANES: bool, const R: usize, const C: usize>(
         mem: &mut [u64],
         kappa: usize,
@@ -675,11 +713,20 @@ mod tests {
         f: GepF,
         sigma: UpdateSet,
     ) -> u64 {
-        if let Some((x, uvw)) = tiled_operands(mem, kappa, offsets, origin, sigma) {
-            gep_tiles::<u64, GepF, R, C>((x, kappa), uvw, (kappa, kappa, kappa), f);
-            return (kappa * kappa * kappa) as u64;
+        let mut q = vec![0; 2 * kappa * kappa];
+        match tiled_operands(mem, kappa, offsets, origin, sigma) {
+            Some(Tiled::Disjoint(x, uvw)) => {
+                gep_tiles::<u64, GepF, R, C>((x, kappa), uvw, (kappa, kappa, kappa), f)
+            }
+            Some(Tiled::PivotRows(x, uw)) => {
+                gep_split_rows(Shape::<R, C>, (x, kappa), uw, (kappa, kappa), &mut q, f)
+            }
+            Some(Tiled::PivotCols(x, vw)) => {
+                gep_split_cols(Shape::<R, C>, (x, kappa), vw, kappa, &mut q, f)
+            }
+            None => return leaf_rows::<GepF, LANES>(mem, kappa, offsets, origin, f, sigma),
         }
-        leaf_rows::<GepF, LANES>(mem, kappa, offsets, origin, f, sigma)
+        (kappa * kappa * kappa) as u64
     }
 
     type Leaf = fn(&mut [u64], usize, [usize; 3], (usize, usize, usize), GepF, UpdateSet) -> u64;
@@ -701,7 +748,9 @@ mod tests {
     /// checked on every host, whatever vector width the host has.
     /// [`gep_tiles`] must run for exactly the blocks whose operands are
     /// all disjoint from `x` and whose every triplet is in `Σ_f`, at `κ`
-    /// below, at and above each tile's sides and at `κ` no side divides.
+    /// below, at and above each tile's sides and at `κ` no side divides;
+    /// the pivot split for exactly the blocks whose every triplet is in
+    /// `Σ_f`, with one of `u`, `v` aliased to `x` and `w` disjoint.
     #[test]
     fn leaf_update_matches_the_triple_loop_on_every_alias_pattern() {
         // Order-sensitive in all four operands.
@@ -712,6 +761,7 @@ mod tests {
         let mut state = 17u64;
         let mut cases = 0;
         let mut tiled_cases = 0;
+        let mut split_cases = 0;
         for (shape, leaf) in LEAVES {
             for kappa in KAPPAS {
                 let bsz = kappa * kappa;
@@ -753,6 +803,7 @@ mod tests {
                                 let want_ops =
                                     leaf_reference(&mut want, kappa, offsets, origin, f, sigma);
                                 TILED_LEAVES.with(|c| c.set(0));
+                                SPLIT_LEAVES.with(|c| c.set(0));
                                 let got_ops = leaf(&mut got, kappa, offsets, origin, f, sigma);
                                 let case = format!(
                                     "{shape}, {name} κ={kappa} offsets={offsets:?} {sigma:?} \
@@ -767,6 +818,14 @@ mod tests {
                                 let tiled = TILED_LEAVES.with(|c| c.get());
                                 assert_eq!(tiled, u64::from(exact), "tiled: {case}");
                                 tiled_cases += tiled;
+                                // The pivot split takes exactly the fully
+                                // admitted blocks with `u` or `v` aliased
+                                // and `w` disjoint.
+                                let one_aliased = aliases == 0b001 || aliases == 0b010;
+                                let full = want_ops == (kappa * kappa * kappa) as u64;
+                                let split = SPLIT_LEAVES.with(|c| c.get());
+                                assert_eq!(split, u64::from(one_aliased && full), "split: {case}");
+                                split_cases += split;
                                 cases += 1;
                             }
                         }
@@ -779,6 +838,8 @@ mod tests {
         // far below the block; at κ = 1 also `KBelowMin` at
         // `(κ, κ, κ − 1)`.
         assert_eq!(tiled_cases, 3 * 2 * (9 * 10 + 1));
+        // The same, for each of the two aliased patterns.
+        assert_eq!(split_cases, 2 * 3 * 2 * (9 * 10 + 1));
     }
 
     #[test]

@@ -6,11 +6,16 @@
 //! only. Each arm below is a `#[target_feature]` wrapper that calls an
 //! `#[inline(always)]` leaf by name — [`gep::gep_tiles`] at the arm's
 //! own register tile ([`Arm::tile`]), or N-GEP's row loop for the
-//! blocks that leaf does not take (`leaf_rows` in `ngep.rs`, which on
+//! blocks the tile does not take (`leaf_rows` in `ngep.rs`, which on
 //! the AVX-512 arm cuts an aliased row at `k` lane by lane, not in two
 //! loops) — so the same source is compiled once per instruction set.
 //! Each tile is its own wrapper: inlined into the row loop's, the same
-//! source lost its registers. [`Arm::widest`] picks the
+//! source lost its registers. [`leaf_update`] runs a block in one of
+//! three shapes (DESIGN §2 S8): one [`gep_tiles`] when every operand is
+//! disjoint from `x`; `gep::gep_split_rows` or
+//! `gep::gep_split_cols` — two sweeps of [`gep_tiles`] around the
+//! block's pivots, with a few rows between them in safe code — when `v`
+//! or `u` is `x`; the row loop otherwise. [`Arm::widest`] picks the
 //! widest arm the CPU has (`std` caches the detection), and every other
 //! host and target runs the baseline arm. No arm fuses `a * b + c`, so
 //! every arm computes the same IEEE value in every lane; the one place
@@ -20,7 +25,9 @@
 //! compiles its real kernels' leaves for the same arms, so one CPU
 //! check decides every dispatched leaf of both crates.
 
-use crate::algs::ngep;
+use std::cell::RefCell;
+
+use crate::algs::ngep::{self, Tiled};
 use crate::gep::{self, Block, UpdateSet, Word};
 
 /// One compiled copy of a dispatched leaf, by the widest vector
@@ -81,11 +88,15 @@ impl Arm {
 }
 
 /// N-GEP's `κ × κ` base case on one PE's memory, compiled for `arm`,
-/// returning the number of updates applied: a block whose operands are
-/// all disjoint from `x` and whose every triplet is in `Σ_f` runs
-/// [`gep_tiles`] at the arm's [`Arm::tile`], any other block runs row by
-/// row, cut where an aliased operand changes (`ngep.rs`, `leaf_rows`).
-/// Every arm gives the same bits and the same count.
+/// returning the number of updates applied. A block whose every triplet
+/// is in `Σ_f` runs on the arm's register tile ([`Arm::tile`]): one
+/// [`gep_tiles`] when `u`, `v` and `w` are all disjoint from `x` (`𝒟`),
+/// `gep::gep_split_rows` when only `v` is `x` (ℬ),
+/// `gep::gep_split_cols` when only `u` is `x` (𝒞), both with their
+/// scratch in a buffer the thread keeps. Any other block (`𝒜`, or one
+/// partly in `Σ_f`) runs row by row, cut where an aliased operand
+/// changes (`ngep.rs`, `leaf_rows`). Every arm gives the same bits and
+/// the same count.
 ///
 /// # Panics
 /// If this CPU cannot run `arm`.
@@ -100,8 +111,17 @@ pub fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
     sigma: UpdateSet,
 ) -> u64 {
     assert!(arm.available(), "this CPU cannot run the {arm:?} arm");
-    if let Some((x, uvw)) = ngep::tiled_operands(mem, kappa, offsets, origin, sigma) {
-        gep_tiles(arm, (x, kappa), uvw, (kappa, kappa, kappa), f);
+    if let Some(tiled) = ngep::tiled_operands(mem, kappa, offsets, origin, sigma) {
+        match tiled {
+            Tiled::Disjoint(x, uvw) => gep_tiles(arm, (x, kappa), uvw, (kappa, kappa, kappa), f),
+            Tiled::PivotRows(x, uw) => SPLIT_SCRATCH.with_borrow_mut(|q| {
+                let q = scratch(q, kappa);
+                gep::gep_split_rows(arm, (x, kappa), uw, (kappa, kappa), q, f)
+            }),
+            Tiled::PivotCols(x, vw) => SPLIT_SCRATCH.with_borrow_mut(|q| {
+                gep::gep_split_cols(arm, (x, kappa), vw, kappa, scratch(q, kappa), f)
+            }),
+        }
         return (kappa * kappa * kappa) as u64;
     }
     match arm {
@@ -115,6 +135,22 @@ pub fn leaf_update<F: Fn(f64, f64, f64, f64) -> f64>(
         Arm::Avx2 => unsafe { x86::leaf_rows_avx2(mem, kappa, offsets, origin, f, sigma) },
         _ => ngep::leaf_rows::<F, false>(mem, kappa, offsets, origin, f, sigma),
     }
+}
+
+thread_local! {
+    /// The pivot split's scratch, kept for the thread's life.
+    static SPLIT_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The pivot split's scratch for a `κ × κ` block: `2κ²` words of `buf`
+/// (𝒞's saved rows and `vᵀ`; ℬ uses the first half), which grows only
+/// for a `κ` larger than any before on this thread.
+fn scratch(buf: &mut Vec<u64>, kappa: usize) -> &mut [u64] {
+    let len = 2 * kappa * kappa;
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    &mut buf[..len]
 }
 
 /// [`gep::gep_tiles`] compiled for `arm`, at the arm's [`Arm::tile`]:

@@ -14,6 +14,8 @@
 
 use std::ops::Range;
 
+use crate::dispatch::Arm;
+
 /// The update function `f : S⁴ → S` (plain function pointer so it is
 /// `Copy` and freely shareable across recorded tasks).
 pub type GepF = fn(f64, f64, f64, f64) -> f64;
@@ -356,6 +358,183 @@ fn tile<E: Word, F: Fn(f64, f64, f64, f64) -> f64, const R: usize, const C: usiz
     }
 }
 
+/// A compiled form of [`gep_tiles`], which [`gep_split_rows`] and
+/// [`gep_split_cols`] run their sweeps through: an [`Arm`] runs
+/// [`dispatch::gep_tiles`](crate::dispatch::gep_tiles) at its own tile.
+pub(crate) trait Sweep: Copy {
+    /// The tile's rows: the height of the split's bands.
+    fn band(self) -> usize;
+    /// [`gep_tiles`] over `shape`, as that function takes its operands.
+    fn tiles<E: Word, F: Fn(f64, f64, f64, f64) -> f64>(
+        self,
+        x: (&mut [E], usize),
+        uvw: [Block<'_, E>; 3],
+        shape: (usize, usize, usize),
+        f: F,
+    );
+}
+
+impl Sweep for Arm {
+    fn band(self) -> usize {
+        self.tile().0
+    }
+    fn tiles<E: Word, F: Fn(f64, f64, f64, f64) -> f64>(
+        self,
+        x: (&mut [E], usize),
+        uvw: [Block<'_, E>; 3],
+        shape: (usize, usize, usize),
+        f: F,
+    ) {
+        crate::dispatch::gep_tiles(self, x, uvw, shape, f)
+    }
+}
+
+/// ℬ's GEP base case, `v` being `x` itself: for every `k < n`, then
+/// every `i < n` and `j < cols`,
+/// `x[i,j] ← f(x[i,j], u[i,k], x[k,j], w[k,k])`, with `u` and `w`
+/// disjoint from `x` and every triplet in `Σ_f`. Operands are laid out
+/// as for [`gep_tiles`]; `q` is scratch of at least `n · cols` words.
+///
+/// In that k-major loop, step `k` reads row `k` of `x` as it stands
+/// after step `k − 1` for the rows above it, and after step `k` for
+/// the rows below it (row `k` itself reads each element just before
+/// writing it). Both values are kept, and `x` is swept in bands of
+/// `sweep`'s tile rows `R`:
+///
+/// 1. band by band from the top, one sweep applies steps `k < r0` to
+///    rows `r0..r0 + R`, reading rows `0..r0` of `x`, which by then have
+///    taken exactly the steps up to their own; then the band's own steps
+///    run row by row over its rows `i ≥ k`, each row `k` first saved to
+///    `q` as it stands after step `k − 1`;
+/// 2. each band takes its remaining in-band steps (`k > i`) from `q`,
+///    then one sweep applies steps `k ≥ r0 + R` reading `q`.
+///
+/// Each `x[i,j]` so takes its `n` terms in ascending `k`, with the
+/// operands the k-major loop gives it: the result is that loop's bits,
+/// for any `f`.
+///
+/// # Panics
+/// If `q` is shorter than `n · cols`, or as [`gep_tiles`] does.
+pub(crate) fn gep_split_rows<E, F>(
+    sweep: impl Sweep,
+    (x, xs): (&mut [E], usize),
+    [(u, us), (w, ws)]: [Block<'_, E>; 2],
+    (n, cols): (usize, usize),
+    q: &mut [E],
+    f: F,
+) where
+    E: Word,
+    F: Fn(f64, f64, f64, f64) -> f64,
+{
+    let q = &mut q[..n * cols];
+    let band = sweep.band();
+    let bands = (0..n).step_by(band);
+    let band_end = |r0: usize| (r0 + band).min(n);
+    for r0 in bands.clone() {
+        let end = band_end(r0);
+        let (done, rows) = x.split_at_mut(r0 * xs);
+        let uvw = [(&u[r0 * us..], us), (&*done, xs), (w, ws)];
+        sweep.tiles((rows, xs), uvw, (end - r0, cols, r0), &f);
+        for k in r0..end {
+            let (uk, wk) = (u[k * us + k].get(), w[k * ws].get());
+            let (pivot, saved) = (&mut x[k * xs..][..cols], &mut q[k * cols..][..cols]);
+            saved.copy_from_slice(pivot);
+            row_step(pivot, uk, saved, wk, &f);
+            for i in k + 1..end {
+                let (above, row) = x.split_at_mut(i * xs);
+                let v = &above[k * xs..][..cols];
+                row_step(&mut row[..cols], u[i * us + k].get(), v, wk, &f);
+            }
+        }
+    }
+    for r0 in bands {
+        let end = band_end(r0);
+        for i in r0..end {
+            for k in i + 1..end {
+                let v = &q[k * cols..][..cols];
+                row_step(
+                    &mut x[i * xs..][..cols],
+                    u[i * us + k].get(),
+                    v,
+                    w[k * ws].get(),
+                    &f,
+                );
+            }
+        }
+        if end < n {
+            let uvw = [
+                (&u[r0 * us + end..], us),
+                (&q[end * cols..], cols),
+                (&w[end * ws..], ws),
+            ];
+            sweep.tiles((&mut x[r0 * xs..], xs), uvw, (end - r0, cols, n - end), &f);
+        }
+    }
+}
+
+/// `x[j] ← f(x[j], u, v[j], w)` along one row.
+#[inline(always)]
+fn row_step<E: Word, F: Fn(f64, f64, f64, f64) -> f64>(
+    x: &mut [E],
+    u: f64,
+    v: &[E],
+    w: f64,
+    f: &F,
+) {
+    for (x, v) in x.iter_mut().zip(v) {
+        *x = E::put(f(x.get(), u, v.get(), w));
+    }
+}
+
+/// 𝒞's GEP base case on an `n × n` block, `u` being `x` itself: for
+/// every `k < n`, then every `i, j < n`,
+/// `x[i,j] ← f(x[i,j], x[i,k], v[k,j], w[k,k])`, with `v` and `w`
+/// disjoint from `x` and every triplet in `Σ_f`. `scratch` holds at
+/// least `2n²` words.
+///
+/// On `y = xᵀ` this is ℬ's loop with `f`'s `u` and `v` swapped and
+/// `vᵀ` as `u`: `y[j,i] ← f(y[j,i], y[k,i], vᵀ[j,k], w[k,k])`, where
+/// step `k` reads row `k` of `y` before its step `k` for `j < k` and
+/// after it for `j > k`, as the k-major loop reads column `k` of `x`. So
+/// `x` is transposed in place, `vᵀ` copied into `scratch`, the block run
+/// through [`gep_split_rows`] and transposed back: the same bits, for
+/// any `f`.
+///
+/// # Panics
+/// If `scratch` is shorter than `2n²`, or as [`gep_split_rows`] does.
+pub(crate) fn gep_split_cols<E, F>(
+    sweep: impl Sweep,
+    (x, xs): (&mut [E], usize),
+    [(v, vs), w]: [Block<'_, E>; 2],
+    n: usize,
+    scratch: &mut [E],
+    f: F,
+) where
+    E: Word,
+    F: Fn(f64, f64, f64, f64) -> f64,
+{
+    let (q, vt) = scratch[..2 * n * n].split_at_mut(n * n);
+    for (j, row) in vt.chunks_exact_mut(n).enumerate() {
+        for (k, e) in row.iter_mut().enumerate() {
+            *e = v[k * vs + j];
+        }
+    }
+    transpose(x, xs, n);
+    let swapped = |x, a, b, w| f(x, b, a, w);
+    gep_split_rows(sweep, (x, xs), [(vt, n), w], (n, n), q, swapped);
+    transpose(x, xs, n);
+}
+
+/// The `n × n` block of `x` (row stride `xs`) transposed in place.
+fn transpose<E: Copy>(x: &mut [E], xs: usize, n: usize) {
+    for i in 1..n {
+        let (above, row) = x.split_at_mut(i * xs);
+        for (j, e) in row[..i].iter_mut().enumerate() {
+            std::mem::swap(e, &mut above[j * xs + i]);
+        }
+    }
+}
+
 /// The reference GEP engine of Fig. 5: the ground truth every oblivious
 /// implementation is checked against.
 pub fn gep_reference(
@@ -405,8 +584,119 @@ pub fn fw_instance_into(n: usize, seed: u64, d: &mut Vec<f64>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// [`gep_tiles`] at an `R × C` tile, at the build's own width: each
+    /// arm's tile shape, or a band height no arm has.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Shape<const R: usize, const C: usize>;
+
+    impl<const R: usize, const C: usize> Sweep for Shape<R, C> {
+        fn band(self) -> usize {
+            R
+        }
+        fn tiles<E: Word, F: Fn(f64, f64, f64, f64) -> f64>(
+            self,
+            x: (&mut [E], usize),
+            uvw: [Block<'_, E>; 3],
+            shape: (usize, usize, usize),
+            f: F,
+        ) {
+            gep_tiles::<E, F, R, C>(x, uvw, shape, f)
+        }
+    }
+
+    /// Order-sensitive in all four operands, and not symmetric in `u`
+    /// and `v` (as `𝒞`'s swap must preserve).
+    fn mix(x: f64, u: f64, v: f64, w: f64) -> f64 {
+        x * 0.75 + u * v * 0.125 + u * 0.25 - v * 0.1875 - w * 0.0625
+    }
+
+    /// [`gep_split_rows`] and [`gep_split_cols`] at band heights 1, 2, 3
+    /// and 5 against the k-major triple loop with `v` (resp. `u`) read
+    /// from `x` as it stands, bit for bit, on `n` that no band height
+    /// divides, at it and past it, with `cols` below, at and past `n`
+    /// and row strides past each row's length.
+    #[test]
+    fn pivot_split_matches_the_k_major_loop_at_ragged_band_edges() {
+        fn check(sweep: impl Sweep, state: &mut u64) -> usize {
+            let mut draw = |len: usize| -> Vec<f64> {
+                (0..len)
+                    .map(|_| {
+                        *state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        0.5 + (*state >> 11) as f64 / (1u64 << 53) as f64
+                    })
+                    .collect()
+            };
+            let mut cases = 0;
+            for n in [1usize, 2, 3, 4, 5, 6, 7, 9, 10, 13, 16] {
+                let (us, ws) = (n + 1, n + 2);
+                let (u, w) = (draw(n * us), draw(n * ws));
+                for cols in [1, n.div_ceil(2), n, n + 3] {
+                    let xs = cols + 2;
+                    let x = draw(n * xs);
+                    let mut want = x.clone();
+                    for k in 0..n {
+                        for i in 0..n {
+                            for j in 0..cols {
+                                let (xv, vv) = (want[i * xs + j], want[k * xs + j]);
+                                want[i * xs + j] = mix(xv, u[i * us + k], vv, w[k * ws]);
+                            }
+                        }
+                    }
+                    let mut got = x.clone();
+                    let mut q = vec![f64::NAN; n * cols];
+                    gep_split_rows(
+                        sweep,
+                        (&mut got, xs),
+                        [(&u, us), (&w, ws)],
+                        (n, cols),
+                        &mut q,
+                        mix,
+                    );
+                    assert_eq!(got, want, "rows: band {} n={n} cols={cols}", sweep.band());
+                    cases += 1;
+                    if cols != n {
+                        continue;
+                    }
+                    // 𝒞 on the same block, with `u` as its `v`.
+                    let mut want = x.clone();
+                    for k in 0..n {
+                        for i in 0..n {
+                            for j in 0..n {
+                                let (xv, uv) = (want[i * xs + j], want[i * xs + k]);
+                                want[i * xs + j] = mix(xv, uv, u[k * us + j], w[k * ws]);
+                            }
+                        }
+                    }
+                    let mut got = x.clone();
+                    let mut scratch = vec![f64::NAN; 2 * n * n];
+                    gep_split_cols(
+                        sweep,
+                        (&mut got, xs),
+                        [(&u, us), (&w, ws)],
+                        n,
+                        &mut scratch,
+                        mix,
+                    );
+                    assert_eq!(got, want, "cols: band {} n={n}", sweep.band());
+                    cases += 1;
+                }
+            }
+            cases
+        }
+        let mut state = 0x5b1d_u64;
+        let cases = check(Shape::<1, 4>, &mut state)
+            + check(Shape::<2, 16>, &mut state)
+            + check(Shape::<3, 8>, &mut state)
+            + check(Shape::<5, 1>, &mut state);
+        // Per band: every `(n, cols)` through ℬ, and 𝒞 where `cols = n`
+        // (three of `n = 1`'s four `cols`).
+        assert_eq!(cases, 4 * (11 * 4 + 13));
+    }
 
     /// The four box tests of [`UpdateSet`] against its membership test,
     /// on seeded boxes of widths 1–16 whose `KBelowMin` cut falls far

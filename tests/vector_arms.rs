@@ -2,7 +2,8 @@
 //! this CPU can run — AVX-512, AVX2 — of N-GEP's base case
 //! (`no::dispatch::leaf_update`), GEP's register-tiled leaf at each
 //! arm's tile shape (`no::dispatch::gep_tiles`, which the former and the
-//! served matmul run), Floyd–Warshall's band rows
+//! served matmul run) and the pivot split around it that the former runs
+//! on blocks with `u` or `v` aliased, Floyd–Warshall's band rows
 //! (`algs::dispatch::fw_rows`), the FFT's leaf and combine
 //! (`algs::dispatch::{fft_leaf, fft_combine}`) and the served inputs'
 //! fill (`algs::dispatch::fill`) must return the same op count (or
@@ -21,13 +22,13 @@
 //! The arms are vectorised only in optimised builds, so CI also runs
 //! this file with `--release`.
 
-use std::ops::{Add, Mul, Sub};
+use std::ops::{Add, Div, Mul, Sub};
 
 use oblivious::algs::dispatch as kernels;
 use oblivious::algs::real::registry::Draw;
 use oblivious::algs::real::C64;
 use oblivious::no::dispatch::{self as ngep, Arm};
-use oblivious::no::gep::{fw_update, mm_update, UpdateSet};
+use oblivious::no::gep::{fw_update, ge_update, mm_update, UpdateSet};
 
 /// The vector arms (every arm but the last, the baseline) this CPU
 /// runs, after printing the ones it skips.
@@ -86,6 +87,12 @@ impl Mul for Lane {
         Lane::op(self, b, self.v * b.v)
     }
 }
+impl Div for Lane {
+    type Output = Lane;
+    fn div(self, b: Lane) -> Lane {
+        Lane::op(self, b, self.v / b.v)
+    }
+}
 
 /// Order-sensitive in all four operands.
 fn mix(x: f64, u: f64, v: f64, w: f64) -> f64 {
@@ -99,6 +106,9 @@ fn fw_lane(x: Lane, u: Lane, v: Lane, _w: Lane) -> Lane {
 }
 fn mm_lane(x: Lane, u: Lane, v: Lane, _w: Lane) -> Lane {
     x + u * v
+}
+fn ge_lane(x: Lane, u: Lane, v: Lane, w: Lane) -> Lane {
+    x - (u / w) * v
 }
 
 /// The specials every input draws from: ±0, ±∞ and quiet NaNs of both
@@ -388,6 +398,80 @@ fn every_arm_of_the_tiled_gep_leaf_gives_the_baseline_bits() {
     println!(
         "tiled gep leaf: {arms:?} run against the baseline, tiles {shapes:?}; {} NaN lanes compared \
          bit for bit, {} lanes where two NaNs met ({} of them with other bits)",
+        seen.exact_nans, seen.loose, seen.loose_apart
+    );
+    assert!(seen.exact_nans > 0 && seen.loose > 0);
+}
+
+/// Every runnable arm of the N-GEP leaf's pivot split with update `f`
+/// (and its [`Lane`] twin `g`) against the baseline arm, through
+/// `leaf_update` on fully admitted `κ × κ` blocks whose `v` (ℬ) or `u`
+/// (𝒞) is `x` itself, at every `κ` from 1 to 64 under both update sets,
+/// with plain and with special inputs.
+fn split_arms_agree<F, G>(name: &str, f: F, g: G, arms: &[Arm], seen: &mut Seen)
+where
+    F: Fn(f64, f64, f64, f64) -> f64 + Copy,
+    G: Fn(Lane, Lane, Lane, Lane) -> Lane + Copy,
+{
+    let mut state = 43u64;
+    for kappa in 1..=64usize {
+        let bsz = kappa * kappa;
+        for (pattern, offsets) in [("ℬ", [bsz, 0, 3 * bsz]), ("𝒞", [0, 2 * bsz, 3 * bsz])] {
+            for (sigma, origin) in [
+                (UpdateSet::All, (0, 0, 0)),
+                (UpdateSet::KBelowMin, (4 * kappa, 4 * kappa, 0)),
+            ] {
+                for specials in [false, true] {
+                    let input = words(&mut state, 4 * bsz, specials);
+                    let case = format!("{name} {pattern} κ={kappa} {sigma:?} specials={specials}");
+                    let mut lanes: Vec<Lane> =
+                        input.iter().map(|&w| Lane::of(f64::from_bits(w))).collect();
+                    leaf_reference(&mut lanes, kappa, offsets, origin, g, sigma);
+                    let mut base = input.clone();
+                    let ops = ngep::leaf_update(
+                        Arm::Baseline,
+                        &mut base,
+                        kappa,
+                        offsets,
+                        origin,
+                        f,
+                        sigma,
+                    );
+                    assert_eq!(ops, (bsz * kappa) as u64, "ops, baseline: {case}");
+                    let want: Vec<u64> = lanes.iter().map(|l| l.v.to_bits()).collect();
+                    let vs_reference = &mut Seen::default();
+                    same_bits(
+                        &base,
+                        &want,
+                        &lanes,
+                        vs_reference,
+                        &format!("baseline, {case}"),
+                    );
+                    for &arm in arms {
+                        let mut got = input.clone();
+                        let ops =
+                            ngep::leaf_update(arm, &mut got, kappa, offsets, origin, f, sigma);
+                        assert_eq!(ops, (bsz * kappa) as u64, "ops, {arm:?}: {case}");
+                        same_bits(&got, &base, &lanes, seen, &format!("{arm:?}, {case}"));
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_arm_of_the_pivot_split_gives_the_baseline_bits() {
+    let arms = runnable("pivot split");
+    let mut seen = Seen::default();
+    split_arms_agree("mix", mix, mix_lane, &arms, &mut seen);
+    split_arms_agree("fw_update", fw_update, fw_lane, &arms, &mut seen);
+    split_arms_agree("mm_update", mm_update, mm_lane, &arms, &mut seen);
+    // Not symmetric in `u` and `v`, as `𝒞`'s swap must preserve.
+    split_arms_agree("ge_update", ge_update, ge_lane, &arms, &mut seen);
+    println!(
+        "pivot split: {arms:?} run against the baseline; {} NaN lanes compared bit for bit, {} lanes \
+         where two NaNs met ({} of them with other bits)",
         seen.exact_nans, seen.loose, seen.loose_apart
     );
     assert!(seen.exact_nans > 0 && seen.loose > 0);
